@@ -501,7 +501,7 @@ func newShardedDBOpts(b *testing.B, shards, parents int, mut func(*Options)) *DB
 // (parse + modification + snapshot execution + optimistic commit) under a
 // worker-pool, sweeping worker count against conflict shape. "low" spreads
 // transactions round-robin over 16 relations so concurrent write sets
-// rarely share a commit-sequencer shard; "high" aims every transaction at
+// rarely share a relation; "high" aims every transaction at
 // one relation with disjoint tuples — the workload that serialized through
 // retry under relation-granular validation and now merge-commits under
 // tuple-granular validation; "rmw" recycles eight tuple identities in

@@ -128,10 +128,10 @@ func mustCount(t testing.TB, db *DB, rel string) int {
 	return n
 }
 
-// TestSubmitConcurrentMixedWithSubmit: the two entry points share one
-// engine; interleaving them from separate goroutines is safe and both see
-// each other's commits.
-func TestSubmitConcurrentMixedWithSubmit(t *testing.T) {
+// TestSubmitFromManyGoroutines: Submit is the one entry point; calling it
+// from separate goroutines is safe and every caller sees the others'
+// commits.
+func TestSubmitFromManyGoroutines(t *testing.T) {
 	db := newReferentialDB(t, 5)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -140,13 +140,7 @@ func TestSubmitConcurrentMixedWithSubmit(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
 				src := fmt.Sprintf(`begin insert(child, values[(%d, %d, 1)]); end`, w*25+i, (w+i)%5)
-				var err error
-				if w%2 == 0 {
-					_, err = db.Submit(src)
-				} else {
-					_, err = db.SubmitConcurrent(src)
-				}
-				if err != nil {
+				if _, err := db.Submit(src); err != nil {
 					t.Error(err)
 					return
 				}

@@ -247,7 +247,7 @@ func TestDifferentialConcurrentStress(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for i := w; i < len(sc.Txns); i += workers {
-					if _, err := db.SubmitConcurrent(sc.Txns[i]); err != nil {
+					if _, err := db.Submit(sc.Txns[i]); err != nil {
 						t.Errorf("submit: %v", err)
 						return
 					}

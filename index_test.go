@@ -1,7 +1,7 @@
 // Facade-level tests for the secondary-index subsystem: option validation,
 // declared and automatic indexes, probe-granular read recording through
 // Submit, and the -race stress exercising concurrent indexed probes against
-// cross-shard commits.
+// multi-relation commits.
 package repro
 
 import (
@@ -18,7 +18,6 @@ func TestOptionsValidation(t *testing.T) {
 		opts Options
 		want string // substring of the error
 	}{
-		{"negative shards", Options{CommitShards: -1}, "CommitShards"},
 		{"negative retries", Options{MaxCommitRetries: -3}, "MaxCommitRetries"},
 		{"negative depth", Options{MaxModificationDepth: -1}, "MaxModificationDepth"},
 		{"negative batch", Options{GroupCommitBatch: -1}, "GroupCommitBatch"},
@@ -40,7 +39,7 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := OpenChecked(nil); err != nil {
 		t.Errorf("nil options rejected: %v", err)
 	}
-	if _, err := OpenChecked(&Options{CommitShards: 4, MaxCommitRetries: 10,
+	if _, err := OpenChecked(&Options{MaxCommitRetries: 10,
 		Indexes: []string{"child(parent)"}}); err != nil {
 		t.Errorf("valid options rejected: %v", err)
 	}
@@ -50,7 +49,7 @@ func TestOptionsValidation(t *testing.T) {
 				t.Error("Open did not panic on invalid options")
 			}
 		}()
-		Open(&Options{CommitShards: -1})
+		Open(&Options{MaxCommitRetries: -1})
 	}()
 }
 
@@ -394,7 +393,7 @@ func newRangeAlarmDB(t testing.TB, nShards, lowRows int, indexed, prune bool) *D
 }
 
 // TestRangeProbeCrossShardStress exercises concurrent range probes against
-// cross-shard commits: every transaction updates a distinct low-quantity
+// commits to several relations: every transaction updates a distinct low-quantity
 // tuple of one stock relation (hash probe on id), and its reserve check
 // range-probes the qty interval [threshold, ∞), which only the untouched
 // sentinel inhabits. All write footprints project outside every probed
@@ -418,7 +417,7 @@ func TestRangeProbeCrossShardStress(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				id := (w/nShards)*perWorker + i // distinct ids within the relation
 				src := fmt.Sprintf(`begin update(stock%d, id = %d, [qty = qty + 1]); end`, w%nShards, id)
-				res, err := db.SubmitConcurrent(src)
+				res, err := db.Submit(src)
 				if err != nil {
 					errs <- err
 					return
@@ -552,11 +551,12 @@ func TestDisjointAlarmProbesNoRetry(t *testing.T) {
 }
 
 // TestIndexedProbeCrossShardStress exercises concurrent indexed probes
-// against cross-shard commits: half the goroutines insert valid children
-// into per-shard relations (probing parent on alive keys), half delete
-// childless spare parents (probing every child relation on the spare key).
-// All footprints are key-disjoint, so every transaction must commit without
-// a single retry while the indexes stay consistent. Run with -race.
+// against commits to several relations: half the goroutines insert valid
+// children into their own child relation (probing parent on alive keys),
+// half delete childless spare parents (probing every child relation on the
+// spare key). All footprints are key-disjoint, so every transaction must
+// commit without a single retry while the indexes stay consistent. Run with
+// -race.
 func TestIndexedProbeCrossShardStress(t *testing.T) {
 	const (
 		nShards   = 4
@@ -573,7 +573,7 @@ func TestIndexedProbeCrossShardStress(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				id := 10_000 + w*perWorker + i
 				src := fmt.Sprintf(`begin insert(child%d, values[(%d, %d, 1)]); end`, w, id, id%nParents)
-				res, err := db.SubmitConcurrent(src)
+				res, err := db.Submit(src)
 				if err != nil {
 					errs <- err
 					return
@@ -593,7 +593,7 @@ func TestIndexedProbeCrossShardStress(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				src := fmt.Sprintf(`begin delete(parent, select(parent, id = %d)); end`,
 					spareBase+w*perWorker+i)
-				res, err := db.SubmitConcurrent(src)
+				res, err := db.Submit(src)
 				if err != nil {
 					errs <- err
 					return

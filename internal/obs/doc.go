@@ -31,7 +31,7 @@
 // lifecycle points (begin, probe, enqueue, validate verdict, WAL append and
 // fsync, publish, retry, snapshot-too-old refusal, checkpoint and recovery
 // progress). Tracer implementations are called synchronously from the
-// commit pipeline — some sites run under shard locks, so a tracer must not
-// block (the one exception, used by tests, is the enqueue event, which is
-// emitted lock-free).
+// commit pipeline — some sites run under the commit lock, so a tracer must
+// not block (the one exception, used by tests, is the enqueue event, which
+// is emitted lock-free).
 package obs

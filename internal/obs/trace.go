@@ -23,10 +23,10 @@ const (
 	EvTxnEnqueue
 	// EvTxnValidate: the epoch drainer reached a verdict for one member.
 	// Txn, OK; on conflict Relation/Key name the first conflicting read
-	// (both empty for a snapshot-too-old refusal). Runs under shard locks.
+	// (both empty for a snapshot-too-old refusal). Runs under the commit lock.
 	EvTxnValidate
 	// EvWALAppend: the epoch's WAL records were appended (and group-fsynced
-	// under sync=always). Epoch, LSN, Bytes, Dur. Runs under shard locks.
+	// under sync=always). Epoch, LSN, Bytes, Dur. Runs under the commit lock.
 	EvWALAppend
 	// EvWALFsync: a batched-policy background fsync pass completed.
 	// N (segments synced), Dur.
@@ -101,7 +101,7 @@ type Event struct {
 }
 
 // Tracer receives lifecycle events. Implementations are called
-// synchronously from the pipeline — several sites hold shard locks, so a
+// synchronously from the pipeline — several sites hold the commit lock, so a
 // tracer must return promptly and must not re-enter the database. Only
 // EvTxnEnqueue is emitted lock-free.
 type Tracer interface {

@@ -1,30 +1,31 @@
 // Durable storage engine: the write-ahead log hook of the commit pipeline.
 //
 // A durable Database (constructed by Open, not New) carries a durability
-// sidecar: a wal.Writer sharing the sequencer's shard layout plus the
-// checkpoint bookkeeping (checkpoint.go). The commit pipeline touches it in
-// exactly one place — stage V of processEpoch appends one record per written
-// shard, under the shard locks, before the shadow state and commit logs are
-// updated — so the write-ahead invariant is structural: nothing a later
-// epoch can validate against, and nothing a reader can observe, exists
-// before its log record does. Under wal.SyncAlways the append also fsyncs
-// (one group fsync per epoch, amortized over the whole batch) before any
-// committer is acknowledged.
+// sidecar: a wal.Writer plus the checkpoint bookkeeping (checkpoint.go). The
+// commit pipeline touches it in exactly one place — stage V of processEpoch
+// appends one record per epoch, under the commit lock, before the shadow
+// state and the commit log are updated — so the write-ahead invariant is
+// structural: nothing a later epoch can validate against, and nothing a
+// reader can observe, exists before its log record does. Under
+// wal.SyncAlways the append also fsyncs (one group fsync per epoch,
+// amortized over the whole batch) before any committer is acknowledged. An
+// epoch writing several relations is atomic by construction: all of them
+// travel in the one frame, under the one CRC.
 //
 // Schema-management calls (AddRelation, Load, DefineIndex,
-// DefineOrderedIndex) log themselves too, as single-shard records. They
-// first quiesce the publish pipeline (waitQuiesced) so their record's
-// position in the log matches the state they observed and edited — without
-// it, a schema record could land after an epoch record whose snapshot swap
-// it actually preceded, and replay would order them wrong.
+// DefineOrderedIndex) log themselves too. They first quiesce the publish
+// pipeline (beginSchemaChange) so their record's position in the log matches
+// the state they observed and edited — without it, a schema record could
+// land after an epoch record whose snapshot swap it actually preceded, and
+// replay would order them wrong.
 //
-// Log sequence numbers are globally sequential and monotone in logical
-// time: stage V runs serially (one drainer at a time, schema ops hold every
-// shard lock), so reservation of a time block and the append of its record
-// cannot interleave with another epoch's. Each published snapshot is
-// stamped with the LSN of the record that produced it; that stamp is the
-// checkpoint watermark — a checkpoint of snapshot S plus the records with
-// LSN > S.lsn is exactly the logged history.
+// Log sequence numbers are sequential and monotone in logical time: stage V
+// runs serially (one drainer at a time, schema calls hold the commit lock),
+// so reservation of a time block and the append of its record cannot
+// interleave with another epoch's. Each published snapshot is stamped with
+// the LSN of the record that produced it; that stamp is the checkpoint
+// watermark — a checkpoint of snapshot S plus the records with LSN > S.lsn
+// is exactly the logged history.
 package storage
 
 import (
@@ -46,10 +47,8 @@ import (
 
 // WAL record types.
 const (
-	// recEpoch carries one group-commit epoch's aggregated writes: per
-	// relation either the net ins/del delta or a verbatim instance. A
-	// cross-shard epoch writes one part per written shard (all sharing the
-	// record's LSN), each part holding only the relations homed there.
+	// recEpoch carries one group-commit epoch's aggregated writes: the net
+	// ins/del delta of every relation the epoch wrote, sorted by name.
 	recEpoch byte = 1
 	// recLoad carries a bulk Load: the relation's full replacement instance.
 	recLoad byte = 2
@@ -61,8 +60,6 @@ const (
 
 // DurOptions configure Open.
 type DurOptions struct {
-	// Shards is the commit-sequencer shard count; <= 0 means DefaultShards.
-	Shards int
 	// Sync is the WAL sync policy (see wal.SyncPolicy; the zero value is
 	// SyncAlways).
 	Sync wal.SyncPolicy
@@ -101,9 +98,6 @@ const (
 )
 
 func (o DurOptions) withDefaults() DurOptions {
-	if o.Shards <= 0 {
-		o.Shards = DefaultShards
-	}
 	if o.CheckpointBytes == 0 {
 		o.CheckpointBytes = defaultCheckpointBytes
 	}
@@ -209,17 +203,6 @@ func (d *Database) Close() error {
 	return err
 }
 
-// waitQuiesced blocks (under pubMu) until every reserved epoch has published
-// its snapshot swap: snap.time has caught up with the epoch clock. Schema
-// ops call it while holding every shard lock, so no new epoch can reserve
-// times while they wait and the state they then read and log is the state
-// their record's log position implies.
-func (d *Database) waitQuiesced() {
-	for d.snap.Load().time != d.clock.Load() {
-		d.pubCond.Wait()
-	}
-}
-
 // appendString / decodeString are the string framing shared by the WAL
 // payloads and the checkpoint directory.
 func appendString(dst []byte, s string) []byte {
@@ -244,54 +227,36 @@ func appendRelTuples(dst []byte, r *relation.Relation) []byte {
 	return relation.AppendTuples(dst, r)
 }
 
-// Epoch payload kinds, per relation within a recEpoch part.
-const (
-	epochDelta    byte = 'd' // net ins/del tuple lists
-	epochVerbatim byte = 'v' // full replacement instance
-)
-
-// appendEpoch appends the epoch's single logical record — one part per
-// written shard, each carrying the relations homed there — and returns its
-// LSN and total byte size. Called from stage V under the shard locks.
-func (du *durability) appendEpoch(last uint64, agg map[string]*relAgg,
-	install, recIns, recDel map[string]*relation.Relation) (uint64, int64, error) {
-	byShard := make(map[int][]string)
-	for name, a := range agg {
-		byShard[a.home] = append(byShard[a.home], name)
+// appendEpoch appends the epoch's record — every written relation's net
+// delta in one payload — and returns its LSN and byte size. Called from
+// stage V under the commit lock.
+func (du *durability) appendEpoch(last uint64, recIns, recDel map[string]*relation.Relation) (uint64, int64, error) {
+	names := make([]string, 0, len(recIns)+len(recDel))
+	for name := range recIns {
+		names = append(names, name)
 	}
-	shards := make([]int, 0, len(byShard))
-	for si := range byShard {
-		shards = append(shards, si)
-	}
-	sort.Ints(shards)
-	parts := make([]wal.Append, 0, len(shards))
-	for _, si := range shards {
-		names := byShard[si]
-		sort.Strings(names)
-		payload := binary.AppendUvarint(nil, uint64(len(names)))
-		for _, name := range names {
-			payload = appendString(payload, name)
-			if agg[name].inst != nil {
-				payload = append(payload, epochVerbatim)
-				payload = appendRelTuples(payload, install[name])
-				continue
-			}
-			// Deletes precede inserts, matching the successor derivation
-			// (DiffInPlace then UnionInPlace) so replay streams in
-			// application order.
-			payload = append(payload, epochDelta)
-			payload = appendRelTuples(payload, recDel[name])
-			payload = appendRelTuples(payload, recIns[name])
+	for name := range recDel {
+		if recIns[name] == nil {
+			names = append(names, name)
 		}
-		parts = append(parts, wal.Append{Shard: si, Payload: payload})
 	}
-	return du.w.AppendRecord(recEpoch, last, parts)
+	sort.Strings(names)
+	payload := binary.AppendUvarint(nil, uint64(len(names)))
+	for _, name := range names {
+		// Deletes precede inserts, matching the successor derivation
+		// (DiffInPlace then UnionInPlace) so replay streams in application
+		// order.
+		payload = appendString(payload, name)
+		payload = appendRelTuples(payload, recDel[name])
+		payload = appendRelTuples(payload, recIns[name])
+	}
+	return du.w.AppendRecord(recEpoch, last, payload)
 }
 
-// appendSchemaRecord appends a single-shard schema-management record and
-// returns its LSN.
-func (du *durability) appendSchemaRecord(typ byte, time uint64, shard int, payload []byte) (uint64, error) {
-	lsn, n, err := du.w.AppendRecord(typ, time, []wal.Append{{Shard: shard, Payload: payload}})
+// appendSchemaRecord appends a schema-management record and returns its
+// LSN.
+func (du *durability) appendSchemaRecord(typ byte, time uint64, payload []byte) (uint64, error) {
+	lsn, n, err := du.w.AppendRecord(typ, time, payload)
 	if err != nil {
 		return 0, err
 	}
@@ -384,7 +349,7 @@ func decodeIndexDef(data []byte) (rel string, cols []int, ordered bool, rest []b
 }
 
 // maybeCheckpoint spawns a background checkpoint when enough WAL bytes have
-// accumulated. Called by the drainer after releasing the shard locks; never
+// accumulated. Called by the drainer after releasing the commit lock; never
 // blocks the commit path (at most one checkpoint runs at a time, and extra
 // triggers are dropped).
 func (du *durability) maybeCheckpoint(d *Database) {

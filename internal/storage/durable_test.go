@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/schema"
 	"repro/internal/value"
@@ -38,14 +40,13 @@ func openDur(t *testing.T, dir string, opts DurOptions) *Database {
 	return db
 }
 
-// commitDelta commits one keyed-read transaction inserting and deleting the
+// durCommit commits one keyed-read transaction inserting and deleting the
 // given tuples, serially (its own epoch).
 func durCommit(t *testing.T, db *Database, ins, del map[string][]relation.Tuple) {
 	t.Helper()
 	c := Commit{
 		BaseTime: db.Time(),
 		Reads:    map[string]*ReadInfo{},
-		Changed:  map[string]*relation.Relation{},
 		Ins:      map[string]*relation.Relation{},
 		Del:      map[string]*relation.Relation{},
 	}
@@ -55,7 +56,6 @@ func durCommit(t *testing.T, db *Database, ins, del map[string][]relation.Tuple)
 		}
 		rs, _ := db.Schema().Relation(name)
 		into[name] = relation.MustFromTuples(rs, tuples...)
-		c.Changed[name] = nil
 		ri := c.Reads[name]
 		if ri == nil {
 			ri = &ReadInfo{Keys: map[string]bool{}}
@@ -103,7 +103,7 @@ func dumpState(s *Snapshot) string {
 
 func TestDurableOpenFreshAndReopen(t *testing.T) {
 	dir := t.TempDir()
-	db := openDur(t, dir, DurOptions{Shards: 4})
+	db := openDur(t, dir, DurOptions{})
 	if !db.Durable() || db.Dir() != dir {
 		t.Fatalf("Durable=%v Dir=%q", db.Durable(), db.Dir())
 	}
@@ -140,7 +140,7 @@ func TestDurableOpenFreshAndReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db2 := openDur(t, dir, DurOptions{Shards: 4})
+	db2 := openDur(t, dir, DurOptions{})
 	defer db2.Close()
 	if got := dumpState(db2.Snapshot()); got != want {
 		t.Fatalf("recovered state mismatch\n got:\n%s\nwant:\n%s", got, want)
@@ -163,32 +163,35 @@ func TestDurableOpenFreshAndReopen(t *testing.T) {
 // logged operations runs to completion, a model records the expected state
 // after every WAL record, and then the log is cut at every record boundary
 // and at offsets inside frames — simulating a crash whose last write was
-// torn — one shard file at a time. Every cut must recover to exactly the
-// model state of some prefix of the log (cross-shard records counting only
-// when all their parts survive), and the recovered database must accept new
-// commits that themselves survive a second crash/recover cycle.
+// torn — one segment file at a time (tiny segments, so a cut in an early
+// file leaves intact successors behind a gap). Every cut must recover to
+// exactly the model state of the longest surviving prefix of the log — a
+// cut inside the frame of the three-relation epoch to the state before it,
+// with none of its relations written — and the recovered database must
+// accept new commits that themselves survive a second crash/recover cycle.
 func TestCrashPointRecovery(t *testing.T) {
 	dir := t.TempDir()
-	db := openDur(t, dir, DurOptions{Shards: 4, CheckpointBytes: -1})
+	db := openDur(t, dir, DurOptions{CheckpointBytes: -1, SegmentBytes: 100})
 
 	model := map[uint64]string{0: dumpState(db.Snapshot())}
 	record := func() {
 		lsn := db.DurableLSN()
 		model[lsn] = dumpState(db.Snapshot())
 	}
-	// A workload touching every record type: single-shard deltas,
-	// cross-shard epochs, deletes, a bulk load, index definitions and a
+	// A workload touching every record type: single-relation deltas,
+	// multi-relation epochs, deletes, a bulk load, index definitions and a
 	// relation added mid-flight.
 	durCommit(t, db, map[string][]relation.Tuple{"alpha": {durTuple(1, "a1"), durTuple(2, "a2")}}, nil)
 	record()
 	durCommit(t, db, map[string][]relation.Tuple{"beta": {durTuple(1, "b1")}}, nil)
 	record()
-	durCommit(t, db, map[string][]relation.Tuple{ // cross-shard epoch
+	durCommit(t, db, map[string][]relation.Tuple{ // three relations, one frame
 		"alpha": {durTuple(3, "a3")},
 		"beta":  {durTuple(2, "b2")},
 		"gamma": {durTuple(1, "g1")},
 	}, nil)
 	record()
+	threeLSN := db.DurableLSN()
 	if err := db.DefineIndex("alpha", []int{0}); err != nil {
 		t.Fatal(err)
 	}
@@ -224,43 +227,52 @@ func TestCrashPointRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) < 2 {
-		t.Fatalf("workload produced only %d shard files; want cross-shard coverage", len(segs))
+	if len(segs) < 3 {
+		t.Fatalf("workload produced only %d segment files; want cuts with intact successors", len(segs))
 	}
 
-	cycle := 0
+	cycle, tornThree := 0, false
 	for _, seg := range segs {
 		// Cut points: before everything, at every frame boundary, and
-		// inside every frame (torn write).
-		cuts := []int64{0}
-		prev := int64(0)
-		for _, rec := range seg.Records {
-			cuts = append(cuts, prev+(rec.End-prev)/2, rec.End)
-			prev = rec.End
+		// inside every frame (torn write). wantLSN is the last record of
+		// the longest prefix the cut leaves contiguous; torn is the LSN of
+		// the frame a mid-frame cut tears.
+		type cutPoint struct {
+			at            int64
+			wantLSN, torn uint64
 		}
+		cuts := []cutPoint{{at: 0, wantLSN: seg.First - 1}}
+		prev, prevLSN := int64(0), seg.First-1
+		for _, rec := range seg.Records {
+			cuts = append(cuts,
+				cutPoint{at: prev + (rec.End-prev)/2, wantLSN: prevLSN, torn: rec.LSN},
+				cutPoint{at: rec.End, wantLSN: rec.LSN})
+			prev, prevLSN = rec.End, rec.LSN
+		}
+		cuts[len(cuts)-1].wantLSN = finalLSN // the whole file survives: nothing was cut
 		for _, cut := range cuts {
-			name := fmt.Sprintf("%s@%d", filepath.Base(seg.Path), cut)
+			name := fmt.Sprintf("%s@%d", filepath.Base(seg.Path), cut.at)
 			crash := t.TempDir()
 			copyDir(t, dir, crash)
-			if cut == 0 {
+			if cut.at == 0 {
 				if err := os.Remove(filepath.Join(crash, filepath.Base(seg.Path))); err != nil {
 					t.Fatal(err)
 				}
-			} else if err := os.Truncate(filepath.Join(crash, filepath.Base(seg.Path)), cut); err != nil {
+			} else if err := os.Truncate(filepath.Join(crash, filepath.Base(seg.Path)), cut.at); err != nil {
 				t.Fatal(err)
 			}
 
-			rec := openDur(t, crash, DurOptions{Shards: 4, CheckpointBytes: -1})
+			rec := openDur(t, crash, DurOptions{CheckpointBytes: -1})
 			lsn := rec.DurableLSN()
-			want, ok := model[lsn]
-			if !ok {
+			if lsn != cut.wantLSN {
 				rec.Close()
-				t.Fatalf("%s: recovered to lsn %d, not a logged state", name, lsn)
+				t.Fatalf("%s: recovered to lsn %d, want the surviving prefix's %d", name, lsn, cut.wantLSN)
 			}
-			if got := dumpState(rec.Snapshot()); got != want {
+			if got := dumpState(rec.Snapshot()); got != model[lsn] {
 				rec.Close()
-				t.Fatalf("%s: state at lsn %d diverges from model\n got:\n%s\nwant:\n%s", name, lsn, got, want)
+				t.Fatalf("%s: state at lsn %d diverges from model\n got:\n%s\nwant:\n%s", name, lsn, got, model[lsn])
 			}
+			tornThree = tornThree || cut.torn == threeLSN
 
 			// The recovered database must keep accepting commits, and those
 			// must survive a second crash/recover cycle.
@@ -269,7 +281,7 @@ func TestCrashPointRecovery(t *testing.T) {
 			if err := rec.Close(); err != nil {
 				t.Fatalf("%s: close: %v", name, err)
 			}
-			again := openDur(t, crash, DurOptions{Shards: 4, CheckpointBytes: -1})
+			again := openDur(t, crash, DurOptions{CheckpointBytes: -1})
 			if got := dumpState(again.Snapshot()); got != wantAfter {
 				again.Close()
 				t.Fatalf("%s: second recovery diverges\n got:\n%s\nwant:\n%s", name, got, wantAfter)
@@ -278,8 +290,52 @@ func TestCrashPointRecovery(t *testing.T) {
 			cycle++
 		}
 	}
+	if !tornThree {
+		t.Fatal("no cut landed inside the three-relation epoch's frame")
+	}
 	if _, ok := model[finalLSN]; !ok || cycle == 0 {
 		t.Fatalf("test exercised %d crash points (final lsn %d)", cycle, finalLSN)
+	}
+}
+
+// TestOneFsyncPerEpoch: under SyncAlways an epoch is one frame in one
+// segment, so it costs exactly one fsync however many relations it wrote.
+func TestOneFsyncPerEpoch(t *testing.T) {
+	reg := obs.NewRegistry()
+	db := openDur(t, t.TempDir(), DurOptions{Sync: wal.SyncAlways, CheckpointBytes: -1, Metrics: reg})
+	defer db.Close()
+	durCommit(t, db, map[string][]relation.Tuple{"alpha": {durTuple(0, "warm")}}, nil) // creates the segment
+	before := reg.Snapshot().Counters["repro_wal_fsyncs_total"]
+	durCommit(t, db, map[string][]relation.Tuple{
+		"alpha": {durTuple(1, "a")},
+		"beta":  {durTuple(1, "b")},
+		"gamma": {durTuple(1, "g")},
+	}, nil)
+	if got := reg.Snapshot().Counters["repro_wal_fsyncs_total"] - before; got != 1 {
+		t.Fatalf("a three-relation epoch cost %d fsyncs, want 1", got)
+	}
+}
+
+// TestOpenRefusesV1Log: a directory holding s<n>-<lsn>.seg segment files is
+// a log format Open cannot replay; it must say so and leave the directory as
+// it found it, not skip the files and recover a shorter history.
+func TestOpenRefusesV1Log(t *testing.T) {
+	dir := t.TempDir()
+	old := filepath.Join(dir, "s003-0000000000000001.seg")
+	if err := os.WriteFile(old, []byte("frames of another format"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(dir, durSchema(), DurOptions{})
+	if !errors.Is(err, wal.ErrV1Log) {
+		t.Fatalf("Open = %v, want wal.ErrV1Log", err)
+	}
+	entries, rerr := os.ReadDir(dir)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	data, _ := os.ReadFile(old)
+	if len(entries) != 1 || string(data) != "frames of another format" {
+		t.Fatalf("refused Open edited the directory: %d entries, segment = %q", len(entries), data)
 	}
 }
 
@@ -309,7 +365,7 @@ func copyDir(t *testing.T, src, dst string) {
 // checkpoint + tail reproduces the live state.
 func TestCheckpointChainRecovery(t *testing.T) {
 	dir := t.TempDir()
-	db := openDur(t, dir, DurOptions{Shards: 4, CheckpointBytes: -1, FullEvery: 3})
+	db := openDur(t, dir, DurOptions{CheckpointBytes: -1, FullEvery: 3})
 	if err := db.DefineIndex("alpha", []int{0}); err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +405,7 @@ func TestCheckpointChainRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db2 := openDur(t, dir, DurOptions{Shards: 4, CheckpointBytes: -1, FullEvery: 3})
+	db2 := openDur(t, dir, DurOptions{CheckpointBytes: -1, FullEvery: 3})
 	defer db2.Close()
 	if got := dumpState(db2.Snapshot()); got != want {
 		t.Fatalf("recovered state mismatch\n got:\n%s\nwant:\n%s", got, want)
@@ -366,7 +422,7 @@ func TestCheckpointChainRecovery(t *testing.T) {
 	if err := db2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db3 := openDur(t, dir, DurOptions{Shards: 4, CheckpointBytes: -1, FullEvery: 3})
+	db3 := openDur(t, dir, DurOptions{CheckpointBytes: -1, FullEvery: 3})
 	defer db3.Close()
 	if got := dumpState(db3.Snapshot()); got != want2 {
 		t.Fatalf("post-checkpoint recovery mismatch\n got:\n%s\nwant:\n%s", got, want2)
@@ -379,7 +435,7 @@ func TestCheckpointChainRecovery(t *testing.T) {
 // walk (which stamps trie nodes) does not race the commit pipeline.
 func TestConcurrentCommitWhileCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	db := openDur(t, dir, DurOptions{Shards: 4, CheckpointBytes: -1})
+	db := openDur(t, dir, DurOptions{CheckpointBytes: -1})
 	if err := db.DefineIndex("alpha", []int{0}); err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +457,6 @@ func TestConcurrentCommitWhileCheckpoint(t *testing.T) {
 				c := Commit{
 					BaseTime: db.Time(),
 					Reads:    map[string]*ReadInfo{name: {Keys: map[string]bool{tp.Key(): true}}},
-					Changed:  map[string]*relation.Relation{name: nil},
 					Ins:      map[string]*relation.Relation{name: ins},
 				}
 				for {
@@ -450,7 +505,7 @@ drained:
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db2 := openDur(t, dir, DurOptions{Shards: 4, CheckpointBytes: -1})
+	db2 := openDur(t, dir, DurOptions{CheckpointBytes: -1})
 	defer db2.Close()
 	if got := dumpState(db2.Snapshot()); got != want {
 		t.Fatalf("recovered state mismatch\n got:\n%s\nwant:\n%s", got, want)
@@ -461,7 +516,7 @@ drained:
 // fires and truncates the WAL.
 func TestAutoCheckpointTriggers(t *testing.T) {
 	dir := t.TempDir()
-	db := openDur(t, dir, DurOptions{Shards: 2, CheckpointBytes: 1024})
+	db := openDur(t, dir, DurOptions{CheckpointBytes: 1024})
 	for i := 0; i < 200; i++ {
 		durCommit(t, db, map[string][]relation.Tuple{
 			"alpha": {durTuple(int64(i), strings.Repeat("x", 64))},
@@ -480,7 +535,7 @@ func TestAutoCheckpointTriggers(t *testing.T) {
 	if ckpts == 0 {
 		t.Fatal("no automatic checkpoint was written")
 	}
-	db2 := openDur(t, dir, DurOptions{Shards: 2})
+	db2 := openDur(t, dir, DurOptions{})
 	defer db2.Close()
 	r, _ := db2.Relation("alpha")
 	if r.Len() != 200 {
@@ -495,14 +550,14 @@ func TestDurableSyncPolicies(t *testing.T) {
 	for _, sync := range []wal.SyncPolicy{wal.SyncAlways, wal.SyncBatched, wal.SyncOff} {
 		t.Run(sync.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			db := openDur(t, dir, DurOptions{Shards: 2, Sync: sync})
+			db := openDur(t, dir, DurOptions{Sync: sync})
 			durCommit(t, db, map[string][]relation.Tuple{"alpha": {durTuple(1, "x")}}, nil)
 			durCommit(t, db, map[string][]relation.Tuple{"beta": {durTuple(2, "y")}}, nil)
 			want := dumpState(db.Snapshot())
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
-			db2 := openDur(t, dir, DurOptions{Shards: 2, Sync: sync})
+			db2 := openDur(t, dir, DurOptions{Sync: sync})
 			defer db2.Close()
 			if got := dumpState(db2.Snapshot()); got != want {
 				t.Fatalf("recovered state mismatch under %v", sync)

@@ -1,22 +1,21 @@
-// Group commit: the epoch-batched commit point. CommitValidated no longer
-// validates and publishes one transaction at a time — pending commits
-// enqueue onto a global queue, the first enqueuer becomes the drainer, and
-// the drainer claims the whole queue (bounded by the epoch limit) as one
-// epoch. The epoch runs in two pipelined stages:
+// Group commit: the epoch-batched commit point. CommitValidated does not
+// validate and publish one transaction at a time — pending commits enqueue
+// onto a global queue, the first enqueuer becomes the drainer, and the
+// drainer claims the whole queue (bounded by the epoch limit) as one epoch.
+// The epoch runs in two pipelined stages:
 //
-//   - Stage V (validate + derive), on the drainer: the union of the
-//     members' shard sets is locked in canonical ascending order, every
-//     member is validated first-committer-wins against the shard log
-//     segments (cross-epoch) and then against the members accepted before
-//     it in queue order (intra-epoch, at the same tuple-key / probed-key /
+//   - Stage V (validate + derive), on the drainer, under the commit lock:
+//     every member is validated first-committer-wins against the commit log
+//     (cross-epoch) and then against the members accepted before it in
+//     queue order (intra-epoch, at the same tuple-key / probed-key /
 //     interval granularity — commuting members merge instead of retrying).
 //     The accepted members' net deltas are aggregated per relation, ONE
 //     successor trie instance and ONE index-layer push are derived per
 //     written relation for the whole batch, a block of logical times is
-//     reserved off the epoch clock, and one shared log record is appended
-//     to every written shard's segment. The derived instances are parked in
-//     the shards' shadow state (shard.latest/latestIdx) so the next epoch
-//     can build on them before this one publishes.
+//     reserved off the epoch clock, and one record is appended to the WAL
+//     (durable databases) and then to the commit log. The derived instances
+//     are parked in the shadow state (Database.latest/latestIdx) so the
+//     next epoch can build on them before this one publishes.
 //
 //   - Stage P (publish), handed to a waiting member goroutine so the
 //     drainer can start validating the next epoch immediately: wait for the
@@ -24,10 +23,11 @@
 //     install the whole batch's successors in a single snapshot swap, bump
 //     the counters and wake every member.
 //
-// Because stage V appends the epoch's log record under the shard locks
+// Because stage V appends the epoch's log record under the commit lock
 // before stage P runs, the next epoch validates against it even though the
 // snapshot swap is still in flight — that is what makes the two-stage
-// pipeline safe.
+// pipeline safe. One drainer runs at a time, so the commit lock orders
+// nothing between committers; it excludes schema calls from stage V.
 package storage
 
 import (
@@ -58,10 +58,8 @@ type groupQueue struct {
 // a non-nil receive asks this member's goroutine to run the epoch's publish
 // stage (pipelining); a nil receive means the outcome fields are final.
 type pending struct {
-	c      *Commit
-	shards []int          // ascending shard indices of the read+write set
-	homes  map[string]int // relation name -> home shard
-	done   chan func()
+	c    *Commit
+	done chan func()
 
 	time     uint64    // assigned commit time (0 when conflicted)
 	conflict *Conflict // non-nil when validation failed
@@ -71,39 +69,9 @@ type pending struct {
 }
 
 // relAgg aggregates everything one epoch writes to one relation: the union
-// of the accepted members' net deltas (tuple-disjoint by validation), or a
-// verbatim instance for relation-granular installs, which exclude every
-// other writer of the relation from the epoch.
+// of the accepted members' net deltas (tuple-disjoint by validation).
 type relAgg struct {
-	home     int
 	ins, del *relation.Relation
-	inst     *relation.Relation
-}
-
-// newPending packages a checked commit for the queue, computing its shard
-// set and home map once so no hashing happens under locks.
-func (d *Database) newPending(c *Commit) *pending {
-	p := &pending{c: c, done: make(chan func(), 1)}
-	homes := make(map[string]int, len(c.Reads)+len(c.Changed))
-	touched := make([]bool, len(d.shards))
-	for name := range c.Reads {
-		si := d.ShardOf(name)
-		homes[name] = si
-		touched[si] = true
-	}
-	for name := range c.Changed {
-		si := d.ShardOf(name)
-		homes[name] = si
-		touched[si] = true
-	}
-	shards := make([]int, 0, 2)
-	for i, t := range touched {
-		if t {
-			shards = append(shards, i)
-		}
-	}
-	p.shards, p.homes = shards, homes
-	return p
 }
 
 // drain is the epoch loop run by the goroutine that found the queue idle:
@@ -141,25 +109,11 @@ func (d *Database) drain(leader *pending) {
 
 // processEpoch runs stage V for one batch and hands stage P to a member.
 func (d *Database) processEpoch(batch []*pending, leader *pending) {
-	// Lock the union of the members' shard sets in canonical ascending
-	// order (deadlock-free, same as the old per-commit protocol).
-	touched := make([]bool, len(d.shards))
-	for _, p := range batch {
-		for _, si := range p.shards {
-			touched[si] = true
-		}
-	}
-	locked := make([]int, 0, len(d.shards))
-	for i, t := range touched {
-		if t {
-			d.shards[i].mu.Lock()
-			locked = append(locked, i)
-		}
-	}
+	d.commitMu.Lock()
 
 	// Every member is validated against the same published snapshot; the
-	// shards' shadow state overrides it with the successors of epochs that
-	// are derived but not yet swapped in.
+	// shadow state overrides it with the successors of epochs that are
+	// derived but not yet swapped in.
 	met, tr := d.met, d.tr
 	met.epochTxns.Observe(uint64(len(batch)))
 	var tValidate time.Time
@@ -171,37 +125,30 @@ func (d *Database) processEpoch(batch []*pending, leader *pending) {
 	accepted := make([]*pending, 0, len(batch))
 	var lateConflicts []*Conflict
 	for _, p := range batch {
-		if p.c.Reads != nil { // nil Reads installs verbatim, unvalidated
-			var cf *Conflict
-			for _, si := range p.shards {
-				if cf = d.validateShard(p.c, si, p.homes, &p.merged); cf != nil {
-					break
-				}
+		cf := d.validateLog(p.c, &p.merged)
+		if cf == nil {
+			if cf = p.validateIntra(agg); cf != nil {
+				lateConflicts = append(lateConflicts, cf)
 			}
-			if cf == nil {
-				if cf = p.validateIntra(agg); cf != nil {
-					lateConflicts = append(lateConflicts, cf)
-				}
-			}
-			if cf != nil {
-				p.conflict = cf
-				p.merged, p.intra = false, false
-				met.conflicts.Inc()
-				if cf.Relation == "" {
-					// validateShard refused the stale base outright.
-					met.snapshotTooOld.Inc()
-					if tr != nil {
-						tr.Event(obs.Event{Kind: obs.EvSnapshotTooOld, Txn: p.c.Label, Time: cf.Time})
-					}
-				}
+		}
+		if cf != nil {
+			p.conflict = cf
+			p.merged, p.intra = false, false
+			met.conflicts.Inc()
+			if cf.Relation == "" {
+				// validateLog refused the stale base outright.
+				met.snapshotTooOld.Inc()
 				if tr != nil {
-					tr.Event(obs.Event{Kind: obs.EvTxnValidate, Txn: p.c.Label, OK: false, Relation: cf.Relation, Key: cf.Key, Time: cf.Time})
+					tr.Event(obs.Event{Kind: obs.EvSnapshotTooOld, Txn: p.c.Label, Time: cf.Time})
 				}
-				continue
 			}
 			if tr != nil {
-				tr.Event(obs.Event{Kind: obs.EvTxnValidate, Txn: p.c.Label, OK: true})
+				tr.Event(obs.Event{Kind: obs.EvTxnValidate, Txn: p.c.Label, OK: false, Relation: cf.Relation, Key: cf.Key, Time: cf.Time})
 			}
+			continue
+		}
+		if tr != nil {
+			tr.Event(obs.Event{Kind: obs.EvTxnValidate, Txn: p.c.Label, OK: true})
 		}
 		accepted = append(accepted, p)
 		p.foldWrites(agg)
@@ -242,75 +189,48 @@ func (d *Database) processEpoch(batch []*pending, leader *pending) {
 	install := make(map[string]*relation.Relation, len(agg))
 	var derived map[string]*index.Set
 	var recIns, recDel map[string]*relation.Relation
-	epochWrites := make(map[string]bool, len(agg))
 	maxDepth, anyIdx := 0, false
 	for name, a := range agg {
-		sh := d.shards[a.home]
-		baseIdx := sh.latestIdx[name]
+		base, baseIdx := d.latest[name], d.latestIdx[name]
+		if base == nil {
+			base = snap.rels[name]
+		}
 		if baseIdx == nil {
 			baseIdx = snap.idx[name]
 		}
-		var inst *relation.Relation
-		var set *index.Set
-		if a.inst != nil {
-			inst = a.inst.Seal()
-			if baseIdx.Len() > 0 {
-				set = baseIdx.Rebuild(inst)
-				met.idxCompactions.Inc() // a rebuild is a full compaction
+		succ := base.Clone()
+		if a.del != nil {
+			succ.DiffInPlace(a.del.Seal())
+			if recDel == nil {
+				recDel = make(map[string]*relation.Relation, len(agg))
 			}
-		} else {
-			base := sh.latest[name]
-			if base == nil {
-				base = snap.rels[name]
+			recDel[name] = a.del
+		}
+		if a.ins != nil {
+			succ.UnionInPlace(a.ins.Seal())
+			if recIns == nil {
+				recIns = make(map[string]*relation.Relation, len(agg))
 			}
-			if a.del != nil {
-				a.del.Seal()
-			}
-			if a.ins != nil {
-				a.ins.Seal()
-			}
-			succ := base.Clone()
-			if a.del != nil {
-				succ.DiffInPlace(a.del)
-			}
-			if a.ins != nil {
-				succ.UnionInPlace(a.ins)
-			}
-			inst = succ.Seal()
-			if baseIdx.Len() > 0 {
-				var nc int
-				set, nc = baseIdx.ApplyN(a.ins, a.del)
-				if nc > 0 {
-					met.idxCompactions.Add(uint64(nc))
-				}
-			}
-			if a.ins != nil {
-				if recIns == nil {
-					recIns = make(map[string]*relation.Relation, len(agg))
-				}
-				recIns[name] = a.ins
-			}
-			if a.del != nil {
-				if recDel == nil {
-					recDel = make(map[string]*relation.Relation, len(agg))
-				}
-				recDel[name] = a.del
+			recIns[name] = a.ins
+		}
+		install[name] = succ.Seal()
+		if baseIdx.Len() == 0 {
+			continue
+		}
+		set, nc := baseIdx.ApplyN(a.ins, a.del)
+		if nc > 0 {
+			met.idxCompactions.Add(uint64(nc))
+		}
+		if derived == nil {
+			derived = make(map[string]*index.Set, len(agg))
+		}
+		derived[name] = set
+		if met.idxMaxDepth != nil {
+			anyIdx = true
+			if dep := set.MaxDepth(); dep > maxDepth {
+				maxDepth = dep
 			}
 		}
-		install[name] = inst
-		if set != nil {
-			if derived == nil {
-				derived = make(map[string]*index.Set, len(agg))
-			}
-			derived[name] = set
-			if met.idxMaxDepth != nil {
-				anyIdx = true
-				if dep := set.MaxDepth(); dep > maxDepth {
-					maxDepth = dep
-				}
-			}
-		}
-		epochWrites[name] = true
 	}
 	if anyIdx {
 		met.idxMaxDepth.Set(int64(maxDepth))
@@ -319,11 +239,11 @@ func (d *Database) processEpoch(batch []*pending, leader *pending) {
 		met.stageDerive.Observe(uint64(time.Since(tDerive)))
 	}
 
-	// Durable: append the epoch's WAL record (one part per written shard,
-	// group-fsynced under SyncAlways) before any shadow state or commit-log
-	// record exists — the write-ahead point. A failed append aborts the
-	// epoch: the reserved times still publish (as an empty install, keeping
-	// the swap clock contiguous) but the members fail with the error.
+	// Durable: append the epoch's WAL record (one frame, group-fsynced
+	// under SyncAlways) before any shadow state or commit-log record
+	// exists — the write-ahead point. A failed append aborts the epoch: the
+	// reserved times still publish (as an empty install, keeping the swap
+	// clock contiguous) but the members fail with the error.
 	var walErr error
 	var recLSN uint64
 	var walBytes int64
@@ -332,7 +252,7 @@ func (d *Database) processEpoch(batch []*pending, leader *pending) {
 		if met.stageWAL != nil || tr != nil {
 			tWAL = time.Now()
 		}
-		recLSN, walBytes, walErr = d.dur.appendEpoch(last, agg, install, recIns, recDel)
+		recLSN, walBytes, walErr = d.dur.appendEpoch(last, recIns, recDel)
 		var dWAL time.Duration
 		if met.stageWAL != nil || tr != nil {
 			dWAL = time.Since(tWAL)
@@ -345,50 +265,26 @@ func (d *Database) processEpoch(batch []*pending, leader *pending) {
 		}
 	}
 
-	if walErr == nil && k > 0 && len(epochWrites) > 0 {
-		// Park the derived instances in the shard shadows and append the
-		// epoch's single commit-log record to every written shard, still
-		// under the shard locks, so the next epoch validates against it
-		// before this one publishes. Retention is by covered logical-time
-		// span, not record count: one epoch record may cover many
-		// transactions, so a count bound would evict base windows faster
-		// the better batching works.
-		for name, a := range agg {
-			sh := d.shards[a.home]
-			if sh.latest == nil {
-				sh.latest = make(map[string]*relation.Relation)
-			}
-			sh.latest[name] = install[name]
-			if set := derived[name]; set != nil {
-				if sh.latestIdx == nil {
-					sh.latestIdx = make(map[string]*index.Set)
-				}
-				sh.latestIdx[name] = set
-			}
+	if walErr == nil && len(agg) > 0 {
+		// Park the derived instances in the shadow state and append the
+		// epoch's commit-log record, still under the commit lock, so the
+		// next epoch validates against it before this one publishes.
+		if d.latest == nil {
+			d.latest = make(map[string]*relation.Relation)
 		}
-		rec := &Delta{Time: last, Ins: recIns, Del: recDel, writes: epochWrites}
-		wtouched := make([]bool, len(d.shards))
-		for _, a := range agg {
-			wtouched[a.home] = true
+		for name, inst := range install {
+			d.latest[name] = inst
 		}
-		for si, t := range wtouched {
-			if !t {
-				continue
-			}
-			sh := d.shards[si]
-			sh.log = append(sh.log, rec)
-			if last > d.retain {
-				cut := last - d.retain
-				drop := sort.Search(len(sh.log), func(i int) bool { return sh.log[i].Time > cut })
-				if drop > 0 {
-					sh.truncated = sh.log[drop-1].Time
-					sh.log = append(sh.log[:0:0], sh.log[drop:]...)
-				}
-			}
+		if derived != nil && d.latestIdx == nil {
+			d.latestIdx = make(map[string]*index.Set)
 		}
+		for name, set := range derived {
+			d.latestIdx[name] = set
+		}
+		d.appendLog(&Delta{Time: last, Ins: recIns, Del: recDel})
 	}
 
-	d.unlockShards(locked)
+	d.commitMu.Unlock()
 
 	if walErr != nil {
 		for _, p := range accepted {
@@ -430,9 +326,6 @@ func (d *Database) processEpoch(batch []*pending, leader *pending) {
 				met.commits.Add(k)
 				met.epochs.Inc()
 				for _, p := range accepted {
-					if len(p.shards) > 1 {
-						met.crossShard.Inc()
-					}
 					if p.merged {
 						met.merged.Inc()
 					}
@@ -476,10 +369,10 @@ func (d *Database) processEpoch(batch []*pending, leader *pending) {
 
 // validateIntra validates this member against the writes already accepted
 // into the epoch, in queue order, at the same granularity as cross-epoch
-// validation: a whole-relation read or a verbatim install conflicts with
-// any co-writer, a keyed/probed/interval read conflicts only when the
-// aggregated epoch delta overlaps it, and a disjoint co-write merges (the
-// epoch's shared successor carries both deltas). The returned conflict's
+// validation: a whole-relation read conflicts with any co-writer, a
+// keyed/probed/interval read conflicts only when the aggregated epoch delta
+// overlaps it, and a disjoint co-write merges (the epoch's shared successor
+// carries both deltas). The returned conflict's
 // Time is patched to the epoch's last reserved time by the caller.
 func (p *pending) validateIntra(agg map[string]*relAgg) *Conflict {
 	for name, ri := range p.c.Reads {
@@ -487,13 +380,13 @@ func (p *pending) validateIntra(agg map[string]*relAgg) *Conflict {
 		if a == nil {
 			continue
 		}
-		if ri.Full || a.inst != nil {
+		if ri.Full {
 			return &Conflict{Relation: name}
 		}
 		if key := ri.overlapKey(a.ins, a.del); key != "" {
 			return &Conflict{Relation: name, Key: key}
 		}
-		if _, written := p.c.Changed[name]; written {
+		if p.c.writes(name) {
 			p.merged, p.intra = true, true
 		}
 	}
@@ -507,21 +400,20 @@ func (p *pending) validateIntra(agg map[string]*relAgg) *Conflict {
 // union with no cross-cancellation. The single-writer case — by far the
 // common one — reuses the member's delta relations without copying.
 func (p *pending) foldWrites(agg map[string]*relAgg) {
-	for name := range p.c.Changed {
+	fold := func(name string) *relAgg {
 		a := agg[name]
 		if a == nil {
-			a = &relAgg{home: p.homes[name]}
+			a = &relAgg{}
 			agg[name] = a
 		}
-		ins, del := p.c.Ins[name], p.c.Del[name]
-		if ins == nil && del == nil {
-			// Verbatim install: validation forces whole-relation reads on
-			// these, so no delta writer of the relation coexists in the
-			// epoch.
-			a.inst = p.c.Changed[name]
-			continue
-		}
+		return a
+	}
+	for name, ins := range p.c.Ins {
+		a := fold(name)
 		a.ins = mergeDelta(a.ins, ins)
+	}
+	for name, del := range p.c.Del {
+		a := fold(name)
 		a.del = mergeDelta(a.del, del)
 	}
 }
@@ -540,4 +432,24 @@ func mergeDelta(acc, d *relation.Relation) *relation.Relation {
 	m := acc.Clone()
 	m.UnionInPlace(d)
 	return m
+}
+
+// appendLog appends an epoch's record to the commit log and drops the
+// records that fell out of the retention span. The dead prefix is cleared
+// (so the dropped deltas are collectable) and sliced off rather than copied
+// away: append reallocates, copying the retained window once, only when the
+// capacity behind the window runs out, which makes the trim amortized O(1)
+// per commit. Callers hold the commit lock.
+func (d *Database) appendLog(rec *Delta) {
+	d.log = append(d.log, rec)
+	if rec.Time <= d.retain {
+		return
+	}
+	cut := rec.Time - d.retain
+	drop := sort.Search(len(d.log), func(i int) bool { return d.log[i].Time > cut })
+	if drop > 0 {
+		d.truncated = d.log[drop-1].Time
+		clear(d.log[:drop])
+		d.log = d.log[drop:]
+	}
 }

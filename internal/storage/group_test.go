@@ -6,7 +6,7 @@ import (
 	"repro/internal/relation"
 )
 
-// mkDelta builds a one-relation write set {r: tuples} usable as Changed/Ins.
+// mkDelta builds a one-relation write set {r: tuples} usable as Ins.
 func mkDelta(t *testing.T, db *Database, vals ...int64) map[string]*relation.Relation {
 	t.Helper()
 	rs, ok := db.Schema().Relation("r")
@@ -29,11 +29,12 @@ func mkDelta(t *testing.T, db *Database, vals ...int64) map[string]*relation.Rel
 func TestEpochBatchValidationAndMerge(t *testing.T) {
 	db := New(storageSchema())
 
-	p1 := db.newPending(&Commit{BaseTime: 0, Reads: keyRead("r", intTuple(1)), Changed: mkDelta(t, db, 1), Ins: mkDelta(t, db, 1)})
-	p2 := db.newPending(&Commit{BaseTime: 0, Reads: keyRead("r", intTuple(2)), Changed: mkDelta(t, db, 2), Ins: mkDelta(t, db, 2)})
-	p3c := &Commit{BaseTime: 0, Reads: keyRead("r", intTuple(3)), Changed: mkDelta(t, db, 3), Ins: mkDelta(t, db, 3)}
-	p3c.Reads["r"].Keys[intTuple(1).Key()] = true // also read what p1 writes
-	p3 := db.newPending(p3c)
+	newPending := func(reads map[string]*ReadInfo, v int64) *pending {
+		return &pending{c: &Commit{BaseTime: 0, Reads: reads, Ins: mkDelta(t, db, v)}, done: make(chan func(), 1)}
+	}
+	p1 := newPending(keyRead("r", intTuple(1)), 1)
+	p2 := newPending(keyRead("r", intTuple(2)), 2)
+	p3 := newPending(keyRead("r", intTuple(3), intTuple(1)), 3) // also reads what p1 writes
 
 	batch := []*pending{p1, p2, p3}
 	db.processEpoch(batch, nil)
@@ -76,13 +77,12 @@ func TestEpochBatchValidationAndMerge(t *testing.T) {
 		t.Errorf("stats = %+v, want %+v", st, want)
 	}
 
-	deltas := db.DeltasSince(0)
-	if len(deltas) != 1 {
-		t.Fatalf("epoch produced %d log records, want 1 shared record", len(deltas))
+	if len(db.log) != 1 {
+		t.Fatalf("epoch produced %d log records, want 1 shared record", len(db.log))
 	}
-	rec := deltas[0]
-	if rec.Time != 2 || !rec.Touches("r") {
-		t.Errorf("record = t=%d writes=%v, want t=2 writing r", rec.Time, rec.Writes())
+	rec := db.log[0]
+	if rec.Time != 2 || len(rec.Ins) != 1 || len(rec.Del) != 0 {
+		t.Errorf("record = t=%d ins=%v del=%v, want t=2 inserting into r only", rec.Time, rec.Ins, rec.Del)
 	}
 	ins := rec.Ins["r"]
 	if ins == nil || !ins.Contains(intTuple(1)) || !ins.Contains(intTuple(2)) || ins.Len() != 2 {
@@ -104,7 +104,7 @@ func TestRetentionSpanRefusesOldBase(t *testing.T) {
 	commit := func(v int64, base uint64) *Conflict {
 		t.Helper()
 		d := mkDelta(t, db, v)
-		_, conflict, err := db.CommitValidated(Commit{BaseTime: base, Reads: keyRead("r", intTuple(v)), Changed: d, Ins: d})
+		_, conflict, err := db.CommitValidated(Commit{BaseTime: base, Reads: keyRead("r", intTuple(v)), Ins: d})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,12 +117,8 @@ func TestRetentionSpanRefusesOldBase(t *testing.T) {
 	}
 
 	// Times 1..8 committed with span 4: records at times <= 4 are gone.
-	sh := db.shards[db.ShardOf("r")]
-	sh.mu.Lock()
-	logLen, truncated := len(sh.log), sh.truncated
-	sh.mu.Unlock()
-	if logLen != 4 || truncated != 4 {
-		t.Fatalf("segment holds %d records, watermark %d; want 4 and 4", logLen, truncated)
+	if len(db.log) != 4 || db.truncated != 4 {
+		t.Fatalf("log holds %d records, watermark %d; want 4 and 4", len(db.log), db.truncated)
 	}
 
 	conflict := commit(100, 1)
@@ -157,7 +153,7 @@ func TestEpochLimitOne(t *testing.T) {
 	db.SetEpochLimit(1)
 	for i := int64(1); i <= 3; i++ {
 		d := mkDelta(t, db, i)
-		ct, conflict, err := db.CommitValidated(Commit{BaseTime: db.Time(), Reads: keyRead("r", intTuple(i)), Changed: d, Ins: d})
+		ct, conflict, err := db.CommitValidated(Commit{BaseTime: db.Time(), Reads: keyRead("r", intTuple(i)), Ins: d})
 		if err != nil || conflict != nil {
 			t.Fatalf("commit %d: conflict=%v err=%v", i, conflict, err)
 		}

@@ -15,7 +15,6 @@ import (
 type storeMetrics struct {
 	commits        *obs.Counter
 	conflicts      *obs.Counter
-	crossShard     *obs.Counter
 	merged         *obs.Counter
 	intraMerged    *obs.Counter
 	epochs         *obs.Counter
@@ -50,7 +49,6 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 	}
 	m.commits = reg.Counter("repro_storage_commits_total")
 	m.conflicts = reg.Counter("repro_storage_conflicts_total")
-	m.crossShard = reg.Counter("repro_storage_cross_shard_commits_total")
 	m.merged = reg.Counter("repro_storage_merged_commits_total")
 	m.intraMerged = reg.Counter("repro_storage_intra_batch_merges_total")
 	m.epochs = reg.Counter("repro_storage_epochs_total")
@@ -85,6 +83,22 @@ func (d *Database) SetObservability(reg *obs.Registry, tr obs.Tracer) {
 	d.reg = reg
 	d.met = newStoreMetrics(reg)
 	d.tr = tr
+	d.layerMet.Store(nil)
+}
+
+// LayerMetrics returns the metric handle set the layer above storage keeps
+// for this database, calling build against the database's registry (nil
+// when metrics are disabled) the first time and after every
+// SetObservability. The set is reachable only through the database, so it
+// is collected with it; the steady-state cost is one pointer load. Package
+// txn is the one caller: storage cannot name its handle type.
+func (d *Database) LayerMetrics(build func(*obs.Registry) any) any {
+	if p := d.layerMet.Load(); p != nil {
+		return *p
+	}
+	v := build(d.reg)
+	d.layerMet.CompareAndSwap(nil, &v)
+	return *d.layerMet.Load()
 }
 
 // Registry returns the database's metrics registry (nil when disabled).

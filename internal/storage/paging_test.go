@@ -18,7 +18,6 @@ import (
 // shape explicitly.
 func pagedOpts(cacheBytes int64, reg *obs.Registry) DurOptions {
 	return DurOptions{
-		Shards:          2,
 		Sync:            wal.SyncOff,
 		CheckpointBytes: -1,
 		FullEvery:       3,
@@ -99,7 +98,7 @@ func TestPagedMatchesResident(t *testing.T) {
 			if err := db.Close(); err != nil {
 				t.Fatalf("gen %d: close: %v", gen, err)
 			}
-			res := openDur(t, dir, DurOptions{Shards: 2, Sync: wal.SyncOff, CheckpointBytes: -1})
+			res := openDur(t, dir, DurOptions{Sync: wal.SyncOff, CheckpointBytes: -1})
 			wantDump := dumpState(res.Snapshot())
 			if err := res.Close(); err != nil {
 				t.Fatalf("gen %d: close resident: %v", gen, err)
@@ -121,7 +120,7 @@ func TestPagedMatchesResident(t *testing.T) {
 // first read is what pages data in.
 func TestPagedOpenIsShallow(t *testing.T) {
 	dir := t.TempDir()
-	db := openDur(t, dir, DurOptions{Shards: 2, Sync: wal.SyncOff, CheckpointBytes: -1})
+	db := openDur(t, dir, DurOptions{Sync: wal.SyncOff, CheckpointBytes: -1})
 	ins := map[string][]relation.Tuple{}
 	for i := int64(0); i < 500; i++ {
 		ins["alpha"] = append(ins["alpha"], durTuple(i, fmt.Sprintf("row-%04d", i)))
@@ -158,7 +157,7 @@ func TestLargerThanCachePaging(t *testing.T) {
 		budget = int64(256 << 10)
 	)
 	dir := t.TempDir()
-	db := openDur(t, dir, DurOptions{Shards: 2, Sync: wal.SyncOff, CheckpointBytes: -1})
+	db := openDur(t, dir, DurOptions{Sync: wal.SyncOff, CheckpointBytes: -1})
 	pad := make([]byte, 96)
 	for i := range pad {
 		pad[i] = 'x'

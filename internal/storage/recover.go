@@ -5,12 +5,12 @@
 // checkpoint supplies the schema, the relation instances and the index
 // definitions as of its LSN watermark, and the WAL records with larger LSNs
 // replay on top, in LSN order, exactly the way the commit pipeline applied
-// them (deletes before inserts, Load replacing wholesale). Replay stops at
-// the first gap — a torn tail, a missing LSN, or a cross-shard record with a
-// missing part (its Span counts the shard files that must carry it) — so
-// the recovered state is always a prefix-consistent image of the logged
-// history; everything past the stop point is physically truncated from the
-// segment files, and the writer resumes at the next LSN. Replay is
+// them (deletes before inserts, Load replacing wholesale). Replay is linear
+// over the one segment stream and stops at the first torn frame or missing
+// LSN, so the recovered state is always a prefix-consistent image of the
+// logged history — a record is one frame, so an epoch is replayed whole or
+// not at all. Everything past the stop point is physically truncated from
+// the segment files, and the writer resumes at the next LSN. Replay is
 // idempotent: recovering twice, or crashing during recovery before the
 // truncation, converges to the same state.
 package storage
@@ -38,6 +38,12 @@ func Open(dir string, sch *schema.Database, opts DurOptions) (*Database, error) 
 	opts = opts.withDefaults()
 	tOpen := time.Now()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("storage: open %s: %w", dir, err)
+	}
+	// Scanned before anything else reads or edits the directory: a log in a
+	// format this version cannot replay must fail the open untouched.
+	segs, err := wal.Scan(dir)
+	if err != nil {
 		return nil, fmt.Errorf("storage: open %s: %w", dir, err)
 	}
 
@@ -88,7 +94,7 @@ func Open(dir string, sch *schema.Database, opts DurOptions) (*Database, error) 
 		}
 	}
 
-	if err := replayWAL(dir, rs); err != nil {
+	if err := replayWAL(segs, rs); err != nil {
 		return fail(err)
 	}
 
@@ -100,10 +106,10 @@ func Open(dir string, sch *schema.Database, opts DurOptions) (*Database, error) 
 
 	// Assemble the database around the recovered state: sealed instances,
 	// indexes rebuilt from them (exactly like a bulk Load), the clock and
-	// every shard's truncation watermark at the recovered time — a commit
+	// the commit log's truncation watermark at the recovered time — a commit
 	// based on anything older predates this incarnation's commit log and is
 	// conservatively refused.
-	d := NewSharded(rs.sch, opts.Shards)
+	d := New(rs.sch)
 	d.dur = du
 	if opts.Metrics != nil || opts.Tracer != nil {
 		reg := opts.Metrics
@@ -122,9 +128,7 @@ func Open(dir string, sch *schema.Database, opts DurOptions) (*Database, error) 
 		return fail(err)
 	}
 	d.clock.Store(rs.time)
-	for _, sh := range d.shards {
-		sh.truncated = rs.time
-	}
+	d.truncated = rs.time
 	d.publishSnap(&Snapshot{sch: rs.sch, rels: rels, idx: idx, time: rs.time, lsn: rs.lsn})
 	met.openSeconds.Observe(uint64(time.Since(tOpen)))
 	return d, nil
@@ -143,71 +147,34 @@ type replayState struct {
 	tr  obs.Tracer
 }
 
-// replayWAL scans the segment files, applies every complete record with
-// LSN > rs.lsn in contiguous LSN order, and truncates whatever did not
-// apply — torn tails and the parts of records past the first gap — so the
-// resumed writer never collides with stale frames.
-func replayWAL(dir string, rs *replayState) error {
-	segs, err := wal.Scan(dir)
-	if err != nil {
-		return err
-	}
-	// Per-shard cursors over the concatenated segment records (per shard,
-	// segments ascend by first LSN and records ascend within each).
-	type cursor struct {
-		recs []wal.Record
-		segs []*wal.Segment // seg owning recs[i], parallel slice
-		i    int
-	}
-	cursors := make(map[int]*cursor)
-	for _, seg := range segs {
-		c := cursors[seg.Shard]
-		if c == nil {
-			c = &cursor{}
-			cursors[seg.Shard] = c
-		}
-		for _, rec := range seg.Records {
-			c.recs = append(c.recs, rec)
-			c.segs = append(c.segs, seg)
-		}
-	}
-
-	next := rs.lsn + 1
+// replayWAL applies the scanned records with LSN > rs.lsn in contiguous LSN
+// order, stopping at the first torn frame or missing LSN, and truncates
+// whatever did not apply so the resumed writer never collides with stale
+// frames.
+func replayWAL(segs []*wal.Segment, rs *replayState) error {
 	var nRecs, nBytes, lastEmit uint64
-	for {
-		var holders []*cursor
-		for _, c := range cursors {
-			for c.i < len(c.recs) && c.recs[c.i].LSN < next {
-				c.i++ // already covered by the checkpoint
+replay:
+	for _, seg := range segs {
+		for _, rec := range seg.Records {
+			if rec.LSN <= rs.lsn {
+				continue // already covered by the checkpoint
 			}
-			if c.i < len(c.recs) && c.recs[c.i].LSN == next {
-				holders = append(holders, c)
+			if rec.LSN != rs.lsn+1 {
+				break replay
 			}
-		}
-		if len(holders) == 0 {
-			break
-		}
-		rec := holders[0].recs[holders[0].i]
-		if len(holders) != rec.Span {
-			// A cross-shard record with missing parts: the crash landed
-			// between its per-shard appends. Atomicity demands all or
-			// nothing, so replay stops here.
-			break
-		}
-		for _, c := range holders {
-			if err := applyRecord(rs, c.recs[c.i]); err != nil {
+			if err := applyRecord(rs, rec); err != nil {
 				return err
 			}
-			nBytes += uint64(len(c.recs[c.i].Payload))
+			rs.lsn, rs.time = rec.LSN, rec.Time
+			nBytes += uint64(len(rec.Payload))
 			nRecs++
-			c.i++
+			if rs.tr != nil && nRecs-lastEmit >= 1024 {
+				rs.tr.Event(obs.Event{Kind: obs.EvRecoveryReplay, N: nRecs, Bytes: nBytes, LSN: rs.lsn})
+				lastEmit = nRecs
+			}
 		}
-		rs.lsn = next
-		rs.time = rec.Time
-		next++
-		if rs.tr != nil && nRecs-lastEmit >= 1024 {
-			rs.tr.Event(obs.Event{Kind: obs.EvRecoveryReplay, N: nRecs, Bytes: nBytes, LSN: rs.lsn})
-			lastEmit = nRecs
+		if seg.Torn {
+			break
 		}
 	}
 	rs.met.replayRecords.Add(nRecs)
@@ -244,7 +211,7 @@ func replayWAL(dir string, rs *replayState) error {
 	return nil
 }
 
-// applyRecord replays one WAL record part onto the working state. The
+// applyRecord replays one WAL record onto the working state. The
 // epoch-delta application order (deletes, then inserts) matches the
 // pipeline's successor derivation.
 func applyRecord(rs *replayState, rec wal.Record) error {
@@ -262,39 +229,21 @@ func applyRecord(rs *replayState, rec wal.Record) error {
 				return fmt.Errorf("storage: replay lsn %d: %w", rec.LSN, err)
 			}
 			data = rest
-			if len(data) == 0 {
-				return fmt.Errorf("storage: replay lsn %d: truncated payload", rec.LSN)
-			}
-			kind := data[0]
-			data = data[1:]
 			r := rs.rels[name]
 			if r == nil {
 				return fmt.Errorf("storage: replay lsn %d: unknown relation %q", rec.LSN, name)
 			}
-			switch kind {
-			case epochDelta:
-				// Deletes first, then inserts — the payload is written in
-				// application order.
-				if data, err = relation.DecodeTuples(data, func(t relation.Tuple) {
-					r.Delete(t)
-				}); err != nil {
-					return fmt.Errorf("storage: replay lsn %d: %w", rec.LSN, err)
-				}
-				if data, err = relation.DecodeTuples(data, func(t relation.Tuple) {
-					r.InsertUnchecked(t)
-				}); err != nil {
-					return fmt.Errorf("storage: replay lsn %d: %w", rec.LSN, err)
-				}
-			case epochVerbatim:
-				fresh := relation.New(r.Schema())
-				if data, err = relation.DecodeTuples(data, func(t relation.Tuple) {
-					fresh.InsertUnchecked(t)
-				}); err != nil {
-					return fmt.Errorf("storage: replay lsn %d: %w", rec.LSN, err)
-				}
-				rs.rels[name] = fresh
-			default:
-				return fmt.Errorf("storage: replay lsn %d: unknown write kind %q", rec.LSN, kind)
+			// Deletes first, then inserts — the payload is written in
+			// application order.
+			if data, err = relation.DecodeTuples(data, func(t relation.Tuple) {
+				r.Delete(t)
+			}); err != nil {
+				return fmt.Errorf("storage: replay lsn %d: %w", rec.LSN, err)
+			}
+			if data, err = relation.DecodeTuples(data, func(t relation.Tuple) {
+				r.InsertUnchecked(t)
+			}); err != nil {
+				return fmt.Errorf("storage: replay lsn %d: %w", rec.LSN, err)
 			}
 		}
 		return nil

@@ -16,31 +16,27 @@
 // request enqueues and waits; the goroutine that finds the queue idle
 // becomes the drainer and claims the whole queue as one epoch. The epoch is
 // validated as a unit — every member against the same base snapshot, each
-// against the shard commit-log segments (first-committer-wins, at tuple-key
-// / probed-key / interval granularity where the overlay recorded it) and
-// then against the members accepted before it in queue order, so commuting
-// members of one epoch merge into a shared successor instead of retrying.
-// Per written relation the epoch derives ONE successor trie instance
-// (O(1) clone + O(batch delta) path copies on the shared persistent trie,
-// package pmap) and ONE secondary-index layer push, appends ONE shared log
-// record per written shard, and installs everything in a single snapshot
-// swap. Validation of epoch N+1 is pipelined with publication of epoch N:
-// the log record lands under the shard locks before the swap, and a shadow
-// of each shard's latest derived instances lets the next epoch build on
-// predecessors that have not been swapped in yet; snapshot swaps themselves
-// are ordered by the epoch clock.
+// against the commit log (first-committer-wins, at tuple-key / probed-key /
+// interval granularity where the overlay recorded it) and then against the
+// members accepted before it in queue order, so commuting members of one
+// epoch merge into a shared successor instead of retrying. Per written
+// relation the epoch derives ONE successor trie instance (O(1) clone +
+// O(batch delta) path copies on the shared persistent trie, package pmap)
+// and ONE secondary-index layer push; it appends ONE commit-log record and
+// installs everything in a single snapshot swap. Validation of epoch N+1 is
+// pipelined with publication of epoch N: the log record lands under the
+// commit lock before the swap, and a shadow of the latest derived instances
+// lets the next epoch build on predecessors that have not been swapped in
+// yet; snapshot swaps themselves are ordered by the epoch clock.
 //
-// Every relation name hashes to a shard; each shard owns a validation lock
-// and a segment of the commit log (the net ins/del deltas of the epochs
-// that wrote relations of that shard, keyed by the epoch's last logical
-// time). Cross-shard epochs lock their shard set in canonical (ascending
-// index) order, so they cannot deadlock. Log segments are trimmed by
-// covered logical-time span, not record count — one epoch record may cover
-// many transactions — and a commit whose base snapshot predates a needed
-// segment's retained window is refused as a conflict, forcing a retry from
-// a fresh snapshot.
+// There is one commit lock, one commit log and one logical clock. The log
+// holds the net ins/del deltas of the epochs that wrote anything, keyed by
+// the epoch's last logical time. It is trimmed by covered logical-time
+// span, not record count — one epoch record may cover many transactions —
+// and a commit whose base snapshot predates the retained window is refused
+// as a conflict, forcing a retry from a fresh snapshot.
 //
-// Databases built by Open (rather than New/NewSharded) are durable: the
+// Databases built by Open (rather than New) are durable: the
 // drainer serializes each epoch's aggregate writes into the write-ahead log
 // (package wal) before acknowledging its members, background checkpoints
 // bound the log, and Open recovers checkpoint + log tail after a crash —
@@ -53,7 +49,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -64,19 +59,13 @@ import (
 	"repro/internal/schema"
 )
 
-// DefaultShards is the number of commit-sequencer shards used by New. It is
-// deliberately larger than typical core counts so that independent hot
-// relations rarely share a validation lock.
-const DefaultShards = 16
-
-// defaultRetainSpan bounds each shard's commit-log segment by the span of
-// logical time it covers: records whose commit time trails the newest
-// record by more than the span are discarded. A span, not a record count,
-// because one epoch record covers a whole batch of transactions — counting
-// records would evict base windows faster the better batching works. A
-// commit whose base snapshot predates a needed shard's retained window can
-// no longer be validated there and is reported as a conflict, forcing a
-// retry from a fresh snapshot.
+// defaultRetainSpan bounds the commit log by the span of logical time it
+// covers: records whose commit time trails the newest record by more than
+// the span are discarded. A span, not a record count, because one epoch
+// record covers a whole batch of transactions — counting records would
+// evict base windows faster the better batching works. A commit whose base
+// snapshot predates the retained window can no longer be validated and is
+// reported as a conflict, forcing a retry from a fresh snapshot.
 const defaultRetainSpan = 1024
 
 // Snapshot is an immutable database state D^t (Definition 2.2) at a logical
@@ -124,34 +113,15 @@ func (s *Snapshot) TotalTuples() int {
 	return n
 }
 
-// Delta is the commit-log record of one committed transaction: the net
-// inserted and net deleted tuples per relation (the transaction's
-// differential relations at commit), keyed by the logical time of the state
-// the commit produced. Ins and Del are sealed; either map may be nil for
-// commits recorded without tuple-level detail, which the tuple-granular
-// validator treats as writing every tuple of the relation. A cross-shard
-// delta is appended (as one shared record) to the segment of every shard it
-// wrote.
+// Delta is the commit-log record of one epoch: the net inserted and net
+// deleted tuples per written relation (the union of the accepted members'
+// differential relations), keyed by the logical time of the state the epoch
+// produced. A relation the epoch wrote has an entry in Ins, in Del, or in
+// both; the relations are sealed.
 type Delta struct {
 	Time uint64
 	Ins  map[string]*relation.Relation
 	Del  map[string]*relation.Relation
-
-	writes map[string]bool
-}
-
-// Touches reports whether the committed transaction wrote the named
-// relation.
-func (d *Delta) Touches(name string) bool { return d.writes[name] }
-
-// Writes returns the names of the relations the commit wrote, sorted.
-func (d *Delta) Writes() []string {
-	out := make([]string, 0, len(d.writes))
-	for name := range d.writes {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ProbeRead records the index probes a transaction issued against one
@@ -196,27 +166,20 @@ type ReadInfo struct {
 	Ranges map[string]*RangeRead
 }
 
-// Commit is a validated commit request: the outcome of a transaction that
-// executed against the snapshot at BaseTime, read the relations in Reads,
-// and wants to install the instances in Changed with the net differentials
-// Ins/Del.
+// Commit is a commit request: the outcome of a transaction that executed
+// against the snapshot at BaseTime, read the relations in Reads, and wants
+// to apply the net differentials Ins/Del. The relations it writes are the
+// keys of Ins and Del; a nil delta under a key is malformed.
 //
-// For a changed relation carrying a net delta (an Ins or Del entry), the
-// store does not install the instance in Changed at all: it derives the
+// The store never installs an instance a committer built: it derives each
 // successor from the latest sealed instance plus the delta, O(delta), so
-// consecutive snapshots share trie structure — the instance may then even
-// be nil (the overlay materializes working copies lazily and a write-only
-// transaction has none). Changed still names the written relations and
-// serves as the installed instance for relations without tuple-level
-// deltas; because such an instance is installed verbatim, its read record
-// is forced to whole-relation granularity during validation (a concurrent
-// delta to it conflicts rather than being overwritten). A Commit with nil
-// Reads skips validation and installs Changed verbatim; the caller owns
-// serialization then.
+// consecutive snapshots share trie structure and the deltas of concurrent
+// committers that validation found disjoint all survive. Validation checks
+// exactly what Reads records, so a committer must record a read (the keys
+// it wrote, at least) for every relation it writes — the overlay does.
 type Commit struct {
 	BaseTime uint64
 	Reads    map[string]*ReadInfo
-	Changed  map[string]*relation.Relation
 	Ins      map[string]*relation.Relation
 	Del      map[string]*relation.Relation
 	// Label is an optional diagnostic identifier (the transaction's label)
@@ -227,9 +190,9 @@ type Commit struct {
 // Conflict explains a failed first-committer-wins validation: a transaction
 // that committed at Time — after the requester's base snapshot — wrote
 // Relation, which the requester read. Key holds the clashing tuple key when
-// the conflict was detected at tuple granularity. Relation is empty when a
-// needed shard's log segment no longer covers the requester's base time and
-// validation was refused conservatively.
+// the conflict was detected at tuple granularity. Relation is empty when the
+// commit log no longer covers the requester's base time and validation was
+// refused conservatively.
 type Conflict struct {
 	Time     uint64
 	Relation string
@@ -255,11 +218,8 @@ type Stats struct {
 	// Conflicts counts first-committer-wins validation failures reported to
 	// callers (each typically triggers one transaction retry).
 	Conflicts uint64
-	// CrossShardCommits counts installed commits whose read/write sets
-	// spanned more than one sequencer shard.
-	CrossShardCommits uint64
 	// MergedCommits counts installed commits that had to merge concurrently
-	// committed disjoint deltas into their write set — commits that the old
+	// committed disjoint deltas into their write set — commits that a
 	// relation-granular validator would have rejected.
 	MergedCommits uint64
 	// Epochs counts group-commit epochs that installed at least one commit;
@@ -270,36 +230,34 @@ type Stats struct {
 	IntraBatchMerges uint64
 }
 
-// shard is one commit sequencer: the validation lock and commit-log segment
-// for the relations hashing to it.
-type shard struct {
-	mu sync.Mutex
-	// log holds the epoch records that wrote a relation of this shard, in
-	// ascending commit-time order. Cross-shard records appear in every
-	// shard they wrote.
-	log []*Delta
-	// truncated is the highest commit time whose delta may have been
-	// dropped from this segment; validation of base snapshots at or before
-	// it must be refused conservatively.
-	truncated uint64
-	// latest/latestIdx shadow the newest derived instance and index set of
-	// each relation homed here, including epochs whose snapshot swap is
-	// still in flight — the pipelined successor base. Guarded by mu; nil
-	// entries (or maps) fall back to the published snapshot. Schema calls
-	// (Load, AddRelation, DefineIndex...) clear them.
-	latest    map[string]*relation.Relation
-	latestIdx map[string]*index.Set
-}
-
 // Database is a database state D of a database schema (Definition 2.2) plus
 // a logical clock. Reads (Snapshot, Relation, Time) are lock-free and safe
-// for any number of concurrent goroutines; commits validate under
-// per-relation-shard locks and publish through a short global mutex.
+// for any number of concurrent goroutines; commits validate under the commit
+// lock and publish through a short publish mutex.
 type Database struct {
-	sch    *schema.Database
-	shards []*shard
-	pubMu  sync.Mutex // publish point: snapshot swap ordering; also Load/AddRelation
-	snap   atomic.Pointer[Snapshot]
+	sch *schema.Database
+
+	// commitMu is the commit lock: the drainer holds it through stage V of
+	// each epoch and schema calls hold it for their whole edit. It guards
+	// the four fields below it. Lock order: commitMu before pubMu.
+	commitMu sync.Mutex
+	// log holds the records of the epochs that wrote anything, in ascending
+	// commit-time order.
+	log []*Delta
+	// truncated is the highest commit time whose record may have been
+	// dropped from log; validation of base snapshots before it must be
+	// refused conservatively.
+	truncated uint64
+	// latest/latestIdx shadow the newest derived instance and index set of
+	// each relation, including epochs whose snapshot swap is still in
+	// flight — the pipelined successor base. Nil entries (or maps) fall back
+	// to the published snapshot. Schema calls (Load, AddRelation,
+	// DefineIndex...) clear them.
+	latest    map[string]*relation.Relation
+	latestIdx map[string]*index.Set
+
+	pubMu sync.Mutex // publish point: snapshot swap ordering; also Load/AddRelation
+	snap  atomic.Pointer[Snapshot]
 
 	// Group-commit state: the global pending queue, the epoch clock that
 	// reserves commit-time blocks ahead of publication, and the condition
@@ -319,6 +277,9 @@ type Database struct {
 	reg *obs.Registry
 	met *storeMetrics
 	tr  obs.Tracer
+	// layerMet caches the handle set the layer above resolved from reg (see
+	// LayerMetrics), so that it lives exactly as long as the database.
+	layerMet atomic.Pointer[any]
 
 	// dur is the durability sidecar (WAL writer + checkpoint state) of a
 	// database built by Open; nil for the in-memory constructors.
@@ -326,26 +287,15 @@ type Database struct {
 }
 
 // New returns an empty database state (all relations empty, logical time 0)
-// for the given schema, with DefaultShards commit sequencers.
-func New(sch *schema.Database) *Database { return NewSharded(sch, DefaultShards) }
-
-// NewSharded is New with an explicit commit-sequencer shard count; values
-// below 1 mean one shard (the fully serial commit point of the original
-// design).
-func NewSharded(sch *schema.Database, shards int) *Database {
-	if shards < 1 {
-		shards = 1
-	}
+// for the given schema.
+func New(sch *schema.Database) *Database {
 	rels := make(map[string]*relation.Relation, sch.Len())
 	for _, name := range sch.Names() {
 		rs, _ := sch.Relation(name)
 		rels[name] = relation.New(rs).Seal()
 	}
-	db := &Database{sch: sch, shards: make([]*shard, shards), retain: defaultRetainSpan}
+	db := &Database{sch: sch, retain: defaultRetainSpan}
 	db.pubCond = sync.NewCond(&db.pubMu)
-	for i := range db.shards {
-		db.shards[i] = &shard{}
-	}
 	// Metrics are on by default — Stats() is a view over the registry — and
 	// re-pointable (or disabled) via SetObservability before concurrent use.
 	db.reg = obs.NewRegistry()
@@ -365,21 +315,6 @@ func (d *Database) SetEpochLimit(n int) {
 	d.maxEpoch = n
 }
 
-// ShardCount returns the number of commit sequencer shards.
-func (d *Database) ShardCount() int { return len(d.shards) }
-
-// ShardOf returns the index of the sequencer shard the named relation
-// commits through.
-func (d *Database) ShardOf(name string) int { return ShardIndex(name, len(d.shards)) }
-
-// ShardIndex hashes a relation name onto one of n shards (FNV-1a). Exposed
-// so tests can construct workloads with known shard placement.
-func ShardIndex(name string, n int) int {
-	h := fnv.New32a()
-	h.Write([]byte(name))
-	return int(h.Sum32() % uint32(n))
-}
-
 // Stats returns a snapshot of the commit counters. Since the obs migration
 // this is a thin view over the metrics registry (the counters live there,
 // striped); with observability disabled via SetObservability(nil, ...) it
@@ -387,12 +322,11 @@ func ShardIndex(name string, n int) int {
 func (d *Database) Stats() Stats {
 	m := d.met
 	return Stats{
-		Commits:           m.commits.Value(),
-		Conflicts:         m.conflicts.Value(),
-		CrossShardCommits: m.crossShard.Value(),
-		MergedCommits:     m.merged.Value(),
-		Epochs:            m.epochs.Value(),
-		IntraBatchMerges:  m.intraMerged.Value(),
+		Commits:          m.commits.Value(),
+		Conflicts:        m.conflicts.Value(),
+		MergedCommits:    m.merged.Value(),
+		Epochs:           m.epochs.Value(),
+		IntraBatchMerges: m.intraMerged.Value(),
 	}
 }
 
@@ -409,7 +343,7 @@ func (d *Database) Snapshot() *Snapshot { return d.snap.Load() }
 // (sweepCondemned) pins superseded checkpoint files on disk until no
 // published snapshot older than the condemning checkpoint remains reachable.
 // Resident databases skip the lease entirely — publish stays a bare atomic
-// store. In-memory construction paths (NewSharded, Clone) store directly;
+// store. In-memory construction paths (New, Clone) store directly;
 // they have no durability sidecar to lease against.
 func (d *Database) publishSnap(s *Snapshot) {
 	if du := d.dur; du != nil && du.leases != nil {
@@ -427,30 +361,32 @@ func (d *Database) Relation(name string) (*relation.Relation, error) {
 	return d.Snapshot().Relation(name)
 }
 
-// beginSchemaChange locks every shard in canonical ascending order and
-// clears the epoch shadow state, so snapshot edits made outside the epoch
-// machinery (Load, AddRelation, index definition) cannot be papered over by
-// a stale shadow instance in a later epoch. It returns the locked indices
-// for unlockShards.
-func (d *Database) beginSchemaChange() []int {
-	locked := make([]int, len(d.shards))
-	for i, sh := range d.shards {
-		sh.mu.Lock()
-		sh.latest = nil
-		sh.latestIdx = nil
-		locked[i] = i
+// beginSchemaChange brackets a snapshot edit made outside the epoch
+// machinery (Load, AddRelation, index definition): it takes the commit lock
+// and the publish lock, waits until every reserved epoch has published —
+// so the state the caller reads and logs is the state its record's log
+// position implies, and no new epoch can reserve times meanwhile — and
+// clears the epoch shadow state, so a later epoch cannot paper over the
+// edit with a stale shadow instance. The caller runs the returned unlock
+// when done.
+func (d *Database) beginSchemaChange() (unlock func()) {
+	d.commitMu.Lock()
+	d.pubMu.Lock()
+	for d.snap.Load().time != d.clock.Load() {
+		d.pubCond.Wait()
 	}
-	return locked
+	d.latest, d.latestIdx = nil, nil
+	return func() {
+		d.pubMu.Unlock()
+		d.commitMu.Unlock()
+	}
 }
 
 // AddRelation registers a new relation schema after creation, with an empty
 // instance. The schema must already be present in the database schema (the
 // caller updates both in step); duplicate instances are rejected.
 func (d *Database) AddRelation(rs *schema.Relation) error {
-	defer d.unlockShards(d.beginSchemaChange())
-	d.pubMu.Lock()
-	defer d.pubMu.Unlock()
-	d.waitQuiesced()
+	defer d.beginSchemaChange()()
 	cur := d.snap.Load()
 	if _, ok := cur.rels[rs.Name]; ok {
 		return fmt.Errorf("storage: relation %q already exists", rs.Name)
@@ -460,7 +396,7 @@ func (d *Database) AddRelation(rs *schema.Relation) error {
 	}
 	next := cur.withInstalled(map[string]*relation.Relation{rs.Name: relation.New(rs)}, cur.time, nil)
 	if d.dur != nil {
-		lsn, err := d.dur.appendSchemaRecord(recAddRelation, cur.time, d.ShardOf(rs.Name), encodeRelationSchema(nil, rs))
+		lsn, err := d.dur.appendSchemaRecord(recAddRelation, cur.time, encodeRelationSchema(nil, rs))
 		if err != nil {
 			return err
 		}
@@ -477,10 +413,7 @@ func (d *Database) AddRelation(rs *schema.Relation) error {
 // written (a durable database logs the full replacement instance to its
 // WAL, though — replay replaces wholesale).
 func (d *Database) Load(r *relation.Relation) error {
-	defer d.unlockShards(d.beginSchemaChange())
-	d.pubMu.Lock()
-	defer d.pubMu.Unlock()
-	d.waitQuiesced()
+	defer d.beginSchemaChange()()
 	cur := d.snap.Load()
 	name := r.Schema().Name
 	if _, ok := cur.rels[name]; !ok {
@@ -489,7 +422,7 @@ func (d *Database) Load(r *relation.Relation) error {
 	next := cur.withInstalled(map[string]*relation.Relation{name: r}, cur.time, nil)
 	if d.dur != nil {
 		payload := appendRelTuples(appendString(nil, name), r)
-		lsn, err := d.dur.appendSchemaRecord(recLoad, cur.time, d.ShardOf(name), payload)
+		lsn, err := d.dur.appendSchemaRecord(recLoad, cur.time, payload)
 		if err != nil {
 			return err
 		}
@@ -523,10 +456,7 @@ func (d *Database) DefineIndex(rel string, cols []int) error {
 			return fmt.Errorf("storage: index on %q repeats column %d", rel, c)
 		}
 	}
-	defer d.unlockShards(d.beginSchemaChange())
-	d.pubMu.Lock()
-	defer d.pubMu.Unlock()
-	d.waitQuiesced()
+	defer d.beginSchemaChange()()
 	cur := d.snap.Load()
 	r, ok := cur.rels[rel]
 	if !ok {
@@ -542,7 +472,7 @@ func (d *Database) DefineIndex(rel string, cols []int) error {
 	idx[rel] = idx[rel].With(index.Build(r, canon))
 	next := &Snapshot{sch: cur.sch, rels: cur.rels, idx: idx, time: cur.time, lsn: cur.lsn}
 	if d.dur != nil {
-		lsn, err := d.dur.appendSchemaRecord(recDefineIndex, cur.time, d.ShardOf(rel), encodeIndexDef(rel, canon, false))
+		lsn, err := d.dur.appendSchemaRecord(recDefineIndex, cur.time, encodeIndexDef(rel, canon, false))
 		if err != nil {
 			return err
 		}
@@ -576,10 +506,7 @@ func (d *Database) DefineOrderedIndex(rel string, cols []int) error {
 		}
 		seen[c] = true
 	}
-	defer d.unlockShards(d.beginSchemaChange())
-	d.pubMu.Lock()
-	defer d.pubMu.Unlock()
-	d.waitQuiesced()
+	defer d.beginSchemaChange()()
 	cur := d.snap.Load()
 	r, ok := cur.rels[rel]
 	if !ok {
@@ -595,7 +522,7 @@ func (d *Database) DefineOrderedIndex(rel string, cols []int) error {
 	idx[rel] = idx[rel].WithOrdered(index.BuildOrdered(r, cols))
 	next := &Snapshot{sch: cur.sch, rels: cur.rels, idx: idx, time: cur.time, lsn: cur.lsn}
 	if d.dur != nil {
-		lsn, err := d.dur.appendSchemaRecord(recDefineIndex, cur.time, d.ShardOf(rel), encodeIndexDef(rel, cols, true))
+		lsn, err := d.dur.appendSchemaRecord(recDefineIndex, cur.time, encodeIndexDef(rel, cols, true))
 		if err != nil {
 			return err
 		}
@@ -634,73 +561,39 @@ func (d *Database) OrderedIndexDefs(rel string) [][]int {
 	return out
 }
 
-// ApplyCommit installs the changed relations as the next database state and
-// advances the logical clock: D^t becomes D^{t+1}. It performs no conflict
-// validation (the caller owns serialization) and records the commit in the
-// log with relation-name granularity only.
-func (d *Database) ApplyCommit(changed map[string]*relation.Relation) error {
-	_, conflict, err := d.CommitValidated(Commit{BaseTime: d.Time(), Changed: changed})
-	if err != nil {
-		return err
-	}
-	if conflict != nil {
-		// Unreachable: an empty read set cannot conflict.
-		return fmt.Errorf("storage: unexpected conflict: %s", conflict)
-	}
-	return nil
-}
+// writes reports whether the commit writes the named relation.
+func (c *Commit) writes(name string) bool { return c.Ins[name] != nil || c.Del[name] != nil }
 
-func (d *Database) unlockShards(locked []int) {
-	for _, i := range locked {
-		d.shards[i].mu.Unlock()
-	}
-}
-
-// validateShard performs first-committer-wins validation of the commit's
-// reads that hash to shard si, against that shard's log segment. It sets
-// *merged when a concurrent disjoint delta touched one of the commit's
-// written relations: the delta's effect survives into the successor
-// instance (derived from the latest state), and the flag feeds the
-// MergedCommits counter. Callers hold the shard lock.
-func (d *Database) validateShard(c *Commit, si int, homes map[string]int, merged *bool) *Conflict {
-	sh := d.shards[si]
-	relevant := false
-	for name := range c.Reads {
-		if homes[name] == si {
-			relevant = true
-			break
-		}
-	}
-	if !relevant {
+// validateLog performs first-committer-wins validation of the commit's
+// reads against the commit log. It sets *merged when a concurrent disjoint
+// delta touched one of the commit's written relations: the delta's effect
+// survives into the successor instance (derived from the latest state), and
+// the flag feeds the MergedCommits counter. Callers hold the commit lock.
+func (d *Database) validateLog(c *Commit, merged *bool) *Conflict {
+	if len(c.Reads) == 0 {
 		return nil
 	}
-	if sh.truncated > c.BaseTime {
-		// The segment no longer covers the base snapshot; refuse
-		// conservatively rather than risk a missed conflict.
-		return &Conflict{Time: sh.truncated}
+	if d.truncated > c.BaseTime {
+		// The log no longer covers the base snapshot; refuse conservatively
+		// rather than risk a missed conflict.
+		return &Conflict{Time: d.truncated}
 	}
-	// Segment times ascend, so the relevant suffix starts at the first
-	// delta past the base time.
-	first := sort.Search(len(sh.log), func(i int) bool { return sh.log[i].Time > c.BaseTime })
-	for _, delta := range sh.log[first:] {
-		for name := range delta.writes {
-			ri := c.Reads[name]
-			if ri == nil {
+	// Log times ascend, so the relevant suffix starts at the first record
+	// past the base time.
+	first := sort.Search(len(d.log), func(i int) bool { return d.log[i].Time > c.BaseTime })
+	for _, delta := range d.log[first:] {
+		for name, ri := range c.Reads {
+			ins, del := delta.Ins[name], delta.Del[name]
+			if ins == nil && del == nil {
 				continue
 			}
-			if homes[name] != si {
-				continue // a cross-shard delta; the relation's home shard validates it
-			}
-			ins, del := delta.Ins[name], delta.Del[name]
-			if ri.Full || (ins == nil && del == nil) {
-				// Whole-relation read, or a delta recorded without tuple
-				// detail: relation-name granularity decides.
+			if ri.Full {
 				return &Conflict{Time: delta.Time, Relation: name}
 			}
 			if k := ri.overlapKey(ins, del); k != "" {
 				return &Conflict{Time: delta.Time, Relation: name, Key: k}
 			}
-			if _, written := c.Changed[name]; written {
+			if c.writes(name) {
 				*merged = true
 			}
 		}
@@ -754,8 +647,8 @@ var errStopIteration = errors.New("stop")
 // CommitValidated is the optimistic commit point. The commit is checked for
 // malformedness, enqueued on the group-commit queue, and claimed — together
 // with every other pending commit — as one epoch by the drainer (see
-// group.go): validation runs first-committer-wins against the shard commit
-// logs and then against the co-members accepted before it, at tuple
+// group.go): validation runs first-committer-wins against the commit log
+// and then against the co-members accepted before it, at tuple
 // granularity where c.Reads recorded keys; the whole epoch's successors
 // derive in one O(batch delta) pass and install in one snapshot swap. The
 // call blocks until its epoch's outcome is decided (this goroutine may be
@@ -765,50 +658,21 @@ var errStopIteration = errors.New("stop")
 // malformed commits, which never enqueue.
 func (d *Database) CommitValidated(c Commit) (uint64, *Conflict, error) {
 	cur := d.snap.Load()
-	for name, w := range c.Changed {
-		if _, ok := cur.rels[name]; !ok {
-			return 0, nil, fmt.Errorf("storage: commit touches unknown relation %q", name)
-		}
-		// A nil instance is only installable when the successor can be
-		// derived: the validated path (non-nil Reads) with a tuple-level
-		// delta. Everything else would dereference nil at publication.
-		if w == nil && (c.Reads == nil || (c.Ins[name] == nil && c.Del[name] == nil)) {
-			return 0, nil, fmt.Errorf("storage: commit names relation %q with neither an installable instance nor a derivable delta", name)
+	for _, side := range []map[string]*relation.Relation{c.Ins, c.Del} {
+		for name, r := range side {
+			if _, ok := cur.rels[name]; !ok {
+				return 0, nil, fmt.Errorf("storage: commit touches unknown relation %q", name)
+			}
+			if r == nil {
+				return 0, nil, fmt.Errorf("storage: commit carries a nil delta for relation %q", name)
+			}
 		}
 	}
 	if c.BaseTime > cur.time {
 		return 0, nil, fmt.Errorf("storage: commit base time %d is ahead of the store (t=%d)", c.BaseTime, cur.time)
 	}
-	// A validated commit (non-nil Reads) must read-depend on every relation
-	// it writes. A written relation with a tuple-level delta keeps whatever
-	// granularity the overlay recorded — the successor is derived from the
-	// latest state, so concurrent disjoint deltas survive. A written
-	// relation *without* a delta is installed verbatim, which depends on
-	// everything the instance holds and lacks: its read is forced to
-	// whole-relation granularity (synthesized if absent, widened if keyed),
-	// so a concurrent delta conflicts instead of being silently overwritten.
-	// Overlay commits always carry deltas; this guards raw callers.
-	if c.Reads != nil {
-		var aug map[string]*ReadInfo
-		for name := range c.Changed {
-			ri := c.Reads[name]
-			if ri != nil && (ri.Full || c.Ins[name] != nil || c.Del[name] != nil) {
-				continue
-			}
-			if aug == nil {
-				aug = make(map[string]*ReadInfo, len(c.Reads)+1)
-				for n, r := range c.Reads {
-					aug[n] = r
-				}
-			}
-			aug[name] = &ReadInfo{Full: true}
-		}
-		if aug != nil {
-			c.Reads = aug
-		}
-	}
 
-	p := d.newPending(&c)
+	p := &pending{c: &c, done: make(chan func(), 1)}
 	d.gq.mu.Lock()
 	d.gq.queue = append(d.gq.queue, p)
 	lead := !d.gq.draining
@@ -842,8 +706,8 @@ func (d *Database) CommitValidated(c Commit) (uint64, *Conflict, error) {
 // t. Unchanged relations and their indexes are shared by pointer — the copy
 // is O(relations), not O(tuples). derived supplies incrementally maintained
 // index sets for changed relations; a changed relation with indexes but no
-// derived entry (bulk load, relation-granular commit) gets its indexes
-// rebuilt from the installed instance.
+// derived entry (bulk load) gets its indexes rebuilt from the installed
+// instance.
 func (s *Snapshot) withInstalled(changed map[string]*relation.Relation, t uint64, derived map[string]*index.Set) *Snapshot {
 	rels := make(map[string]*relation.Relation, len(s.rels)+len(changed))
 	for name, r := range s.rels {
@@ -871,47 +735,23 @@ func (s *Snapshot) withInstalled(changed map[string]*relation.Relation, t uint64
 	return &Snapshot{sch: s.sch, rels: rels, idx: idx, time: t, lsn: s.lsn}
 }
 
-// DeltasSince returns the retained commit-log records with Time > t, oldest
-// first, for introspection and tests. Cross-shard deltas are reported once.
-func (d *Database) DeltasSince(t uint64) []*Delta {
-	seen := make(map[uint64]*Delta)
-	for _, sh := range d.shards {
-		sh.mu.Lock()
-		for _, delta := range sh.log {
-			if delta.Time > t {
-				seen[delta.Time] = delta
-			}
-		}
-		sh.mu.Unlock()
-	}
-	out := make([]*Delta, 0, len(seen))
-	for _, delta := range seen {
-		out = append(out, delta)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Time < out[j].Time })
-	return out
-}
-
-// Clone returns an independent database seeded with the current snapshot,
-// with the same shard count. Because snapshots are immutable the relations
-// are shared, making Clone O(relations); commits to either database never
-// affect the other. The clone's commit log is empty, so its shards'
-// truncation watermarks start at the seed time: a commit based on a
+// Clone returns an independent database seeded with the current snapshot.
+// Because snapshots are immutable the relations are shared, making Clone
+// O(relations); commits to either database never affect the other. The
+// clone's commit log is empty, so its truncation watermark starts at the
+// seed time: a commit based on a
 // snapshot older than the clone itself cannot be validated (the clone
 // never saw those deltas) and is conservatively refused. The clone is
 // always in-memory, even when the receiver is durable.
 func (d *Database) Clone() *Database {
 	cur := d.Snapshot()
-	c := &Database{sch: d.sch, shards: make([]*shard, len(d.shards)), retain: d.retain, maxEpoch: d.maxEpoch}
+	c := &Database{sch: d.sch, retain: d.retain, maxEpoch: d.maxEpoch, truncated: cur.time}
 	c.pubCond = sync.NewCond(&c.pubMu)
 	// The clone counts into its own fresh registry (its Stats start at
 	// zero); use SetObservability to share the parent's.
 	c.reg = obs.NewRegistry()
 	c.met = newStoreMetrics(c.reg)
 	c.clock.Store(cur.time)
-	for i := range c.shards {
-		c.shards[i] = &shard{truncated: cur.time}
-	}
 	c.snap.Store(&Snapshot{sch: cur.sch, rels: cur.rels, idx: cur.idx, time: cur.time})
 	return c
 }

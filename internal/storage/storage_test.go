@@ -52,110 +52,25 @@ func TestNewDatabaseStartsEmptyAtTimeZero(t *testing.T) {
 	}
 }
 
-func TestApplyCommitAdvancesTime(t *testing.T) {
+// TestMalformedCommitRejected: a commit naming a relation the schema lacks,
+// carrying a nil delta, or based on a time the store has not reached, is an
+// error — it never enqueues and never advances the clock.
+func TestMalformedCommitRejected(t *testing.T) {
 	db := New(storageSchema())
 	rs, _ := storageSchema().Relation("r")
-	next := relation.MustFromTuples(rs, relation.Tuple{value.Int(1)})
-	if err := db.ApplyCommit(map[string]*relation.Relation{"r": next}); err != nil {
-		t.Fatal(err)
+	one := relation.MustFromTuples(rs, intTuple(1))
+	for name, c := range map[string]Commit{
+		"unknown inserted relation": {Ins: map[string]*relation.Relation{"zzz": one}},
+		"unknown deleted relation":  {Del: map[string]*relation.Relation{"zzz": one}},
+		"nil delta":                 {Ins: map[string]*relation.Relation{"r": nil}},
+		"base ahead of the store":   {BaseTime: 1, Reads: keyRead("r", intTuple(1)), Ins: map[string]*relation.Relation{"r": one}},
+	} {
+		if _, _, err := db.CommitValidated(c); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
-	if db.Time() != 1 {
-		t.Errorf("Time = %d, want 1", db.Time())
-	}
-	r, _ := db.Relation("r")
-	if r.Len() != 1 {
-		t.Errorf("r has %d tuples", r.Len())
-	}
-	if err := db.ApplyCommit(map[string]*relation.Relation{"zzz": next}); err == nil {
-		t.Error("commit touching unknown relation accepted")
-	}
-	if db.Time() != 1 {
-		t.Error("failed commit advanced the clock")
-	}
-}
-
-// A validated commit that installs an instance without a tuple-level delta
-// depends on the whole relation (the instance is published verbatim), so a
-// concurrent delta — even to a tuple outside its keyed read set — must
-// conflict rather than be silently overwritten by the installed instance.
-func TestNoDeltaInstallConflictsWithConcurrentDelta(t *testing.T) {
-	db := New(storageSchema())
-	rs, _ := storageSchema().Relation("r")
-
-	// The raw committer bases itself on time 0 and prepares a full
-	// replacement instance holding only tuple 1, with a keyed read of 1.
-	replacement := relation.MustFromTuples(rs, intTuple(1))
-
-	// A concurrent transaction commits tuple 2 first.
-	if _, conflict, err := db.CommitValidated(Commit{
-		Reads:   map[string]*ReadInfo{"r": {Keys: map[string]bool{intTuple(2).Key(): true}}},
-		Changed: map[string]*relation.Relation{"r": nil},
-		Ins:     map[string]*relation.Relation{"r": relation.MustFromTuples(rs, intTuple(2))},
-	}); err != nil || conflict != nil {
-		t.Fatalf("concurrent delta commit: conflict=%v err=%v", conflict, err)
-	}
-
-	_, conflict, err := db.CommitValidated(Commit{
-		BaseTime: 0,
-		Reads:    map[string]*ReadInfo{"r": {Keys: map[string]bool{intTuple(1).Key(): true}}},
-		Changed:  map[string]*relation.Relation{"r": replacement},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if conflict == nil {
-		t.Fatal("verbatim install over a concurrent delta committed — tuple 2 would be lost")
-	}
-	r, _ := db.Relation("r")
-	if !r.Contains(intTuple(2)) {
-		t.Error("concurrent delta's tuple 2 missing from the published state")
-	}
-}
-
-// A nil Changed instance is only installable when the store can derive the
-// successor: validated commits (non-nil Reads) carrying a tuple-level
-// delta. Every other shape must be rejected up front, not panic at
-// publication.
-func TestNilInstanceCommitRejected(t *testing.T) {
-	rs, _ := storageSchema().Relation("r")
-	delta := relation.MustFromTuples(rs, relation.Tuple{value.Int(1)})
-	cases := []struct {
-		name string
-		c    Commit
-	}{
-		{"nil reads, nil instance, with delta", Commit{
-			Changed: map[string]*relation.Relation{"r": nil},
-			Ins:     map[string]*relation.Relation{"r": delta},
-		}},
-		{"validated, nil instance, no delta", Commit{
-			Reads:   map[string]*ReadInfo{"r": {Full: true}},
-			Changed: map[string]*relation.Relation{"r": nil},
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			db := New(storageSchema())
-			if _, _, err := db.CommitValidated(tc.c); err == nil {
-				t.Error("nil-instance commit accepted")
-			}
-			if db.Time() != 0 {
-				t.Error("rejected commit advanced the clock")
-			}
-		})
-	}
-	// The derivable shape commits fine.
-	db := New(storageSchema())
-	_, conflict, err := db.CommitValidated(Commit{
-		Reads:   map[string]*ReadInfo{"r": {Keys: map[string]bool{delta.Tuples()[0].Key(): true}}},
-		Changed: map[string]*relation.Relation{"r": nil},
-		Ins:     map[string]*relation.Relation{"r": delta},
-	})
-	if err != nil || conflict != nil {
-		t.Fatalf("derivable nil-instance commit: conflict=%v err=%v", conflict, err)
-	}
-	r, _ := db.Relation("r")
-	if r.Len() != 1 {
-		t.Errorf("derived successor has %d tuples, want 1", r.Len())
+	if db.Time() != 0 {
+		t.Error("rejected commit advanced the clock")
 	}
 }
 
@@ -186,13 +101,15 @@ func TestCloneIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	clone := db.Clone()
-	next := relation.MustFromTuples(rs, relation.Tuple{value.Int(9)})
-	if err := clone.ApplyCommit(map[string]*relation.Relation{"r": next}); err != nil {
-		t.Fatal(err)
+	if conflict := commitDelta(t, clone, "r", []relation.Tuple{intTuple(9)}, nil); conflict != nil {
+		t.Fatalf("unexpected conflict: %s", conflict)
 	}
 	orig, _ := db.Relation("r")
 	if orig.Len() != 1 || !orig.Contains(relation.Tuple{value.Int(1)}) {
 		t.Error("clone commit leaked into original")
+	}
+	if cl, _ := clone.Relation("r"); cl.Len() != 2 || !cl.Contains(intTuple(9)) {
+		t.Errorf("clone state = %v, want {1, 9}", cl)
 	}
 	if db.Time() != 0 || clone.Time() != 1 {
 		t.Errorf("times: orig=%d clone=%d", db.Time(), clone.Time())
@@ -227,11 +144,9 @@ func TestAddRelationDynamic(t *testing.T) {
 func TestSnapshotIsPinned(t *testing.T) {
 	sch := storageSchema()
 	db := New(sch)
-	rs, _ := sch.Relation("r")
 	before := db.Snapshot()
-	next := relation.MustFromTuples(rs, relation.Tuple{value.Int(7)})
-	if err := db.ApplyCommit(map[string]*relation.Relation{"r": next}); err != nil {
-		t.Fatal(err)
+	if conflict := commitDelta(t, db, "r", []relation.Tuple{intTuple(7)}, nil); conflict != nil {
+		t.Fatalf("unexpected conflict: %s", conflict)
 	}
 	old, err := before.Relation("r")
 	if err != nil {
@@ -261,7 +176,7 @@ func TestCommitValidatedFirstCommitterWins(t *testing.T) {
 		return map[string]*relation.Relation{"r": relation.MustFromTuples(rs, relation.Tuple{value.Int(v)})}
 	}
 
-	ct, conflict, err := db.CommitValidated(Commit{BaseTime: base, Reads: fullRead("r"), Changed: mk(1), Ins: mk(1)})
+	ct, conflict, err := db.CommitValidated(Commit{BaseTime: base, Reads: fullRead("r"), Ins: mk(1)})
 	if err != nil || conflict != nil {
 		t.Fatalf("first commit: time=%d conflict=%v err=%v", ct, conflict, err)
 	}
@@ -269,7 +184,7 @@ func TestCommitValidatedFirstCommitterWins(t *testing.T) {
 		t.Errorf("first commit time = %d, want 1", ct)
 	}
 
-	_, conflict, err = db.CommitValidated(Commit{BaseTime: base, Reads: fullRead("r"), Changed: mk(2), Ins: mk(2)})
+	_, conflict, err = db.CommitValidated(Commit{BaseTime: base, Reads: fullRead("r"), Ins: mk(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,12 +227,12 @@ func TestTupleGranularValidation(t *testing.T) {
 	base := db.Time()
 
 	// Winner writes tuple 1.
-	if _, conflict, err := db.CommitValidated(Commit{BaseTime: base, Reads: keyRead("r", intTuple(1)), Changed: mk(1), Ins: mk(1)}); err != nil || conflict != nil {
+	if _, conflict, err := db.CommitValidated(Commit{BaseTime: base, Reads: keyRead("r", intTuple(1)), Ins: mk(1)}); err != nil || conflict != nil {
 		t.Fatalf("winner: conflict=%v err=%v", conflict, err)
 	}
 
 	// Disjoint tuple 2 from the same stale base: merges, both tuples live.
-	ct, conflict, err := db.CommitValidated(Commit{BaseTime: base, Reads: keyRead("r", intTuple(2)), Changed: mk(2), Ins: mk(2)})
+	ct, conflict, err := db.CommitValidated(Commit{BaseTime: base, Reads: keyRead("r", intTuple(2)), Ins: mk(2)})
 	if err != nil || conflict != nil || ct != 2 {
 		t.Fatalf("disjoint commit: time=%d conflict=%v err=%v", ct, conflict, err)
 	}
@@ -327,25 +242,12 @@ func TestTupleGranularValidation(t *testing.T) {
 	}
 
 	// Overlapping tuple 1 from the stale base: tuple-granular conflict.
-	_, conflict, err = db.CommitValidated(Commit{BaseTime: base, Reads: keyRead("r", intTuple(1), intTuple(3)), Changed: mk(1, 3), Ins: mk(3)})
+	_, conflict, err = db.CommitValidated(Commit{BaseTime: base, Reads: keyRead("r", intTuple(1), intTuple(3)), Ins: mk(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if conflict == nil || conflict.Relation != "r" || conflict.Key != intTuple(1).Key() {
 		t.Fatalf("conflict = %+v, want tuple-granular conflict on key of 1", conflict)
-	}
-
-	// A delta recorded without tuple detail (ApplyCommit) blocks keyed
-	// readers conservatively.
-	if err := db.ApplyCommit(mk(9)); err != nil {
-		t.Fatal(err)
-	}
-	_, conflict, err = db.CommitValidated(Commit{BaseTime: 2, Reads: keyRead("r", intTuple(4)), Changed: mk(4), Ins: mk(4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if conflict == nil {
-		t.Fatal("keyed read validated against a detail-less delta")
 	}
 
 	if s := db.Stats(); s.MergedCommits != 1 {
@@ -361,20 +263,19 @@ func TestCommitLogKeyedByTime(t *testing.T) {
 	rs, _ := sch.Relation("r")
 	for i := int64(1); i <= 3; i++ {
 		ins := map[string]*relation.Relation{"r": relation.MustFromTuples(rs, relation.Tuple{value.Int(i)})}
-		if _, conflict, err := db.CommitValidated(Commit{BaseTime: db.Time(), Changed: ins, Ins: ins}); err != nil || conflict != nil {
+		if _, conflict, err := db.CommitValidated(Commit{BaseTime: db.Time(), Reads: keyRead("r", intTuple(i)), Ins: ins}); err != nil || conflict != nil {
 			t.Fatalf("commit %d: conflict=%v err=%v", i, conflict, err)
 		}
 	}
-	deltas := db.DeltasSince(1)
-	if len(deltas) != 2 {
-		t.Fatalf("DeltasSince(1) returned %d deltas, want 2", len(deltas))
+	if len(db.log) != 3 {
+		t.Fatalf("log holds %d records, want 3", len(db.log))
 	}
-	for i, d := range deltas {
-		if want := uint64(i + 2); d.Time != want {
+	for i, d := range db.log {
+		if want := uint64(i + 1); d.Time != want {
 			t.Errorf("delta %d has time %d, want %d", i, d.Time, want)
 		}
-		if !d.Touches("r") || len(d.Writes()) != 1 {
-			t.Errorf("delta %d writes = %v, want [r]", i, d.Writes())
+		if len(d.Ins) != 1 || len(d.Del) != 0 {
+			t.Errorf("delta %d writes ins=%v del=%v, want ins of r only", i, d.Ins, d.Del)
 		}
 		if d.Ins["r"] == nil || !d.Ins["r"].Sealed() {
 			t.Errorf("delta %d ins not recorded/sealed", i)
@@ -383,24 +284,22 @@ func TestCommitLogKeyedByTime(t *testing.T) {
 }
 
 // TestCommitValidatedRefusesTruncatedLog: a base snapshot older than the
-// retained segment of a shard it reads cannot be validated there and must
-// read as a conflict, never as a silent success.
+// retained commit log cannot be validated and must read as a conflict,
+// never as a silent success.
 func TestCommitValidatedRefusesTruncatedLog(t *testing.T) {
 	sch := storageSchema()
 	db := New(sch)
-	rs, _ := sch.Relation("r")
 	for i := 0; i < 2; i++ {
-		if err := db.ApplyCommit(map[string]*relation.Relation{"r": relation.MustFromTuples(rs, intTuple(int64(i)))}); err != nil {
-			t.Fatal(err)
+		if conflict := commitDelta(t, db, "r", []relation.Tuple{intTuple(int64(i))}, nil); conflict != nil {
+			t.Fatalf("unexpected conflict: %s", conflict)
 		}
 	}
-	// Simulate segment aging the way a long run would: drop the deltas and
+	// Simulate log aging the way a long run would: drop the deltas and
 	// record the watermark.
-	sh := db.shards[db.ShardOf("r")]
-	sh.mu.Lock()
-	sh.log = nil
-	sh.truncated = 2
-	sh.mu.Unlock()
+	db.commitMu.Lock()
+	db.log = nil
+	db.truncated = 2
+	db.commitMu.Unlock()
 	_, conflict, err := db.CommitValidated(Commit{BaseTime: 0, Reads: fullRead("r")})
 	if err != nil {
 		t.Fatal(err)
@@ -414,7 +313,7 @@ func TestCommitValidatedRefusesTruncatedLog(t *testing.T) {
 	}
 }
 
-// TestCloneRefusesPreCloneBases: a clone starts with empty segments, so a
+// TestCloneRefusesPreCloneBases: a clone starts with an empty log, so a
 // commit pinned to a snapshot older than the clone itself cannot prove its
 // reads current and must be refused, not silently installed.
 func TestCloneRefusesPreCloneBases(t *testing.T) {
@@ -422,12 +321,13 @@ func TestCloneRefusesPreCloneBases(t *testing.T) {
 	db := New(sch)
 	rs, _ := sch.Relation("r")
 	for i := int64(1); i <= 3; i++ {
-		if err := db.ApplyCommit(map[string]*relation.Relation{"r": relation.MustFromTuples(rs, intTuple(i))}); err != nil {
-			t.Fatal(err)
+		if conflict := commitDelta(t, db, "r", []relation.Tuple{intTuple(i)}, nil); conflict != nil {
+			t.Fatalf("unexpected conflict: %s", conflict)
 		}
 	}
 	clone := db.Clone()
-	_, conflict, err := clone.CommitValidated(Commit{BaseTime: 0, Reads: keyRead("r", intTuple(9)), Changed: map[string]*relation.Relation{"r": relation.MustFromTuples(rs, intTuple(9))}})
+	nine := map[string]*relation.Relation{"r": relation.MustFromTuples(rs, intTuple(9))}
+	_, conflict, err := clone.CommitValidated(Commit{BaseTime: 0, Reads: keyRead("r", intTuple(9)), Ins: nine})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,61 +335,29 @@ func TestCloneRefusesPreCloneBases(t *testing.T) {
 		t.Fatal("clone validated a base snapshot predating the clone")
 	}
 	// A commit pinned to the clone's own seed state is fine.
-	if _, conflict, err = clone.CommitValidated(Commit{BaseTime: clone.Time(), Reads: keyRead("r", intTuple(9)), Changed: map[string]*relation.Relation{"r": relation.MustFromTuples(rs, intTuple(9))}, Ins: map[string]*relation.Relation{"r": relation.MustFromTuples(rs, intTuple(9))}}); err != nil || conflict != nil {
+	if _, conflict, err = clone.CommitValidated(Commit{BaseTime: clone.Time(), Reads: keyRead("r", intTuple(9)), Ins: nine}); err != nil || conflict != nil {
 		t.Fatalf("seed-base commit rejected: conflict=%v err=%v", conflict, err)
 	}
 }
 
-// TestChangedWithoutReadRecordIsGuarded: a validated commit (non-nil
-// Reads) that writes a relation it recorded no read for must not clobber
-// concurrent commits — the store synthesizes a whole-relation read, so the
-// stale writer conflicts instead of silently winning.
-func TestChangedWithoutReadRecordIsGuarded(t *testing.T) {
+// TestSegmentTruncationWatermark: overflowing the retention span advances
+// the log's truncation watermark and old-base commits are refused from then
+// on.
+func TestSegmentTruncationWatermark(t *testing.T) {
 	sch := storageSchema()
 	db := New(sch)
 	rs, _ := sch.Relation("r")
-	base := db.Time()
-	mk := func(v int64) map[string]*relation.Relation {
-		return map[string]*relation.Relation{"r": relation.MustFromTuples(rs, intTuple(v))}
-	}
-	if _, conflict, err := db.CommitValidated(Commit{BaseTime: base, Reads: keyRead("r", intTuple(1)), Changed: mk(1), Ins: mk(1)}); err != nil || conflict != nil {
-		t.Fatalf("winner: conflict=%v err=%v", conflict, err)
-	}
-	// Stale commit writing r but whose Reads only mentions another name.
-	_, conflict, err := db.CommitValidated(Commit{BaseTime: base, Reads: fullRead("other"), Changed: mk(2), Ins: mk(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if conflict == nil {
-		t.Fatal("read-less write of a concurrently written relation validated; lost update")
-	}
-	cur, _ := db.Relation("r")
-	if !cur.Contains(intTuple(1)) || cur.Contains(intTuple(2)) {
-		t.Errorf("state clobbered: %v", cur)
-	}
-}
-
-// TestSegmentTruncationWatermark: overflowing a shard's segment advances
-// its truncation watermark and old-base commits are refused from then on.
-func TestSegmentTruncationWatermark(t *testing.T) {
-	sch := storageSchema()
-	db := NewSharded(sch, 2)
-	rs, _ := sch.Relation("r")
 	for i := 0; i <= defaultRetainSpan; i++ {
 		ins := map[string]*relation.Relation{"r": relation.MustFromTuples(rs, intTuple(int64(i)))}
-		if _, conflict, err := db.CommitValidated(Commit{BaseTime: db.Time(), Reads: keyRead("r", intTuple(int64(i))), Changed: ins, Ins: ins}); err != nil || conflict != nil {
+		if _, conflict, err := db.CommitValidated(Commit{BaseTime: db.Time(), Reads: keyRead("r", intTuple(int64(i))), Ins: ins}); err != nil || conflict != nil {
 			t.Fatalf("commit %d: conflict=%v err=%v", i, conflict, err)
 		}
 	}
-	sh := db.shards[db.ShardOf("r")]
-	sh.mu.Lock()
-	logLen, truncated := len(sh.log), sh.truncated
-	sh.mu.Unlock()
-	if logLen != defaultRetainSpan {
-		t.Errorf("segment holds %d deltas, want %d", logLen, defaultRetainSpan)
+	if len(db.log) != defaultRetainSpan {
+		t.Errorf("log holds %d deltas, want %d", len(db.log), defaultRetainSpan)
 	}
-	if truncated != 1 {
-		t.Errorf("truncation watermark = %d, want 1", truncated)
+	if db.truncated != 1 {
+		t.Errorf("truncation watermark = %d, want 1", db.truncated)
 	}
 	_, conflict, err := db.CommitValidated(Commit{BaseTime: 0, Reads: keyRead("r", intTuple(12345))})
 	if err != nil {
@@ -500,18 +368,57 @@ func TestSegmentTruncationWatermark(t *testing.T) {
 	}
 }
 
-// TestCrossShardCommitConcurrent hammers cross-shard commits (relations in
-// different shards) against single-shard writers from many goroutines: the
-// canonical-order two-phase protocol must neither deadlock nor lose an
-// update, and the clock must count every commit. Run with -race.
+// TestLogTrimIsAmortized runs the log through four retention spans: it must
+// hold exactly the retained window, still refuse a base older than the
+// window, and must not have copied the window on every commit — the dead
+// prefix is sliced off, so the backing array is reallocated only when its
+// capacity runs out. Fewer than a tenth of the post-fill commits may move
+// it, and the spare capacity stays bounded by the window.
+func TestLogTrimIsAmortized(t *testing.T) {
+	db := New(storageSchema())
+	rs, _ := db.Schema().Relation("r")
+	const total = 4 * defaultRetainSpan
+	var newest **Delta // slot of the newest record after the previous commit
+	moves := 0
+	for i := 1; i <= total; i++ {
+		ins := map[string]*relation.Relation{"r": relation.MustFromTuples(rs, intTuple(int64(i)))}
+		if _, conflict, err := db.CommitValidated(Commit{BaseTime: db.Time(), Reads: keyRead("r", intTuple(int64(i))), Ins: ins}); err != nil || conflict != nil {
+			t.Fatalf("commit %d: conflict=%v err=%v", i, conflict, err)
+		}
+		n := len(db.log)
+		if i > defaultRetainSpan && &db.log[n-2] != newest {
+			moves++ // append reallocated: the window was copied
+		}
+		newest = &db.log[n-1]
+	}
+	if len(db.log) != defaultRetainSpan || db.log[0].Time != total-defaultRetainSpan+1 {
+		t.Fatalf("log holds %d records from t=%d, want %d from t=%d",
+			len(db.log), db.log[0].Time, defaultRetainSpan, total-defaultRetainSpan+1)
+	}
+	if moves*10 > total-defaultRetainSpan {
+		t.Errorf("the retained window was copied on %d of %d commits; the trim must be amortized", moves, total-defaultRetainSpan)
+	}
+	if cap(db.log) > 2*defaultRetainSpan {
+		t.Errorf("log capacity %d exceeds twice the retained window", cap(db.log))
+	}
+	_, conflict, err := db.CommitValidated(Commit{BaseTime: total - defaultRetainSpan - 1, Reads: keyRead("r", intTuple(0))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if conflict == nil || conflict.Relation != "" {
+		t.Fatalf("base older than the retained window: conflict = %v, want a watermark refusal", conflict)
+	}
+}
+
+// TestCrossShardCommitConcurrent hammers two-relation commits against
+// single-relation writers from many goroutines: the epoch pipeline must
+// neither deadlock nor lose an update, and the clock must count every
+// commit. Run with -race.
 func TestCrossShardCommitConcurrent(t *testing.T) {
 	a := schema.MustRelation("a", schema.Attribute{Name: "v", Type: value.KindInt})
 	b := schema.MustRelation("b", schema.Attribute{Name: "v", Type: value.KindInt})
 	sch := schema.MustDatabase(a, b)
-	db := NewSharded(sch, 4)
-	if db.ShardOf("a") == db.ShardOf("b") {
-		t.Fatalf("fixture relations share shard %d; pick different names", db.ShardOf("a"))
-	}
+	db := New(sch)
 
 	const workers, perWorker = 8, 25
 	var wg sync.WaitGroup
@@ -525,38 +432,19 @@ func TestCrossShardCommitConcurrent(t *testing.T) {
 				v := intTuple(int64(w*perWorker + i))
 				names := []string{"a", "b"}
 				if w%2 == 0 {
-					names = names[w/2%2 : w/2%2+1] // single-shard writers alternate a / b
+					names = names[w/2%2 : w/2%2+1] // single-relation writers alternate a / b
 				}
 				reads := make(map[string]*ReadInfo, len(names))
 				for _, n := range names {
 					reads[n] = &ReadInfo{Keys: map[string]bool{v.Key(): true}}
 				}
-				// build assembles a commit inserting v into every target,
-				// pinned coherently to one snapshot.
-				build := func() (Commit, error) {
-					snap := db.Snapshot()
-					changed := make(map[string]*relation.Relation, len(names))
-					ins := make(map[string]*relation.Relation, len(names))
-					for _, n := range names {
-						cur, err := snap.Relation(n)
-						if err != nil {
-							return Commit{}, err
-						}
-						inst := cur.Clone()
-						inst.InsertUnchecked(v)
-						changed[n] = inst
-						rs, _ := sch.Relation(n)
-						ins[n] = relation.MustFromTuples(rs, v)
-					}
-					return Commit{BaseTime: snap.Time(), Reads: reads, Changed: changed, Ins: ins}, nil
+				ins := make(map[string]*relation.Relation, len(names))
+				for _, n := range names {
+					rs, _ := sch.Relation(n)
+					ins[n] = relation.MustFromTuples(rs, v)
 				}
 				for {
-					c, err := build()
-					if err != nil {
-						errs <- err
-						return
-					}
-					_, conflict, err := db.CommitValidated(c)
+					_, conflict, err := db.CommitValidated(Commit{BaseTime: db.Time(), Reads: reads, Ins: ins})
 					if err != nil {
 						errs <- err
 						return
@@ -579,22 +467,19 @@ func TestCrossShardCommitConcurrent(t *testing.T) {
 	}
 	ra, _ := db.Relation("a")
 	rb, _ := db.Relation("b")
-	// Every cross-shard writer inserted v into both relations; every
-	// single-shard writer into one. No insert may be lost.
+	// Every two-relation writer inserted v into both relations; every
+	// single-relation writer into one. No insert may be lost.
 	for w := 0; w < workers; w++ {
 		for i := 0; i < perWorker; i++ {
 			v := intTuple(int64(w*perWorker + i))
 			inA, inB := ra.Contains(v), rb.Contains(v)
 			if w%2 != 0 && (!inA || !inB) {
-				t.Fatalf("cross-shard insert %v lost: a=%v b=%v", v, inA, inB)
+				t.Fatalf("two-relation insert %v lost: a=%v b=%v", v, inA, inB)
 			}
 			if w%2 == 0 && !inA && !inB {
-				t.Fatalf("single-shard insert %v lost", v)
+				t.Fatalf("single-relation insert %v lost", v)
 			}
 		}
-	}
-	if s := db.Stats(); s.CrossShardCommits == 0 {
-		t.Error("no cross-shard commits recorded")
 	}
 }
 
@@ -614,30 +499,25 @@ func childTuple(id, parent int64) relation.Tuple {
 // one relation, reporting any conflict to the caller.
 func commitDelta(t *testing.T, db *Database, rel string, ins, del []relation.Tuple) *Conflict {
 	t.Helper()
-	rs, _ := db.Schema().Relation(rel)
-	cur, err := db.Relation(rel)
-	if err != nil {
-		t.Fatal(err)
+	rs, ok := db.Schema().Relation(rel)
+	if !ok {
+		t.Fatalf("unknown relation %q", rel)
 	}
-	w := cur.Clone()
 	keys := make(map[string]bool)
-	insR, delR := relation.New(rs), relation.New(rs)
-	for _, tt := range ins {
-		w.InsertUnchecked(tt)
-		insR.InsertUnchecked(tt)
-		keys[tt.Key()] = true
-	}
-	for _, tt := range del {
-		w.Delete(tt)
-		delR.InsertUnchecked(tt)
+	for _, tt := range append(append([]relation.Tuple(nil), ins...), del...) {
 		keys[tt.Key()] = true
 	}
 	commit := Commit{
 		BaseTime: db.Time(),
 		Reads:    map[string]*ReadInfo{rel: {Keys: keys}},
-		Changed:  map[string]*relation.Relation{rel: w},
-		Ins:      map[string]*relation.Relation{rel: insR},
-		Del:      map[string]*relation.Relation{rel: delR},
+		Ins:      map[string]*relation.Relation{},
+		Del:      map[string]*relation.Relation{},
+	}
+	if len(ins) > 0 {
+		commit.Ins[rel] = relation.MustFromTuples(rs, ins...)
+	}
+	if len(del) > 0 {
+		commit.Del[rel] = relation.MustFromTuples(rs, del...)
 	}
 	_, conflict, err := db.CommitValidated(commit)
 	if err != nil {

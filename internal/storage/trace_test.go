@@ -71,7 +71,7 @@ func TestTracerSequenceSharedEpoch(t *testing.T) {
 		// A reads and writes tuple 1; its enqueue event blocks in the
 		// tracer until B is behind it in the queue.
 		ctA, cfA, _ = db.CommitValidated(Commit{
-			Label: "A", BaseTime: 0, Reads: keyRead("r", intTuple(1)), Changed: dA, Ins: dA,
+			Label: "A", BaseTime: 0, Reads: keyRead("r", intTuple(1)), Ins: dA,
 		})
 	}()
 	deadline := time.Now().Add(5 * time.Second)
@@ -87,7 +87,7 @@ func TestTracerSequenceSharedEpoch(t *testing.T) {
 		// B reads the tuple A writes (same base snapshot), so intra-epoch
 		// validation in queue order must reject it with A's key.
 		ctB, cfB, _ = db.CommitValidated(Commit{
-			Label: "B", BaseTime: 0, Reads: keyRead("r", intTuple(1), intTuple(2)), Changed: dB, Ins: dB,
+			Label: "B", BaseTime: 0, Reads: keyRead("r", intTuple(1), intTuple(2)), Ins: dB,
 		})
 	}()
 	wg.Wait()

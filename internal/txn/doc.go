@@ -11,28 +11,24 @@
 // control. Each execution pins the current immutable snapshot, runs the
 // whole (modified) program against a private overlay, and then asks the
 // commit sequencer to install the result. Commit validation and
-// installation are sharded:
+// installation work as follows:
 //
-//   - Shard hashing. Every base relation name hashes (FNV-1a, see
-//     storage.ShardIndex) to one of the store's commit-sequencer shards.
-//     A shard owns a validation mutex and a segment of the commit log —
-//     the ins/del deltas of the epochs that wrote relations of that
-//     shard, in commit-time order. Transactions whose read and write sets
-//     hash to disjoint shards validate and commit concurrently.
+//   - One commit log. The store keeps the ins/del deltas of the epochs
+//     that wrote anything in one commit log, in commit-time order, under
+//     one commit lock and one logical clock (Definition 2.3: the database
+//     is one sequence of transitions).
 //
-//   - Group commit in epochs. Commits do not take the validation locks
+//   - Group commit in epochs. Commits do not take the commit lock
 //     themselves: they enqueue on a global combining queue, and one
-//     submitter — the drainer — claims everything queued as an epoch,
-//     locks the union of the members' shard sets in canonical (ascending
-//     index) order, and validates all members against one base snapshot.
-//     Intra-epoch conflicts resolve by queue order at the same granularity
-//     as cross-epoch validation; the surviving members' deltas fold into
-//     one successor instance and one index push per written relation, one
-//     log record per written shard, and one published snapshot swap, so N
-//     queued commits pay one critical section instead of N. Epoch N+1
-//     validates and derives (against per-shard shadow successors) while
-//     epoch N's swap publishes — a two-stage pipeline ordered by the
-//     logical clock.
+//     submitter — the drainer — claims everything queued as an epoch and
+//     validates all members against one base snapshot. Intra-epoch
+//     conflicts resolve by queue order at the same granularity as
+//     cross-epoch validation; the surviving members' deltas fold into one
+//     successor instance and one index push per written relation, one log
+//     record, and one published snapshot swap, so N queued commits pay one
+//     critical section instead of N. Epoch N+1 validates and derives
+//     (against shadow successors) while epoch N's swap publishes — a
+//     two-stage pipeline ordered by the logical clock.
 //
 //   - Tuple-granular validation. The overlay records, per base relation,
 //     either a whole-relation read (the relation was materialized through

@@ -141,7 +141,7 @@ func (e *Executor) ExecOptimistic(t *Transaction, check PostCheck, maxRetries in
 		return nil, fmt.Errorf("txn: transaction rejected: %w", err)
 	}
 
-	met, tr := metricsFor(e.db.Registry()), e.db.Tracer()
+	met, tr := metricsOf(e.db), e.db.Tracer()
 	for attempt := 0; ; attempt++ {
 		met.attempts.Inc()
 		ov := NewOverlay(e.db)

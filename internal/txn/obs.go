@@ -1,13 +1,12 @@
 // Observability wiring for the transaction layer: metric handles resolved
-// once per registry (not per transaction) and cached, so overlay creation
-// costs one sync.Map read when metrics are on and nothing measurable when
-// they are off.
+// once per database (not per transaction) and cached on the database, so
+// overlay creation costs one pointer load and the handle set is collected
+// with the database it belongs to.
 package txn
 
 import (
-	"sync"
-
 	"repro/internal/obs"
+	"repro/internal/storage"
 )
 
 // txnMetrics holds the transaction-layer metric handles. The zero value
@@ -37,20 +36,17 @@ type txnMetrics struct {
 // nullTxnMetrics is the shared all-disabled handle set.
 var nullTxnMetrics = &txnMetrics{}
 
-// metricsCache maps *obs.Registry -> *txnMetrics so the per-transaction
-// path never re-resolves names against the registry map.
-var metricsCache sync.Map
+// metricsOf returns the transaction metric set of db, resolved from its
+// registry on first use; nullTxnMetrics when the database has no registry.
+func metricsOf(db *storage.Database) *txnMetrics {
+	return db.LayerMetrics(newTxnMetrics).(*txnMetrics)
+}
 
-// metricsFor returns the (cached) transaction metric set for reg;
-// nullTxnMetrics for a nil registry.
-func metricsFor(reg *obs.Registry) *txnMetrics {
+func newTxnMetrics(reg *obs.Registry) any {
 	if reg == nil {
 		return nullTxnMetrics
 	}
-	if m, ok := metricsCache.Load(reg); ok {
-		return m.(*txnMetrics)
-	}
-	m := &txnMetrics{
+	return &txnMetrics{
 		statements:       reg.Counter("repro_txn_statements_total"),
 		statementSeconds: reg.Histogram("repro_txn_statement_seconds"),
 		attempts:         reg.Counter("repro_txn_attempts_total"),
@@ -64,6 +60,4 @@ func metricsFor(reg *obs.Registry) *txnMetrics {
 		rangeProbes:      reg.Counter("repro_index_range_probes_total"),
 		fullScans:        reg.Counter("repro_index_full_scans_total"),
 	}
-	got, _ := metricsCache.LoadOrStore(reg, m)
-	return got.(*txnMetrics)
 }

@@ -82,7 +82,7 @@ type Overlay struct {
 // inheriting the database's metrics registry and tracer.
 func NewOverlay(db *storage.Database) *Overlay {
 	ov := NewOverlayAt(db.Snapshot())
-	ov.met = metricsFor(db.Registry())
+	ov.met = metricsOf(db)
 	ov.tr = db.Tracer()
 	return ov
 }
@@ -541,39 +541,22 @@ func (o *Overlay) DeleteTuples(rel string, src *relation.Relation) error {
 }
 
 // CommitRecord packages the overlay's outcome for CommitValidated: base
-// time, per-relation read records, and — filtered to relations with a
-// non-empty net delta — the written relations plus the differentials
-// serving as write set. The store derives each successor instance from the
-// latest sealed trie plus the ins/del delta, so Changed serves purely as
-// the set of written names (every entry carries a delta, so its instances
-// are nil — the store never installs an instance that a delta can derive).
-// Relations whose deltas cancelled to nothing are dropped: their working
-// state equals the snapshot instance, so naming them would only cause
-// spurious conflicts for others.
+// time, per-relation read records, and the non-empty net differentials
+// serving as write set — the store derives each successor instance from the
+// latest sealed trie plus the ins/del delta. Relations whose deltas
+// cancelled to nothing are dropped: their working state equals the snapshot
+// instance, so naming them would only cause spurious conflicts for others.
 func (o *Overlay) CommitRecord() storage.Commit {
-	names := make(map[string]bool, len(o.ins)+len(o.del))
-	for name := range o.ins {
-		names[name] = true
-	}
-	for name := range o.del {
-		names[name] = true
-	}
-	changed := make(map[string]*relation.Relation, len(names))
-	ins := make(map[string]*relation.Relation, len(names))
-	del := make(map[string]*relation.Relation, len(names))
-	for name := range names {
-		di, dd := o.ins[name], o.del[name]
-		if (di == nil || di.IsEmpty()) && (dd == nil || dd.IsEmpty()) {
-			continue
+	nonEmpty := func(side map[string]*relation.Relation) map[string]*relation.Relation {
+		out := make(map[string]*relation.Relation, len(side))
+		for name, r := range side {
+			if r != nil && !r.IsEmpty() {
+				out[name] = r
+			}
 		}
-		changed[name] = nil
-		if di != nil && !di.IsEmpty() {
-			ins[name] = di
-		}
-		if dd != nil && !dd.IsEmpty() {
-			del[name] = dd
-		}
+		return out
 	}
+	ins, del := nonEmpty(o.ins), nonEmpty(o.del)
 	if o.met.readRelations != nil {
 		o.met.readRelations.Observe(uint64(len(o.reads)))
 		var keys uint64
@@ -593,7 +576,6 @@ func (o *Overlay) CommitRecord() storage.Commit {
 	return storage.Commit{
 		BaseTime: o.base.Time(),
 		Reads:    o.reads,
-		Changed:  changed,
 		Ins:      ins,
 		Del:      del,
 		Label:    o.label,

@@ -24,13 +24,12 @@ var ErrRetriesExhausted = errors.New("txn: optimistic commit retries exhausted")
 // execute against pinned snapshots in parallel, then their commits are
 // validated and installed (first-committer-wins) by the storage layer's
 // group-commit sequencer. A commit enqueues on the global combining queue;
-// one submitter drains the queue as an epoch, locks the union of the
-// members' shard sets in canonical order, validates every member against
-// one base snapshot (intra-epoch conflicts resolve by queue order), and
-// folds the survivors into one successor instance per written relation,
-// one log record per written shard, and one published snapshot swap. The
-// next epoch validates while the previous one publishes, so the commit
-// point batches under load instead of serializing per transaction.
+// one submitter drains the queue as an epoch, validates every member
+// against one base snapshot (intra-epoch conflicts resolve by queue order),
+// and folds the survivors into one successor instance per written
+// relation, one log record, and one published snapshot swap. The next epoch
+// validates while the previous one publishes, so the commit point batches
+// under load instead of serializing per transaction.
 //
 // Validation is tuple-granular where the overlay recorded tuple keys: a
 // concurrent commit to the same relation invalidates this transaction only
@@ -49,12 +48,12 @@ type Sequencer struct {
 func NewSequencer(db *storage.Database) *Sequencer { return &Sequencer{db: db} }
 
 // TryCommit validates the overlay's read set against every delta committed
-// since its base snapshot in the shards it touched and, if nothing it
-// depends on changed, installs its write set (merged over any tuple-disjoint
-// concurrent deltas) as the next database state. A non-nil Conflict (with
-// nil error) means another transaction won: the caller should discard the
-// overlay and re-execute against a fresh snapshot. Errors indicate
-// malformed commits and are not retryable.
+// since its base snapshot and, if nothing it depends on changed, installs
+// its write set (merged over any tuple-disjoint concurrent deltas) as the
+// next database state. A non-nil Conflict (with nil error) means another
+// transaction won: the caller should discard the overlay and re-execute
+// against a fresh snapshot. Errors indicate malformed commits and are not
+// retryable.
 func (s *Sequencer) TryCommit(o *Overlay) (uint64, *storage.Conflict, error) {
 	t, conflict, err := s.db.CommitValidated(o.CommitRecord())
 	if err != nil {

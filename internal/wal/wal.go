@@ -1,11 +1,11 @@
 // Package wal implements the write-ahead log of the durable storage engine:
-// per-shard segment files of length-prefixed, CRC-framed records.
+// one stream of segment files holding length-prefixed, CRC-framed records.
 //
-// The log is sharded exactly like the commit sequencer in package storage —
-// one stream of segment files per commit shard — so the group-commit drainer
-// can append one record per written shard during its validate stage and
-// group-fsync once per epoch, amortizing the fsync over the whole batch the
-// same way the epoch already amortizes validation and the snapshot swap.
+// The group-commit drainer in package storage appends one record per epoch
+// during its validate stage — every relation the epoch wrote travels in the
+// one payload — and, under SyncAlways, fsyncs once, amortizing the fsync
+// over the whole batch the same way the epoch already amortizes validation
+// and the snapshot swap.
 //
 // # Framing
 //
@@ -13,34 +13,35 @@
 //
 //	uint32  body length (little-endian)
 //	uint32  CRC-32C of the body (Castagnoli, little-endian)
-//	body := type(1 byte) | uvarint lsn | uvarint time | uvarint span | payload
+//	body := type(1 byte) | uvarint lsn | uvarint time | payload
 //
-// lsn is a globally sequential log sequence number: every logical record —
-// even one spanning several shard files — consumes exactly one. span is the
-// number of shard files carrying the lsn; recovery applies a cross-shard
-// record only when all span parts survive, which is what keeps a torn
-// cross-shard epoch atomic. time is the logical clock after applying the
-// record; payload bytes belong to the caller (package storage owns the
-// codec).
+// lsn is the record's log sequence number: records take consecutive lsns in
+// append order. time is the logical clock after applying the record; payload
+// bytes belong to the caller (package storage owns the codec). One frame
+// under one CRC is the unit of atomicity: a record is either wholly in the
+// log or not in it.
 //
 // A reader stops a file at the first frame that is short, oversized, or
-// fails its CRC — the torn tail — and recovery additionally stops the
-// global replay at the first missing or incomplete lsn, so the recovered
-// state is always a prefix of the logged history.
+// fails its CRC — the torn tail — and recovery stops the replay there or at
+// the first missing lsn, so the recovered state is always a prefix of the
+// logged history.
 //
 // # Segments
 //
-// Segment files are named s<shard>-<first lsn>.seg. A segment seals when it
+// Segment files are named wal-<first lsn>.seg. A segment seals when it
 // outgrows Options.SegmentBytes and a new one starts at the next record's
-// lsn, so a shard's segments cover disjoint ascending lsn intervals and the
-// file name alone tells the checkpointer which sealed segments fall wholly
-// below a checkpoint watermark and can be deleted (TruncateThrough).
+// lsn, so the segments cover disjoint ascending lsn intervals and the file
+// name alone tells the checkpointer which sealed segments fall wholly below
+// a checkpoint watermark and can be deleted (TruncateThrough). Files named
+// s<n>-<lsn>.seg are segments of the v1 log format, which this package
+// cannot read; Scan refuses a directory holding one (ErrV1Log).
 package wal
 
 import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -57,10 +58,10 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs every written segment once per AppendRecord, before
-	// the call returns. Under group commit that is one fsync per shard per
-	// epoch — the whole batch shares it — and a record is durable before
-	// any committer is acknowledged.
+	// SyncAlways fsyncs once per AppendRecord, before the call returns.
+	// Under group commit that is one fsync per epoch — the whole batch
+	// shares it — and a record is durable before any committer is
+	// acknowledged.
 	SyncAlways SyncPolicy = iota
 	// SyncBatched acknowledges appends after the buffered write reaches the
 	// OS and fsyncs in the background every Options.BatchInterval: commits
@@ -130,7 +131,6 @@ func (o Options) withDefaults() Options {
 type Record struct {
 	LSN     uint64
 	Time    uint64
-	Span    int
 	Type    byte
 	Payload []byte
 	// End is the file offset just past this record's frame; truncating the
@@ -140,7 +140,6 @@ type Record struct {
 
 // Segment is one scanned segment file.
 type Segment struct {
-	Shard int
 	First uint64 // first lsn, from the file name
 	Path  string
 	// Records holds the frames that parsed cleanly, in file order.
@@ -150,22 +149,31 @@ type Segment struct {
 	Torn bool
 }
 
-func segName(shard int, first uint64) string {
-	return fmt.Sprintf("s%03d-%016d.seg", shard, first)
-}
+func segName(first uint64) string { return fmt.Sprintf("wal-%016d.seg", first) }
 
-func parseSegName(name string) (shard int, first uint64, ok bool) {
-	var s int
-	var f uint64
-	if _, err := fmt.Sscanf(name, "s%03d-%016d.seg", &s, &f); err != nil {
-		return 0, 0, false
+func parseSegName(name string) (first uint64, ok bool) {
+	if _, err := fmt.Sscanf(name, "wal-%016d.seg", &first); err != nil {
+		return 0, false
 	}
-	return s, f, true
+	return first, true
 }
 
-// Scan parses every segment file under dir, in (shard, first-lsn) order.
-// Unparseable trailing bytes mark the segment Torn; files that are not
-// segments are ignored. A missing dir scans as empty.
+// ErrV1Log reports a directory holding segment files of the v1 log format
+// (s<n>-<lsn>.seg), which this package cannot replay.
+var ErrV1Log = errors.New("wal: unsupported v1 log (s<n>-<lsn>.seg segment files); re-load the data")
+
+func isV1SegName(name string) bool {
+	var n int
+	var first uint64
+	_, err := fmt.Sscanf(name, "s%d-%d.seg", &n, &first)
+	return err == nil
+}
+
+// Scan parses every segment file under dir, in first-lsn order. Unparseable
+// trailing bytes mark the segment Torn; files that are not segments are
+// ignored, except that a v1 segment file fails the scan with ErrV1Log —
+// skipping it would recover a shorter history than the directory holds. A
+// missing dir scans as empty.
 func Scan(dir string) ([]*Segment, error) {
 	entries, err := os.ReadDir(dir)
 	if os.IsNotExist(err) {
@@ -179,22 +187,20 @@ func Scan(dir string) ([]*Segment, error) {
 		if e.IsDir() {
 			continue
 		}
-		shard, first, ok := parseSegName(e.Name())
+		if isV1SegName(e.Name()) {
+			return nil, fmt.Errorf("wal: scan %s: %s: %w", dir, e.Name(), ErrV1Log)
+		}
+		first, ok := parseSegName(e.Name())
 		if !ok {
 			continue
 		}
-		seg := &Segment{Shard: shard, First: first, Path: filepath.Join(dir, e.Name())}
+		seg := &Segment{First: first, Path: filepath.Join(dir, e.Name())}
 		if err := seg.parse(); err != nil {
 			return nil, err
 		}
 		segs = append(segs, seg)
 	}
-	sort.Slice(segs, func(i, j int) bool {
-		if segs[i].Shard != segs[j].Shard {
-			return segs[i].Shard < segs[j].Shard
-		}
-		return segs[i].First < segs[j].First
-	})
+	sort.Slice(segs, func(i, j int) bool { return segs[i].First < segs[j].First })
 	return segs, nil
 }
 
@@ -242,24 +248,17 @@ func parseFrame(data []byte) ([]byte, Record, bool) {
 	if rec.Time, k = binary.Uvarint(rest); k <= 0 {
 		return nil, Record{}, false
 	}
-	rest = rest[k:]
-	span, k := binary.Uvarint(rest)
-	if k <= 0 || span == 0 {
-		return nil, Record{}, false
-	}
-	rec.Span = int(span)
 	rec.Payload = rest[k:]
 	return body, rec, true
 }
 
 // appendFrame encodes one frame into dst.
-func appendFrame(dst []byte, typ byte, lsn, time uint64, span int, payload []byte) []byte {
-	var hdr [1 + 3*binary.MaxVarintLen64]byte
+func appendFrame(dst []byte, typ byte, lsn, time uint64, payload []byte) []byte {
+	var hdr [1 + 2*binary.MaxVarintLen64]byte
 	hdr[0] = typ
 	n := 1
 	n += binary.PutUvarint(hdr[n:], lsn)
 	n += binary.PutUvarint(hdr[n:], time)
-	n += binary.PutUvarint(hdr[n:], uint64(span))
 	bodyLen := n + len(payload)
 	crc := crc32.Update(crc32.Checksum(hdr[:n], crcTable), crcTable, payload)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(bodyLen))
@@ -268,27 +267,21 @@ func appendFrame(dst []byte, typ byte, lsn, time uint64, span int, payload []byt
 	return append(dst, payload...)
 }
 
-// Append is one shard's part of a logical record.
-type Append struct {
-	Shard   int
-	Payload []byte
-}
-
-// Writer appends records to the per-shard segment files of one directory.
-// It is safe for concurrent use; in the engine the group-commit drainer and
-// the (serialized) schema-management calls are the only appenders.
+// Writer appends records to the segment files of one directory. It is safe
+// for concurrent use; in the engine the group-commit drainer and the
+// (serialized) schema-management calls are the only appenders.
 type Writer struct {
 	dir  string
 	opts Options
 
 	mu      sync.Mutex
 	nextLSN uint64
-	active  map[int]*segment // shard -> active (highest-first) segment
-	// firsts tracks every live segment's first lsn per shard, ascending;
+	active  *segment // the highest-first segment; nil until the first append
+	// firsts tracks every live segment's first lsn, ascending;
 	// TruncateThrough deletes sealed segments from the front.
-	firsts map[int][]uint64
-	dirty  []*segment // segments with writes since the last fsync
-	err    error      // sticky I/O error: the log is unusable after one
+	firsts []uint64
+	dirty  bool  // the active segment has writes since its last fsync (SyncBatched)
+	err    error // sticky I/O error: the log is unusable after one
 
 	met *Metrics   // nil when disabled
 	tr  obs.Tracer // nil when disabled
@@ -298,17 +291,17 @@ type Writer struct {
 }
 
 type segment struct {
-	shard int
 	first uint64
 	f     *os.File
 	w     *bufio.Writer
 	size  int64
 }
 
-// Open attaches a writer to dir (created if missing), resuming each shard's
-// highest segment for appending. nextLSN is the lsn the next record will
-// take; recovery computes it as one past the last applied record, after
-// truncating torn tails.
+// Open attaches a writer to dir (created if missing), resuming the highest
+// segment for appending. nextLSN is the lsn the next record will take;
+// recovery computes it as one past the last applied record, after
+// truncating the torn tail. Like Scan, Open refuses a directory holding v1
+// segment files.
 func Open(dir string, nextLSN uint64, opts Options) (*Writer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -321,31 +314,30 @@ func Open(dir string, nextLSN uint64, opts Options) (*Writer, error) {
 		dir:     dir,
 		opts:    opts.withDefaults(),
 		nextLSN: nextLSN,
-		active:  make(map[int]*segment),
-		firsts:  make(map[int][]uint64),
 		met:     opts.Metrics,
 		tr:      opts.Tracer,
 	}
 	for _, e := range entries {
-		if shard, first, ok := parseSegName(e.Name()); ok {
-			w.firsts[shard] = append(w.firsts[shard], first)
+		if isV1SegName(e.Name()) {
+			return nil, fmt.Errorf("wal: open %s: %s: %w", dir, e.Name(), ErrV1Log)
+		}
+		if first, ok := parseSegName(e.Name()); ok {
+			w.firsts = append(w.firsts, first)
 		}
 	}
-	for shard, fs := range w.firsts {
-		sort.Slice(fs, func(i, j int) bool { return fs[i] < fs[j] })
-		first := fs[len(fs)-1]
-		f, err := os.OpenFile(w.segPath(shard, first), os.O_WRONLY|os.O_APPEND, 0o644)
+	sort.Slice(w.firsts, func(i, j int) bool { return w.firsts[i] < w.firsts[j] })
+	if n := len(w.firsts); n > 0 {
+		first := w.firsts[n-1]
+		f, err := os.OpenFile(w.segPath(first), os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			w.closeAll()
 			return nil, fmt.Errorf("wal: %w", err)
 		}
 		st, err := f.Stat()
 		if err != nil {
 			f.Close()
-			w.closeAll()
 			return nil, fmt.Errorf("wal: %w", err)
 		}
-		w.active[shard] = &segment{shard: shard, first: first, f: f, w: bufio.NewWriter(f), size: st.Size()}
+		w.active = &segment{first: first, f: f, w: bufio.NewWriter(f), size: st.Size()}
 	}
 	if w.opts.Sync == SyncBatched {
 		w.stop = make(chan struct{})
@@ -355,8 +347,8 @@ func Open(dir string, nextLSN uint64, opts Options) (*Writer, error) {
 	return w, nil
 }
 
-func (w *Writer) segPath(shard int, first uint64) string {
-	return filepath.Join(w.dir, segName(shard, first))
+func (w *Writer) segPath(first uint64) string {
+	return filepath.Join(w.dir, segName(first))
 }
 
 // NextLSN returns the lsn the next appended record will take.
@@ -366,16 +358,11 @@ func (w *Writer) NextLSN() uint64 {
 	return w.nextLSN
 }
 
-// AppendRecord appends one logical record, fanned out over the given shard
-// parts (one frame per part, all sharing the record's single lsn), and
-// returns the lsn and total bytes written. Under SyncAlways every touched
-// segment is fsynced before the call returns. An error poisons the writer:
-// every later call returns it, so a half-appended record can never be
-// followed by acknowledged successors.
-func (w *Writer) AppendRecord(typ byte, ltime uint64, parts []Append) (uint64, int64, error) {
-	if len(parts) == 0 {
-		return 0, 0, fmt.Errorf("wal: append with no parts")
-	}
+// AppendRecord appends one record as one frame and returns its lsn and the
+// bytes written. Under SyncAlways the segment is fsynced before the call
+// returns. An error poisons the writer: every later call returns it, so a
+// half-written frame can never be followed by acknowledged successors.
+func (w *Writer) AppendRecord(typ byte, ltime uint64, payload []byte) (uint64, int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
@@ -386,87 +373,82 @@ func (w *Writer) AppendRecord(typ byte, ltime uint64, parts []Append) (uint64, i
 		start = time.Now()
 	}
 	lsn := w.nextLSN
-	total := int64(0)
-	touched := make([]*segment, 0, len(parts))
-	for _, p := range parts {
-		seg, err := w.segmentFor(p.Shard, lsn)
-		if err != nil {
-			w.err = err
-			return 0, 0, err
-		}
-		frame := appendFrame(nil, typ, lsn, ltime, len(parts), p.Payload)
-		if _, err := seg.w.Write(frame); err != nil {
-			w.err = fmt.Errorf("wal: append: %w", err)
-			return 0, 0, w.err
-		}
-		seg.size += int64(len(frame))
-		total += int64(len(frame))
-		touched = append(touched, seg)
+	seg, err := w.segmentFor(lsn)
+	if err != nil {
+		w.err = err
+		return 0, 0, err
 	}
+	frame := appendFrame(nil, typ, lsn, ltime, payload)
+	if _, err := seg.w.Write(frame); err != nil {
+		w.err = fmt.Errorf("wal: append: %w", err)
+		return 0, 0, w.err
+	}
+	n := int64(len(frame))
+	seg.size += n
 	// Reach the OS before acknowledging so a process crash (as opposed to a
 	// power failure) loses nothing, whatever the sync policy.
-	for _, seg := range touched {
-		if err := seg.w.Flush(); err != nil {
-			w.err = fmt.Errorf("wal: flush: %w", err)
-			return 0, 0, w.err
-		}
+	if err := seg.w.Flush(); err != nil {
+		w.err = fmt.Errorf("wal: flush: %w", err)
+		return 0, 0, w.err
 	}
 	if w.met != nil {
-		w.met.observeAppend(time.Since(start), total)
+		w.met.observeAppend(time.Since(start), n)
 	}
 	switch w.opts.Sync {
 	case SyncAlways:
-		for _, seg := range touched {
-			var fs time.Time
-			if w.met != nil {
-				fs = time.Now()
-			}
-			if err := seg.f.Sync(); err != nil {
-				w.err = fmt.Errorf("wal: fsync: %w", err)
-				return 0, 0, w.err
-			}
-			if w.met != nil {
-				w.met.observeFsync(time.Since(fs))
-			}
+		if err := w.fsync(); err != nil {
+			return 0, 0, err
 		}
 	case SyncBatched:
-		for _, seg := range touched {
-			w.markDirty(seg)
-		}
-		if w.met != nil {
-			w.met.setQueueDepth(len(w.dirty))
-		}
+		w.dirty = true
+		w.met.setQueueDepth(1)
 	}
 	w.nextLSN = lsn + 1
-	return lsn, total, nil
+	return lsn, n, nil
 }
 
-// segmentFor returns the shard's active segment, sealing and rotating it
-// first when it has outgrown the segment size; lsn names the new segment.
-func (w *Writer) segmentFor(shard int, lsn uint64) (*segment, error) {
-	seg := w.active[shard]
-	if seg != nil && seg.size >= w.opts.SegmentBytes {
-		if err := w.seal(seg); err != nil {
+// fsync makes the active segment durable, recording the latency; a failure
+// poisons the writer.
+func (w *Writer) fsync() error {
+	var fs time.Time
+	if w.met != nil {
+		fs = time.Now()
+	}
+	if err := w.active.f.Sync(); err != nil {
+		w.err = fmt.Errorf("wal: fsync: %w", err)
+		return w.err
+	}
+	if w.met != nil {
+		w.met.observeFsync(time.Since(fs))
+	}
+	return nil
+}
+
+// segmentFor returns the active segment, sealing and rotating it first when
+// it has outgrown the segment size; lsn names the new segment.
+func (w *Writer) segmentFor(lsn uint64) (*segment, error) {
+	if w.active != nil && w.active.size >= w.opts.SegmentBytes {
+		if err := w.seal(); err != nil {
 			return nil, err
 		}
 		w.met.addRotation()
-		seg = nil
 	}
-	if seg == nil {
-		f, err := os.OpenFile(w.segPath(shard, lsn), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if w.active == nil {
+		f, err := os.OpenFile(w.segPath(lsn), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("wal: rotate: %w", err)
 		}
-		seg = &segment{shard: shard, first: lsn, f: f, w: bufio.NewWriter(f)}
-		w.active[shard] = seg
-		w.firsts[shard] = append(w.firsts[shard], lsn)
+		w.active = &segment{first: lsn, f: f, w: bufio.NewWriter(f)}
+		w.firsts = append(w.firsts, lsn)
 	}
-	return seg, nil
+	return w.active, nil
 }
 
-// seal flushes, fsyncs and closes a segment (sealed segments are immutable,
-// so they must be durable through rotation regardless of the sync policy).
-func (w *Writer) seal(seg *segment) error {
+// seal flushes, fsyncs and closes the active segment (sealed segments are
+// immutable, so they must be durable through rotation regardless of the
+// sync policy).
+func (w *Writer) seal() error {
+	seg := w.active
 	if err := seg.w.Flush(); err != nil {
 		return fmt.Errorf("wal: seal: %w", err)
 	}
@@ -476,68 +458,36 @@ func (w *Writer) seal(seg *segment) error {
 	if err := seg.f.Close(); err != nil {
 		return fmt.Errorf("wal: seal: %w", err)
 	}
-	w.unmarkDirty(seg)
-	delete(w.active, seg.shard)
+	w.dirty = false
+	w.active = nil
 	return nil
 }
 
-func (w *Writer) markDirty(seg *segment) {
-	for _, d := range w.dirty {
-		if d == seg {
-			return
-		}
-	}
-	w.dirty = append(w.dirty, seg)
-}
-
-func (w *Writer) unmarkDirty(seg *segment) {
-	for i, d := range w.dirty {
-		if d == seg {
-			w.dirty = append(w.dirty[:i], w.dirty[i+1:]...)
-			return
-		}
-	}
-}
-
-// Sync flushes and fsyncs every segment with unsynced writes.
+// Sync flushes and fsyncs the active segment if it has unsynced writes.
 func (w *Writer) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.syncLocked()
-}
-
-func (w *Writer) syncLocked() error {
 	if w.err != nil {
 		return w.err
 	}
-	synced := len(w.dirty)
+	if !w.dirty {
+		return nil
+	}
 	var start time.Time
-	if (w.met != nil || w.tr != nil) && synced > 0 {
+	if w.tr != nil {
 		start = time.Now()
 	}
-	for _, seg := range w.dirty {
-		if err := seg.w.Flush(); err != nil {
-			w.err = fmt.Errorf("wal: flush: %w", err)
-			return w.err
-		}
-		var fs time.Time
-		if w.met != nil {
-			fs = time.Now()
-		}
-		if err := seg.f.Sync(); err != nil {
-			w.err = fmt.Errorf("wal: fsync: %w", err)
-			return w.err
-		}
-		if w.met != nil {
-			w.met.observeFsync(time.Since(fs))
-		}
+	if err := w.active.w.Flush(); err != nil {
+		w.err = fmt.Errorf("wal: flush: %w", err)
+		return w.err
 	}
-	w.dirty = w.dirty[:0]
-	if synced > 0 {
-		w.met.setQueueDepth(0)
-		if w.tr != nil {
-			w.tr.Event(obs.Event{Kind: obs.EvWALFsync, N: uint64(synced), Dur: time.Since(start)})
-		}
+	if err := w.fsync(); err != nil {
+		return err
+	}
+	w.dirty = false
+	w.met.setQueueDepth(0)
+	if w.tr != nil {
+		w.tr.Event(obs.Event{Kind: obs.EvWALFsync, N: 1, Dur: time.Since(start)})
 	}
 	return nil
 }
@@ -561,29 +511,23 @@ func (w *Writer) flushLoop() {
 }
 
 // TruncateThrough deletes sealed segments all of whose records have
-// lsn <= upTo: a segment is deletable when the shard's next segment starts
-// at or below upTo+1. Active segments are never deleted. Called by the
+// lsn <= upTo: a segment is deletable when the next segment starts at or
+// below upTo+1. The active segment is never deleted. Called by the
 // checkpointer with the checkpoint's watermark.
 func (w *Writer) TruncateThrough(upTo uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	// All but the last entry are sealed; segment i covers
+	// [firsts[i], firsts[i+1]).
 	removed := 0
-	for shard, fs := range w.firsts {
-		// All but the last entry are sealed; segment i covers
-		// [fs[i], fs[i+1]).
-		keep := 0
-		for keep < len(fs)-1 && fs[keep+1] <= upTo+1 {
-			if err := os.Remove(w.segPath(shard, fs[keep])); err != nil && !os.IsNotExist(err) {
-				return fmt.Errorf("wal: truncate: %w", err)
-			}
-			keep++
+	for removed < len(w.firsts)-1 && w.firsts[removed+1] <= upTo+1 {
+		if err := os.Remove(w.segPath(w.firsts[removed])); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("wal: truncate: %w", err)
 		}
-		if keep > 0 {
-			w.firsts[shard] = append(fs[:0:0], fs[keep:]...)
-			removed += keep
-		}
+		removed++
 	}
 	if removed > 0 {
+		w.firsts = append(w.firsts[:0:0], w.firsts[removed:]...)
 		w.met.addTruncated(removed)
 	}
 	if w.tr != nil {
@@ -592,7 +536,7 @@ func (w *Writer) TruncateThrough(upTo uint64) error {
 	return nil
 }
 
-// Close stops the background flusher, then flushes, fsyncs and closes every
+// Close stops the background flusher, then flushes, fsyncs and closes the
 // active segment — a cleanly closed log is fully durable even under
 // SyncOff. The writer is unusable afterwards.
 func (w *Writer) Close() error {
@@ -604,7 +548,7 @@ func (w *Writer) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	firstErr := w.err
-	for _, seg := range w.active {
+	if seg := w.active; seg != nil {
 		if err := seg.w.Flush(); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -616,15 +560,9 @@ func (w *Writer) Close() error {
 		}
 	}
 	w.active = nil
-	w.dirty = nil
+	w.dirty = false
 	if w.err == nil {
 		w.err = fmt.Errorf("wal: writer closed")
 	}
 	return firstErr
-}
-
-func (w *Writer) closeAll() {
-	for _, seg := range w.active {
-		seg.f.Close()
-	}
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -29,17 +30,14 @@ func scanT(t *testing.T, dir string) []*Segment {
 func TestAppendScanRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	w := openT(t, dir, 7, Options{Sync: SyncOff})
-	lsn, _, err := w.AppendRecord(1, 100, []Append{
-		{Shard: 0, Payload: []byte("alpha")},
-		{Shard: 2, Payload: []byte("beta")},
-	})
+	lsn, n, err := w.AppendRecord(1, 100, []byte("alpha"))
 	if err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	if lsn != 7 {
 		t.Fatalf("lsn = %d, want 7", lsn)
 	}
-	if _, _, err := w.AppendRecord(2, 101, []Append{{Shard: 0, Payload: nil}}); err != nil {
+	if _, _, err := w.AppendRecord(2, 101, nil); err != nil {
 		t.Fatalf("append 2: %v", err)
 	}
 	if w.NextLSN() != 9 {
@@ -50,28 +48,18 @@ func TestAppendScanRoundTrip(t *testing.T) {
 	}
 
 	segs := scanT(t, dir)
-	if len(segs) != 2 {
-		t.Fatalf("segments = %d, want 2", len(segs))
+	if len(segs) != 1 || segs[0].First != 7 || segs[0].Torn {
+		t.Fatalf("segments = %+v, want one clean segment starting at lsn 7", segs)
 	}
-	s0, s2 := segs[0], segs[1]
-	if s0.Shard != 0 || s2.Shard != 2 {
-		t.Fatalf("shards = %d,%d", s0.Shard, s2.Shard)
+	recs := segs[0].Records
+	if len(recs) != 2 {
+		t.Fatalf("records = %d, want 2", len(recs))
 	}
-	if len(s0.Records) != 2 || len(s2.Records) != 1 {
-		t.Fatalf("records = %d,%d, want 2,1", len(s0.Records), len(s2.Records))
+	if r := recs[0]; r.LSN != 7 || r.Time != 100 || r.Type != 1 || !bytes.Equal(r.Payload, []byte("alpha")) || r.End != n {
+		t.Fatalf("record 0 = %+v (appended %d bytes)", r, n)
 	}
-	r := s0.Records[0]
-	if r.LSN != 7 || r.Time != 100 || r.Span != 2 || r.Type != 1 || !bytes.Equal(r.Payload, []byte("alpha")) {
-		t.Fatalf("record 0 = %+v", r)
-	}
-	if s2.Records[0].LSN != 7 || !bytes.Equal(s2.Records[0].Payload, []byte("beta")) {
-		t.Fatalf("shard-2 record = %+v", s2.Records[0])
-	}
-	if s0.Records[1].LSN != 8 || s0.Records[1].Span != 1 || len(s0.Records[1].Payload) != 0 {
-		t.Fatalf("record 1 = %+v", s0.Records[1])
-	}
-	if s0.Torn || s2.Torn {
-		t.Fatalf("unexpected torn flags")
+	if r := recs[1]; r.LSN != 8 || r.Time != 101 || r.Type != 2 || len(r.Payload) != 0 {
+		t.Fatalf("record 1 = %+v", r)
 	}
 }
 
@@ -79,7 +67,7 @@ func TestTornTailDetection(t *testing.T) {
 	dir := t.TempDir()
 	w := openT(t, dir, 0, Options{Sync: SyncOff})
 	for i := 0; i < 3; i++ {
-		if _, _, err := w.AppendRecord(1, uint64(i), []Append{{Shard: 0, Payload: bytes.Repeat([]byte{byte(i)}, 20)}}); err != nil {
+		if _, _, err := w.AppendRecord(1, uint64(i), bytes.Repeat([]byte{byte(i)}, 20)); err != nil {
 			t.Fatalf("append: %v", err)
 		}
 	}
@@ -129,7 +117,7 @@ func TestCorruptFrameStopsScan(t *testing.T) {
 	dir := t.TempDir()
 	w := openT(t, dir, 0, Options{Sync: SyncOff})
 	for i := 0; i < 2; i++ {
-		if _, _, err := w.AppendRecord(1, uint64(i), []Append{{Shard: 0, Payload: []byte("payload")}}); err != nil {
+		if _, _, err := w.AppendRecord(1, uint64(i), []byte("payload")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,7 +147,7 @@ func TestRotationAndTruncateThrough(t *testing.T) {
 	// Tiny segments: every record seals the previous segment.
 	w := openT(t, dir, 0, Options{Sync: SyncOff, SegmentBytes: 1})
 	for i := 0; i < 4; i++ {
-		if _, _, err := w.AppendRecord(1, uint64(i), []Append{{Shard: 0, Payload: []byte("x")}}); err != nil {
+		if _, _, err := w.AppendRecord(1, uint64(i), []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -181,7 +169,7 @@ func TestRotationAndTruncateThrough(t *testing.T) {
 
 	// Reopen resumes the highest segment and the caller-supplied lsn.
 	w = openT(t, dir, 4, Options{Sync: SyncOff, SegmentBytes: 1 << 20})
-	if _, _, err := w.AppendRecord(1, 4, []Append{{Shard: 0, Payload: []byte("y")}}); err != nil {
+	if _, _, err := w.AppendRecord(1, 4, []byte("y")); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -198,24 +186,42 @@ func TestRotationAndTruncateThrough(t *testing.T) {
 func TestBatchedSyncFlushes(t *testing.T) {
 	dir := t.TempDir()
 	w := openT(t, dir, 0, Options{Sync: SyncBatched, BatchInterval: time.Millisecond})
-	if _, _, err := w.AppendRecord(1, 1, []Append{{Shard: 0, Payload: []byte("z")}}); err != nil {
+	if _, _, err := w.AppendRecord(1, 1, []byte("z")); err != nil {
 		t.Fatal(err)
 	}
-	// The background flusher must clear the dirty list shortly.
+	// The background flusher must sync the dirty segment shortly.
 	deadline := time.Now().Add(time.Second)
 	for {
 		w.mu.Lock()
-		n := len(w.dirty)
+		dirty := w.dirty
 		w.mu.Unlock()
-		if n == 0 {
+		if !dirty {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("dirty list never drained")
+			t.Fatalf("dirty segment never synced")
 		}
 		time.Sleep(time.Millisecond)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestV1SegmentNamesRefused: neither Scan nor Open skips an
+// s<n>-<lsn>.seg file — both fail with ErrV1Log.
+func TestV1SegmentNamesRefused(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "s003-0000000000000001.seg"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Scan(dir); !errors.Is(err, ErrV1Log) {
+		t.Errorf("Scan = %v, want ErrV1Log", err)
+	}
+	if w, err := Open(dir, 0, Options{Sync: SyncOff}); !errors.Is(err, ErrV1Log) {
+		t.Errorf("Open = %v, want ErrV1Log", err)
+		if w != nil {
+			w.Close()
+		}
 	}
 }

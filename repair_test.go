@@ -108,7 +108,7 @@ func TestRepairedTxnRetriesAsOneUnit(t *testing.T) {
 	submit := func() chan outcome {
 		ch := make(chan outcome, 1)
 		go func() {
-			res, err := db.SubmitConcurrent(`begin update(stock, id = 1, [qty = qty - 3]); end`)
+			res, err := db.Submit(`begin update(stock, id = 1, [qty = qty - 3]); end`)
 			ch <- outcome{res, err}
 		}()
 		return ch

@@ -109,11 +109,6 @@ type Options struct {
 	// commit validation is re-executed against a fresh snapshot; 0 means
 	// the default (txn.DefaultMaxRetries).
 	MaxCommitRetries int
-	// CommitShards sets the number of commit-sequencer shards relation
-	// names hash onto; transactions touching disjoint shards validate and
-	// commit concurrently. 0 means the default (storage.DefaultShards);
-	// 1 restores the fully serial commit point.
-	CommitShards int
 	// Indexes declares secondary indexes as "relation(attr, ...)" strings —
 	// hash indexes by default, or ordered (range) indexes with the suffix
 	// "ordered", as in "stock(qty) ordered", whose attribute order is the
@@ -186,21 +181,17 @@ type Options struct {
 	// Tracer, when non-nil, receives transaction- and epoch-lifecycle
 	// events (obs.Event) synchronously from the engine. Tracers must return
 	// promptly and must not re-enter the database: most events fire inside
-	// the commit pipeline, several under shard locks.
+	// the commit pipeline, several under the commit lock.
 	Tracer obs.Tracer
 }
 
-// Validate reports the first invalid option: negative shard, retry or depth
+// Validate reports the first invalid option: negative retry or depth
 // bounds (zero always means "use the default"), or a malformed index
 // declaration. Open panics on invalid options; OpenChecked returns the
 // error instead.
 func (o *Options) Validate() error {
 	if o == nil {
 		return nil
-	}
-	if o.CommitShards < 0 {
-		return fmt.Errorf("repro: Options.CommitShards must be positive (or 0 for the default %d), got %d",
-			storage.DefaultShards, o.CommitShards)
 	}
 	if o.MaxCommitRetries < 0 {
 		return fmt.Errorf("repro: Options.MaxCommitRetries must be positive (or 0 for the default %d), got %d",
@@ -244,17 +235,12 @@ func (o *Options) Validate() error {
 
 // CommitStats reports the engine's commit-sequencer counters.
 type CommitStats struct {
-	// Shards is the configured number of commit-sequencer shards.
-	Shards int
 	// Commits counts installed commits (including read-only ones, which
 	// still advance the logical clock).
 	Commits uint64
 	// Conflicts counts first-committer-wins validation failures; each one
 	// made some transaction re-execute against a fresh snapshot.
 	Conflicts uint64
-	// CrossShardCommits counts commits whose read/write sets spanned more
-	// than one shard (two-phase canonical-order commits).
-	CrossShardCommits uint64
 	// MergedCommits counts commits that overlapped a concurrent writer of
 	// the same relation on disjoint tuples and were installed by delta
 	// merging instead of retrying — the commits relation-granular
@@ -273,7 +259,7 @@ type CommitStats struct {
 
 // DB is a main-memory database with integrity control. Transactions run
 // under snapshot isolation with optimistic, first-committer-wins commit
-// validation, so Submit, SubmitConcurrent, ExecParallel, Query and the
+// validation, so Submit, ExecParallel, Query and the
 // other read accessors are safe to call from any number of goroutines once
 // the schema is set up. Definition calls — CreateRelation, DefineConstraint,
 // DefineRule, DefineView, DropRule — mutate the shared schema and rule
@@ -317,10 +303,6 @@ func OpenChecked(opts *Options) (*DB, error) {
 		o = *opts
 	}
 	sch := schema.MustDatabase()
-	shards := o.CommitShards
-	if shards <= 0 {
-		shards = storage.DefaultShards
-	}
 	var store *storage.Database
 	if o.Dir != "" {
 		// The WAL writer and recovery replay resolve their metric handles at
@@ -332,7 +314,6 @@ func OpenChecked(opts *Options) (*DB, error) {
 			reg = obs.NewRegistry()
 		}
 		s, err := storage.Open(o.Dir, sch, storage.DurOptions{
-			Shards:          shards,
 			Sync:            o.Sync.wal(),
 			CheckpointBytes: o.CheckpointBytes,
 			CacheBytes:      o.CacheBytes,
@@ -346,7 +327,7 @@ func OpenChecked(opts *Options) (*DB, error) {
 		// A reopened directory's stored schema supersedes the empty one.
 		sch = store.Schema()
 	} else {
-		store = storage.NewSharded(sch, shards)
+		store = storage.New(sch)
 		if o.Metrics != nil || o.Tracer != nil {
 			reg := o.Metrics
 			if reg == nil {
@@ -845,6 +826,15 @@ type Result struct {
 // defined rules, and executes it atomically. Integrity violations abort the
 // transaction and are reported in the Result (not as an error); errors are
 // reserved for malformed input.
+//
+// Submit is safe to call from many goroutines: the transaction executes
+// against a pinned snapshot while other submissions proceed in parallel,
+// and commits through first-committer-wins validation, retrying against a
+// fresh snapshot (alarm checks re-run) up to the configured bound. An
+// exhausted retry budget is reported as an aborted Result (empty
+// Constraint, Reason describing the exhausted retries — Reason is a plain
+// string, so sentinel matching with txn.ErrRetriesExhausted is not
+// available at this boundary); the database is left untouched.
 func (db *DB) Submit(src string) (*Result, error) {
 	prog, err := lang.ParseTransaction(src, db.sch)
 	if err != nil {
@@ -879,21 +869,6 @@ func (db *DB) SubmitPostHoc(src string, triggerAware bool) (*Result, error) {
 	return db.toResult(res, nil), nil
 }
 
-// SubmitConcurrent is Submit for multi-goroutine callers: the transaction
-// executes against a pinned snapshot while other submissions proceed in
-// parallel, and commits through first-committer-wins validation, retrying
-// against a fresh snapshot (alarm checks re-run) up to the configured
-// bound. An exhausted retry budget is reported as an aborted Result (empty
-// Constraint, Reason describing the exhausted retries — Reason is a plain
-// string, so sentinel matching with txn.ErrRetriesExhausted is not
-// available at this boundary); the database is left untouched.
-//
-// Submit and SubmitConcurrent share one engine and may be mixed freely —
-// the separate name exists so call sites can state intent.
-func (db *DB) SubmitConcurrent(src string) (*Result, error) {
-	return db.Submit(src)
-}
-
 // ParallelResult pairs a transaction submitted through ExecParallel with
 // its outcome. Err is non-nil only for malformed input (parse or type
 // errors); integrity aborts and retry exhaustion are reported in Result.
@@ -924,7 +899,7 @@ func (db *DB) ExecParallel(srcs []string, workers int) []ParallelResult {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				res, err := db.SubmitConcurrent(srcs[i])
+				res, err := db.Submit(srcs[i])
 				out[i] = ParallelResult{Src: srcs[i], Result: res, Err: err}
 			}
 		}()
@@ -1076,18 +1051,15 @@ func (db *DB) Relations() []string { return db.sch.Names() }
 func (db *DB) LogicalTime() uint64 { return db.store.Time() }
 
 // CommitStats returns a snapshot of the commit-sequencer counters: installed
-// commits, validation conflicts, cross-shard (two-phase) commits and
-// delta-merged commits. Safe to call concurrently with submissions.
+// commits, validation conflicts and delta-merged commits. Safe to call concurrently with submissions.
 func (db *DB) CommitStats() CommitStats {
 	s := db.store.Stats()
 	out := CommitStats{
-		Shards:            db.store.ShardCount(),
-		Commits:           s.Commits,
-		Conflicts:         s.Conflicts,
-		CrossShardCommits: s.CrossShardCommits,
-		MergedCommits:     s.MergedCommits,
-		Epochs:            s.Epochs,
-		IntraBatchMerges:  s.IntraBatchMerges,
+		Commits:          s.Commits,
+		Conflicts:        s.Conflicts,
+		MergedCommits:    s.MergedCommits,
+		Epochs:           s.Epochs,
+		IntraBatchMerges: s.IntraBatchMerges,
 	}
 	if s.Epochs > 0 {
 		out.TxnsPerEpoch = float64(s.Commits) / float64(s.Epochs)
