@@ -1,6 +1,6 @@
-// Package index implements immutable secondary hash indexes over canonical
-// attribute keys — the access paths that turn the engine's enforcement
-// checks from relation scans into key probes.
+// Package index implements immutable secondary indexes, hash and ordered,
+// over canonical attribute keys — the access paths that turn the engine's
+// enforcement checks from relation scans into key probes.
 //
 // # Why the engine needs them
 //
@@ -15,28 +15,49 @@
 // becomes the selective probe that simplification-based integrity checking
 // presupposes.
 //
+// # One tree under both kinds
+//
+// Both index kinds are one persistent treap (tree.go) whose entries are
+// (index-key encoding, tuple). An Index keys it by relation.Tuple.KeyOn over
+// the index columns and exposes the equal-key walk (Probe); an Ordered keys
+// it by relation.Tuple.OrderedKeyOn, whose byte order is the value order,
+// and exposes the [Lo, Hi) walk (Range). Tuples that share an index key are
+// ordinary neighbouring entries, so there are no buckets to rebuild.
+//
+//   - Order and identity. Entries sort by index key, then by the low half
+//     of a 64-bit hash of the tuple's canonical key, then by
+//     relation.Tuple.CompareKey. The last step makes the order total and
+//     ties exactly where relation.Tuple.Key ties — Int(1) with Float(1.0),
+//     -0.0 with +0.0, a NaN only with the NaN of the same bits — which is
+//     the identity the relation trie uses, decided on the tuples without
+//     building a key string per comparison. The high hash half is the heap
+//     priority (ties broken by the order), so the tree's shape is a
+//     function of the set of tuples it holds, whatever deltas led there.
+//   - Cost. Build sorts once, O(n log n), and links the sorted run in O(n).
+//     Apply removes and then inserts each delta tuple, copying the O(log n)
+//     nodes on its path and sharing everything else with the predecessor:
+//     O(delta · log n) time and allocation per commit, whatever n is. Probe
+//     and Range are one descent and an in-order walk, O(log n + matches).
+//   - Memory. A node holds the key string, the tuple header, the hash and
+//     two children (64 bytes). Entries with equal index keys share one key
+//     string — a new entry adopts its neighbour's — and the canonical key is
+//     not stored. Nodes are allocated one at a time, never carved from a
+//     slab: a slab lives as long as any node in it, and through its dead
+//     nodes would keep every tuple it ever indexed reachable.
+//
 // # Lifecycle across seal and commit
 //
 // Indexes follow the storage layer's copy-on-write discipline:
 //
-//   - An Index is immutable. A base index is a bucket directory from probe
-//     key (relation.Tuple.KeyOn over the index columns) to tuples.
-//   - Each committed transaction's net (ins, del) delta derives a successor
-//     index via Apply, which pushes an O(delta) layer over the parent index
-//     rather than copying the directory. Probe walks the layer chain
-//     newest-first, shadowing deleted tuple keys; the chain is folded back
-//     into a base directory when it exceeds maxDepth layers or when the
-//     accumulated layer entries reach a fraction of the indexed size, so
-//     maintenance is amortized O(delta) per commit and probes stay
-//     O(matches + depth).
+//   - An index is immutable. Each committed transaction's net (ins, del)
+//     delta derives a successor via Apply; the predecessor is untouched, so
+//     any number of successors may be derived from one base
+//     (storage.Database.Clone shares snapshots) without seeing each other.
 //   - The storage layer derives successor indexes while it seals the
 //     committed relation instances and publishes them inside the same
 //     atomic Snapshot swap, so any snapshot's indexes exactly describe its
 //     sealed instances and readers never lock. Bulk loads and commits
-//     recorded without tuple-level deltas fall back to Rebuild (O(n)).
-//
-// Divergent chains may share one base (storage.Database.Clone shares
-// snapshots), so layer maps and bucket slices are never mutated in place.
+//     recorded without tuple-level deltas fall back to Rebuild.
 //
 // # Probe recording and fallback rules
 //
@@ -68,12 +89,9 @@
 // Ordered (range) indexes extend the same discipline to comparison
 // predicates — the guard shapes of the paper's differential enforcement
 // programs ("alarm if any stock fell below threshold"). An Ordered index
-// keeps sorted runs of order-preserving key encodings
-// (value.AppendOrderedKey via relation.Tuple.OrderedKeyOn; attribute order
-// is the sort order), layered exactly like the hash index: Apply pushes one
-// committed net delta as an O(delta log delta) sorted run plus a delete
-// shadow, Range walks the chain newest-first with binary searches, and the
-// chain folds back into one sorted base under the same amortization bounds.
+// keys the tree by order-preserving encodings (value.AppendOrderedKey via
+// relation.Tuple.OrderedKeyOn; attribute order is the sort order), so a
+// half-open key interval is a value interval and Range is a walk of it.
 // Snapshots publish ordered indexes in the same atomic swap as hash
 // indexes, through the shared Set.
 //

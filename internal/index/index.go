@@ -2,23 +2,12 @@ package index
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
 	"repro/internal/relation"
 	"repro/internal/value"
-)
-
-// Layering bounds. A chain of delta layers keeps Apply O(delta), but every
-// layer adds one map lookup per probe, so the chain is folded back into a
-// single bucket directory when it grows too deep or when the accumulated
-// layer entries rival the base size (the classic doubling argument: an O(n)
-// compaction is paid for by Ω(n) preceding O(delta) applies).
-const (
-	maxDepth      = 8
-	compactSlack  = 16
-	compactDivide = 2
 )
 
 // Sig returns the canonical signature of an index column set, e.g. "0,2".
@@ -50,86 +39,22 @@ func KeyVals(vals []value.Value) string {
 // tuples carrying it. Immutability is what lets a database snapshot publish
 // its indexes to any number of concurrent readers without locking.
 //
-// An index is either a base directory (buckets) or a delta layer over a
-// parent index, recording the net inserted and net deleted tuples of one
-// committed transaction grouped by probe key. Apply pushes a layer in
-// O(delta); Probe walks the chain newest-first, shadowing deleted tuple
-// keys. The chain is compacted into a fresh base directory when it exceeds
-// maxDepth or when the accumulated layer entries reach a fraction of the
-// indexed size, so probes stay O(matches + depth) and maintenance stays
-// amortized O(delta) per commit.
-type Index struct {
-	cols []int
+// It is the package's ordered tree keyed by (probe key, tuple identity);
+// only equality on the probe key is exposed, since the KeyOn encoding does
+// not sort like the values do.
+type Index struct{ tree }
 
-	// Base directory (parent == nil).
-	buckets map[string][]relation.Tuple
-
-	// Delta layer (parent != nil): net inserts by probe key, net deletes as
-	// probe key -> deleted tuple keys.
-	parent *Index
-	ins    map[string][]relation.Tuple
-	del    map[string]map[string]bool
-
-	depth   int
-	size    int // net number of indexed tuples
-	layered int // ins+del entries accumulated in the layer chain
-}
-
-// Build constructs a base index over the relation's current tuples; O(n).
-// cols must be valid positions in the relation's schema.
+// Build constructs an index over the relation's current tuples;
+// O(n log n). cols must be valid positions in the relation's schema.
 func Build(r *relation.Relation, cols []int) *Index {
-	buckets := make(map[string][]relation.Tuple)
-	_ = r.ForEach(func(t relation.Tuple) error {
-		k := t.KeyOn(cols)
-		buckets[k] = append(buckets[k], t)
-		return nil
-	})
-	return &Index{cols: append([]int(nil), cols...), buckets: buckets, size: r.Len()}
+	return &Index{build(r, cols, false)}
 }
 
-// Cols returns the indexed column positions. Callers must not mutate the
-// returned slice.
-func (x *Index) Cols() []int { return x.cols }
-
-// Len returns the net number of indexed tuples.
-func (x *Index) Len() int { return x.size }
-
-// Depth returns the number of delta layers above the base directory; 0 for
-// a freshly built or just-compacted index. Exposed for tests and metrics.
-func (x *Index) Depth() int { return x.depth }
-
-// Probe returns the tuples whose index columns encode to key. The returned
-// slice is shared with the index; callers must not mutate it or the tuples.
+// Probe returns the tuples whose index columns encode to key, in
+// O(log n + matches). The slice is the caller's; the tuples are shared with
+// the index and must not be mutated.
 func (x *Index) Probe(key string) []relation.Tuple {
-	if x.parent == nil {
-		return x.buckets[key]
-	}
-	var out []relation.Tuple
-	var deleted map[string]bool
-	for n := x; n != nil; n = n.parent {
-		if n.parent == nil {
-			for _, t := range n.buckets[key] {
-				if !deleted[t.Key()] {
-					out = append(out, t)
-				}
-			}
-			break
-		}
-		for _, t := range n.ins[key] {
-			if !deleted[t.Key()] {
-				out = append(out, t)
-			}
-		}
-		if dk := n.del[key]; len(dk) > 0 {
-			if deleted == nil {
-				deleted = make(map[string]bool, len(dk))
-			}
-			for k := range dk {
-				deleted[k] = true
-			}
-		}
-	}
-	return out
+	return x.root.collect(key, key, true, nil)
 }
 
 // ProbeTuples returns the tuples matching the projection of t onto the
@@ -141,109 +66,36 @@ func (x *Index) ProbeTuples(t relation.Tuple) []relation.Tuple {
 // Apply derives the successor index after a committed net delta: ins holds
 // tuples absent from the indexed instance, del tuples present in it (the
 // net-differential invariant the transaction overlay maintains). Either may
-// be nil or empty. The receiver is unchanged; the derivation is O(delta)
-// except when it triggers an amortized compaction.
+// be nil or empty. The receiver is unchanged and shares all but
+// O(delta · log n) nodes with the result.
 func (x *Index) Apply(ins, del *relation.Relation) *Index {
-	insN, delN := 0, 0
-	if ins != nil {
-		insN = ins.Len()
-	}
-	if del != nil {
-		delN = del.Len()
-	}
-	if insN == 0 && delN == 0 {
+	if emptyDelta(ins, del) {
 		return x
 	}
-	layer := &Index{
-		cols:    x.cols,
-		parent:  x,
-		depth:   x.depth + 1,
-		size:    x.size + insN - delN,
-		layered: x.layered + insN + delN,
-	}
-	if insN > 0 {
-		layer.ins = make(map[string][]relation.Tuple, insN)
-		_ = ins.ForEach(func(t relation.Tuple) error {
-			k := t.KeyOn(x.cols)
-			layer.ins[k] = append(layer.ins[k], t)
-			return nil
-		})
-	}
-	if delN > 0 {
-		layer.del = make(map[string]map[string]bool, delN)
-		_ = del.ForEachKey(func(tk string, t relation.Tuple) error {
-			k := t.KeyOn(x.cols)
-			m := layer.del[k]
-			if m == nil {
-				m = make(map[string]bool, 1)
-				layer.del[k] = m
-			}
-			m[tk] = true
-			return nil
-		})
-	}
-	if layer.depth > maxDepth || layer.layered > layer.size/compactDivide+compactSlack {
-		return layer.compact()
-	}
-	return layer
+	n := *x
+	n.apply(ins, del)
+	return &n
 }
 
-// compact folds the layer chain into a fresh base directory. Shared bucket
-// slices are never mutated (divergent chains may hang off one base after
-// Database.Clone), so every modified bucket is rebuilt into new backing.
-func (x *Index) compact() *Index {
-	var layers []*Index
-	n := x
-	for n.parent != nil {
-		layers = append(layers, n)
-		n = n.parent
-	}
-	buckets := make(map[string][]relation.Tuple, len(n.buckets))
-	for k, v := range n.buckets {
-		buckets[k] = v
-	}
-	for i := len(layers) - 1; i >= 0; i-- {
-		ly := layers[i]
-		for key, dels := range ly.del {
-			old := buckets[key]
-			nb := make([]relation.Tuple, 0, len(old))
-			for _, t := range old {
-				if !dels[t.Key()] {
-					nb = append(nb, t)
-				}
-			}
-			if len(nb) == 0 {
-				delete(buckets, key)
-			} else {
-				buckets[key] = nb
-			}
-		}
-		for key, ts := range ly.ins {
-			old := buckets[key]
-			nb := make([]relation.Tuple, 0, len(old)+len(ts))
-			nb = append(nb, old...)
-			nb = append(nb, ts...)
-			buckets[key] = nb
-		}
-	}
-	return &Index{cols: x.cols, buckets: buckets, size: x.size}
+func emptyDelta(ins, del *relation.Relation) bool {
+	return (ins == nil || ins.IsEmpty()) && (del == nil || del.IsEmpty())
 }
 
 // Set is the immutable collection of indexes defined on one relation — hash
-// indexes and ordered indexes in separate namespaces, each keyed by column
-// signature (hash signatures are canonical ascending; ordered signatures
-// keep declared order, which is the sort order). The zero-value pointer
-// (nil) is a valid empty set.
+// indexes and ordered indexes in separate namespaces, each held in ascending
+// signature order (hash signatures are canonical ascending; ordered
+// signatures keep declared order, which is the sort order). The zero-value
+// pointer (nil) is a valid empty set.
 type Set struct {
-	by  map[string]*Index
-	ord map[string]*Ordered
+	by  []*Index
+	ord []*Ordered
 }
 
 // NewSet builds a set from the given hash indexes.
 func NewSet(indexes ...*Index) *Set {
-	s := &Set{by: make(map[string]*Index, len(indexes))}
+	s := &Set{}
 	for _, x := range indexes {
-		s.by[Sig(x.cols)] = x
+		s = s.With(x)
 	}
 	return s
 }
@@ -256,12 +108,50 @@ func (s *Set) Len() int {
 	return len(s.by) + len(s.ord)
 }
 
-// Exact returns the index over exactly the given columns, or nil.
+// Exact returns the index over exactly the given columns, or nil. It runs on
+// every index probe, so it compares column lists and allocates nothing.
 func (s *Set) Exact(cols []int) *Index {
 	if s == nil {
 		return nil
 	}
-	return s.by[Sig(cols)]
+	return exact(s.by, cols)
+}
+
+// OrderedExact returns the ordered index over exactly the given column
+// list (order-significant), or nil. Like Exact it allocates nothing.
+func (s *Set) OrderedExact(cols []int) *Ordered {
+	if s == nil {
+		return nil
+	}
+	return exact(s.ord, cols)
+}
+
+// indexed is what the set needs of either index kind.
+type indexed interface{ Cols() []int }
+
+func exact[X indexed](xs []X, cols []int) X {
+	for _, x := range xs {
+		if slices.Equal(x.Cols(), cols) {
+			return x
+		}
+	}
+	var none X
+	return none
+}
+
+// with returns a copy of xs holding x in signature order, in place of any
+// member over the same columns.
+func with[X indexed](xs []X, x X) []X {
+	sig := Sig(x.Cols())
+	i, found := slices.BinarySearchFunc(xs, sig, func(m X, sig string) int {
+		return strings.Compare(Sig(m.Cols()), sig)
+	})
+	if found {
+		out := slices.Clone(xs)
+		out[i] = x
+		return out
+	}
+	return slices.Insert(slices.Clone(xs), i, x)
 }
 
 // Covering returns the widest index whose column set is a subset of cols,
@@ -273,26 +163,17 @@ func (s *Set) Covering(cols []int) *Index {
 	if s == nil {
 		return nil
 	}
-	have := make(map[int]bool, len(cols))
-	for _, c := range cols {
-		have[c] = true
-	}
 	var best *Index
-	bestSig := ""
-	for sig, x := range s.by {
-		ok := true
-		for _, c := range x.cols {
-			if !have[c] {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+	for _, x := range s.by {
+		if best != nil && len(x.cols) <= len(best.cols) {
 			continue
 		}
-		if best == nil || len(x.cols) > len(best.cols) ||
-			(len(x.cols) == len(best.cols) && sig < bestSig) {
-			best, bestSig = x, sig
+		covered := true
+		for _, c := range x.cols {
+			covered = covered && slices.Contains(cols, c)
+		}
+		if covered {
+			best = x
 		}
 	}
 	return best
@@ -303,25 +184,7 @@ func (s *Set) All() []*Index {
 	if s == nil {
 		return nil
 	}
-	sigs := make([]string, 0, len(s.by))
-	for sig := range s.by {
-		sigs = append(sigs, sig)
-	}
-	sort.Strings(sigs)
-	out := make([]*Index, len(sigs))
-	for i, sig := range sigs {
-		out[i] = s.by[sig]
-	}
-	return out
-}
-
-// OrderedExact returns the ordered index over exactly the given column
-// list (order-significant), or nil.
-func (s *Set) OrderedExact(cols []int) *Ordered {
-	if s == nil {
-		return nil
-	}
-	return s.ord[Sig(cols)]
+	return slices.Clone(s.by)
 }
 
 // OrderedAll returns the ordered indexes ordered by signature.
@@ -329,16 +192,7 @@ func (s *Set) OrderedAll() []*Ordered {
 	if s == nil {
 		return nil
 	}
-	sigs := make([]string, 0, len(s.ord))
-	for sig := range s.ord {
-		sigs = append(sigs, sig)
-	}
-	sort.Strings(sigs)
-	out := make([]*Ordered, len(sigs))
-	for i, sig := range sigs {
-		out[i] = s.ord[sig]
-	}
-	return out
+	return slices.Clone(s.ord)
 }
 
 // OrderedFor returns the ordered index usable for a range probe with
@@ -353,17 +207,13 @@ func (s *Set) OrderedFor(eq map[int]bool, boundCol int) (*Ordered, int) {
 	}
 	var best *Ordered
 	bestPrefix := -1
-	bestSig := ""
-	for sig, x := range s.ord {
+	for _, x := range s.ord {
 		p := 0
 		for p < len(x.cols) && eq[x.cols[p]] {
 			p++
 		}
-		if p >= len(x.cols) || x.cols[p] != boundCol {
-			continue
-		}
-		if p > bestPrefix || (p == bestPrefix && sig < bestSig) {
-			best, bestPrefix, bestSig = x, p, sig
+		if p < len(x.cols) && x.cols[p] == boundCol && p > bestPrefix {
+			best, bestPrefix = x, p
 		}
 	}
 	if best == nil {
@@ -372,106 +222,39 @@ func (s *Set) OrderedFor(eq map[int]bool, boundCol int) (*Ordered, int) {
 	return best, bestPrefix
 }
 
-// clone returns a shallow copy of the set's maps with room for one more.
-func (s *Set) clone() *Set {
-	n := &Set{by: make(map[string]*Index, len(s.byMap())+1)}
-	for sig, old := range s.byMap() {
-		n.by[sig] = old
-	}
-	if s != nil && len(s.ord) > 0 {
-		n.ord = make(map[string]*Ordered, len(s.ord)+1)
-		for sig, old := range s.ord {
-			n.ord[sig] = old
-		}
-	}
-	return n
-}
-
-func (s *Set) byMap() map[string]*Index {
-	if s == nil {
-		return nil
-	}
-	return s.by
-}
-
 // With returns a new set with x added, replacing any hash index over the
 // same columns. The receiver is unchanged; nil receivers are allowed.
 func (s *Set) With(x *Index) *Set {
-	n := s.clone()
-	n.by[Sig(x.cols)] = x
-	return n
+	if s == nil {
+		s = &Set{}
+	}
+	return &Set{by: with(s.by, x), ord: s.ord}
 }
 
 // WithOrdered returns a new set with x added, replacing any ordered index
 // over the same column list. The receiver is unchanged; nil receivers are
 // allowed.
 func (s *Set) WithOrdered(x *Ordered) *Set {
-	n := s.clone()
-	if n.ord == nil {
-		n.ord = make(map[string]*Ordered, 1)
+	if s == nil {
+		s = &Set{}
 	}
-	n.ord[Sig(x.cols)] = x
-	return n
+	return &Set{by: s.by, ord: with(s.ord, x)}
 }
 
 // Apply derives the successor set after a committed net delta, applying the
-// delta to every index, hash and ordered; O(indexes × delta).
+// delta to every index, hash and ordered; O(indexes × delta × log n).
 func (s *Set) Apply(ins, del *relation.Relation) *Set {
-	n, _ := s.ApplyN(ins, del)
-	return n
-}
-
-// ApplyN is Apply reporting how many of the derived indexes compacted while
-// absorbing the delta (their layer stack folded back to a base run instead
-// of growing) — the signal the storage layer counts for the
-// repro_index_compactions_total metric. A successor whose depth did not
-// exceed its predecessor's is a compaction: Apply otherwise always stacks
-// one layer, and an untouched index is returned pointer-identical.
-func (s *Set) ApplyN(ins, del *relation.Relation) (*Set, int) {
 	if s.Len() == 0 {
-		return s, 0
+		return s
 	}
-	compacted := 0
-	n := &Set{by: make(map[string]*Index, len(s.by))}
-	for sig, x := range s.by {
-		nx := x.Apply(ins, del)
-		if nx != x && nx.depth <= x.depth {
-			compacted++
-		}
-		n.by[sig] = nx
+	n := &Set{by: make([]*Index, len(s.by)), ord: make([]*Ordered, len(s.ord))}
+	for i, x := range s.by {
+		n.by[i] = x.Apply(ins, del)
 	}
-	if len(s.ord) > 0 {
-		n.ord = make(map[string]*Ordered, len(s.ord))
-		for sig, x := range s.ord {
-			nx := x.Apply(ins, del)
-			if nx != x && nx.depth <= x.depth {
-				compacted++
-			}
-			n.ord[sig] = nx
-		}
+	for i, x := range s.ord {
+		n.ord[i] = x.Apply(ins, del)
 	}
-	return n, compacted
-}
-
-// MaxDepth returns the deepest layer stack across the set's indexes — a
-// health signal (amortized compaction bounds it) surfaced as the
-// repro_index_max_depth gauge. Nil-receiver-safe.
-func (s *Set) MaxDepth() int {
-	if s == nil {
-		return 0
-	}
-	max := 0
-	for _, x := range s.by {
-		if x.depth > max {
-			max = x.depth
-		}
-	}
-	for _, x := range s.ord {
-		if x.depth > max {
-			max = x.depth
-		}
-	}
-	return max
+	return n
 }
 
 // Rebuild reconstructs every index in the set from the given relation
@@ -481,15 +264,12 @@ func (s *Set) Rebuild(r *relation.Relation) *Set {
 	if s.Len() == 0 {
 		return s
 	}
-	n := &Set{by: make(map[string]*Index, len(s.by))}
-	for sig, x := range s.by {
-		n.by[sig] = Build(r, x.cols)
+	n := &Set{by: make([]*Index, len(s.by)), ord: make([]*Ordered, len(s.ord))}
+	for i, x := range s.by {
+		n.by[i] = Build(r, x.cols)
 	}
-	if len(s.ord) > 0 {
-		n.ord = make(map[string]*Ordered, len(s.ord))
-		for sig, x := range s.ord {
-			n.ord[sig] = BuildOrdered(r, x.cols)
-		}
+	for i, x := range s.ord {
+		n.ord[i] = BuildOrdered(r, x.cols)
 	}
 	return n
 }

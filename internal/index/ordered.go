@@ -2,7 +2,6 @@ package index
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/relation"
 	"repro/internal/value"
@@ -116,229 +115,36 @@ func RangesFor(eqVals []value.Value, boundKind value.Kind,
 }
 
 // Ordered is an immutable secondary ordered index over a list of column
-// positions of one relation instance: sorted runs of ordered key encodings
-// (relation.Tuple.OrderedKeyOn over the index columns, whose order is
-// significant) to the tuples carrying them. Like the hash Index, it is
-// either a base run (sorted keys with parallel buckets) or a delta layer
-// over a parent, holding one committed transaction's net inserts and net
-// deletes as sorted runs. Range walks the chain newest-first, binary-
-// searching every run and shadowing deleted tuple keys; Apply pushes a layer in
-// O(delta log delta); the chain folds back into a single sorted base when
-// it exceeds maxDepth or the accumulated layer entries rival the indexed
-// size — the same amortization as the hash index.
-type Ordered struct {
-	cols []int
+// positions of one relation instance: the package's ordered tree keyed by
+// (OrderedKeyOn the index columns, tuple identity). The key encoding sorts
+// like the column values do (column order is significant), so a key interval
+// is a value interval.
+type Ordered struct{ tree }
 
-	// Base run (parent == nil): distinct ordered keys ascending, with the
-	// tuples carrying each key in the parallel bucket.
-	keys    []string
-	buckets [][]relation.Tuple
-
-	// Delta layer (parent != nil): net inserts and net deletes as sorted
-	// runs — deletes carry the canonical tuple keys shadowed under each
-	// ordered key, so a probe binary-searches both runs and pays only for
-	// entries inside its interval.
-	parent     *Ordered
-	insKeys    []string
-	insBuckets [][]relation.Tuple
-	delKeys    []string
-	delBuckets [][]string
-
-	depth   int
-	size    int // net number of indexed tuples
-	layered int // ins+del entries accumulated in the layer chain
-}
-
-// BuildOrdered constructs a base ordered index over the relation's current
+// BuildOrdered constructs an ordered index over the relation's current
 // tuples; O(n log n). cols must be valid positions in the relation's schema;
 // their order is the index's sort order.
 func BuildOrdered(r *relation.Relation, cols []int) *Ordered {
-	grouped := make(map[string][]relation.Tuple)
-	_ = r.ForEach(func(t relation.Tuple) error {
-		k := t.OrderedKeyOn(cols)
-		grouped[k] = append(grouped[k], t)
-		return nil
-	})
-	keys, buckets := sortRuns(grouped)
-	return &Ordered{cols: append([]int(nil), cols...), keys: keys, buckets: buckets, size: r.Len()}
+	return &Ordered{build(r, cols, true)}
 }
 
-// sortRuns flattens a key-grouped map into parallel sorted slices.
-func sortRuns(grouped map[string][]relation.Tuple) ([]string, [][]relation.Tuple) {
-	keys := make([]string, 0, len(grouped))
-	for k := range grouped {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	buckets := make([][]relation.Tuple, len(keys))
-	for i, k := range keys {
-		buckets[i] = grouped[k]
-	}
-	return keys, buckets
-}
-
-// Cols returns the indexed column positions in sort-order significance.
-// Callers must not mutate the returned slice.
-func (x *Ordered) Cols() []int { return x.cols }
-
-// Len returns the net number of indexed tuples.
-func (x *Ordered) Len() int { return x.size }
-
-// Depth returns the number of delta layers above the base run; 0 for a
-// freshly built or just-compacted index. Exposed for tests and metrics.
-func (x *Ordered) Depth() int { return x.depth }
-
-// Range returns the tuples whose ordered key falls in [lo, hi), walking the
-// layer chain newest-first and shadowing deleted tuple keys. The returned
-// tuples are shared with the index; callers must not mutate them. Output
-// order is unspecified (candidates are re-verified and set-inserted by every
-// caller).
+// Range returns the tuples whose ordered key falls in [kr.Lo, kr.Hi), in key
+// order, in O(log n + matches). The slice is the caller's; the tuples are
+// shared with the index and must not be mutated.
 func (x *Ordered) Range(kr KeyRange) []relation.Tuple {
 	if kr.Empty() {
 		return nil
 	}
-	var out []relation.Tuple
-	var deleted map[string]bool
-	// collect appends a bucket's surviving tuples; with no delete shadow
-	// accumulated yet the whole bucket survives, skipping the per-tuple
-	// canonical-key computation on the common layer-free fast path.
-	collect := func(bucket []relation.Tuple) {
-		if deleted == nil {
-			out = append(out, bucket...)
-			return
-		}
-		for _, t := range bucket {
-			if !deleted[t.Key()] {
-				out = append(out, t)
-			}
-		}
-	}
-	for n := x; n != nil; n = n.parent {
-		if n.parent == nil {
-			i := sort.SearchStrings(n.keys, kr.Lo)
-			for ; i < len(n.keys) && n.keys[i] < kr.Hi; i++ {
-				collect(n.buckets[i])
-			}
-			break
-		}
-		i := sort.SearchStrings(n.insKeys, kr.Lo)
-		for ; i < len(n.insKeys) && n.insKeys[i] < kr.Hi; i++ {
-			collect(n.insBuckets[i])
-		}
-		// Only shadows inside the interval can affect tuples the scan may
-		// collect, so the delete run is binary-searched just like the
-		// insert run — probes never pay for out-of-interval deletes.
-		i = sort.SearchStrings(n.delKeys, kr.Lo)
-		for ; i < len(n.delKeys) && n.delKeys[i] < kr.Hi; i++ {
-			if deleted == nil {
-				deleted = make(map[string]bool, len(n.delBuckets[i]))
-			}
-			for _, k := range n.delBuckets[i] {
-				deleted[k] = true
-			}
-		}
-	}
-	return out
+	return x.root.collect(kr.Lo, kr.Hi, false, nil)
 }
 
-// Apply derives the successor ordered index after a committed net delta:
-// ins holds tuples absent from the indexed instance, del tuples present in
-// it (the net-differential invariant the transaction overlay maintains).
-// Either may be nil or empty. The receiver is unchanged; the derivation is
-// O(delta log delta) except when it triggers an amortized compaction.
+// Apply derives the successor ordered index after a committed net delta,
+// under the same contract as Index.Apply.
 func (x *Ordered) Apply(ins, del *relation.Relation) *Ordered {
-	insN, delN := 0, 0
-	if ins != nil {
-		insN = ins.Len()
-	}
-	if del != nil {
-		delN = del.Len()
-	}
-	if insN == 0 && delN == 0 {
+	if emptyDelta(ins, del) {
 		return x
 	}
-	layer := &Ordered{
-		cols:    x.cols,
-		parent:  x,
-		depth:   x.depth + 1,
-		size:    x.size + insN - delN,
-		layered: x.layered + insN + delN,
-	}
-	if insN > 0 {
-		grouped := make(map[string][]relation.Tuple, insN)
-		_ = ins.ForEach(func(t relation.Tuple) error {
-			k := t.OrderedKeyOn(x.cols)
-			grouped[k] = append(grouped[k], t)
-			return nil
-		})
-		layer.insKeys, layer.insBuckets = sortRuns(grouped)
-	}
-	if delN > 0 {
-		grouped := make(map[string][]string, delN)
-		_ = del.ForEachKey(func(tk string, t relation.Tuple) error {
-			k := t.OrderedKeyOn(x.cols)
-			grouped[k] = append(grouped[k], tk)
-			return nil
-		})
-		layer.delKeys = make([]string, 0, len(grouped))
-		for k := range grouped {
-			layer.delKeys = append(layer.delKeys, k)
-		}
-		sort.Strings(layer.delKeys)
-		layer.delBuckets = make([][]string, len(layer.delKeys))
-		for i, k := range layer.delKeys {
-			layer.delBuckets[i] = grouped[k]
-		}
-	}
-	if layer.depth > maxDepth || layer.layered > layer.size/compactDivide+compactSlack {
-		return layer.compact()
-	}
-	return layer
-}
-
-// compact folds the layer chain into a fresh sorted base run. Shared bucket
-// slices are never mutated (divergent chains may hang off one base after
-// Database.Clone), so every modified bucket is rebuilt into new backing.
-func (x *Ordered) compact() *Ordered {
-	var layers []*Ordered
-	n := x
-	for n.parent != nil {
-		layers = append(layers, n)
-		n = n.parent
-	}
-	grouped := make(map[string][]relation.Tuple, len(n.keys))
-	for i, k := range n.keys {
-		grouped[k] = n.buckets[i]
-	}
-	for i := len(layers) - 1; i >= 0; i-- {
-		ly := layers[i]
-		for j, key := range ly.delKeys {
-			dels := make(map[string]bool, len(ly.delBuckets[j]))
-			for _, k := range ly.delBuckets[j] {
-				dels[k] = true
-			}
-			old := grouped[key]
-			nb := make([]relation.Tuple, 0, len(old))
-			for _, t := range old {
-				if !dels[t.Key()] {
-					nb = append(nb, t)
-				}
-			}
-			if len(nb) == 0 {
-				delete(grouped, key)
-			} else {
-				grouped[key] = nb
-			}
-		}
-		for j, key := range ly.insKeys {
-			ts := ly.insBuckets[j]
-			old := grouped[key]
-			nb := make([]relation.Tuple, 0, len(old)+len(ts))
-			nb = append(nb, old...)
-			nb = append(nb, ts...)
-			grouped[key] = nb
-		}
-	}
-	keys, buckets := sortRuns(grouped)
-	return &Ordered{cols: x.cols, keys: keys, buckets: buckets, size: x.size}
+	n := *x
+	n.apply(ins, del)
+	return &n
 }

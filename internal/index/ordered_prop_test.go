@@ -14,8 +14,8 @@ import (
 // The ordered-index property tests drive Apply/Range across commit
 // generations against a sort-the-slice model, in the style of
 // relation/prop_test.go: the model is a plain slice of tuples re-sorted by
-// ordered key for every query, so any divergence in layering, shadowing or
-// compaction shows up as a membership or count mismatch.
+// ordered key for every query, so any divergence in the tree's order, its
+// path copying or its sharing shows up as a membership or count mismatch.
 
 func ordPropSchema() *schema.Relation {
 	return schema.MustRelation("s",
@@ -70,6 +70,7 @@ func verifyOrdered(t *testing.T, x *Ordered, m *ordModel, rng *rand.Rand) {
 	if x.Len() != len(m.tuples) {
 		t.Fatalf("Len = %d, model has %d", x.Len(), len(m.tuples))
 	}
+	checkTree(t, &x.tree)
 	check := func(kr KeyRange) {
 		t.Helper()
 		var got []string
@@ -103,9 +104,9 @@ func verifyOrdered(t *testing.T, x *Ordered, m *ordModel, rng *rand.Rand) {
 }
 
 // TestOrderedAgainstSortedSliceModel drives random commit generations —
-// net insert/delete deltas pushed with Apply, forced compactions, divergent
-// chains off a shared base (the Database.Clone sharing pattern) — against
-// the sort-the-slice model in lockstep.
+// net insert/delete deltas applied with Apply, divergent successors of a
+// shared base (the Database.Clone sharing pattern) — against the
+// sort-the-slice model in lockstep.
 func TestOrderedAgainstSortedSliceModel(t *testing.T) {
 	s := ordPropSchema()
 	cols := []int{0, 1}
@@ -154,8 +155,8 @@ func TestOrderedAgainstSortedSliceModel(t *testing.T) {
 					return nil
 				})
 				if rng.Intn(3) == 0 && len(gens) < 6 {
-					// Divergent chain: keep the predecessor generation alive
-					// too, sharing layers/base with the successor.
+					// Divergent successor: keep the predecessor generation
+					// alive too, sharing nodes with the successor.
 					gens = append(gens, &gen{x: next, m: nm})
 				} else {
 					g.x, g.m = next, nm
@@ -173,10 +174,9 @@ func TestOrderedAgainstSortedSliceModel(t *testing.T) {
 	}
 }
 
-// TestOrderedCompactionAmortization pins the layering bounds: pushing many
-// small deltas must keep Depth bounded by the compaction thresholds, and a
-// compacted index must answer exactly like the layered one.
-func TestOrderedCompactionAmortization(t *testing.T) {
+// TestOrderedManySmallDeltas pushes many one-tuple deltas, the commit shape
+// the engine produces, and checks the result against the model.
+func TestOrderedManySmallDeltas(t *testing.T) {
 	s := ordPropSchema()
 	base := relation.New(s)
 	for i := 0; i < 64; i++ {
@@ -193,18 +193,6 @@ func TestOrderedCompactionAmortization(t *testing.T) {
 		tu := relation.Tuple{value.String(fmt.Sprintf("t%02d", rng.Intn(4))), value.Int(int64(1000 + i))}
 		x = x.Apply(relation.MustFromTuples(s, tu), nil)
 		m.tuples[tu.Key()] = tu
-		if x.Depth() > maxDepth {
-			t.Fatalf("step %d: depth %d exceeds maxDepth %d", i, x.Depth(), maxDepth)
-		}
-	}
-	verifyOrdered(t, x, m, rng)
-	if x.Depth() != 0 {
-		// Force one more compaction by exceeding the layered budget.
-		for i := 0; x.Depth() != 0 && i < maxDepth+1; i++ {
-			tu := relation.Tuple{value.String("zz"), value.Int(int64(5000 + i))}
-			x = x.Apply(relation.MustFromTuples(s, tu), nil)
-			m.tuples[tu.Key()] = tu
-		}
 	}
 	verifyOrdered(t, x, m, rng)
 }

@@ -17,7 +17,7 @@
 //   - Commits share structure. The storage layer derives the successor
 //     sealed instance from the predecessor plus the transaction's net
 //     ins/del delta, so consecutive database snapshots share all unchanged
-//     subtrees, mirroring how secondary indexes push O(delta) layers.
+//     subtrees, as the secondary indexes' trees do (package index).
 //
 // # Seal semantics
 //
@@ -31,6 +31,7 @@
 package relation
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -63,6 +64,18 @@ func (t Tuple) Key() string {
 		buf = v.AppendKey(buf)
 	}
 	return string(buf)
+}
+
+// CompareKey orders t against o, column by column under value.CompareKey
+// and then by arity, so that it returns 0 exactly when t.Key() == o.Key() —
+// without building either key.
+func (t Tuple) CompareKey(o Tuple) int {
+	for i := 0; i < len(t) && i < len(o); i++ {
+		if c := t[i].CompareKey(o[i]); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(len(t), len(o))
 }
 
 // KeyOn returns the canonical byte-string identity of the projection of t

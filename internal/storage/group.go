@@ -10,8 +10,9 @@
 //     queue order (intra-epoch, at the same tuple-key / probed-key /
 //     interval granularity — commuting members merge instead of retrying).
 //     The accepted members' net deltas are aggregated per relation, ONE
-//     successor trie instance and ONE index-layer push are derived per
-//     written relation for the whole batch, a block of logical times is
+//     successor trie instance and ONE successor of each of its indexes
+//     (O(batch delta · log n) path copies) are derived per written
+//     relation for the whole batch, a block of logical times is
 //     reserved off the epoch clock, and one record is appended to the WAL
 //     (durable databases) and then to the commit log. The derived instances
 //     are parked in the shadow state (Database.latest/latestIdx) so the
@@ -176,7 +177,7 @@ func (d *Database) processEpoch(batch []*pending, leader *pending) {
 		met.inflight.Add(1) // derived-but-unpublished from here to the swap
 	}
 
-	// Derive one successor instance and one index push per written
+	// Derive one successor instance and one successor index set per written
 	// relation for the whole batch, from the shadow state when a prior
 	// unpublished epoch wrote the relation, from the snapshot otherwise.
 	// This pass is pure — the shadow state is only written after the WAL
@@ -189,7 +190,6 @@ func (d *Database) processEpoch(batch []*pending, leader *pending) {
 	install := make(map[string]*relation.Relation, len(agg))
 	var derived map[string]*index.Set
 	var recIns, recDel map[string]*relation.Relation
-	maxDepth, anyIdx := 0, false
 	for name, a := range agg {
 		base, baseIdx := d.latest[name], d.latestIdx[name]
 		if base == nil {
@@ -217,23 +217,10 @@ func (d *Database) processEpoch(batch []*pending, leader *pending) {
 		if baseIdx.Len() == 0 {
 			continue
 		}
-		set, nc := baseIdx.ApplyN(a.ins, a.del)
-		if nc > 0 {
-			met.idxCompactions.Add(uint64(nc))
-		}
 		if derived == nil {
 			derived = make(map[string]*index.Set, len(agg))
 		}
-		derived[name] = set
-		if met.idxMaxDepth != nil {
-			anyIdx = true
-			if dep := set.MaxDepth(); dep > maxDepth {
-				maxDepth = dep
-			}
-		}
-	}
-	if anyIdx {
-		met.idxMaxDepth.Set(int64(maxDepth))
+		derived[name] = baseIdx.Apply(a.ins, a.del)
 	}
 	if met.stageDerive != nil {
 		met.stageDerive.Observe(uint64(time.Since(tDerive)))

@@ -22,7 +22,8 @@
 // epoch merge into a shared successor instead of retrying. Per written
 // relation the epoch derives ONE successor trie instance (O(1) clone +
 // O(batch delta) path copies on the shared persistent trie, package pmap)
-// and ONE secondary-index layer push; it appends ONE commit-log record and
+// and ONE successor of every secondary index on it (path copies again, package
+// index); it appends ONE commit-log record and
 // installs everything in a single snapshot swap. Validation of epoch N+1 is
 // pipelined with publication of epoch N: the log record lands under the
 // commit lock before the swap, and a shadow of the latest derived instances

@@ -290,14 +290,14 @@ func (o *Overlay) RangeProbe(name string, aux algebra.AuxKind, idx []int, prefix
 
 // filterOwnDeletes drops probed snapshot tuples the transaction has itself
 // deleted — the local-delta adjustment shared by the hash-probe and
-// range-probe paths. The input slice may be shared with an index; a fresh
-// slice is returned whenever anything is filtered.
+// range-probe paths. It filters in place: index probes hand out slices of
+// their own.
 func (o *Overlay) filterOwnDeletes(name string, out []relation.Tuple) []relation.Tuple {
 	dd := o.del[name]
 	if dd == nil || dd.IsEmpty() {
 		return out
 	}
-	kept := make([]relation.Tuple, 0, len(out))
+	kept := out[:0]
 	for _, t := range out {
 		if !dd.ContainsKey(t.Key()) {
 			kept = append(kept, t)
@@ -356,20 +356,12 @@ func (o *Overlay) Probe(name string, aux algebra.AuxKind, idx []int, vals []valu
 	}
 	out = o.filterOwnDeletes(name, out)
 	if di := o.ins[name]; di != nil && !di.IsEmpty() {
-		// The shared probe slice must not be appended to in place.
-		var extra []relation.Tuple
 		_ = di.ForEach(func(t relation.Tuple) error {
 			if t.KeyOn(idx) == key {
-				extra = append(extra, t)
+				out = append(out, t)
 			}
 			return nil
 		})
-		if len(extra) > 0 {
-			merged := make([]relation.Tuple, 0, len(out)+len(extra))
-			merged = append(merged, out...)
-			merged = append(merged, extra...)
-			out = merged
-		}
 	}
 	return out, nil
 }

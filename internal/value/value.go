@@ -8,6 +8,7 @@
 package value
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -314,6 +315,50 @@ func (v Value) AppendKey(dst []byte) []byte {
 	default:
 		return append(dst, '?')
 	}
+}
+
+// CompareKey orders v against w in a total order whose ties are exactly the
+// pairs with equal AppendKey encodings: Int(1) ties Float(1.0), -0.0 ties
+// +0.0, and a NaN ties only the NaN with the same bits. The order is
+// otherwise arbitrary (it is not Sort's). Ordered containers use it to tell
+// tuples apart by identity without materialising a key string per
+// comparison.
+func (v Value) CompareKey(w Value) int {
+	a, b := v.keyClass(), w.keyClass()
+	if a != b {
+		return cmp.Compare(a, b)
+	}
+	switch a {
+	case KindInt:
+		return cmp.Compare(v.keyBits(), w.keyBits())
+	case KindString:
+		return strings.Compare(v.s, w.s)
+	case KindBool:
+		if v.b != w.b {
+			if w.b {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
+// keyBits is the float64 image AppendKey encodes a numeric value by.
+func (v Value) keyBits() uint64 {
+	f := v.AsFloat()
+	if f == 0 {
+		f = 0 // -0.0 onto +0.0, as in AppendKey
+	}
+	return math.Float64bits(f)
+}
+
+// keyClass folds the two numeric kinds, which share key encodings, into one.
+func (v Value) keyClass() Kind {
+	if v.kind == KindFloat {
+		return KindInt
+	}
+	return v.kind
 }
 
 // Order-preserving encoding. AppendKey above is equality-canonical but not

@@ -251,6 +251,35 @@ func TestKeyEncodingNegativeZero(t *testing.T) {
 	}
 }
 
+// TestCompareKeyTiesAreKeyEncodingTies: CompareKey is a total order whose
+// ties are exactly the pairs AppendKey encodes alike, over the values where
+// Equal and the encoding part ways (NaN) or kinds collapse (int/float, ±0).
+func TestCompareKeyTiesAreKeyEncodingTies(t *testing.T) {
+	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)
+	vals := []Value{
+		Null(), Bool(false), Bool(true), String(""), String("a"), String("a\x00"), String("b"),
+		Int(0), Float(0), Float(math.Copysign(0, -1)), Int(1), Float(1), Float(1.5), Int(-1),
+		Float(math.NaN()), Float(nan2), Float(math.Inf(1)), Float(math.Inf(-1)),
+		Int(1 << 53), Int(1<<53 + 1),
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			ab, ba := a.CompareKey(b), b.CompareKey(a)
+			if ab != -ba {
+				t.Errorf("CompareKey(%v, %v) = %d but reversed = %d", a, b, ab, ba)
+			}
+			if same := bytes.Equal(a.AppendKey(nil), b.AppendKey(nil)); (ab == 0) != same {
+				t.Errorf("CompareKey(%v, %v) = %d, equal key encodings = %v", a, b, ab, same)
+			}
+			for _, c := range vals {
+				if ab <= 0 && b.CompareKey(c) <= 0 && a.CompareKey(c) > 0 {
+					t.Errorf("CompareKey not transitive over %v, %v, %v", a, b, c)
+				}
+			}
+		}
+	}
+}
+
 // TestCompareAntisymmetry checks Compare(a,b) = -Compare(b,a) whenever both
 // succeed.
 func TestCompareAntisymmetry(t *testing.T) {
