@@ -16,6 +16,7 @@ import (
 
 	"repro"
 	"repro/internal/algebra"
+	"repro/internal/baseline"
 	"repro/internal/bench"
 	"repro/internal/calculus"
 	"repro/internal/core"
@@ -281,22 +282,7 @@ func runSweeps() {
 		{"modified-differential", runModified(cat, store, user, true)},
 		{"posthoc-full", func() *txn.Result {
 			exec := txn.NewExecutor(store.Clone())
-			res, err := exec.ExecWithCheck(user, func(env algebra.Env) error {
-				for _, ip := range cat.Programs() {
-					for _, st := range ip.Full {
-						if al, ok := st.(*algebra.Alarm); ok {
-							r, err := al.Expr.Eval(env)
-							if err != nil {
-								return err
-							}
-							if !r.IsEmpty() {
-								return &algebra.ViolationError{Constraint: al.Constraint}
-							}
-						}
-					}
-				}
-				return nil
-			})
+			res, err := baseline.NewPostHoc(cat, false).Exec(exec, user)
 			if err != nil {
 				log.Fatal(err)
 			}

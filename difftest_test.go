@@ -266,7 +266,7 @@ func assertStateConsistent(t testing.TB, db *DB, label string) {
 	t.Helper()
 	for _, ip := range db.cat.Programs() {
 		prog := algebra.CloneProgram(ip.Full)
-		res, err := db.exec.ExecOptimistic(txn.Bracket(prog), nil, 4)
+		res, err := db.exec.Exec(txn.Bracket(prog))
 		if err != nil {
 			t.Fatalf("%s: full check of %s: %v", label, ip.RuleName, err)
 		}
@@ -352,7 +352,7 @@ func FuzzSafetyVerdict(f *testing.F) {
 		for _, name := range safeRules {
 			ip, _ := db.cat.Program(name)
 			check := algebra.CloneProgram(ip.Full)
-			cres, err := db.exec.ExecOptimistic(txn.Bracket(check), nil, 4)
+			cres, err := db.exec.Exec(txn.Bracket(check))
 			if err != nil {
 				t.Fatalf("full check of %s: %v", name, err)
 			}

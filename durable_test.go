@@ -193,3 +193,53 @@ func TestDurableSyncOptions(t *testing.T) {
 		t.Fatalf("Sync without Dir: want validation error")
 	}
 }
+
+// TestFailedCreateRelationLeavesNoSchemaEntry: when the store refuses the
+// relation (here because the WAL is closed), the schema must not keep it —
+// otherwise Relations lists a relation Count does not know, and a retry
+// reports a duplicate instead of the real failure.
+func TestFailedCreateRelationLeavesNoSchemaEntry(t *testing.T) {
+	db := durableOpen(t, t.TempDir(), Options{})
+	db.MustCreateRelation(`relation a(x int)`)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	first := db.CreateRelation(`relation b(x int)`)
+	if first == nil {
+		t.Fatal("CreateRelation succeeded on a closed database")
+	}
+	if got := fmt.Sprint(db.Relations()); got != "[a]" {
+		t.Errorf("Relations() = %s after the failed creation, want [a]", got)
+	}
+	if second := db.CreateRelation(`relation b(x int)`); second == nil || second.Error() != first.Error() {
+		t.Errorf("retry reports %v, want the first failure again (%v)", second, first)
+	}
+}
+
+// TestFailedAutoIndexLeavesNoRule: when a rule compiles but one of its
+// automatic indexes cannot be defined, the rule must leave the catalog
+// again, for both definition calls.
+func TestFailedAutoIndexLeavesNoRule(t *testing.T) {
+	db := durableOpen(t, t.TempDir(), Options{AutoIndex: true})
+	db.MustCreateRelation(`relation parent(id int)`)
+	db.MustCreateRelation(`relation child(id int, parent int)`)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const cond = `forall x (x in child implies exists y (y in parent and x.parent = y.id))`
+	for name, define := range map[string]func() error{
+		"constraint": func() error { return db.DefineConstraint("ref", cond) },
+		"rule":       func() error { return db.DefineRule("ref", "if not "+cond+" then abort") },
+	} {
+		first := define()
+		if first == nil {
+			t.Fatalf("%s: defined on a closed database although its indexes cannot be logged", name)
+		}
+		if got := db.RuleNames(); len(got) != 0 {
+			t.Errorf("%s: RuleNames() = %v after the failed definition, want none", name, got)
+		}
+		if second := define(); second == nil || second.Error() != first.Error() {
+			t.Errorf("%s: retry reports %v, want the first failure again (%v)", name, second, first)
+		}
+	}
+}

@@ -20,9 +20,6 @@ func TestOptionsValidation(t *testing.T) {
 	}{
 		{"negative retries", Options{MaxCommitRetries: -3}, "MaxCommitRetries"},
 		{"negative depth", Options{MaxModificationDepth: -1}, "MaxModificationDepth"},
-		{"negative batch", Options{GroupCommitBatch: -1}, "GroupCommitBatch"},
-		{"negative probe driving bound", Options{ProbeMaxDriving: -1}, "ProbeMaxDriving"},
-		{"negative probe scan ratio", Options{ProbeScanRatio: -2}, "ProbeScanRatio"},
 		{"malformed index decl", Options{Indexes: []string{"child"}}, "malformed"},
 		{"empty index attrs", Options{Indexes: []string{"child()"}}, "child()"},
 		{"repeated index attr", Options{Indexes: []string{"child(a, a)"}}, "repeats"},

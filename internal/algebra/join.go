@@ -174,14 +174,6 @@ const (
 	probeScanRatio  = 4
 )
 
-// ProbeTuningEnv is an optional extension of Env: an environment that
-// implements it overrides the probe-versus-scan constants above. Values of
-// zero or less mean "use the default" — the pair is applied only when both
-// are positive.
-type ProbeTuningEnv interface {
-	ProbeTuning() (maxDriving, scanRatio int)
-}
-
 // Eval implements Expr.
 //
 // An empty input can decide the whole join: with an empty left side every
@@ -434,13 +426,7 @@ func (j *Join) probeDriven(env Env, out, driving *relation.Relation, probeRight 
 	if !ok {
 		return false, nil
 	}
-	maxDriving, scanRatio := probeMaxDriving, probeScanRatio
-	if pt, ok := env.(ProbeTuningEnv); ok {
-		if m, r := pt.ProbeTuning(); m > 0 && r > 0 {
-			maxDriving, scanRatio = m, r
-		}
-	}
-	if dn := driving.Len(); dn > maxDriving && dn*scanRatio > size {
+	if dn := driving.Len(); dn > probeMaxDriving && dn*probeScanRatio > size {
 		return false, nil
 	}
 	// Pair each index column with the driving-side column it equi-joins

@@ -223,49 +223,6 @@ func TestJoinProbeSkippedWhenDrivingTooLarge(t *testing.T) {
 	}
 }
 
-// tunedProbeEnv overlays ProbeTuningEnv on the probe environment.
-type tunedProbeEnv struct {
-	*probeEnv
-	maxDriving, scanRatio int
-}
-
-func (e *tunedProbeEnv) ProbeTuning() (int, int) { return e.maxDriving, e.scanRatio }
-
-// TestProbeTuningOverridesHeuristics re-runs the oversized-driving-side
-// scenario with the probe heuristics widened through ProbeTuningEnv: the
-// same join that fell back to a scan under the defaults must now probe.
-func TestProbeTuningOverridesHeuristics(t *testing.T) {
-	es, ds := empSchema(), deptSchema()
-	var emps []relation.Tuple
-	for i := int64(0); i < 64; i++ {
-		emps = append(emps, emp(i, fmt.Sprintf("d%d", i%4), 100))
-	}
-	env := newFakeEnv()
-	env.add(relation.MustFromTuples(es, emps...), AuxCur)
-	env.add(relation.MustFromTuples(ds,
-		dept("d0", 1), dept("d1", 1), dept("d2", 1), dept("d3", 1)), AuxCur)
-	pe := newProbeEnv(env)
-	pe.index("dept", 0)
-	tenv := NewTypeEnv(schema.MustDatabase(es, ds))
-
-	build := func() Expr { return NewSemiJoin(NewRel("emp"), NewRel("dept"), joinPred()) }
-	tuned := &tunedProbeEnv{probeEnv: pe, maxDriving: 128, scanRatio: 4}
-	scan := evalExpr(t, build(), pe.fakeEnv, tenv.Clone())
-	probed := evalExpr(t, build(), tuned, tenv.Clone())
-	assertSameRelation(t, probed, scan)
-	if len(pe.probes) != 64 {
-		t.Errorf("widened tuning issued %d probes, want 64", len(pe.probes))
-	}
-
-	// Zero (or partial) tuning keeps the defaults: no probes again.
-	pe.probes = nil
-	zero := &tunedProbeEnv{probeEnv: pe, maxDriving: 128, scanRatio: 0}
-	_ = evalExpr(t, build(), zero, tenv.Clone())
-	if len(pe.probes) != 0 {
-		t.Errorf("partial tuning overrode the defaults: %d probes", len(pe.probes))
-	}
-}
-
 func TestEquiJoinColumns(t *testing.T) {
 	es, ds := empSchema(), deptSchema()
 	pred := &And{

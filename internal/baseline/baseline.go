@@ -1,10 +1,9 @@
 // Package baseline implements the integrity control strategies transaction
 // modification is compared against in the benchmarks:
 //
-//   - PostHoc: execute the user transaction unmodified, then evaluate every
-//     rule's full-state enforcement program before commit (the classical
-//     "check after, abort on violation" discipline of theory-oriented
-//     proposals);
+//   - PostHoc: execute the user transaction unmodified, followed by every
+//     rule's full-state alarm (the classical "check after, abort on
+//     violation" discipline of theory-oriented proposals);
 //   - Unchecked: no integrity control at all, the cost floor.
 //
 // Both reuse the same executor and enforcement programs as the modification
@@ -35,50 +34,29 @@ func NewPostHoc(cat *rules.Catalog, triggerAware bool) *PostHoc {
 	return &PostHoc{cat: cat, TriggerAware: triggerAware}
 }
 
-// Exec runs the transaction with the post-hoc check attached.
+// Exec runs program ⊕ the selected rules' full-state alarms as one
+// transaction. A catalog holding a compensating rule is refused with an
+// aborted Result before anything runs: corrective updates belong inside the
+// transaction, which is what transaction modification is for.
 func (p *PostHoc) Exec(exec *txn.Executor, t *txn.Transaction) (*txn.Result, error) {
-	programs := p.cat.Programs()
-	var selected []*rules.IntegrityProgram
+	var raised trigger.Set
 	if p.TriggerAware {
-		raised := trigger.FromProgram(t.Program)
-		for _, ip := range programs {
-			if ip.Triggers.Intersects(raised) {
-				selected = append(selected, ip)
+		raised = trigger.FromProgram(t.Program)
+	}
+	var alarms algebra.Program
+	for _, ip := range p.cat.Programs() {
+		if p.TriggerAware && !ip.Triggers.Intersects(raised) {
+			continue
+		}
+		for _, st := range ip.Full {
+			if _, ok := st.(*algebra.Alarm); !ok {
+				return &txn.Result{AbortReason: fmt.Errorf(
+					"baseline: rule %s has a compensating action; post-hoc checking supports aborting rules only", ip.RuleName)}, nil
 			}
 		}
-	} else {
-		selected = programs
+		// Cloned as transaction modification clones them: type-checking
+		// annotates the AST, and the catalog's copy is shared.
+		alarms = append(alarms, algebra.CloneProgram(ip.Full)...)
 	}
-	check := func(env algebra.Env) error {
-		for _, ip := range selected {
-			for _, st := range ip.Full {
-				al, ok := st.(*algebra.Alarm)
-				if !ok {
-					// Compensating rules cannot be enforced post hoc — their
-					// corrective updates belong inside the transaction. The
-					// post-hoc baseline treats any violation as fatal by
-					// checking the rule's condition is irrelevant here; we
-					// conservatively reject such catalogs.
-					return fmt.Errorf("baseline: rule %s has a compensating action; post-hoc checking supports aborting rules only", ip.RuleName)
-				}
-				r, err := evalAlarm(al, env)
-				if err != nil {
-					return err
-				}
-				if r > 0 {
-					return &algebra.ViolationError{Constraint: al.Constraint, Witnesses: r}
-				}
-			}
-		}
-		return nil
-	}
-	return exec.ExecWithCheck(t, check)
-}
-
-func evalAlarm(al *algebra.Alarm, env algebra.Env) (int, error) {
-	r, err := al.Expr.Eval(env)
-	if err != nil {
-		return 0, err
-	}
-	return r.Len(), nil
+	return exec.Exec(&txn.Transaction{Program: t.Program.Concat(alarms), Label: t.Label})
 }

@@ -142,4 +142,7 @@ func TestPostHocRejectsCompensatingRules(t *testing.T) {
 	if res.AbortReason == nil || !strings.Contains(res.AbortReason.Error(), "compensating") {
 		t.Errorf("abort reason = %v, want compensating-rule rejection", res.AbortReason)
 	}
+	if r, _ := exec.DB().Relation("r"); r.Len() != 0 || exec.DB().Time() != 0 {
+		t.Errorf("refused catalog still ran the transaction: %d tuples at t=%d", r.Len(), exec.DB().Time())
+	}
 }

@@ -18,12 +18,12 @@
 // hop of every probe stays resident.
 //
 // File handles are opened once per checkpoint file and kept until Close.
-// When checkpoint GC condemns a superseded file (see sweepCondemned), the
-// pager force-opens and permanently retains its handle *before* the unlink:
-// POSIX keeps an unlinked-but-open file readable, so even a stale stub that
-// escaped the full checkpoint's retarget walk (possible when a concurrent
-// mutation captured stub objects from an evicted-and-refaulted cache node)
-// still faults correctly; the space is reclaimed when the pager closes.
+// A full checkpoint unlinks the files it supersedes at once, but has the
+// pager open each of them first (hold): POSIX keeps an unlinked-but-open
+// file readable, so a snapshot taken before that checkpoint, or a stale stub
+// that escaped its retarget walk (possible when a concurrent mutation
+// captured stub objects from an evicted-and-refaulted cache node), still
+// faults correctly; the space is reclaimed when the pager closes.
 package storage
 
 import (
@@ -101,7 +101,6 @@ type pager struct {
 	used     int64
 	inflight map[pmap.Addr]*pageCall
 	files    map[uint64]*os.File
-	retained map[uint64]bool // ids whose fd outlives the file's unlink
 	closed   bool
 }
 
@@ -114,7 +113,6 @@ func newPager(dir string, budget int64, reg *obs.Registry) *pager {
 		pinned:   map[pmap.Addr]bool{},
 		inflight: map[pmap.Addr]*pageCall{},
 		files:    map[uint64]*os.File{},
-		retained: map[uint64]bool{},
 	}
 }
 
@@ -260,8 +258,8 @@ func (p *pager) fault(a pmap.Addr) (*pmap.Node[relation.Tuple], int64, error) {
 }
 
 // file returns the (cached) handle for checkpoint file fid, opening it on
-// first use. Handles stay open until Close so condemned-but-retained files
-// remain readable after their unlink.
+// first use. Handles stay open until Close so superseded files remain
+// readable after their unlink.
 func (p *pager) file(fid uint64) (*os.File, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -279,35 +277,17 @@ func (p *pager) file(fid uint64) (*os.File, error) {
 	return f, nil
 }
 
-// retainFile force-opens and permanently retains fid's handle so the file
-// stays readable past its unlink (checkpoint GC calls this immediately
-// before removing a condemned file). A missing file is fine — nothing can
-// still address it — and reported as retained=false.
-func (p *pager) retainFile(fid uint64) (bool, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return false, nil
-	}
-	if p.retained[fid] {
-		return true, nil
-	}
-	if _, ok := p.files[fid]; !ok {
-		f, err := os.Open(filepath.Join(p.dir, ckptName(fid)))
-		if os.IsNotExist(err) {
-			return false, nil
-		}
-		if err != nil {
-			return false, err
-		}
-		p.files[fid] = f
-	}
-	p.retained[fid] = true
-	return true, nil
+// hold reports whether checkpoint file fid may be unlinked: the pager has
+// its handle open, so every later fault still reads it, or the file does not
+// exist, so nothing can address it. Anything else (a failed open, a closed
+// pager) says no.
+func (p *pager) hold(fid uint64) bool {
+	_, err := p.file(fid)
+	return err == nil || errors.Is(err, os.ErrNotExist)
 }
 
 // Close drops the cache and closes every file handle (reclaiming the space
-// of condemned-but-retained files). Faults racing Close fail cleanly.
+// of unlinked files). Faults racing Close fail cleanly.
 func (p *pager) Close() error {
 	p.mu.Lock()
 	if p.closed {

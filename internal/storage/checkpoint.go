@@ -15,10 +15,10 @@
 // earlier files of its chain. Every FullEvery-th checkpoint is full — it
 // retains no earlier address, so it is self-contained — and once it commits,
 // all older checkpoint files are superseded and the WAL is truncated to the
-// checkpoint's LSN watermark. On a resident database superseded files are
-// deleted on the spot; on a paged one they are only *condemned*, because
-// live snapshots may still hold stubs addressed into them — see
-// sweepCondemned for the gating.
+// checkpoint's LSN watermark. Superseded files are unlinked on the spot. On
+// a paged database an older snapshot may still hold stubs addressed into
+// them, so the pager opens each one first: it keeps every handle until
+// Close, and an unlinked file stays readable through an open handle.
 //
 // The directory at the end of the file records, per relation, the schema,
 // the trie root address and the cardinality, followed by the index
@@ -37,9 +37,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -259,27 +257,24 @@ func (d *Database) Checkpoint() error {
 	}
 
 	// The new file joins the chain; a full checkpoint supersedes everything
-	// older. On a resident database the superseded files are deleted
-	// outright. On a paged one live snapshots may still fault through stubs
-	// addressed into them, so they are condemned instead and unlinked later,
-	// once no snapshot at least as old as this checkpoint remains (see
-	// sweepCondemned).
+	// older, and the superseded files are unlinked here. On a paged database
+	// a snapshot taken before this checkpoint may still fault through stubs
+	// addressed into them, so the pager takes their handles first (see
+	// pager.hold). A file it cannot open stays on disk; the next Open removes
+	// it as lying below the chain base.
 	du.live[fileID] = true
 	du.count++
 	if full {
 		du.lastFull = fileID
 		for id := range du.live {
 			if id < fileID {
-				if du.pager != nil {
-					du.condemned = append(du.condemned, condemnedFile{id: id, lsn: snap.lsn})
-				} else {
+				if du.pager == nil || du.pager.hold(id) {
 					os.Remove(filepath.Join(du.dir, ckptName(id)))
 				}
 				delete(du.live, id)
 			}
 		}
 	}
-	du.sweepCondemned(snap.lsn)
 	du.bytes.Store(0)
 	total := uint64(dirOff) + uint64(len(dir)) + uint64(len(footer))
 	met.ckptRuns.Inc()
@@ -334,8 +329,8 @@ type ckptState struct {
 // directory are read — each relation materializes as a root stub over the
 // chain and every node faults in on demand — so opening an arbitrarily large
 // database touches kilobytes. Without one, every node of the chain is
-// decoded eagerly as before. Files below the chain base (condemned by an
-// earlier full checkpoint but not yet unlinked when the process died) are
+// decoded eagerly as before. Files below the chain base (superseded by a
+// full checkpoint that could not unlink them, or died before it did) are
 // removed: nothing can address them.
 func loadCheckpoint(dir string, pg *pager) (*ckptState, error) {
 	entries, err := os.ReadDir(dir)
@@ -601,86 +596,4 @@ func collectNodes(files map[uint64][]byte, addr pmap.Addr, depth int, fn func(re
 		fn(t)
 		return nil
 	})
-}
-
-// condemnedFile is a checkpoint file superseded by the full checkpoint at
-// lsn, awaiting unlink until no live snapshot predates that checkpoint.
-type condemnedFile struct {
-	id  uint64
-	lsn uint64
-}
-
-// sweepCondemned unlinks condemned checkpoint files once the oldest live
-// snapshot's LSN has reached the condemning checkpoint's — the chain
-// watermark is pinned to the oldest live snapshot, so a reader still holding
-// stubs into a superseded file keeps it on disk. Immediately before each
-// unlink the pager permanently retains the file's handle: any stale stub
-// that nonetheless escaped the retarget walk still faults correctly through
-// the open descriptor. Called under ckptMu with the current snapshot's LSN.
-func (du *durability) sweepCondemned(cur uint64) {
-	if du.pager == nil || len(du.condemned) == 0 {
-		return
-	}
-	floor := du.leases.oldestLive(cur)
-	kept := du.condemned[:0]
-	for _, c := range du.condemned {
-		if floor < c.lsn {
-			kept = append(kept, c)
-			continue
-		}
-		retained, err := du.pager.retainFile(c.id)
-		if err != nil {
-			kept = append(kept, c) // transient; retry on the next sweep
-			continue
-		}
-		if retained {
-			os.Remove(filepath.Join(du.dir, ckptName(c.id)))
-		}
-		// Not retained means the file is already gone (or the pager closed
-		// mid-shutdown); either way the entry is done.
-	}
-	du.condemned = kept
-}
-
-// snapLeases refcounts live snapshots by LSN so checkpoint GC can find the
-// oldest snapshot still reachable anywhere in the process. Snapshots are
-// registered at publish; the lease is released by the snapshot's finalizer,
-// so "live" tracks actual reachability (a long-held old snapshot keeps its
-// checkpoint files on disk, a dropped one frees them at the next sweep
-// after GC). Only paged databases register — resident ones never read back.
-type snapLeases struct {
-	mu   sync.Mutex
-	live map[uint64]int
-}
-
-func newSnapLeases() *snapLeases { return &snapLeases{live: map[uint64]int{}} }
-
-func (l *snapLeases) register(s *Snapshot) {
-	l.mu.Lock()
-	l.live[s.lsn]++
-	l.mu.Unlock()
-	runtime.SetFinalizer(s, l.release)
-}
-
-func (l *snapLeases) release(s *Snapshot) {
-	l.mu.Lock()
-	if n := l.live[s.lsn]; n <= 1 {
-		delete(l.live, s.lsn)
-	} else {
-		l.live[s.lsn] = n - 1
-	}
-	l.mu.Unlock()
-}
-
-// oldestLive returns the smallest leased LSN, or cur when nothing is leased.
-func (l *snapLeases) oldestLive(cur uint64) uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	min := cur
-	for lsn := range l.live {
-		if lsn < min {
-			min = lsn
-		}
-	}
-	return min
 }

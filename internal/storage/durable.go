@@ -140,12 +140,6 @@ type durability struct {
 	// pager is the shared node cache of a paged database (CacheBytes > 0);
 	// nil for a resident one. It is the Loader behind every relation stub.
 	pager *pager
-	// leases tracks live snapshots by LSN for checkpoint-chain GC; non-nil
-	// exactly when pager is.
-	leases *snapLeases
-	// condemned lists superseded checkpoint files awaiting unlink (paged
-	// databases only); guarded by ckptMu.
-	condemned []condemnedFile
 
 	// bytes accumulates WAL bytes since the last checkpoint, the automatic
 	// checkpoint trigger.

@@ -1,7 +1,7 @@
 // Group commit: the epoch-batched commit point. CommitValidated does not
 // validate and publish one transaction at a time — pending commits enqueue
 // onto a global queue, the first enqueuer becomes the drainer, and the
-// drainer claims the whole queue (bounded by the epoch limit) as one epoch.
+// drainer claims the whole queue as one epoch.
 // The epoch runs in two pipelined stages:
 //
 //   - Stage V (validate + derive), on the drainer, under the commit lock:
@@ -76,10 +76,10 @@ type relAgg struct {
 }
 
 // drain is the epoch loop run by the goroutine that found the queue idle:
-// claim up to maxEpoch pending commits as one epoch, process it, repeat
-// until the queue is empty, then hand the drainer role back. leader is the
-// drainer's own pending (a member of the first epoch), which must not be
-// chosen as a publish delegate — it is busy draining.
+// claim every pending commit as one epoch, process it, repeat until the
+// queue is empty, then hand the drainer role back. leader is the drainer's
+// own pending (a member of the first epoch), which must not be chosen as a
+// publish delegate — it is busy draining.
 func (d *Database) drain(leader *pending) {
 	// The drainer role migrates between committer goroutines; the pprof
 	// label attributes its CPU time (validation, derivation, WAL appends)
@@ -87,21 +87,13 @@ func (d *Database) drain(leader *pending) {
 	pprof.Do(context.Background(), pprof.Labels("stage", "drainer"), func(context.Context) {
 		for {
 			d.gq.mu.Lock()
-			n := len(d.gq.queue)
-			if n == 0 {
+			batch := d.gq.queue
+			if len(batch) == 0 {
 				d.gq.draining = false
 				d.gq.mu.Unlock()
 				return
 			}
-			if d.maxEpoch > 0 && n > d.maxEpoch {
-				n = d.maxEpoch
-			}
-			batch := d.gq.queue[:n:n]
-			if n == len(d.gq.queue) {
-				d.gq.queue = nil
-			} else {
-				d.gq.queue = append([]*pending(nil), d.gq.queue[n:]...)
-			}
+			d.gq.queue = nil
 			d.gq.mu.Unlock()
 			d.processEpoch(batch, leader)
 		}
@@ -305,7 +297,7 @@ func (d *Database) processEpoch(batch []*pending, leader *pending) {
 			if recLSN != 0 {
 				next.lsn = recLSN
 			}
-			d.publishSnap(next)
+			d.snap.Store(next)
 			d.pubCond.Broadcast()
 			d.pubMu.Unlock()
 			met.inflight.Add(-1)

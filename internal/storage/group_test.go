@@ -145,24 +145,3 @@ func TestRetentionSpanRefusesOldBase(t *testing.T) {
 		t.Errorf("retried commits missing from state: %v", cur)
 	}
 }
-
-// TestEpochLimitOne pins SetEpochLimit(1): commits still go through (each
-// as its own epoch), so batching can be ablated without changing semantics.
-func TestEpochLimitOne(t *testing.T) {
-	db := New(storageSchema())
-	db.SetEpochLimit(1)
-	for i := int64(1); i <= 3; i++ {
-		d := mkDelta(t, db, i)
-		ct, conflict, err := db.CommitValidated(Commit{BaseTime: db.Time(), Reads: keyRead("r", intTuple(i)), Ins: d})
-		if err != nil || conflict != nil {
-			t.Fatalf("commit %d: conflict=%v err=%v", i, conflict, err)
-		}
-		if ct != uint64(i) {
-			t.Fatalf("commit %d at t=%d, want %d", i, ct, i)
-		}
-	}
-	st := db.Stats()
-	if st.Commits != 3 || st.Epochs != 3 || st.IntraBatchMerges != 0 {
-		t.Errorf("stats = %+v, want 3 commits in 3 epochs", st)
-	}
-}

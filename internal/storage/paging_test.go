@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
+	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
+	"repro/internal/pmap"
 	"repro/internal/relation"
 	"repro/internal/wal"
 )
@@ -238,16 +238,16 @@ func TestLargerThanCachePaging(t *testing.T) {
 	}
 }
 
-// TestCondemnedChainGCGating checks the checkpoint-chain GC gate: a full
-// checkpoint condemns the superseded files but must not unlink them while a
-// snapshot that may still fault through them is live; once the snapshot is
-// released they are swept.
-func TestCondemnedChainGCGating(t *testing.T) {
+// TestSupersededFilesUnlinkedAtFullCheckpoint checks what replaced the
+// checkpoint-chain GC gate: the full checkpoint that supersedes files 1 and 2
+// unlinks them itself, a snapshot taken before it still reads every tuple
+// through the handles the pager holds, and once Close has dropped those
+// handles a fault fails with an error instead of reading a closed file.
+func TestSupersededFilesUnlinkedAtFullCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	opts := pagedOpts(2048, nil)
 	opts.FullEvery = 2
 	db := openDur(t, dir, opts)
-	defer db.Close()
 
 	commit := func(base int64, tag string) {
 		ins := map[string][]relation.Tuple{}
@@ -266,45 +266,66 @@ func TestCondemnedChainGCGating(t *testing.T) {
 		_, err := os.Stat(filepath.Join(dir, ckptName(id)))
 		return err == nil
 	}
+	scan := func(s *Snapshot) (seen int, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				fe, ok := r.(*pmap.FaultError)
+				if !ok {
+					panic(r)
+				}
+				err = fe
+			}
+		}()
+		err = s.rels["alpha"].ForEach(func(relation.Tuple) error { seen++; return nil })
+		return seen, err
+	}
 
 	commit(0, "a")
 	ckpt() // file 1: full (empty chain)
 	commit(1000, "b")
 	ckpt() // file 2: incremental
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Reopen paged, so alpha is stubs addressed into files 1 and 2, and make
+	// the next checkpoint a full one.
+	reg := obs.NewRegistry()
+	opts = pagedOpts(2048, reg)
+	opts.FullEvery = 1
+	db = openDur(t, dir, opts)
+	defer db.Close()
 	oldSnap := db.Snapshot()
+	if !exists(1) || !exists(2) {
+		t.Fatal("chain files 1 and 2 missing before the full checkpoint")
+	}
 
 	commit(2000, "c")
-	ckpt() // file 3: full -> condemns files 1 and 2
+	ckpt() // file 3: full, supersedes files 1 and 2
 
-	if !exists(1) || !exists(2) {
-		t.Fatal("condemned chain files unlinked while a snapshot predating the full checkpoint is live")
+	if exists(1) || exists(2) {
+		t.Fatal("superseded chain files still on disk after the full checkpoint")
 	}
-	// The old snapshot must still read correctly through the condemned files
-	// (the tiny cache forces real faults).
-	seen := 0
-	if err := oldSnap.rels["alpha"].ForEach(func(tp relation.Tuple) error { seen++; return nil }); err != nil {
-		t.Fatalf("scan of the pre-full-checkpoint snapshot: %v", err)
+	if !exists(3) {
+		t.Fatal("the full checkpoint's own file is missing")
 	}
-	if seen != 400 {
-		t.Fatalf("old snapshot scan saw %d tuples, want 400", seen)
+	// The pre-checkpoint snapshot reads every tuple; the 2 KiB cache makes
+	// the scan fault, and its root still addresses the unlinked files.
+	misses := reg.Snapshot().Counters["repro_storage_cache_misses_total"]
+	if seen, err := scan(oldSnap); err != nil || seen != 400 {
+		t.Fatalf("scan of the pre-full-checkpoint snapshot: %d tuples, err %v; want 400", seen, err)
 	}
-
-	// Release the old snapshot; its finalizer drops the lease and the next
-	// sweep (run by any checkpoint) may unlink the condemned files.
-	oldSnap = nil
-	deadline := time.Now().Add(10 * time.Second)
-	for exists(1) || exists(2) {
-		if time.Now().After(deadline) {
-			t.Fatal("condemned chain files were never swept after the old snapshot was released")
-		}
-		runtime.GC()
-		runtime.GC()
-		time.Sleep(10 * time.Millisecond)
-		ckpt()
+	if reg.Snapshot().Counters["repro_storage_cache_misses_total"] == misses {
+		t.Fatal("the old snapshot's scan faulted nothing; the test does not exercise the held handles")
 	}
-
-	// The live database is unaffected by the sweep.
 	if got := db.Snapshot().rels["alpha"].Len(); got != 600 {
-		t.Fatalf("post-sweep Len=%d want 600", got)
+		t.Fatalf("current Len=%d want 600", got)
+	}
+
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := scan(oldSnap); err == nil || !strings.Contains(err.Error(), "node cache closed") {
+		t.Fatalf("scan after Close: err = %v, want a node-cache-closed fault", err)
 	}
 }

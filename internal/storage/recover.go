@@ -73,9 +73,6 @@ func Open(dir string, sch *schema.Database, opts DurOptions) (*Database, error) 
 		tr:   opts.Tracer,
 	}
 	du := &durability{dir: dir, opts: opts, live: map[uint64]bool{}, nextFile: 1, pager: pg}
-	if pg != nil {
-		du.leases = newSnapLeases()
-	}
 	if ck != nil {
 		rs.sch = ck.sch
 		rs.rels = ck.rels
@@ -129,7 +126,7 @@ func Open(dir string, sch *schema.Database, opts DurOptions) (*Database, error) 
 	}
 	d.clock.Store(rs.time)
 	d.truncated = rs.time
-	d.publishSnap(&Snapshot{sch: rs.sch, rels: rels, idx: idx, time: rs.time, lsn: rs.lsn})
+	d.snap.Store(&Snapshot{sch: rs.sch, rels: rels, idx: idx, time: rs.time, lsn: rs.lsn})
 	met.openSeconds.Observe(uint64(time.Since(tOpen)))
 	return d, nil
 }

@@ -266,11 +266,9 @@ type Database struct {
 	gq      groupQueue
 	clock   atomic.Uint64
 	pubCond *sync.Cond
-	// maxEpoch caps how many pending commits one epoch claims; 0 means the
-	// whole queue. retain is the commit-log retention span in logical time.
-	// Both are configured before concurrent use.
-	maxEpoch int
-	retain   uint64
+	// retain is the commit-log retention span in logical time, configured
+	// before concurrent use.
+	retain uint64
 
 	// Observability (see obs.go): the registry the metric handles in met
 	// were resolved from (Stats() is a thin view over it), and the optional
@@ -305,17 +303,6 @@ func New(sch *schema.Database) *Database {
 	return db
 }
 
-// SetEpochLimit caps how many pending commits one group-commit epoch may
-// claim; 0 (the default) drains the whole queue as one epoch, 1 disables
-// batching (every commit is its own epoch, the pre-group-commit behavior).
-// Negative values mean 0. Configure before concurrent use.
-func (d *Database) SetEpochLimit(n int) {
-	if n < 0 {
-		n = 0
-	}
-	d.maxEpoch = n
-}
-
 // Stats returns a snapshot of the commit counters. Since the obs migration
 // this is a thin view over the metrics registry (the counters live there,
 // striped); with observability disabled via SetObservability(nil, ...) it
@@ -338,20 +325,6 @@ func (d *Database) Schema() *schema.Database { return d.sch }
 // returned snapshot is immutable and stays valid (pinned by the caller)
 // regardless of later commits.
 func (d *Database) Snapshot() *Snapshot { return d.snap.Load() }
-
-// publishSnap atomically publishes s as the current snapshot. On a paged
-// database it also registers a GC lease keyed by s.lsn: checkpoint-chain GC
-// (sweepCondemned) pins superseded checkpoint files on disk until no
-// published snapshot older than the condemning checkpoint remains reachable.
-// Resident databases skip the lease entirely — publish stays a bare atomic
-// store. In-memory construction paths (New, Clone) store directly;
-// they have no durability sidecar to lease against.
-func (d *Database) publishSnap(s *Snapshot) {
-	if du := d.dur; du != nil && du.leases != nil {
-		du.leases.register(s)
-	}
-	d.snap.Store(s)
-}
 
 // Time returns the logical time of the current state.
 func (d *Database) Time() uint64 { return d.Snapshot().time }
@@ -403,7 +376,7 @@ func (d *Database) AddRelation(rs *schema.Relation) error {
 		}
 		next.lsn = lsn
 	}
-	d.publishSnap(next)
+	d.snap.Store(next)
 	return nil
 }
 
@@ -429,7 +402,7 @@ func (d *Database) Load(r *relation.Relation) error {
 		}
 		next.lsn = lsn
 	}
-	d.publishSnap(next)
+	d.snap.Store(next)
 	return nil
 }
 
@@ -440,47 +413,7 @@ func (d *Database) Load(r *relation.Relation) error {
 // schema-management call: it must not run concurrently with commits.
 // Duplicate definitions over the same column set are rejected.
 func (d *Database) DefineIndex(rel string, cols []int) error {
-	if len(cols) == 0 {
-		return fmt.Errorf("storage: index on %q needs at least one column", rel)
-	}
-	rs, ok := d.sch.Relation(rel)
-	if !ok {
-		return fmt.Errorf("storage: index on unknown relation %q", rel)
-	}
-	canon := append([]int(nil), cols...)
-	sort.Ints(canon)
-	for i, c := range canon {
-		if c < 0 || c >= rs.Arity() {
-			return fmt.Errorf("storage: index on %q: column %d out of range (arity %d)", rel, c, rs.Arity())
-		}
-		if i > 0 && canon[i-1] == c {
-			return fmt.Errorf("storage: index on %q repeats column %d", rel, c)
-		}
-	}
-	defer d.beginSchemaChange()()
-	cur := d.snap.Load()
-	r, ok := cur.rels[rel]
-	if !ok {
-		return fmt.Errorf("storage: index on relation %q with no instance", rel)
-	}
-	if cur.idx[rel].Exact(canon) != nil {
-		return fmt.Errorf("storage: duplicate index on %q(%s)", rel, index.Sig(canon))
-	}
-	idx := make(map[string]*index.Set, len(cur.idx)+1)
-	for n, s := range cur.idx {
-		idx[n] = s
-	}
-	idx[rel] = idx[rel].With(index.Build(r, canon))
-	next := &Snapshot{sch: cur.sch, rels: cur.rels, idx: idx, time: cur.time, lsn: cur.lsn}
-	if d.dur != nil {
-		lsn, err := d.dur.appendSchemaRecord(recDefineIndex, cur.time, encodeIndexDef(rel, canon, false))
-		if err != nil {
-			return err
-		}
-		next.lsn = lsn
-	}
-	d.publishSnap(next)
-	return nil
+	return d.defineIndex(rel, cols, false)
 }
 
 // DefineOrderedIndex declares a secondary ordered (range) index on the
@@ -490,20 +423,35 @@ func (d *Database) DefineIndex(rel string, cols []int) error {
 // is a schema-management call that must not run concurrently with commits;
 // duplicate definitions over the same column list are rejected.
 func (d *Database) DefineOrderedIndex(rel string, cols []int) error {
+	return d.defineIndex(rel, cols, true)
+}
+
+// defineIndex is the body of DefineIndex and DefineOrderedIndex: the two
+// kinds differ in whether the column list is canonicalized, in the builder,
+// and in the flag of the logged definition.
+func (d *Database) defineIndex(rel string, cols []int, ordered bool) error {
+	kind := "index"
+	if ordered {
+		kind = "ordered index"
+	}
 	if len(cols) == 0 {
-		return fmt.Errorf("storage: ordered index on %q needs at least one column", rel)
+		return fmt.Errorf("storage: %s on %q needs at least one column", kind, rel)
 	}
 	rs, ok := d.sch.Relation(rel)
 	if !ok {
-		return fmt.Errorf("storage: ordered index on unknown relation %q", rel)
+		return fmt.Errorf("storage: %s on unknown relation %q", kind, rel)
+	}
+	cols = append([]int(nil), cols...)
+	if !ordered {
+		sort.Ints(cols)
 	}
 	seen := make(map[int]bool, len(cols))
 	for _, c := range cols {
 		if c < 0 || c >= rs.Arity() {
-			return fmt.Errorf("storage: ordered index on %q: column %d out of range (arity %d)", rel, c, rs.Arity())
+			return fmt.Errorf("storage: %s on %q: column %d out of range (arity %d)", kind, rel, c, rs.Arity())
 		}
 		if seen[c] {
-			return fmt.Errorf("storage: ordered index on %q repeats column %d", rel, c)
+			return fmt.Errorf("storage: %s on %q repeats column %d", kind, rel, c)
 		}
 		seen[c] = true
 	}
@@ -511,25 +459,34 @@ func (d *Database) DefineOrderedIndex(rel string, cols []int) error {
 	cur := d.snap.Load()
 	r, ok := cur.rels[rel]
 	if !ok {
-		return fmt.Errorf("storage: ordered index on relation %q with no instance", rel)
+		return fmt.Errorf("storage: %s on relation %q with no instance", kind, rel)
 	}
-	if cur.idx[rel].OrderedExact(cols) != nil {
-		return fmt.Errorf("storage: duplicate ordered index on %q(%s)", rel, index.Sig(cols))
+	set := cur.idx[rel]
+	dup := set.Exact(cols) != nil
+	if ordered {
+		dup = set.OrderedExact(cols) != nil
+	}
+	if dup {
+		return fmt.Errorf("storage: duplicate %s on %q(%s)", kind, rel, index.Sig(cols))
 	}
 	idx := make(map[string]*index.Set, len(cur.idx)+1)
 	for n, s := range cur.idx {
 		idx[n] = s
 	}
-	idx[rel] = idx[rel].WithOrdered(index.BuildOrdered(r, cols))
+	if ordered {
+		idx[rel] = set.WithOrdered(index.BuildOrdered(r, cols))
+	} else {
+		idx[rel] = set.With(index.Build(r, cols))
+	}
 	next := &Snapshot{sch: cur.sch, rels: cur.rels, idx: idx, time: cur.time, lsn: cur.lsn}
 	if d.dur != nil {
-		lsn, err := d.dur.appendSchemaRecord(recDefineIndex, cur.time, encodeIndexDef(rel, cols, true))
+		lsn, err := d.dur.appendSchemaRecord(recDefineIndex, cur.time, encodeIndexDef(rel, cols, ordered))
 		if err != nil {
 			return err
 		}
 		next.lsn = lsn
 	}
-	d.publishSnap(next)
+	d.snap.Store(next)
 	return nil
 }
 
@@ -746,7 +703,7 @@ func (s *Snapshot) withInstalled(changed map[string]*relation.Relation, t uint64
 // always in-memory, even when the receiver is durable.
 func (d *Database) Clone() *Database {
 	cur := d.Snapshot()
-	c := &Database{sch: d.sch, retain: d.retain, maxEpoch: d.maxEpoch, truncated: cur.time}
+	c := &Database{sch: d.sch, retain: d.retain, truncated: cur.time}
 	c.pubCond = sync.NewCond(&c.pubMu)
 	// The clone counts into its own fresh registry (its Stats start at
 	// zero); use SetObservability to share the parent's.

@@ -60,46 +60,19 @@ func (r *Result) Violation() *algebra.ViolationError {
 type Executor struct {
 	db  *storage.Database
 	seq *Sequencer
-	// probeMaxDriving/probeScanRatio are handed to every overlay the
-	// executor creates (algebra.ProbeTuningEnv); zero keeps the defaults.
-	probeMaxDriving int
-	probeScanRatio  int
+	// MaxRetries bounds how often Exec re-executes a transaction that lost
+	// commit validation. NewExecutor sets DefaultMaxRetries; change it before
+	// concurrent use.
+	MaxRetries int
 }
 
 // NewExecutor returns an executor over db.
 func NewExecutor(db *storage.Database) *Executor {
-	return &Executor{db: db, seq: NewSequencer(db)}
-}
-
-// SetProbeTuning overrides the probe-versus-scan heuristics of every
-// transaction this executor runs; values of zero or less keep the algebra
-// layer's defaults. Configure before concurrent use.
-func (e *Executor) SetProbeTuning(maxDriving, scanRatio int) {
-	e.probeMaxDriving, e.probeScanRatio = maxDriving, scanRatio
+	return &Executor{db: db, seq: NewSequencer(db), MaxRetries: DefaultMaxRetries}
 }
 
 // DB returns the underlying database.
 func (e *Executor) DB() *storage.Database { return e.db }
-
-// Exec type-checks and runs t. A type error rejects the transaction before
-// any statement runs and is returned as the error. Runtime failures —
-// including integrity violations signalled by alarm statements — abort the
-// transaction and are reported in the Result.
-func (e *Executor) Exec(t *Transaction) (*Result, error) {
-	return e.ExecOptimistic(t, nil, DefaultMaxRetries)
-}
-
-// PostCheck is a hook run after the transaction's program but before commit,
-// against the transaction's working state. A non-nil error aborts the
-// transaction. It is how the post-hoc baseline checker (package baseline)
-// attaches itself; transaction modification needs no hook because its checks
-// are statements inside the program.
-type PostCheck func(env algebra.Env) error
-
-// ExecWithCheck is Exec with a pre-commit hook.
-func (e *Executor) ExecWithCheck(t *Transaction, check PostCheck) (*Result, error) {
-	return e.ExecOptimistic(t, check, DefaultMaxRetries)
-}
 
 // Retry backoff. First-committer-wins guarantees some transaction commits
 // in every validation round, but without pacing a hot-relation loser can
@@ -122,20 +95,20 @@ func backoffDelay(attempt int) time.Duration {
 	return d/2 + rand.N(d/2)
 }
 
-// ExecOptimistic executes t under snapshot isolation with optimistic commit
-// validation: the program runs against a pinned snapshot, and the sequencer
-// installs the result iff no concurrently committed transaction wrote a
-// tuple (or scanned relation) this one depends on. On conflict the
-// transaction is re-executed from scratch against a fresh snapshot — alarm
-// checks embedded by transaction modification re-run too, so a retried
-// commit is exactly as safe as a first-attempt one — up to maxRetries times
-// (negative means DefaultMaxRetries), with bounded exponential backoff and
-// jitter between attempts. Exhausting the budget reports an aborted Result
-// wrapping ErrRetriesExhausted, never a half-installed state.
-func (e *Executor) ExecOptimistic(t *Transaction, check PostCheck, maxRetries int) (*Result, error) {
-	if maxRetries < 0 {
-		maxRetries = DefaultMaxRetries
-	}
+// Exec type-checks and runs t under snapshot isolation with optimistic
+// commit validation. A type error rejects the transaction before any
+// statement runs and is returned as the error. The program runs against a
+// pinned snapshot; runtime failures — including integrity violations
+// signalled by alarm statements — abort the transaction and are reported in
+// the Result. Otherwise the sequencer installs the result iff no
+// concurrently committed transaction wrote a tuple (or scanned relation)
+// this one depends on. On conflict the transaction is re-executed from
+// scratch against a fresh snapshot — alarm checks embedded by transaction
+// modification re-run too, so a retried commit is exactly as safe as a
+// first-attempt one — up to MaxRetries times, with bounded exponential
+// backoff and jitter between attempts. Exhausting the budget reports an
+// aborted Result wrapping ErrRetriesExhausted, never a half-installed state.
+func (e *Executor) Exec(t *Transaction) (*Result, error) {
 	tenv := algebra.NewTypeEnv(e.db.Schema())
 	if err := t.Program.TypeCheck(tenv); err != nil {
 		return nil, fmt.Errorf("txn: transaction rejected: %w", err)
@@ -146,15 +119,10 @@ func (e *Executor) ExecOptimistic(t *Transaction, check PostCheck, maxRetries in
 		met.attempts.Inc()
 		ov := NewOverlay(e.db)
 		ov.SetLabel(t.Label)
-		ov.SetProbeTuning(e.probeMaxDriving, e.probeScanRatio)
 		if tr != nil {
 			tr.Event(obs.Event{Kind: obs.EvTxnBegin, Txn: t.Label, Time: ov.base.Time(), N: uint64(attempt)})
 		}
-		res, done, err := e.attempt(t, check, ov)
-		if err != nil {
-			return nil, err
-		}
-		if done {
+		if res := e.attempt(t, ov); res != nil {
 			met.aborts.Inc()
 			res.Retries = attempt
 			return res, nil
@@ -166,7 +134,7 @@ func (e *Executor) ExecOptimistic(t *Transaction, check PostCheck, maxRetries in
 		if conflict == nil {
 			return &Result{Committed: true, Stats: *ov.stats, Retries: attempt, CommitTime: ct}, nil
 		}
-		if attempt >= maxRetries {
+		if attempt >= e.MaxRetries {
 			met.aborts.Inc()
 			return &Result{
 				Committed:   false,
@@ -183,10 +151,10 @@ func (e *Executor) ExecOptimistic(t *Transaction, check PostCheck, maxRetries in
 	}
 }
 
-// attempt runs the program once against ov. done=true means the outcome is
-// final (the transaction aborted on its own: alarm, runtime error or failed
-// post-check) and no commit should be tried.
-func (e *Executor) attempt(t *Transaction, check PostCheck, ov *Overlay) (res *Result, done bool, err error) {
+// attempt runs the program once against ov. A non-nil Result is final (the
+// transaction aborted on its own: alarm or runtime error) and no commit
+// should be tried.
+func (e *Executor) attempt(t *Transaction, ov *Overlay) *Result {
 	for _, stmt := range t.Program {
 		ov.stats.Statements++
 		ov.met.statements.Inc()
@@ -197,18 +165,13 @@ func (e *Executor) attempt(t *Transaction, check PostCheck, ov *Overlay) (res *R
 		if err := stmt.Exec(ov); err != nil {
 			// Abort: the overlay is discarded, the pinned snapshot remains
 			// the committed state.
-			return &Result{Committed: false, AbortReason: err, Stats: *ov.stats}, true, nil
+			return &Result{Committed: false, AbortReason: err, Stats: *ov.stats}
 		}
 		if ov.met.statementSeconds != nil {
 			ov.met.statementSeconds.Observe(uint64(time.Since(tStmt)))
 		}
 	}
-	if check != nil {
-		if err := check(ov); err != nil {
-			return &Result{Committed: false, AbortReason: err, Stats: *ov.stats}, true, nil
-		}
-	}
 	// End bracket: temporary relations vanish with the overlay; the caller
 	// hands the working state to the sequencer for validation + install.
-	return nil, false, nil
+	return nil
 }

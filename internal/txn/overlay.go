@@ -71,11 +71,6 @@ type Overlay struct {
 	met   *txnMetrics
 	tr    obs.Tracer
 	label string
-	// probeMaxDriving/probeScanRatio override the algebra layer's
-	// probe-versus-scan heuristics (algebra.ProbeTuningEnv); zero or less
-	// means "use the default".
-	probeMaxDriving int
-	probeScanRatio  int
 }
 
 // NewOverlay creates a fresh overlay pinned to the current snapshot of db,
@@ -108,18 +103,6 @@ func (o *Overlay) SetLabel(label string) { o.label = label }
 
 // Base returns the snapshot the overlay is pinned to.
 func (o *Overlay) Base() *storage.Snapshot { return o.base }
-
-// SetProbeTuning overrides the probe-versus-scan heuristics for expressions
-// evaluated against this overlay; values of zero or less keep the algebra
-// layer's defaults.
-func (o *Overlay) SetProbeTuning(maxDriving, scanRatio int) {
-	o.probeMaxDriving, o.probeScanRatio = maxDriving, scanRatio
-}
-
-// ProbeTuning implements algebra.ProbeTuningEnv.
-func (o *Overlay) ProbeTuning() (maxDriving, scanRatio int) {
-	return o.probeMaxDriving, o.probeScanRatio
-}
 
 // ReadSet returns the names of the base relations the transaction touched in
 // any granularity, as a fresh map.

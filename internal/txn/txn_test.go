@@ -349,25 +349,13 @@ func TestDeltaInvariant(t *testing.T) {
 	}
 }
 
-func TestPostCheckHookAborts(t *testing.T) {
-	db := newStore(t)
-	exec := NewExecutor(db)
-	boom := errors.New("post-check says no")
-	res, err := exec.ExecWithCheck(
-		New(&algebra.Insert{Rel: "item", Src: lit(item(1, 1))}),
-		func(algebra.Env) error { return boom },
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Committed {
-		t.Fatal("committed despite failing post-check")
-	}
-	r, _ := db.Relation("item")
-	if r.Len() != 0 {
-		t.Error("post-check abort leaked state")
-	}
-}
+// stmtFunc is a statement that runs a test's function where it stands in the
+// program: after the statements before it, before the commit.
+type stmtFunc func(algebra.ExecEnv) error
+
+func (stmtFunc) TypeCheck(*algebra.TypeEnv) error { return nil }
+func (f stmtFunc) Exec(env algebra.ExecEnv) error { return f(env) }
+func (stmtFunc) String() string                   { return "test statement" }
 
 func TestTransactionHelpers(t *testing.T) {
 	tx := New(&algebra.Abort{Constraint: "x"})
@@ -595,15 +583,16 @@ func TestBackoffDelayBounded(t *testing.T) {
 // Under the old relation-granular validator every overlapping pair
 // conflicted; tuple-granular validation must commit all of them without a
 // single retry, merging concurrent deltas at publication. No insert may be
-// lost and the clock must count exactly one transition per commit. The
-// pre-commit hook yields the processor so transactions overlap even on a
+// lost and the clock must count exactly one transition per commit. A
+// trailing statement yields the processor so transactions overlap even on a
 // single-CPU scheduler; run under -race this also exercises the lock-free
 // snapshot path.
 func TestConcurrentExecSerializable(t *testing.T) {
 	const workers, perWorker = 8, 20
 	db := newStore(t)
 	exec := NewExecutor(db)
-	yield := func(algebra.Env) error { runtime.Gosched(); return nil }
+	exec.MaxRetries = 10_000
+	yield := stmtFunc(func(algebra.ExecEnv) error { runtime.Gosched(); return nil })
 
 	var wg sync.WaitGroup
 	var retries atomic.Int64
@@ -614,9 +603,8 @@ func TestConcurrentExecSerializable(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				id := int64(w*perWorker + i)
-				res, err := exec.ExecOptimistic(
-					New(&algebra.Insert{Rel: "item", Src: lit(item(id, 1))}),
-					yield, 10_000)
+				res, err := exec.Exec(
+					New(&algebra.Insert{Rel: "item", Src: lit(item(id, 1))}, yield))
 				if err != nil {
 					errs <- err
 					return
@@ -650,16 +638,16 @@ func TestConcurrentExecSerializable(t *testing.T) {
 
 // TestRetriesExhaustedReported: a transaction that loses validation on
 // every attempt must surface an aborted result wrapping
-// ErrRetriesExhausted, with the database untouched by it. The PostCheck
-// hook — which runs between snapshot pinning and commit — is abused to
-// deterministically toggle the very tuple the victim observes on every
+// ErrRetriesExhausted, with the database untouched by it. A trailing test
+// statement — which runs between snapshot pinning and commit —
+// deterministically toggles the very tuple the victim observes on every
 // attempt, so the victim keeps losing even tuple-granular validation.
 func TestRetriesExhaustedReported(t *testing.T) {
 	db := newStore(t, item(1, 10))
 	exec := NewExecutor(db)
 	saboteur := NewExecutor(db)
 	present := false
-	sabotage := func(algebra.Env) error {
+	sabotage := stmtFunc(func(algebra.ExecEnv) error {
 		stmt := algebra.Stmt(&algebra.Insert{Rel: "item", Src: lit(item(2, 20))})
 		if present {
 			stmt = &algebra.Delete{Rel: "item", Src: lit(item(2, 20))}
@@ -670,14 +658,14 @@ func TestRetriesExhaustedReported(t *testing.T) {
 		}
 		present = !present
 		return nil
-	}
+	})
 
 	const budget = 2
+	exec.MaxRetries = budget
 	// The victim probes the contended tuple (2,20) and carries a unique
 	// marker tuple (99,99) that must never surface.
-	res, err := exec.ExecOptimistic(
-		New(&algebra.Insert{Rel: "item", Src: lit(item(2, 20), item(99, 99))}),
-		sabotage, budget)
+	res, err := exec.Exec(
+		New(&algebra.Insert{Rel: "item", Src: lit(item(2, 20), item(99, 99))}, sabotage))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,22 +122,6 @@ type Options struct {
 	// probes. Probed transactions record probed-key or interval reads
 	// instead of whole-relation reads.
 	Indexes []string
-	// DisableGroupCommit turns off commit batching: every commit claims its
-	// own group-commit epoch, restoring the one-transaction-at-a-time commit
-	// point. Exists for ablations and debugging; batching is on by default.
-	DisableGroupCommit bool
-	// GroupCommitBatch caps how many pending commits one group-commit epoch
-	// may claim; 0 means unbounded (the drainer claims the whole queue as
-	// one epoch). Ignored when DisableGroupCommit is set.
-	GroupCommitBatch int
-	// ProbeMaxDriving and ProbeScanRatio tune the probe-versus-scan decision
-	// of index-driven enforcement joins: a join probes a secondary index
-	// only when its driving side holds at most ProbeMaxDriving tuples or is
-	// smaller than the indexed relation by more than ProbeScanRatio×.
-	// 0 means the engine default (16 and 4); both must be set to take
-	// effect.
-	ProbeMaxDriving int
-	ProbeScanRatio  int
 	// AutoIndex derives secondary indexes automatically at rule definition
 	// time: hash indexes from the equality-join attributes of referential
 	// and pair constraints — both join directions, so the insertion-side
@@ -200,18 +184,6 @@ func (o *Options) Validate() error {
 	if o.MaxModificationDepth < 0 {
 		return fmt.Errorf("repro: Options.MaxModificationDepth must be positive (or 0 for the default), got %d",
 			o.MaxModificationDepth)
-	}
-	if o.GroupCommitBatch < 0 {
-		return fmt.Errorf("repro: Options.GroupCommitBatch must be positive (or 0 for unbounded), got %d",
-			o.GroupCommitBatch)
-	}
-	if o.ProbeMaxDriving < 0 {
-		return fmt.Errorf("repro: Options.ProbeMaxDriving must be positive (or 0 for the default), got %d",
-			o.ProbeMaxDriving)
-	}
-	if o.ProbeScanRatio < 0 {
-		return fmt.Errorf("repro: Options.ProbeScanRatio must be positive (or 0 for the default), got %d",
-			o.ProbeScanRatio)
 	}
 	if o.Sync < SyncAlways || o.Sync > SyncOff {
 		return fmt.Errorf("repro: Options.Sync must be SyncAlways, SyncBatched or SyncOff, got %d", o.Sync)
@@ -336,13 +308,10 @@ func OpenChecked(opts *Options) (*DB, error) {
 			store.SetObservability(reg, o.Tracer)
 		}
 	}
-	batch := o.GroupCommitBatch
-	if o.DisableGroupCommit {
-		batch = 1
-	}
-	store.SetEpochLimit(batch)
 	exec := txn.NewExecutor(store)
-	exec.SetProbeTuning(o.ProbeMaxDriving, o.ProbeScanRatio)
+	if o.MaxCommitRetries > 0 {
+		exec.MaxRetries = o.MaxCommitRetries
+	}
 	cat := rules.NewCatalog(sch)
 	db := &DB{
 		sch:   sch,
@@ -366,6 +335,43 @@ func OpenChecked(opts *Options) (*DB, error) {
 	return db, nil
 }
 
+// resolveIndex resolves an index declaration's attribute names to column
+// positions of rs; what names the declaration in the error.
+func resolveIndex(what string, rs *schema.Relation, attrs []string) ([]int, error) {
+	cols := make([]int, len(attrs))
+	for i, a := range attrs {
+		idx := rs.AttrIndex(a)
+		if idx < 0 {
+			return nil, fmt.Errorf("repro: %s: unknown attribute %q in %s", what, a, rs)
+		}
+		cols[i] = idx
+	}
+	return cols, nil
+}
+
+// ensureIndex defines the index unless one of its kind over the same columns
+// exists. Hash definitions canonicalize to ascending column order, so a
+// reordered hash declaration counts as existing; an ordered index's column
+// order is its sort order and is compared as given.
+func (db *DB) ensureIndex(rel string, cols []int, ordered bool) error {
+	want, defs := cols, db.store.OrderedIndexDefs(rel)
+	if !ordered {
+		want = append([]int(nil), cols...)
+		sort.Ints(want)
+		defs = db.store.IndexDefs(rel)
+	}
+	sig := index.Sig(want)
+	for _, d := range defs {
+		if index.Sig(d) == sig {
+			return nil
+		}
+	}
+	if ordered {
+		return db.store.DefineOrderedIndex(rel, cols)
+	}
+	return db.store.DefineIndex(rel, cols)
+}
+
 // applyDeclaredIndexes builds the Options.Indexes declarations whose
 // relations already exist — the recovered relations of a durable reopen.
 // Indexes already defined (typically recovered ones) are kept.
@@ -379,39 +385,11 @@ func (db *DB) applyDeclaredIndexes() error {
 		if !ok {
 			continue
 		}
-		cols := make([]int, len(attrs))
-		for i, a := range attrs {
-			idx := rs.AttrIndex(a)
-			if idx < 0 {
-				return fmt.Errorf("repro: Options.Indexes %q: unknown attribute %q in %s", decl, a, rs)
-			}
-			cols[i] = idx
-		}
-		// Hash defs canonicalize to ascending column order; compare sorted
-		// signatures so a reordered declaration is still seen as existing.
-		want := append([]int(nil), cols...)
-		defs := db.store.IndexDefs(rel)
-		if ordered {
-			defs = db.store.OrderedIndexDefs(rel)
-		} else {
-			sort.Ints(want)
-		}
-		exists := false
-		for _, d := range defs {
-			if index.Sig(d) == index.Sig(want) {
-				exists = true
-				break
-			}
-		}
-		if exists {
-			continue
-		}
-		if ordered {
-			err = db.store.DefineOrderedIndex(rel, cols)
-		} else {
-			err = db.store.DefineIndex(rel, cols)
-		}
+		cols, err := resolveIndex(fmt.Sprintf("Options.Indexes %q", decl), rs, attrs)
 		if err != nil {
+			return err
+		}
+		if err := db.ensureIndex(rel, cols, ordered); err != nil {
 			return fmt.Errorf("repro: applying Options.Indexes: %w", err)
 		}
 	}
@@ -446,50 +424,26 @@ func (db *DB) CreateRelation(ddl string) error {
 		ordered bool
 	}
 	var pending []pendingIndex
-	seen := make(map[string]bool)
 	for _, decl := range db.opts.Indexes {
 		rel, attrs, ordered, err := index.ParseDecl(decl)
 		if err != nil || rel != rs.Name {
 			continue // Validate caught malformed declarations at Open
 		}
-		cols := make([]int, len(attrs))
-		for i, a := range attrs {
-			idx := rs.AttrIndex(a)
-			if idx < 0 {
-				return fmt.Errorf("repro: Options.Indexes %q: unknown attribute %q in %s", decl, a, rs)
-			}
-			cols[i] = idx
+		cols, err := resolveIndex(fmt.Sprintf("Options.Indexes %q", decl), rs, attrs)
+		if err != nil {
+			return err
 		}
-		// Hash signatures canonicalize to ascending order; ordered
-		// signatures keep declared order (it is the sort order) and live in
-		// their own namespace.
-		sigCols := cols
-		sigPrefix := ""
-		if !ordered {
-			sigCols = append([]int(nil), cols...)
-			sort.Ints(sigCols)
-		} else {
-			sigPrefix = "ordered:"
-		}
-		if sig := sigPrefix + index.Sig(sigCols); !seen[sig] {
-			seen[sig] = true
-			pending = append(pending, pendingIndex{cols: cols, ordered: ordered})
-		}
+		pending = append(pending, pendingIndex{cols: cols, ordered: ordered})
 	}
 	if err := db.sch.Add(rs); err != nil {
 		return err
 	}
 	if err := db.store.AddRelation(rs); err != nil {
+		db.sch.Remove(rs.Name)
 		return err
 	}
 	for _, p := range pending {
-		var err error
-		if p.ordered {
-			err = db.store.DefineOrderedIndex(rs.Name, p.cols)
-		} else {
-			err = db.store.DefineIndex(rs.Name, p.cols)
-		}
-		if err != nil {
+		if err := db.ensureIndex(rs.Name, p.cols, p.ordered); err != nil {
 			return fmt.Errorf("repro: applying Options.Indexes: %w", err)
 		}
 	}
@@ -511,13 +465,9 @@ func (db *DB) CreateIndex(decl string) error {
 	if err != nil {
 		return err
 	}
-	cols := make([]int, len(attrs))
-	for i, a := range attrs {
-		idx := rs.AttrIndex(a)
-		if idx < 0 {
-			return fmt.Errorf("repro: index %s: unknown attribute %q in %s", decl, a, rs)
-		}
-		cols[i] = idx
+	cols, err := resolveIndex("index "+decl, rs, attrs)
+	if err != nil {
+		return err
 	}
 	if ordered {
 		return db.store.DefineOrderedIndex(rel, cols)
@@ -558,39 +508,22 @@ func (db *DB) Indexes() []string {
 	return out
 }
 
-// autoIndex builds the indexes a freshly compiled rule's enforcement joins
-// would exploit; existing indexes over the same columns are kept.
-func (db *DB) autoIndex(ruleName string) error {
+// addRule registers a compiled rule and, under AutoIndex, builds the indexes
+// its enforcement joins would exploit; existing indexes over the same
+// columns are kept. A failed index definition takes the rule out of the
+// catalog again, so a failed definition call defines nothing.
+func (db *DB) addRule(r *rules.Rule) error {
+	if err := db.cat.Add(r); err != nil {
+		return err
+	}
 	if !db.opts.AutoIndex {
 		return nil
 	}
-	ip, ok := db.cat.Program(ruleName)
-	if !ok {
-		return nil
-	}
+	ip, _ := db.cat.Program(r.Name)
 	for _, h := range ip.IndexHints {
-		defs := db.store.IndexDefs(h.Relation)
-		if h.Ordered {
-			defs = db.store.OrderedIndexDefs(h.Relation)
-		}
-		exists := false
-		for _, cols := range defs {
-			if index.Sig(cols) == index.Sig(h.Columns) {
-				exists = true
-				break
-			}
-		}
-		if exists {
-			continue
-		}
-		var err error
-		if h.Ordered {
-			err = db.store.DefineOrderedIndex(h.Relation, h.Columns)
-		} else {
-			err = db.store.DefineIndex(h.Relation, h.Columns)
-		}
-		if err != nil {
-			return fmt.Errorf("repro: auto-indexing for rule %s: %w", ruleName, err)
+		if err := db.ensureIndex(h.Relation, h.Columns, h.Ordered); err != nil {
+			_ = db.cat.Remove(r.Name) // just added, so Remove cannot fail
+			return fmt.Errorf("repro: auto-indexing for rule %s: %w", r.Name, err)
 		}
 	}
 	return nil
@@ -648,10 +581,7 @@ func (db *DB) DefineConstraint(name, condition string) error {
 	if err != nil {
 		return err
 	}
-	if err := db.cat.Add(r); err != nil {
-		return err
-	}
-	return db.autoIndex(name)
+	return db.addRule(r)
 }
 
 // MustDefineConstraint panics on error.
@@ -671,10 +601,7 @@ func (db *DB) DefineRule(name, rl string) error {
 	if err != nil {
 		return err
 	}
-	if err := db.cat.Add(r); err != nil {
-		return err
-	}
-	return db.autoIndex(name)
+	return db.addRule(r)
 }
 
 // MustDefineRule panics on error.
@@ -786,13 +713,13 @@ func (db *DB) TriggeringGraphDOT() string {
 	return graph.Build(db.cat.Programs()).DOT()
 }
 
-// ModReport summarizes what transaction modification did.
+// ModReport summarizes what transaction modification did. It carries counts
+// only; Explain renders the modified program's text.
 type ModReport struct {
 	Depth          int
 	OriginalStmts  int
 	FinalStmts     int
 	RulesTriggered map[string]int
-	ModifiedText   string
 	// ChecksElided counts compiled check programs the static safety
 	// analyzer proved this transaction shape cannot make fire; each one ran
 	// neither reads nor probes.
@@ -854,9 +781,10 @@ func (db *DB) SubmitUnchecked(src string) (*Result, error) {
 }
 
 // SubmitPostHoc executes transaction text with the post-hoc baseline: the
-// transaction runs unmodified and every aborting rule is checked in full
-// against the pre-commit state. Compensating rules are rejected (their
-// corrective updates only exist under transaction modification).
+// transaction runs unmodified, followed by the full-state alarm of every
+// rule (or, triggerAware, of every rule its statements trigger). Compensating
+// rules are rejected (their corrective updates only exist under transaction
+// modification).
 func (db *DB) SubmitPostHoc(src string, triggerAware bool) (*Result, error) {
 	prog, err := lang.ParseTransaction(src, db.sch)
 	if err != nil {
@@ -928,19 +856,11 @@ func (db *DB) submit(t *txn.Transaction, withIntegrity bool) (*Result, error) {
 			db.repairedTotal.Add(uint64(rep.ChecksRepaired))
 		}
 	}
-	retries := txn.DefaultMaxRetries
-	if db.opts.MaxCommitRetries > 0 {
-		retries = db.opts.MaxCommitRetries
-	}
-	res, err := db.exec.ExecOptimistic(t, nil, retries)
+	res, err := db.exec.Exec(t)
 	if err != nil {
 		return nil, err
 	}
-	out := db.toResult(res, report)
-	if report != nil {
-		out.Report.ModifiedText = t.String()
-	}
-	return out, nil
+	return db.toResult(res, report), nil
 }
 
 func (db *DB) toResult(res *txn.Result, report *core.Report) *Result {
@@ -1018,9 +938,7 @@ func (db *DB) Query(exprSrc string) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	ov := txn.NewOverlay(db.store)
-	ov.SetProbeTuning(db.opts.ProbeMaxDriving, db.opts.ProbeScanRatio)
-	rel, err := assign.Expr.Eval(ov)
+	rel, err := assign.Expr.Eval(txn.NewOverlay(db.store))
 	if err != nil {
 		return nil, err
 	}
