@@ -5,10 +5,12 @@
 package repro
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -181,5 +183,54 @@ func TestExecParallelPropagatesParseErrors(t *testing.T) {
 	}
 	if n := mustCount(t, db, "child"); n != 2 {
 		t.Errorf("child count = %d, want 2", n)
+	}
+}
+
+// TestSubmitRetriesExhaustedTyped: a Submit that loses validation on every
+// attempt of a small budget reports an aborted Result whose Err wraps
+// ErrRetriesExhausted, and leaves the database untouched. EvTxnBegin fires
+// on the submitter, holding no lock, right after the attempt pinned its
+// snapshot, so a tracer can steer a conflicting writer in between: each of
+// the victim's attempts reads a counter row that a rival has rewritten by
+// the time the attempt commits.
+func TestSubmitRetriesExhaustedTyped(t *testing.T) {
+	const budget = 2
+	var db *DB
+	var armed atomic.Bool
+	db = Open(&Options{UseDifferential: true, MaxCommitRetries: budget, Tracer: TracerFunc(func(e TraceEvent) {
+		// Disarmed while the rival runs: its own begin event must not recurse.
+		if e.Kind != EvTxnBegin || !armed.CompareAndSwap(true, false) {
+			return
+		}
+		defer armed.Store(true)
+		res, err := db.Submit(`begin update(counter, id = 1, [n = n + 10]); end`)
+		if err != nil || !res.Committed {
+			t.Errorf("rival writer: %+v %v", res, err)
+		}
+	})})
+	db.MustCreateRelation(`relation counter(id int, n int)`)
+	if _, err := db.Submit(`begin insert(counter, values[(1, 5)]); end`); err != nil {
+		t.Fatal(err)
+	}
+
+	armed.Store(true)
+	res, err := db.Submit(`begin update(counter, id = 1, [n = n - 1]); end`)
+	armed.Store(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Committed || !errors.Is(res.Err, ErrRetriesExhausted) {
+		t.Fatalf("result = %+v, want an abort wrapping ErrRetriesExhausted", res)
+	}
+	if res.Reason != res.Err.Error() || res.Constraint != "" || res.Retries != budget || res.CommitTime != 0 {
+		t.Errorf("result = %+v, want Reason = Err.Error(), no constraint, %d retries, no commit time", res, budget)
+	}
+	// One rival commit per attempt, and nothing of the victim's decrement.
+	rows, err := db.Query(`counter`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(5 + 10*(budget+1)); len(rows.Data) != 1 || rows.Data[0][1] != want {
+		t.Errorf("counter = %v, want the single row (1, %d)", rows.Data, want)
 	}
 }

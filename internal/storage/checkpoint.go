@@ -131,9 +131,10 @@ func (d *Database) Checkpoint() error {
 	du.ckptMu.Lock()
 	defer du.ckptMu.Unlock()
 
-	met, tr := d.met, d.tr
+	met := d.met
+	timed := met.ckptSeconds != nil || d.tr != nil
 	var tStart time.Time
-	if met.ckptSeconds != nil || tr != nil {
+	if timed {
 		tStart = time.Now()
 	}
 	snap := d.snap.Load()
@@ -144,9 +145,7 @@ func (d *Database) Checkpoint() error {
 	if full {
 		chainBase = fileID
 	}
-	if tr != nil {
-		tr.Event(obs.Event{Kind: obs.EvCheckpointStart, Time: snap.time, LSN: snap.lsn})
-	}
+	d.emit(obs.Event{Kind: obs.EvCheckpointStart, Time: snap.time, LSN: snap.lsn})
 
 	tmp := filepath.Join(du.dir, ckptName(fileID)+".tmp")
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -166,8 +165,8 @@ func (d *Database) Checkpoint() error {
 	}
 	sink.off = int64(len(hdr))
 
-	names := make([]string, 0, len(snap.rels))
-	for name := range snap.rels {
+	names := make([]string, 0, len(snap.tabs))
+	for name := range snap.tabs {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -179,7 +178,7 @@ func (d *Database) Checkpoint() error {
 	entries := make([]relEntry, 0, len(names))
 	results := make([]*pmap.Persisted, 0, len(names))
 	for _, name := range names {
-		r := snap.rels[name]
+		r := snap.tabs[name].inst
 		res, err := r.Persist(sink)
 		if err != nil {
 			f.Close()
@@ -204,7 +203,7 @@ func (d *Database) Checkpoint() error {
 	}
 	var hashDefs, orderedDefs [][]byte
 	for _, name := range names {
-		set := snap.idx[name]
+		set := snap.tabs[name].idx
 		for _, x := range set.All() {
 			hashDefs = append(hashDefs, encodeIndexDef(name, x.Cols(), false))
 		}
@@ -283,15 +282,13 @@ func (d *Database) Checkpoint() error {
 	}
 	met.ckptBytes.Observe(total)
 	var dur time.Duration
-	if met.ckptSeconds != nil || tr != nil {
+	if timed {
 		dur = time.Since(tStart)
 	}
 	if met.ckptSeconds != nil {
 		met.ckptSeconds.Observe(uint64(dur))
 	}
-	if tr != nil {
-		tr.Event(obs.Event{Kind: obs.EvCheckpointEnd, Time: snap.time, LSN: snap.lsn, Bytes: total, Dur: dur, OK: full})
-	}
+	d.emit(obs.Event{Kind: obs.EvCheckpointEnd, Time: snap.time, LSN: snap.lsn, Bytes: total, Dur: dur, OK: full})
 	if err := du.w.TruncateThrough(snap.lsn); err != nil {
 		return err
 	}

@@ -2,9 +2,9 @@
 //
 // A durable Database (constructed by Open, not New) carries a durability
 // sidecar: a wal.Writer plus the checkpoint bookkeeping (checkpoint.go). The
-// commit pipeline touches it in exactly one place — stage V of processEpoch
-// appends one record per epoch, under the commit lock, before the shadow
-// state and the commit log are updated — so the write-ahead invariant is
+// commit pipeline touches it in exactly one place — the log stage of an epoch
+// (group.go) appends one record per epoch, under the commit lock, before the
+// shadow map and the commit log are updated — so the write-ahead invariant is
 // structural: nothing a later epoch can validate against, and nothing a
 // reader can observe, exists before its log record does. Under
 // wal.SyncAlways the append also fsyncs (one group fsync per epoch,
@@ -221,28 +221,23 @@ func appendRelTuples(dst []byte, r *relation.Relation) []byte {
 	return relation.AppendTuples(dst, r)
 }
 
-// appendEpoch appends the epoch's record — every written relation's net
-// delta in one payload — and returns its LSN and byte size. Called from
-// stage V under the commit lock.
-func (du *durability) appendEpoch(last uint64, recIns, recDel map[string]*relation.Relation) (uint64, int64, error) {
-	names := make([]string, 0, len(recIns)+len(recDel))
-	for name := range recIns {
+// appendEpoch appends the epoch's record — every written relation's write
+// record in one payload, sorted by name — and returns its LSN and byte size.
+// Called from the log stage under the commit lock.
+func (du *durability) appendEpoch(last uint64, writes map[string]writeSet) (uint64, int64, error) {
+	names := make([]string, 0, len(writes))
+	for name := range writes {
 		names = append(names, name)
-	}
-	for name := range recDel {
-		if recIns[name] == nil {
-			names = append(names, name)
-		}
 	}
 	sort.Strings(names)
 	payload := binary.AppendUvarint(nil, uint64(len(names)))
 	for _, name := range names {
 		// Deletes precede inserts, matching the successor derivation
-		// (DiffInPlace then UnionInPlace) so replay streams in application
-		// order.
+		// (table.apply) so replay streams in application order.
+		w := writes[name]
 		payload = appendString(payload, name)
-		payload = appendRelTuples(payload, recDel[name])
-		payload = appendRelTuples(payload, recIns[name])
+		payload = appendRelTuples(payload, w.del)
+		payload = appendRelTuples(payload, w.ins)
 	}
 	return du.w.AppendRecord(recEpoch, last, payload)
 }

@@ -82,20 +82,20 @@ func durCommit(t *testing.T, db *Database, ins, del map[string][]relation.Tuple)
 // relation's sorted tuples plus the index definition counts.
 func dumpState(s *Snapshot) string {
 	var names []string
-	for name := range s.rels {
+	for name := range s.tabs {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	var b strings.Builder
 	for _, name := range names {
-		r := s.rels[name]
+		r := s.tabs[name].inst
 		var keys []string
 		_ = r.ForEach(func(tp relation.Tuple) error {
 			keys = append(keys, tp.String())
 			return nil
 		})
 		sort.Strings(keys)
-		set := s.idx[name]
+		set := s.tabs[name].idx
 		fmt.Fprintf(&b, "%s[h%d,o%d]: %s\n", name, set.Len(), len(set.OrderedAll()), strings.Join(keys, " "))
 	}
 	return b.String()

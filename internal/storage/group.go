@@ -1,28 +1,30 @@
 // Group commit: the epoch-batched commit point. CommitValidated does not
 // validate and publish one transaction at a time — pending commits enqueue
 // onto a global queue, the first enqueuer becomes the drainer, and the
-// drainer claims the whole queue as one epoch.
-// The epoch runs in two pipelined stages:
+// drainer claims the whole queue as one epoch (claim). The epoch is a value
+// (type epoch) that runs through four more stage methods, in two pipelined
+// halves:
 //
-//   - Stage V (validate + derive), on the drainer, under the commit lock:
-//     every member is validated first-committer-wins against the commit log
-//     (cross-epoch) and then against the members accepted before it in
-//     queue order (intra-epoch, at the same tuple-key / probed-key /
-//     interval granularity — commuting members merge instead of retrying).
-//     The accepted members' net deltas are aggregated per relation, ONE
-//     successor trie instance and ONE successor of each of its indexes
-//     (O(batch delta · log n) path copies) are derived per written
-//     relation for the whole batch, a block of logical times is
-//     reserved off the epoch clock, and one record is appended to the WAL
-//     (durable databases) and then to the commit log. The derived instances
-//     are parked in the shadow state (Database.latest/latestIdx) so the
-//     next epoch can build on them before this one publishes.
+//   - Stage V, on the drainer, under the commit lock. validate: every member
+//     is checked first-committer-wins against the commit log (cross-epoch)
+//     and then against the aggregate of the members accepted before it in
+//     queue order (intra-epoch) — the same conflict function both times, so
+//     the granularity is the same and commuting members merge instead of
+//     retrying — and the accepted members' net deltas are aggregated into
+//     one write record per relation; then a block of logical times is
+//     reserved off the epoch clock for the accepted members only. fold: ONE
+//     successor table per written relation — the trie instance and every
+//     index on it, O(batch delta · log n) path copies — for the whole batch.
+//     log: the write records go to the WAL as one record (durable
+//     databases), the successor tables are parked in the shadow map
+//     (Database.shadow) so the next epoch can build on them before this one
+//     publishes, and the write records become the commit-log record.
 //
 //   - Stage P (publish), handed to a waiting member goroutine so the
 //     drainer can start validating the next epoch immediately: wait for the
 //     predecessor epoch's snapshot swap (epochs publish in clock order),
-//     install the whole batch's successors in a single snapshot swap, bump
-//     the counters and wake every member.
+//     install the whole batch's successor tables in a single snapshot swap,
+//     bump the counters and wake every member.
 //
 // Because stage V appends the epoch's log record under the commit lock
 // before stage P runs, the next epoch validates against it even though the
@@ -33,12 +35,12 @@ package storage
 
 import (
 	"context"
+	"maps"
 	"runtime/pprof"
 	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/relation"
 )
@@ -69,331 +71,314 @@ type pending struct {
 	intra    bool      // the merge partner was a member of the same epoch
 }
 
-// relAgg aggregates everything one epoch writes to one relation: the union
-// of the accepted members' net deltas (tuple-disjoint by validation).
-type relAgg struct {
-	ins, del *relation.Relation
+// epoch is one claimed batch on its way through the commit pipeline: the
+// stage methods below run in order — validate, fold and log under the commit
+// lock (stage V), publish after it (stage P) — and each reads what the
+// stages before it left here.
+type epoch struct {
+	d      *Database
+	batch  []*pending
+	leader *pending // the drainer's own member, never the publish delegate
+
+	// validate: the accepted members in queue order, their aggregated write
+	// records, the intra-epoch conflicts still waiting for the epoch's time,
+	// and the reserved block of logical times (accepted[i] commits at
+	// first+i; the swap and the log record are keyed by last).
+	accepted    []*pending
+	writes      map[string]writeSet
+	late        []*Conflict
+	first, last uint64
+
+	// fold: the successor table of every written relation.
+	install map[string]table
+
+	// log: the WAL position of the epoch's record (durable only).
+	lsn      uint64
+	walBytes int64
+	walErr   error
 }
 
 // drain is the epoch loop run by the goroutine that found the queue idle:
-// claim every pending commit as one epoch, process it, repeat until the
-// queue is empty, then hand the drainer role back. leader is the drainer's
-// own pending (a member of the first epoch), which must not be chosen as a
-// publish delegate — it is busy draining.
+// claim every pending commit as one epoch, run it, repeat until the queue
+// is empty. leader is the drainer's own pending (a member of the first
+// epoch), which must not be chosen as a publish delegate — it is busy
+// draining.
 func (d *Database) drain(leader *pending) {
 	// The drainer role migrates between committer goroutines; the pprof
 	// label attributes its CPU time (validation, derivation, WAL appends)
 	// to the pipeline stage regardless of which goroutine holds the role.
 	pprof.Do(context.Background(), pprof.Labels("stage", "drainer"), func(context.Context) {
-		for {
-			d.gq.mu.Lock()
-			batch := d.gq.queue
-			if len(batch) == 0 {
-				d.gq.draining = false
-				d.gq.mu.Unlock()
-				return
-			}
-			d.gq.queue = nil
-			d.gq.mu.Unlock()
-			d.processEpoch(batch, leader)
+		for e := d.claim(leader); e != nil; e = d.claim(leader) {
+			e.run()
 		}
 	})
 }
 
-// processEpoch runs stage V for one batch and hands stage P to a member.
-func (d *Database) processEpoch(batch []*pending, leader *pending) {
+// claim takes the whole pending queue as one epoch, or, finding it empty,
+// hands the drainer role back and returns nil.
+func (d *Database) claim(leader *pending) *epoch {
+	d.gq.mu.Lock()
+	defer d.gq.mu.Unlock()
+	if len(d.gq.queue) == 0 {
+		d.gq.draining = false
+		return nil
+	}
+	e := &epoch{d: d, batch: d.gq.queue, leader: leader}
+	d.gq.queue = nil
+	return e
+}
+
+// run takes a claimed epoch through stage V under the commit lock and hands
+// stage P to a member that is already parked waiting for its outcome, so the
+// drainer can validate the next epoch while this one swaps in. The drainer's
+// own pending never delegates — it is running the drain loop — so a
+// drainer-only batch publishes inline.
+func (e *epoch) run() {
+	d := e.d
 	d.commitMu.Lock()
-
-	// Every member is validated against the same published snapshot; the
-	// shadow state overrides it with the successors of epochs that are
-	// derived but not yet swapped in.
-	met, tr := d.met, d.tr
-	met.epochTxns.Observe(uint64(len(batch)))
-	var tValidate time.Time
-	if met.stageValidate != nil {
-		tValidate = time.Now()
-	}
-	snap := d.snap.Load()
-	agg := make(map[string]*relAgg)
-	accepted := make([]*pending, 0, len(batch))
-	var lateConflicts []*Conflict
-	for _, p := range batch {
-		cf := d.validateLog(p.c, &p.merged)
-		if cf == nil {
-			if cf = p.validateIntra(agg); cf != nil {
-				lateConflicts = append(lateConflicts, cf)
-			}
-		}
-		if cf != nil {
-			p.conflict = cf
-			p.merged, p.intra = false, false
-			met.conflicts.Inc()
-			if cf.Relation == "" {
-				// validateLog refused the stale base outright.
-				met.snapshotTooOld.Inc()
-				if tr != nil {
-					tr.Event(obs.Event{Kind: obs.EvSnapshotTooOld, Txn: p.c.Label, Time: cf.Time})
-				}
-			}
-			if tr != nil {
-				tr.Event(obs.Event{Kind: obs.EvTxnValidate, Txn: p.c.Label, OK: false, Relation: cf.Relation, Key: cf.Key, Time: cf.Time})
-			}
-			continue
-		}
-		if tr != nil {
-			tr.Event(obs.Event{Kind: obs.EvTxnValidate, Txn: p.c.Label, OK: true})
-		}
-		accepted = append(accepted, p)
-		p.foldWrites(agg)
-	}
-	if met.stageValidate != nil {
-		met.stageValidate.Observe(uint64(time.Since(tValidate)))
-	}
-
-	// Reserve a contiguous block of logical times: member i of the epoch
-	// commits at first+i, the snapshot swap lands at last, and the epoch's
-	// single log record is keyed by last. Base times are always some
-	// epoch's last, so "record.Time > BaseTime" keeps selecting exactly the
-	// epochs the requester has not seen.
-	k := uint64(len(accepted))
-	var first, last uint64
-	if k > 0 {
-		last = d.clock.Add(k)
-		first = last - k + 1
-		for i, p := range accepted {
-			p.time = first + uint64(i)
-		}
-		for _, cf := range lateConflicts {
-			cf.Time = last // the winning member commits within this epoch
-		}
-		met.inflight.Add(1) // derived-but-unpublished from here to the swap
-	}
-
-	// Derive one successor instance and one successor index set per written
-	// relation for the whole batch, from the shadow state when a prior
-	// unpublished epoch wrote the relation, from the snapshot otherwise.
-	// This pass is pure — the shadow state is only written after the WAL
-	// record lands, so a failed append leaves nothing for later epochs to
-	// build on.
-	var tDerive time.Time
-	if met.stageDerive != nil {
-		tDerive = time.Now()
-	}
-	install := make(map[string]*relation.Relation, len(agg))
-	var derived map[string]*index.Set
-	var recIns, recDel map[string]*relation.Relation
-	for name, a := range agg {
-		base, baseIdx := d.latest[name], d.latestIdx[name]
-		if base == nil {
-			base = snap.rels[name]
-		}
-		if baseIdx == nil {
-			baseIdx = snap.idx[name]
-		}
-		succ := base.Clone()
-		if a.del != nil {
-			succ.DiffInPlace(a.del.Seal())
-			if recDel == nil {
-				recDel = make(map[string]*relation.Relation, len(agg))
-			}
-			recDel[name] = a.del
-		}
-		if a.ins != nil {
-			succ.UnionInPlace(a.ins.Seal())
-			if recIns == nil {
-				recIns = make(map[string]*relation.Relation, len(agg))
-			}
-			recIns[name] = a.ins
-		}
-		install[name] = succ.Seal()
-		if baseIdx.Len() == 0 {
-			continue
-		}
-		if derived == nil {
-			derived = make(map[string]*index.Set, len(agg))
-		}
-		derived[name] = baseIdx.Apply(a.ins, a.del)
-	}
-	if met.stageDerive != nil {
-		met.stageDerive.Observe(uint64(time.Since(tDerive)))
-	}
-
-	// Durable: append the epoch's WAL record (one frame, group-fsynced
-	// under SyncAlways) before any shadow state or commit-log record
-	// exists — the write-ahead point. A failed append aborts the epoch: the
-	// reserved times still publish (as an empty install, keeping the swap
-	// clock contiguous) but the members fail with the error.
-	var walErr error
-	var recLSN uint64
-	var walBytes int64
-	if k > 0 && len(agg) > 0 && d.dur != nil {
-		var tWAL time.Time
-		if met.stageWAL != nil || tr != nil {
-			tWAL = time.Now()
-		}
-		recLSN, walBytes, walErr = d.dur.appendEpoch(last, recIns, recDel)
-		var dWAL time.Duration
-		if met.stageWAL != nil || tr != nil {
-			dWAL = time.Since(tWAL)
-		}
-		if met.stageWAL != nil {
-			met.stageWAL.Observe(uint64(dWAL))
-		}
-		if walErr == nil && tr != nil {
-			tr.Event(obs.Event{Kind: obs.EvWALAppend, Epoch: last, LSN: recLSN, Bytes: uint64(walBytes), Dur: dWAL})
-		}
-	}
-
-	if walErr == nil && len(agg) > 0 {
-		// Park the derived instances in the shadow state and append the
-		// epoch's commit-log record, still under the commit lock, so the
-		// next epoch validates against it before this one publishes.
-		if d.latest == nil {
-			d.latest = make(map[string]*relation.Relation)
-		}
-		for name, inst := range install {
-			d.latest[name] = inst
-		}
-		if derived != nil && d.latestIdx == nil {
-			d.latestIdx = make(map[string]*index.Set)
-		}
-		for name, set := range derived {
-			d.latestIdx[name] = set
-		}
-		d.appendLog(&Delta{Time: last, Ins: recIns, Del: recDel})
-	}
-
+	e.validate()
+	e.fold()
+	e.log()
 	d.commitMu.Unlock()
 
-	if walErr != nil {
-		for _, p := range accepted {
-			p.err = walErr
-			p.time = 0
-			p.merged, p.intra = false, false
-		}
-		install, derived, recLSN = nil, nil, 0
-	}
-	if d.dur != nil && walBytes > 0 && walErr == nil {
-		d.dur.bytes.Add(walBytes)
+	if e.walBytes > 0 {
+		d.dur.bytes.Add(e.walBytes)
 		d.dur.maybeCheckpoint(d)
 	}
-
-	// Stage P: one snapshot swap for the whole epoch, in clock order. A
-	// WAL-failed epoch still swaps (an empty install at its reserved time)
-	// so the publish clock stays contiguous, but installs nothing and
-	// counts nothing.
-	publish := func() {
-		if k > 0 {
-			var tPublish time.Time
-			if met.stagePublish != nil || tr != nil {
-				tPublish = time.Now()
-			}
-			d.pubMu.Lock()
-			for d.snap.Load().time != first-1 {
-				d.pubCond.Wait()
-			}
-			cur := d.snap.Load()
-			next := cur.withInstalled(install, last, derived)
-			if recLSN != 0 {
-				next.lsn = recLSN
-			}
-			d.snap.Store(next)
-			d.pubCond.Broadcast()
-			d.pubMu.Unlock()
-			met.inflight.Add(-1)
-			if walErr == nil {
-				met.commits.Add(k)
-				met.epochs.Inc()
-				for _, p := range accepted {
-					if p.merged {
-						met.merged.Inc()
-					}
-					if p.intra {
-						met.intraMerged.Inc()
-					}
-					if tr != nil {
-						tr.Event(obs.Event{Kind: obs.EvTxnCommit, Txn: p.c.Label, Time: p.time, Epoch: last})
-					}
-				}
-			}
-			var dPublish time.Duration
-			if met.stagePublish != nil || tr != nil {
-				dPublish = time.Since(tPublish)
-			}
-			if met.stagePublish != nil {
-				met.stagePublish.Observe(uint64(dPublish))
-			}
-			if tr != nil {
-				tr.Event(obs.Event{Kind: obs.EvEpochPublish, Epoch: last, N: k, Dur: dPublish})
-			}
-		}
-		for _, p := range batch {
-			p.done <- nil
-		}
-	}
-
-	// Pipeline: delegate the publish to a member that is already parked
-	// waiting for its outcome, so the drainer can validate the next epoch
-	// while this one swaps in. The drainer's own pending never delegates —
-	// it is running this very loop — so a drainer-only batch publishes
-	// inline.
-	for _, p := range batch {
-		if p != leader {
-			p.done <- publish
+	for _, p := range e.batch {
+		if p != e.leader {
+			p.done <- e.publish
 			return
 		}
 	}
-	publish()
+	e.publish()
 }
 
-// validateIntra validates this member against the writes already accepted
-// into the epoch, in queue order, at the same granularity as cross-epoch
-// validation: a whole-relation read conflicts with any co-writer, a
-// keyed/probed/interval read conflicts only when the aggregated epoch delta
-// overlaps it, and a disjoint co-write merges (the epoch's shared successor
-// carries both deltas). The returned conflict's
-// Time is patched to the epoch's last reserved time by the caller.
-func (p *pending) validateIntra(agg map[string]*relAgg) *Conflict {
-	for name, ri := range p.c.Reads {
-		a := agg[name]
-		if a == nil {
+// validate decides every member, in queue order, against the same view: the
+// commit log past its base time, then the writes of the members accepted
+// before it, which its own writes join on acceptance. It then reserves the
+// epoch's block of logical times. Base times are always some epoch's last,
+// so "record.Time > BaseTime" keeps selecting exactly the epochs a requester
+// has not seen.
+func (e *epoch) validate() {
+	d, met := e.d, e.d.met
+	met.epochTxns.Observe(uint64(len(e.batch)))
+	var start time.Time
+	if met.stageValidate != nil {
+		start = time.Now()
+	}
+	e.writes = make(map[string]writeSet)
+	e.accepted = make([]*pending, 0, len(e.batch))
+	for _, p := range e.batch {
+		cf := e.check(p)
+		if cf == nil {
+			d.emit(obs.Event{Kind: obs.EvTxnValidate, Txn: p.c.Label, OK: true})
+			e.accepted = append(e.accepted, p)
+			e.absorb(p.c)
 			continue
 		}
-		if ri.Full {
-			return &Conflict{Relation: name}
+		p.conflict = cf
+		p.merged, p.intra = false, false
+		met.conflicts.Inc()
+		if cf.Relation == "" {
+			met.snapshotTooOld.Inc()
+			d.emit(obs.Event{Kind: obs.EvSnapshotTooOld, Txn: p.c.Label, Time: cf.Time})
 		}
-		if key := ri.overlapKey(a.ins, a.del); key != "" {
-			return &Conflict{Relation: name, Key: key}
+		d.emit(obs.Event{Kind: obs.EvTxnValidate, Txn: p.c.Label, OK: false, Relation: cf.Relation, Key: cf.Key, Time: cf.Time})
+	}
+	if met.stageValidate != nil {
+		met.stageValidate.Observe(uint64(time.Since(start)))
+	}
+
+	k := uint64(len(e.accepted))
+	if k == 0 {
+		return
+	}
+	e.last = d.clock.Add(k)
+	e.first = e.last - k + 1
+	for i, p := range e.accepted {
+		p.time = e.first + uint64(i)
+	}
+	for _, cf := range e.late {
+		cf.Time = e.last // the winning member commits within this epoch
+	}
+	met.inflight.Add(1) // derived-but-unpublished from here to the swap
+}
+
+// check returns the conflict that rejects p, or nil, noting on p whether it
+// absorbed a disjoint concurrent delta (merged) and whether the partner was
+// a member of this epoch (intra). An intra-epoch conflict cannot know its
+// time yet — the epoch's block is reserved once every member is decided —
+// so it is queued on e.late. Callers hold the commit lock.
+func (e *epoch) check(p *pending) *Conflict {
+	d, c := e.d, p.c
+	if len(c.Reads) == 0 {
+		return nil
+	}
+	if d.truncated > c.BaseTime {
+		// The log no longer covers the base snapshot; refuse conservatively
+		// rather than risk a missed conflict.
+		return &Conflict{Time: d.truncated}
+	}
+	// Log times ascend, so the relevant suffix starts at the first record
+	// past the base time.
+	unseen := sort.Search(len(d.log), func(i int) bool { return d.log[i].Time > c.BaseTime })
+	for _, rec := range d.log[unseen:] {
+		cf, merged := c.conflict(rec.writes)
+		if cf != nil {
+			cf.Time = rec.Time
+			return cf
 		}
-		if p.c.writes(name) {
-			p.merged, p.intra = true, true
-		}
+		p.merged = p.merged || merged
+	}
+	cf, merged := c.conflict(e.writes)
+	if cf != nil {
+		e.late = append(e.late, cf)
+		return cf
+	}
+	if merged {
+		p.merged, p.intra = true, true
 	}
 	return nil
 }
 
-// foldWrites merges an accepted member's write set into the epoch
-// aggregate. Accepted members' deltas are tuple-disjoint (their written
-// keys are in their read records, and validateIntra just proved those
-// disjoint from the aggregate), so the per-relation aggregate is a plain
-// union with no cross-cancellation. The single-writer case — by far the
-// common one — reuses the member's delta relations without copying.
-func (p *pending) foldWrites(agg map[string]*relAgg) {
-	fold := func(name string) *relAgg {
-		a := agg[name]
-		if a == nil {
-			a = &relAgg{}
-			agg[name] = a
+// absorb merges an accepted member's write set into the epoch's write
+// records. Accepted members' deltas are tuple-disjoint (their written keys
+// are in their read records, and check just proved those disjoint from the
+// aggregate), so the per-relation record is a plain union with no
+// cross-cancellation.
+func (e *epoch) absorb(c *Commit) {
+	for name, ins := range c.Ins {
+		w := e.writes[name]
+		w.ins = mergeDelta(w.ins, ins)
+		e.writes[name] = w
+	}
+	for name, del := range c.Del {
+		w := e.writes[name]
+		w.del = mergeDelta(w.del, del)
+		e.writes[name] = w
+	}
+}
+
+// fold derives one successor table per written relation for the whole batch,
+// from the shadow map when a prior unpublished epoch wrote the relation,
+// from the published snapshot otherwise. The pass is pure — the shadow map is
+// only written once the WAL record has landed, so a failed append leaves
+// nothing for later epochs to build on.
+func (e *epoch) fold() {
+	d, met := e.d, e.d.met
+	var start time.Time
+	if met.stageDerive != nil {
+		start = time.Now()
+	}
+	snap := d.snap.Load()
+	e.install = make(map[string]table, len(e.writes))
+	for name, w := range e.writes {
+		base, ok := d.shadow[name]
+		if !ok {
+			base = snap.tabs[name]
 		}
-		return a
+		e.install[name] = base.apply(w.ins, w.del)
 	}
-	for name, ins := range p.c.Ins {
-		a := fold(name)
-		a.ins = mergeDelta(a.ins, ins)
+	if met.stageDerive != nil {
+		met.stageDerive.Observe(uint64(time.Since(start)))
 	}
-	for name, del := range p.c.Del {
-		a := fold(name)
-		a.del = mergeDelta(a.del, del)
+}
+
+// log makes the epoch's writes durable and then visible to the next epoch.
+// Durable databases append the WAL record first (one frame, group-fsynced
+// under SyncAlways) — the write-ahead point: no shadow table and no
+// commit-log record exists before it. A failed append aborts the epoch: its
+// members fail with the error and nothing is installed, though the reserved
+// times still publish, as an empty swap that keeps the publish clock
+// contiguous. Otherwise the successor tables are parked in the shadow map
+// and the write records appended to the commit log, still under the commit
+// lock, so the next epoch validates against them before this one publishes.
+func (e *epoch) log() {
+	d, met := e.d, e.d.met
+	if len(e.writes) == 0 {
+		return
+	}
+	if d.dur != nil {
+		timed := met.stageWAL != nil || d.tr != nil
+		var start time.Time
+		if timed {
+			start = time.Now()
+		}
+		e.lsn, e.walBytes, e.walErr = d.dur.appendEpoch(e.last, e.writes)
+		var took time.Duration
+		if timed {
+			took = time.Since(start)
+		}
+		if met.stageWAL != nil {
+			met.stageWAL.Observe(uint64(took))
+		}
+		if e.walErr != nil {
+			for _, p := range e.accepted {
+				p.err = e.walErr
+				p.time = 0
+				p.merged, p.intra = false, false
+			}
+			e.install = nil
+			return
+		}
+		d.emit(obs.Event{Kind: obs.EvWALAppend, Epoch: e.last, LSN: e.lsn, Bytes: uint64(e.walBytes), Dur: took})
+	}
+	if d.shadow == nil {
+		d.shadow = make(map[string]table)
+	}
+	maps.Copy(d.shadow, e.install)
+	d.appendLog(&Delta{Time: e.last, writes: e.writes})
+}
+
+// publish is stage P: one snapshot swap for the whole epoch, in clock order,
+// then the counters, the commit events and the wake-up of every member. A
+// WAL-failed epoch still swaps (an empty install at its reserved time) but
+// counts nothing; an epoch that accepted nobody only wakes its members.
+func (e *epoch) publish() {
+	d, met := e.d, e.d.met
+	if k := uint64(len(e.accepted)); k > 0 {
+		timed := met.stagePublish != nil || d.tr != nil
+		var start time.Time
+		if timed {
+			start = time.Now()
+		}
+		d.pubMu.Lock()
+		for d.snap.Load().time != e.first-1 {
+			d.pubCond.Wait()
+		}
+		next := d.snap.Load().withInstalled(e.install, e.last)
+		if e.lsn != 0 {
+			next.lsn = e.lsn
+		}
+		d.snap.Store(next)
+		d.pubCond.Broadcast()
+		d.pubMu.Unlock()
+		met.inflight.Add(-1)
+		if e.walErr == nil {
+			met.commits.Add(k)
+			met.epochs.Inc()
+			for _, p := range e.accepted {
+				if p.merged {
+					met.merged.Inc()
+				}
+				if p.intra {
+					met.intraMerged.Inc()
+				}
+				d.emit(obs.Event{Kind: obs.EvTxnCommit, Txn: p.c.Label, Time: p.time, Epoch: e.last})
+			}
+		}
+		var took time.Duration
+		if timed {
+			took = time.Since(start)
+		}
+		if met.stagePublish != nil {
+			met.stagePublish.Observe(uint64(took))
+		}
+		d.emit(obs.Event{Kind: obs.EvEpochPublish, Epoch: e.last, N: k, Dur: took})
+	}
+	for _, p := range e.batch {
+		p.done <- nil
 	}
 }
 

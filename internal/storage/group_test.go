@@ -2,8 +2,13 @@ package storage
 
 import (
 	"testing"
+	"time"
 
+	"repro/internal/index"
+	"repro/internal/obs"
 	"repro/internal/relation"
+	"repro/internal/schema"
+	"repro/internal/value"
 )
 
 // mkDelta builds a one-relation write set {r: tuples} usable as Ins.
@@ -21,11 +26,14 @@ func mkDelta(t *testing.T, db *Database, vals ...int64) map[string]*relation.Rel
 }
 
 // TestEpochBatchValidationAndMerge drives one epoch by hand through
-// processEpoch: three members with the same base snapshot, where the second
+// epoch.run: three members with the same base snapshot, where the second
 // writes tuples disjoint from the first (must merge into the shared epoch
 // successor, not retry) and the third reads a tuple the first wrote (must
 // conflict, by queue order). The whole epoch must land as ONE snapshot swap
 // and ONE commit-log record.
+//
+// The subtests then pin that the intra-epoch verdict just exercised is the
+// cross-epoch verdict: see verdictParityCases.
 func TestEpochBatchValidationAndMerge(t *testing.T) {
 	db := New(storageSchema())
 
@@ -37,7 +45,7 @@ func TestEpochBatchValidationAndMerge(t *testing.T) {
 	p3 := newPending(keyRead("r", intTuple(3), intTuple(1)), 3) // also reads what p1 writes
 
 	batch := []*pending{p1, p2, p3}
-	db.processEpoch(batch, nil)
+	(&epoch{d: db, batch: batch}).run()
 
 	// With no drainer pending in the batch, the publish stage is delegated
 	// to the first member; run it here and then drain the completion
@@ -81,15 +89,134 @@ func TestEpochBatchValidationAndMerge(t *testing.T) {
 		t.Fatalf("epoch produced %d log records, want 1 shared record", len(db.log))
 	}
 	rec := db.log[0]
-	if rec.Time != 2 || len(rec.Ins) != 1 || len(rec.Del) != 0 {
-		t.Errorf("record = t=%d ins=%v del=%v, want t=2 inserting into r only", rec.Time, rec.Ins, rec.Del)
+	if rec.Time != 2 || len(rec.writes) != 1 || rec.writes["r"].del != nil {
+		t.Errorf("record = t=%d writes=%v, want t=2 inserting into r only", rec.Time, rec.writes)
 	}
-	ins := rec.Ins["r"]
+	ins := rec.writes["r"].ins
 	if ins == nil || !ins.Contains(intTuple(1)) || !ins.Contains(intTuple(2)) || ins.Len() != 2 {
 		t.Errorf("record ins = %v, want the batch's aggregate {1, 2}", ins)
 	}
 	if !ins.Sealed() {
 		t.Error("epoch record delta not sealed")
+	}
+
+	for _, tc := range verdictParityCases() {
+		t.Run(tc.name, tc.run)
+	}
+}
+
+// parityCase is one row of the cross-epoch ≡ intra-epoch table: a writer A
+// inserting tuple aVal into aRel, and a second commit B from the same base
+// snapshot that reads relation r as reads says and inserts tuple 2 into it.
+type parityCase struct {
+	name  string
+	aRel  string
+	aVal  int64
+	reads *ReadInfo
+	// The verdict B must get whichever way it meets A's write: a conflict on
+	// r (with this key; "" for a whole-relation read), or a commit at t=2
+	// that merged over A's disjoint delta iff A wrote r too.
+	conflict bool
+	key      string
+	merged   bool
+}
+
+// verdictParityCases crosses the four read granularities with an
+// overlapping and a disjoint writer. A whole-relation read overlaps every
+// write to the relation, so its disjoint writer writes relation s instead.
+func verdictParityCases() []parityCase {
+	col := []int{0}
+	k1, k2 := intTuple(1).Key(), intTuple(2).Key()
+	own := map[string]bool{k2: true} // B records the key it writes
+	probe1 := &ReadInfo{Keys: own, Probes: map[string]*ProbeRead{
+		index.Sig(col): {Cols: col, Keys: map[string]bool{intTuple(1).KeyOn(col): true}},
+	}}
+	range1 := &ReadInfo{Keys: own, Ranges: map[string]*RangeRead{
+		index.Sig(col): {Cols: col, Ranges: []index.KeyRange{
+			{Lo: intTuple(1).OrderedKeyOn(col), Hi: intTuple(2).OrderedKeyOn(col)},
+		}},
+	}}
+	return []parityCase{
+		{name: "full/overlapping", aRel: "r", aVal: 1, reads: &ReadInfo{Full: true}, conflict: true},
+		{name: "full/disjoint", aRel: "s", aVal: 1, reads: &ReadInfo{Full: true}},
+		{name: "keys/overlapping", aRel: "r", aVal: 1, reads: &ReadInfo{Keys: map[string]bool{k1: true, k2: true}}, conflict: true, key: k1},
+		{name: "keys/disjoint", aRel: "r", aVal: 5, reads: &ReadInfo{Keys: map[string]bool{k1: true, k2: true}}, merged: true},
+		{name: "probes/overlapping", aRel: "r", aVal: 1, reads: probe1, conflict: true, key: k1},
+		{name: "probes/disjoint", aRel: "r", aVal: 5, reads: probe1, merged: true},
+		{name: "ranges/overlapping", aRel: "r", aVal: 1, reads: range1, conflict: true, key: k1},
+		{name: "ranges/disjoint", aRel: "r", aVal: 5, reads: range1, merged: true},
+	}
+}
+
+// run submits A then B, both based on t=0, twice over: in consecutive
+// epochs, where B is validated against A's commit-log record, and steered
+// into one epoch with A queued first (seqTracer parks A in its enqueue
+// callback until B is behind it), where B is validated against the epoch's
+// aggregate. The verdict, the conflict and the merge must not depend on
+// which; only IntraBatchMerges may tell the two apart.
+func (tc parityCase) run(t *testing.T) {
+	attr := schema.Attribute{Name: "a", Type: value.KindInt}
+	sch := schema.MustDatabase(schema.MustRelation("r", attr), schema.MustRelation("s", attr))
+	one := func(rel string, v int64) map[string]*relation.Relation {
+		rs, _ := sch.Relation(rel)
+		return map[string]*relation.Relation{rel: relation.MustFromTuples(rs, intTuple(v))}
+	}
+	for _, shared := range []bool{false, true} {
+		db := New(sch)
+		a := Commit{Label: "A", Reads: keyRead(tc.aRel, intTuple(tc.aVal)), Ins: one(tc.aRel, tc.aVal)}
+		b := Commit{Label: "B", Reads: map[string]*ReadInfo{"r": tc.reads}, Ins: one("r", 2)}
+
+		var ctA uint64
+		var cfA *Conflict
+		doneA := make(chan struct{})
+		commitA := func() {
+			defer close(doneA)
+			ctA, cfA, _ = db.CommitValidated(a)
+		}
+		if shared {
+			tr := &seqTracer{gate: make(chan struct{})}
+			db.SetObservability(db.Registry(), tr)
+			go commitA()
+			for deadline := time.Now().Add(5 * time.Second); !tr.has(obs.EvTxnEnqueue, "A"); {
+				if time.Now().After(deadline) {
+					t.Fatal("A never reached its enqueue event")
+				}
+				time.Sleep(time.Millisecond)
+			}
+		} else {
+			commitA()
+		}
+		ctB, cfB, err := db.CommitValidated(b)
+		<-doneA
+		if err != nil || cfA != nil || ctA != 1 {
+			t.Fatalf("shared=%v: A: time=%d conflict=%v, B: err=%v; want A committed at t=1", shared, ctA, cfA, err)
+		}
+
+		st := db.Stats()
+		want := Stats{Commits: 2, Epochs: 2}
+		switch {
+		case tc.conflict:
+			// Either way the winner is the commit at t=1: A's own log record,
+			// or the last time of the epoch A and B shared.
+			if cfB == nil || ctB != 0 || *cfB != (Conflict{Time: 1, Relation: "r", Key: tc.key}) {
+				t.Errorf("shared=%v: B: time=%d conflict=%+v, want conflict on r key %q at t=1", shared, ctB, cfB, tc.key)
+			}
+			want = Stats{Commits: 1, Conflicts: 1, Epochs: 1}
+		case cfB != nil || ctB != 2:
+			t.Errorf("shared=%v: B: time=%d conflict=%v, want commit at t=2", shared, ctB, cfB)
+		}
+		if shared {
+			want.Epochs = 1
+		}
+		if tc.merged {
+			want.MergedCommits = 1
+			if shared {
+				want.IntraBatchMerges = 1
+			}
+		}
+		if st != want {
+			t.Errorf("shared=%v: stats = %+v, want %+v", shared, st, want)
+		}
 	}
 }
 

@@ -19,6 +19,7 @@ type storeMetrics struct {
 	intraMerged    *obs.Counter
 	epochs         *obs.Counter
 	snapshotTooOld *obs.Counter
+	tracerPanics   *obs.Counter
 
 	epochTxns     *obs.Histogram // members per epoch
 	stageValidate *obs.Histogram // stage V: validation loop
@@ -50,6 +51,7 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 	m.intraMerged = reg.Counter("repro_storage_intra_batch_merges_total")
 	m.epochs = reg.Counter("repro_storage_epochs_total")
 	m.snapshotTooOld = reg.Counter("repro_storage_snapshot_too_old_total")
+	m.tracerPanics = reg.Counter("repro_storage_tracer_panics_total")
 	m.epochTxns = reg.Histogram("repro_storage_epoch_txns_size")
 	m.stageValidate = reg.Histogram("repro_storage_stage_validate_seconds")
 	m.stageDerive = reg.Histogram("repro_storage_stage_derive_seconds")
@@ -102,3 +104,20 @@ func (d *Database) Registry() *obs.Registry { return d.reg }
 
 // Tracer returns the database's tracer (nil when disabled).
 func (d *Database) Tracer() obs.Tracer { return d.tr }
+
+// emit hands one event to the tracer, if there is one. The tracer is
+// caller-supplied code that the commit pipeline runs on the drainer, mostly
+// under the commit lock: a panic escaping it would leave the lock held and
+// the drainer role taken, wedging every later commit. So a panicking
+// callback loses its event, is counted, and the pipeline carries on.
+func (d *Database) emit(e obs.Event) {
+	if d.tr == nil {
+		return
+	}
+	defer func() {
+		if recover() != nil {
+			d.met.tracerPanics.Inc()
+		}
+	}()
+	d.tr.Event(e)
+}

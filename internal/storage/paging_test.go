@@ -45,7 +45,7 @@ func TestPagedMatchesResident(t *testing.T) {
 		t.Helper()
 		s := db.Snapshot()
 		for _, n := range names {
-			r := s.rels[n]
+			r := s.tabs[n].inst
 			if r.Len() != len(model[n]) {
 				t.Fatalf("gen %d: %s: Len=%d want %d", gen, n, r.Len(), len(model[n]))
 			}
@@ -139,7 +139,7 @@ func TestPagedOpenIsShallow(t *testing.T) {
 	if m := reg.Snapshot().Counters["repro_storage_cache_misses_total"]; m != 0 {
 		t.Fatalf("open faulted %d node blocks; want a shallow open (0)", m)
 	}
-	if !db.Snapshot().rels["alpha"].ContainsKey(durTuple(123, "row-0123").Key()) {
+	if !db.Snapshot().tabs["alpha"].inst.ContainsKey(durTuple(123, "row-0123").Key()) {
 		t.Fatal("probe after shallow open missed a committed tuple")
 	}
 	if m := reg.Snapshot().Counters["repro_storage_cache_misses_total"]; m == 0 {
@@ -194,7 +194,7 @@ func TestLargerThanCachePaging(t *testing.T) {
 	reg := obs.NewRegistry()
 	db = openDur(t, dir, pagedOpts(budget, reg))
 	defer db.Close()
-	r := db.Snapshot().rels["alpha"]
+	r := db.Snapshot().tabs["alpha"].inst
 
 	n := 0
 	if err := r.ForEach(func(tp relation.Tuple) error { n++; return nil }); err != nil {
@@ -230,10 +230,10 @@ func TestLargerThanCachePaging(t *testing.T) {
 		"alpha": {durTuple(42, fmt.Sprintf("%08d-%s", 42, pad))},
 	})
 	s2 := db.Snapshot()
-	if s2.rels["alpha"].Len() != rows-1 {
-		t.Fatalf("delete through the paged trie: Len=%d want %d", s2.rels["alpha"].Len(), rows-1)
+	if s2.tabs["alpha"].inst.Len() != rows-1 {
+		t.Fatalf("delete through the paged trie: Len=%d want %d", s2.tabs["alpha"].inst.Len(), rows-1)
 	}
-	if !s2.rels["beta"].ContainsKey(durTuple(1, "post-paging").Key()) {
+	if !s2.tabs["beta"].inst.ContainsKey(durTuple(1, "post-paging").Key()) {
 		t.Fatal("insert on the paged instance lost")
 	}
 }
@@ -276,7 +276,7 @@ func TestSupersededFilesUnlinkedAtFullCheckpoint(t *testing.T) {
 				err = fe
 			}
 		}()
-		err = s.rels["alpha"].ForEach(func(relation.Tuple) error { seen++; return nil })
+		err = s.tabs["alpha"].inst.ForEach(func(relation.Tuple) error { seen++; return nil })
 		return seen, err
 	}
 
@@ -318,7 +318,7 @@ func TestSupersededFilesUnlinkedAtFullCheckpoint(t *testing.T) {
 	if reg.Snapshot().Counters["repro_storage_cache_misses_total"] == misses {
 		t.Fatal("the old snapshot's scan faulted nothing; the test does not exercise the held handles")
 	}
-	if got := db.Snapshot().rels["alpha"].Len(); got != 600 {
+	if got := db.Snapshot().tabs["alpha"].inst.Len(); got != 600 {
 		t.Fatalf("current Len=%d want 600", got)
 	}
 

@@ -21,7 +21,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/schema"
@@ -115,18 +114,17 @@ func Open(dir string, sch *schema.Database, opts DurOptions) (*Database, error) 
 		}
 		d.SetObservability(reg, opts.Tracer)
 	}
-	rels := make(map[string]*relation.Relation, len(rs.rels))
+	tabs := make(map[string]table, len(rs.rels))
 	for name, r := range rs.rels {
-		rels[name] = r.Seal()
+		tabs[name] = table{}.reload(r)
 	}
-	idx, err := buildIndexes(rels, rs.hash, rs.ordered)
-	if err != nil {
+	if err := buildIndexes(tabs, rs.hash, rs.ordered); err != nil {
 		w.Close()
 		return fail(err)
 	}
 	d.clock.Store(rs.time)
 	d.truncated = rs.time
-	d.snap.Store(&Snapshot{sch: rs.sch, rels: rels, idx: idx, time: rs.time, lsn: rs.lsn})
+	d.snap.Store(&Snapshot{sch: rs.sch, tabs: tabs, time: rs.time, lsn: rs.lsn})
 	met.openSeconds.Observe(uint64(time.Since(tOpen)))
 	return d, nil
 }
@@ -290,42 +288,24 @@ func applyRecord(rs *replayState, rec wal.Record) error {
 	}
 }
 
-// buildIndexes rebuilds every defined index from the recovered (sealed)
-// instances — same bulk path Load takes. Duplicate definitions (a def both
-// checkpointed and still in the WAL tail cannot happen, but a replayed
-// AddRelation racing a caller schema could) are skipped.
-func buildIndexes(rels map[string]*relation.Relation, hash, ordered [][]byte) (map[string]*index.Set, error) {
-	idx := make(map[string]*index.Set)
-	for _, enc := range hash {
-		rel, cols, _, _, err := decodeIndexDef(enc)
-		if err != nil {
-			return nil, err
+// buildIndexes rebuilds every defined index, hash then ordered, from the
+// recovered tables' instances — same bulk path DefineIndex takes. Duplicate
+// definitions (a def both checkpointed and still in the WAL tail cannot
+// happen, but a replayed AddRelation racing a caller schema could) are
+// skipped.
+func buildIndexes(tabs map[string]table, hashDefs, orderedDefs [][]byte) error {
+	for _, defs := range [][][]byte{hashDefs, orderedDefs} {
+		for _, enc := range defs {
+			rel, cols, ordered, _, err := decodeIndexDef(enc)
+			if err != nil {
+				return err
+			}
+			t, ok := tabs[rel]
+			if !ok {
+				return fmt.Errorf("storage: recover: index on unknown relation %q", rel)
+			}
+			tabs[rel], _ = t.withIndex(cols, ordered)
 		}
-		r := rels[rel]
-		if r == nil {
-			return nil, fmt.Errorf("storage: recover: index on unknown relation %q", rel)
-		}
-		if idx[rel].Exact(cols) != nil {
-			continue
-		}
-		idx[rel] = idx[rel].With(index.Build(r, cols))
 	}
-	for _, enc := range ordered {
-		rel, cols, _, _, err := decodeIndexDef(enc)
-		if err != nil {
-			return nil, err
-		}
-		r := rels[rel]
-		if r == nil {
-			return nil, fmt.Errorf("storage: recover: ordered index on unknown relation %q", rel)
-		}
-		if idx[rel].OrderedExact(cols) != nil {
-			continue
-		}
-		idx[rel] = idx[rel].WithOrdered(index.BuildOrdered(r, cols))
-	}
-	if len(idx) == 0 {
-		return nil, nil
-	}
-	return idx, nil
+	return nil
 }

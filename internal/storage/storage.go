@@ -26,9 +26,9 @@
 // index); it appends ONE commit-log record and
 // installs everything in a single snapshot swap. Validation of epoch N+1 is
 // pipelined with publication of epoch N: the log record lands under the
-// commit lock before the swap, and a shadow of the latest derived instances
-// lets the next epoch build on predecessors that have not been swapped in
-// yet; snapshot swaps themselves are ordered by the epoch clock.
+// commit lock before the swap, and the shadow map of derived tables lets the
+// next epoch build on predecessors that have not been swapped in yet;
+// snapshot swaps themselves are ordered by the epoch clock.
 //
 // There is one commit lock, one commit log and one logical clock. The log
 // holds the net ins/del deltas of the epochs that wrote anything, keyed by
@@ -50,6 +50,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -69,15 +70,57 @@ import (
 // reported as a conflict, forcing a retry from a fresh snapshot.
 const defaultRetainSpan = 1024
 
+// table is one relation's state: a sealed instance and the secondary indexes
+// (nil when it has none) that exactly describe it. The two are only ever
+// derived, shadowed, installed and checkpointed together, through apply and
+// reload.
+type table struct {
+	inst *relation.Relation
+	idx  *index.Set
+}
+
+// apply derives the successor after a net delta — deletes, then inserts, the
+// order WAL replay repeats — sharing all but O(delta · log n) nodes of the
+// instance and of every index with the receiver. Either side may be nil; the
+// deltas are sealed by the call.
+func (t table) apply(ins, del *relation.Relation) table {
+	succ := t.inst.Clone()
+	if del != nil {
+		succ.DiffInPlace(del.Seal())
+	}
+	if ins != nil {
+		succ.UnionInPlace(ins.Seal())
+	}
+	return table{inst: succ.Seal(), idx: t.idx.Apply(ins, del)}
+}
+
+// reload replaces the instance wholesale (sealing r) and rebuilds every
+// index from it — the bulk path, where no delta exists to maintain them by.
+func (t table) reload(r *relation.Relation) table {
+	return table{inst: r.Seal(), idx: t.idx.Rebuild(r)}
+}
+
+// withIndex adds a hash or ordered index over cols, built from the instance;
+// ok is false when the set already holds one over the same columns.
+func (t table) withIndex(cols []int, ordered bool) (_ table, ok bool) {
+	switch {
+	case ordered && t.idx.OrderedExact(cols) == nil:
+		t.idx = t.idx.WithOrdered(index.BuildOrdered(t.inst, cols))
+	case !ordered && t.idx.Exact(cols) == nil:
+		t.idx = t.idx.With(index.Build(t.inst, cols))
+	default:
+		return t, false
+	}
+	return t, true
+}
+
 // Snapshot is an immutable database state D^t (Definition 2.2) at a logical
-// time: a set of sealed relation instances plus the secondary indexes
-// defined over them. Snapshots are shared freely between goroutines; they
-// never change after publication, and their indexes exactly describe their
-// sealed instances — both are swapped in one atomic pointer store.
+// time: one table — sealed instance plus its indexes — per relation.
+// Snapshots are shared freely between goroutines; they never change after
+// publication, and the whole map is swapped in one atomic pointer store.
 type Snapshot struct {
 	sch  *schema.Database
-	rels map[string]*relation.Relation
-	idx  map[string]*index.Set
+	tabs map[string]table
 	time uint64
 	// lsn is the WAL sequence number of the record that produced this state
 	// (0 in-memory or before any logged mutation) — the checkpoint
@@ -94,35 +137,42 @@ func (s *Snapshot) Time() uint64 { return s.time }
 // Relation returns the named relation instance. The instance is sealed;
 // callers needing a mutable copy must Clone it.
 func (s *Snapshot) Relation(name string) (*relation.Relation, error) {
-	r, ok := s.rels[name]
+	t, ok := s.tabs[name]
 	if !ok {
 		return nil, fmt.Errorf("storage: unknown relation %q", name)
 	}
-	return r, nil
+	return t.inst, nil
 }
 
 // IndexSet returns the secondary indexes defined on the named relation, or
 // nil when it has none. The set and its indexes are immutable.
-func (s *Snapshot) IndexSet(name string) *index.Set { return s.idx[name] }
+func (s *Snapshot) IndexSet(name string) *index.Set { return s.tabs[name].idx }
 
 // TotalTuples returns the sum of all relation cardinalities, for reporting.
 func (s *Snapshot) TotalTuples() int {
 	n := 0
-	for _, r := range s.rels {
-		n += r.Len()
+	for _, t := range s.tabs {
+		n += t.inst.Len()
 	}
 	return n
 }
 
-// Delta is the commit-log record of one epoch: the net inserted and net
-// deleted tuples per written relation (the union of the accepted members'
-// differential relations), keyed by the logical time of the state the epoch
-// produced. A relation the epoch wrote has an entry in Ins, in Del, or in
-// both; the relations are sealed.
+// writeSet is the per-relation write record of one epoch: the net inserted
+// and net deleted tuples (the union of the accepted members' differential
+// relations; either side may be nil). The same value is the fold aggregate,
+// the source of the WAL payload and the commit-log entry.
+type writeSet struct {
+	ins, del *relation.Relation
+}
+
+// Delta is the commit-log record of one epoch: the write record of every
+// relation it wrote, keyed by the logical time of the state the epoch
+// produced. It holds deltas only, never a successor table — the log retains
+// a span of records, and a table in each would pin every path copy made
+// across the span.
 type Delta struct {
-	Time uint64
-	Ins  map[string]*relation.Relation
-	Del  map[string]*relation.Relation
+	Time   uint64
+	writes map[string]writeSet
 }
 
 // ProbeRead records the index probes a transaction issued against one
@@ -240,7 +290,7 @@ type Database struct {
 
 	// commitMu is the commit lock: the drainer holds it through stage V of
 	// each epoch and schema calls hold it for their whole edit. It guards
-	// the four fields below it. Lock order: commitMu before pubMu.
+	// the three fields below it. Lock order: commitMu before pubMu.
 	commitMu sync.Mutex
 	// log holds the records of the epochs that wrote anything, in ascending
 	// commit-time order.
@@ -249,13 +299,12 @@ type Database struct {
 	// dropped from log; validation of base snapshots before it must be
 	// refused conservatively.
 	truncated uint64
-	// latest/latestIdx shadow the newest derived instance and index set of
-	// each relation, including epochs whose snapshot swap is still in
-	// flight — the pipelined successor base. Nil entries (or maps) fall back
-	// to the published snapshot. Schema calls (Load, AddRelation,
-	// DefineIndex...) clear them.
-	latest    map[string]*relation.Relation
-	latestIdx map[string]*index.Set
+	// shadow holds the newest derived table of each relation an epoch has
+	// written, including epochs whose snapshot swap is still in flight — the
+	// pipelined successor base. A missing entry (or a nil map) falls back to
+	// the published snapshot. Schema calls (Load, AddRelation,
+	// DefineIndex...) clear it.
+	shadow map[string]table
 
 	pubMu sync.Mutex // publish point: snapshot swap ordering; also Load/AddRelation
 	snap  atomic.Pointer[Snapshot]
@@ -288,10 +337,10 @@ type Database struct {
 // New returns an empty database state (all relations empty, logical time 0)
 // for the given schema.
 func New(sch *schema.Database) *Database {
-	rels := make(map[string]*relation.Relation, sch.Len())
+	tabs := make(map[string]table, sch.Len())
 	for _, name := range sch.Names() {
 		rs, _ := sch.Relation(name)
-		rels[name] = relation.New(rs).Seal()
+		tabs[name] = table{}.reload(relation.New(rs))
 	}
 	db := &Database{sch: sch, retain: defaultRetainSpan}
 	db.pubCond = sync.NewCond(&db.pubMu)
@@ -299,7 +348,7 @@ func New(sch *schema.Database) *Database {
 	// re-pointable (or disabled) via SetObservability before concurrent use.
 	db.reg = obs.NewRegistry()
 	db.met = newStoreMetrics(db.reg)
-	db.snap.Store(&Snapshot{sch: sch, rels: rels})
+	db.snap.Store(&Snapshot{sch: sch, tabs: tabs})
 	return db
 }
 
@@ -349,7 +398,7 @@ func (d *Database) beginSchemaChange() (unlock func()) {
 	for d.snap.Load().time != d.clock.Load() {
 		d.pubCond.Wait()
 	}
-	d.latest, d.latestIdx = nil, nil
+	d.shadow = nil
 	return func() {
 		d.pubMu.Unlock()
 		d.commitMu.Unlock()
@@ -362,13 +411,13 @@ func (d *Database) beginSchemaChange() (unlock func()) {
 func (d *Database) AddRelation(rs *schema.Relation) error {
 	defer d.beginSchemaChange()()
 	cur := d.snap.Load()
-	if _, ok := cur.rels[rs.Name]; ok {
+	if _, ok := cur.tabs[rs.Name]; ok {
 		return fmt.Errorf("storage: relation %q already exists", rs.Name)
 	}
 	if _, ok := d.sch.Relation(rs.Name); !ok {
 		return fmt.Errorf("storage: relation %q missing from database schema", rs.Name)
 	}
-	next := cur.withInstalled(map[string]*relation.Relation{rs.Name: relation.New(rs)}, cur.time, nil)
+	next := cur.withInstalled(map[string]table{rs.Name: table{}.reload(relation.New(rs))}, cur.time)
 	if d.dur != nil {
 		lsn, err := d.dur.appendSchemaRecord(recAddRelation, cur.time, encodeRelationSchema(nil, rs))
 		if err != nil {
@@ -390,10 +439,11 @@ func (d *Database) Load(r *relation.Relation) error {
 	defer d.beginSchemaChange()()
 	cur := d.snap.Load()
 	name := r.Schema().Name
-	if _, ok := cur.rels[name]; !ok {
+	old, ok := cur.tabs[name]
+	if !ok {
 		return fmt.Errorf("storage: unknown relation %q", name)
 	}
-	next := cur.withInstalled(map[string]*relation.Relation{name: r}, cur.time, nil)
+	next := cur.withInstalled(map[string]table{name: old.reload(r)}, cur.time)
 	if d.dur != nil {
 		payload := appendRelTuples(appendString(nil, name), r)
 		lsn, err := d.dur.appendSchemaRecord(recLoad, cur.time, payload)
@@ -457,28 +507,15 @@ func (d *Database) defineIndex(rel string, cols []int, ordered bool) error {
 	}
 	defer d.beginSchemaChange()()
 	cur := d.snap.Load()
-	r, ok := cur.rels[rel]
+	old, ok := cur.tabs[rel]
 	if !ok {
 		return fmt.Errorf("storage: %s on relation %q with no instance", kind, rel)
 	}
-	set := cur.idx[rel]
-	dup := set.Exact(cols) != nil
-	if ordered {
-		dup = set.OrderedExact(cols) != nil
-	}
-	if dup {
+	indexed, ok := old.withIndex(cols, ordered)
+	if !ok {
 		return fmt.Errorf("storage: duplicate %s on %q(%s)", kind, rel, index.Sig(cols))
 	}
-	idx := make(map[string]*index.Set, len(cur.idx)+1)
-	for n, s := range cur.idx {
-		idx[n] = s
-	}
-	if ordered {
-		idx[rel] = set.WithOrdered(index.BuildOrdered(r, cols))
-	} else {
-		idx[rel] = set.With(index.Build(r, cols))
-	}
-	next := &Snapshot{sch: cur.sch, rels: cur.rels, idx: idx, time: cur.time, lsn: cur.lsn}
+	next := cur.withInstalled(map[string]table{rel: indexed}, cur.time)
 	if d.dur != nil {
 		lsn, err := d.dur.appendSchemaRecord(recDefineIndex, cur.time, encodeIndexDef(rel, cols, ordered))
 		if err != nil {
@@ -522,41 +559,31 @@ func (d *Database) OrderedIndexDefs(rel string) [][]int {
 // writes reports whether the commit writes the named relation.
 func (c *Commit) writes(name string) bool { return c.Ins[name] != nil || c.Del[name] != nil }
 
-// validateLog performs first-committer-wins validation of the commit's
-// reads against the commit log. It sets *merged when a concurrent disjoint
-// delta touched one of the commit's written relations: the delta's effect
-// survives into the successor instance (derived from the latest state), and
-// the flag feeds the MergedCommits counter. Callers hold the commit lock.
-func (d *Database) validateLog(c *Commit, merged *bool) *Conflict {
-	if len(c.Reads) == 0 {
-		return nil
-	}
-	if d.truncated > c.BaseTime {
-		// The log no longer covers the base snapshot; refuse conservatively
-		// rather than risk a missed conflict.
-		return &Conflict{Time: d.truncated}
-	}
-	// Log times ascend, so the relevant suffix starts at the first record
-	// past the base time.
-	first := sort.Search(len(d.log), func(i int) bool { return d.log[i].Time > c.BaseTime })
-	for _, delta := range d.log[first:] {
-		for name, ri := range c.Reads {
-			ins, del := delta.Ins[name], delta.Del[name]
-			if ins == nil && del == nil {
-				continue
-			}
-			if ri.Full {
-				return &Conflict{Time: delta.Time, Relation: name}
-			}
-			if k := ri.overlapKey(ins, del); k != "" {
-				return &Conflict{Time: delta.Time, Relation: name, Key: k}
-			}
-			if c.writes(name) {
-				*merged = true
-			}
+// conflict is the one first-committer-wins check: the commit's reads against
+// one set of write records — a commit-log record past its base time, or the
+// aggregate of the members accepted before it in its own epoch. A
+// whole-relation read conflicts with any write to the relation; a keyed,
+// probed or interval read only with a write record that overlaps it (Key
+// then names the clashing tuple). The caller stamps Conflict.Time. merged
+// reports that a disjoint record touched a relation the commit also writes:
+// its effect survives into the successor derived from the latest state.
+func (c *Commit) conflict(ws map[string]writeSet) (cf *Conflict, merged bool) {
+	for name, ri := range c.Reads {
+		w, ok := ws[name]
+		if !ok {
+			continue
+		}
+		if ri.Full {
+			return &Conflict{Relation: name}, false
+		}
+		if k := ri.overlapKey(w.ins, w.del); k != "" {
+			return &Conflict{Relation: name, Key: k}, false
+		}
+		if c.writes(name) {
+			merged = true
 		}
 	}
-	return nil
+	return nil, merged
 }
 
 // overlapKey returns a tuple key from the delta relations that the read
@@ -607,8 +634,8 @@ var errStopIteration = errors.New("stop")
 // with every other pending commit — as one epoch by the drainer (see
 // group.go): validation runs first-committer-wins against the commit log
 // and then against the co-members accepted before it, at tuple
-// granularity where c.Reads recorded keys; the whole epoch's successors
-// derive in one O(batch delta) pass and install in one snapshot swap. The
+// granularity where c.Reads recorded keys; the whole epoch's successor
+// tables derive in one O(batch delta) pass and install in one snapshot swap. The
 // call blocks until its epoch's outcome is decided (this goroutine may be
 // asked to run the epoch's publish stage itself — that is the pipeline). A
 // non-nil Conflict (with nil error) means validation failed and the caller
@@ -618,7 +645,7 @@ func (d *Database) CommitValidated(c Commit) (uint64, *Conflict, error) {
 	cur := d.snap.Load()
 	for _, side := range []map[string]*relation.Relation{c.Ins, c.Del} {
 		for name, r := range side {
-			if _, ok := cur.rels[name]; !ok {
+			if _, ok := cur.tabs[name]; !ok {
 				return 0, nil, fmt.Errorf("storage: commit touches unknown relation %q", name)
 			}
 			if r == nil {
@@ -641,9 +668,7 @@ func (d *Database) CommitValidated(c Commit) (uint64, *Conflict, error) {
 	// The enqueue event is the one tracer callback emitted while holding no
 	// lock at all (the queue is claimed, the drain has not started), so a
 	// test tracer may block here to steer commits into a shared epoch.
-	if tr := d.tr; tr != nil {
-		tr.Event(obs.Event{Kind: obs.EvTxnEnqueue, Txn: c.Label, Time: c.BaseTime})
-	}
+	d.emit(obs.Event{Kind: obs.EvTxnEnqueue, Txn: c.Label, Time: c.BaseTime})
 	if lead {
 		d.drain(p)
 	}
@@ -659,38 +684,13 @@ func (d *Database) CommitValidated(c Commit) (uint64, *Conflict, error) {
 	return p.time, p.conflict, p.err
 }
 
-// withInstalled builds the successor snapshot: the receiver's relation map
-// with the given instances (sealed on the way in) swapped, at logical time
-// t. Unchanged relations and their indexes are shared by pointer — the copy
-// is O(relations), not O(tuples). derived supplies incrementally maintained
-// index sets for changed relations; a changed relation with indexes but no
-// derived entry (bulk load) gets its indexes rebuilt from the installed
-// instance.
-func (s *Snapshot) withInstalled(changed map[string]*relation.Relation, t uint64, derived map[string]*index.Set) *Snapshot {
-	rels := make(map[string]*relation.Relation, len(s.rels)+len(changed))
-	for name, r := range s.rels {
-		rels[name] = r
-	}
-	for name, r := range changed {
-		rels[name] = r.Seal()
-	}
-	idx := s.idx
-	if len(s.idx) > 0 {
-		idx = make(map[string]*index.Set, len(s.idx))
-		for name, set := range s.idx {
-			idx[name] = set
-		}
-		for name, r := range changed {
-			if ds, ok := derived[name]; ok {
-				idx[name] = ds
-				continue
-			}
-			if old := idx[name]; old.Len() > 0 {
-				idx[name] = old.Rebuild(r)
-			}
-		}
-	}
-	return &Snapshot{sch: s.sch, rels: rels, idx: idx, time: t, lsn: s.lsn}
+// withInstalled builds the successor snapshot: the receiver's table map
+// with the changed tables swapped in, at logical time t. Unchanged tables are
+// shared — the copy is O(relations), not O(tuples).
+func (s *Snapshot) withInstalled(changed map[string]table, t uint64) *Snapshot {
+	tabs := maps.Clone(s.tabs)
+	maps.Copy(tabs, changed)
+	return &Snapshot{sch: s.sch, tabs: tabs, time: t, lsn: s.lsn}
 }
 
 // Clone returns an independent database seeded with the current snapshot.
@@ -710,7 +710,7 @@ func (d *Database) Clone() *Database {
 	c.reg = obs.NewRegistry()
 	c.met = newStoreMetrics(c.reg)
 	c.clock.Store(cur.time)
-	c.snap.Store(&Snapshot{sch: cur.sch, rels: cur.rels, idx: cur.idx, time: cur.time})
+	c.snap.Store(&Snapshot{sch: cur.sch, tabs: cur.tabs, time: cur.time})
 	return c
 }
 

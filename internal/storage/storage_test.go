@@ -274,10 +274,11 @@ func TestCommitLogKeyedByTime(t *testing.T) {
 		if want := uint64(i + 1); d.Time != want {
 			t.Errorf("delta %d has time %d, want %d", i, d.Time, want)
 		}
-		if len(d.Ins) != 1 || len(d.Del) != 0 {
-			t.Errorf("delta %d writes ins=%v del=%v, want ins of r only", i, d.Ins, d.Del)
+		w := d.writes["r"]
+		if len(d.writes) != 1 || w.del != nil {
+			t.Errorf("delta %d writes %v, want ins of r only", i, d.writes)
 		}
-		if d.Ins["r"] == nil || !d.Ins["r"].Sealed() {
+		if w.ins == nil || !w.ins.Sealed() {
 			t.Errorf("delta %d ins not recorded/sealed", i)
 		}
 	}

@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -152,5 +154,52 @@ func TestTracerSequenceSharedEpoch(t *testing.T) {
 	st := db.Stats()
 	if st.Commits != 1 || st.Conflicts != 1 || st.Epochs != 1 {
 		t.Errorf("stats = %+v, want 1 commit, 1 conflict, 1 epoch", st)
+	}
+}
+
+// panicOnceTracer panics on the first validation verdict it is shown — under
+// the commit lock, on the drainer — and is silent afterwards.
+type panicOnceTracer struct{ fired atomic.Bool }
+
+func (p *panicOnceTracer) Event(e obs.Event) {
+	if e.Kind == obs.EvTxnValidate && p.fired.CompareAndSwap(false, true) {
+		panic("tracer bug")
+	}
+}
+
+// TestTracerPanicDoesNotWedgeCommits: a tracer callback that panics inside
+// the commit pipeline loses its event and is counted; it must not unwind the
+// drainer with the commit lock held and the drainer role taken, which would
+// park every later commit for good.
+func TestTracerPanicDoesNotWedgeCommits(t *testing.T) {
+	db := New(storageSchema())
+	db.SetObservability(db.Registry(), &panicOnceTracer{})
+
+	for v := int64(1); v <= 2; v++ {
+		c := Commit{BaseTime: db.Time(), Reads: keyRead("r", intTuple(v)), Ins: mkDelta(t, db, v)}
+		errc := make(chan error, 1) // one send, never blocks the committer
+		go func() {
+			defer func() {
+				if r := recover(); r != nil {
+					errc <- fmt.Errorf("commit %d panicked: %v", v, r)
+				}
+			}()
+			ct, cf, err := db.CommitValidated(c)
+			if err != nil || cf != nil || ct != uint64(v) {
+				err = fmt.Errorf("commit %d: time=%d conflict=%v err=%v", v, ct, cf, err)
+			}
+			errc <- err
+		}()
+		select {
+		case err := <-errc:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("commit %d never returned: the commit queue is wedged", v)
+		}
+	}
+	if n := db.Registry().Counter("repro_storage_tracer_panics_total").Value(); n != 1 {
+		t.Errorf("tracer panics counted = %d, want 1", n)
 	}
 }

@@ -729,11 +729,17 @@ type ModReport struct {
 	ChecksRepaired int
 }
 
+// ErrRetriesExhausted is wrapped by Result.Err when a transaction lost
+// first-committer-wins validation on every attempt its retry budget
+// (Options.MaxCommitRetries) allowed.
+var ErrRetriesExhausted = txn.ErrRetriesExhausted
+
 // Result reports the outcome of a submitted transaction.
 type Result struct {
 	Committed   bool
 	Constraint  string // violated constraint name when integrity aborted
-	Reason      string // abort reason text, empty on commit
+	Reason      string // abort reason text (Err.Error()), empty on commit
+	Err         error  // the abort reason itself, nil on commit; wraps ErrRetriesExhausted when validation kept losing
 	Report      *ModReport
 	Inserted    int
 	Deleted     int
@@ -759,9 +765,8 @@ type Result struct {
 // and commits through first-committer-wins validation, retrying against a
 // fresh snapshot (alarm checks re-run) up to the configured bound. An
 // exhausted retry budget is reported as an aborted Result (empty
-// Constraint, Reason describing the exhausted retries — Reason is a plain
-// string, so sentinel matching with txn.ErrRetriesExhausted is not
-// available at this boundary); the database is left untouched.
+// Constraint, Err wrapping ErrRetriesExhausted); the database is left
+// untouched.
 func (db *DB) Submit(src string) (*Result, error) {
 	prog, err := lang.ParseTransaction(src, db.sch)
 	if err != nil {
@@ -874,6 +879,7 @@ func (db *DB) toResult(res *txn.Result, report *core.Report) *Result {
 		CommitTime:  res.CommitTime,
 	}
 	if res.AbortReason != nil {
+		out.Err = res.AbortReason
 		out.Reason = res.AbortReason.Error()
 		var v *algebra.ViolationError
 		if errors.As(res.AbortReason, &v) {
