@@ -285,7 +285,7 @@ func BenchmarkViewMaintenance(b *testing.B) {
 		incremental bool
 	}{{"recompute", false}, {"incremental", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			db := Open(&Options{UseDifferential: true})
+			db := Open(nil)
 			if err := db.CreateRelation(`relation orders(id int, region string, amount int)`); err != nil {
 				b.Fatal(err)
 			}

@@ -23,6 +23,7 @@ import (
 	"repro/internal/lang"
 	"repro/internal/relation"
 	"repro/internal/rules"
+	"repro/internal/schema"
 	"repro/internal/storage"
 	"repro/internal/translate"
 	"repro/internal/txn"
@@ -99,28 +100,72 @@ func runTable1() {
 	}
 }
 
-// runExample51 rebuilds the beer database and prints the modified form of
-// the paper's example transaction.
+// runExample51 rebuilds the beer database and prints the paper's modified
+// form of its example transaction — every triggered rule's full-state
+// program, from the full-state engine — and then the form the default
+// engine (repro.Open) executes: differential, with the checks the safety
+// analyzer proves unnecessary elided.
 func runExample51() {
 	fmt.Println("== Example 5.1: transaction modification ==")
+	const userTxn = `begin
+		insert(beer, values[("exportgold", "stout", "guineken", 6)]);
+	end`
 	db := repro.Open(nil)
-	db.MustCreateRelation(`relation beer(name string, type string, brewery string, alcohol int)`)
-	db.MustCreateRelation(`relation brewery(name string, city string, country string)`)
-	db.MustDefineConstraint("R1", `forall x (x in beer implies x.alcohol >= 0)`)
-	db.MustDefineRule("R2", `
+	sch := schema.MustDatabase()
+	cat := rules.NewCatalog(sch)
+	for _, ddl := range []string{
+		`relation beer(name string, type string, brewery string, alcohol int)`,
+		`relation brewery(name string, city string, country string)`,
+	} {
+		db.MustCreateRelation(ddl)
+		rs, err := lang.ParseRelationSchema(ddl)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := sch.Add(rs); err != nil {
+			log.Fatal(err)
+		}
+	}
+	const r1 = `forall x (x in beer implies x.alcohol >= 0)`
+	const r2 = `
 		if not forall x (x in beer implies
 			exists y (y in brewery and x.brewery = y.name))
 		then
 			temp := diff(project(beer, brewery), project(brewery, name));
-			insert(brewery, project(temp, #1 as name, null as city, null as country))`)
-	text, rep, err := db.Explain(`begin
-		insert(beer, values[("exportgold", "stout", "guineken", 6)]);
-	end`)
+			insert(brewery, project(temp, #1 as name, null as city, null as country))`
+	db.MustDefineConstraint("R1", r1)
+	db.MustDefineRule("R2", r2)
+	rule1, err := lang.ParseConstraintRule("R1", r1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("modified transaction (depth %d, %d -> %d statements):\n%s\n\n",
-		rep.Depth, rep.OriginalStmts, rep.FinalStmts, text)
+	rule2, err := lang.ParseRule("R2", r2, sch)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, r := range []*rules.Rule{rule1, rule2} {
+		if err := cat.Add(r); err != nil {
+			log.Fatal(err)
+		}
+	}
+
+	prog, err := lang.ParseTransaction(userTxn, sch)
+	if err != nil {
+		log.Fatal(err)
+	}
+	paper, rep, err := core.New(cat, core.Options{}).Modify(txn.Bracket(prog))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("paper's form, full-state checks (depth %d, %d -> %d statements):\n%s\n\n",
+		rep.Depth, rep.OriginalStmts, rep.FinalStmts, paper)
+
+	text, mrep, err := db.Explain(userTxn)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("default engine, differential and pruned (depth %d, %d -> %d statements, %d check(s) elided):\n%s\n\n",
+		mrep.Depth, mrep.OriginalStmts, mrep.FinalStmts, mrep.ChecksElided, text)
 }
 
 // medianOf runs fn reps times and returns the median duration.

@@ -22,7 +22,7 @@ import (
 )
 
 func main() {
-	db := repro.Open(&repro.Options{UseDifferential: true})
+	db := repro.Open(nil)
 	in := bufio.NewScanner(os.Stdin)
 	in.Buffer(make([]byte, 1024*1024), 1024*1024)
 	fmt.Println("txmod — transaction modification shell (help ;; for commands)")

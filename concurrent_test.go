@@ -19,7 +19,7 @@ import (
 // constraint on child.qty.
 func newReferentialDB(t testing.TB, nParents int) *DB {
 	t.Helper()
-	db := Open(&Options{UseDifferential: true, MaxCommitRetries: 100_000})
+	db := Open(&Options{MaxCommitRetries: 100_000})
 	db.MustCreateRelation(`relation parent(id int, name string)`)
 	db.MustCreateRelation(`relation child(id int, parent int, qty int)`)
 	db.MustDefineConstraint("referential",
@@ -72,21 +72,19 @@ func TestConcurrentSubmitStress(t *testing.T) {
 		}
 	}
 
-	results := db.ExecParallel(srcs, workers)
-
 	var commits, integrityAborts int
 	commitTimes := make([]int, 0, nTxns)
-	for _, pr := range results {
-		if pr.Err != nil {
-			t.Fatalf("submit error for %q: %v", pr.Src, pr.Err)
+	for _, s := range submitAll(db, srcs, workers) {
+		if s.err != nil {
+			t.Fatalf("submit error for %q: %v", s.src, s.err)
 		}
-		if pr.Result.Committed {
+		if s.res.Committed {
 			commits++
-			commitTimes = append(commitTimes, int(pr.Result.CommitTime))
+			commitTimes = append(commitTimes, int(s.res.CommitTime))
 			continue
 		}
-		if pr.Result.Constraint == "" {
-			t.Fatalf("non-integrity abort for %q: %s", pr.Src, pr.Result.Reason)
+		if s.res.Constraint == "" {
+			t.Fatalf("non-integrity abort for %q: %s", s.src, s.res.Reason)
 		}
 		integrityAborts++
 	}
@@ -158,9 +156,9 @@ func TestSubmitFromManyGoroutines(t *testing.T) {
 	}
 }
 
-// TestExecParallelPropagatesParseErrors: malformed sources surface as
-// per-transaction errors without disturbing the rest of the batch.
-func TestExecParallelPropagatesParseErrors(t *testing.T) {
+// TestSubmitPropagatesParseErrors: malformed sources surface as errors
+// without disturbing the transactions around them.
+func TestSubmitPropagatesParseErrors(t *testing.T) {
 	db := newReferentialDB(t, 3)
 	srcs := []string{
 		`begin insert(child, values[(1, 0, 1)]); end`,
@@ -168,18 +166,22 @@ func TestExecParallelPropagatesParseErrors(t *testing.T) {
 		`this is not a transaction`,
 		`begin insert(child, values[(2, 1, 1)]); end`,
 	}
-	results := db.ExecParallel(srcs, 2)
-	if results[0].Err != nil || !results[0].Result.Committed {
-		t.Errorf("txn 0: %+v", results[0])
+	var res [4]*Result
+	var errs [4]error
+	for i, src := range srcs {
+		res[i], errs[i] = db.Submit(src)
 	}
-	if results[1].Err == nil {
+	if errs[0] != nil || !res[0].Committed {
+		t.Errorf("txn 0: %+v %v", res[0], errs[0])
+	}
+	if errs[1] == nil {
 		t.Error("unknown relation accepted")
 	}
-	if results[2].Err == nil {
+	if errs[2] == nil {
 		t.Error("garbage accepted")
 	}
-	if results[3].Err != nil || !results[3].Result.Committed {
-		t.Errorf("txn 3: %+v", results[3])
+	if errs[3] != nil || !res[3].Committed {
+		t.Errorf("txn 3: %+v %v", res[3], errs[3])
 	}
 	if n := mustCount(t, db, "child"); n != 2 {
 		t.Errorf("child count = %d, want 2", n)
@@ -197,7 +199,7 @@ func TestSubmitRetriesExhaustedTyped(t *testing.T) {
 	const budget = 2
 	var db *DB
 	var armed atomic.Bool
-	db = Open(&Options{UseDifferential: true, MaxCommitRetries: budget, Tracer: TracerFunc(func(e TraceEvent) {
+	db = Open(&Options{MaxCommitRetries: budget, Tracer: TracerFunc(func(e TraceEvent) {
 		// Disarmed while the rival runs: its own begin event must not recurse.
 		if e.Kind != EvTxnBegin || !armed.CompareAndSwap(true, false) {
 			return

@@ -15,7 +15,7 @@ import (
 // references customer.id.
 func newOrdersDB(t testing.TB, nCustomers int) *DB {
 	t.Helper()
-	db := Open(&Options{UseDifferential: true, MaxCommitRetries: 100_000})
+	db := Open(&Options{MaxCommitRetries: 100_000})
 	db.MustCreateRelation(`relation customer(id int, name string)`)
 	db.MustCreateRelation(`relation orders(id int, customer int, total int)`)
 	db.MustDefineConstraint("order-ref",
@@ -60,19 +60,17 @@ func TestCrossShardSubmitStress(t *testing.T) {
 		}
 	}
 
-	results := db.ExecParallel(srcs, workers)
-
 	var commits, integrityAborts int
-	for _, pr := range results {
-		if pr.Err != nil {
-			t.Fatalf("submit error for %q: %v", pr.Src, pr.Err)
+	for _, s := range submitAll(db, srcs, workers) {
+		if s.err != nil {
+			t.Fatalf("submit error for %q: %v", s.src, s.err)
 		}
-		if pr.Result.Committed {
+		if s.res.Committed {
 			commits++
 			continue
 		}
-		if pr.Result.Constraint == "" {
-			t.Fatalf("non-integrity abort for %q: %s", pr.Src, pr.Result.Reason)
+		if s.res.Constraint == "" {
+			t.Fatalf("non-integrity abort for %q: %s", s.src, s.res.Reason)
 		}
 		integrityAborts++
 	}
@@ -94,11 +92,12 @@ func TestCrossShardSubmitStress(t *testing.T) {
 		t.Errorf("final state has %d dangling order references", len(rows.Data))
 	}
 
-	stats := db.CommitStats()
-	if stats.Commits != uint64(commits) {
-		t.Errorf("stats commits = %d, want %d", stats.Commits, commits)
+	counters := db.Metrics().Counters
+	if n := counters["repro_storage_commits_total"]; n != uint64(commits) {
+		t.Errorf("repro_storage_commits_total = %d, want %d", n, commits)
 	}
-	t.Logf("commits=%d integrityAborts=%d stats=%+v", commits, integrityAborts, stats)
+	t.Logf("commits=%d integrityAborts=%d conflicts=%d merged=%d", commits, integrityAborts,
+		counters["repro_storage_conflicts_total"], counters["repro_storage_merged_commits_total"])
 }
 
 // TestCrossShardMergesDisjointOrders: two order inserts against the same

@@ -10,13 +10,15 @@ import (
 	"testing"
 
 	"repro/internal/algebra"
+	"repro/internal/core"
 	"repro/internal/difftest"
 	"repro/internal/lang"
 	"repro/internal/translate"
 	"repro/internal/txn"
 )
 
-// enginePair is one pruned/unpruned engine duo fed identical input.
+// enginePair is the default (pruned) engine and the unpruned differential
+// reference engine, fed identical input.
 type enginePair struct {
 	pruned   *DB
 	unpruned *DB
@@ -25,15 +27,16 @@ type enginePair struct {
 
 func newEnginePair(t testing.TB, sc *difftest.Scenario, prunedDir, unprunedDir string) *enginePair {
 	t.Helper()
-	open := func(dir string, disable bool) *DB {
-		opts := &Options{UseDifferential: true, DisableCheckPruning: disable}
-		if dir != "" {
-			opts.Dir = dir
-			opts.Sync = SyncOff
+	open := func(dir string) *DB {
+		if dir == "" {
+			return Open(nil)
 		}
-		return Open(opts)
+		return Open(&Options{Dir: dir, Sync: SyncOff})
 	}
-	p := &enginePair{pruned: open(prunedDir, false), unpruned: open(unprunedDir, true)}
+	p := &enginePair{
+		pruned:   open(prunedDir),
+		unpruned: withEngine(open(unprunedDir), core.Options{UseDifferential: true}),
+	}
 	p.define(t, sc)
 	return p
 }
@@ -98,8 +101,8 @@ func (p *enginePair) submitBoth(t testing.TB, src string) bool {
 	if rp.Constraint != ru.Constraint {
 		t.Fatalf("divergent constraint for %q: pruned %q, unpruned %q", src, rp.Constraint, ru.Constraint)
 	}
-	if ru.ChecksElided != 0 {
-		t.Fatalf("unpruned engine elided %d checks for %q", ru.ChecksElided, src)
+	if ru.Report.ChecksElided != 0 {
+		t.Fatalf("unpruned engine elided %d checks for %q", ru.Report.ChecksElided, src)
 	}
 	p.compareStates(t, src)
 	return rp.Committed
@@ -294,7 +297,7 @@ func FuzzSafetyVerdict(f *testing.F) {
 		rng := rand.New(rand.NewSource(int64(h.Sum64())))
 		sc := difftest.Generate(rng, 1)
 
-		db := Open(&Options{UseDifferential: true})
+		db := Open(nil)
 		for _, ddl := range sc.Relations {
 			if err := db.EnsureRelation(ddl); err != nil {
 				t.Fatal(err)
@@ -345,7 +348,7 @@ func FuzzSafetyVerdict(f *testing.F) {
 			return // nothing elidable: nothing to verify
 		}
 
-		res, err := db.SubmitUnchecked(src)
+		res, err := db.exec.Exec(txn.Bracket(prog))
 		if err != nil || !res.Committed {
 			return // statement-level error: no state change to verify
 		}

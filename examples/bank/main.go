@@ -13,7 +13,7 @@ import (
 )
 
 func main() {
-	db := repro.Open(&repro.Options{UseDifferential: true})
+	db := repro.Open(nil)
 
 	db.MustCreateRelation(`relation customers(id int, name string)`)
 	db.MustCreateRelation(`relation accounts(id int, owner int, balance int)`)

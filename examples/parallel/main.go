@@ -16,6 +16,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro"
@@ -82,11 +84,12 @@ func main() {
 	concurrentSweep()
 }
 
-// concurrentSweep drives the snapshot-isolated engine with a worker pool:
-// the same batch of referential-integrity transactions is submitted through
-// 1, 2, 4 and 8 workers, spread over sharded relations so concurrent write
-// sets rarely collide (on a single-core machine the sweep stays flat; the
-// speedup needs real parallel hardware).
+// concurrentSweep drives the snapshot-isolated engine from a pool of
+// goroutines calling Submit: the same batch of referential-integrity
+// transactions is submitted through 1, 2, 4 and 8 workers, spread over
+// sharded relations so concurrent write sets rarely collide (on a
+// single-core machine the sweep stays flat; the speedup needs real
+// parallel hardware).
 func concurrentSweep() {
 	const (
 		shards  = 8
@@ -94,7 +97,7 @@ func concurrentSweep() {
 		txns    = 2000
 	)
 	mkDB := func() *repro.DB {
-		db := repro.Open(&repro.Options{UseDifferential: true, MaxCommitRetries: 1_000_000})
+		db := repro.Open(&repro.Options{MaxCommitRetries: 1_000_000})
 		db.MustCreateRelation(`relation parent(id int, name string)`)
 		rows := make([][]any, parents)
 		for i := range rows {
@@ -120,20 +123,33 @@ func concurrentSweep() {
 	fmt.Printf("%-8s %-12s %-10s %-10s\n", "workers", "txns/s", "commits", "retries")
 	for _, workers := range []int{1, 2, 4, 8} {
 		db := mkDB()
+		var commits, retries atomic.Int64
+		next := make(chan string)
+		var wg sync.WaitGroup
 		start := time.Now()
-		results := db.ExecParallel(srcs, workers)
-		elapsed := time.Since(start)
-		commits, retries := 0, 0
-		for _, pr := range results {
-			if pr.Err != nil {
-				log.Fatal(pr.Err)
-			}
-			if pr.Result.Committed {
-				commits++
-			}
-			retries += pr.Result.Retries
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for src := range next {
+					res, err := db.Submit(src)
+					if err != nil {
+						log.Fatal(err)
+					}
+					if res.Committed {
+						commits.Add(1)
+					}
+					retries.Add(int64(res.Retries))
+				}
+			}()
 		}
+		for _, src := range srcs {
+			next <- src
+		}
+		close(next)
+		wg.Wait()
+		elapsed := time.Since(start)
 		fmt.Printf("%-8d %-12.0f %-10d %-10d\n",
-			workers, float64(txns)/elapsed.Seconds(), commits, retries)
+			workers, float64(txns)/elapsed.Seconds(), commits.Load(), retries.Load())
 	}
 }

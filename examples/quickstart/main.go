@@ -50,11 +50,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nuser transaction modified (%d -> %d statements, depth %d):\n%s\n",
-		report.OriginalStmts, report.FinalStmts, report.Depth, modified)
+	fmt.Printf("\nuser transaction modified (%d -> %d statements, depth %d, %d check(s) elided):\n%s\n",
+		report.OriginalStmts, report.FinalStmts, report.Depth, report.ChecksElided, modified)
 
-	// Execute it: the alarm passes (alcohol 6 >= 0) and the compensation
-	// inserts the missing brewery "guineken".
+	// R1 was triggered but its alarm is not there: the inserted constant 6
+	// provably satisfies alcohol >= 0, and the database already satisfies
+	// R1, so the check could never fire. Executing runs R2's compensation,
+	// which inserts the missing brewery "guineken".
 	res, err := db.Submit(userTxn)
 	if err != nil {
 		log.Fatal(err)
@@ -72,6 +74,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nviolating transaction committed=%v constraint=%s\n", res.Committed, res.Constraint)
+	if res.Committed {
+		log.Fatal("a transaction violating R1 committed")
+	}
 	n, _ := db.Count("beer")
 	fmt.Printf("beer count after abort: %d (state restored)\n", n)
 

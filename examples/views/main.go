@@ -14,7 +14,7 @@ import (
 )
 
 func main() {
-	db := repro.Open(&repro.Options{UseDifferential: true})
+	db := repro.Open(nil)
 	db.MustCreateRelation(`relation orders(id int, region string, amount int)`)
 
 	// Integrity first: amounts are positive.

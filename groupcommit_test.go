@@ -22,7 +22,7 @@ func TestGroupCommitCrossShardStress(t *testing.T) {
 		workers   = 8
 		perWorker = 40
 	)
-	db := Open(&Options{UseDifferential: true, MaxCommitRetries: 1_000_000})
+	db := Open(&Options{MaxCommitRetries: 1_000_000})
 	db.MustCreateRelation(`relation acct(id int, w int)`)
 	db.MustCreateRelation(`relation audit(id int, w int)`)
 
@@ -75,15 +75,16 @@ func TestGroupCommitCrossShardStress(t *testing.T) {
 	if n := retries.Load(); n != 0 {
 		t.Errorf("disjoint writers retried %d times, want 0 (merge, don't retry)", n)
 	}
-	stats := db.CommitStats()
-	if stats.Conflicts != 0 {
-		t.Errorf("disjoint writers registered %d conflicts, want 0", stats.Conflicts)
+	stats := db.Metrics().Counters
+	commits, conflicts, epochs := stats["repro_storage_commits_total"], stats["repro_storage_conflicts_total"], stats["repro_storage_epochs_total"]
+	if conflicts != 0 {
+		t.Errorf("disjoint writers registered %d conflicts, want 0", conflicts)
 	}
-	if stats.Commits < workers*perWorker {
-		t.Errorf("commit counter %d below the %d submitted transactions", stats.Commits, workers*perWorker)
+	if commits < workers*perWorker {
+		t.Errorf("commit counter %d below the %d submitted transactions", commits, workers*perWorker)
 	}
-	if stats.Epochs == 0 || stats.Epochs > stats.Commits {
-		t.Errorf("epochs=%d commits=%d: every commit must land in exactly one epoch", stats.Epochs, stats.Commits)
+	if epochs == 0 || epochs > commits {
+		t.Errorf("epochs=%d commits=%d: every commit must land in exactly one epoch", epochs, commits)
 	}
 
 	// Deterministic merge proof (the concurrent phase can't guarantee two
@@ -103,7 +104,7 @@ func TestGroupCommitCrossShardStress(t *testing.T) {
 		tup := relation.Tuple{value.Int(id), value.Int(-1)}
 		return map[string]*storage.ReadInfo{"acct": {Keys: map[string]bool{tup.Key(): true}}}
 	}
-	pre := db.CommitStats()
+	pre := db.Metrics().Counters
 	base := db.LogicalTime()
 	for _, id := range []int64{1_000_001, 1_000_002} {
 		if _, conflict, err := db.store.CommitValidated(storage.Commit{
@@ -112,14 +113,13 @@ func TestGroupCommitCrossShardStress(t *testing.T) {
 			t.Fatalf("same-base disjoint commit %d: conflict=%v err=%v", id, conflict, err)
 		}
 	}
-	post := db.CommitStats()
-	if post.MergedCommits <= pre.MergedCommits {
-		t.Errorf("same-base disjoint writers did not merge: merged %d -> %d", pre.MergedCommits, post.MergedCommits)
+	post := db.Metrics().Counters
+	const merged = "repro_storage_merged_commits_total"
+	if post[merged] <= pre[merged] {
+		t.Errorf("same-base disjoint writers did not merge: merged %d -> %d", pre[merged], post[merged])
 	}
-	if post.Conflicts != pre.Conflicts {
-		t.Errorf("same-base disjoint writers conflicted: %d -> %d", pre.Conflicts, post.Conflicts)
-	}
-	if post.TxnsPerEpoch < 1 {
-		t.Errorf("TxnsPerEpoch = %v, want >= 1", post.TxnsPerEpoch)
+	if post["repro_storage_conflicts_total"] != pre["repro_storage_conflicts_total"] {
+		t.Errorf("same-base disjoint writers conflicted: %d -> %d",
+			pre["repro_storage_conflicts_total"], post["repro_storage_conflicts_total"])
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestOptionsValidation(t *testing.T) {
@@ -19,7 +21,6 @@ func TestOptionsValidation(t *testing.T) {
 		want string // substring of the error
 	}{
 		{"negative retries", Options{MaxCommitRetries: -3}, "MaxCommitRetries"},
-		{"negative depth", Options{MaxModificationDepth: -1}, "MaxModificationDepth"},
 		{"malformed index decl", Options{Indexes: []string{"child"}}, "malformed"},
 		{"empty index attrs", Options{Indexes: []string{"child()"}}, "child()"},
 		{"repeated index attr", Options{Indexes: []string{"child(a, a)"}}, "repeats"},
@@ -105,7 +106,7 @@ func TestIndexedSelectNegativeZero(t *testing.T) {
 }
 
 func TestAutoIndexFromReferentialConstraint(t *testing.T) {
-	db := Open(&Options{UseDifferential: true, AutoIndex: true})
+	db := Open(&Options{AutoIndex: true})
 	db.MustCreateRelation(`relation parent(id int, name string)`)
 	db.MustCreateRelation(`relation child(id int, parent int, qty int)`)
 	db.MustDefineConstraint("referential",
@@ -125,7 +126,7 @@ func TestAutoIndexFromReferentialConstraint(t *testing.T) {
 // and its differential referential check run entirely on probes, and the
 // Result reports them.
 func TestSubmitProbesInsteadOfScans(t *testing.T) {
-	db := Open(&Options{UseDifferential: true, AutoIndex: true})
+	db := Open(&Options{AutoIndex: true})
 	db.MustCreateRelation(`relation parent(id int, name string)`)
 	db.MustCreateRelation(`relation child(id int, parent int, qty int)`)
 	db.MustDefineConstraint("referential",
@@ -257,9 +258,9 @@ func TestOrderedIndexDeclarations(t *testing.T) {
 // the probe agrees with the scan path, and a threshold-guarded alarm still
 // aborts a violating transaction through the probed check.
 func TestSubmitRangeProbes(t *testing.T) {
-	// Pruning off: the benign qty = qty + 1 update below is provably safe
-	// and would elide the probed check this test pins.
-	db := Open(&Options{UseDifferential: true, AutoIndex: true, Indexes: []string{"stock(id)"}, DisableCheckPruning: true})
+	// The unpruned engine: the benign qty = qty + 1 update below is provably
+	// safe and would elide the probed check this test pins.
+	db := withEngine(Open(&Options{AutoIndex: true, Indexes: []string{"stock(id)"}}), core.Options{UseDifferential: true})
 	db.MustCreateRelation(`relation stock(id int, qty int)`)
 	// There must always be at least one well-stocked item: an existential
 	// constraint whose check selects stock by a threshold comparison. With
@@ -359,20 +360,18 @@ const rangeSentinel = 1_000_000
 // enforcement check selects stock by comparison. With indexed=true the
 // update predicates probe declared stock(id) hash indexes and the checks
 // range-probe auto-built stock(qty) ordered indexes; with indexed=false the
-// same transactions scan, which is the benchmark's before/after contrast.
-// With prune=false the monotone qty = qty + 1 updates would elide the probed
-// checks entirely, so the tests pinning the range-probe machinery pass false;
-// the safe-heavy benchmark workload passes true to measure exactly that
-// elision.
-func newRangeAlarmDB(t testing.TB, nShards, lowRows int, indexed, prune bool) *DB {
+// same transactions scan. The database runs the unpruned engine: pruning
+// would elide the probed checks of the monotone qty = qty + 1 updates
+// entirely, and the range-probe machinery is what the callers pin.
+func newRangeAlarmDB(t testing.TB, nShards, lowRows int, indexed bool) *DB {
 	t.Helper()
-	opts := &Options{UseDifferential: true, AutoIndex: indexed, MaxCommitRetries: 1_000_000, DisableCheckPruning: !prune}
+	opts := &Options{AutoIndex: indexed, MaxCommitRetries: 1_000_000}
 	if indexed {
 		for s := 0; s < nShards; s++ {
 			opts.Indexes = append(opts.Indexes, fmt.Sprintf("stock%d(id)", s))
 		}
 	}
-	db := Open(opts)
+	db := withEngine(Open(opts), core.Options{UseDifferential: true})
 	rows := make([][]any, 0, lowRows+1)
 	for i := 0; i < lowRows; i++ {
 		rows = append(rows, []any{i, i % 100})
@@ -402,7 +401,7 @@ func TestRangeProbeCrossShardStress(t *testing.T) {
 		lowRows   = 400
 		perWorker = 60
 	)
-	db := newRangeAlarmDB(t, nShards, lowRows, true, false)
+	db := newRangeAlarmDB(t, nShards, lowRows, true)
 	var wg sync.WaitGroup
 	errs := make(chan error, 2*nShards*perWorker)
 	// Two workers per stock relation, updating disjoint id halves: their
@@ -439,9 +438,9 @@ func TestRangeProbeCrossShardStress(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	stats := db.CommitStats()
-	if stats.Conflicts != 0 {
-		t.Errorf("Conflicts = %d, want 0", stats.Conflicts)
+	stats := db.Metrics().Counters
+	if n := stats["repro_storage_conflicts_total"]; n != 0 {
+		t.Errorf("conflicts = %d, want 0", n)
 	}
 	for s := 0; s < nShards; s++ {
 		if n, err := db.Count(fmt.Sprintf("stock%d", s)); err != nil || n != lowRows+1 {
@@ -463,7 +462,7 @@ func TestRangeProbeCrossShardStress(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("merged commits: %d of %d", stats.MergedCommits, stats.Commits)
+	t.Logf("merged commits: %d of %d", stats["repro_storage_merged_commits_total"], stats["repro_storage_commits_total"])
 }
 
 // newAlarmDB builds the selective-alarm workload: nShards child relations
@@ -477,7 +476,7 @@ const spareBase = 1_000_000
 
 func newAlarmDB(t testing.TB, nShards, nParents, childRows, nSpares int, indexed bool) *DB {
 	t.Helper()
-	db := Open(&Options{UseDifferential: true, AutoIndex: indexed, MaxCommitRetries: 1_000_000})
+	db := Open(&Options{AutoIndex: indexed, MaxCommitRetries: 1_000_000})
 	db.MustCreateRelation(`relation parent(id int, name string)`)
 	rows := make([][]any, 0, nParents+nSpares)
 	for i := 0; i < nParents; i++ {
@@ -522,29 +521,28 @@ func TestDisjointAlarmProbesNoRetry(t *testing.T) {
 	for i := range srcs {
 		srcs[i] = fmt.Sprintf(`begin delete(parent, select(parent, id = %d)); end`, spareBase+i)
 	}
-	results := db.ExecParallel(srcs, workers)
-	for _, pr := range results {
-		if pr.Err != nil {
-			t.Fatal(pr.Err)
+	for _, s := range submitAll(db, srcs, workers) {
+		if s.err != nil {
+			t.Fatal(s.err)
 		}
-		if !pr.Result.Committed {
-			t.Fatalf("disjoint delete aborted: %s", pr.Result.Reason)
+		if !s.res.Committed {
+			t.Fatalf("disjoint delete aborted: %s", s.res.Reason)
 		}
-		if pr.Result.Retries != 0 {
-			t.Fatalf("disjoint probed delete retried %d times (conflict footprint too wide)", pr.Result.Retries)
+		if s.res.Retries != 0 {
+			t.Fatalf("disjoint probed delete retried %d times (conflict footprint too wide)", s.res.Retries)
 		}
-		if pr.Result.Probes == 0 {
+		if s.res.Probes == 0 {
 			t.Fatal("delete ran without probes despite indexes")
 		}
 	}
-	stats := db.CommitStats()
-	if stats.Conflicts != 0 {
-		t.Errorf("Conflicts = %d, want 0", stats.Conflicts)
+	stats := db.Metrics().Counters
+	if n := stats["repro_storage_conflicts_total"]; n != 0 {
+		t.Errorf("conflicts = %d, want 0", n)
 	}
 	if n, err := db.Count("parent"); err != nil || n != 50 {
 		t.Errorf("parent count = %d (err %v), want 50", n, err)
 	}
-	t.Logf("merged commits: %d of %d", stats.MergedCommits, stats.Commits)
+	t.Logf("merged commits: %d of %d", stats["repro_storage_merged_commits_total"], stats["repro_storage_commits_total"])
 }
 
 // TestIndexedProbeCrossShardStress exercises concurrent indexed probes

@@ -17,7 +17,7 @@
 //     compensating ones — to the program;
 //  5. recursion (ModP): the appended statements may raise new triggers, so
 //     steps 2-4 repeat on the appendix until a fixpoint, bounded by
-//     MaxDepth as a backstop against cyclic rule sets;
+//     DefaultMaxDepth as a backstop against cyclic rule sets;
 //  6. rebracket (↑): the extended program becomes the transaction that
 //     actually executes.
 //

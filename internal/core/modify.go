@@ -25,8 +25,6 @@ type Options struct {
 	// Dynamic re-translates rules at each modification instead of using the
 	// precompiled integrity programs (Algorithm 5.1 verbatim).
 	Dynamic bool
-	// MaxDepth overrides DefaultMaxDepth when positive.
-	MaxDepth int
 	// Prune runs the static safety analyzer (translate.AnalyzeSafety) per
 	// selected rule and appends only the checks the transaction's statement
 	// shapes require; a fully safe verdict appends nothing, so the check
@@ -47,9 +45,6 @@ type Subsystem struct {
 
 // New returns a subsystem over the catalog.
 func New(cat *rules.Catalog, opts Options) *Subsystem {
-	if opts.MaxDepth <= 0 {
-		opts.MaxDepth = DefaultMaxDepth
-	}
 	return &Subsystem{cat: cat, opts: opts}
 }
 
@@ -123,8 +118,8 @@ func (s *Subsystem) Modify(t *txn.Transaction) (*txn.Transaction, *Report, error
 
 // modP implements ModP: P if nothing is triggered, else P ⊕ ModP(TrigP(P)).
 func (s *Subsystem) modP(p algebra.Program, depth int, report *Report) (algebra.Program, error) {
-	if depth >= s.opts.MaxDepth {
-		return nil, fmt.Errorf("core: modification exceeded depth %d; the rule set has a triggering cycle (see the triggering graph analysis in package graph)", s.opts.MaxDepth)
+	if depth >= DefaultMaxDepth {
+		return nil, fmt.Errorf("core: modification exceeded depth %d; the rule set has a triggering cycle (see the triggering graph analysis in package graph)", DefaultMaxDepth)
 	}
 	triggered, step, err := s.trigP(p)
 	if err != nil {
@@ -334,16 +329,6 @@ func unwrapStmts(p algebra.Program) []algebra.Stmt {
 	out := make([]algebra.Stmt, len(p))
 	for i, st := range p {
 		out[i] = unwrapStmt(st)
-	}
-	return out
-}
-
-// Classes returns the constraint classes enforced by the catalog, for
-// reporting.
-func (s *Subsystem) Classes() map[string][]translate.Class {
-	out := make(map[string][]translate.Class, s.cat.Len())
-	for _, ip := range s.cat.Programs() {
-		out[ip.RuleName] = ip.Classes
 	}
 	return out
 }

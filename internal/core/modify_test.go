@@ -346,7 +346,7 @@ func TestDepthGuardReportsCycle(t *testing.T) {
 		t.Fatalf("add B: %v", err)
 	}
 
-	sub := New(cat, Options{MaxDepth: 8})
+	sub := New(cat, Options{})
 	userTxn := txn.New(&algebra.Insert{Rel: "beer", Src: algebra.NewLit(
 		mustRelSchema(sch, "beer"), beerTuple("x", "y", "z", 1))})
 	_, _, err := sub.Modify(userTxn)
@@ -381,7 +381,7 @@ func TestNonTriggeringBreaksCycle(t *testing.T) {
 		t.Fatalf("add: %v", err)
 	}
 
-	sub := New(cat, Options{MaxDepth: 8})
+	sub := New(cat, Options{})
 	userTxn := txn.New(&algebra.Insert{Rel: "beer", Src: algebra.NewLit(
 		mustRelSchema(sch, "beer"), beerTuple("a", "b", "c", 1))})
 	modified, report, err := sub.Modify(userTxn)

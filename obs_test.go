@@ -162,9 +162,9 @@ func TestObsOverheadGuard(t *testing.T) {
 				srcs[i] = fmt.Sprintf(`begin insert(child%d, values[(%d, %d, 1)]); end`, i%4, i, i%100)
 			}
 			b.ResetTimer()
-			for _, pr := range db.ExecParallel(srcs, 8) {
-				if pr.Err != nil {
-					b.Fatal(pr.Err)
+			for _, s := range submitAll(db, srcs, 8) {
+				if s.err != nil {
+					b.Fatal(s.err)
 				}
 			}
 		})
@@ -189,7 +189,7 @@ func TestObsOverheadGuard(t *testing.T) {
 func newShardedDB(b *testing.B, shards, parents int) *DB {
 	const childRows = 4000
 	b.Helper()
-	db := Open(&Options{UseDifferential: true, MaxCommitRetries: 1_000_000})
+	db := Open(&Options{MaxCommitRetries: 1_000_000})
 	if err := db.CreateRelation(`relation parent(id int, name string)`); err != nil {
 		b.Fatal(err)
 	}

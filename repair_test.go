@@ -92,7 +92,7 @@ func (g *gateTracer) Event(e obs.Event) {
 // unrepaired value.
 func TestRepairedTxnRetriesAsOneUnit(t *testing.T) {
 	tr := newGateTracer()
-	db := Open(&Options{UseDifferential: true, Tracer: tr})
+	db := Open(&Options{Tracer: tr})
 	db.MustCreateRelation(`relation stock(id int, qty int)`)
 	db.MustDefineConstraint("nonneg",
 		`forall x (x in stock implies x.qty >= 0) on violation clamp`)
@@ -127,7 +127,7 @@ func TestRepairedTxnRetriesAsOneUnit(t *testing.T) {
 		if !o.res.Committed {
 			t.Fatalf("decrement aborted: %s", o.res.Reason)
 		}
-		if o.res.ChecksRepaired == 0 {
+		if o.res.Report.ChecksRepaired == 0 {
 			t.Fatal("repaired transaction reported ChecksRepaired = 0")
 		}
 	}
@@ -157,7 +157,7 @@ func TestRepairedTxnRetriesAsOneUnit(t *testing.T) {
 // deletes must maintain ord's secondary index within the same commit epoch:
 // an indexed probe immediately afterwards finds no ghost rows.
 func TestRepairCascadeUpdatesIndexesSameEpoch(t *testing.T) {
-	db := Open(&Options{UseDifferential: true, Indexes: []string{"ord(item)"}})
+	db := Open(&Options{Indexes: []string{"ord(item)"}})
 	db.MustCreateRelation(`relation item(id int, qty int)`)
 	db.MustCreateRelation(`relation ord(id int, item int, n int)`)
 	db.MustDefineConstraint("fk",
@@ -178,7 +178,7 @@ func TestRepairCascadeUpdatesIndexesSameEpoch(t *testing.T) {
 	if !res.Committed {
 		t.Fatalf("cascade delete aborted: %s", res.Reason)
 	}
-	if res.ChecksRepaired == 0 {
+	if res.Report.ChecksRepaired == 0 {
 		t.Fatal("delete of a referenced item reported no repair")
 	}
 
@@ -205,7 +205,7 @@ func TestRepairCascadeUpdatesIndexesSameEpoch(t *testing.T) {
 // enqueue, validate-OK and commit, in that order, with no retry.
 func TestRepairReadSetAndTraceSequence(t *testing.T) {
 	tr := &seqTracer{}
-	db := Open(&Options{UseDifferential: true, Tracer: tr})
+	db := Open(&Options{Tracer: tr})
 	db.MustCreateRelation(`relation stock(id int, qty int)`)
 	db.MustDefineConstraint("nonneg",
 		`forall x (x in stock implies x.qty >= 0) on violation clamp`)
@@ -218,9 +218,9 @@ func TestRepairReadSetAndTraceSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Committed || res.ChecksRepaired == 0 {
+	if !res.Committed || res.Report.ChecksRepaired == 0 {
 		t.Fatalf("want a committed, repaired transaction; got committed=%v repaired=%d reason=%q",
-			res.Committed, res.ChecksRepaired, res.Reason)
+			res.Committed, res.Report.ChecksRepaired, res.Reason)
 	}
 
 	events := tr.snapshot()[before:]

@@ -35,10 +35,8 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/algebra"
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/index"
@@ -84,27 +82,12 @@ func (p SyncPolicy) wal() wal.SyncPolicy {
 	}
 }
 
-// Options configure a database's integrity control subsystem.
+// Options configure a database. Enforcement has no options (see Open).
 type Options struct {
-	// UseDifferential enables the delta-based enforcement programs derived
-	// by the rule optimizer (checks read ins(R)/del(R) instead of full
-	// relations where sound).
+	// UseDifferential is ignored: enforcement is always differential. The
+	// field remains only because benchmarks/txbench still sets it, and goes
+	// when that package is next changed.
 	UseDifferential bool
-	// DisableCheckPruning turns off the static safety analyzer that elides
-	// enforcement checks a transaction's statement shapes provably cannot
-	// make fire (relation-footprint disjointness and monotone-direction
-	// analysis; see docs/ARCHITECTURE.md). Pruning is on by default and
-	// only active together with UseDifferential — it selects among the
-	// differential side checks and shares their base-consistency
-	// assumption. Exists for ablations and the differential test harness.
-	DisableCheckPruning bool
-	// DynamicTranslation re-translates rules at every modification
-	// (Algorithm 5.1 verbatim) instead of using precompiled integrity
-	// programs (Algorithm 6.2). Slower; exists for the ablation.
-	DynamicTranslation bool
-	// MaxModificationDepth bounds the modification recursion; 0 means the
-	// default (32).
-	MaxModificationDepth int
 	// MaxCommitRetries bounds how often a transaction losing optimistic
 	// commit validation is re-executed against a fresh snapshot; 0 means
 	// the default (txn.DefaultMaxRetries).
@@ -129,6 +112,9 @@ type Options struct {
 	// probes the referencing one — and ordered indexes from the
 	// comparison-guarded attributes of domain and existential constraints,
 	// so threshold-guarded alarm checks range-probe instead of scanning.
+	// It stays opt-in because indexes cost setup time and memory a workload
+	// may not earn back: the benchmark's point_indexed workload sets it,
+	// scan_unindexed does not.
 	AutoIndex bool
 	// Dir, when non-empty, makes the database durable: every committed
 	// group-commit epoch is appended to a write-ahead log under Dir and made
@@ -169,10 +155,10 @@ type Options struct {
 	Tracer obs.Tracer
 }
 
-// Validate reports the first invalid option: negative retry or depth
-// bounds (zero always means "use the default"), or a malformed index
-// declaration. Open panics on invalid options; OpenChecked returns the
-// error instead.
+// Validate reports the first invalid option: a negative retry bound (zero
+// means "use the default"), a durability option without Dir, or a
+// malformed index declaration. Open panics on invalid options; OpenChecked
+// returns the error instead.
 func (o *Options) Validate() error {
 	if o == nil {
 		return nil
@@ -180,10 +166,6 @@ func (o *Options) Validate() error {
 	if o.MaxCommitRetries < 0 {
 		return fmt.Errorf("repro: Options.MaxCommitRetries must be positive (or 0 for the default %d), got %d",
 			txn.DefaultMaxRetries, o.MaxCommitRetries)
-	}
-	if o.MaxModificationDepth < 0 {
-		return fmt.Errorf("repro: Options.MaxModificationDepth must be positive (or 0 for the default), got %d",
-			o.MaxModificationDepth)
 	}
 	if o.Sync < SyncAlways || o.Sync > SyncOff {
 		return fmt.Errorf("repro: Options.Sync must be SyncAlways, SyncBatched or SyncOff, got %d", o.Sync)
@@ -205,33 +187,9 @@ func (o *Options) Validate() error {
 	return nil
 }
 
-// CommitStats reports the engine's commit-sequencer counters.
-type CommitStats struct {
-	// Commits counts installed commits (including read-only ones, which
-	// still advance the logical clock).
-	Commits uint64
-	// Conflicts counts first-committer-wins validation failures; each one
-	// made some transaction re-execute against a fresh snapshot.
-	Conflicts uint64
-	// MergedCommits counts commits that overlapped a concurrent writer of
-	// the same relation on disjoint tuples and were installed by delta
-	// merging instead of retrying — the commits relation-granular
-	// validation would have rejected.
-	MergedCommits uint64
-	// Epochs counts group-commit epochs that installed at least one commit;
-	// each epoch is one snapshot swap shared by its whole batch.
-	Epochs uint64
-	// TxnsPerEpoch is Commits/Epochs — the mean batch size the group-commit
-	// sequencer achieved (0 before any commit).
-	TxnsPerEpoch float64
-	// IntraBatchMerges counts commits that merged with a disjoint co-writer
-	// inside their own epoch (a subset of MergedCommits).
-	IntraBatchMerges uint64
-}
-
 // DB is a main-memory database with integrity control. Transactions run
 // under snapshot isolation with optimistic, first-committer-wins commit
-// validation, so Submit, ExecParallel, Query and the
+// validation, so Submit, Query and the
 // other read accessors are safe to call from any number of goroutines once
 // the schema is set up. Definition calls — CreateRelation, DefineConstraint,
 // DefineRule, DefineView, DropRule — mutate the shared schema and rule
@@ -252,10 +210,13 @@ type DB struct {
 	viewNames map[string]bool
 }
 
-// Open creates an empty database. A nil opts selects the defaults
-// (precompiled rules, full-state checks). Invalid options — negative
-// bounds, malformed index declarations — panic with a descriptive error;
-// use OpenChecked to receive the error instead.
+// Open creates an empty database; a nil opts selects the defaults. Every
+// database enforces its rules one way: precompiled programs in their
+// differential form (checks read the inserted and deleted tuples, not whole
+// relations, where sound), minus each check the static safety analyzer
+// proves the transaction cannot make fire. Both assume the state before each
+// transaction satisfies every constraint. Invalid options panic with a
+// descriptive error; use OpenChecked to receive the error instead.
 func Open(opts *Options) *DB {
 	db, err := OpenChecked(opts)
 	if err != nil {
@@ -319,8 +280,8 @@ func OpenChecked(opts *Options) (*DB, error) {
 		exec:  exec,
 		cat:   cat,
 		opts:  o,
+		sub:   core.New(cat, core.Options{UseDifferential: true, Prune: true}),
 	}
-	db.sub = core.New(cat, db.coreOptions())
 	db.elidedTotal = store.Registry().Counter("repro_txn_checks_elided_total")
 	db.repairedTotal = store.Registry().Counter("repro_txn_checks_repaired_total")
 	if o.Dir != "" {
@@ -396,15 +357,6 @@ func (db *DB) applyDeclaredIndexes() error {
 	return nil
 }
 
-func (db *DB) coreOptions() core.Options {
-	return core.Options{
-		UseDifferential: db.opts.UseDifferential,
-		Dynamic:         db.opts.DynamicTranslation,
-		MaxDepth:        db.opts.MaxModificationDepth,
-		Prune:           !db.opts.DisableCheckPruning,
-	}
-}
-
 // CreateRelation declares a relation from DDL text:
 // "relation beer(name string, type string, brewery string, alcohol int)".
 // Types: int, float, string, bool. Declarations in Options.Indexes naming
@@ -473,14 +425,6 @@ func (db *DB) CreateIndex(decl string) error {
 		return db.store.DefineOrderedIndex(rel, cols)
 	}
 	return db.store.DefineIndex(rel, cols)
-}
-
-// MustCreateIndex is CreateIndex that panics on error; for examples and
-// tests.
-func (db *DB) MustCreateIndex(decl string) {
-	if err := db.CreateIndex(decl); err != nil {
-		panic(err)
-	}
 }
 
 // Indexes returns the defined secondary indexes as "relation(attr, ...)"
@@ -575,7 +519,9 @@ func (db *DB) Close() error { return db.store.Close() }
 
 // DefineConstraint registers a bare CL constraint with the default aborting
 // response (the paper's "default way" of Section 4). The trigger set is
-// generated from the condition.
+// generated from the condition. Enforcement assumes the current state
+// already satisfies the constraint: existing contents are not checked, and
+// loaded or pre-existing violations are not detected.
 func (db *DB) DefineConstraint(name, condition string) error {
 	r, err := lang.ParseConstraintRule(name, condition)
 	if err != nil {
@@ -596,6 +542,9 @@ func (db *DB) MustDefineConstraint(name, condition string) {
 //	[when INS(r), DEL(s)]
 //	if not <CL condition>
 //	then abort | [nontriggering] <program>
+//
+// As with DefineConstraint, enforcement assumes the current state already
+// satisfies the condition; pre-existing violations are not detected.
 func (db *DB) DefineRule(name, rl string) error {
 	r, err := lang.ParseRule(name, rl, db.sch)
 	if err != nil {
@@ -692,14 +641,15 @@ func (db *DB) RuleTriggers(name string) (string, error) {
 	return ip.Triggers.String(), nil
 }
 
-// EnforcementProgram returns the compiled enforcement program text of a rule
-// under the database's current strategy, for inspection.
+// EnforcementProgram returns the compiled differential enforcement program
+// text of a rule, for inspection; a transaction receives the parts of it
+// the safety analyzer cannot prove unnecessary (see Explain).
 func (db *DB) EnforcementProgram(name string) (string, error) {
 	ip, ok := db.cat.Program(name)
 	if !ok {
 		return "", fmt.Errorf("repro: unknown rule %q", name)
 	}
-	return ip.Program(db.opts.UseDifferential).String(), nil
+	return ip.Program(true).String(), nil
 }
 
 // ValidateRules analyzes the triggering graph (Definition 6.1) and returns
@@ -737,22 +687,16 @@ var ErrRetriesExhausted = txn.ErrRetriesExhausted
 // Result reports the outcome of a submitted transaction.
 type Result struct {
 	Committed   bool
-	Constraint  string // violated constraint name when integrity aborted
-	Reason      string // abort reason text (Err.Error()), empty on commit
-	Err         error  // the abort reason itself, nil on commit; wraps ErrRetriesExhausted when validation kept losing
-	Report      *ModReport
+	Constraint  string     // violated constraint name when integrity aborted
+	Reason      string     // abort reason text (Err.Error()), empty on commit
+	Err         error      // the abort reason itself, nil on commit; wraps ErrRetriesExhausted when validation kept losing
+	Report      *ModReport // what modification did, checks elided and repaired included; never nil
 	Inserted    int
 	Deleted     int
 	Probes      int    // secondary-index probes issued instead of scans (key + range)
 	RangeProbes int    // ordered-index range probes among Probes, each recording an interval read
 	Retries     int    // conflict-induced re-executions before the outcome
 	CommitTime  uint64 // logical time of the installed state; 0 if aborted
-	// ChecksElided counts enforcement checks the static safety analyzer
-	// proved unnecessary for this transaction (also in Report).
-	ChecksElided int
-	// ChecksRepaired counts repair programs appended to this transaction
-	// by constraints with an "on violation" clause (also in Report).
-	ChecksRepaired int
 }
 
 // Submit parses "begin ... end" transaction text, modifies it under the
@@ -772,105 +716,27 @@ func (db *DB) Submit(src string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return db.submit(txn.Bracket(prog), true)
-}
-
-// SubmitUnchecked executes transaction text without integrity control; the
-// cost floor used by benchmarks, and deliberately dangerous otherwise.
-func (db *DB) SubmitUnchecked(src string) (*Result, error) {
-	prog, err := lang.ParseTransaction(src, db.sch)
+	t, rep, err := db.sub.Modify(txn.Bracket(prog))
 	if err != nil {
 		return nil, err
 	}
-	return db.submit(txn.Bracket(prog), false)
-}
-
-// SubmitPostHoc executes transaction text with the post-hoc baseline: the
-// transaction runs unmodified, followed by the full-state alarm of every
-// rule (or, triggerAware, of every rule its statements trigger). Compensating
-// rules are rejected (their corrective updates only exist under transaction
-// modification).
-func (db *DB) SubmitPostHoc(src string, triggerAware bool) (*Result, error) {
-	prog, err := lang.ParseTransaction(src, db.sch)
-	if err != nil {
-		return nil, err
+	if rep.ChecksElided > 0 {
+		db.elidedTotal.Add(uint64(rep.ChecksElided))
 	}
-	res, err := baseline.NewPostHoc(db.cat, triggerAware).Exec(db.exec, txn.Bracket(prog))
-	if err != nil {
-		return nil, err
-	}
-	return db.toResult(res, nil), nil
-}
-
-// ParallelResult pairs a transaction submitted through ExecParallel with
-// its outcome. Err is non-nil only for malformed input (parse or type
-// errors); integrity aborts and retry exhaustion are reported in Result.
-type ParallelResult struct {
-	Src    string
-	Result *Result
-	Err    error
-}
-
-// ExecParallel submits the transactions through a pool of `workers`
-// goroutines and returns per-transaction results in input order. Each
-// transaction is modified, executed against its own snapshot, and committed
-// via optimistic validation with bounded retries; the set of committed
-// transactions is serializable in some order, so no committed state can
-// violate a defined constraint. workers < 1 means one worker.
-func (db *DB) ExecParallel(srcs []string, workers int) []ParallelResult {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(srcs) {
-		workers = len(srcs)
-	}
-	out := make([]ParallelResult, len(srcs))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				res, err := db.Submit(srcs[i])
-				out[i] = ParallelResult{Src: srcs[i], Result: res, Err: err}
-			}
-		}()
-	}
-	for i := range srcs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return out
-}
-
-func (db *DB) submit(t *txn.Transaction, withIntegrity bool) (*Result, error) {
-	var report *core.Report
-	if withIntegrity {
-		modified, rep, err := db.sub.Modify(t)
-		if err != nil {
-			return nil, err
-		}
-		t = modified
-		report = rep
-		if rep.ChecksElided > 0 {
-			db.elidedTotal.Add(uint64(rep.ChecksElided))
-		}
-		if rep.ChecksRepaired > 0 {
-			db.repairedTotal.Add(uint64(rep.ChecksRepaired))
-		}
+	if rep.ChecksRepaired > 0 {
+		db.repairedTotal.Add(uint64(rep.ChecksRepaired))
 	}
 	res, err := db.exec.Exec(t)
 	if err != nil {
 		return nil, err
 	}
-	return db.toResult(res, report), nil
+	return toResult(res, rep), nil
 }
 
-func (db *DB) toResult(res *txn.Result, report *core.Report) *Result {
+func toResult(res *txn.Result, rep *core.Report) *Result {
 	out := &Result{
 		Committed:   res.Committed,
+		Report:      modReport(rep),
 		Inserted:    res.Stats.TuplesInserted,
 		Deleted:     res.Stats.TuplesDeleted,
 		Probes:      res.Stats.IndexProbes + res.Stats.RangeProbes,
@@ -886,19 +752,18 @@ func (db *DB) toResult(res *txn.Result, report *core.Report) *Result {
 			out.Constraint = v.Constraint
 		}
 	}
-	if report != nil {
-		out.ChecksElided = report.ChecksElided
-		out.ChecksRepaired = report.ChecksRepaired
-		out.Report = &ModReport{
-			Depth:          report.Depth,
-			OriginalStmts:  report.OriginalStmts,
-			FinalStmts:     report.FinalStmts,
-			RulesTriggered: report.RulesTriggered,
-			ChecksElided:   report.ChecksElided,
-			ChecksRepaired: report.ChecksRepaired,
-		}
-	}
 	return out
+}
+
+func modReport(rep *core.Report) *ModReport {
+	return &ModReport{
+		Depth:          rep.Depth,
+		OriginalStmts:  rep.OriginalStmts,
+		FinalStmts:     rep.FinalStmts,
+		RulesTriggered: rep.RulesTriggered,
+		ChecksElided:   rep.ChecksElided,
+		ChecksRepaired: rep.ChecksRepaired,
+	}
 }
 
 // Explain returns the modified form of a transaction without executing it.
@@ -911,14 +776,7 @@ func (db *DB) Explain(src string) (string, *ModReport, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	return modified.String(), &ModReport{
-		Depth:          rep.Depth,
-		OriginalStmts:  rep.OriginalStmts,
-		FinalStmts:     rep.FinalStmts,
-		RulesTriggered: rep.RulesTriggered,
-		ChecksElided:   rep.ChecksElided,
-		ChecksRepaired: rep.ChecksRepaired,
-	}, nil
+	return modified.String(), modReport(rep), nil
 }
 
 // Rows is a query result: column names plus row data as native Go values
@@ -973,23 +831,6 @@ func (db *DB) Relations() []string { return db.sch.Names() }
 
 // LogicalTime returns the number of committed transactions.
 func (db *DB) LogicalTime() uint64 { return db.store.Time() }
-
-// CommitStats returns a snapshot of the commit-sequencer counters: installed
-// commits, validation conflicts and delta-merged commits. Safe to call concurrently with submissions.
-func (db *DB) CommitStats() CommitStats {
-	s := db.store.Stats()
-	out := CommitStats{
-		Commits:          s.Commits,
-		Conflicts:        s.Conflicts,
-		MergedCommits:    s.MergedCommits,
-		Epochs:           s.Epochs,
-		IntraBatchMerges: s.IntraBatchMerges,
-	}
-	if s.Epochs > 0 {
-		out.TxnsPerEpoch = float64(s.Commits) / float64(s.Epochs)
-	}
-	return out
-}
 
 // Metrics returns a point-in-time snapshot of every engine metric — the
 // registry passed as Options.Metrics, or the database's private one. Safe to
@@ -1068,7 +909,9 @@ const (
 
 // Load bulk-inserts rows into a relation without integrity control or
 // transactional bookkeeping; intended for fixtures and benchmark data. Rows
-// use native Go values (int/int64, float64, string, bool, nil).
+// use native Go values (int/int64, float64, string, bool, nil). Enforcement
+// assumes the state satisfies every constraint, so the rows must too: a
+// violation loaded here is not detected.
 func (db *DB) Load(rel string, rows [][]any) error {
 	rs, err := db.sch.MustFind(rel)
 	if err != nil {

@@ -3,6 +3,8 @@ package repro
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // newBeerDB builds the paper's example database through the public string
@@ -42,8 +44,11 @@ func TestPublicAPIExample51(t *testing.T) {
 	if !res.Committed {
 		t.Fatalf("aborted: %s", res.Reason)
 	}
-	if res.Report.Depth != 1 || res.Report.FinalStmts != 4 {
-		t.Errorf("report = %+v, want depth 1 and 4 final statements", res.Report)
+	// R1's alarm is elided: the inserted constant 6 provably satisfies
+	// alcohol >= 0, so only R2's two compensating statements are appended
+	// (core.TestExample51Modification pins the paper's 4-statement form).
+	if rep := res.Report; rep.Depth != 1 || rep.FinalStmts != 3 || rep.ChecksElided != 1 {
+		t.Errorf("report = %+v, want depth 1, 3 final statements and 1 check elided", rep)
 	}
 
 	rows, err := db.Query(`brewery`)
@@ -79,14 +84,16 @@ func TestPublicAPIDomainAbort(t *testing.T) {
 
 func TestPublicAPIExplain(t *testing.T) {
 	db := newBeerDB(t, nil)
+	// A negative alcohol cannot be proven safe, so R1's differential alarm
+	// survives pruning (alcohol 1 would have it elided).
 	text, rep, err := db.Explain(`begin
-		insert(beer, values[("a", "b", "c", 1)]);
+		insert(beer, values[("a", "b", "c", -1)]);
 	end`)
 	if err != nil {
 		t.Fatalf("Explain: %v", err)
 	}
-	if !strings.Contains(text, "alarm(") {
-		t.Errorf("modified transaction missing alarm:\n%s", text)
+	if !strings.Contains(text, "alarm(select(ins(beer)") {
+		t.Errorf("modified transaction missing R1's differential alarm:\n%s", text)
 	}
 	if !strings.Contains(text, "insert(brewery") {
 		t.Errorf("modified transaction missing compensation:\n%s", text)
@@ -100,6 +107,28 @@ func TestPublicAPIExplain(t *testing.T) {
 	}
 }
 
+// TestOpenNilIsDifferentialPruned: the default engine is the differential,
+// pruned one, and the ignored UseDifferential option changes nothing.
+func TestOpenNilIsDifferentialPruned(t *testing.T) {
+	const src = `begin
+		insert(beer, values[("exportgold", "stout", "guineken", 6)]);
+	end`
+	var texts []string
+	for _, opts := range []*Options{nil, {UseDifferential: false}, {UseDifferential: true}} {
+		text, _, err := newBeerDB(t, opts).Explain(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		texts = append(texts, text)
+	}
+	if texts[1] != texts[0] || texts[2] != texts[0] {
+		t.Errorf("Explain depends on UseDifferential:\n%s\n%s\n%s", texts[0], texts[1], texts[2])
+	}
+	if strings.Contains(texts[0], "alarm(select(beer,") {
+		t.Errorf("Open(nil) appends a full-state alarm:\n%s", texts[0])
+	}
+}
+
 func TestPublicAPIValidateRules(t *testing.T) {
 	db := newBeerDB(t, nil)
 	if err := db.ValidateRules(); err != nil {
@@ -108,50 +137,6 @@ func TestPublicAPIValidateRules(t *testing.T) {
 	dot := db.TriggeringGraphDOT()
 	if !strings.Contains(dot, `"R2"`) {
 		t.Errorf("DOT output missing R2:\n%s", dot)
-	}
-}
-
-func TestPublicAPIUncheckedSkipsIntegrity(t *testing.T) {
-	db := newBeerDB(t, nil)
-	res, err := db.SubmitUnchecked(`begin
-		insert(beer, values[("acid", "sour", "ghost", -1)]);
-	end`)
-	if err != nil {
-		t.Fatalf("SubmitUnchecked: %v", err)
-	}
-	if !res.Committed {
-		t.Fatalf("unchecked submit aborted: %s", res.Reason)
-	}
-	if n, _ := db.Count("beer"); n != 1 {
-		t.Errorf("beer count = %d, want 1", n)
-	}
-}
-
-func TestPublicAPIPostHocBaseline(t *testing.T) {
-	db := Open(nil)
-	db.MustCreateRelation(`relation beer(name string, type string, brewery string, alcohol int)`)
-	db.MustDefineConstraint("R1", `forall x (x in beer implies x.alcohol >= 0)`)
-
-	res, err := db.SubmitPostHoc(`begin
-		insert(beer, values[("acid", "sour", "ghost", -1)]);
-	end`, true)
-	if err != nil {
-		t.Fatalf("SubmitPostHoc: %v", err)
-	}
-	if res.Committed {
-		t.Fatal("post-hoc baseline committed a violation")
-	}
-	if res.Constraint != "R1" {
-		t.Errorf("constraint = %q, want R1", res.Constraint)
-	}
-	res, err = db.SubmitPostHoc(`begin
-		insert(beer, values[("good", "lager", "x", 5)]);
-	end`, true)
-	if err != nil {
-		t.Fatalf("SubmitPostHoc: %v", err)
-	}
-	if !res.Committed {
-		t.Fatalf("post-hoc baseline aborted a valid transaction: %s", res.Reason)
 	}
 }
 
@@ -213,8 +198,8 @@ func TestPublicAPIAggregateConstraint(t *testing.T) {
 
 func TestPublicAPIDifferentialMatchesFull(t *testing.T) {
 	for _, alcohol := range []int{6, -6} {
-		full := newBeerDB(t, nil)
-		diff := newBeerDB(t, &Options{UseDifferential: true})
+		full := withEngine(newBeerDB(t, nil), core.Options{})
+		diff := newBeerDB(t, nil)
 		src := `begin insert(beer, values[("b", "t", "guineken", ` + itoa(alcohol) + `)]); end`
 		r1, err := full.Submit(src)
 		if err != nil {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestSystemInvariant is the whole-system metamorphic test: under a random
@@ -11,15 +13,15 @@ import (
 // class, the subsystem must guarantee that (a) after every committed
 // transaction all constraints hold (checked by independent full-state
 // queries), and (b) an aborted transaction leaves the observable state
-// byte-identical. Both full-state and differential enforcement must agree
-// transaction by transaction.
+// byte-identical. The default engine and the full-state, unpruned
+// differential and dynamic reference engines must agree transaction by
+// transaction.
 func TestSystemInvariant(t *testing.T) {
 	type variant struct {
 		name string
 		db   *DB
 	}
-	build := func(opts *Options) *DB {
-		db := Open(opts)
+	build := func(db *DB) *DB {
 		db.MustCreateRelation(`relation r(a int, b int)`)
 		db.MustCreateRelation(`relation s(k int, v int)`)
 		db.MustDefineConstraint("domain", `forall x (x in r implies x.a >= 0)`)
@@ -29,9 +31,10 @@ func TestSystemInvariant(t *testing.T) {
 		return db
 	}
 	variants := []variant{
-		{"full", build(nil)},
-		{"differential", build(&Options{UseDifferential: true})},
-		{"dynamic", build(&Options{DynamicTranslation: true})},
+		{"default", build(Open(nil))},
+		{"full", build(withEngine(Open(nil), core.Options{}))},
+		{"differential-unpruned", build(withEngine(Open(nil), core.Options{UseDifferential: true}))},
+		{"dynamic", build(withEngine(Open(nil), core.Options{Dynamic: true}))},
 	}
 
 	// Constraint-as-query: an independent check used as the invariant
@@ -130,17 +133,16 @@ func TestSystemInvariant(t *testing.T) {
 	t.Logf("stream: %d committed, %d aborted", committed, aborted)
 }
 
-// TestSystemDatabasesConverge submits the same committed prefix to two
-// databases with different strategies and checks the final states match —
-// enforcement strategy must not affect semantics.
+// TestSystemDatabasesConverge submits the same committed prefix to the
+// default engine and the full-state reference engine and checks the final
+// states match — enforcement strategy must not affect semantics.
 func TestSystemDatabasesConverge(t *testing.T) {
-	mk := func(opts *Options) *DB {
-		db := Open(opts)
+	mk := func(db *DB) *DB {
 		db.MustCreateRelation(`relation t(a int)`)
 		db.MustDefineConstraint("pos", `forall x (x in t implies x.a >= 0)`)
 		return db
 	}
-	a, b := mk(nil), mk(&Options{UseDifferential: true})
+	a, b := mk(withEngine(Open(nil), core.Options{})), mk(Open(nil))
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 200; i++ {
 		src := fmt.Sprintf(`begin insert(t, values[(%d)]); end`, rng.Intn(10)-3)
