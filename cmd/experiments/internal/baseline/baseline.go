@@ -1,5 +1,5 @@
 // Package baseline implements the integrity control strategies transaction
-// modification is compared against in the benchmarks:
+// modification is compared against in the experiments:
 //
 //   - PostHoc: execute the user transaction unmodified, followed by every
 //     rule's full-state alarm (the classical "check after, abort on
@@ -7,7 +7,7 @@
 //   - Unchecked: no integrity control at all, the cost floor.
 //
 // Both reuse the same executor and enforcement programs as the modification
-// subsystem, so benchmark differences isolate the strategy, not the engine.
+// subsystem, so measured differences isolate the strategy, not the engine.
 package baseline
 
 import (
@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/algebra"
 	"repro/internal/rules"
-	"repro/internal/trigger"
 	"repro/internal/txn"
 )
 
@@ -23,31 +22,20 @@ import (
 // the post-transaction state before commit.
 type PostHoc struct {
 	cat *rules.Catalog
-	// TriggerAware restricts checking to rules whose trigger sets intersect
-	// the transaction's triggers, isolating the benefit of trigger-based
-	// selection from the benefit of inlined differential checks.
-	TriggerAware bool
 }
 
 // NewPostHoc returns a post-hoc checker over the catalog.
-func NewPostHoc(cat *rules.Catalog, triggerAware bool) *PostHoc {
-	return &PostHoc{cat: cat, TriggerAware: triggerAware}
+func NewPostHoc(cat *rules.Catalog) *PostHoc {
+	return &PostHoc{cat: cat}
 }
 
-// Exec runs program ⊕ the selected rules' full-state alarms as one
-// transaction. A catalog holding a compensating rule is refused with an
-// aborted Result before anything runs: corrective updates belong inside the
-// transaction, which is what transaction modification is for.
+// Exec runs program ⊕ every rule's full-state alarms as one transaction. A
+// catalog holding a compensating rule is refused with an aborted Result
+// before anything runs: corrective updates belong inside the transaction,
+// which is what transaction modification is for.
 func (p *PostHoc) Exec(exec *txn.Executor, t *txn.Transaction) (*txn.Result, error) {
-	var raised trigger.Set
-	if p.TriggerAware {
-		raised = trigger.FromProgram(t.Program)
-	}
 	var alarms algebra.Program
 	for _, ip := range p.cat.Programs() {
-		if p.TriggerAware && !ip.Triggers.Intersects(raised) {
-			continue
-		}
 		for _, st := range ip.Full {
 			if _, ok := st.(*algebra.Alarm); !ok {
 				return &txn.Result{AbortReason: fmt.Errorf(

@@ -1,5 +1,5 @@
-// Package bench provides the workload generators and catalog builders the
-// benchmark harness uses to regenerate the paper's Section 7 evaluation: a
+// Package bench provides the workload generators and catalog builders
+// cmd/experiments uses to regenerate the paper's Section 7 evaluation: a
 // key ("parent") relation, a foreign-key ("child") relation referencing it,
 // and a batch of new child tuples to insert — the 5 000 / 50 000 / 5 000
 // configuration of the POOMA experiment — plus parameter sweeps around it.
@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/fragment"
+	"repro/cmd/experiments/internal/fragment"
 	"repro/internal/lang"
 	"repro/internal/relation"
 	"repro/internal/rules"

@@ -5,9 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/cmd/experiments/internal/bench"
+	"repro/cmd/experiments/internal/fragment"
 	"repro/internal/algebra"
-	"repro/internal/bench"
-	"repro/internal/fragment"
 	"repro/internal/lang"
 	"repro/internal/relation"
 	"repro/internal/schema"

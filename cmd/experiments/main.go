@@ -1,34 +1,39 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md's per-experiment index): Table 1 (constraint
-// construct translation), Example 5.1 (transaction modification), the
-// Section 7 performance claims, and the ablation sweeps. Output is plain
-// text suitable for diffing into EXPERIMENTS.md.
+// evaluation: Table 1 (constraint construct translation), Example 5.1
+// (transaction modification), the Section 7 performance claims, and the
+// ablation sweeps. With no flag it runs every section; EXPERIMENTS.md at the
+// repository root is one such run with the paper's claims beside it.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"time"
 
 	"repro"
+	"repro/cmd/experiments/internal/baseline"
+	"repro/cmd/experiments/internal/bench"
+	"repro/cmd/experiments/internal/fragment"
 	"repro/internal/algebra"
-	"repro/internal/baseline"
-	"repro/internal/bench"
 	"repro/internal/calculus"
 	"repro/internal/core"
 	"repro/internal/lang"
 	"repro/internal/relation"
 	"repro/internal/rules"
 	"repro/internal/schema"
-	"repro/internal/storage"
 	"repro/internal/translate"
 	"repro/internal/txn"
 	"repro/internal/value"
 )
+
+// defaultEngine is the enforcement configuration every repro.DB runs.
+var defaultEngine = core.Options{UseDifferential: true, Prune: true}
 
 func main() {
 	var (
@@ -36,31 +41,32 @@ func main() {
 		example51 = flag.Bool("example51", false, "regenerate Example 5.1 (transaction modification)")
 		perf      = flag.Bool("perf", false, "regenerate the Section 7 performance experiment")
 		sweeps    = flag.Bool("sweeps", false, "run the ablation sweeps")
-		all       = flag.Bool("all", false, "run everything")
 	)
 	flag.Parse()
-	if !*table1 && !*example51 && !*perf && !*sweeps {
-		*all = true
+	all := !*table1 && !*example51 && !*perf && !*sweeps
+	w := os.Stdout
+	if all || *table1 {
+		runTable1(w)
 	}
-	if *all || *table1 {
-		runTable1()
+	if all || *example51 {
+		runExample51(w)
 	}
-	if *all || *example51 {
-		runExample51()
+	if all || *perf || *sweeps {
+		fmt.Fprintf(w, "host: %s %s/%s, %d CPUs\n\n", runtime.Version(), runtime.GOOS, runtime.GOARCH, runtime.NumCPU())
 	}
-	if *all || *perf {
-		runPerf()
+	if all || *perf {
+		runPerf(w)
 	}
-	if *all || *sweeps {
-		runSweeps()
+	if all || *sweeps {
+		runSweeps(w)
 	}
 }
 
 // runTable1 translates the seven construct classes of Table 1 and prints the
 // produced algebra next to the paper's forms. Semijoin/antijoin forms are
 // emptiness-equivalent to the paper's π/∩/− renderings.
-func runTable1() {
-	fmt.Println("== Table 1: translation of typical constraint constructs ==")
+func runTable1(w io.Writer) {
+	fmt.Fprintln(w, "== Table 1: translation of typical constraint constructs ==")
 	cfg := bench.DefaultPaperConfig()
 	sch := cfg.Schema() // parent(id, name), child(id, parent, qty)
 	rows := []struct {
@@ -83,41 +89,35 @@ func runTable1() {
 			"alarm(σ_{¬c'}(CNT(R)))"},
 	}
 	for i, row := range rows {
-		w, err := lang.ParseConstraint(row.cl)
+		cond, err := lang.ParseConstraint(row.cl)
 		if err != nil {
 			log.Fatalf("row %d parse: %v", i+1, err)
 		}
-		info, err := calculus.Validate(w, sch)
+		info, err := calculus.Validate(cond, sch)
 		if err != nil {
 			log.Fatalf("row %d validate: %v", i+1, err)
 		}
-		res, err := translate.Condition(w, info, sch, fmt.Sprintf("c%d", i+1))
+		res, err := translate.Condition(cond, info, sch, fmt.Sprintf("c%d", i+1))
 		if err != nil {
 			log.Fatalf("row %d translate: %v", i+1, err)
 		}
-		fmt.Printf("row %d\n  CL:    %s\n  paper: %s\n  ours:  %s", i+1, row.cl, row.paper, res.Program)
-		fmt.Printf("  class: %s\n\n", res.Parts[0].Class)
+		fmt.Fprintf(w, "row %d\n  CL:    %s\n  paper: %s\n  ours:  %s", i+1, row.cl, row.paper, res.Program)
+		fmt.Fprintf(w, "  class: %s\n\n", res.Parts[0].Class)
 	}
 }
 
-// runExample51 rebuilds the beer database and prints the paper's modified
-// form of its example transaction — every triggered rule's full-state
-// program, from the full-state engine — and then the form the default
-// engine (repro.Open) executes: differential, with the checks the safety
-// analyzer proves unnecessary elided.
-func runExample51() {
-	fmt.Println("== Example 5.1: transaction modification ==")
-	const userTxn = `begin
-		insert(beer, values[("exportgold", "stout", "guineken", 6)]);
-	end`
-	db := repro.Open(nil)
+// runExample51 rebuilds the beer database and modifies the paper's example
+// transaction twice over one catalog: in the paper's form (every triggered
+// rule's full-state program), and as the default engine (repro.Open) does,
+// differential with the checks the safety analyzer proves unnecessary
+// elided.
+func runExample51(w io.Writer) {
+	fmt.Fprintln(w, "== Example 5.1: transaction modification ==")
 	sch := schema.MustDatabase()
-	cat := rules.NewCatalog(sch)
 	for _, ddl := range []string{
 		`relation beer(name string, type string, brewery string, alcohol int)`,
 		`relation brewery(name string, city string, country string)`,
 	} {
-		db.MustCreateRelation(ddl)
 		rs, err := lang.ParseRelationSchema(ddl)
 		if err != nil {
 			log.Fatal(err)
@@ -126,46 +126,46 @@ func runExample51() {
 			log.Fatal(err)
 		}
 	}
-	const r1 = `forall x (x in beer implies x.alcohol >= 0)`
-	const r2 = `
+	r1, err := lang.ParseConstraintRule("R1", `forall x (x in beer implies x.alcohol >= 0)`)
+	if err != nil {
+		log.Fatal(err)
+	}
+	r2, err := lang.ParseRule("R2", `
 		if not forall x (x in beer implies
 			exists y (y in brewery and x.brewery = y.name))
 		then
 			temp := diff(project(beer, brewery), project(brewery, name));
-			insert(brewery, project(temp, #1 as name, null as city, null as country))`
-	db.MustDefineConstraint("R1", r1)
-	db.MustDefineRule("R2", r2)
-	rule1, err := lang.ParseConstraintRule("R1", r1)
+			insert(brewery, project(temp, #1 as name, null as city, null as country))`, sch)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rule2, err := lang.ParseRule("R2", r2, sch)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, r := range []*rules.Rule{rule1, rule2} {
+	cat := rules.NewCatalog(sch)
+	for _, r := range []*rules.Rule{r1, r2} {
 		if err := cat.Add(r); err != nil {
 			log.Fatal(err)
 		}
 	}
 
-	prog, err := lang.ParseTransaction(userTxn, sch)
-	if err != nil {
-		log.Fatal(err)
+	for _, e := range []struct {
+		label string
+		opts  core.Options
+	}{
+		{"paper's form, full-state checks", core.Options{}},
+		{"default engine, differential and pruned", defaultEngine},
+	} {
+		prog, err := lang.ParseTransaction(`begin
+			insert(beer, values[("exportgold", "stout", "guineken", 6)]);
+		end`, sch)
+		if err != nil {
+			log.Fatal(err)
+		}
+		modified, rep, err := core.New(cat, e.opts).Modify(txn.Bracket(prog))
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Fprintf(w, "%s (depth %d, %d -> %d statements, %d check(s) elided):\n%s\n\n",
+			e.label, rep.Depth, rep.OriginalStmts, rep.FinalStmts, rep.ChecksElided, modified)
 	}
-	paper, rep, err := core.New(cat, core.Options{}).Modify(txn.Bracket(prog))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("paper's form, full-state checks (depth %d, %d -> %d statements):\n%s\n\n",
-		rep.Depth, rep.OriginalStmts, rep.FinalStmts, paper)
-
-	text, mrep, err := db.Explain(userTxn)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("default engine, differential and pruned (depth %d, %d -> %d statements, %d check(s) elided):\n%s\n\n",
-		mrep.Depth, mrep.OriginalStmts, mrep.FinalStmts, mrep.ChecksElided, text)
 }
 
 // medianOf runs fn reps times and returns the median duration.
@@ -182,10 +182,10 @@ func medianOf(reps int, fn func()) time.Duration {
 
 // runPerf regenerates the Section 7 experiment: referential and domain
 // checks after inserting 5 000 tuples into the 50 000-tuple FK relation, on
-// an 8-node simulated cluster.
-func runPerf() {
-	fmt.Println("== Section 7: constraint enforcement performance ==")
-	fmt.Printf("host: %d CPUs (the paper used an 8-node POOMA; parallel speedup saturates at the host CPU count)\n", runtime.NumCPU())
+// an 8-node simulated cluster. The paper used an 8-node POOMA; the
+// simulation's parallel speedup saturates at the host CPU count.
+func runPerf(w io.Writer) {
+	fmt.Fprintln(w, "== Section 7: constraint enforcement performance ==")
 	cfg := bench.DefaultPaperConfig()
 	parent, child, newChild, err := cfg.Generate()
 	if err != nil {
@@ -195,23 +195,16 @@ func runPerf() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cl, err := cfg.NewCluster(8, parent, child)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := cl.ApplyInserts("child", newChild); err != nil {
-		log.Fatal(err)
-	}
+	cl := loadedCluster(cfg, 8, parent, child, newChild)
 
-	fmt.Printf("\n%-22s %-12s %-12s %s\n", "check (8 nodes)", "measured", "paper", "verdict")
-	type exp struct {
+	fmt.Fprintf(w, "%-22s %-12s %-12s %s\n", "check (8 nodes)", "measured", "paper", "verdict")
+	exps := []struct {
 		rule  string
 		diff  bool
 		label string
 		paper string
 		bound time.Duration
-	}
-	exps := []exp{
+	}{
 		{"referential", false, "referential/full", "< 3 s", 3 * time.Second},
 		{"referential", true, "referential/diff", "< 3 s", 3 * time.Second},
 		{"domain", false, "domain/full", "< 1 s", time.Second},
@@ -220,30 +213,21 @@ func runPerf() {
 	measured := map[string]time.Duration{}
 	for _, e := range exps {
 		ip, _ := cat.Program(e.rule)
-		prog := ip.Program(e.diff)
-		d := medianOf(5, func() {
-			res, err := cl.CheckProgram(prog)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if res.Violations != 0 {
-				log.Fatalf("unexpected violations: %d", res.Violations)
-			}
-		})
+		d := medianCheck(cl, ip.Program(e.diff))
 		measured[e.label] = d
 		verdict := "within paper bound"
 		if d >= e.bound {
 			verdict = "EXCEEDS paper bound"
 		}
-		fmt.Printf("%-22s %-12s %-12s %s\n", e.label, d.Round(10*time.Microsecond), e.paper, verdict)
+		fmt.Fprintf(w, "%-22s %-12s %-12s %s\n", e.label, d.Round(10*time.Microsecond), e.paper, verdict)
 	}
 	ratio := float64(measured["referential/full"]) / float64(measured["domain/full"])
-	fmt.Printf("\nreferential/domain cost ratio (full): %.1fx (paper: ~3x)\n\n", ratio)
+	fmt.Fprintf(w, "\nreferential/domain cost ratio (full): %.1fx (paper: ~3x)\n\n", ratio)
 }
 
-// runSweeps runs the node-count, update-size, strategy and rule-count
-// sweeps.
-func runSweeps() {
+// runSweeps runs the node-count, update-size, strategy, rule-count,
+// catalog-size and view-maintenance sweeps.
+func runSweeps(w io.Writer) {
 	cfg := bench.DefaultPaperConfig()
 	parent, child, newChild, err := cfg.Generate()
 	if err != nil {
@@ -254,28 +238,16 @@ func runSweeps() {
 		log.Fatal(err)
 	}
 
-	fmt.Println("== F-nodes: parallel scalability (referential, full) ==")
-	fmt.Printf("%-8s %-14s\n", "nodes", "median")
+	ref, _ := cat.Program("referential")
+	fmt.Fprintln(w, "== F-nodes: parallel scalability (referential, full) ==")
+	fmt.Fprintf(w, "%-8s %s\n", "nodes", "median")
 	for _, nodes := range []int{1, 2, 4, 8} {
-		cl, err := cfg.NewCluster(nodes, parent, child)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := cl.ApplyInserts("child", newChild); err != nil {
-			log.Fatal(err)
-		}
-		ip, _ := cat.Program("referential")
-		prog := ip.Program(false)
-		d := medianOf(5, func() {
-			if _, err := cl.CheckProgram(prog); err != nil {
-				log.Fatal(err)
-			}
-		})
-		fmt.Printf("%-8d %-14s\n", nodes, d.Round(10*time.Microsecond))
+		d := medianCheck(loadedCluster(cfg, nodes, parent, child, newChild), ref.Program(false))
+		fmt.Fprintf(w, "%-8d %s\n", nodes, d.Round(10*time.Microsecond))
 	}
 
-	fmt.Println("\n== F-updatesize: checking cost vs update size (referential, 1 node) ==")
-	fmt.Printf("%-8s %-14s %-14s\n", "U", "full", "differential")
+	fmt.Fprintln(w, "\n== F-updatesize: checking cost vs update size (referential, 1 node) ==")
+	fmt.Fprintf(w, "%-8s %-14s %s\n", "U", "full", "differential")
 	for _, u := range []int{50, 500, 5000} {
 		c2 := cfg
 		c2.Inserts = u
@@ -283,28 +255,15 @@ func runSweeps() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cl, err := c2.NewCluster(1, p2, ch2)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := cl.ApplyInserts("child", nc2); err != nil {
-			log.Fatal(err)
-		}
-		ip, _ := cat.Program("referential")
+		cl := loadedCluster(c2, 1, p2, ch2, nc2)
 		row := fmt.Sprintf("%-8d", u)
 		for _, diff := range []bool{false, true} {
-			prog := ip.Program(diff)
-			d := medianOf(5, func() {
-				if _, err := cl.CheckProgram(prog); err != nil {
-					log.Fatal(err)
-				}
-			})
-			row += fmt.Sprintf(" %-13s", d.Round(10*time.Microsecond))
+			row += fmt.Sprintf(" %-14s", medianCheck(cl, ref.Program(diff)).Round(10*time.Microsecond))
 		}
-		fmt.Println(row)
+		fmt.Fprintln(w, strings.TrimRight(row, " "))
 	}
 
-	fmt.Println("\n== A-baseline: end-to-end strategy comparison (insert 5000) ==")
+	fmt.Fprintln(w, "\n== A-baseline: end-to-end strategy comparison (insert 5000) ==")
 	store, err := cfg.NewStore(parent, child)
 	if err != nil {
 		log.Fatal(err)
@@ -313,84 +272,170 @@ func runSweeps() {
 	user := txn.New(&algebra.Insert{Rel: "child", Src: algebra.NewLit(childSchema, newChild.Tuples()...)})
 	strategies := []struct {
 		name string
-		run  func() *txn.Result
+		run  func(*txn.Executor) (*txn.Result, error)
 	}{
-		{"unchecked", func() *txn.Result {
-			exec := txn.NewExecutor(store.Clone())
-			res, err := exec.Exec(user)
-			if err != nil {
-				log.Fatal(err)
-			}
-			return res
-		}},
-		{"modified-full", runModified(cat, store, user, false)},
-		{"modified-differential", runModified(cat, store, user, true)},
-		{"posthoc-full", func() *txn.Result {
-			exec := txn.NewExecutor(store.Clone())
-			res, err := baseline.NewPostHoc(cat, false).Exec(exec, user)
-			if err != nil {
-				log.Fatal(err)
-			}
-			return res
+		{"unchecked", func(exec *txn.Executor) (*txn.Result, error) { return exec.Exec(user) }},
+		{"modified-full", runModified(cat, user, core.Options{})},
+		{"modified-differential", runModified(cat, user, core.Options{UseDifferential: true})},
+		{"modified-default", runModified(cat, user, defaultEngine)},
+		{"posthoc-full", func(exec *txn.Executor) (*txn.Result, error) {
+			return baseline.NewPostHoc(cat).Exec(exec, user)
 		}},
 	}
-	fmt.Printf("%-24s %-14s\n", "strategy", "median")
+	fmt.Fprintf(w, "%-24s %s\n", "strategy", "median")
 	for _, s := range strategies {
 		d := medianOf(5, func() {
-			if res := s.run(); !res.Committed {
+			res, err := s.run(txn.NewExecutor(store.Clone()))
+			if err != nil {
+				log.Fatal(err)
+			}
+			if !res.Committed {
 				log.Fatalf("%s aborted: %v", s.name, res.AbortReason)
 			}
 		})
-		fmt.Printf("%-24s %-14s\n", s.name, d.Round(10*time.Microsecond))
+		fmt.Fprintf(w, "%-24s %s\n", s.name, d.Round(10*time.Microsecond))
 	}
 
-	fmt.Println("\n== A-ablation-static: modification latency, static vs dynamic ==")
-	fmt.Printf("%-8s %-14s %-14s\n", "rules", "static", "dynamic")
+	fmt.Fprintln(w, "\n== A-ablation-static: modification latency, static vs dynamic ==")
+	fmt.Fprintf(w, "%-8s %-14s %s\n", "rules", "static", "dynamic")
 	single := txn.New(&algebra.Insert{
 		Rel: "child",
 		Src: algebra.NewLit(childSchema, relation.Tuple{value.Int(1), value.Int(1), value.Int(1)}),
 	})
 	for _, n := range []int{1, 4, 16, 64} {
-		cat2 := rules.NewCatalog(cfg.Schema())
-		for i := 0; i < n; i++ {
-			r, err := lang.ParseConstraintRule(fmt.Sprintf("dom%d", i),
-				fmt.Sprintf(`forall x (x in child implies x.qty >= %d)`, -i))
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := cat2.Add(r); err != nil {
-				log.Fatal(err)
-			}
-		}
+		cat2 := domainCatalog(cfg.Schema(), n, n)
 		row := fmt.Sprintf("%-8d", n)
 		for _, dyn := range []bool{false, true} {
 			sub := core.New(cat2, core.Options{Dynamic: dyn})
-			d := medianOf(25, func() {
-				if _, _, err := sub.Modify(single); err != nil {
-					log.Fatal(err)
-				}
-			})
-			row += fmt.Sprintf(" %-13s", d.Round(time.Microsecond))
+			row += fmt.Sprintf(" %-14s", medianModify(sub, single).Round(time.Microsecond))
 		}
-		fmt.Println(row)
+		fmt.Fprintln(w, strings.TrimRight(row, " "))
 	}
-	fmt.Fprintln(os.Stdout)
-}
 
-// runModified returns a strategy closure that modifies the transaction once
-// and executes it against a fresh clone of the base state per run.
-func runModified(cat *rules.Catalog, store *storage.Database, user *txn.Transaction, diff bool) func() *txn.Result {
-	sub := core.New(cat, core.Options{UseDifferential: diff})
-	modified, _, err := sub.Modify(user.Clone())
-	if err != nil {
-		log.Fatal(err)
-	}
-	return func() *txn.Result {
-		exec := txn.NewExecutor(store.Clone())
-		res, err := exec.Exec(modified)
+	// Modification is selection (Alg. 6.2): its cost should follow the
+	// triggered rules, not the catalog. Two rules constrain child and the
+	// rest parent, so the one-tuple child insert selects two at every size.
+	fmt.Fprintln(w, "\n== A-catalog-size: modification latency vs catalog size (2 rules triggered) ==")
+	fmt.Fprintf(w, "%-8s %-10s %-14s %s\n", "rules", "selected", "paper", "default")
+	for _, n := range []int{10, 100, 1000} {
+		cat2 := domainCatalog(cfg.Schema(), n, 2)
+		_, rep, err := core.New(cat2, core.Options{}).Modify(single)
 		if err != nil {
 			log.Fatal(err)
 		}
-		return res
+		row := fmt.Sprintf("%-8d %-10d", n, len(rep.RulesTriggered))
+		for _, opts := range []core.Options{{}, defaultEngine} {
+			sub := core.New(cat2, opts)
+			row += fmt.Sprintf(" %-14s", medianModify(sub, single).Round(100*time.Nanosecond))
+		}
+		fmt.Fprintln(w, strings.TrimRight(row, " "))
 	}
+
+	fmt.Fprintln(w, "\n== A-views: view maintenance per Submit (insert into a 50 000-row source) ==")
+	fmt.Fprintf(w, "%-14s %s\n", "maintenance", "median")
+	for _, incremental := range []bool{false, true} {
+		name := "recompute"
+		if incremental {
+			name = "incremental"
+		}
+		fmt.Fprintf(w, "%-14s %s\n", name, medianViewSubmit(incremental).Round(time.Microsecond))
+	}
+	fmt.Fprintln(w)
+}
+
+// domainCatalog returns a catalog of n domain rules over the paper schema:
+// the first onChild constrain child, which a child insert triggers, and the
+// rest constrain parent.
+func domainCatalog(sch *schema.Database, n, onChild int) *rules.Catalog {
+	cat := rules.NewCatalog(sch)
+	for i := 0; i < n; i++ {
+		cond := fmt.Sprintf(`forall x (x in parent implies x.id >= %d)`, -i)
+		if i < onChild {
+			cond = fmt.Sprintf(`forall x (x in child implies x.qty >= %d)`, -i)
+		}
+		r, err := lang.ParseConstraintRule(fmt.Sprintf("dom%d", i), cond)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := cat.Add(r); err != nil {
+			log.Fatal(err)
+		}
+	}
+	return cat
+}
+
+// medianModify returns the median latency of modifying t, over enough runs
+// that microsecond timings settle.
+func medianModify(sub *core.Subsystem, t *txn.Transaction) time.Duration {
+	return medianOf(101, func() {
+		if _, _, err := sub.Modify(t); err != nil {
+			log.Fatal(err)
+		}
+	})
+}
+
+// medianViewSubmit loads a 50 000-row source relation under one selection
+// view and returns the median latency of a one-row insert Submit.
+func medianViewSubmit(incremental bool) time.Duration {
+	db := repro.Open(nil)
+	defer db.Close()
+	db.MustCreateRelation(`relation orders(id int, region string, amount int)`)
+	rows := make([][]any, 50000)
+	for i := range rows {
+		rows[i] = []any{i, "eu", i % 1000}
+	}
+	if err := db.Load("orders", rows); err != nil {
+		log.Fatal(err)
+	}
+	if err := db.DefineView("big", `select(orders, amount >= 900)`, incremental); err != nil {
+		log.Fatal(err)
+	}
+	next := 100000
+	return medianOf(25, func() {
+		res, err := db.Submit(fmt.Sprintf(`begin insert(orders, values[(%d, "us", %d)]); end`, next, next%1000))
+		if err != nil {
+			log.Fatal(err)
+		}
+		if !res.Committed {
+			log.Fatalf("view insert aborted: %s", res.Reason)
+		}
+		next++
+	})
+}
+
+// runModified returns a strategy that executes the transaction as modified
+// once, up front, under opts.
+func runModified(cat *rules.Catalog, user *txn.Transaction, opts core.Options) func(*txn.Executor) (*txn.Result, error) {
+	modified, _, err := core.New(cat, opts).Modify(user.Clone())
+	if err != nil {
+		log.Fatal(err)
+	}
+	return func(exec *txn.Executor) (*txn.Result, error) { return exec.Exec(modified) }
+}
+
+// loadedCluster returns an n-node cluster over the base state with the
+// insert batch applied.
+func loadedCluster(cfg bench.PaperConfig, nodes int, parent, child, newChild *relation.Relation) *fragment.Cluster {
+	cl, err := cfg.NewCluster(nodes, parent, child)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := cl.ApplyInserts("child", newChild); err != nil {
+		log.Fatal(err)
+	}
+	return cl
+}
+
+// medianCheck returns the median time of running the alarm program on the
+// cluster; the workload is consistent, so a violation is fatal.
+func medianCheck(cl *fragment.Cluster, prog algebra.Program) time.Duration {
+	return medianOf(5, func() {
+		res, err := cl.CheckProgram(prog)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if res.Violations != 0 {
+			log.Fatalf("unexpected violations: %d", res.Violations)
+		}
+	})
 }

@@ -1,16 +1,13 @@
-// Command parallel demonstrates the two parallel dimensions of the engine.
+// Command parallel demonstrates concurrent transaction processing: many
+// goroutines submit integrity-controlled transactions at once, each
+// executing against its own database snapshot and committing through
+// optimistic first-committer-wins validation.
 //
-// First, the fragmented, parallel constraint enforcement of the paper's
-// Section 7 (PRISMA/DB on the POOMA machine): relations are hash-fragmented
-// across simulated nodes, enforcement programs run fragment-locally in
-// parallel, and checking cost falls with the node count. It uses the
-// internal substrate directly, as a driver of the parallel experiment
-// would.
-//
-// Second, concurrent transaction processing: many goroutines submit
-// integrity-controlled transactions at once, each executing against its own
-// database snapshot and committing through optimistic first-committer-wins
-// validation, sweeping the worker count to show multi-core throughput.
+// The same batch of referential-integrity transactions is submitted through
+// 1, 2, 4 and 8 workers, spread over sharded relations so concurrent write
+// sets rarely collide (on a single-core machine the sweep stays flat; the
+// speedup needs real parallel hardware). The paper's fragmented, parallel
+// constraint enforcement (Section 7) is regenerated by cmd/experiments.
 package main
 
 import (
@@ -21,76 +18,9 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/bench"
 )
 
 func main() {
-	cfg := bench.DefaultPaperConfig()
-	fmt.Printf("workload: %d keys, %d FK tuples, %d inserted (paper Section 7)\n",
-		cfg.Keys, cfg.FKs, cfg.Inserts)
-
-	parent, child, newChild, err := cfg.Generate()
-	if err != nil {
-		log.Fatal(err)
-	}
-	cat, err := cfg.Catalog()
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	fmt.Printf("\n%-8s %-14s %-14s %-14s %-14s\n", "nodes", "ref/full", "ref/diff", "dom/full", "dom/diff")
-	for _, nodes := range []int{1, 2, 4, 8} {
-		cl, err := cfg.NewCluster(nodes, parent, child)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := cl.ApplyInserts("child", newChild); err != nil {
-			log.Fatal(err)
-		}
-		row := fmt.Sprintf("%-8d", nodes)
-		for _, rule := range []string{"referential", "domain"} {
-			ip, _ := cat.Program(rule)
-			for _, diff := range []bool{false, true} {
-				prog := ip.Program(diff)
-				start := time.Now()
-				res, err := cl.CheckProgram(prog)
-				if err != nil {
-					log.Fatal(err)
-				}
-				if res.Violations != 0 {
-					log.Fatalf("unexpected violations: %d", res.Violations)
-				}
-				row += fmt.Sprintf(" %-13s", time.Since(start).Round(10*time.Microsecond))
-			}
-		}
-		fmt.Println(row)
-	}
-
-	// Show that the checks actually fire: insert dangling children and
-	// re-run the referential check.
-	cl, _ := cfg.NewCluster(4, parent, child)
-	bad := cfg.GenViolations(7)
-	if err := cl.ApplyInserts("child", bad); err != nil {
-		log.Fatal(err)
-	}
-	ip, _ := cat.Program("referential")
-	res, err := cl.CheckProgram(ip.Program(true))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nafter inserting 7 dangling children: violations=%d localized=%v\n",
-		res.Violations, res.Localized)
-
-	concurrentSweep()
-}
-
-// concurrentSweep drives the snapshot-isolated engine from a pool of
-// goroutines calling Submit: the same batch of referential-integrity
-// transactions is submitted through 1, 2, 4 and 8 workers, spread over
-// sharded relations so concurrent write sets rarely collide (on a
-// single-core machine the sweep stays flat; the speedup needs real
-// parallel hardware).
-func concurrentSweep() {
 	const (
 		shards  = 8
 		parents = 500
@@ -119,7 +49,7 @@ func concurrentSweep() {
 			i%shards, i, i%parents)
 	}
 
-	fmt.Printf("\nconcurrent submit throughput (%d txns, %d shards, snapshot isolation + optimistic commit):\n", txns, shards)
+	fmt.Printf("concurrent submit throughput (%d txns, %d shards, snapshot isolation + optimistic commit):\n", txns, shards)
 	fmt.Printf("%-8s %-12s %-10s %-10s\n", "workers", "txns/s", "commits", "retries")
 	for _, workers := range []int{1, 2, 4, 8} {
 		db := mkDB()

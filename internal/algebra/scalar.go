@@ -187,7 +187,7 @@ func (op CmpOp) Negate() CmpOp {
 
 // Cmp is a comparison between two scalar expressions. Equality uses value
 // identity (null = null holds); ordering comparisons involving null are
-// false (two-valued logic, see DESIGN.md).
+// false (two-valued logic, see docs/ARCHITECTURE.md).
 type Cmp struct {
 	Op   CmpOp
 	L, R Scalar

@@ -37,7 +37,8 @@ func (i *Info) VarNames() []string {
 }
 
 // Validate checks that w is a closed, range-restricted CL formula in the
-// uniquely-typed-variable fragment the subsystem supports (see DESIGN.md):
+// uniquely-typed-variable fragment the subsystem supports (see
+// docs/ARCHITECTURE.md):
 //
 //   - every tuple variable is introduced by exactly one quantifier and not
 //     shadowed;

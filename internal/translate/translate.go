@@ -199,7 +199,7 @@ func (t *translator) translateConjunct(w calculus.WFF) (*Part, error) {
 		if isQuantifierFree(w) {
 			return t.translateAggregate(w)
 		}
-		return nil, fmt.Errorf("unsupported condition shape %T; see DESIGN.md for the supported fragment", w)
+		return nil, fmt.Errorf("unsupported condition shape %T; see docs/ARCHITECTURE.md for the supported fragment", w)
 	}
 }
 

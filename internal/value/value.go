@@ -3,8 +3,9 @@
 // comparison, arithmetic and key-encoding primitives the rest of the engine
 // builds on.
 //
-// Logic is two-valued (see DESIGN.md): null equals null, null is not ordered
-// against non-null values, and arithmetic involving null yields null.
+// Logic is two-valued (see docs/ARCHITECTURE.md): null equals null, null is
+// not ordered against non-null values, and arithmetic involving null yields
+// null.
 package value
 
 import (
