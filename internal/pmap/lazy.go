@@ -108,27 +108,41 @@ func NewNode[V any](addr Addr, bitmap uint64, coll bool, slots []SlotData[V]) (*
 		return nil, fmt.Errorf("pmap: NewNode: bitmap population %d does not match %d slots",
 			bits.OnesCount64(bitmap), len(slots))
 	}
-	n := &node[V]{bitmap: bitmap, coll: coll, ckpt: addr, slots: make([]slot[V], len(slots))}
-	for i, s := range slots {
+	var nkids int
+	for _, s := range slots {
 		if s.Child != 0 {
-			if coll {
-				return nil, errors.New("pmap: NewNode: collision node with a child subtree")
-			}
-			n.slots[i] = slot[V]{child: stubNode[V](s.Child)}
+			nkids++
+		}
+	}
+	if coll && nkids != 0 {
+		return nil, errors.New("pmap: NewNode: collision node with a child subtree")
+	}
+	n := &node[V]{coll: coll, ckpt: addr, entries: make([]entry[V], 0, len(slots)-nkids)}
+	if nkids > 0 {
+		n.children = make([]*node[V], 0, nkids)
+	}
+	rest := bitmap
+	for i, s := range slots {
+		// A regular node's i-th slot sits at the i-th lowest bitmap bit.
+		bit := rest & -rest
+		rest &^= bit
+		if s.Child != 0 {
+			n.nodemap |= bit
+			n.children = append(n.children, stubNode[V](s.Child))
 			continue
 		}
-		h := hashFn(s.Key)
+		n.datamap |= bit
 		if coll {
-			if h != hashFn(slots[0].Key) {
+			if hashFn(s.Key) != hashFn(slots[0].Key) {
 				return nil, errors.New("pmap: NewNode: collision node entries with differing hashes")
 			}
 			for j := 0; j < i; j++ {
-				if slots[j].Child == 0 && slots[j].Key == s.Key {
+				if slots[j].Key == s.Key {
 					return nil, errors.New("pmap: NewNode: duplicate key in collision node")
 				}
 			}
 		}
-		n.slots[i] = slot[V]{hash: h, key: s.Key, val: s.Val}
+		n.entries = append(n.entries, entry[V]{s.Key, s.Val})
 	}
 	return &Node[V]{n: n}, nil
 }
@@ -139,19 +153,12 @@ func NewNode[V any](addr Addr, bitmap uint64, coll bool, slots []SlotData[V]) (*
 // themselves (the eager checkpoint loader) reuse the node decoder without
 // exposing the node internals.
 func (dn *Node[V]) Walk(fn func(child Addr, val V) error) error {
-	for i := range dn.n.slots {
-		s := &dn.n.slots[i]
-		if s.child != nil {
-			if err := fn(Addr(s.child.lazy.Load()), *new(V)); err != nil {
-				return err
-			}
-			continue
+	return dn.n.eachSlot(func(e *entry[V], child *node[V]) error {
+		if e != nil {
+			return fn(0, e.val)
 		}
-		if err := fn(0, s.val); err != nil {
-			return err
-		}
-	}
-	return nil
+		return fn(Addr(child.lazy.Load()), *new(V))
+	})
 }
 
 // NewLazy returns a mutable map of count entries whose root is a lazy

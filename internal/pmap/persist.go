@@ -146,21 +146,25 @@ func persistNode[V any](n *node[V], sink Sink[V], ld Loader[V], p *Persisted) (A
 // sink, returning the assigned address. It does not touch memo fields; the
 // caller stamps whichever object (node or stub) carries the memo.
 func persistContent[V any](n *node[V], sink Sink[V], ld Loader[V], p *Persisted) (Addr, error) {
-	info := NodeInfo[V]{Bitmap: n.bitmap, Coll: n.coll, Slots: make([]SlotData[V], len(n.slots))}
-	for i := range n.slots {
-		s := &n.slots[i]
-		if s.child != nil {
-			ca, err := persistNode(s.child, sink, ld, p)
-			if err != nil {
-				return 0, err
-			}
-			if ca == 0 {
-				return 0, errors.New("pmap: persist: child subtree yielded zero address")
-			}
-			info.Slots[i] = SlotData[V]{Child: ca}
-			continue
+	info := NodeInfo[V]{Bitmap: n.datamap | n.nodemap, Coll: n.coll}
+	info.Slots = make([]SlotData[V], 0, len(n.entries)+len(n.children))
+	err := n.eachSlot(func(e *entry[V], child *node[V]) error {
+		if e != nil {
+			info.Slots = append(info.Slots, SlotData[V]{Key: e.key, Val: e.val})
+			return nil
 		}
-		info.Slots[i] = SlotData[V]{Key: s.key, Val: s.val}
+		ca, err := persistNode(child, sink, ld, p)
+		if err != nil {
+			return err
+		}
+		if ca == 0 {
+			return errors.New("pmap: persist: child subtree yielded zero address")
+		}
+		info.Slots = append(info.Slots, SlotData[V]{Child: ca})
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
 	a, err := sink.Node(info)
 	if err != nil {
@@ -171,4 +175,34 @@ func persistContent[V any](n *node[V], sink Sink[V], ld Loader[V], p *Persisted)
 	}
 	p.Written++
 	return a, nil
+}
+
+// eachSlot calls fn for every occupied slot of a resolved node in stored
+// order — bitmap order for a regular node, with entries and subtrees merged
+// back together, and array order for a collision node — passing either the
+// entry or the child.
+func (n *node[V]) eachSlot(fn func(e *entry[V], child *node[V]) error) error {
+	if n.coll {
+		for i := range n.entries {
+			if err := fn(&n.entries[i], nil); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	ei, ci := 0, 0
+	for rest := n.datamap | n.nodemap; rest != 0; rest &= rest - 1 {
+		var err error
+		if n.datamap&(rest&-rest) != 0 {
+			err = fn(&n.entries[ei], nil)
+			ei++
+		} else {
+			err = fn(nil, n.children[ci])
+			ci++
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -26,38 +26,48 @@ const (
 // share an address in Go, which would collapse distinct tokens.
 type edit struct{ _ byte }
 
-// slot is one child position of a node: either an interior subtree (child
-// non-nil) or a key/value entry with its memoized hash. Collision nodes use
-// entry slots only.
-type slot[V any] struct {
-	child *node[V]
-	hash  uint64
-	key   string
-	val   V
+// entry is one key/value pair stored inline in a node.
+type entry[V any] struct {
+	key string
+	val V
 }
 
-// node is one trie node. A regular node holds, for each set bitmap bit, the
-// slot for that hash fragment in bitmap-rank order. A collision node (coll
-// true) holds entries whose full 64-bit hashes are equal, in no particular
-// order.
+// node is one trie node in the CHAMP layout. A regular node splits its
+// occupied hash fragments between two disjoint bitmaps: datamap bits hold an
+// inline entry, in datamap-rank order in entries, and nodemap bits hold a
+// subtree, in nodemap-rank order in children. A collision node (coll true)
+// has empty bitmaps and holds entries whose full 64-bit hashes are equal, in
+// no particular order.
+//
+// A path copy (owned) copies the header only and aliases both arrays,
+// marking them shared; the first in-place write to a shared array clones
+// that array alone, sized for the write. So a copy pays for the half it
+// touches: changing one child pointer of a 64-way node copies 64 pointers,
+// not 64 entries.
 type node[V any] struct {
-	edit   *edit
-	bitmap uint64
-	coll   bool
+	edit    *edit
+	datamap uint64
+	nodemap uint64
+	coll    bool
+	// entShared and kidShared mark entries and children as aliased by
+	// another node: they must be cloned before an in-place write.
+	entShared bool
+	kidShared bool
 	// ckpt memoizes the persistent address a checkpoint sink assigned to
 	// this node (see persist.go); 0 means never persisted. Stamped only on
 	// nodes reachable from frozen maps, by the single serialized Persist
 	// caller.
-	ckpt  Addr
-	slots []slot[V]
-	// lazy, when non-zero, marks this node as an unfaulted stub: bitmap,
-	// coll and slots are empty and the node's content lives at this
-	// persistent address, to be faulted in through the map's Loader on
-	// access (see lazy.go). It is atomic because Persist retargets stubs of
-	// a relocated node to the new address (CommitRetargets) while frozen
-	// snapshots may be faulting them concurrently. Distinct from ckpt: a
-	// failed checkpoint stamps ckpt before its file is discarded, so ckpt
-	// alone must never be trusted as a live address.
+	ckpt     Addr
+	entries  []entry[V]
+	children []*node[V]
+	// lazy, when non-zero, marks this node as an unfaulted stub: the bitmaps
+	// and arrays are empty and the node's content lives at this persistent
+	// address, to be faulted in through the map's Loader on access (see
+	// lazy.go). It is atomic because Persist retargets stubs of a relocated
+	// node to the new address (CommitRetargets) while frozen snapshots may
+	// be faulting them concurrently. Distinct from ckpt: a failed checkpoint
+	// stamps ckpt before its file is discarded, so ckpt alone must never be
+	// trusted as a live address.
 	lazy atomic.Uint64
 }
 
@@ -139,9 +149,9 @@ func (m *Map[V]) Get(key string) (V, bool) {
 	for n != nil {
 		n = m.resolve(n)
 		if n.coll {
-			for i := range n.slots {
-				if n.slots[i].key == key {
-					return n.slots[i].val, true
+			for i := range n.entries {
+				if n.entries[i].key == key {
+					return n.entries[i].val, true
 				}
 			}
 			break
@@ -149,20 +159,18 @@ func (m *Map[V]) Get(key string) (V, bool) {
 		if shift >= 64 {
 			corruptDepth(n)
 		}
-		bit := uint64(1) << ((h >> shift) & mask)
-		if n.bitmap&bit == 0 {
+		bit := fragment(h, shift)
+		if n.datamap&bit != 0 {
+			if e := &n.entries[rank(n.datamap, bit)]; e.key == key {
+				return e.val, true
+			}
 			break
 		}
-		s := &n.slots[rank(n.bitmap, bit)]
-		if s.child != nil {
-			n = s.child
-			shift += chunk
-			continue
+		if n.nodemap&bit == 0 {
+			break
 		}
-		if s.hash == h && s.key == key {
-			return s.val, true
-		}
-		break
+		n = n.children[rank(n.nodemap, bit)]
+		shift += chunk
 	}
 	var zero V
 	return zero, false
@@ -174,8 +182,11 @@ func (m *Map[V]) Has(key string) bool {
 	return ok
 }
 
-// rank returns the slot position of bit: the number of set bitmap bits
-// below it.
+// fragment returns the bitmap bit selected by the chunk of h at shift.
+func fragment(h uint64, shift uint) uint64 { return uint64(1) << ((h >> shift) & mask) }
+
+// rank returns the array position of bit within bitmap: the number of set
+// bits below it.
 func rank(bitmap, bit uint64) int { return bits.OnesCount64(bitmap & (bit - 1)) }
 
 // Set stores val under key, replacing any existing entry. The map must be
@@ -194,103 +205,140 @@ func (m *Map[V]) Set(key string, val V) {
 func (m *Map[V]) set(n *node[V], shift uint, h uint64, key string, val V, added *bool) *node[V] {
 	if n == nil {
 		*added = true
-		return &node[V]{
-			edit:   m.edit,
-			bitmap: uint64(1) << ((h >> shift) & mask),
-			slots:  []slot[V]{{hash: h, key: key, val: val}},
-		}
+		return &node[V]{edit: m.edit, datamap: fragment(h, shift), entries: []entry[V]{{key, val}}}
 	}
 	// Unchanged paths return orig, not its resolution, so a no-op Set
 	// through a stub leaves the stub in place.
 	orig := n
 	n = m.resolve(n)
 	if n.coll {
-		for i := range n.slots {
-			if n.slots[i].key == key {
+		for i := range n.entries {
+			if n.entries[i].key == key {
 				n = m.owned(n)
-				n.slots[i].val = val
+				n.entries = setAt(n.entries, &n.entShared, i, entry[V]{key, val})
 				return n
 			}
 		}
 		*added = true
 		n = m.owned(n)
-		n.slots = append(n.slots, slot[V]{hash: h, key: key, val: val})
+		n.entries = insertAt(n.entries, &n.entShared, len(n.entries), entry[V]{key, val})
 		return n
 	}
 	if shift >= 64 {
 		corruptDepth(n)
 	}
-	bit := uint64(1) << ((h >> shift) & mask)
-	i := rank(n.bitmap, bit)
-	if n.bitmap&bit == 0 {
-		*added = true
-		if n.edit == m.edit {
-			n.slots = append(n.slots, slot[V]{})
-			copy(n.slots[i+1:], n.slots[i:])
-			n.slots[i] = slot[V]{hash: h, key: key, val: val}
-			n.bitmap |= bit
+	bit := fragment(h, shift)
+	switch {
+	case n.datamap&bit != 0:
+		i := rank(n.datamap, bit)
+		e := n.entries[i]
+		if e.key == key {
+			n = m.owned(n)
+			n.entries = setAt(n.entries, &n.entShared, i, entry[V]{key, val})
 			return n
 		}
-		slots := make([]slot[V], len(n.slots)+1)
-		copy(slots, n.slots[:i])
-		slots[i] = slot[V]{hash: h, key: key, val: val}
-		copy(slots[i+1:], n.slots[i:])
-		return &node[V]{edit: m.edit, bitmap: n.bitmap | bit, slots: slots}
-	}
-	s := n.slots[i]
-	switch {
-	case s.child != nil:
-		child := m.set(s.child, shift+chunk, h, key, val, added)
-		if child == s.child {
+		// Two keys on one fragment: push both a level down.
+		*added = true
+		child := m.split(shift+chunk, hashFn(e.key), e, h, entry[V]{key, val})
+		n = m.owned(n)
+		n.entries = removeAt(n.entries, &n.entShared, i)
+		n.datamap &^= bit
+		n.children = insertAt(n.children, &n.kidShared, rank(n.nodemap, bit), child)
+		n.nodemap |= bit
+		return n
+	case n.nodemap&bit != 0:
+		i := rank(n.nodemap, bit)
+		c := n.children[i]
+		child := m.set(c, shift+chunk, h, key, val, added)
+		if child == c {
 			return orig
 		}
 		n = m.owned(n)
-		n.slots[i].child = child
-		return n
-	case s.hash == h && s.key == key:
-		n = m.owned(n)
-		n.slots[i].val = val
+		n.children = setAt(n.children, &n.kidShared, i, child)
 		return n
 	default:
 		*added = true
-		child := m.split(shift+chunk, s, slot[V]{hash: h, key: key, val: val})
 		n = m.owned(n)
-		n.slots[i] = slot[V]{child: child}
+		n.entries = insertAt(n.entries, &n.entShared, rank(n.datamap, bit), entry[V]{key, val})
+		n.datamap |= bit
 		return n
 	}
 }
 
-// split pushes two colliding entries one level down, chaining further levels
-// while their hash fragments keep colliding and ending in a collision node
-// when the hashes are fully equal.
-func (m *Map[V]) split(shift uint, a, b slot[V]) *node[V] {
+// split pushes two entries whose fragments collide at the level above one
+// level down, chaining further levels while their hash fragments keep
+// colliding and ending in a collision node when the hashes are fully equal.
+func (m *Map[V]) split(shift uint, ah uint64, a entry[V], bh uint64, b entry[V]) *node[V] {
 	if shift >= 64 {
-		return &node[V]{edit: m.edit, coll: true, slots: []slot[V]{a, b}}
+		return &node[V]{edit: m.edit, coll: true, entries: []entry[V]{a, b}}
 	}
-	ai := (a.hash >> shift) & mask
-	bi := (b.hash >> shift) & mask
-	if ai == bi {
-		child := m.split(shift+chunk, a, b)
-		return &node[V]{edit: m.edit, bitmap: uint64(1) << ai, slots: []slot[V]{{child: child}}}
+	abit, bbit := fragment(ah, shift), fragment(bh, shift)
+	if abit == bbit {
+		child := m.split(shift+chunk, ah, a, bh, b)
+		return &node[V]{edit: m.edit, nodemap: abit, children: []*node[V]{child}}
 	}
-	n := &node[V]{edit: m.edit, bitmap: uint64(1)<<ai | uint64(1)<<bi}
-	if ai < bi {
-		n.slots = []slot[V]{a, b}
-	} else {
-		n.slots = []slot[V]{b, a}
+	if abit > bbit {
+		a, b = b, a
 	}
-	return n
+	return &node[V]{edit: m.edit, datamap: abit | bbit, entries: []entry[V]{a, b}}
 }
 
-// owned returns n when the map may mutate it in place, or a copy stamped
-// with the map's token otherwise.
+// owned returns n when the map may mutate it in place, or otherwise a copy
+// of its header stamped with the map's token whose arrays are shared with n.
 func (m *Map[V]) owned(n *node[V]) *node[V] {
 	if n.edit == m.edit {
 		return n
 	}
-	c := &node[V]{edit: m.edit, bitmap: n.bitmap, coll: n.coll, slots: make([]slot[V], len(n.slots))}
-	copy(c.slots, n.slots)
-	return c
+	return &node[V]{
+		edit: m.edit, datamap: n.datamap, nodemap: n.nodemap, coll: n.coll,
+		entries: n.entries, children: n.children, entShared: true, kidShared: true,
+	}
+}
+
+// The array writers below run on owned nodes only. Each takes the array's
+// shared flag and clones a shared array before writing it, allocating
+// exactly the length the write leaves.
+
+// setAt stores v at s[i].
+func setAt[T any](s []T, shared *bool, i int, v T) []T {
+	if *shared {
+		s, *shared = append([]T(nil), s...), false
+	}
+	s[i] = v
+	return s
+}
+
+// insertAt inserts v before s[i].
+func insertAt[T any](s []T, shared *bool, i int, v T) []T {
+	if *shared {
+		c := make([]T, len(s)+1)
+		copy(c, s[:i])
+		copy(c[i+1:], s[i:])
+		c[i] = v
+		*shared = false
+		return c
+	}
+	var zero T
+	s = append(s, zero)
+	copy(s[i+1:], s[i:])
+	s[i] = v
+	return s
+}
+
+// removeAt drops s[i], zeroing the vacated tail slot of an unshared array so
+// it does not pin a removed value.
+func removeAt[T any](s []T, shared *bool, i int) []T {
+	if *shared {
+		c := make([]T, len(s)-1)
+		copy(c, s[:i])
+		copy(c[i:], s[i+1:])
+		*shared = false
+		return c
+	}
+	var zero T
+	copy(s[i:], s[i+1:])
+	s[len(s)-1] = zero
+	return s[:len(s)-1]
 }
 
 // Delete removes key, reporting whether it was present. The map must be
@@ -316,17 +364,15 @@ func (m *Map[V]) del(n *node[V], shift uint, h uint64, key string, removed *bool
 	orig := n
 	n = m.resolve(n)
 	if n.coll {
-		for i := range n.slots {
-			if n.slots[i].key == key {
+		for i := range n.entries {
+			if n.entries[i].key == key {
+				// Collision nodes hold two or more entries; the parent
+				// inlines the survivor when this leaves one.
 				*removed = true
-				if len(n.slots) == 1 {
-					return nil
-				}
 				n = m.owned(n)
-				last := len(n.slots) - 1
-				n.slots[i] = n.slots[last]
-				n.slots[last] = slot[V]{}
-				n.slots = n.slots[:last]
+				last := len(n.entries) - 1
+				n.entries = setAt(n.entries, &n.entShared, i, n.entries[last])
+				n.entries = removeAt(n.entries, &n.entShared, last)
 				return n
 			}
 		}
@@ -335,57 +381,56 @@ func (m *Map[V]) del(n *node[V], shift uint, h uint64, key string, removed *bool
 	if shift >= 64 {
 		corruptDepth(n)
 	}
-	bit := uint64(1) << ((h >> shift) & mask)
-	if n.bitmap&bit == 0 {
-		return orig
-	}
-	i := rank(n.bitmap, bit)
-	s := n.slots[i]
-	if s.child != nil {
-		child := m.del(s.child, shift+chunk, h, key, removed)
-		if !*removed {
+	bit := fragment(h, shift)
+	if n.datamap&bit != 0 {
+		i := rank(n.datamap, bit)
+		if n.entries[i].key != key {
 			return orig
 		}
-		if child == nil {
-			// The subtree drained; drop its slot, collapsing this node too
-			// when that was its last one so emptied chains free their nodes
-			// instead of lingering on the hash path.
-			if len(n.slots) == 1 {
-				return nil
-			}
-			return m.removeSlot(n, bit, i)
-		}
-		if child == s.child {
-			return orig
+		*removed = true
+		if len(n.entries)+len(n.children) == 1 {
+			return nil
 		}
 		n = m.owned(n)
-		n.slots[i].child = child
+		n.entries = removeAt(n.entries, &n.entShared, i)
+		n.datamap &^= bit
 		return n
 	}
-	if s.hash != h || s.key != key {
+	if n.nodemap&bit == 0 {
 		return orig
 	}
-	*removed = true
-	if len(n.slots) == 1 {
-		return nil
-	}
-	return m.removeSlot(n, bit, i)
-}
-
-// removeSlot drops slot i (bitmap bit) from a regular node with more than
-// one slot.
-func (m *Map[V]) removeSlot(n *node[V], bit uint64, i int) *node[V] {
-	if n.edit == m.edit {
-		copy(n.slots[i:], n.slots[i+1:])
-		n.slots[len(n.slots)-1] = slot[V]{}
-		n.slots = n.slots[:len(n.slots)-1]
-		n.bitmap &^= bit
+	i := rank(n.nodemap, bit)
+	c := n.children[i]
+	child := m.del(c, shift+chunk, h, key, removed)
+	switch {
+	case !*removed:
+		return orig
+	case child == nil:
+		// The subtree drained; drop it, collapsing this node too when that
+		// was its last occupant so emptied chains free their nodes instead of
+		// lingering on the hash path.
+		if len(n.entries)+len(n.children) == 1 {
+			return nil
+		}
+		n = m.owned(n)
+		n.children = removeAt(n.children, &n.kidShared, i)
+		n.nodemap &^= bit
 		return n
+	case child.coll && len(child.entries) == 1:
+		// A collision node needs two entries to persist (NewNode rejects
+		// fewer), so its survivor moves up into this slot as an entry.
+		n = m.owned(n)
+		n.children = removeAt(n.children, &n.kidShared, i)
+		n.nodemap &^= bit
+		n.entries = insertAt(n.entries, &n.entShared, rank(n.datamap, bit), child.entries[0])
+		n.datamap |= bit
+		return n
+	case child == c:
+		return orig
 	}
-	slots := make([]slot[V], len(n.slots)-1)
-	copy(slots, n.slots[:i])
-	copy(slots[i:], n.slots[i+1:])
-	return &node[V]{edit: m.edit, bitmap: n.bitmap &^ bit, slots: slots}
+	n = m.owned(n)
+	n.children = setAt(n.children, &n.kidShared, i, child)
+	return n
 }
 
 // Range invokes fn for every entry; a non-nil error stops the iteration and
@@ -395,6 +440,10 @@ func (m *Map[V]) removeSlot(n *node[V], bit uint64, i int) *node[V] {
 func (m *Map[V]) Range(fn func(key string, val V) error) error {
 	return rangeNode(m.root, m.loader, 0, fn)
 }
+
+// Both walkers visit a regular node's entries and subtrees interleaved in
+// bitmap order, the persisted slot order (see eachSlot), so iteration order
+// does not depend on which array a slot lives in.
 
 func rangeNode[V any](n *node[V], ld Loader[V], depth int, fn func(string, V) error) error {
 	if n == nil {
@@ -406,17 +455,28 @@ func rangeNode[V any](n *node[V], ld Loader[V], depth int, fn func(string, V) er
 	if depth > maxDepth {
 		corruptDepth(n)
 	}
-	for i := range n.slots {
-		s := &n.slots[i]
-		if s.child != nil {
-			if err := rangeNode(s.child, ld, depth+1, fn); err != nil {
+	if n.coll {
+		for i := range n.entries {
+			if err := fn(n.entries[i].key, n.entries[i].val); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	ei, ci := 0, 0
+	for rest := n.datamap | n.nodemap; rest != 0; rest &= rest - 1 {
+		if n.datamap&(rest&-rest) != 0 {
+			e := &n.entries[ei]
+			ei++
+			if err := fn(e.key, e.val); err != nil {
 				return err
 			}
 			continue
 		}
-		if err := fn(s.key, s.val); err != nil {
+		if err := rangeNode(n.children[ci], ld, depth+1, fn); err != nil {
 			return err
 		}
+		ci++
 	}
 	return nil
 }
@@ -437,17 +497,28 @@ func rangeValues[V any](n *node[V], ld Loader[V], depth int, fn func(V) error) e
 	if depth > maxDepth {
 		corruptDepth(n)
 	}
-	for i := range n.slots {
-		s := &n.slots[i]
-		if s.child != nil {
-			if err := rangeValues(s.child, ld, depth+1, fn); err != nil {
+	if n.coll {
+		for i := range n.entries {
+			if err := fn(n.entries[i].val); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	ei, ci := 0, 0
+	for rest := n.datamap | n.nodemap; rest != 0; rest &= rest - 1 {
+		if n.datamap&(rest&-rest) != 0 {
+			val := n.entries[ei].val
+			ei++
+			if err := fn(val); err != nil {
 				return err
 			}
 			continue
 		}
-		if err := fn(s.val); err != nil {
+		if err := rangeValues(n.children[ci], ld, depth+1, fn); err != nil {
 			return err
 		}
+		ci++
 	}
 	return nil
 }

@@ -110,14 +110,18 @@ func (d *Database) Tracer() obs.Tracer { return d.tr }
 // under the commit lock: a panic escaping it would leave the lock held and
 // the drainer role taken, wedging every later commit. So a panicking
 // callback loses its event, is counted, and the pipeline carries on.
-func (d *Database) emit(e obs.Event) {
-	if d.tr == nil {
+func (d *Database) emit(e obs.Event) { guardedEmit(d.tr, d.met, e) }
+
+// guardedEmit is emit for callers without a Database yet (recovery replay
+// runs before Open builds one).
+func guardedEmit(tr obs.Tracer, met *storeMetrics, e obs.Event) {
+	if tr == nil {
 		return
 	}
 	defer func() {
 		if recover() != nil {
-			d.met.tracerPanics.Inc()
+			met.tracerPanics.Inc()
 		}
 	}()
-	d.tr.Event(e)
+	tr.Event(e)
 }

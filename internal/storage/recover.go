@@ -163,8 +163,8 @@ replay:
 			rs.lsn, rs.time = rec.LSN, rec.Time
 			nBytes += uint64(len(rec.Payload))
 			nRecs++
-			if rs.tr != nil && nRecs-lastEmit >= 1024 {
-				rs.tr.Event(obs.Event{Kind: obs.EvRecoveryReplay, N: nRecs, Bytes: nBytes, LSN: rs.lsn})
+			if nRecs-lastEmit >= 1024 {
+				guardedEmit(rs.tr, rs.met, obs.Event{Kind: obs.EvRecoveryReplay, N: nRecs, Bytes: nBytes, LSN: rs.lsn})
 				lastEmit = nRecs
 			}
 		}
@@ -174,8 +174,8 @@ replay:
 	}
 	rs.met.replayRecords.Add(nRecs)
 	rs.met.replayBytes.Add(nBytes)
-	if rs.tr != nil && nRecs > 0 {
-		rs.tr.Event(obs.Event{Kind: obs.EvRecoveryReplay, N: nRecs, Bytes: nBytes, LSN: rs.lsn})
+	if nRecs > 0 {
+		guardedEmit(rs.tr, rs.met, obs.Event{Kind: obs.EvRecoveryReplay, N: nRecs, Bytes: nBytes, LSN: rs.lsn})
 	}
 
 	// Physical truncation: every frame past the applied prefix goes, so the

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/relation"
 	"repro/internal/wal"
 )
 
@@ -200,6 +201,48 @@ func TestTracerPanicDoesNotWedgeCommits(t *testing.T) {
 		}
 	}
 	if n := db.Registry().Counter("repro_storage_tracer_panics_total").Value(); n != 1 {
+		t.Errorf("tracer panics counted = %d, want 1", n)
+	}
+}
+
+// replayPanicTracer panics on every recovery-replay event and records
+// nothing else.
+type replayPanicTracer struct{}
+
+func (replayPanicTracer) Event(e obs.Event) {
+	if e.Kind == obs.EvRecoveryReplay {
+		panic("tracer bug during replay")
+	}
+}
+
+// TestTracerPanicDuringReplayDoesNotFailOpen: recovery replay reports its
+// progress to the tracer like every other stage, through the same guard. A
+// tracer that panics on those events loses them and is counted; it must not
+// fail Open of a directory with a WAL tail to replay.
+func TestTracerPanicDuringReplayDoesNotFailOpen(t *testing.T) {
+	dir := t.TempDir()
+	db := openDur(t, dir, DurOptions{CheckpointBytes: -1})
+	for i := int64(1); i <= 3; i++ {
+		durCommit(t, db, map[string][]relation.Tuple{"alpha": {durTuple(i, fmt.Sprint(i))}}, nil)
+	}
+	want := dumpState(db.Snapshot())
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := obs.NewRegistry()
+	db2, err := Open(dir, durSchema(), DurOptions{CheckpointBytes: -1, Metrics: reg, Tracer: replayPanicTracer{}})
+	if err != nil {
+		t.Fatalf("Open with a panicking tracer: %v", err)
+	}
+	defer db2.Close()
+	if got := dumpState(db2.Snapshot()); got != want {
+		t.Fatalf("recovered state:\n%s\nwant:\n%s", got, want)
+	}
+	if n := reg.Counter("repro_recovery_replayed_records_total").Value(); n != 3 {
+		t.Errorf("replayed records = %d, want 3", n)
+	}
+	if n := reg.Counter("repro_storage_tracer_panics_total").Value(); n != 1 {
 		t.Errorf("tracer panics counted = %d, want 1", n)
 	}
 }
