@@ -122,6 +122,39 @@ func TestAutoIndexFromReferentialConstraint(t *testing.T) {
 		`forall x (x in child implies exists y (y in parent and x.parent = y.id))`)
 }
 
+// TestAutoIndexFollowsEnforcementPrograms: AutoIndex builds only what the
+// rule's programs probe. The domain check of qty >= 0 reads only the
+// transaction's inserts, so it builds no stock(qty) ordered; a clamp repair
+// range-selects the out-of-bound rows, so the same constraint with a clamp
+// builds it, and the repair range-probes it.
+func TestAutoIndexFollowsEnforcementPrograms(t *testing.T) {
+	const cond = `forall x (x in stock implies x.qty >= 0)`
+	for _, c := range []struct {
+		repair string
+		want   string
+	}{
+		{"", ""},
+		{" on violation clamp", "stock(qty) ordered"},
+	} {
+		db := Open(&Options{AutoIndex: true})
+		db.MustCreateRelation(`relation stock(id int, qty int)`)
+		db.MustDefineConstraint("nonneg", cond+c.repair)
+		if got := strings.Join(db.Indexes(), ";"); got != c.want {
+			t.Fatalf("%q: Indexes() = %q, want %q", cond+c.repair, got, c.want)
+		}
+		if c.repair == "" {
+			continue
+		}
+		res, err := db.Submit(`begin insert(stock, values[(1, -5)]); end`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Committed || res.RangeProbes == 0 {
+			t.Fatalf("clamped insert: committed=%v range probes=%d", res.Committed, res.RangeProbes)
+		}
+	}
+}
+
 // TestSubmitProbesInsteadOfScans: with indexes, a delete-by-key transaction
 // and its differential referential check run entirely on probes, and the
 // Result reports them.

@@ -36,8 +36,16 @@
 //   - Cost. Build sorts once, O(n log n), and links the sorted run in O(n).
 //     Apply removes and then inserts each delta tuple, copying the O(log n)
 //     nodes on its path and sharing everything else with the predecessor:
-//     O(delta · log n) time and allocation per commit, whatever n is. Probe
-//     and Range are one descent and an in-order walk, O(log n + matches).
+//     O(delta · log n) time and allocation per commit, whatever n is. The
+//     copies are owned by the running Apply, marked in bit 0 of the entry
+//     hash (the order ignores the bit), and later tuples of the same delta
+//     write them in place. So a commit copies the union of its tuples'
+//     paths once: the top of the tree once per commit, and one path for an
+//     update that removes t and inserts t' under the same index key. Owned
+//     nodes always hang together under the new root, so Apply clears the
+//     marks by walking them down from there, allocating nothing, before it
+//     returns; a published tree is never written. Probe and Range are one
+//     descent and an in-order walk, O(log n + matches).
 //   - Memory. A node holds the key string, the tuple header, the hash and
 //     two children (64 bytes). Entries with equal index keys share one key
 //     string — a new entry adopts its neighbour's — and the canonical key is

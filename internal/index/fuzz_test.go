@@ -1,6 +1,7 @@
 package index
 
 import (
+	"maps"
 	"slices"
 	"testing"
 
@@ -52,19 +53,30 @@ func fuzzTuple(c byte) relation.Tuple {
 	return relation.Tuple{value.Int(a), value.Int(b)}
 }
 
-// FuzzIndexApply reads its input two bytes at a time as (operation, tuple):
-// the operation byte picks insert, delete, probe or range in its low two
-// bits and one of two lines in bit 2. Both lines start from one base built
-// over the tuples the first bytes name, so they share nodes from then on.
-// After every operation the line is checked against its model, and so is the
-// other line, which must not have seen the write. Inserts of resident tuples
-// and deletes of absent ones are sent through Apply as they are.
+// FuzzIndexApply reads its input as operations: an operation byte, then
+// (op>>3&3)+1 tuple bytes. Bit 2 of the operation byte picks one of two
+// lines; its low two bits pick an Apply (0 or 1) or a probe and range (2 or
+// 3). An Apply sends all the operation's tuples in one delta, each to the
+// deletes when bit 6 of its byte is set and to the inserts otherwise, so
+// one Apply mixes both and reaches nodes it copied itself earlier. Both
+// lines start from one base built over the tuples the first bytes name, so
+// they share nodes from then on. After every operation the line is checked
+// against its model under each of the tuples, and so are the other line
+// and the line's previous generation, neither of which may have seen the
+// write. Inserts of resident tuples and deletes of absent ones are sent
+// through Apply as they are.
 func FuzzIndexApply(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 0, 9, 4, 9, 1, 9, 5, 41, 2, 9, 7, 9})
 	f.Add([]byte{8, 40, 16, 48, 0, 8, 4, 40, 1, 8, 5, 8, 3, 8})
 	f.Add([]byte{0, 0, 0, 32, 1, 32, 1, 0, 4, 0, 5, 32, 0, 0})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31})
+	// Updates: a tuple deleted and another under its key inserted in one Apply.
+	f.Add([]byte{1, 9, 17, 25, 33, 41, 0, 24, 73, 17, 24, 65, 9, 25, 3, 9, 17})
+	// Whole-line churn: four-tuple deltas mixing inserts and deletes.
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 24, 6, 7, 64, 65, 28, 66, 67, 8, 16, 24, 72, 80, 88, 96, 3, 0})
+	// Resident inserts and absent deletes beside real changes in one Apply.
+	f.Add([]byte{9, 17, 10, 16, 18, 81, 82, 10, 20, 16, 24, 73, 74, 90, 106, 2, 20})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := numSchema()
 		cols := []int{1}
@@ -83,20 +95,38 @@ func FuzzIndexApply(f *testing.F) {
 			})
 		}
 		data = data[head:]
-		for ; len(data) >= 2; data = data[2:] {
-			op, tu := data[0], fuzzTuple(data[1])
+		for len(data) >= 2 {
+			op := data[0]
+			n := min(int(op>>3&3)+1, len(data)-1)
+			tus := data[1 : 1+n]
+			data = data[1+n:]
 			l, other := lines[op>>2&1], lines[op>>2&1^1]
-			delta := relation.MustFromTuples(s, tu)
-			switch op & 3 {
-			case 0:
-				l.hash, l.ord = l.hash.Apply(delta, nil), l.ord.Apply(delta, nil)
-				l.model[tu.Key()] = tu
-			case 1:
-				l.hash, l.ord = l.hash.Apply(nil, delta), l.ord.Apply(nil, delta)
-				delete(l.model, tu.Key())
+			prev := fuzzLine{hash: l.hash, ord: l.ord, model: maps.Clone(l.model)}
+			if op&3 < 2 {
+				ins, del := relation.New(s), relation.New(s)
+				for _, c := range tus {
+					if c&64 != 0 {
+						del.InsertUnchecked(fuzzTuple(c))
+					} else {
+						ins.InsertUnchecked(fuzzTuple(c))
+					}
+				}
+				l.hash, l.ord = l.hash.Apply(ins, del), l.ord.Apply(ins, del)
+				_ = del.ForEachKey(func(k string, _ relation.Tuple) error {
+					delete(l.model, k)
+					return nil
+				})
+				_ = ins.ForEachKey(func(k string, tu relation.Tuple) error {
+					l.model[k] = tu
+					return nil
+				})
 			}
-			l.check(t, tu)
-			other.check(t, tu)
+			for _, c := range tus {
+				tu := fuzzTuple(c)
+				l.check(t, tu)
+				other.check(t, tu)
+				prev.check(t, tu)
+			}
 			checkTree(t, &l.hash.tree)
 			checkTree(t, &l.ord.tree)
 		}

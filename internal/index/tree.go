@@ -26,6 +26,14 @@ type node struct {
 	left, right *node
 }
 
+// owned marks, in bit 0 of entry.hash, a node that the running apply
+// created. The rest of that apply writes such a node in place instead of
+// copying it again. entryOf makes even hashes and tie ignores the bit, so
+// the mark moves neither the order nor the shape (the heap priority is the
+// high half). apply clears every mark before it returns: published nodes
+// carry none and are never written.
+const owned = 1
+
 // hashKey hashes a canonical tuple key: FNV-1a for the bytes, then the
 // murmur3 finalizer, because the tree takes its order from the low half and
 // its shape from the high half and FNV alone leaves the high bits of short
@@ -53,9 +61,10 @@ func (e *entry) compare(o *entry) int {
 	return e.tie(o)
 }
 
-// tie orders two entries whose index keys are equal.
+// tie orders two entries whose index keys are equal. The owned mark is
+// not part of the order.
 func (e *entry) tie(o *entry) int {
-	if c := cmp.Compare(uint32(e.hash), uint32(o.hash)); c != 0 {
+	if c := cmp.Compare(uint32(e.hash|owned), uint32(o.hash|owned)); c != 0 {
 		return c
 	}
 	return e.tuple.CompareKey(o.tuple)
@@ -97,7 +106,7 @@ func (t *tree) entryOf(tupleKey string, tu relation.Tuple) entry {
 	} else {
 		key = tu.AppendKeyOn(key, t.cols)
 	}
-	return entry{key: string(key), tuple: tu, hash: hashKey(tupleKey)}
+	return entry{key: string(key), tuple: tu, hash: hashKey(tupleKey) &^ owned}
 }
 
 // build indexes r from scratch: one sort, then the treap is assembled left
@@ -137,6 +146,12 @@ func build(r *relation.Relation, cols []int, ordered bool) tree {
 // the predecessor. Either relation may be nil. A tuple to remove that is
 // absent, or to insert that is present, changes nothing, so the successor
 // always indexes exactly the successor instance.
+//
+// The first tuple to reach a predecessor node copies it and marks the copy
+// owned; later tuples of the same delta write the copy in place. So the
+// delta copies the union of its tuples' paths once: the top of the tree once
+// per commit rather than once per tuple, and an update (t removed, t'
+// inserted under the same index key) one path rather than two.
 func (t *tree) apply(ins, del *relation.Relation) {
 	if del != nil {
 		_ = del.ForEachKey(func(k string, tu relation.Tuple) error {
@@ -152,15 +167,41 @@ func (t *tree) apply(ins, del *relation.Relation) {
 			return nil
 		})
 	}
+	disown(t.root)
 }
 
-// insert returns n with e added, or n itself when e is present. Every node
-// it returns other than n is fresh, which is what lets the rotations relink
-// in place.
+// own returns n ready to be written: n itself when this apply created it,
+// else a copy marked owned.
+func own(n *node) *node {
+	if n.hash&owned != 0 {
+		return n
+	}
+	cp := *n
+	cp.hash |= owned
+	return &cp
+}
+
+// disown clears the owned marks under n. Every node the apply created hangs
+// from a created parent up to the root, since changing a child means owning
+// its parent, so the walk stops at the first unmarked node of each branch:
+// it visits only what the apply created and allocates nothing.
+func disown(n *node) {
+	for n != nil && n.hash&owned != 0 {
+		n.hash &^= owned
+		disown(n.left)
+		n = n.right
+	}
+}
+
+// insert returns n with e added. It returns n itself when e is present, or
+// when e went into nodes this apply already owns; any other node it returns
+// is owned, which is what lets the rotations relink in place.
 func (t *tree) insert(n *node, e *entry) *node {
 	if n == nil {
 		t.size++
-		return &node{entry: *e}
+		fresh := &node{entry: *e}
+		fresh.hash |= owned
+		return fresh
 	}
 	c := strings.Compare(e.key, n.key)
 	if c == 0 {
@@ -175,31 +216,32 @@ func (t *tree) insert(n *node, e *entry) *node {
 		if l == n.left {
 			return n
 		}
-		cp := *n
-		cp.left = l
-		if l.above(&cp.entry) {
-			cp.left, l.right = l.right, &cp
+		n = own(n)
+		n.left = l
+		if l.above(&n.entry) {
+			n.left, l.right = l.right, n
 			return l
 		}
-		return &cp
+		return n
 	case c > 0:
 		r := t.insert(n.right, e)
 		if r == n.right {
 			return n
 		}
-		cp := *n
-		cp.right = r
-		if r.above(&cp.entry) {
-			cp.right, r.left = r.left, &cp
+		n = own(n)
+		n.right = r
+		if r.above(&n.entry) {
+			n.right, r.left = r.left, n
 			return r
 		}
-		return &cp
+		return n
 	default:
 		return n
 	}
 }
 
-// remove returns n without e, or n itself when e is absent.
+// remove returns n without e: n itself when e is absent, or when e left
+// nodes this apply already owns.
 func (t *tree) remove(n *node, e *entry) *node {
 	if n == nil {
 		return nil
@@ -214,21 +256,21 @@ func (t *tree) remove(n *node, e *entry) *node {
 		if l == n.left {
 			return n
 		}
-		cp := *n
-		cp.left = l
-		return &cp
+		n = own(n)
+		n.left = l
+		return n
 	}
 	r := t.remove(n.right, e)
 	if r == n.right {
 		return n
 	}
-	cp := *n
-	cp.right = r
-	return &cp
+	n = own(n)
+	n.right = r
+	return n
 }
 
 // merge joins two trees where every entry of l sorts before every entry of
-// r, copying only the two spines it descends.
+// r, owning only the two spines it descends.
 func merge(l, r *node) *node {
 	switch {
 	case l == nil:
@@ -236,13 +278,13 @@ func merge(l, r *node) *node {
 	case r == nil:
 		return l
 	case l.above(&r.entry):
-		cp := *l
-		cp.right = merge(l.right, r)
-		return &cp
+		l = own(l)
+		l.right = merge(l.right, r)
+		return l
 	default:
-		cp := *r
-		cp.left = merge(l, r.left)
-		return &cp
+		r = own(r)
+		r.left = merge(l, r.left)
+		return r
 	}
 }
 

@@ -267,6 +267,58 @@ func TestApplyCostIsLogarithmic(t *testing.T) {
 	}
 }
 
+// depth counts the nodes on the search path from n down to e's node, both
+// included.
+func depth(n *node, e *entry) int {
+	d := 0
+	for n != nil {
+		d++
+		c := e.compare(&n.entry)
+		if c == 0 {
+			break
+		}
+		if c < 0 {
+			n = n.left
+		} else {
+			n = n.right
+		}
+	}
+	return d
+}
+
+// TestApplyUpdateCopiesOnePath: an update — t removed and t' inserted under
+// the same index key in one Apply — copies the path the two share once. The
+// nodes an Apply allocates are its allocations less those of a no-op Apply
+// of two tuples (key strings, successor header). Over 100 rows of a
+// 4 000-row index they may not exceed the path down to t plus two nodes per
+// update; copying the path once per tuple costs about twice that.
+func TestApplyUpdateCopiesOnePath(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const n = 4000
+	s := childSchema()
+	r := relation.New(s)
+	for i := int64(0); i < n; i++ {
+		r.InsertUnchecked(row(i, i, i%10))
+	}
+	x := Build(r, []int{0})
+	var nodes, bound float64
+	for i := int64(0); i < n; i += n / 100 {
+		old, upd := row(i, i, i%10), row(i, i, i%10+100)
+		ins, del := relation.MustFromTuples(s, upd), relation.MustFromTuples(s, old)
+		absent := relation.MustFromTuples(s, row(i, i, -1))
+		noop := testing.AllocsPerRun(3, func() { benchSink += x.Apply(del, absent).Len() })
+		nodes += testing.AllocsPerRun(3, func() { benchSink += x.Apply(ins, del).Len() }) - noop
+		e := x.entryOf(old.Key(), old)
+		bound += float64(depth(x.root, &e) + 2)
+	}
+	t.Logf("100 updates allocate %.0f nodes; paths plus two nodes each: %.0f", nodes, bound)
+	if nodes > bound {
+		t.Fatalf("100 updates allocate %.0f nodes, more than one path plus two nodes each (%.0f)", nodes, bound)
+	}
+}
+
 // TestDeletedTuplesAreCollectable builds an index over n tuples, deletes all
 // but a few through Apply and drops every older root. The deleted tuples
 // must then be garbage. The survivors matter: their nodes date from the

@@ -333,6 +333,31 @@ func TestLexerDetails(t *testing.T) {
 	}
 }
 
+// TestLexAllocations: lexing a transaction allocates the lexer and one token
+// slice sized up front, not a slice grown token by token.
+func TestLexAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const place = "begin insert(ord0, values[(4123, 512, 7)]); delete(ord0, select(ord0, id = 4000)); end"
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := lex(place); err != nil {
+			panic(err)
+		}
+	}); n > 2 {
+		t.Fatalf("lexing a place transaction allocates %.0f times, want at most 2", n)
+	}
+	// A long string literal is one token and must not inflate the estimate.
+	kv := `begin delete(kv, values[(7, 0, "` + strings.Repeat("0", 64) + `")]); end`
+	l, err := lex(kv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est := tokenEstimate(kv); est < len(l.tokens) || est > 2*len(l.tokens) {
+		t.Fatalf("estimated %d tokens for %d", est, len(l.tokens))
+	}
+}
+
 func TestScalarParser(t *testing.T) {
 	s, err := ParseScalar(`#1 + 2 * #2 >= 10 and not (name = "x")`)
 	if err != nil {

@@ -41,7 +41,7 @@ type lexer struct {
 var operators = []string{":=", "<=", ">=", "<>", "==", "=>", "(", ")", "[", "]", "{", "}", ",", ";", ":", ".", "#", "=", "<", ">", "+", "-", "*", "/"}
 
 func lex(src string) (*lexer, error) {
-	l := &lexer{src: src}
+	l := &lexer{src: src, tokens: make([]token, 0, tokenEstimate(src))}
 	i := 0
 	n := len(src)
 	for i < n {
@@ -142,6 +142,26 @@ func lex(src string) (*lexer, error) {
 	}
 	l.tokens = append(l.tokens, token{tokEOF, "", n})
 	return l, nil
+}
+
+// tokenEstimate sizes the token slice up front: about one token per two
+// bytes of source, counting a string literal, however long, as one token.
+// Escaped quotes are not decoded; the estimate only has to be close.
+func tokenEstimate(src string) int {
+	n := len(src)
+	for rest := src; ; {
+		i := strings.IndexAny(rest, `"'`)
+		if i < 0 {
+			break
+		}
+		j := strings.IndexByte(rest[i+1:], rest[i])
+		if j < 0 {
+			break
+		}
+		n -= j
+		rest = rest[i+j+2:]
+	}
+	return n/2 + 2
 }
 
 // parser walks the token stream with index-based backtracking.

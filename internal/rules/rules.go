@@ -78,8 +78,8 @@ type IntegrityProgram struct {
 	Differential  algebra.Program // nil when no part could be incrementalized
 	NonTriggering bool
 	Classes       []translate.Class
-	// IndexHints are the secondary indexes the rule's enforcement joins
-	// would exploit (translate.IndexHints); the facade builds them when
+	// IndexHints are the secondary indexes the rule's differential checks
+	// and repair probe (translate.IndexHints); the facade builds them when
 	// automatic indexing is enabled.
 	IndexHints []translate.IndexHint
 	// Plans holds the per-part compiled check programs (full + differential
@@ -141,13 +141,19 @@ func Compile(r *Rule, db *schema.Database) (*IntegrityProgram, error) {
 		for _, p := range res.Parts {
 			ip.Classes = append(ip.Classes, p.Class)
 		}
-		ip.IndexHints = translate.IndexHints(res.Parts, db)
 		plans, improved := optimize.CompileParts(res.Parts, db, r.Name)
 		ip.Plans = plans
+		// The programs the default engine can run for this rule: each part's
+		// differential sides (its full check when it has none), then the
+		// repair. Their probes, and only theirs, are worth an index.
+		run := make([]algebra.Program, 0, len(plans)+1)
+		for _, pl := range plans {
+			run = append(run, pl.Differential())
+		}
 		if improved {
 			var diff algebra.Program
-			for _, pl := range plans {
-				diff = diff.Concat(pl.Differential())
+			for _, prog := range run {
+				diff = diff.Concat(prog)
 			}
 			ip.Differential = diff
 		}
@@ -157,7 +163,9 @@ func Compile(r *Rule, db *schema.Database) (*IntegrityProgram, error) {
 				return nil, err
 			}
 			ip.Repair = rep
+			run = append(run, rep.Program)
 		}
+		ip.IndexHints = translate.IndexHints(run, db)
 		return ip, nil
 	}
 	if r.Repair != RepairNone {

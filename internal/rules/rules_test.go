@@ -1,6 +1,7 @@
 package rules_test
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -159,6 +160,51 @@ func TestCatalogLifecycle(t *testing.T) {
 	}
 	if cat.Len() != 1 || cat.Programs()[0].RuleName != "R2" {
 		t.Errorf("catalog after remove: %v", cat.Names())
+	}
+}
+
+// TestIndexHintsFollowPrograms pins the hint set of each constraint class:
+// a compiled rule hints exactly the indexes its differential checks and its
+// repair probe. A domain check reads only the transaction's inserts, so an
+// abort-only domain rule hints nothing, while a clamp or cascade delete
+// range-selects the relation and hints the compared column.
+func TestIndexHintsFollowPrograms(t *testing.T) {
+	db := ruleSchema()
+	cases := []struct {
+		name, cond string
+		want       string
+	}{
+		{"referential", `forall x (x in r implies exists y (y in s and x.b = y.k))`, "r(b) s(k)"},
+		{"pair", `forall x, y ((x in r and y in s and x.a = y.k) implies x.b = y.v)`, "r(a) s(k)"},
+		{"existential", `exists x (x in r and x.a > 0)`, "r(a) ordered"},
+		{"domain abort-only", `forall x (x in r implies x.a >= 0)`, ""},
+		{"domain clamp", `forall x (x in r implies x.a >= 0) on violation clamp`, "r(a) ordered"},
+		{"domain cascade delete", `forall x (x in r implies x.a >= 0) on violation cascade delete`, "r(a) ordered"},
+		{"aggregate", `SUM(r, a) >= 0`, ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r, err := lang.ParseConstraintRule("C", c.cond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ip, err := rules.Compile(r, db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, h := range ip.IndexHints {
+				decl := h.Relation + "(" + strings.Join(h.Attrs, ", ") + ")"
+				if h.Ordered {
+					decl += " ordered"
+				}
+				got = append(got, decl)
+			}
+			sort.Strings(got)
+			if s := strings.Join(got, " "); s != c.want {
+				t.Fatalf("hints %q, want %q", s, c.want)
+			}
+		})
 	}
 }
 

@@ -8,11 +8,11 @@ import (
 )
 
 // IndexHint names a relation and the attribute columns its enforcement
-// expressions access — the schema-driven input to automatic secondary
-// indexing. A hash hint (Ordered false) carries the canonical (ascending,
-// duplicate-free) equality-join columns; an ordered hint (Ordered true)
-// carries a single comparison-guarded column whose declared order is the
-// sort order of the ordered index worth building.
+// programs probe — the input to automatic secondary indexing. A hash hint
+// (Ordered false) carries the canonical (ascending, duplicate-free)
+// equality-join columns; an ordered hint (Ordered true) carries a single
+// comparison-bounded column whose declared order is the sort order of the
+// ordered index worth building.
 type IndexHint struct {
 	Relation string
 	Columns  []int
@@ -20,94 +20,149 @@ type IndexHint struct {
 	Ordered  bool
 }
 
-// IndexHints derives the secondary indexes worth building for a translated
-// constraint: for every referential or pair conjunct, the equality-join
-// columns of both sides, and for every comparison-guarded domain or
-// existential conjunct, an ordered index per compared column. Both join
-// directions matter — the referential check antijoin(ins(child), parent)
-// probes parent on its key columns, while the deletion-side check
-// semijoin(child, del(parent)) probes child on its foreign-key columns —
-// and comparison guards ("qty >= threshold") turn their enforcement
-// selections into bounded range probes over the ordered hints. Conjuncts
-// without usable columns (or whose predicates cannot be re-bound)
-// contribute nothing.
-func IndexHints(parts []*Part, db *schema.Database) []IndexHint {
-	seen := make(map[string]bool)
-	var out []IndexHint
-	add := func(rel string, cols []int, ordered bool) {
-		if len(cols) == 0 {
-			return
-		}
-		rs, ok := db.Relation(rel)
-		if !ok {
-			return
-		}
-		canon := append([]int(nil), cols...)
-		if !ordered {
-			sort.Ints(canon)
-			canon = dedupInts(canon)
-		}
-		key := rel + "\x00"
-		if ordered {
-			key = rel + "\x00ordered\x00"
-		}
-		attrs := make([]string, len(canon))
-		for i, c := range canon {
-			if c < 0 || c >= rs.Arity() {
-				return
-			}
-			attrs[i] = rs.Attrs[c].Name
-			key += "," + attrs[i]
-		}
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		out = append(out, IndexHint{Relation: rel, Columns: canon, Attrs: attrs, Ordered: ordered})
-	}
-	addRangeCols := func(rel string, pred algebra.Scalar) {
-		if pred == nil {
-			return
-		}
-		rs, ok := db.Relation(rel)
-		if !ok {
-			return
-		}
-		cols, err := algebra.RangeCompareColumns(pred, rs)
-		if err != nil {
-			return
-		}
-		for _, c := range cols {
-			add(rel, []int{c}, true)
+// IndexHints derives the secondary indexes the given type-checked programs
+// can probe. It reads program nodes rather than constraint classes, so an
+// index is hinted only where an operator of a program that runs would use
+// it:
+//
+//   - a join, semijoin or antijoin probes a side that is a direct reference
+//     to a base relation on its equality-join columns (an antijoin only its
+//     right side, since its output needs every left tuple): a hash hint;
+//   - a selection over a base relation, and an update's Where, range-probe
+//     the columns their predicate compares against constants: an ordered
+//     hint per column.
+//
+// So the referential check antijoin(ins(child), parent) hints parent on its
+// key and the deletion-side semijoin(child, del(parent)) hints child on its
+// foreign key, while the domain check select(ins(R), not c) reads only the
+// transaction's delta and hints nothing. Nodes whose columns cannot be
+// resolved contribute nothing; duplicate hints collapse.
+func IndexHints(progs []algebra.Program, db *schema.Database) []IndexHint {
+	h := hinter{db: db, seen: make(map[string]bool)}
+	for _, prog := range progs {
+		for _, st := range prog {
+			h.stmt(st)
 		}
 	}
-	for _, p := range parts {
-		switch p.Class {
-		case ClassReferential, ClassPair:
-			if p.JoinPred == nil {
-				continue
-			}
-			ls, lok := db.Relation(p.Rel.Name)
-			rs, rok := db.Relation(p.Other.Name)
-			if !lok || !rok {
-				continue
-			}
-			eqL, eqR, err := algebra.EquiJoinColumns(p.JoinPred, ls, rs)
-			if err != nil {
-				continue
-			}
-			add(p.Rel.Name, eqL, false)
-			add(p.Other.Name, eqR, false)
-		case ClassDomain:
-			// The enforcement selection applies Guard and ¬Cond; both sides'
-			// comparison columns are range-probe candidates.
-			addRangeCols(p.Rel.Name, p.Guard)
-			addRangeCols(p.Rel.Name, p.Cond)
-		case ClassExistential:
-			addRangeCols(p.Rel.Name, p.Cond)
-		}
+	return h.out
+}
+
+// hinter accumulates the hints of a walk over program nodes.
+type hinter struct {
+	db   *schema.Database
+	seen map[string]bool
+	out  []IndexHint
+}
+
+func (h *hinter) stmt(st algebra.Stmt) {
+	switch x := st.(type) {
+	case *algebra.Alarm:
+		h.expr(x.Expr)
+	case *algebra.Assign:
+		h.expr(x.Expr)
+	case *algebra.Insert:
+		h.expr(x.Src)
+	case *algebra.Delete:
+		h.expr(x.Src)
+	case *algebra.Update:
+		h.rangeCols(x.Rel, x.Where)
 	}
-	return out
+}
+
+func (h *hinter) expr(e algebra.Expr) {
+	switch x := e.(type) {
+	case *algebra.Select:
+		if r, ok := baseRel(x.In); ok {
+			h.rangeCols(r.Name, x.Pred)
+		}
+		h.expr(x.In)
+	case *algebra.Join:
+		h.join(x)
+		h.expr(x.L)
+		h.expr(x.R)
+	case *algebra.Project:
+		h.expr(x.In)
+	case *algebra.Rename:
+		h.expr(x.In)
+	case *algebra.Aggregate:
+		h.expr(x.In)
+	case *algebra.SetExpr:
+		h.expr(x.L)
+		h.expr(x.R)
+	}
+}
+
+// join hints the equality-join columns of each side the join can probe.
+func (h *hinter) join(j *algebra.Join) {
+	ls, rs := j.L.Schema(), j.R.Schema()
+	if j.Pred == nil || ls == nil || rs == nil {
+		return
+	}
+	eqL, eqR, err := algebra.EquiJoinColumns(j.Pred, ls, rs)
+	if err != nil {
+		return
+	}
+	if r, ok := baseRel(j.L); ok && j.Kind != algebra.JoinAnti {
+		h.add(r.Name, eqL, false)
+	}
+	if r, ok := baseRel(j.R); ok {
+		h.add(r.Name, eqR, false)
+	}
+}
+
+// baseRel unwraps a direct reference to a base relation's current or old
+// state, the only inputs the evaluator probes.
+func baseRel(e algebra.Expr) (*algebra.Rel, bool) {
+	r, ok := e.(*algebra.Rel)
+	return r, ok && (r.Aux == algebra.AuxCur || r.Aux == algebra.AuxOld)
+}
+
+// rangeCols adds an ordered hint per column of rel that pred bounds by a
+// constant.
+func (h *hinter) rangeCols(rel string, pred algebra.Scalar) {
+	rs, ok := h.db.Relation(rel)
+	if !ok || pred == nil {
+		return
+	}
+	cols, err := algebra.RangeCompareColumns(pred, rs)
+	if err != nil {
+		return
+	}
+	for _, c := range cols {
+		h.add(rel, []int{c}, true)
+	}
+}
+
+func (h *hinter) add(rel string, cols []int, ordered bool) {
+	if len(cols) == 0 {
+		return
+	}
+	rs, ok := h.db.Relation(rel)
+	if !ok {
+		return
+	}
+	canon := append([]int(nil), cols...)
+	if !ordered {
+		sort.Ints(canon)
+		canon = dedupInts(canon)
+	}
+	key := rel + "\x00"
+	if ordered {
+		key = rel + "\x00ordered\x00"
+	}
+	attrs := make([]string, len(canon))
+	for i, c := range canon {
+		if c < 0 || c >= rs.Arity() {
+			return
+		}
+		attrs[i] = rs.Attrs[c].Name
+		key += "," + attrs[i]
+	}
+	if h.seen[key] {
+		return
+	}
+	h.seen[key] = true
+	h.out = append(h.out, IndexHint{Relation: rel, Columns: canon, Attrs: attrs, Ordered: ordered})
 }
 
 // dedupInts removes adjacent duplicates from a sorted slice.

@@ -167,7 +167,6 @@ func referentialNeed(p *Part, db *schema.Database, st algebra.Stmt) Need {
 	if !lok || !rok {
 		return ConservativeNeed(p)
 	}
-	joinLeft, joinRight, jok := splitJoinCols(p.JoinPred, leftSch.Arity())
 
 	switch x := st.(type) {
 	case *algebra.Insert:
@@ -181,6 +180,7 @@ func referentialNeed(p *Part, db *schema.Database, st algebra.Stmt) Need {
 		}
 		// Deleting from R only removes constrained tuples: harmless.
 	case *algebra.Update:
+		joinLeft, joinRight, jok := splitJoinCols(p.JoinPred, leftSch.Arity())
 		if x.Rel == p.Rel.Name {
 			if !jok || !setsAvoid(x, leftSch, colsUnion(scalarColSet(p.Guard), joinLeft)) {
 				need.SideA = true
@@ -208,7 +208,6 @@ func pairNeed(p *Part, db *schema.Database, st algebra.Stmt) Need {
 	if !lok || !rok {
 		return ConservativeNeed(p)
 	}
-	joinLeft, joinRight, jok := splitJoinCols(p.JoinPred, leftSch.Arity())
 
 	switch x := st.(type) {
 	case *algebra.Insert:
@@ -221,6 +220,7 @@ func pairNeed(p *Part, db *schema.Database, st algebra.Stmt) Need {
 	case *algebra.Delete:
 		// Removing tuples removes violating pairs only.
 	case *algebra.Update:
+		joinLeft, joinRight, jok := splitJoinCols(p.JoinPred, leftSch.Arity())
 		if x.Rel == p.Rel.Name {
 			if !jok || !setsAvoid(x, leftSch, colsUnion(scalarColSet(p.Guard), joinLeft)) {
 				need.SideA = true

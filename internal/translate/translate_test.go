@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/algebra"
 	"repro/internal/calculus"
 	"repro/internal/lang"
+	"repro/internal/optimize"
 	"repro/internal/schema"
 	"repro/internal/translate"
 	"repro/internal/value"
@@ -221,13 +223,49 @@ func TestPartProgramsAreTypeChecked(t *testing.T) {
 	}
 }
 
+// TestAnalyzeSafetyInsertAllocatesNothing: scoring an insert against a
+// referential part reads no join columns, so it builds none of the column
+// sets an update needs.
+func TestAnalyzeSafetyInsertAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	db := testSchema()
+	part := mustTranslate(t, `forall x (x in r implies exists y (y in s and x.b = y.k))`).Parts[0]
+	stmts, err := lang.ParseProgram(`insert(r, values[(1, 2)]);`, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var need translate.Need
+	if n := testing.AllocsPerRun(100, func() { need = translate.AnalyzeSafety(part, db, stmts) }); n != 0 {
+		t.Fatalf("AnalyzeSafety of an insert allocates %.0f times, want 0", n)
+	}
+	if !need.SideA || need.SideB {
+		t.Fatalf("insert into the referencing relation needs %+v, want SideA alone", need)
+	}
+}
+
+// runPrograms translates a constraint and returns the check programs the
+// default engine runs for it: each part's differential sides, or its full
+// check when it has none.
+func runPrograms(t *testing.T, src string) []algebra.Program {
+	t.Helper()
+	res := mustTranslate(t, src)
+	plans, _ := optimize.CompileParts(res.Parts, testSchema(), "C")
+	progs := make([]algebra.Program, len(plans))
+	for i, pl := range plans {
+		progs[i] = pl.Differential()
+	}
+	return progs
+}
+
 // TestIndexHintsFromReferential: a referential constraint hints both join
 // directions — the referenced relation on its key columns (for the
 // insertion-side antijoin) and the referencing relation on its foreign-key
 // columns (for the deletion-side semijoin).
 func TestIndexHintsFromReferential(t *testing.T) {
-	res := mustTranslate(t, `forall x (x in r implies exists y (y in s and x.b = y.k))`)
-	hints := translate.IndexHints(res.Parts, testSchema())
+	const src = `forall x (x in r implies exists y (y in s and x.b = y.k))`
+	hints := translate.IndexHints(runPrograms(t, src), testSchema())
 	got := map[string]string{}
 	for _, h := range hints {
 		got[h.Relation] = strings.Join(h.Attrs, ",")
@@ -235,26 +273,33 @@ func TestIndexHintsFromReferential(t *testing.T) {
 	if got["r"] != "b" || got["s"] != "k" {
 		t.Fatalf("hints = %v, want r(b) and s(k)", got)
 	}
+	// The full-state check alone probes only the antijoin's right side.
+	full := mustTranslate(t, src).Program
+	if hints := translate.IndexHints([]algebra.Program{full}, testSchema()); len(hints) != 1 || hints[0].Relation != "s" {
+		t.Fatalf("antijoin(r, s) hinted %v, want s(k) alone", hints)
+	}
 }
 
-// TestIndexHintsSkipNonJoinClasses: comparison-guarded domain constraints
-// hint an ordered index on the compared column (their enforcement
-// selections range-probe it); aggregate constraints hint nothing; duplicate
-// hints collapse.
+// TestIndexHintsSkipNonJoinClasses: a domain constraint's differential check
+// selects from the transaction's inserts and probes nothing, so it hints
+// nothing; an existential check range-selects the base relation and hints
+// an ordered index; aggregate constraints hint nothing; duplicate hints
+// collapse.
 func TestIndexHintsSkipNonJoinClasses(t *testing.T) {
-	res := mustTranslate(t, `forall x (x in r implies x.a >= 0)`)
-	hints := translate.IndexHints(res.Parts, testSchema())
+	if hints := translate.IndexHints(runPrograms(t, `forall x (x in r implies x.a >= 0)`), testSchema()); len(hints) != 0 {
+		t.Fatalf("domain constraint hinted %v, want none", hints)
+	}
+	hints := translate.IndexHints(runPrograms(t, `exists x (x in r and x.a > 0)`), testSchema())
 	if len(hints) != 1 || !hints[0].Ordered || hints[0].Relation != "r" ||
 		strings.Join(hints[0].Attrs, ",") != "a" {
-		t.Fatalf("domain constraint hinted %v, want one ordered r(a)", hints)
+		t.Fatalf("existential constraint hinted %v, want one ordered r(a)", hints)
 	}
-	res = mustTranslate(t, `CNT(r) <= 100`)
-	if hints := translate.IndexHints(res.Parts, testSchema()); len(hints) != 0 {
+	if hints := translate.IndexHints(runPrograms(t, `CNT(r) <= 100`), testSchema()); len(hints) != 0 {
 		t.Fatalf("aggregate constraint hinted %v", hints)
 	}
-	// Parts repeating the same join contribute each hint once.
-	res = mustTranslate(t, `forall x (x in r implies exists y (y in s and x.b = y.k))`)
-	hints = translate.IndexHints(append(append([]*translate.Part{}, res.Parts...), res.Parts...), testSchema())
+	// Programs repeating the same joins contribute each hint once.
+	progs := runPrograms(t, `forall x (x in r implies exists y (y in s and x.b = y.k))`)
+	hints = translate.IndexHints(append(progs, progs...), testSchema())
 	if len(hints) != 2 {
 		t.Fatalf("duplicate joins produced %d hints: %v", len(hints), hints)
 	}

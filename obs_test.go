@@ -4,9 +4,12 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -144,6 +147,12 @@ func TestMetricsCoverAllLayers(t *testing.T) {
 // generous margin of the fully disabled path on the low-conflict submit
 // workload. The guard's 25 % is a loose bound, so that scheduler noise does
 // not flake CI; it is not a measurement (see docs/OBSERVABILITY.md).
+//
+// The two paths are timed in short back-to-back pairs, the order alternating
+// from pair to pair, and the guard takes the median of the pairs' ratios.
+// Load from outside the test (other test binaries of `go test ./...` share
+// the CPUs) then falls on both sides of a pair alike instead of on whichever
+// path happened to run while it lasted.
 func TestObsOverheadGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing guard skipped in -short")
@@ -151,33 +160,43 @@ func TestObsOverheadGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing guard meaningless under the race detector")
 	}
-	run := func(disable bool) float64 {
-		r := testing.Benchmark(func(b *testing.B) {
-			db := newShardedDB(b, 4, 100)
-			if disable {
-				db.store.SetObservability(nil, nil)
-			}
-			srcs := make([]string, b.N)
-			for i := range srcs {
-				srcs[i] = fmt.Sprintf(`begin insert(child%d, values[(%d, %d, 1)]); end`, i%4, i, i%100)
-			}
-			b.ResetTimer()
-			for _, s := range submitAll(db, srcs, 8) {
-				if s.err != nil {
-					b.Fatal(s.err)
-				}
-			}
-		})
-		return float64(r.NsPerOp())
+	const pairs, txns = 7, 2000
+	srcs := make([]string, txns)
+	for i := range srcs {
+		srcs[i] = fmt.Sprintf(`begin insert(child%d, values[(%d, %d, 1)]); end`, i%4, i, i%100)
 	}
-	run(true) // warm caches before either measured pass
-	off := run(true)
-	on := run(false)
-	if ratio := on / off; ratio > 1.25 {
-		t.Errorf("observability overhead %.1f%% (on %.0f ns/op, off %.0f ns/op) exceeds the guard",
-			(ratio-1)*100, on, off)
+	// run times one pass over srcs on a fresh database and returns ns/op.
+	run := func(disable bool) float64 {
+		db := newShardedDB(t, 4, 100)
+		if disable {
+			db.store.SetObservability(nil, nil)
+		}
+		runtime.GC()
+		start := time.Now()
+		for _, s := range submitAll(db, srcs, 8) {
+			if s.err != nil {
+				t.Fatal(s.err)
+			}
+		}
+		return float64(time.Since(start).Nanoseconds()) / txns
+	}
+	run(true) // warm caches before any measured pass
+	ratios := make([]float64, pairs)
+	for i := range ratios {
+		var on, off float64
+		if i%2 == 0 {
+			off, on = run(true), run(false)
+		} else {
+			on, off = run(false), run(true)
+		}
+		ratios[i] = on / off
+	}
+	slices.Sort(ratios)
+	if ratio := ratios[pairs/2]; ratio > 1.25 {
+		t.Errorf("observability overhead %.1f%% (median of the on/off ratios %.3f) exceeds the guard",
+			(ratio-1)*100, ratios)
 	} else {
-		t.Logf("observability overhead %.1f%% (on %.0f ns/op, off %.0f ns/op)", (ratio-1)*100, on, off)
+		t.Logf("observability overhead %.1f%% (median of the on/off ratios %.3f)", (ratio-1)*100, ratios)
 	}
 }
 
@@ -186,7 +205,7 @@ func TestObsOverheadGuard(t *testing.T) {
 // with 4000 valid tuples, so per-transaction costs that scale with relation
 // size are part of what the guard compares. Transactions that touch
 // different child relations have disjoint write sets.
-func newShardedDB(b *testing.B, shards, parents int) *DB {
+func newShardedDB(b testing.TB, shards, parents int) *DB {
 	const childRows = 4000
 	b.Helper()
 	db := Open(&Options{MaxCommitRetries: 1_000_000})

@@ -106,12 +106,16 @@ type Options struct {
 	// instead of whole-relation reads.
 	Indexes []string
 	// AutoIndex derives secondary indexes automatically at rule definition
-	// time: hash indexes from the equality-join attributes of referential
-	// and pair constraints — both join directions, so the insertion-side
-	// check probes the referenced relation and the deletion-side check
-	// probes the referencing one — and ordered indexes from the
-	// comparison-guarded attributes of domain and existential constraints,
-	// so threshold-guarded alarm checks range-probe instead of scanning.
+	// time from the programs the engine runs for the rule, its differential
+	// checks and its repair, and builds exactly the indexes they probe:
+	// hash indexes on the equality-join attributes of referential and pair
+	// checks — both join directions, so the insertion-side check probes the
+	// referenced relation and the deletion-side check probes the
+	// referencing one — and ordered indexes on the attributes that
+	// existential checks and clamp or cascade-delete repairs compare
+	// against constants, so they range-probe instead of scanning. A domain
+	// check reads only the transaction's own inserts and builds nothing;
+	// declare range lookups on a domain-constrained column in Indexes.
 	// It stays opt-in because indexes cost setup time and memory a workload
 	// may not earn back: the benchmark's point_indexed workload sets it,
 	// scan_unindexed does not.
@@ -453,7 +457,7 @@ func (db *DB) Indexes() []string {
 }
 
 // addRule registers a compiled rule and, under AutoIndex, builds the indexes
-// its enforcement joins would exploit; existing indexes over the same
+// its enforcement programs probe; existing indexes over the same
 // columns are kept. A failed index definition takes the rule out of the
 // catalog again, so a failed definition call defines nothing.
 func (db *DB) addRule(r *rules.Rule) error {
