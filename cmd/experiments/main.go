@@ -332,13 +332,18 @@ func runSweeps(w io.Writer) {
 	}
 
 	fmt.Fprintln(w, "\n== A-views: view maintenance per Submit (insert into a 50 000-row source) ==")
-	fmt.Fprintf(w, "%-14s %s\n", "maintenance", "median")
-	for _, incremental := range []bool{false, true} {
-		name := "recompute"
-		if incremental {
-			name = "incremental"
+	fmt.Fprintf(w, "%-11s %-14s %s\n", "view", "maintenance", "median")
+	for _, view := range []struct{ name, def string }{
+		{"selection", `select(orders, amount >= 900)`},
+		{"join", `join(orders, regions, #2 = #4)`},
+	} {
+		for _, incremental := range []bool{false, true} {
+			name := "recompute"
+			if incremental {
+				name = "incremental"
+			}
+			fmt.Fprintf(w, "%-11s %-14s %s\n", view.name, name, medianViewSubmit(view.def, incremental).Round(time.Microsecond))
 		}
-		fmt.Fprintf(w, "%-14s %s\n", name, medianViewSubmit(incremental).Round(time.Microsecond))
 	}
 	fmt.Fprintln(w)
 }
@@ -374,12 +379,14 @@ func medianModify(sub *core.Subsystem, t *txn.Transaction) time.Duration {
 	})
 }
 
-// medianViewSubmit loads a 50 000-row source relation under one selection
-// view and returns the median latency of a one-row insert Submit.
-func medianViewSubmit(incremental bool) time.Duration {
+// medianViewSubmit loads a 50 000-row source relation and a two-row region
+// table under one view and returns the median latency of a one-row insert
+// Submit into the source.
+func medianViewSubmit(def string, incremental bool) time.Duration {
 	db := repro.Open(nil)
 	defer db.Close()
 	db.MustCreateRelation(`relation orders(id int, region string, amount int)`)
+	db.MustCreateRelation(`relation regions(name string, zone string)`)
 	rows := make([][]any, 50000)
 	for i := range rows {
 		rows[i] = []any{i, "eu", i % 1000}
@@ -387,7 +394,10 @@ func medianViewSubmit(incremental bool) time.Duration {
 	if err := db.Load("orders", rows); err != nil {
 		log.Fatal(err)
 	}
-	if err := db.DefineView("big", `select(orders, amount >= 900)`, incremental); err != nil {
+	if err := db.Load("regions", [][]any{{"eu", "emea"}, {"us", "amer"}}); err != nil {
+		log.Fatal(err)
+	}
+	if err := db.DefineView("big", def, incremental); err != nil {
 		log.Fatal(err)
 	}
 	next := 100000

@@ -335,7 +335,7 @@ func FuzzSafetyVerdict(f *testing.F) {
 			}
 			safe := true
 			for _, pl := range ip.Plans {
-				if !translate.AnalyzeSafety(pl.Part, db.sch, stmts).Safe() {
+				if !translate.AnalyzeSafety(pl.Part, pl.Terms, db.sch, stmts).Safe() {
 					safe = false
 					break
 				}

@@ -29,8 +29,8 @@ type Options struct {
 	// selected rule and appends only the checks the transaction's statement
 	// shapes require; a fully safe verdict appends nothing, so the check
 	// contributes no read records, probes or conflict surface at all.
-	// Effective only together with UseDifferential: the per-side residual
-	// checks are what the analyzer selects among, and full-state checks are
+	// Effective only together with UseDifferential: the per-term Δ checks
+	// are what the analyzer selects among, and full-state checks are
 	// what callers fall back on when they bypass the base-consistency
 	// invariant pruning shares with the differential rewrite.
 	Prune bool
@@ -260,7 +260,7 @@ func (s *Subsystem) enforcementProgram(ip *rules.IntegrityProgram, analysis []al
 	elided := 0
 	if s.opts.Prune && s.opts.UseDifferential && len(eip.Plans) > 0 {
 		for _, pl := range eip.Plans {
-			need := translate.AnalyzeSafety(pl.Part, s.cat.Schema(), analysis)
+			need := translate.AnalyzeSafety(pl.Part, pl.Terms, s.cat.Schema(), analysis)
 			prog, skipped := pl.ProgramFor(need)
 			elided += skipped
 			checks = checks.Concat(algebra.CloneProgram(prog))

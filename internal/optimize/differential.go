@@ -1,9 +1,13 @@
 // Package optimize implements integrity rule optimization — the paper's
-// OptR/OptC hooks (Algorithm 5.4). The concrete technique implemented is the
-// differential-relation rewrite the paper cites ([18, 5, 7]): enforcement
-// programs are specialized to read the transaction's net insert/delete
-// deltas instead of full relations wherever that is sound for the
-// constraint's class.
+// OptR/OptC hooks (Algorithm 5.4). What fills OptR is the differential-
+// relation technique the paper cites ([18, 5, 7]): a translated part's
+// alarm over E is replaced by one alarm per term of Δ⁺E
+// (algebra.AlarmDelta), each reading one of the transaction's net deltas
+// instead of a full relation. The rewrite is sound because the committed
+// state satisfies the constraint, so E(old) is empty and E(new) is empty iff
+// every term is. Parts whose expression has no Δ form — aggregates,
+// existentials, transition constraints reading old() — keep their
+// full-state check.
 package optimize
 
 import (
@@ -14,226 +18,91 @@ import (
 	"repro/internal/value"
 )
 
-// Differential derives a delta-based enforcement program from the translated
-// parts of a constraint condition. It returns the program and whether any
-// part actually gained a differential form; parts that cannot be soundly
-// incrementalized (aggregates, existentials, transition constraints reading
-// old()) keep their full-state check.
-//
-// Soundness argument per class, assuming the constraint held in the
-// pre-transaction state:
-//
-//   - domain: the condition is per-tuple, so only net-inserted tuples can
-//     violate it — check σ_γ(ins R).
-//   - referential: a violation needs either a new left tuple with no match
-//     (check antijoin(σ_γ(ins R), σ_δ(S), ψ)) or an old left tuple whose
-//     matches were all deleted (check
-//     antijoin(semijoin(σ_γ(R), σ_δ(del S), ψ), σ_δ(S), ψ)).
-//   - pair: a violating pair must involve a net-inserted tuple on at least
-//     one side — check semijoin(σ_γ(ins R), σ_δ(S), v) and
-//     semijoin(σ_γ(R), σ_δ(ins S), v).
-//   - existential / aggregate / mixed: the witness structure is global;
-//     recheck in full.
-func Differential(parts []*translate.Part, db *schema.Database, constraint string) (algebra.Program, bool) {
-	plans, improved := CompileParts(parts, db, constraint)
-	var prog algebra.Program
-	for _, pl := range plans {
-		prog = prog.Concat(pl.Differential())
-	}
-	return prog, improved
-}
-
 // PartPlan pairs one translated constraint part with its compiled check
-// programs: the full-state check (always present) and, for differentiable
-// classes, the two delta-based side checks. The static safety analyzer
-// (translate.AnalyzeSafety) selects among them per transaction shape; a
-// Need with only SideA set runs SideA alone, a safe verdict runs nothing.
+// programs: the full-state check and, when the part's alarm has a Δ form,
+// one check per Δ term. The static safety analyzer
+// (translate.AnalyzeSafety) selects among the terms per transaction shape;
+// a safe verdict runs nothing.
 type PartPlan struct {
 	Part *translate.Part
 	// Full is a clone of the part's full-state check program.
 	Full algebra.Program
-	// SideA is the insert-side differential check (nil when the class has
-	// no differential form): new-R tuples for domain, the ins-R antijoin
-	// for referential, the ins-R semijoin for pair.
-	SideA algebra.Program
-	// SideB is the second differential check (nil for domain and for
-	// non-differentiable classes): the del-S re-match for referential, the
-	// ins-S semijoin for pair.
-	SideB algebra.Program
+	// Terms are the Δ terms of the part's alarm expression; nil when it has
+	// no Δ form.
+	Terms []algebra.DeltaTerm
+	// Checks holds one alarm per term, in term order.
+	Checks algebra.Program
 }
 
-// Differentiable reports whether the plan carries delta-based side checks.
-func (pl *PartPlan) Differentiable() bool { return pl.SideA != nil }
-
-// Differential returns the plan's best unconditional program: both sides
-// for differentiable parts, the full check otherwise.
+// Differential returns the plan's best unconditional program: every term
+// check when the part has a Δ form, the full check otherwise.
 func (pl *PartPlan) Differential() algebra.Program {
-	if !pl.Differentiable() {
+	if len(pl.Terms) == 0 {
 		return pl.Full
 	}
-	prog := pl.SideA
-	if pl.SideB != nil {
-		prog = prog.Concat(pl.SideB)
-	}
-	return prog
+	return pl.Checks
 }
 
 // ProgramFor assembles the check program a given safety verdict requires.
 // The second result is the number of compiled checks the verdict elided.
 func (pl *PartPlan) ProgramFor(need translate.Need) (algebra.Program, int) {
-	if need.Full || !pl.Differentiable() {
-		if need.Safe() {
-			return nil, len(pl.compiled())
+	if len(pl.Terms) == 0 {
+		if need.Full {
+			return pl.Full, 0
 		}
-		return pl.Full, 0
+		return nil, 1
 	}
 	var prog algebra.Program
 	elided := 0
-	if need.SideA {
-		prog = prog.Concat(pl.SideA)
-	} else {
-		elided++
-	}
-	if pl.SideB != nil {
-		if need.SideB {
-			prog = prog.Concat(pl.SideB)
+	for i, check := range pl.Checks {
+		if need.Term(i) {
+			prog = append(prog, check)
 		} else {
 			elided++
 		}
-	} else if need.SideB {
-		// A SideB requirement against a plan with no SideB (domain class)
-		// cannot happen via AnalyzeSafety; fall back to the full check.
-		return pl.Full, 0
 	}
 	return prog, elided
 }
 
-// compiled lists the plan's distinct check programs.
-func (pl *PartPlan) compiled() []algebra.Program {
-	if !pl.Differentiable() {
-		return []algebra.Program{pl.Full}
-	}
-	out := []algebra.Program{pl.SideA}
-	if pl.SideB != nil {
-		out = append(out, pl.SideB)
-	}
-	return out
-}
-
-// CompileParts builds a PartPlan per translated part. The bool mirrors
-// Differential's: whether any part gained a differential form.
+// CompileParts builds a PartPlan per translated part. The bool reports
+// whether any part gained a Δ form.
 func CompileParts(parts []*translate.Part, db *schema.Database, constraint string) ([]*PartPlan, bool) {
 	plans := make([]*PartPlan, 0, len(parts))
 	improved := false
 	for _, p := range parts {
 		pl := &PartPlan{Part: p, Full: algebra.CloneProgram(p.Program)}
-		if a, b, ok := differentialPart(p, db, constraint); ok {
-			pl.SideA, pl.SideB = a, b
-			improved = true
-		}
+		pl.Terms, pl.Checks = deltaChecks(p.Program, db, constraint)
+		improved = improved || len(pl.Terms) > 0
 		plans = append(plans, pl)
 	}
 	return plans, improved
 }
 
-// differentialPart compiles the delta-based side checks for one part:
-// (sideA, sideB, true) for differentiable classes (sideB nil for domain),
-// or (nil, nil, false).
-func differentialPart(p *translate.Part, db *schema.Database, constraint string) (algebra.Program, algebra.Program, bool) {
-	switch p.Class {
-	case translate.ClassDomain:
-		if p.Rel.Aux != algebra.AuxCur || p.HasAggs {
-			return nil, nil, false
-		}
-		expr := guarded(algebra.NewAuxRel(p.Rel.Name, algebra.AuxIns), p.Guard)
-		expr = algebra.NewSelect(expr, &algebra.Not{X: algebra.CloneScalar(p.Cond)})
-		prog, ok := alarmProgram(expr, db, constraint)
-		if !ok {
-			return nil, nil, false
-		}
-		return prog, nil, true
-
-	case translate.ClassReferential:
-		if p.Rel.Aux != algebra.AuxCur || p.Other.Aux != algebra.AuxCur {
-			return nil, nil, false
-		}
-		// New left tuples must find a match in the current right state.
-		left1 := guarded(algebra.NewAuxRel(p.Rel.Name, algebra.AuxIns), p.Guard)
-		right := guarded(algebra.NewAuxRel(p.Other.Name, algebra.AuxCur), p.OtherGuard)
-		check1 := algebra.NewAntiJoin(left1, right, cloneOrNil(p.JoinPred))
-
-		// Old left tuples that referenced deleted right tuples must still
-		// find a match.
-		delRight := guarded(algebra.NewAuxRel(p.Other.Name, algebra.AuxDel), p.OtherGuard)
-		affected := algebra.NewSemiJoin(
-			guarded(algebra.NewRel(p.Rel.Name), p.Guard),
-			delRight,
-			cloneOrNil(p.JoinPred),
-		)
-		right2 := guarded(algebra.NewAuxRel(p.Other.Name, algebra.AuxCur), p.OtherGuard)
-		check2 := algebra.NewAntiJoin(affected, right2, cloneOrNil(p.JoinPred))
-
-		prog1, ok := alarmProgram(check1, db, constraint)
-		if !ok {
-			return nil, nil, false
-		}
-		prog2, ok := alarmProgram(check2, db, constraint)
-		if !ok {
-			return nil, nil, false
-		}
-		return prog1, prog2, true
-
-	case translate.ClassPair:
-		if p.Rel.Aux != algebra.AuxCur || p.Other.Aux != algebra.AuxCur {
-			return nil, nil, false
-		}
-		// Violating pairs involving a new left tuple.
-		check1 := algebra.NewSemiJoin(
-			guarded(algebra.NewAuxRel(p.Rel.Name, algebra.AuxIns), p.Guard),
-			guarded(algebra.NewRel(p.Other.Name), p.OtherGuard),
-			cloneOrNil(p.JoinPred),
-		)
-		// Violating pairs involving a new right tuple.
-		check2 := algebra.NewSemiJoin(
-			guarded(algebra.NewRel(p.Rel.Name), p.Guard),
-			guarded(algebra.NewAuxRel(p.Other.Name, algebra.AuxIns), p.OtherGuard),
-			cloneOrNil(p.JoinPred),
-		)
-		prog1, ok := alarmProgram(check1, db, constraint)
-		if !ok {
-			return nil, nil, false
-		}
-		prog2, ok := alarmProgram(check2, db, constraint)
-		if !ok {
-			return nil, nil, false
-		}
-		return prog1, prog2, true
-
-	default:
-		return nil, nil, false
+// deltaChecks derives the Δ terms of a one-alarm program and type-checks an
+// alarm per term. It returns nil when the alarm has no Δ form, more terms
+// than a translate.Need can select among, or a term that does not
+// type-check.
+func deltaChecks(prog algebra.Program, db *schema.Database, constraint string) ([]algebra.DeltaTerm, algebra.Program) {
+	if len(prog) != 1 {
+		return nil, nil
 	}
-}
-
-func guarded(e algebra.Expr, guard algebra.Scalar) algebra.Expr {
-	if guard == nil {
-		return e
+	al, ok := prog[0].(*algebra.Alarm)
+	if !ok {
+		return nil, nil
 	}
-	return algebra.NewSelect(e, algebra.CloneScalar(guard))
-}
-
-func cloneOrNil(s algebra.Scalar) algebra.Scalar {
-	if s == nil {
-		return nil
+	terms, ok := algebra.AlarmDelta(al.Expr)
+	if !ok || len(terms) == 0 || len(terms) > translate.MaxTerms {
+		return nil, nil
 	}
-	return algebra.CloneScalar(s)
-}
-
-func alarmProgram(e algebra.Expr, db *schema.Database, constraint string) (algebra.Program, bool) {
+	checks := make(algebra.Program, len(terms))
 	tenv := algebra.NewTypeEnv(db)
-	if _, err := e.TypeCheck(tenv); err != nil {
-		return nil, false
+	for i, t := range terms {
+		if _, err := t.Expr.TypeCheck(tenv); err != nil {
+			return nil, nil
+		}
+		checks[i] = &algebra.Alarm{Expr: t.Expr, Constraint: constraint}
 	}
-	return algebra.Program{&algebra.Alarm{Expr: e, Constraint: constraint}}, true
+	return terms, checks
 }
 
 // SimplifyCondition applies cheap semantics-preserving rewrites to a CL

@@ -120,7 +120,7 @@ func compileCascadeDelete(p *translate.Part, ruleName string) (algebra.Program, 
 		}
 		left := guardedRel(p.Rel.Name, p.Guard)
 		right := guardedRel(p.Other.Name, p.OtherGuard)
-		src := algebra.NewAntiJoin(left, right, cloneScalarOrNil(p.JoinPred))
+		src := algebra.NewAntiJoin(left, right, algebra.CloneScalar(p.JoinPred))
 		return algebra.Program{&algebra.Delete{Rel: p.Rel.Name, Src: src}}, nil
 	default:
 		return nil, fmt.Errorf("rules: rule %s: cascade delete supports domain and referential constraints (class %v)", ruleName, p.Class)
@@ -157,7 +157,7 @@ func compileDefaultFill(p *translate.Part, ruleName string, db *schema.Database)
 		return nil, fmt.Errorf("rules: rule %s: default fill requires at least one equality join column", ruleName)
 	}
 	// The violating R tuples: σ_γ(R) with no ψ-match in S.
-	missing := algebra.NewAntiJoin(guardedRel(p.Rel.Name, p.Guard), algebra.NewRel(p.Other.Name), cloneScalarOrNil(p.JoinPred))
+	missing := algebra.NewAntiJoin(guardedRel(p.Rel.Name, p.Guard), algebra.NewRel(p.Other.Name), algebra.CloneScalar(p.JoinPred))
 	cols := make([]algebra.Scalar, rightSch.Arity())
 	names := make([]string, rightSch.Arity())
 	for j := 0; j < rightSch.Arity(); j++ {
@@ -247,13 +247,6 @@ func guardedRel(name string, guard algebra.Scalar) algebra.Expr {
 		return algebra.NewRel(name)
 	}
 	return algebra.NewSelect(algebra.NewRel(name), algebra.CloneScalar(guard))
-}
-
-func cloneScalarOrNil(s algebra.Scalar) algebra.Scalar {
-	if s == nil {
-		return nil
-	}
-	return algebra.CloneScalar(s)
 }
 
 // guardColumnSet returns the columns a guard reads; nil when unresolvable.

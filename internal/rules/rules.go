@@ -82,8 +82,8 @@ type IntegrityProgram struct {
 	// and repair probe (translate.IndexHints); the facade builds them when
 	// automatic indexing is enabled.
 	IndexHints []translate.IndexHint
-	// Plans holds the per-part compiled check programs (full + differential
-	// sides) together with the translated parts, so the transaction
+	// Plans holds the per-part compiled check programs (full + one per Δ
+	// term) together with the translated parts, so the transaction
 	// modification subsystem can run the static safety analyzer per part and
 	// assemble only the checks a transaction shape requires. Nil for
 	// compensating rules and externally added programs (they are opaque).
@@ -144,8 +144,8 @@ func Compile(r *Rule, db *schema.Database) (*IntegrityProgram, error) {
 		plans, improved := optimize.CompileParts(res.Parts, db, r.Name)
 		ip.Plans = plans
 		// The programs the default engine can run for this rule: each part's
-		// differential sides (its full check when it has none), then the
-		// repair. Their probes, and only theirs, are worth an index.
+		// Δ term checks (its full check when it has none), then the repair.
+		// Their probes, and only theirs, are worth an index.
 		run := make([]algebra.Program, 0, len(plans)+1)
 		for _, pl := range plans {
 			run = append(run, pl.Differential())

@@ -290,7 +290,7 @@ func (t *translator) referentialPart(x string, xMember *calculus.AMember, xExtra
 
 	left := relExpr(xMember.Rel, xGuard)
 	right := relExpr(yMember.Rel, yGuard)
-	expr := algebra.NewAntiJoin(left, right, cloneOrNil(match))
+	expr := algebra.NewAntiJoin(left, right, algebra.CloneScalar(match))
 	prog, err := t.alarm(expr)
 	if err != nil {
 		return nil, err
@@ -480,11 +480,4 @@ func relExpr(r calculus.RelRef, guard algebra.Scalar) algebra.Expr {
 		e = algebra.NewSelect(e, algebra.CloneScalar(guard))
 	}
 	return e
-}
-
-func cloneOrNil(s algebra.Scalar) algebra.Scalar {
-	if s == nil {
-		return nil
-	}
-	return algebra.CloneScalar(s)
 }

@@ -1,18 +1,19 @@
 // Static safety analysis — the transaction-modification counterpart of the
 // weakest-precondition simplification literature the paper cites: given a
-// translated constraint part and the statements of a transaction program,
-// decide at modify time which of the part's enforcement checks the
-// transaction can possibly make fire. A check proven unreachable is elided
-// entirely: no alarm statement is appended, so the transaction records no
-// reads for it, issues no probes, and exposes no conflict surface.
+// translated constraint part, its Δ terms and the statements of a
+// transaction program, decide at modify time which of the part's
+// enforcement checks the transaction can possibly make fire. A check proven
+// unreachable is elided entirely: no alarm statement is appended, so the
+// transaction records no reads for it, issues no probes, and exposes no
+// conflict surface.
 //
-// Soundness contract: every verdict assumes exactly what the differential
-// rewrite in package optimize already assumes — that the committed base
-// state satisfies the constraint (which holds inductively when rules are
-// defined before data is loaded). Under that invariant, an elided check is
-// one that provably evaluates to "no violation" given the statement shapes,
-// so removing it cannot change the transaction's outcome. Anything the
-// analysis cannot prove falls back to the conservative need for the class.
+// Soundness contract: every verdict assumes exactly what the Δ rewrite in
+// package optimize already assumes — that the committed base state
+// satisfies the constraint (which holds inductively when rules are defined
+// before data is loaded). Under that invariant, an elided check is one that
+// provably evaluates to "no violation" given the statement shapes, so
+// removing it cannot change the transaction's outcome. Anything the
+// analysis cannot prove keeps the check.
 package translate
 
 import (
@@ -21,50 +22,49 @@ import (
 	"repro/internal/value"
 )
 
+// MaxTerms is the number of Δ terms a Need can select among.
+const MaxTerms = 64
+
 // Need states which enforcement checks of one constraint part a transaction
 // shape requires. The zero value means "safe": no check at all.
 type Need struct {
-	// SideA is the insert-side differential check: new R tuples for domain,
-	// the ins-R antijoin for referential, the ins-R semijoin for pair.
-	SideA bool
-	// SideB is the second differential check: the del-S re-match for
-	// referential, the ins-S semijoin for pair.
-	SideB bool
-	// Full is the full-state check, used by classes without a differential
-	// form (existential, aggregate, mixed, transition).
+	// Terms has bit i set when the check of the part's Δ term i must run.
+	Terms uint64
+	// Full is the full-state check, used by parts without a Δ form
+	// (existential, aggregate, mixed, transition).
 	Full bool
 }
 
 // Safe reports that no check is needed.
-func (n Need) Safe() bool { return !n.SideA && !n.SideB && !n.Full }
+func (n Need) Safe() bool { return n.Terms == 0 && !n.Full }
+
+// Term reports whether the check of Δ term i must run.
+func (n Need) Term(i int) bool { return n.Terms&(1<<uint(i)) != 0 }
 
 // Union merges two needs.
 func (n Need) Union(m Need) Need {
-	return Need{SideA: n.SideA || m.SideA, SideB: n.SideB || m.SideB, Full: n.Full || m.Full}
+	return Need{Terms: n.Terms | m.Terms, Full: n.Full || m.Full}
 }
 
-// ConservativeNeed is the class's worst-case need — what an unanalyzed
-// transaction requires. It is the verdict for any statement the analysis
-// cannot see through.
-func ConservativeNeed(p *Part) Need {
-	switch p.Class {
-	case ClassDomain:
-		return Need{SideA: true}
-	case ClassReferential, ClassPair:
-		return Need{SideA: true, SideB: true}
-	default:
+// ConservativeNeed is the worst-case need of a part with the given Δ terms:
+// every term, or the full check when there are none. It is what an
+// unanalyzed transaction requires.
+func ConservativeNeed(terms []algebra.DeltaTerm) Need {
+	if len(terms) == 0 {
 		return Need{Full: true}
 	}
+	return Need{Terms: ^uint64(0) >> uint(MaxTerms-len(terms))}
 }
 
-// AnalyzeSafety computes the union of per-statement needs for one part over
-// a transaction program's statements. Statements must be plain algebra
-// statements (callers unwrap any tagging decorators first).
-func AnalyzeSafety(p *Part, db *schema.Database, stmts []algebra.Stmt) Need {
-	worst := ConservativeNeed(p)
+// AnalyzeSafety computes the union of per-statement needs for one part with
+// the given Δ terms (nil when the part has no Δ form) over a transaction
+// program's statements. Statements must be plain algebra statements
+// (callers unwrap any tagging decorators first).
+func AnalyzeSafety(p *Part, terms []algebra.DeltaTerm, db *schema.Database, stmts []algebra.Stmt) Need {
+	worst := ConservativeNeed(terms)
 	var need Need
 	for _, st := range stmts {
-		need = need.Union(stmtNeed(p, db, st))
+		need = need.Union(stmtNeed(p, terms, db, st))
 		if need == worst {
 			return need
 		}
@@ -73,35 +73,106 @@ func AnalyzeSafety(p *Part, db *schema.Database, stmts []algebra.Stmt) Need {
 }
 
 // stmtNeed scores one statement against one part.
-func stmtNeed(p *Part, db *schema.Database, st algebra.Stmt) Need {
+func stmtNeed(p *Part, terms []algebra.DeltaTerm, db *schema.Database, st algebra.Stmt) Need {
 	switch st.(type) {
 	case *algebra.Assign, *algebra.Alarm, *algebra.Abort:
 		return Need{} // no base-relation writes, no triggers
 	}
-	switch p.Class {
-	case ClassDomain:
-		if p.Rel.Aux != algebra.AuxCur || p.HasAggs {
-			return touchNeed(p, st)
+	if len(terms) == 0 {
+		if p.Class == ClassExistential && p.Rel.Aux == algebra.AuxCur && !p.HasAggs {
+			return existentialNeed(p, db, st)
 		}
-		return domainNeed(p, db, st)
-	case ClassReferential:
-		if p.Rel.Aux != algebra.AuxCur || p.Other.Aux != algebra.AuxCur {
-			return touchNeed(p, st)
-		}
-		return referentialNeed(p, db, st)
-	case ClassPair:
-		if p.Rel.Aux != algebra.AuxCur || p.Other.Aux != algebra.AuxCur {
-			return touchNeed(p, st)
-		}
-		return pairNeed(p, db, st)
-	case ClassExistential:
-		if p.Rel.Aux != algebra.AuxCur || p.HasAggs {
-			return touchNeed(p, st)
-		}
-		return existentialNeed(p, db, st)
-	default:
 		return touchNeed(p, st)
 	}
+	var need Need
+	for i := range terms {
+		if termNeeded(p, &terms[i], db, st) {
+			need.Terms |= 1 << uint(i)
+		}
+	}
+	return need
+}
+
+// termNeeded reports whether a statement can make Δ term t of part p
+// non-empty. The default verdict is syntactic on the term's delta leaf:
+// ins(R) gains rows only from an insert into or an update of R, del(S) only
+// from a delete from or an update of S. Proofs over the part's guards,
+// condition and join predicate refine it; they can only elide:
+//
+//   - literal inserted rows that satisfy guard ⇒ cond (a per-tuple
+//     condition), or that fail the leaf's guard, never reach the term;
+//   - literal deleted rows that fail the leaf's guard remove no match;
+//   - an update whose set clauses preserve guard ⇒ cond (the monotone-move
+//     proofs), or write none of the leaf's guard and join columns, leaves
+//     the term empty.
+func termNeeded(p *Part, t *algebra.DeltaTerm, db *schema.Database, st algebra.Stmt) bool {
+	guard, sided := leafGuard(p, t.Leaf)
+	switch x := st.(type) {
+	case *algebra.Insert:
+		if x.Rel != t.Rel || t.Aux != algebra.AuxIns {
+			return false
+		}
+		if !sided {
+			return true
+		}
+		if p.Cond != nil {
+			return !litRowsSatisfy(x.Src, guard, p.Cond)
+		}
+		return !litRowsFail(x.Src, guard)
+	case *algebra.Delete:
+		if x.Rel != t.Rel || t.Aux != algebra.AuxDel {
+			return false
+		}
+		return !sided || !litRowsFail(x.Src, guard)
+	case *algebra.Update:
+		if x.Rel != t.Rel {
+			return false
+		}
+		return !sided || !updatePreserves(p, t.Leaf, guard, db, x)
+	default:
+		return true
+	}
+}
+
+// leafGuard returns the guard that restricts leaf i of a part's check: the
+// constrained relation's guard for leaf 0, the other relation's for leaf 1
+// of a two-relation part. ok is false for any other leaf, which no
+// refinement covers.
+func leafGuard(p *Part, leaf int) (guard algebra.Scalar, ok bool) {
+	switch {
+	case leaf == 0:
+		return p.Guard, true
+	case leaf == 1 && p.Other.Name != "":
+		return p.OtherGuard, true
+	default:
+		return nil, false
+	}
+}
+
+// updatePreserves proves that an update of the relation of leaf i, whose
+// guard is given, cannot make a term over that leaf non-empty: for a part
+// with a per-tuple condition, its set clauses preserve guard ⇒ cond;
+// otherwise they write none of the leaf's guard and join columns.
+func updatePreserves(p *Part, leaf int, guard algebra.Scalar, db *schema.Database, u *algebra.Update) bool {
+	sch, ok := db.Relation(u.Rel)
+	if !ok {
+		return false
+	}
+	if p.Cond != nil {
+		return setsPreserve(u, sch, guard, p.Cond)
+	}
+	leftSch, ok := db.Relation(p.Rel.Name)
+	if !ok {
+		return false
+	}
+	join, joinRight, ok := splitJoinCols(p.JoinPred, leftSch.Arity())
+	if !ok {
+		return false
+	}
+	if leaf == 1 {
+		join = joinRight
+	}
+	return setsAvoid(u, sch, colsUnion(scalarColSet(guard), join))
 }
 
 // touchNeed is relation-footprint disjointness, the coarsest sound test:
@@ -125,116 +196,6 @@ func touchNeed(p *Part, st algebra.Stmt) Need {
 		return Need{Full: true}
 	}
 	return Need{}
-}
-
-// domainNeed: (∀x)(x∈R ∧ γ(x) ⇒ c(x)). Deletes are always harmless; inserts
-// of literal rows are evaluated against γ∧¬c at modify time; updates are
-// harmless when their set clauses provably preserve γ⇒c per tuple.
-func domainNeed(p *Part, db *schema.Database, st algebra.Stmt) Need {
-	switch x := st.(type) {
-	case *algebra.Insert:
-		if x.Rel != p.Rel.Name {
-			return Need{}
-		}
-		if litRowsSatisfy(x.Src, p.Guard, p.Cond) {
-			return Need{}
-		}
-		return Need{SideA: true}
-	case *algebra.Delete:
-		return Need{} // removing tuples cannot violate a universal per-tuple condition
-	case *algebra.Update:
-		if x.Rel != p.Rel.Name {
-			return Need{}
-		}
-		if sch, ok := db.Relation(p.Rel.Name); ok && setsPreserve(x, sch, p.Guard, p.Cond) {
-			return Need{}
-		}
-		return Need{SideA: true}
-	default:
-		return Need{SideA: true}
-	}
-}
-
-// referentialNeed: (∀x)(x∈R ∧ γ(x) ⇒ (∃y)(y∈S ∧ δ(y) ∧ ψ(x,y))).
-// DEL(R) and INS(S) are harmless by monotonicity; INS(R) needs the ins-side
-// check unless the rows provably fail γ; DEL(S) needs the del-side check
-// unless the rows provably fail δ; updates are harmless when they leave the
-// guard and join columns of their side untouched.
-func referentialNeed(p *Part, db *schema.Database, st algebra.Stmt) Need {
-	var need Need
-	leftSch, lok := db.Relation(p.Rel.Name)
-	rightSch, rok := db.Relation(p.Other.Name)
-	if !lok || !rok {
-		return ConservativeNeed(p)
-	}
-
-	switch x := st.(type) {
-	case *algebra.Insert:
-		if x.Rel == p.Rel.Name && !litRowsFail(x.Src, p.Guard) {
-			need.SideA = true
-		}
-		// Inserting into S only adds witnesses: harmless.
-	case *algebra.Delete:
-		if x.Rel == p.Other.Name && !litRowsFail(x.Src, p.OtherGuard) {
-			need.SideB = true
-		}
-		// Deleting from R only removes constrained tuples: harmless.
-	case *algebra.Update:
-		joinLeft, joinRight, jok := splitJoinCols(p.JoinPred, leftSch.Arity())
-		if x.Rel == p.Rel.Name {
-			if !jok || !setsAvoid(x, leftSch, colsUnion(scalarColSet(p.Guard), joinLeft)) {
-				need.SideA = true
-			}
-		}
-		if x.Rel == p.Other.Name {
-			if !jok || !setsAvoid(x, rightSch, colsUnion(scalarColSet(p.OtherGuard), joinRight)) {
-				need.SideB = true
-			}
-		}
-	default:
-		return ConservativeNeed(p)
-	}
-	return need
-}
-
-// pairNeed: no pair (x,y) with x∈σ_γ(R), y∈σ_δ(S) satisfies the violation
-// predicate. Deletes are harmless on both sides; inserts need the side check
-// unless the rows fail the side's guard; updates are harmless when they
-// avoid the side's guard and join columns.
-func pairNeed(p *Part, db *schema.Database, st algebra.Stmt) Need {
-	var need Need
-	leftSch, lok := db.Relation(p.Rel.Name)
-	rightSch, rok := db.Relation(p.Other.Name)
-	if !lok || !rok {
-		return ConservativeNeed(p)
-	}
-
-	switch x := st.(type) {
-	case *algebra.Insert:
-		if x.Rel == p.Rel.Name && !litRowsFail(x.Src, p.Guard) {
-			need.SideA = true
-		}
-		if x.Rel == p.Other.Name && !litRowsFail(x.Src, p.OtherGuard) {
-			need.SideB = true
-		}
-	case *algebra.Delete:
-		// Removing tuples removes violating pairs only.
-	case *algebra.Update:
-		joinLeft, joinRight, jok := splitJoinCols(p.JoinPred, leftSch.Arity())
-		if x.Rel == p.Rel.Name {
-			if !jok || !setsAvoid(x, leftSch, colsUnion(scalarColSet(p.Guard), joinLeft)) {
-				need.SideA = true
-			}
-		}
-		if x.Rel == p.Other.Name {
-			if !jok || !setsAvoid(x, rightSch, colsUnion(scalarColSet(p.OtherGuard), joinRight)) {
-				need.SideB = true
-			}
-		}
-	default:
-		return ConservativeNeed(p)
-	}
-	return need
 }
 
 // existentialNeed: (∃x)(x∈R ∧ c(x)). Inserts only add witnesses; deletes of
@@ -287,51 +248,23 @@ func stmtTarget(st algebra.Stmt) (string, bool) {
 // stmtReadRels collects the base relations a statement's expressions read;
 // false when the statement or an expression node is unknown.
 func stmtReadRels(st algebra.Stmt, out map[string]bool) bool {
+	var e algebra.Expr
 	switch x := st.(type) {
 	case *algebra.Assign:
-		return exprRels(x.Expr, out)
+		e = x.Expr
 	case *algebra.Insert:
-		return exprRels(x.Src, out)
+		e = x.Src
 	case *algebra.Delete:
-		return exprRels(x.Src, out)
+		e = x.Src
 	case *algebra.Update:
 		out[x.Rel] = true
-		return true
 	case *algebra.Alarm:
-		return exprRels(x.Expr, out)
+		e = x.Expr
 	case *algebra.Abort:
-		return true
 	default:
 		return false
 	}
-}
-
-// exprRels collects the base relations an expression reads; false when an
-// expression node is unknown.
-func exprRels(e algebra.Expr, out map[string]bool) bool {
-	switch x := e.(type) {
-	case nil:
-		return true
-	case *algebra.Rel:
-		out[x.Name] = true
-		return true
-	case *algebra.Temp, *algebra.Lit:
-		return true
-	case *algebra.Select:
-		return exprRels(x.In, out)
-	case *algebra.Project:
-		return exprRels(x.In, out)
-	case *algebra.Rename:
-		return exprRels(x.In, out)
-	case *algebra.Join:
-		return exprRels(x.L, out) && exprRels(x.R, out)
-	case *algebra.SetExpr:
-		return exprRels(x.L, out) && exprRels(x.R, out)
-	case *algebra.Aggregate:
-		return exprRels(x.In, out)
-	default:
-		return false
-	}
+	return algebra.Rels(e, func(r *algebra.Rel) { out[r.Name] = true })
 }
 
 // litRowsSatisfy reports whether src is a literal relation all of whose rows

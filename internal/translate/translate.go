@@ -5,8 +5,10 @@
 //
 // The supported fragment is the range-restricted, uniquely-typed-variable
 // fragment accepted by calculus.Validate. Within it the translator
-// recognizes the constraint classes below; the classification is retained so
-// the optimizer (package optimize) can derive differential variants.
+// recognizes the constraint classes below. The optimizer (package optimize)
+// derives differential checks from the produced alarm expressions
+// themselves; the class and the structural pieces of a Part serve the
+// static safety analysis and the repair compiler.
 package translate
 
 import (
@@ -18,7 +20,7 @@ import (
 )
 
 // Class identifies the structural class of a translated constraint
-// conjunct. The optimizer keys its differential rewrites on it.
+// conjunct (Table 1).
 type Class uint8
 
 // Constraint classes.
@@ -65,8 +67,9 @@ func (c Class) String() string {
 }
 
 // Part describes one translated conjunct: the alarm program fragment plus
-// the structural pieces the optimizer needs to rebuild differential
-// variants. Scalars stored here are over the schemas indicated by the class:
+// the structural pieces the safety analysis and the repair compiler read.
+// Rel is the leaf the alarm expression reads first and Other the second.
+// Scalars stored here are over the schemas indicated by the class:
 //
 //   - ClassDomain: Guard and Cond over Rel's schema;
 //   - ClassReferential / ClassPair: Guard over Rel, OtherGuard over Other,

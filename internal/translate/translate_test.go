@@ -231,17 +231,19 @@ func TestAnalyzeSafetyInsertAllocatesNothing(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	db := testSchema()
-	part := mustTranslate(t, `forall x (x in r implies exists y (y in s and x.b = y.k))`).Parts[0]
+	res := mustTranslate(t, `forall x (x in r implies exists y (y in s and x.b = y.k))`)
+	plans, _ := optimize.CompileParts(res.Parts, db, "C")
+	pl := plans[0]
 	stmts, err := lang.ParseProgram(`insert(r, values[(1, 2)]);`, db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var need translate.Need
-	if n := testing.AllocsPerRun(100, func() { need = translate.AnalyzeSafety(part, db, stmts) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { need = translate.AnalyzeSafety(pl.Part, pl.Terms, db, stmts) }); n != 0 {
 		t.Fatalf("AnalyzeSafety of an insert allocates %.0f times, want 0", n)
 	}
-	if !need.SideA || need.SideB {
-		t.Fatalf("insert into the referencing relation needs %+v, want SideA alone", need)
+	if need != (translate.Need{Terms: 1}) {
+		t.Fatalf("insert into the referencing relation needs %+v, want the ins(r) term alone", need)
 	}
 }
 

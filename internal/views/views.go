@@ -16,9 +16,16 @@
 //
 //   - recompute: delete the view contents and re-evaluate the definition
 //     (always applicable);
-//   - incremental: for definitions of the select/project-over-one-relation
-//     shape, apply σ/π to the transaction's ins/del deltas instead (the
-//     view-side analogue of the differential constraint checks).
+//   - incremental: delete(V, Δ⁻E); insert(V, Δ⁺E), with the terms of both
+//     deltas taken from the same derivation the enforcement checks use
+//     (algebra.ViewDelta). It applies to trees of selections, renames and
+//     joins over base relations; Δ⁻ reads old(·) for the unchanged input of
+//     a join.
+//
+// Projections, unions and every other definition fall back to recompute:
+// views are sets and keep no multiplicities, so a tuple whose witness a
+// delete removes may still have another witness, and only re-evaluation can
+// tell.
 package views
 
 import (
@@ -104,13 +111,8 @@ func Define(v *View, db *schema.Database, cat *rules.Catalog, existingViews map[
 		return nil, fmt.Errorf("views: view %s reads no base relations", v.Name)
 	}
 
-	prog := v.recomputeProgram()
-	if v.Strategy == Incremental {
-		if inc, ok := v.incrementalProgram(); ok {
-			prog = inc
-			v.incremental = true
-		}
-	}
+	prog, incremental := v.maintenanceProgram()
+	v.incremental = incremental
 	tenv2 := algebra.NewTypeEnv(db)
 	if err := prog.TypeCheck(tenv2); err != nil {
 		db.Remove(v.Name)
@@ -130,96 +132,38 @@ func Define(v *View, db *schema.Database, cat *rules.Catalog, existingViews map[
 	return backing, nil
 }
 
-// recomputeProgram is: delete(view, view); insert(view, definition).
-func (v *View) recomputeProgram() algebra.Program {
+// maintenanceProgram returns the view's maintenance program and whether
+// it is incremental: delete(view, t) per term t of Δ⁻E, then
+// insert(view, t) per term of Δ⁺E, when the strategy asks for it and E has
+// exact deltas; otherwise delete(view, view); insert(view, E).
+func (v *View) maintenanceProgram() (algebra.Program, bool) {
+	if v.Strategy == Incremental {
+		if del, ins, ok := algebra.ViewDelta(v.Definition); ok {
+			prog := make(algebra.Program, 0, len(del)+len(ins))
+			for _, t := range del {
+				prog = append(prog, &algebra.Delete{Rel: v.Name, Src: t.Expr})
+			}
+			for _, t := range ins {
+				prog = append(prog, &algebra.Insert{Rel: v.Name, Src: t.Expr})
+			}
+			return prog, true
+		}
+	}
 	return algebra.Program{
 		&algebra.Delete{Rel: v.Name, Src: algebra.NewRel(v.Name)},
 		&algebra.Insert{Rel: v.Name, Src: algebra.CloneExpr(v.Definition)},
-	}
-}
-
-// incrementalProgram derives delta maintenance for select/project chains
-// over a single base relation: inserted source tuples are pushed through
-// the definition and added, deleted ones are pushed through and removed.
-// Projection makes deletion conservative (a projected tuple may have other
-// witnesses), so projection chains additionally re-insert the definition
-// image to restore any tuple removed too eagerly — still cheaper than a
-// full recompute only for selection-only chains; projections therefore fall
-// back to recompute.
-func (v *View) incrementalProgram() (algebra.Program, bool) {
-	base, ok := selectionChainBase(v.Definition)
-	if !ok {
-		return nil, false
-	}
-	insImage := rewriteBaseAux(algebra.CloneExpr(v.Definition), base, algebra.AuxIns)
-	delImage := rewriteBaseAux(algebra.CloneExpr(v.Definition), base, algebra.AuxDel)
-	return algebra.Program{
-		&algebra.Delete{Rel: v.Name, Src: delImage},
-		&algebra.Insert{Rel: v.Name, Src: insImage},
-	}, true
-}
-
-// selectionChainBase reports whether e is a chain of selections over one
-// base relation reference and returns that relation's name.
-func selectionChainBase(e algebra.Expr) (string, bool) {
-	switch x := e.(type) {
-	case *algebra.Rel:
-		if x.Aux != algebra.AuxCur {
-			return "", false
-		}
-		return x.Name, true
-	case *algebra.Select:
-		return selectionChainBase(x.In)
-	default:
-		return "", false
-	}
-}
-
-// rewriteBaseAux replaces the base relation reference at the bottom of a
-// selection chain with the given auxiliary incarnation.
-func rewriteBaseAux(e algebra.Expr, base string, aux algebra.AuxKind) algebra.Expr {
-	switch x := e.(type) {
-	case *algebra.Rel:
-		if x.Name == base {
-			return algebra.NewAuxRel(base, aux)
-		}
-		return x
-	case *algebra.Select:
-		x.In = rewriteBaseAux(x.In, base, aux)
-		return x
-	default:
-		return e
-	}
+	}, false
 }
 
 // sourceTriggers derives the trigger set of a view definition: INS and DEL
 // of every base relation it reads in its current incarnation.
 func sourceTriggers(e algebra.Expr) trigger.Set {
 	out := trigger.NewSet()
-	var walk func(algebra.Expr)
-	walk = func(e algebra.Expr) {
-		switch x := e.(type) {
-		case *algebra.Rel:
-			if x.Aux == algebra.AuxCur {
-				out.Add(trigger.Trigger{Update: trigger.INS, Rel: x.Name})
-				out.Add(trigger.Trigger{Update: trigger.DEL, Rel: x.Name})
-			}
-		case *algebra.Select:
-			walk(x.In)
-		case *algebra.Project:
-			walk(x.In)
-		case *algebra.Rename:
-			walk(x.In)
-		case *algebra.Join:
-			walk(x.L)
-			walk(x.R)
-		case *algebra.SetExpr:
-			walk(x.L)
-			walk(x.R)
-		case *algebra.Aggregate:
-			walk(x.In)
+	algebra.Rels(e, func(r *algebra.Rel) {
+		if r.Aux == algebra.AuxCur {
+			out.Add(trigger.Trigger{Update: trigger.INS, Rel: r.Name})
+			out.Add(trigger.Trigger{Update: trigger.DEL, Rel: r.Name})
 		}
-	}
-	walk(e)
+	})
 	return out
 }

@@ -1,11 +1,18 @@
 package views_test
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro"
+	"repro/internal/algebra"
+	"repro/internal/lang"
+	"repro/internal/rules"
+	"repro/internal/schema"
+	"repro/internal/views"
 )
 
 func newViewDB(t *testing.T, incremental bool) *repro.DB {
@@ -76,10 +83,66 @@ func TestViewInitialMaterialization(t *testing.T) {
 	}
 }
 
-func TestJoinViewRecomputed(t *testing.T) {
+// defineView compiles a view straight against the beer schema and reports
+// the maintenance strategy it got.
+func defineView(t *testing.T, def string) *views.View {
+	t.Helper()
+	sch := schema.MustDatabase()
+	for _, ddl := range []string{
+		`relation beer(name string, brewery string, alcohol int)`,
+		`relation brewery(name string, country string)`,
+	} {
+		rs, err := lang.ParseRelationSchema(ddl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sch.Add(rs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prog, err := lang.ParseProgram("q := "+def, sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := &views.View{Name: "v", Definition: prog[0].(*algebra.Assign).Expr, Strategy: views.Incremental}
+	if _, err := views.Define(v, sch, rules.NewCatalog(sch), nil); err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// TestJoinViewIncremental: a join of base relations has exact deltas, so it
+// is maintained from them, and stays equal to its definition under inserts
+// and deletes on both sides.
+func TestJoinViewIncremental(t *testing.T) {
+	if v := defineView(t, `join(beer, brewery, #2 = #4)`); !v.IsIncremental() {
+		t.Fatal("join view fell back to recompute")
+	}
 	db := newViewDB(t, false)
-	db.MustDefineView("located", `project(join(beer, brewery, #2 = #4), #1 as beer, #5 as country)`, true)
-	// Incremental was requested but a join definition must fall back.
+	db.MustDefineView("located", `join(beer, brewery, #2 = #4)`, true)
+	for _, src := range []string{
+		`begin insert(brewery, values[("x", "be"), ("y", "nl")]); insert(beer, values[("quad", "x", 10)]); end`,
+		`begin insert(beer, values[("pils", "y", 5), ("ale", "x", 6)]); end`,
+		`begin delete(brewery, select(brewery, name = "y")); end`,
+		`begin delete(beer, select(beer, name = "quad")); insert(brewery, values[("z", "de")]); end`,
+	} {
+		if res, err := db.Submit(src); err != nil || !res.Committed {
+			t.Fatalf("%s: res=%+v err=%v", src, res, err)
+		}
+		assertViewEquals(t, db, "located", `join(beer, brewery, #2 = #4)`, src)
+	}
+}
+
+// TestProjectedJoinViewRecomputed: a projection can map a deleted tuple
+// onto one another witness still produces, so a projected join falls back
+// to recompute even when incremental maintenance is requested.
+func TestProjectedJoinViewRecomputed(t *testing.T) {
+	const def = `project(join(beer, brewery, #2 = #4), #1 as beer, #5 as country)`
+	if v := defineView(t, def); v.IsIncremental() {
+		t.Fatal("projected join view claimed incremental maintenance")
+	}
+	db := newViewDB(t, false)
+	db.MustDefineView("located", def, true)
 	if res, err := db.Submit(`begin
 		insert(brewery, values[("x", "be")]);
 		insert(beer, values[("quad", "x", 10)]);
@@ -93,6 +156,32 @@ func TestJoinViewRecomputed(t *testing.T) {
 	if len(rows.Data) != 1 || rows.Data[0][1] != "be" {
 		t.Errorf("located = %v", rows.Data)
 	}
+}
+
+// assertViewEquals compares a view's rows with its definition evaluated
+// fresh.
+func assertViewEquals(t *testing.T, db *repro.DB, view, def, context string) {
+	t.Helper()
+	want, err := db.Query(def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := db.Query(view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w, g := rowSet(want), rowSet(got); w != g {
+		t.Fatalf("%s: view %s holds\n%s\ndefinition gives\n%s", context, view, g, w)
+	}
+}
+
+func rowSet(r *repro.Rows) string {
+	lines := make([]string, len(r.Data))
+	for i, row := range r.Data {
+		lines[i] = fmt.Sprint(row...)
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
 }
 
 func TestViewAbortRollsBackWithTransaction(t *testing.T) {
@@ -128,22 +217,35 @@ func TestViewValidationErrors(t *testing.T) {
 }
 
 // TestIncrementalEqualsRecompute is the maintenance equivalence property:
-// under a random transaction stream, the incremental and the recomputed view
-// always hold the same contents as evaluating the definition directly.
+// under a random transaction stream of inserts and deletes on both sides of
+// a join, the incremental and the recomputed views always hold the same
+// contents as evaluating their definitions directly.
 func TestIncrementalEqualsRecompute(t *testing.T) {
+	const joinDef = `join(beer, select(brewery, country <> "nl"), #2 = #4)`
 	rng := rand.New(rand.NewSource(99))
 	dbs := map[string]*repro.DB{
 		"recompute":   newViewDB(t, false),
 		"incremental": newViewDB(t, true),
 	}
+	for which, db := range dbs {
+		db.MustDefineView("located", joinDef, which == "incremental")
+	}
 	names := []string{"a", "b", "c", "d", "e"}
-	for step := 0; step < 120; step++ {
+	breweries := []string{"x", "y", "z"}
+	countries := []string{"be", "nl", "de"}
+	for step := 0; step < 160; step++ {
 		var stmt string
-		switch rng.Intn(3) {
+		switch rng.Intn(5) {
 		case 0, 1:
-			stmt = `insert(beer, values[("` + names[rng.Intn(len(names))] + `", "x", ` + itoa(rng.Intn(14)) + `)]);`
+			stmt = `insert(beer, values[("` + names[rng.Intn(len(names))] + `", "` +
+				breweries[rng.Intn(len(breweries))] + `", ` + itoa(rng.Intn(14)) + `)]);`
 		case 2:
 			stmt = `delete(beer, select(beer, name = "` + names[rng.Intn(len(names))] + `"));`
+		case 3:
+			stmt = `insert(brewery, values[("` + breweries[rng.Intn(len(breweries))] + `", "` +
+				countries[rng.Intn(len(countries))] + `")]);`
+		case 4:
+			stmt = `delete(brewery, select(brewery, name = "` + breweries[rng.Intn(len(breweries))] + `"));`
 		}
 		src := "begin " + stmt + " end"
 		for which, db := range dbs {
@@ -155,19 +257,11 @@ func TestIncrementalEqualsRecompute(t *testing.T) {
 				t.Fatalf("%s step %d aborted: %s", which, step, res.Reason)
 			}
 		}
-		// Both views must equal the definition evaluated fresh.
+		// Every view must equal its definition evaluated fresh.
 		for which, db := range dbs {
-			want, err := db.Query(`select(beer, alcohol >= 8)`)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := db.Query(`strong`)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(want.Data) != len(got.Data) {
-				t.Fatalf("%s step %d: view has %d rows, definition %d", which, step, len(got.Data), len(want.Data))
-			}
+			context := which + " step " + itoa(step) + ": " + src
+			assertViewEquals(t, db, "strong", `select(beer, alcohol >= 8)`, context)
+			assertViewEquals(t, db, "located", joinDef, context)
 		}
 	}
 }

@@ -571,9 +571,10 @@ func (db *DB) DropRule(name string) error { return db.cat.Remove(name) }
 // modification (the paper's cited application beyond integrity control):
 // any transaction updating a source relation is extended with the view's
 // maintenance statements, so the view is consistent at every transaction
-// boundary. With incremental=true, selection-only definitions over one base
-// relation are maintained from the transaction's deltas; everything else is
-// recomputed.
+// boundary. With incremental=true, definitions built from selections,
+// renames and joins of base relations are maintained from the transaction's
+// deltas (delete Δ⁻, insert Δ⁺); projections, unions and everything else
+// are recomputed, because a view is a set and keeps no multiplicities.
 //
 //	db.DefineView("cheap", `select(beer, alcohol < 3)`, true)
 func (db *DB) DefineView(name, exprSrc string, incremental bool) error {
