@@ -331,18 +331,28 @@ func runSweeps(w io.Writer) {
 		fmt.Fprintln(w, strings.TrimRight(row, " "))
 	}
 
-	fmt.Fprintln(w, "\n== A-views: view maintenance per Submit (insert into a 50 000-row source) ==")
-	fmt.Fprintf(w, "%-11s %-14s %s\n", "view", "maintenance", "median")
-	for _, view := range []struct{ name, def string }{
-		{"selection", `select(orders, amount >= 900)`},
-		{"join", `join(orders, regions, #2 = #4)`},
+	fmt.Fprintln(w, "\n== A-views: view maintenance per Submit (one-row change to a 50 000-row source) ==")
+	fmt.Fprintf(w, "%-11s %-7s %-12s %s\n", "view", "submit", "maintenance", "median")
+	for _, view := range []struct {
+		name, def, ddl string
+		del            bool
+	}{
+		{"selection", `select(orders, amount >= 900)`, `relation big(id int, region string, amount int)`, false},
+		{"join", `join(orders, regions, #2 = #4)`, `relation big(id int, region string, amount int, name string, zone string)`, false},
+		{"projection", `project(orders, #2 as region)`, `relation big(region string)`, false},
+		{"projection", `project(orders, #2 as region)`, `relation big(region string)`, true},
 	} {
-		for _, incremental := range []bool{false, true} {
-			name := "recompute"
-			if incremental {
-				name = "incremental"
+		submit := "insert"
+		if view.del {
+			submit = "delete"
+		}
+		for _, recompute := range []bool{true, false} {
+			name := "incremental"
+			if recompute {
+				name = "recompute"
 			}
-			fmt.Fprintf(w, "%-11s %-14s %s\n", view.name, name, medianViewSubmit(view.def, incremental).Round(time.Microsecond))
+			d := medianViewSubmit(view.def, view.ddl, recompute, view.del)
+			fmt.Fprintf(w, "%-11s %-7s %-12s %s\n", view.name, submit, name, d.Round(time.Microsecond))
 		}
 	}
 	fmt.Fprintln(w)
@@ -379,10 +389,13 @@ func medianModify(sub *core.Subsystem, t *txn.Transaction) time.Duration {
 	})
 }
 
-// medianViewSubmit loads a 50 000-row source relation and a two-row region
-// table under one view and returns the median latency of a one-row insert
-// Submit into the source.
-func medianViewSubmit(def string, incremental bool) time.Duration {
+// medianViewSubmit loads a 50 000-row source relation orders and a two-row
+// region table, materializes def as relation big, and returns the median
+// latency of a Submit that inserts one row into orders, or with del deletes
+// one. big is a view, maintained by the engine, or with recompute the
+// baseline: a plain relation declared by ddl that each Submit rebuilds
+// with delete(big, big); insert(big, def).
+func medianViewSubmit(def, ddl string, recompute, del bool) time.Duration {
 	db := repro.Open(nil)
 	defer db.Close()
 	db.MustCreateRelation(`relation orders(id int, region string, amount int)`)
@@ -397,20 +410,34 @@ func medianViewSubmit(def string, incremental bool) time.Duration {
 	if err := db.Load("regions", [][]any{{"eu", "emea"}, {"us", "amer"}}); err != nil {
 		log.Fatal(err)
 	}
-	if err := db.DefineView("big", def, incremental); err != nil {
+	maintain := ""
+	if recompute {
+		db.MustCreateRelation(ddl)
+		maintain = fmt.Sprintf("delete(big, big); insert(big, %s);", def)
+		submitView(db, "begin insert(big, "+def+"); end")
+	} else if err := db.DefineView("big", def); err != nil {
 		log.Fatal(err)
 	}
 	next := 100000
 	return medianOf(25, func() {
-		res, err := db.Submit(fmt.Sprintf(`begin insert(orders, values[(%d, "us", %d)]); end`, next, next%1000))
-		if err != nil {
-			log.Fatal(err)
+		change := fmt.Sprintf(`insert(orders, values[(%d, "us", %d)]);`, next, next%1000)
+		if del {
+			change = fmt.Sprintf(`delete(orders, select(orders, id = %d));`, next-100000)
 		}
-		if !res.Committed {
-			log.Fatalf("view insert aborted: %s", res.Reason)
-		}
+		submitView(db, "begin "+change+" "+maintain+" end")
 		next++
 	})
+}
+
+// submitView submits src and stops the run unless it commits.
+func submitView(db *repro.DB, src string) {
+	res, err := db.Submit(src)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if !res.Committed {
+		log.Fatalf("view submit aborted: %s", res.Reason)
+	}
 }
 
 // runModified returns a strategy that executes the transaction as modified

@@ -16,22 +16,22 @@ package algebra
 // The rules, for a Δ of sign ± whose other inputs read the state on that
 // side (current for Δ⁺, old(·) for Δ⁻):
 //
-//   - σ, rename, and π (alarm mode only) pass the terms of their input
-//     through;
+//   - σ, rename and π pass the terms of their input through;
 //   - a join or semijoin gives one term per input, that input's Δ terms
 //     joined with the other input;
 //   - an antijoin L ▷ R gives L's Δ terms ▷ R, plus, per term ∇ of R's
 //     opposite delta, (L ⋉ ∇) ▷ R: the left tuples whose last match left;
-//   - a union gives the terms of both inputs (alarm mode only, and only
-//     once type-checked: a right-input term is renamed to the union's
-//     schema);
+//   - a union gives the terms of both inputs (only once type-checked: a
+//     right-input term is renamed to the union's schema);
 //   - literals give no term.
 //
 // Aggregates, set difference and intersection, temps, unknown nodes and
 // leaves that already read old/ins/del have no Δ form. View maintenance
-// (ViewDelta) asks for exact deltas, which set semantics keeps only through
-// σ, rename and inner joins: a projection, union or semijoin can map a
-// deleted tuple onto one that another witness still produces.
+// (ViewDelta) takes both signs from the same rules. Through σ, rename and
+// inner joins the Δ⁻ terms are exactly E(old) − E(new); a projection,
+// semijoin, antijoin or union can map a deleted tuple onto one that
+// another witness still produces, so there each Δ⁻ term is restricted to
+// the tuples E(new) no longer produces.
 
 // DeltaTerm is one term of an expression's delta.
 type DeltaTerm struct {
@@ -54,21 +54,56 @@ func AlarmDelta(e Expr) ([]DeltaTerm, bool) {
 	return (&deriver{}).derive(e, AuxIns)
 }
 
-// ViewDelta derives the exact deletes and inserts that carry a
-// materialization of E from E(old) to E(new): delete every Δ⁻ term, then
-// insert every Δ⁺ term. ok is false unless E is a tree of selections,
-// renames and inner joins over current base relations and literals.
+// ViewDelta derives the deletes and inserts that carry a materialization
+// of E from E(old) to E(new): delete every Δ⁻ term, then insert every Δ⁺
+// term. Unless E is a tree of selections, renames and inner joins, each Δ⁻
+// term t becomes antijoin(t, E, ⋀ᵢ t.i = E.i), so a candidate leaves the
+// view only if the new state no longer produces it (DRed, without
+// counts); such an E must be type-checked. ok is false when E has no Δ
+// form.
 func ViewDelta(e Expr) (del, ins []DeltaTerm, ok bool) {
 	if !readsCurrentOnly(e) {
 		return nil, nil, false
 	}
-	if del, ok = (&deriver{exact: true}).derive(e, AuxDel); !ok {
+	if del, ok = (&deriver{}).derive(e, AuxDel); !ok {
 		return nil, nil, false
 	}
-	if ins, ok = (&deriver{exact: true}).derive(e, AuxIns); !ok {
+	if ins, ok = (&deriver{}).derive(e, AuxIns); !ok {
 		return nil, nil, false
+	}
+	if exactTree(e) {
+		return del, ins, true
+	}
+	out := e.Schema()
+	if out == nil {
+		return nil, nil, false
+	}
+	n := out.Arity()
+	for i := range del {
+		same := make([]Scalar, n)
+		for c := range same {
+			same[c] = &Cmp{Op: CmpEQ, L: AttrByIndex(c), R: AttrByIndex(n + c)}
+		}
+		del[i].Expr = NewAntiJoin(del[i].Expr, CloneExpr(e), AndAll(same...))
 	}
 	return del, ins, true
+}
+
+// exactTree reports whether e is built from selections, renames and inner
+// joins over base relations and literals, whose Δ terms are exact.
+func exactTree(e Expr) bool {
+	switch x := e.(type) {
+	case *Rel, *Lit:
+		return true
+	case *Select:
+		return exactTree(x.In)
+	case *Rename:
+		return exactTree(x.In)
+	case *Join:
+		return x.Kind == JoinInner && exactTree(x.L) && exactTree(x.R)
+	default:
+		return false
+	}
 }
 
 // Rels calls fn on every base-relation leaf of e, left to right, and
@@ -106,11 +141,10 @@ func readsCurrentOnly(e Expr) bool {
 	return known && cur
 }
 
-// deriver carries one derivation: whether it must be exact, and the
-// position of the next base-relation leaf.
+// deriver carries one derivation: the position of the next base-relation
+// leaf.
 type deriver struct {
-	exact bool
-	leaf  int
+	leaf int
 }
 
 // derive returns the Δ terms of e with the given sign: AuxIns for Δ⁺,
@@ -128,9 +162,6 @@ func (d *deriver) derive(e Expr, sign AuxKind) ([]DeltaTerm, bool) {
 	case *Rename:
 		return d.wrap(x.In, sign, func(in Expr) Expr { return NewRename(in, x.Name, x.Attrs) })
 	case *Project:
-		if d.exact {
-			return nil, false
-		}
 		return d.wrap(x.In, sign, func(in Expr) Expr {
 			cols := make([]Scalar, len(x.Cols))
 			for i, c := range x.Cols {
@@ -139,13 +170,10 @@ func (d *deriver) derive(e Expr, sign AuxKind) ([]DeltaTerm, bool) {
 			return NewProject(in, cols, x.Names)
 		})
 	case *Join:
-		if x.Kind != JoinInner && d.exact {
-			return nil, false
-		}
 		return d.join(x, sign)
 	case *SetExpr:
 		out := x.Schema()
-		if x.Op != SetUnion || d.exact || out == nil {
+		if x.Op != SetUnion || out == nil {
 			return nil, false
 		}
 		l, ok := d.derive(x.L, sign)

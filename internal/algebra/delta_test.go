@@ -25,43 +25,38 @@ func deltaSchema() *schema.Database {
 	return schema.MustDatabase(rels...)
 }
 
-// genDeltaExpr builds a random expression of depth ≤ depth over the delta
-// relations and returns it with its arity. exact restricts it to the σ/⋈
-// trees view maintenance handles.
-func genDeltaExpr(rng *rand.Rand, depth int, exact bool) (Expr, int) {
+// genDeltaExpr builds a random σ/π/⋈/⋉/▷/∪ expression of depth ≤ depth
+// over the delta relations and returns it with its arity.
+func genDeltaExpr(rng *rand.Rand, depth int) (Expr, int) {
 	if depth == 0 || rng.Intn(4) == 0 {
 		return NewRel(deltaRels[rng.Intn(len(deltaRels))]), 2
 	}
-	kinds := 2 // σ, ⋈
-	if !exact {
-		kinds = 6 // π, ⋉, ▷, ∪
-	}
-	switch rng.Intn(kinds) {
+	switch rng.Intn(6) {
 	case 0:
-		in, n := genDeltaExpr(rng, depth-1, exact)
+		in, n := genDeltaExpr(rng, depth-1)
 		return NewSelect(in, genDeltaPred(rng, n)), n
 	case 1, 2, 3:
-		l, ln := genDeltaExpr(rng, depth-1, exact)
-		r, rn := genDeltaExpr(rng, depth-1, exact)
+		l, ln := genDeltaExpr(rng, depth-1)
+		r, rn := genDeltaExpr(rng, depth-1)
 		var pred Scalar
 		if rng.Intn(5) > 0 {
 			pred = &Cmp{Op: CmpEQ, L: AttrByIndex(rng.Intn(ln)), R: AttrByIndex(ln + rng.Intn(rn))}
 		}
-		switch kind := rng.Intn(3); {
-		case exact || kind == 0:
+		switch rng.Intn(3) {
+		case 0:
 			return NewJoin(l, r, pred), ln + rn
-		case kind == 1:
+		case 1:
 			return NewSemiJoin(l, r, pred), ln
 		default:
 			return NewAntiJoin(l, r, pred), ln
 		}
 	case 4:
-		in, n := genDeltaExpr(rng, depth-1, exact)
+		in, n := genDeltaExpr(rng, depth-1)
 		width := 1 + rng.Intn(2)
 		return project(rng, in, n, width), width
 	default:
-		l, ln := genDeltaExpr(rng, depth-1, exact)
-		r, rn := genDeltaExpr(rng, depth-1, exact)
+		l, ln := genDeltaExpr(rng, depth-1)
+		r, rn := genDeltaExpr(rng, depth-1)
 		if rn != ln {
 			r = project(rng, r, rn, ln)
 		}
@@ -160,20 +155,24 @@ func unionOf(t *testing.T, terms []DeltaTerm, db *schema.Database, env *fakeEnv,
 // σ/π/⋈/⋉/▷/∪ expression E of depth ≤ 3 over two or three relations, a
 // random state where E is empty and a random net delta, Δ⁺E must be
 // non-empty iff E(new) is — its terms are exactly E(new) — and each term
-// must read its recorded delta leaf. For a σ/⋈ tree and any state,
-// deleting Δ⁻E from E(old) and inserting Δ⁺E must give E(new).
+// must read its recorded delta leaf. For a second such expression V and
+// any state, deleting ViewDelta's Δ⁻V from V(old) and inserting its Δ⁺V
+// must give V(new), also when a deleted witness leaves another behind.
 func FuzzDeltaRules(f *testing.F) {
 	f.Add([]byte("antijoin(semijoin(L, del R), R)"))
 	f.Add([]byte("union of projections"))
 	f.Add([]byte("self join"))
 	f.Add([]byte{0})
+	// A view whose Δ⁻ deletes a projected tuple that another witness
+	// still produces.
+	f.Add([]byte("second witness 101"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h := fnv.New64a()
 		h.Write(data)
 		rng := rand.New(rand.NewSource(int64(h.Sum64())))
 		db := deltaSchema()
 
-		e, _ := genDeltaExpr(rng, 3, false)
+		e, _ := genDeltaExpr(rng, 3)
 		if _, err := e.TypeCheck(NewTypeEnv(db)); err != nil {
 			t.Fatalf("TypeCheck(%s): %v", e, err)
 		}
@@ -208,7 +207,10 @@ func FuzzDeltaRules(f *testing.F) {
 			break
 		}
 
-		v, _ := genDeltaExpr(rng, 3, true)
+		v, _ := genDeltaExpr(rng, 3)
+		if _, err := v.TypeCheck(NewTypeEnv(db)); err != nil {
+			t.Fatalf("TypeCheck(%s): %v", v, err)
+		}
 		del, ins, ok := ViewDelta(v)
 		if !ok {
 			t.Fatalf("no view delta for %s", v)
@@ -225,8 +227,9 @@ func FuzzDeltaRules(f *testing.F) {
 }
 
 // TestDeltaRefuses: aggregates, set difference and leaves that do not read
-// the current state have no Δ form; projections and unions have no exact
-// one.
+// the current state have no Δ form. Projections, unions and semijoins have
+// one for views too, each Δ⁻ term restricted to what the new state no
+// longer produces.
 func TestDeltaRefuses(t *testing.T) {
 	db := deltaSchema()
 	for _, e := range []Expr{
@@ -238,6 +241,9 @@ func TestDeltaRefuses(t *testing.T) {
 	} {
 		if _, ok := AlarmDelta(e); ok {
 			t.Errorf("AlarmDelta(%s) derived a Δ form", e)
+		}
+		if _, _, ok := ViewDelta(e); ok {
+			t.Errorf("ViewDelta(%s) derived a Δ form", e)
 		}
 	}
 	for _, e := range []Expr{
@@ -251,8 +257,14 @@ func TestDeltaRefuses(t *testing.T) {
 		if _, ok := AlarmDelta(e); !ok {
 			t.Errorf("AlarmDelta(%s) refused", e)
 		}
-		if _, _, ok := ViewDelta(e); ok {
-			t.Errorf("ViewDelta(%s) derived an exact delta", e)
+		del, _, ok := ViewDelta(e)
+		if !ok {
+			t.Errorf("ViewDelta(%s) refused", e)
+		}
+		for _, term := range del {
+			if j, ok := term.Expr.(*Join); !ok || j.Kind != JoinAnti || j.R.String() != e.String() {
+				t.Errorf("ViewDelta(%s): Δ⁻ term %s is not restricted by the definition", e, term.Expr)
+			}
 		}
 	}
 }

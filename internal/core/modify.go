@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/algebra"
@@ -106,9 +107,18 @@ func (s *Subsystem) Modify(t *txn.Transaction) (*txn.Transaction, *Report, error
 		OriginalStmts:  len(t.Program),
 		RulesTriggered: make(map[string]int),
 	}
-	prog, err := s.modP(t.Debracket(), 0, report)
+	var deferred []*rules.IntegrityProgram
+	prog, err := s.modP(t.Debracket(), 0, report, &deferred)
 	if err != nil {
 		return nil, nil, err
+	}
+	for _, ip := range deferred {
+		maintain, _, _, err := s.enforcementProgram(ip, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		report.RulesTriggered[ip.RuleName]++
+		prog = prog.Concat(maintain)
 	}
 	report.FinalStmts = len(prog)
 	out := txn.Bracket(prog)
@@ -117,11 +127,13 @@ func (s *Subsystem) Modify(t *txn.Transaction) (*txn.Transaction, *Report, error
 }
 
 // modP implements ModP: P if nothing is triggered, else P ⊕ ModP(TrigP(P)).
-func (s *Subsystem) modP(p algebra.Program, depth int, report *Report) (algebra.Program, error) {
+// Deferred programs the levels select are collected, once each, in
+// deferred.
+func (s *Subsystem) modP(p algebra.Program, depth int, report *Report, deferred *[]*rules.IntegrityProgram) (algebra.Program, error) {
 	if depth >= DefaultMaxDepth {
 		return nil, fmt.Errorf("core: modification exceeded depth %d; the rule set has a triggering cycle (see the triggering graph analysis in package graph)", DefaultMaxDepth)
 	}
-	triggered, step, err := s.trigP(p)
+	triggered, step, err := s.trigP(p, deferred)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +152,7 @@ func (s *Subsystem) modP(p algebra.Program, depth int, report *Report) (algebra.
 		// appended, so the recursion ends here.
 		return p, nil
 	}
-	rest, err := s.modP(triggered, depth+1, report)
+	rest, err := s.modP(triggered, depth+1, report, deferred)
 	if err != nil {
 		return nil, err
 	}
@@ -153,8 +165,9 @@ func (s *Subsystem) modP(p algebra.Program, depth int, report *Report) (algebra.
 // dynamic mode). A rule is never selected by its own repair statements: the
 // repair is a complete fix for the rule's constraint by construction, and
 // the rule's checks already run after it within the same enforcement
-// program, so re-selecting would loop without adding enforcement.
-func (s *Subsystem) trigP(p algebra.Program) (algebra.Program, Step, error) {
+// program, so re-selecting would loop without adding enforcement. A
+// selected deferred program is added to deferred instead of the level.
+func (s *Subsystem) trigP(p algebra.Program, deferred *[]*rules.IntegrityProgram) (algebra.Program, Step, error) {
 	raised, byOrigin := s.programTriggers(p)
 	step := Step{Triggers: raised}
 	if raised.IsEmpty() {
@@ -168,6 +181,12 @@ func (s *Subsystem) trigP(p algebra.Program) (algebra.Program, Step, error) {
 			sel = s.triggersExcludingOrigin(p, ip.RuleName)
 		}
 		if !ip.Triggers.Intersects(sel) {
+			continue
+		}
+		if ip.Deferred {
+			if !slices.Contains(*deferred, ip) {
+				*deferred = append(*deferred, ip)
+			}
 			continue
 		}
 		enforcement, elided, repairs, err := s.enforcementProgram(ip, analysis)

@@ -77,7 +77,14 @@ type IntegrityProgram struct {
 	Full          algebra.Program
 	Differential  algebra.Program // nil when no part could be incrementalized
 	NonTriggering bool
-	Classes       []translate.Class
+	// Deferred marks view maintenance: the subsystem appends the program
+	// once, at the end of the modified transaction, when any level raises
+	// one of its triggers. Its delta form carries the view from the
+	// pre-transaction state to the final one, so no later statement may
+	// change a source after it, and applying it twice would keep tuples a
+	// later level removed again.
+	Deferred bool
+	Classes  []translate.Class
 	// IndexHints are the secondary indexes the rule's differential checks
 	// and repair probe (translate.IndexHints); the facade builds them when
 	// automatic indexing is enabled.

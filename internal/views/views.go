@@ -10,22 +10,23 @@
 // from the relations the definition reads: any transaction that updates a
 // source relation gets the maintenance statements appended by the ordinary
 // modification algorithm, so the view is consistent at every transaction
-// boundary — exactly the guarantee integrity enforcement receives.
+// boundary — exactly the guarantee integrity enforcement receives. The
+// program is deferred: it is appended once, after every other program the
+// transaction triggers, so repairs that rewrite a source run before it.
 //
-// Two maintenance strategies are provided:
-//
-//   - recompute: delete the view contents and re-evaluate the definition
-//     (always applicable);
-//   - incremental: delete(V, Δ⁻E); insert(V, Δ⁺E), with the terms of both
-//     deltas taken from the same derivation the enforcement checks use
-//     (algebra.ViewDelta). It applies to trees of selections, renames and
-//     joins over base relations; Δ⁻ reads old(·) for the unchanged input of
-//     a join.
-//
-// Projections, unions and every other definition fall back to recompute:
-// views are sets and keep no multiplicities, so a tuple whose witness a
-// delete removes may still have another witness, and only re-evaluation can
-// tell.
+// The definition decides the maintenance program, never the caller. A
+// definition with a Δ form — any tree of selections, renames, projections,
+// joins, semijoins, antijoins and unions over base relations — is
+// maintained by delete(V, Δ⁻E); insert(V, Δ⁺E), with the terms of both
+// deltas taken from the same derivation the enforcement checks use
+// (algebra.ViewDelta). Δ⁻ reads old(·) for the unchanged inputs. Views are
+// sets and keep no multiplicities, so outside σ/rename/⋈ trees a deleted
+// witness may leave another behind: there each Δ⁻ term is restricted to
+// the tuples the new state no longer produces. A definition with no Δ
+// form (aggregates, set difference and intersection) is recomputed:
+// delete(V, V); insert(V, E). Either program assumes the view held E(old),
+// so only its maintenance program may write the backing relation; the
+// facade refuses every other write.
 package views
 
 import (
@@ -37,43 +38,11 @@ import (
 	"repro/internal/trigger"
 )
 
-// Strategy selects how a view is maintained.
-type Strategy uint8
-
-// Maintenance strategies.
-const (
-	// Recompute re-evaluates the definition from scratch on every
-	// triggering transaction.
-	Recompute Strategy = iota
-	// Incremental applies the definition to the transaction's deltas; it
-	// falls back to Recompute when the definition is not delta-closed.
-	Incremental
-)
-
-// String names the strategy.
-func (s Strategy) String() string {
-	if s == Incremental {
-		return "incremental"
-	}
-	return "recompute"
-}
-
 // View is a materialized view definition.
 type View struct {
 	Name       string
 	Definition algebra.Expr
-	Strategy   Strategy
-
-	schema      *schema.Relation
-	incremental bool
 }
-
-// Schema returns the view's output schema (available after Define).
-func (v *View) Schema() *schema.Relation { return v.schema }
-
-// IsIncremental reports whether the compiled maintenance program uses
-// delta-based statements.
-func (v *View) IsIncremental() bool { return v.incremental }
 
 // Define compiles a materialized view against the database schema, registers
 // the view's backing relation in the schema, and installs the maintenance
@@ -88,7 +57,11 @@ func Define(v *View, db *schema.Database, cat *rules.Catalog, existingViews map[
 	if _, exists := db.Relation(v.Name); exists {
 		return nil, fmt.Errorf("views: relation %q already exists", v.Name)
 	}
-	for tr := range sourceTriggers(v.Definition) {
+	triggers := sourceTriggers(v.Definition)
+	if triggers.IsEmpty() {
+		return nil, fmt.Errorf("views: view %s reads no base relations", v.Name)
+	}
+	for tr := range triggers {
 		if existingViews[tr.Rel] {
 			return nil, fmt.Errorf("views: view %s reads view %s; views over views are not supported", v.Name, tr.Rel)
 		}
@@ -103,16 +76,8 @@ func Define(v *View, db *schema.Database, cat *rules.Catalog, existingViews map[
 	if err := db.Add(backing); err != nil {
 		return nil, err
 	}
-	v.schema = backing
 
-	triggers := sourceTriggers(v.Definition)
-	if triggers.IsEmpty() {
-		db.Remove(v.Name)
-		return nil, fmt.Errorf("views: view %s reads no base relations", v.Name)
-	}
-
-	prog, incremental := v.maintenanceProgram()
-	v.incremental = incremental
+	prog := v.maintenanceProgram(def)
 	tenv2 := algebra.NewTypeEnv(db)
 	if err := prog.TypeCheck(tenv2); err != nil {
 		db.Remove(v.Name)
@@ -124,6 +89,7 @@ func Define(v *View, db *schema.Database, cat *rules.Catalog, existingViews map[
 		Triggers:      triggers,
 		Full:          prog,
 		NonTriggering: true, // writes only the backing relation
+		Deferred:      true, // carries the view from E(old) to E(new) once
 	}
 	if err := cat.AddProgram(ip); err != nil {
 		db.Remove(v.Name)
@@ -132,27 +98,26 @@ func Define(v *View, db *schema.Database, cat *rules.Catalog, existingViews map[
 	return backing, nil
 }
 
-// maintenanceProgram returns the view's maintenance program and whether
-// it is incremental: delete(view, t) per term t of Δ⁻E, then
-// insert(view, t) per term of Δ⁺E, when the strategy asks for it and E has
-// exact deltas; otherwise delete(view, view); insert(view, E).
-func (v *View) maintenanceProgram() (algebra.Program, bool) {
-	if v.Strategy == Incremental {
-		if del, ins, ok := algebra.ViewDelta(v.Definition); ok {
-			prog := make(algebra.Program, 0, len(del)+len(ins))
-			for _, t := range del {
-				prog = append(prog, &algebra.Delete{Rel: v.Name, Src: t.Expr})
-			}
-			for _, t := range ins {
-				prog = append(prog, &algebra.Insert{Rel: v.Name, Src: t.Expr})
-			}
-			return prog, true
+// maintenanceProgram returns the view's maintenance program for its
+// type-checked definition: delete(view, t) per term t of Δ⁻E, then
+// insert(view, t) per term of Δ⁺E; delete(view, view); insert(view, E)
+// when E has no Δ form.
+func (v *View) maintenanceProgram(def algebra.Expr) algebra.Program {
+	del, ins, ok := algebra.ViewDelta(def)
+	if !ok {
+		return algebra.Program{
+			&algebra.Delete{Rel: v.Name, Src: algebra.NewRel(v.Name)},
+			&algebra.Insert{Rel: v.Name, Src: algebra.CloneExpr(def)},
 		}
 	}
-	return algebra.Program{
-		&algebra.Delete{Rel: v.Name, Src: algebra.NewRel(v.Name)},
-		&algebra.Insert{Rel: v.Name, Src: algebra.CloneExpr(v.Definition)},
-	}, false
+	prog := make(algebra.Program, 0, len(del)+len(ins))
+	for _, t := range del {
+		prog = append(prog, &algebra.Delete{Rel: v.Name, Src: t.Expr})
+	}
+	for _, t := range ins {
+		prog = append(prog, &algebra.Insert{Rel: v.Name, Src: t.Expr})
+	}
+	return prog
 }
 
 // sourceTriggers derives the trigger set of a view definition: INS and DEL

@@ -46,6 +46,7 @@ import (
 	"repro/internal/rules"
 	"repro/internal/schema"
 	"repro/internal/storage"
+	"repro/internal/trigger"
 	"repro/internal/txn"
 	"repro/internal/value"
 	"repro/internal/views"
@@ -564,20 +565,35 @@ func (db *DB) MustDefineRule(name, rl string) {
 	}
 }
 
-// DropRule removes a rule by name.
-func (db *DB) DropRule(name string) error { return db.cat.Remove(name) }
+// DropRule removes a rule by name. A view's maintenance program
+// ("view:<name>") cannot be dropped: the view would silently go stale.
+func (db *DB) DropRule(name string) error {
+	if v, ok := strings.CutPrefix(name, "view:"); ok && db.viewNames[v] {
+		return fmt.Errorf("repro: drop rule %s: view %s: %w", name, v, ErrViewReadOnly)
+	}
+	return db.cat.Remove(name)
+}
+
+// ErrViewReadOnly is wrapped, with the view's name, by every operation that
+// would leave a materialized view different from its definition: a Submit
+// that writes the view, a Load into the view or into a relation it reads,
+// and dropping its maintenance program. A view is derived state; only its
+// maintenance program writes it.
+var ErrViewReadOnly = errors.New("views are read-only derived state")
 
 // DefineView creates a materialized view maintained through transaction
 // modification (the paper's cited application beyond integrity control):
 // any transaction updating a source relation is extended with the view's
 // maintenance statements, so the view is consistent at every transaction
-// boundary. With incremental=true, definitions built from selections,
-// renames and joins of base relations are maintained from the transaction's
-// deltas (delete Δ⁻, insert Δ⁺); projections, unions and everything else
-// are recomputed, because a view is a set and keeps no multiplicities.
+// boundary. The definition decides how: a tree of selections, renames,
+// projections, joins, semijoins, antijoins and unions over base relations
+// is maintained from the transaction's deltas (delete Δ⁻, insert Δ⁺, each
+// deleted candidate checked against the new state where another witness
+// could still produce it); aggregates, set difference and intersection are
+// recomputed. The view is read-only (see ErrViewReadOnly).
 //
-//	db.DefineView("cheap", `select(beer, alcohol < 3)`, true)
-func (db *DB) DefineView(name, exprSrc string, incremental bool) error {
+//	db.DefineView("cheap", `select(beer, alcohol < 3)`)
+func (db *DB) DefineView(name, exprSrc string) error {
 	prog, err := lang.ParseProgram("q := "+exprSrc, db.sch)
 	if err != nil {
 		return err
@@ -586,11 +602,7 @@ func (db *DB) DefineView(name, exprSrc string, incremental bool) error {
 	if !ok || len(prog) != 1 {
 		return fmt.Errorf("repro: view definition must be a single expression")
 	}
-	strategy := views.Recompute
-	if incremental {
-		strategy = views.Incremental
-	}
-	v := &views.View{Name: name, Definition: assign.Expr, Strategy: strategy}
+	v := &views.View{Name: name, Definition: assign.Expr}
 	backing, err := views.Define(v, db.sch, db.cat, db.viewNames)
 	if err != nil {
 		return err
@@ -617,10 +629,34 @@ func (db *DB) DefineView(name, exprSrc string, incremental bool) error {
 }
 
 // MustDefineView panics on error.
-func (db *DB) MustDefineView(name, exprSrc string, incremental bool) {
-	if err := db.DefineView(name, exprSrc, incremental); err != nil {
+func (db *DB) MustDefineView(name, exprSrc string) {
+	if err := db.DefineView(name, exprSrc); err != nil {
 		panic(err)
 	}
+}
+
+// writesView returns an error wrapping ErrViewReadOnly when a statement of
+// prog writes a view's backing relation. A catalog without views pays one
+// length test.
+func (db *DB) writesView(prog algebra.Program) error {
+	if len(db.viewNames) == 0 {
+		return nil
+	}
+	for _, s := range prog {
+		var rel string
+		switch x := s.(type) {
+		case *algebra.Insert:
+			rel = x.Rel
+		case *algebra.Delete:
+			rel = x.Rel
+		case *algebra.Update:
+			rel = x.Rel
+		}
+		if db.viewNames[rel] {
+			return fmt.Errorf("repro: transaction writes view %s: %w", rel, ErrViewReadOnly)
+		}
+	}
+	return nil
 }
 
 // Views returns the names of the defined materialized views, sorted.
@@ -721,6 +757,9 @@ func (db *DB) Submit(src string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := db.writesView(prog); err != nil {
+		return nil, err
+	}
 	t, rep, err := db.sub.Modify(txn.Bracket(prog))
 	if err != nil {
 		return nil, err
@@ -775,6 +814,9 @@ func modReport(rep *core.Report) *ModReport {
 func (db *DB) Explain(src string) (string, *ModReport, error) {
 	prog, err := lang.ParseTransaction(src, db.sch)
 	if err != nil {
+		return "", nil, err
+	}
+	if err := db.writesView(prog); err != nil {
 		return "", nil, err
 	}
 	modified, rep, err := db.sub.Modify(txn.Bracket(prog))
@@ -916,11 +958,22 @@ const (
 // transactional bookkeeping; intended for fixtures and benchmark data. Rows
 // use native Go values (int/int64, float64, string, bool, nil). Enforcement
 // assumes the state satisfies every constraint, so the rows must too: a
-// violation loaded here is not detected.
+// violation loaded here is not detected. Views are maintained only by
+// transactions, so Load refuses a view and any relation a view reads
+// (ErrViewReadOnly); load sources before defining views over them.
 func (db *DB) Load(rel string, rows [][]any) error {
 	rs, err := db.sch.MustFind(rel)
 	if err != nil {
 		return err
+	}
+	if db.viewNames[rel] {
+		return fmt.Errorf("repro: load into view %s: %w", rel, ErrViewReadOnly)
+	}
+	for _, v := range db.Views() {
+		ip, _ := db.cat.Program("view:" + v)
+		if ip.Triggers.Contains(trigger.Trigger{Update: trigger.INS, Rel: rel}) {
+			return fmt.Errorf("repro: load into %s, which view %s reads: %w", rel, v, ErrViewReadOnly)
+		}
 	}
 	cur, err := db.store.Relation(rel)
 	if err != nil {
