@@ -79,7 +79,7 @@ func (c *Cluster) nodeOf(rel string, t relation.Tuple) (int, bool) {
 		return 0, false // replicated
 	}
 	h := fnv.New64a()
-	h.Write(t[col].AppendKey(nil))
+	h.Write(t[col].AppendOrderedKey(nil))
 	return int(h.Sum64() % uint64(c.nodes)), true
 }
 

@@ -277,9 +277,9 @@ func TestOrderedIndexDeclarations(t *testing.T) {
 	if err := db.CreateIndex("stock(qty) ordered"); err == nil {
 		t.Error("duplicate ordered index accepted")
 	}
-	// A hash index over the same column is a different namespace.
+	// An equality index over the same column is a different namespace.
 	if err := db.CreateIndex("stock(qty)"); err != nil {
-		t.Errorf("hash index alongside ordered rejected: %v", err)
+		t.Errorf("equality index alongside ordered rejected: %v", err)
 	}
 	if err := db.CreateIndex("stock(nosuch) ordered"); err == nil {
 		t.Error("ordered index over unknown attribute accepted")
@@ -391,7 +391,7 @@ const rangeSentinel = 1_000_000
 // targets) plus one high-quantity sentinel, guarded by an existential
 // reserve constraint ("some item must stay above the threshold") whose
 // enforcement check selects stock by comparison. With indexed=true the
-// update predicates probe declared stock(id) hash indexes and the checks
+// update predicates probe declared stock(id) equality indexes and the checks
 // range-probe auto-built stock(qty) ordered indexes; with indexed=false the
 // same transactions scan. The database runs the unpruned engine: pruning
 // would elide the probed checks of the monotone qty = qty + 1 updates

@@ -38,6 +38,46 @@ type Stmt interface {
 // the paper's P-epsilon.
 type Program []Stmt
 
+// Written returns the base relation st writes, "" when it writes none; ok
+// is false for a statement kind this package does not define.
+func Written(st Stmt) (rel string, ok bool) {
+	switch x := st.(type) {
+	case *Insert:
+		return x.Rel, true
+	case *Delete:
+		return x.Rel, true
+	case *Update:
+		return x.Rel, true
+	case *Assign, *Alarm, *Abort:
+		return "", true
+	default:
+		return "", false
+	}
+}
+
+// ReadRels adds to out the base relations st reads — those its expressions
+// name, and the relation an update rewrites; false when st or one of its
+// expression nodes is of a kind this package does not define.
+func ReadRels(st Stmt, out map[string]bool) bool {
+	var e Expr
+	switch x := st.(type) {
+	case *Assign:
+		e = x.Expr
+	case *Insert:
+		e = x.Src
+	case *Delete:
+		e = x.Src
+	case *Update:
+		out[x.Rel] = true
+	case *Alarm:
+		e = x.Expr
+	case *Abort:
+	default:
+		return false
+	}
+	return Rels(e, func(r *Rel) { out[r.Name] = true })
+}
+
 // Concat returns the concatenation p ⊕ q (the paper's program concatenation
 // operator).
 func (p Program) Concat(q Program) Program {
@@ -192,7 +232,7 @@ type Update struct {
 	// Bound at TypeCheck time: the target schema, plus the constant-equality
 	// and constant-ordering conjuncts of Where (parallel column positions
 	// and literal values; range plans per bounded column). When the
-	// environment has a covering hash index — or, for comparison conjuncts,
+	// environment has a covering equality index — or, for comparison conjuncts,
 	// an ordered index — Exec probes it for the matching tuples instead of
 	// materializing the whole current instance; the probed-key or interval
 	// read it records keeps a selective update from dragging the full
@@ -307,7 +347,7 @@ func (u *Update) apply(t relation.Tuple, oldSet, newSet *relation.Relation) erro
 
 // execProbe answers the update's candidate scan through an index probe when
 // Where has constant-equality conjuncts and the environment maintains a
-// covering hash index on the current incarnation, or constant-ordering
+// covering equality index on the current incarnation, or constant-ordering
 // conjuncts and an ordered index led by the equality columns. The full
 // Where predicate is re-applied to every candidate, so any sound candidate
 // superset suffices. probed=false falls back to the full scan.

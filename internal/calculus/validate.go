@@ -2,7 +2,6 @@ package calculus
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/algebra"
 	"repro/internal/schema"
@@ -24,16 +23,6 @@ type Info struct {
 	// Rels lists every relation reference appearing in the formula
 	// (membership atoms and aggregate terms), deduplicated and sorted.
 	Rels []RelRef
-}
-
-// VarNames returns the variable names in sorted order.
-func (i *Info) VarNames() []string {
-	names := make([]string, 0, len(i.Vars))
-	for n := range i.Vars {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Validate checks that w is a closed, range-restricted CL formula in the

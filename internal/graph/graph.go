@@ -103,9 +103,6 @@ func (g *Graph) Cycles() [][]string {
 	return out
 }
 
-// HasCycles reports whether the rule set can trigger forever.
-func (g *Graph) HasCycles() bool { return len(g.Cycles()) > 0 }
-
 // Validate returns a descriptive error when the graph has cycles, listing
 // each cycle and the sanctioned remedies; nil otherwise.
 func (g *Graph) Validate() error {

@@ -62,7 +62,7 @@ func TestAcyclicAbortingRules(t *testing.T) {
 	db := graphSchema()
 	cat := buildCatalog(t, db, aborting(t, db, "A", "a"), aborting(t, db, "B", "b"))
 	g := graph.Build(cat.Programs())
-	if g.HasCycles() {
+	if len(g.Cycles()) > 0 {
 		t.Errorf("aborting-only rule set has cycles: %v", g.Cycles())
 	}
 	if len(g.Edges()) != 0 {
@@ -94,7 +94,7 @@ func TestChainNoCycle(t *testing.T) {
 			t.Errorf("aborting rule C has outgoing edge %v", e)
 		}
 	}
-	if g.HasCycles() {
+	if len(g.Cycles()) > 0 {
 		t.Errorf("chain has cycles: %v", g.Cycles())
 	}
 }
@@ -134,7 +134,7 @@ func TestNonTriggeringBreaksGraphCycle(t *testing.T) {
 		compensating(t, db, "B", "b", "a", false),
 	)
 	g := graph.Build(cat.Programs())
-	if g.HasCycles() {
+	if len(g.Cycles()) > 0 {
 		t.Errorf("non-triggering action did not break the cycle: %v", g.Cycles())
 	}
 	// B → A edge remains; A → B is gone.

@@ -13,15 +13,15 @@ import (
 // index per sub-benchmark, and a delta or probe that does not depend on b.N.
 
 type benchShape struct {
-	name    string
-	cols    []int
-	ordered bool
+	name   string
+	cols   []int
+	ranged bool // probe by a single-value interval rather than by key
 }
 
 var benchShapes = []benchShape{
-	{"hash-unique", []int{0}, false},
-	{"hash-4-per-key", []int{1}, false},
-	{"ordered-400-per-key", []int{2}, true},
+	{"probe-unique", []int{0}, false},
+	{"probe-4-per-key", []int{1}, false},
+	{"range-400-per-key", []int{2}, true},
 }
 
 func benchRow(i, n int) relation.Tuple {
@@ -47,53 +47,37 @@ func BenchmarkIndexApply(b *testing.B) {
 		r := benchRelation(n)
 		for _, sh := range benchShapes {
 			b.Run(fmt.Sprintf("%s/n=%d", sh.name, n), func(b *testing.B) {
-				var hash *Index
-				var ord *Ordered
-				if sh.ordered {
-					ord = BuildOrdered(r, sh.cols)
-				} else {
-					hash = Build(r, sh.cols)
-				}
+				x := Build(r, sh.cols)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					ins := relation.MustFromTuples(s, benchRow(n+i%n, n))
 					del := relation.MustFromTuples(s, benchRow(i%n, n))
-					if sh.ordered {
-						benchSink += ord.Apply(ins, del).Len()
-					} else {
-						benchSink += hash.Apply(ins, del).Len()
-					}
+					benchSink += x.Apply(ins, del).Len()
 				}
 			})
 		}
 	}
 }
 
-// BenchmarkIndexProbe times one point probe (hash) or one single-value range
-// probe (ordered) against an n-row index.
+// BenchmarkIndexProbe times one point probe or one single-value range probe
+// against an n-row index.
 func BenchmarkIndexProbe(b *testing.B) {
 	for _, n := range []int{4000, 64000} {
 		r := benchRelation(n)
 		for _, sh := range benchShapes {
 			b.Run(fmt.Sprintf("%s/n=%d", sh.name, n), func(b *testing.B) {
-				var hash *Index
-				var ord *Ordered
-				if sh.ordered {
-					ord = BuildOrdered(r, sh.cols)
-				} else {
-					hash = Build(r, sh.cols)
-				}
+				x := Build(r, sh.cols)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					v := benchRow(i%n, n)[sh.cols[0]]
-					if sh.ordered {
+					if sh.ranged {
 						for _, kr := range RangesFor(nil, value.KindInt, &v, &v, true, true, false, false) {
-							benchSink += len(ord.Range(kr))
+							benchSink += len(x.Range(kr))
 						}
 					} else {
-						benchSink += len(hash.Probe(KeyVals([]value.Value{v})))
+						benchSink += len(x.Probe(KeyVals([]value.Value{v})))
 					}
 				}
 			})

@@ -1,6 +1,6 @@
-// Package index implements immutable secondary indexes, hash and ordered,
-// over canonical attribute keys — the access paths that turn the engine's
-// enforcement checks from relation scans into key probes.
+// Package index implements immutable secondary indexes over canonical
+// attribute keys — the access paths that turn the engine's enforcement
+// checks from relation scans into key probes and key intervals.
 //
 // # Why the engine needs them
 //
@@ -15,24 +15,28 @@
 // becomes the selective probe that simplification-based integrity checking
 // presupposes.
 //
-// # One tree under both kinds
+// # One key, one tree
 //
-// Both index kinds are one persistent treap (tree.go) whose entries are
-// (index-key encoding, tuple). An Index keys it by relation.Tuple.KeyOn over
-// the index columns and exposes the equal-key walk (Probe); an Ordered keys
-// it by relation.Tuple.OrderedKeyOn, whose byte order is the value order,
-// and exposes the [Lo, Hi) walk (Range). Tuples that share an index key are
-// ordinary neighbouring entries, so there are no buckets to rebuild.
+// An Index is one persistent treap (tree.go) whose entries are (index key,
+// tuple), keyed by relation.Tuple.KeyOn over the index columns. That key is
+// the engine's one key encoding (value.AppendOrderedKey): the same bytes are
+// each tuple's identity in its relation, the probe keys hash joins build,
+// and the keys and intervals the commit validator intersects. Its byte order
+// is the value order, column by column, so one tree answers both an
+// equal-key walk (Probe) and a [Lo, Hi) walk (Range). Tuples that share an
+// index key are ordinary neighbouring entries, so there are no buckets to
+// rebuild.
 //
 //   - Order and identity. Entries sort by index key, then by the low half
 //     of a 64-bit hash of the tuple's canonical key, then by
-//     relation.Tuple.CompareKey. The last step makes the order total and
-//     ties exactly where relation.Tuple.Key ties — Int(1) with Float(1.0),
-//     -0.0 with +0.0, a NaN only with the NaN of the same bits — which is
-//     the identity the relation trie uses, decided on the tuples without
-//     building a key string per comparison. The high hash half is the heap
-//     priority (ties broken by the order), so the tree's shape is a
-//     function of the set of tuples it holds, whatever deltas led there.
+//     relation.Tuple.CompareKey — the sign of comparing the tuples' keys,
+//     decided on the values without building a key string per comparison.
+//     The last step makes the order total and ties exactly where
+//     relation.Tuple.Key ties — Int(1) with Float(1.0), -0.0 with +0.0, a
+//     NaN only with the NaN of the same bits — which is the identity the
+//     relation trie uses. The high hash half is the heap priority (ties
+//     broken by the order), so the tree's shape is a function of the set of
+//     tuples it holds, whatever deltas led there.
 //   - Cost. Build sorts once, O(n log n), and links the sorted run in O(n).
 //     Apply removes and then inserts each delta tuple, copying the O(log n)
 //     nodes on its path and sharing everything else with the predecessor:
@@ -92,16 +96,14 @@
 // Transaction-local differentials (ins/del) are never indexed — they are
 // small and carry no base-read dependency at all.
 //
-// # Ordered indexes and interval reads
+// # Range probes and interval reads
 //
-// Ordered (range) indexes extend the same discipline to comparison
-// predicates — the guard shapes of the paper's differential enforcement
-// programs ("alarm if any stock fell below threshold"). An Ordered index
-// keys the tree by order-preserving encodings (value.AppendOrderedKey via
-// relation.Tuple.OrderedKeyOn; attribute order is the sort order), so a
-// half-open key interval is a value interval and Range is a walk of it.
-// Snapshots publish ordered indexes in the same atomic swap as hash
-// indexes, through the shared Set.
+// A Set keeps its indexes in two namespaces: column sets, probed by
+// equality (the section above), and column lists, probed by range — the
+// guard shapes of the paper's differential enforcement programs ("alarm if
+// any stock fell below threshold"). A column list's order is its sort order,
+// so a half-open key interval is a value interval and Range is a walk of
+// it. Snapshots publish both namespaces in the same atomic swap.
 //
 //   - select(R, attr < const ∧ ...) — and <=, >, >=, between-style
 //     conjunctions, also when they reach the evaluator negated, as

@@ -10,35 +10,34 @@ import (
 )
 
 // fuzzLine is one of the two successor lines FuzzIndexApply derives from a
-// shared base: both index kinds over column b, and the model they must
-// agree with.
+// shared base: an index over column b, and the model it must agree with.
 type fuzzLine struct {
-	hash  *Index
-	ord   *Ordered
+	x     *Index
 	model map[string]relation.Tuple
 }
 
-// check compares both indexes with a filtered scan of the model under the
-// key of tu, and their sizes with the model's.
+// check compares the index's equal-key walk and its interval walk with a
+// filtered scan of the model under the key of tu, and its size with the
+// model's.
 func (l *fuzzLine) check(t *testing.T, tu relation.Tuple) {
 	t.Helper()
-	cols := l.hash.Cols()
-	hk, ok := tu.KeyOn(cols), tu.OrderedKeyOn(cols)
+	cols := l.x.Cols()
+	key := tu.KeyOn(cols)
 	var want []string
 	for k, m := range l.model {
-		if m.KeyOn(cols) == hk {
+		if m.KeyOn(cols) == key {
 			want = append(want, k)
 		}
 	}
 	slices.Sort(want)
-	if got := keysOf(l.hash.Probe(hk)); !slices.Equal(got, want) {
+	if got := keysOf(l.x.Probe(key)); !slices.Equal(got, want) {
 		t.Fatalf("Probe(%v) holds %d tuples, the model %d", tu, len(got), len(want))
 	}
-	if got := keysOf(l.ord.Range(KeyRange{Lo: ok, Hi: ok + "\xff"})); !slices.Equal(got, want) {
+	if got := keysOf(l.x.Range(KeyRange{Lo: key, Hi: key + "\xff"})); !slices.Equal(got, want) {
 		t.Fatalf("Range(%v) holds %d tuples, the model %d", tu, len(got), len(want))
 	}
-	if l.hash.Len() != len(l.model) || l.ord.Len() != len(l.model) {
-		t.Fatalf("Len = %d, %d; the model holds %d", l.hash.Len(), l.ord.Len(), len(l.model))
+	if l.x.Len() != len(l.model) {
+		t.Fatalf("Len = %d; the model holds %d", l.x.Len(), len(l.model))
 	}
 }
 
@@ -85,10 +84,10 @@ func FuzzIndexApply(f *testing.F) {
 		for _, c := range data[:head] {
 			base.InsertUnchecked(fuzzTuple(c))
 		}
-		hash, ord := Build(base, cols), BuildOrdered(base, cols)
+		x := Build(base, cols)
 		var lines [2]*fuzzLine
 		for i := range lines {
-			lines[i] = &fuzzLine{hash: hash, ord: ord, model: make(map[string]relation.Tuple)}
+			lines[i] = &fuzzLine{x: x, model: make(map[string]relation.Tuple)}
 			_ = base.ForEachKey(func(k string, tu relation.Tuple) error {
 				lines[i].model[k] = tu
 				return nil
@@ -101,7 +100,7 @@ func FuzzIndexApply(f *testing.F) {
 			tus := data[1 : 1+n]
 			data = data[1+n:]
 			l, other := lines[op>>2&1], lines[op>>2&1^1]
-			prev := fuzzLine{hash: l.hash, ord: l.ord, model: maps.Clone(l.model)}
+			prev := fuzzLine{x: l.x, model: maps.Clone(l.model)}
 			if op&3 < 2 {
 				ins, del := relation.New(s), relation.New(s)
 				for _, c := range tus {
@@ -111,7 +110,7 @@ func FuzzIndexApply(f *testing.F) {
 						ins.InsertUnchecked(fuzzTuple(c))
 					}
 				}
-				l.hash, l.ord = l.hash.Apply(ins, del), l.ord.Apply(ins, del)
+				l.x = l.x.Apply(ins, del)
 				_ = del.ForEachKey(func(k string, _ relation.Tuple) error {
 					delete(l.model, k)
 					return nil
@@ -127,8 +126,7 @@ func FuzzIndexApply(f *testing.F) {
 				other.check(t, tu)
 				prev.check(t, tu)
 			}
-			checkTree(t, &l.hash.tree)
-			checkTree(t, &l.ord.tree)
+			checkTree(t, l.x)
 		}
 	})
 }

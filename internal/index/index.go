@@ -24,31 +24,35 @@ func Sig(cols []int) string {
 	return sb.String()
 }
 
-// KeyVals encodes probe values (parallel to an index's column list) into the
-// probe-key encoding of relation.Tuple.KeyOn.
+// KeyVals encodes probe values (parallel to an index's column list) into
+// the index-key encoding of relation.Tuple.KeyOn.
 func KeyVals(vals []value.Value) string {
 	buf := make([]byte, 0, 16*len(vals))
 	for _, v := range vals {
-		buf = v.AppendKey(buf)
+		buf = v.AppendOrderedKey(buf)
 	}
 	return string(buf)
 }
 
-// Index is an immutable secondary hash index over a set of column positions
-// of one relation instance: probe key (KeyOn the index columns) to the
-// tuples carrying it. Immutability is what lets a database snapshot publish
-// its indexes to any number of concurrent readers without locking.
-//
-// It is the package's ordered tree keyed by (probe key, tuple identity);
-// only equality on the probe key is exposed, since the KeyOn encoding does
-// not sort like the values do.
-type Index struct{ tree }
-
-// Build constructs an index over the relation's current tuples;
-// O(n log n). cols must be valid positions in the relation's schema.
-func Build(r *relation.Relation, cols []int) *Index {
-	return &Index{build(r, cols, false)}
+// Index is an immutable secondary index over a list of column positions of
+// one relation instance: the package's treap keyed by (KeyOn the index
+// columns, tuple identity). The key encoding sorts like the column values do
+// (column order is significant), so an index answers both an equality probe
+// (Probe) and a key interval (Range). Immutability is what lets a database
+// snapshot publish its indexes to any number of concurrent readers without
+// locking.
+type Index struct {
+	cols []int
+	root *node
+	size int
 }
+
+// Cols returns the indexed column positions. Callers must not mutate the
+// returned slice.
+func (x *Index) Cols() []int { return x.cols }
+
+// Len returns the number of indexed tuples.
+func (x *Index) Len() int { return x.size }
 
 // Probe returns the tuples whose index columns encode to key, in
 // O(log n + matches). The slice is the caller's; the tuples are shared with
@@ -57,10 +61,14 @@ func (x *Index) Probe(key string) []relation.Tuple {
 	return x.root.collect(key, key, true, nil)
 }
 
-// ProbeTuples returns the tuples matching the projection of t onto the
-// index columns — the membership probe the commit validator and tests use.
-func (x *Index) ProbeTuples(t relation.Tuple) []relation.Tuple {
-	return x.Probe(t.KeyOn(x.cols))
+// Range returns the tuples whose index key falls in [kr.Lo, kr.Hi), in key
+// order, in O(log n + matches). The slice is the caller's; the tuples are
+// shared with the index and must not be mutated.
+func (x *Index) Range(kr KeyRange) []relation.Tuple {
+	if kr.Empty() {
+		return nil
+	}
+	return x.root.collect(kr.Lo, kr.Hi, false, nil)
 }
 
 // Apply derives the successor index after a committed net delta: ins holds
@@ -69,7 +77,7 @@ func (x *Index) ProbeTuples(t relation.Tuple) []relation.Tuple {
 // be nil or empty. The receiver is unchanged and shares all but
 // O(delta · log n) nodes with the result.
 func (x *Index) Apply(ins, del *relation.Relation) *Index {
-	if emptyDelta(ins, del) {
+	if (ins == nil || ins.IsEmpty()) && (del == nil || del.IsEmpty()) {
 		return x
 	}
 	n := *x
@@ -77,21 +85,17 @@ func (x *Index) Apply(ins, del *relation.Relation) *Index {
 	return &n
 }
 
-func emptyDelta(ins, del *relation.Relation) bool {
-	return (ins == nil || ins.IsEmpty()) && (del == nil || del.IsEmpty())
-}
-
-// Set is the immutable collection of indexes defined on one relation — hash
-// indexes and ordered indexes in separate namespaces, each held in ascending
-// signature order (hash signatures are canonical ascending; ordered
-// signatures keep declared order, which is the sort order). The zero-value
-// pointer (nil) is a valid empty set.
+// Set is the immutable collection of indexes defined on one relation, in two
+// namespaces: column sets, probed by equality (canonical ascending column
+// order), and column lists, probed by range (declared order, which is the
+// sort order). Each namespace is held in ascending signature order. The
+// zero-value pointer (nil) is a valid empty set.
 type Set struct {
-	by  []*Index
-	ord []*Ordered
+	by  []*Index // column sets
+	ord []*Index // column lists
 }
 
-// NewSet builds a set from the given hash indexes.
+// NewSet builds a set from the given equality-probed indexes.
 func NewSet(indexes ...*Index) *Set {
 	s := &Set{}
 	for _, x := range indexes {
@@ -100,7 +104,7 @@ func NewSet(indexes ...*Index) *Set {
 	return s
 }
 
-// Len returns the number of indexes in the set, hash and ordered.
+// Len returns the number of indexes in the set, in both namespaces.
 func (s *Set) Len() int {
 	if s == nil {
 		return 0
@@ -108,8 +112,9 @@ func (s *Set) Len() int {
 	return len(s.by) + len(s.ord)
 }
 
-// Exact returns the index over exactly the given columns, or nil. It runs on
-// every index probe, so it compares column lists and allocates nothing.
+// Exact returns the equality-probed index over exactly the given columns, or
+// nil. It runs on every index probe, so it compares column lists and
+// allocates nothing.
 func (s *Set) Exact(cols []int) *Index {
 	if s == nil {
 		return nil
@@ -117,34 +122,30 @@ func (s *Set) Exact(cols []int) *Index {
 	return exact(s.by, cols)
 }
 
-// OrderedExact returns the ordered index over exactly the given column
+// OrderedExact returns the range-probed index over exactly the given column
 // list (order-significant), or nil. Like Exact it allocates nothing.
-func (s *Set) OrderedExact(cols []int) *Ordered {
+func (s *Set) OrderedExact(cols []int) *Index {
 	if s == nil {
 		return nil
 	}
 	return exact(s.ord, cols)
 }
 
-// indexed is what the set needs of either index kind.
-type indexed interface{ Cols() []int }
-
-func exact[X indexed](xs []X, cols []int) X {
+func exact(xs []*Index, cols []int) *Index {
 	for _, x := range xs {
-		if slices.Equal(x.Cols(), cols) {
+		if slices.Equal(x.cols, cols) {
 			return x
 		}
 	}
-	var none X
-	return none
+	return nil
 }
 
 // with returns a copy of xs holding x in signature order, in place of any
 // member over the same columns.
-func with[X indexed](xs []X, x X) []X {
-	sig := Sig(x.Cols())
-	i, found := slices.BinarySearchFunc(xs, sig, func(m X, sig string) int {
-		return strings.Compare(Sig(m.Cols()), sig)
+func with(xs []*Index, x *Index) []*Index {
+	sig := Sig(x.cols)
+	i, found := slices.BinarySearchFunc(xs, sig, func(m *Index, sig string) int {
+		return strings.Compare(Sig(m.cols), sig)
 	})
 	if found {
 		out := slices.Clone(xs)
@@ -179,7 +180,7 @@ func (s *Set) Covering(cols []int) *Index {
 	return best
 }
 
-// All returns the indexes ordered by signature.
+// All returns the equality-probed indexes ordered by signature.
 func (s *Set) All() []*Index {
 	if s == nil {
 		return nil
@@ -187,25 +188,25 @@ func (s *Set) All() []*Index {
 	return slices.Clone(s.by)
 }
 
-// OrderedAll returns the ordered indexes ordered by signature.
-func (s *Set) OrderedAll() []*Ordered {
+// OrderedAll returns the range-probed indexes ordered by signature.
+func (s *Set) OrderedAll() []*Index {
 	if s == nil {
 		return nil
 	}
 	return slices.Clone(s.ord)
 }
 
-// OrderedFor returns the ordered index usable for a range probe with
+// OrderedFor returns the range-probed index usable for a range probe with
 // equality bindings on the columns in eq and a bound on boundCol: its
 // leading prefix columns must all carry equality bindings and its next
 // column must be boundCol. It returns the index and the equality-prefix
 // length, preferring the longest prefix (the narrowest interval) with
-// signature order breaking ties, or nil when no ordered index qualifies.
-func (s *Set) OrderedFor(eq map[int]bool, boundCol int) (*Ordered, int) {
+// signature order breaking ties, or nil when no index qualifies.
+func (s *Set) OrderedFor(eq map[int]bool, boundCol int) (*Index, int) {
 	if s == nil {
 		return nil, 0
 	}
-	var best *Ordered
+	var best *Index
 	bestPrefix := -1
 	for _, x := range s.ord {
 		p := 0
@@ -222,8 +223,8 @@ func (s *Set) OrderedFor(eq map[int]bool, boundCol int) (*Ordered, int) {
 	return best, bestPrefix
 }
 
-// With returns a new set with x added, replacing any hash index over the
-// same columns. The receiver is unchanged; nil receivers are allowed.
+// With returns a new set with x added to the column sets, replacing any
+// member over the same columns. The receiver is unchanged; nil receivers are allowed.
 func (s *Set) With(x *Index) *Set {
 	if s == nil {
 		s = &Set{}
@@ -231,10 +232,10 @@ func (s *Set) With(x *Index) *Set {
 	return &Set{by: with(s.by, x), ord: s.ord}
 }
 
-// WithOrdered returns a new set with x added, replacing any ordered index
-// over the same column list. The receiver is unchanged; nil receivers are
-// allowed.
-func (s *Set) WithOrdered(x *Ordered) *Set {
+// WithOrdered returns a new set with x added to the column lists, replacing
+// any member over the same column list. The receiver is unchanged; nil
+// receivers are allowed.
+func (s *Set) WithOrdered(x *Index) *Set {
 	if s == nil {
 		s = &Set{}
 	}
@@ -242,12 +243,12 @@ func (s *Set) WithOrdered(x *Ordered) *Set {
 }
 
 // Apply derives the successor set after a committed net delta, applying the
-// delta to every index, hash and ordered; O(indexes × delta × log n).
+// delta to every index; O(indexes × delta × log n).
 func (s *Set) Apply(ins, del *relation.Relation) *Set {
 	if s.Len() == 0 {
 		return s
 	}
-	n := &Set{by: make([]*Index, len(s.by)), ord: make([]*Ordered, len(s.ord))}
+	n := &Set{by: make([]*Index, len(s.by)), ord: make([]*Index, len(s.ord))}
 	for i, x := range s.by {
 		n.by[i] = x.Apply(ins, del)
 	}
@@ -264,18 +265,18 @@ func (s *Set) Rebuild(r *relation.Relation) *Set {
 	if s.Len() == 0 {
 		return s
 	}
-	n := &Set{by: make([]*Index, len(s.by)), ord: make([]*Ordered, len(s.ord))}
+	n := &Set{by: make([]*Index, len(s.by)), ord: make([]*Index, len(s.ord))}
 	for i, x := range s.by {
 		n.by[i] = Build(r, x.cols)
 	}
 	for i, x := range s.ord {
-		n.ord[i] = BuildOrdered(r, x.cols)
+		n.ord[i] = Build(r, x.cols)
 	}
 	return n
 }
 
 // ParseDecl parses an index declaration of the form "relation(attr, ...)"
-// — optionally suffixed with the keyword "ordered" for an ordered (range)
+// — optionally suffixed with the keyword "ordered" for a range-probed
 // index, whose attribute order is the sort order — the textual syntax
 // Options.Indexes and DB.CreateIndex accept.
 func ParseDecl(decl string) (rel string, attrs []string, ordered bool, err error) {

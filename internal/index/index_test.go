@@ -299,7 +299,7 @@ func TestProbeAfterManyMixedCommits(t *testing.T) {
 			t.Fatalf("parent %d: %d matches, want %d", p, got, want)
 		}
 	}
-	checkTree(t, &x.tree)
+	checkTree(t, x)
 }
 
 func TestDefString(t *testing.T) {

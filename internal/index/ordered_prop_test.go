@@ -46,7 +46,7 @@ type ordModel struct {
 func (m *ordModel) inRange(kr KeyRange) []string {
 	var keys []string
 	for tk, tu := range m.tuples {
-		if kr.Contains(tu.OrderedKeyOn(m.cols)) {
+		if kr.Contains(tu.KeyOn(m.cols)) {
 			keys = append(keys, tk)
 		}
 	}
@@ -65,12 +65,12 @@ func (m *ordModel) clone() *ordModel {
 // verifyOrdered cross-checks the index against the model over a sweep of
 // intervals: the full key space, every single-tag prefix band, and random
 // qty-bounded intervals under each tag.
-func verifyOrdered(t *testing.T, x *Ordered, m *ordModel, rng *rand.Rand) {
+func verifyOrdered(t *testing.T, x *Index, m *ordModel, rng *rand.Rand) {
 	t.Helper()
 	if x.Len() != len(m.tuples) {
 		t.Fatalf("Len = %d, model has %d", x.Len(), len(m.tuples))
 	}
-	checkTree(t, &x.tree)
+	checkTree(t, x)
 	check := func(kr KeyRange) {
 		t.Helper()
 		var got []string
@@ -114,7 +114,7 @@ func TestOrderedAgainstSortedSliceModel(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			type gen struct {
-				x *Ordered
+				x *Index
 				m *ordModel
 			}
 			base := relation.New(s)
@@ -124,7 +124,7 @@ func TestOrderedAgainstSortedSliceModel(t *testing.T) {
 				base.InsertUnchecked(tu)
 				m0.tuples[tu.Key()] = tu
 			}
-			gens := []*gen{{x: BuildOrdered(base, cols), m: m0}}
+			gens := []*gen{{x: Build(base, cols), m: m0}}
 			for step := 0; step < 400; step++ {
 				g := gens[rng.Intn(len(gens))]
 				// Build a net delta respecting the overlay invariant: ins
@@ -182,7 +182,7 @@ func TestOrderedManySmallDeltas(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		base.InsertUnchecked(relation.Tuple{value.String(fmt.Sprintf("t%02d", i%4)), value.Int(int64(i))})
 	}
-	x := BuildOrdered(base, []int{0, 1})
+	x := Build(base, []int{0, 1})
 	m := &ordModel{cols: []int{0, 1}, tuples: map[string]relation.Tuple{}}
 	_ = base.ForEachKey(func(k string, tu relation.Tuple) error {
 		m.tuples[k] = tu

@@ -3,16 +3,15 @@ package index
 import (
 	"math"
 
-	"repro/internal/relation"
 	"repro/internal/value"
 )
 
-// KeyRange is a half-open interval [Lo, Hi) over ordered key encodings
-// (value.AppendOrderedKey / relation.Tuple.OrderedKeyOn). Every bound shape
-// a range probe produces — inclusive, exclusive, or kind-limited on either
-// side — normalizes to this one form (see RangesFor), so both the ordered
-// index scan and the commit validator's interval-membership test are plain
-// string comparisons.
+// KeyRange is a half-open interval [Lo, Hi) over key encodings
+// (value.AppendOrderedKey / relation.Tuple.KeyOn). Every bound shape a range
+// probe produces — inclusive, exclusive, or kind-limited on either side —
+// normalizes to this one form (see RangesFor), so both the index scan and
+// the commit validator's interval-membership test are plain string
+// comparisons.
 type KeyRange struct {
 	Lo, Hi string
 }
@@ -24,7 +23,7 @@ func (kr KeyRange) Contains(key string) bool { return kr.Lo <= key && key < kr.H
 func (kr KeyRange) Empty() bool { return kr.Lo >= kr.Hi }
 
 // RangesFor builds the probe intervals for a range predicate over one
-// ordered index: the index's leading prefix columns are fixed to eqVals
+// range-probed index: the index's leading prefix columns are fixed to eqVals
 // (equality conjuncts), and the next column is bounded by lo and/or hi —
 // constants of kind boundKind — with the given inclusivities. A missing
 // bound falls back to the limit of boundKind's rank band, so intervals are
@@ -112,39 +111,4 @@ func RangesFor(eqVals []value.Value, boundKind value.Kind,
 		}
 	}
 	return kept
-}
-
-// Ordered is an immutable secondary ordered index over a list of column
-// positions of one relation instance: the package's ordered tree keyed by
-// (OrderedKeyOn the index columns, tuple identity). The key encoding sorts
-// like the column values do (column order is significant), so a key interval
-// is a value interval.
-type Ordered struct{ tree }
-
-// BuildOrdered constructs an ordered index over the relation's current
-// tuples; O(n log n). cols must be valid positions in the relation's schema;
-// their order is the index's sort order.
-func BuildOrdered(r *relation.Relation, cols []int) *Ordered {
-	return &Ordered{build(r, cols, true)}
-}
-
-// Range returns the tuples whose ordered key falls in [kr.Lo, kr.Hi), in key
-// order, in O(log n + matches). The slice is the caller's; the tuples are
-// shared with the index and must not be mutated.
-func (x *Ordered) Range(kr KeyRange) []relation.Tuple {
-	if kr.Empty() {
-		return nil
-	}
-	return x.root.collect(kr.Lo, kr.Hi, false, nil)
-}
-
-// Apply derives the successor ordered index after a committed net delta,
-// under the same contract as Index.Apply.
-func (x *Ordered) Apply(ins, del *relation.Relation) *Ordered {
-	if emptyDelta(ins, del) {
-		return x
-	}
-	n := *x
-	n.apply(ins, del)
-	return &n
 }

@@ -80,42 +80,22 @@ func (e *entry) above(o *entry) bool {
 	return e.compare(o) < 0
 }
 
-// tree is the immutable ordered container under both index kinds: a treap
-// over entries, persistent by path copying. Index and Ordered differ only in
-// the key encoding and in the walk they expose.
-type tree struct {
-	cols    []int
-	ordered bool // keys are OrderedKeyOn encodings rather than KeyOn
-	root    *node
-	size    int
-}
-
-// Cols returns the indexed column positions. Callers must not mutate the
-// returned slice.
-func (t *tree) Cols() []int { return t.cols }
-
-// Len returns the number of indexed tuples.
-func (t *tree) Len() int { return t.size }
-
-// entryOf describes tu, whose canonical key is tupleKey, as an entry of t.
-func (t *tree) entryOf(tupleKey string, tu relation.Tuple) entry {
+// entryOf describes tu, whose canonical key is tupleKey, as an entry of x.
+func (x *Index) entryOf(tupleKey string, tu relation.Tuple) entry {
 	var buf [64]byte // the encoding reaches the heap once, as the string
-	key := buf[:0]
-	if t.ordered {
-		key = tu.AppendOrderedKeyOn(key, t.cols)
-	} else {
-		key = tu.AppendKeyOn(key, t.cols)
-	}
+	key := tu.AppendKeyOn(buf[:0], x.cols)
 	return entry{key: string(key), tuple: tu, hash: hashKey(tupleKey) &^ owned}
 }
 
-// build indexes r from scratch: one sort, then the treap is assembled left
-// to right along its right spine in O(n).
-func build(r *relation.Relation, cols []int, ordered bool) tree {
-	t := tree{cols: slices.Clone(cols), ordered: ordered, size: r.Len()}
+// Build constructs an index over the relation's current tuples: one sort,
+// O(n log n), then the treap is assembled left to right along its right
+// spine in O(n). cols must be valid positions in the relation's schema;
+// their order is the index's sort order.
+func Build(r *relation.Relation, cols []int) *Index {
+	x := &Index{cols: slices.Clone(cols), size: r.Len()}
 	es := make([]entry, 0, r.Len())
 	_ = r.ForEachKey(func(k string, tu relation.Tuple) error {
-		es = append(es, t.entryOf(k, tu))
+		es = append(es, x.entryOf(k, tu))
 		return nil
 	})
 	slices.SortFunc(es, func(a, b entry) int { return a.compare(&b) })
@@ -135,12 +115,12 @@ func build(r *relation.Relation, cols []int, ordered bool) tree {
 		spine = append(spine, n)
 	}
 	if len(spine) > 0 {
-		t.root = spine[0]
+		x.root = spine[0]
 	}
-	return t
+	return x
 }
 
-// apply turns t, a copy of its predecessor's header, into the successor
+// apply turns x, a copy of its predecessor's header, into the successor
 // after a committed net delta: del's tuples are removed and then ins's
 // inserted, each in O(log n), sharing every node off the touched paths with
 // the predecessor. Either relation may be nil. A tuple to remove that is
@@ -152,22 +132,22 @@ func build(r *relation.Relation, cols []int, ordered bool) tree {
 // delta copies the union of its tuples' paths once: the top of the tree once
 // per commit rather than once per tuple, and an update (t removed, t'
 // inserted under the same index key) one path rather than two.
-func (t *tree) apply(ins, del *relation.Relation) {
+func (x *Index) apply(ins, del *relation.Relation) {
 	if del != nil {
 		_ = del.ForEachKey(func(k string, tu relation.Tuple) error {
-			e := t.entryOf(k, tu)
-			t.root = t.remove(t.root, &e)
+			e := x.entryOf(k, tu)
+			x.root = x.remove(x.root, &e)
 			return nil
 		})
 	}
 	if ins != nil {
 		_ = ins.ForEachKey(func(k string, tu relation.Tuple) error {
-			e := t.entryOf(k, tu)
-			t.root = t.insert(t.root, &e)
+			e := x.entryOf(k, tu)
+			x.root = x.insert(x.root, &e)
 			return nil
 		})
 	}
-	disown(t.root)
+	disown(x.root)
 }
 
 // own returns n ready to be written: n itself when this apply created it,
@@ -196,9 +176,9 @@ func disown(n *node) {
 // insert returns n with e added. It returns n itself when e is present, or
 // when e went into nodes this apply already owns; any other node it returns
 // is owned, which is what lets the rotations relink in place.
-func (t *tree) insert(n *node, e *entry) *node {
+func (x *Index) insert(n *node, e *entry) *node {
 	if n == nil {
-		t.size++
+		x.size++
 		fresh := &node{entry: *e}
 		fresh.hash |= owned
 		return fresh
@@ -212,7 +192,7 @@ func (t *tree) insert(n *node, e *entry) *node {
 	}
 	switch {
 	case c < 0:
-		l := t.insert(n.left, e)
+		l := x.insert(n.left, e)
 		if l == n.left {
 			return n
 		}
@@ -224,7 +204,7 @@ func (t *tree) insert(n *node, e *entry) *node {
 		}
 		return n
 	case c > 0:
-		r := t.insert(n.right, e)
+		r := x.insert(n.right, e)
 		if r == n.right {
 			return n
 		}
@@ -242,17 +222,17 @@ func (t *tree) insert(n *node, e *entry) *node {
 
 // remove returns n without e: n itself when e is absent, or when e left
 // nodes this apply already owns.
-func (t *tree) remove(n *node, e *entry) *node {
+func (x *Index) remove(n *node, e *entry) *node {
 	if n == nil {
 		return nil
 	}
 	c := e.compare(&n.entry)
 	if c == 0 {
-		t.size--
+		x.size--
 		return merge(n.left, n.right)
 	}
 	if c < 0 {
-		l := t.remove(n.left, e)
+		l := x.remove(n.left, e)
 		if l == n.left {
 			return n
 		}
@@ -260,7 +240,7 @@ func (t *tree) remove(n *node, e *entry) *node {
 		n.left = l
 		return n
 	}
-	r := t.remove(n.right, e)
+	r := x.remove(n.right, e)
 	if r == n.right {
 		return n
 	}

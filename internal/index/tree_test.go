@@ -18,7 +18,7 @@ import (
 
 // checkTree fails unless the tree under t is a search tree in compare order,
 // a heap in above order, and holds exactly t.size entries.
-func checkTree(tb testing.TB, t *tree) {
+func checkTree(tb testing.TB, t *Index) {
 	tb.Helper()
 	var prev *node
 	count := 0
@@ -100,12 +100,9 @@ func TestDuplicatesHeavyTieOrder(t *testing.T) {
 		}
 		return relation.Tuple{idv, dupKeys[class][rng.Intn(len(dupKeys[class]))]}
 	}
-	type resident struct{ hashKey, orderKey string }
 	cols := []int{1}
-	model := make(map[string]resident)
-	admit := func(tu relation.Tuple) {
-		model[tu.Key()] = resident{tu.KeyOn(cols), tu.OrderedKeyOn(cols)}
-	}
+	model := make(map[string]string) // tuple key → index key
+	admit := func(tu relation.Tuple) { model[tu.Key()] = tu.KeyOn(cols) }
 	const ids = 1000 // each step flips one of ids×keys slots, so about half stay filled
 	base := relation.New(s)
 	for id := int64(0); id < ids; id++ {
@@ -117,45 +114,40 @@ func TestDuplicatesHeavyTieOrder(t *testing.T) {
 			}
 		}
 	}
-	hash, ord := Build(base, cols), BuildOrdered(base, cols)
+	x := Build(base, cols)
 	for step := 0; step < 2000; step++ {
 		tu := spell(int64(rng.Intn(ids)), rng.Intn(len(dupKeys)))
 		delta := relation.MustFromTuples(s, tu)
 		if _, ok := model[tu.Key()]; ok {
-			hash, ord = hash.Apply(nil, delta), ord.Apply(nil, delta)
+			x = x.Apply(nil, delta)
 			delete(model, tu.Key())
 		} else {
-			hash, ord = hash.Apply(delta, nil), ord.Apply(delta, nil)
+			x = x.Apply(delta, nil)
 			admit(tu)
 		}
-		hk, ok := tu.KeyOn(cols), tu.OrderedKeyOn(cols)
-		var wantHash, wantOrd []string
-		for k, r := range model {
-			if r.hashKey == hk {
-				wantHash = append(wantHash, k)
-			}
-			if r.orderKey == ok {
-				wantOrd = append(wantOrd, k)
+		key := tu.KeyOn(cols)
+		var want []string
+		for k, ik := range model {
+			if ik == key {
+				want = append(want, k)
 			}
 		}
-		slices.Sort(wantHash)
-		slices.Sort(wantOrd)
-		if len(wantOrd) < 400 {
-			t.Fatalf("step %d: only %d tuples under the key, the test wants ≥ 400", step, len(wantOrd))
+		slices.Sort(want)
+		if len(want) < 400 {
+			t.Fatalf("step %d: only %d tuples under the key, the test wants ≥ 400", step, len(want))
 		}
-		if got := keysOf(hash.Probe(hk)); !slices.Equal(got, wantHash) {
-			t.Fatalf("step %d (%v): Probe has %d tuples, the scan %d", step, tu, len(got), len(wantHash))
+		if got := keysOf(x.Probe(key)); !slices.Equal(got, want) {
+			t.Fatalf("step %d (%v): Probe has %d tuples, the scan %d", step, tu, len(got), len(want))
 		}
-		if got := keysOf(ord.Range(KeyRange{Lo: ok, Hi: ok + "\xff"})); !slices.Equal(got, wantOrd) {
-			t.Fatalf("step %d (%v): Range has %d tuples, the scan %d", step, tu, len(got), len(wantOrd))
+		if got := keysOf(x.Range(KeyRange{Lo: key, Hi: key + "\xff"})); !slices.Equal(got, want) {
+			t.Fatalf("step %d (%v): Range has %d tuples, the scan %d", step, tu, len(got), len(want))
 		}
-		if hash.Len() != len(model) || ord.Len() != len(model) {
-			t.Fatalf("step %d: Len = %d, %d; the model holds %d", step, hash.Len(), ord.Len(), len(model))
+		if x.Len() != len(model) {
+			t.Fatalf("step %d: Len = %d; the model holds %d", step, x.Len(), len(model))
 		}
 	}
-	checkTree(t, &hash.tree)
-	checkTree(t, &ord.tree)
-	if got := len(ord.Range(KeyRange{Lo: "\x00", Hi: "\xff"})); got != len(model) {
+	checkTree(t, x)
+	if got := len(x.Range(KeyRange{Lo: "\x00", Hi: "\xff"})); got != len(model) {
 		t.Fatalf("Range over everything has %d tuples, the model %d", got, len(model))
 	}
 }
@@ -166,7 +158,7 @@ func TestTreeIsFunctionOfContents(t *testing.T) {
 	s := childSchema()
 	rng := rand.New(rand.NewSource(11))
 	live := relation.New(s)
-	x := BuildOrdered(live, []int{2, 1})
+	x := Build(live, []int{2, 1})
 	for step := 0; step < 300; step++ {
 		ins, del := relation.New(s), relation.New(s)
 		for i := rng.Intn(4); i > 0; i-- {
@@ -180,8 +172,8 @@ func TestTreeIsFunctionOfContents(t *testing.T) {
 		x = x.Apply(ins, del)
 		live.DiffInPlace(del)
 		live.UnionInPlace(ins)
-		checkTree(t, &x.tree)
-		if !sameShape(x.root, BuildOrdered(live, []int{2, 1}).root) {
+		checkTree(t, x)
+		if !sameShape(x.root, Build(live, []int{2, 1}).root) {
 			t.Fatalf("step %d: the applied tree differs from the built one", step)
 		}
 	}
@@ -200,7 +192,7 @@ func TestEmptyAndWholeRelationDeltas(t *testing.T) {
 		t.Fatal("an index over nothing holds something")
 	}
 	full := empty.Apply(all, nil)
-	checkTree(t, &full.tree)
+	checkTree(t, full)
 	if !sameShape(full.root, Build(all, []int{1}).root) {
 		t.Fatal("inserting the whole relation differs from building over it")
 	}
@@ -228,12 +220,12 @@ func TestApplyToleratesBrokenInvariant(t *testing.T) {
 }
 
 // applyCost measures allocations and bytes per one-insert-one-delete commit
-// over a chain of successors of two n-row indexes, a unique hash index and
-// an ordered one with many tuples per key.
+// over a chain of successors of two n-row indexes, a unique one and one
+// with many tuples per key.
 func applyCost(n int) (allocs, bytes float64) {
 	s := childSchema()
 	r := benchRelation(n)
-	hash, ord := Build(r, []int{0}), BuildOrdered(r, []int{2})
+	hash, ord := Build(r, []int{0}), Build(r, []int{2})
 	const steps = 400
 	deltas := make([][2]*relation.Relation, steps)
 	for i := range deltas {
@@ -340,7 +332,7 @@ func TestDeletedTuplesAreCollectable(t *testing.T) {
 			runtime.SetFinalizer(&tu[0], func(*value.Value) { freed.Add(1) })
 		}
 	}
-	hash, ord := Build(r, []int{1}), BuildOrdered(r, []int{2})
+	hash, ord := Build(r, []int{1}), Build(r, []int{2})
 	hash, ord = hash.Apply(nil, doomed), ord.Apply(nil, doomed)
 	want := int64(doomed.Len())
 	r, doomed = nil, nil
@@ -363,7 +355,7 @@ func TestDeletedTuplesAreCollectable(t *testing.T) {
 func TestExactAllocatesNothing(t *testing.T) {
 	r := relation.MustFromTuples(childSchema(), row(1, 10, 5))
 	set := NewSet(Build(r, []int{0}), Build(r, []int{1}), Build(r, []int{1, 2})).
-		WithOrdered(BuildOrdered(r, []int{2}))
+		WithOrdered(Build(r, []int{2}))
 	cols, ordCols := []int{1, 2}, []int{2}
 	allocs := testing.AllocsPerRun(100, func() {
 		if set.Exact(cols) == nil || set.OrderedExact(ordCols) == nil {
@@ -374,7 +366,7 @@ func TestExactAllocatesNothing(t *testing.T) {
 		t.Fatalf("Exact + OrderedExact allocate %.0f times per probe", allocs)
 	}
 	if set.Exact([]int{2}) != nil || set.OrderedExact([]int{1}) != nil {
-		t.Fatal("Exact crosses the hash and ordered namespaces")
+		t.Fatal("Exact crosses the column-set and column-list namespaces")
 	}
 	var sigs []string
 	for _, x := range set.With(Build(r, []int{0, 2})).All() {

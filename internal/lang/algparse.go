@@ -282,6 +282,10 @@ func (p *parser) parseConst() (value.Value, error) {
 	case tokPunct:
 		if t.text == "-" {
 			p.next()
+			if err := p.enter(); err != nil {
+				return value.Null(), err
+			}
+			defer p.leave()
 			v, err := p.parseConst()
 			if err != nil {
 				return value.Null(), err
@@ -300,6 +304,10 @@ func (p *parser) parseConst() (value.Value, error) {
 
 // parseExpr parses a relational algebra expression.
 func (p *parser) parseExpr(db *schema.Database) (algebra.Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.peek()
 	if t.kind != tokIdent {
 		return nil, p.errf("expected expression")

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"errors"
 	"strings"
 
 	"repro/internal/algebra"
@@ -38,6 +39,10 @@ func ParseConstraint(src string) (calculus.WFF, error) {
 
 // parseFormula := quantified | implication.
 func (p *parser) parseFormula() (calculus.WFF, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	if p.atKeyword("forall") || p.atKeyword("exists") {
 		return p.parseQuantified()
 	}
@@ -48,7 +53,7 @@ func (p *parser) parseFormula() (calculus.WFF, error) {
 }
 
 // tryParenQuantified accepts the paper-style rendering "(forall x)(body)"
-// (which FormatCondition emits), backtracking when the parentheses enclose
+// (which calculus.WQuant.String emits), backtracking when the parentheses enclose
 // something else.
 func (p *parser) tryParenQuantified() (calculus.WFF, bool, error) {
 	if !p.atPunct("(") {
@@ -139,6 +144,10 @@ func (p *parser) parseImplies() (calculus.WFF, error) {
 		return nil, err
 	}
 	if p.acceptKeyword("implies") || p.acceptPunct("=>") {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		r, err := p.parseImplies()
 		if err != nil {
 			return nil, err
@@ -180,6 +189,10 @@ func (p *parser) parseAnd() (calculus.WFF, error) {
 
 func (p *parser) parseUnary() (calculus.WFF, error) {
 	if p.acceptKeyword("not") {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -204,6 +217,9 @@ func (p *parser) parsePrimaryFormula() (calculus.WFF, error) {
 		mark := p.save()
 		p.next()
 		w, err := p.parseFormula()
+		if errors.Is(err, ErrTooDeep) {
+			return nil, err // a term through the same parentheses nests as deep
+		}
 		if err == nil {
 			if err2 := p.expectPunct(")"); err2 == nil && !p.atArithOrCmp() {
 				return w, nil
@@ -349,6 +365,10 @@ func (p *parser) parseFactor() (calculus.Term, error) {
 
 func (p *parser) parseUnaryTerm() (calculus.Term, error) {
 	if p.acceptPunct("-") {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		t, err := p.parseUnaryTerm()
 		if err != nil {
 			return nil, err
@@ -418,6 +438,10 @@ func (p *parser) parsePrimaryTerm() (calculus.Term, error) {
 	case tokPunct:
 		if t.text == "(" {
 			p.next()
+			if err := p.enter(); err != nil {
+				return nil, err
+			}
+			defer p.leave()
 			inner, err := p.parseTerm()
 			if err != nil {
 				return nil, err

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -87,9 +88,9 @@ func TestParseConstraintRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
-		w2, err := ParseConstraint(FormatCondition(w1))
+		w2, err := ParseConstraint(w1.String())
 		if err != nil {
-			t.Fatalf("reparse %q: %v", FormatCondition(w1), err)
+			t.Fatalf("reparse %q: %v", w1.String(), err)
 		}
 		if w1.String() != w2.String() {
 			t.Errorf("round trip changed AST:\n  %s\n  %s", w1, w2)
@@ -371,5 +372,39 @@ func TestScalarParser(t *testing.T) {
 	}
 	if _, err := ParseScalar(``); err == nil {
 		t.Error("empty scalar accepted")
+	}
+}
+
+// TestNestingBoundEveryProduction: every production that recurses — nested
+// expressions, parenthesised formulas, terms and scalars, and the prefix
+// chains of not, unary minus and implies — counts against MaxDepth, so text
+// nested past it is refused with ErrTooDeep in every grammar instead of
+// recursing without bound.
+func TestNestingBoundEveryProduction(t *testing.T) {
+	const n = MaxDepth + 1
+	rep := strings.Repeat
+	db := parserSchema()
+	constraint := func(src string) error { _, err := ParseConstraint(src); return err }
+	program := func(src string) error { _, err := ParseProgram(src, db); return err }
+	rule := func(src string) error { _, err := ParseRule("r", src, db); return err }
+	for name, tc := range map[string]struct {
+		parse func(string) error
+		src   string
+	}{
+		"expression":     {program, "q := " + rep("project(", n) + "beer" + rep(", #1)", n) + ";"},
+		"formula parens": {constraint, "forall x (x in beer implies " + rep("(", n) + "x.alcohol >= 0" + rep(")", n) + ")"},
+		"not":            {constraint, "forall x (x in beer implies " + rep("not ", n) + "x.alcohol >= 0)"},
+		"implies":        {constraint, "forall x (x in beer implies " + rep("x.alcohol >= 0 implies ", n) + "x.alcohol >= 0)"},
+		"term parens":    {constraint, "forall x (x in beer implies " + rep("(", n) + "x.alcohol" + rep(")", n) + " >= 0)"},
+		"term minus":     {constraint, "forall x (x in beer implies " + rep("- ", n) + "x.alcohol >= 0)"},
+		"scalar parens":  {program, "q := select(beer, " + rep("(", n) + "alcohol > 0" + rep(")", n) + ");"},
+		"scalar not":     {program, "q := select(beer, " + rep("not ", n) + "alcohol > 0);"},
+		"scalar minus":   {program, "q := select(beer, alcohol > " + rep("- ", n) + "1);"},
+		"constant minus": {program, `insert(beer, values[("a", "b", ` + rep("- ", n) + "1)]);"},
+		"rule action":    {rule, "if not forall x (x in beer implies x.alcohol >= 0) then q := " + rep("project(", n) + "beer" + rep(", #1)", n)},
+	} {
+		if err := tc.parse(tc.src); !errors.Is(err, ErrTooDeep) {
+			t.Errorf("%s nested %d deep: err = %v, want ErrTooDeep", name, n, err)
+		}
 	}
 }

@@ -6,6 +6,7 @@
 package lang
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -164,11 +165,39 @@ func tokenEstimate(src string) int {
 	return n/2 + 2
 }
 
+// MaxDepth bounds how deeply any text may nest, in every grammar: each
+// nested algebra expression, parenthesised formula, term or scalar, and each
+// prefix operator (not, unary minus, the right side of implies) is one
+// level. The deepest text the engine writes itself — the programs pinned in
+// testdata/enforcement.golden and the difftest generator's rules and
+// transactions — nests under 10 levels, so the bound is two orders of
+// magnitude above real use while keeping the parser's recursion, and every
+// recursive walk over what it builds, far from the goroutine stack limit.
+const MaxDepth = 1000
+
+// ErrTooDeep is wrapped, with the position, by the error of every parse of
+// a text that nests deeper than MaxDepth.
+var ErrTooDeep = errors.New("nesting deeper than lang.MaxDepth")
+
 // parser walks the token stream with index-based backtracking.
 type parser struct {
-	lx  *lexer
-	pos int
+	lx    *lexer
+	pos   int
+	depth int // nesting levels entered, at most MaxDepth
 }
+
+// enter descends one nesting level; the caller defers leave when it
+// succeeds. Past MaxDepth it fails with ErrTooDeep, so hostile nesting is
+// an error rather than a stack overflow.
+func (p *parser) enter() error {
+	if p.depth == MaxDepth {
+		return p.errAt(ErrTooDeep)
+	}
+	p.depth++
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
 
 func newParser(src string) (*parser, error) {
 	lx, err := lex(src)
@@ -250,6 +279,11 @@ func (p *parser) expectIdent() (string, error) {
 
 // errf formats a parse error with source context.
 func (p *parser) errf(format string, args ...any) error {
+	return p.errAt(fmt.Errorf(format, args...))
+}
+
+// errAt wraps err with the position of the current token.
+func (p *parser) errAt(err error) error {
 	t := p.peek()
 	where := t.text
 	if t.kind == tokEOF {
@@ -265,7 +299,7 @@ func (p *parser) errf(format string, args ...any) error {
 			col++
 		}
 	}
-	return fmt.Errorf("lang: %s at %d:%d (near %q)", fmt.Sprintf(format, args...), line, col, where)
+	return fmt.Errorf("lang: %w at %d:%d (near %q)", err, line, col, where)
 }
 
 // expectEOF fails if input remains.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/calculus"
 	"repro/internal/rules"
 	"repro/internal/schema"
 	"repro/internal/trigger"
@@ -232,8 +231,3 @@ func parseTypeName(s string) (value.Kind, error) {
 		return 0, fmt.Errorf("unknown type %q (want int, float, string or bool)", s)
 	}
 }
-
-// FormatCondition re-renders a parsed CL formula; a formula parsed from
-// FormatCondition output parses back to the same AST (round-trip property
-// exercised in tests).
-func FormatCondition(w calculus.WFF) string { return w.String() }

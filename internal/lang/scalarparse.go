@@ -59,6 +59,10 @@ func (p *parser) parseScalarAnd() (algebra.Scalar, error) {
 
 func (p *parser) parseScalarUnary() (algebra.Scalar, error) {
 	if p.acceptKeyword("not") {
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		x, err := p.parseScalarUnary()
 		if err != nil {
 			return nil, err
@@ -180,6 +184,10 @@ func (p *parser) parseScalarAtom() (algebra.Scalar, error) {
 			return algebra.AttrByIndex(int(n - 1)), nil
 		case "(":
 			p.next()
+			if err := p.enter(); err != nil {
+				return nil, err
+			}
+			defer p.leave()
 			inner, err := p.parseScalar()
 			if err != nil {
 				return nil, err
@@ -190,6 +198,10 @@ func (p *parser) parseScalarAtom() (algebra.Scalar, error) {
 			return inner, nil
 		case "-":
 			p.next()
+			if err := p.enter(); err != nil {
+				return nil, err
+			}
+			defer p.leave()
 			x, err := p.parseScalarAtom()
 			if err != nil {
 				return nil, err

@@ -56,19 +56,21 @@ func (t Tuple) Footprint() int64 {
 	return size
 }
 
-// Key returns the canonical byte-string identity of the tuple; two tuples
-// have equal keys iff they are equal as set elements.
+// Key returns the canonical byte-string identity of the tuple: the
+// concatenated key encodings (value.AppendOrderedKey) of its values. Two
+// tuples have equal keys iff they are equal as set elements, and keys sort
+// like the tuples do, column by column.
 func (t Tuple) Key() string {
 	buf := make([]byte, 0, 16*len(t))
 	for _, v := range t {
-		buf = v.AppendKey(buf)
+		buf = v.AppendOrderedKey(buf)
 	}
 	return string(buf)
 }
 
 // CompareKey orders t against o, column by column under value.CompareKey
-// and then by arity, so that it returns 0 exactly when t.Key() == o.Key() —
-// without building either key.
+// and then by arity: the sign of strings.Compare(t.Key(), o.Key()), without
+// building either key.
 func (t Tuple) CompareKey(o Tuple) int {
 	for i := 0; i < len(t) && i < len(o); i++ {
 		if c := t[i].CompareKey(o[i]); c != 0 {
@@ -78,44 +80,23 @@ func (t Tuple) CompareKey(o Tuple) int {
 	return cmp.Compare(len(t), len(o))
 }
 
-// KeyOn returns the canonical byte-string identity of the projection of t
-// onto the given column positions, in the given order. It is the probe-key
-// encoding shared by secondary indexes (package index), the transaction
-// overlay's probed-key read records, and the commit validator that
-// intersects those records against committed deltas: two tuples collide on
-// an index iff their KeyOn the index columns are equal.
+// KeyOn returns the key of the projection of t onto the given column
+// positions, in the given order — Key of that projection. It is the key of
+// secondary index entries and probes (package index), of hash-join builds
+// and probes, of the transaction overlay's probed-key and interval read
+// records, and of the commit validator that intersects those records with
+// committed deltas: two tuples collide on an index iff their KeyOn the index
+// columns are equal, and byte order is the order of the projected values, so
+// interval membership of an encoded key is interval membership of the tuple.
 func (t Tuple) KeyOn(cols []int) string {
 	return string(t.AppendKeyOn(nil, cols))
 }
 
 // AppendKeyOn appends the KeyOn encoding to buf and returns it. Hot
-// per-tuple probe paths (the hash-join build/probe loop) reuse one buffer
-// across tuples and look maps up via the compiler's alloc-free
+// per-tuple paths (index maintenance, the hash-join build/probe loop) reuse
+// one buffer across tuples and look maps up via the compiler's alloc-free
 // map[string(buf)] form instead of materializing a string per tuple.
 func (t Tuple) AppendKeyOn(buf []byte, cols []int) []byte {
-	if buf == nil {
-		buf = make([]byte, 0, 16*len(cols))
-	}
-	for _, c := range cols {
-		buf = t[c].AppendKey(buf)
-	}
-	return buf
-}
-
-// OrderedKeyOn returns the order-preserving encoding
-// (value.AppendOrderedKey) of the projection of t onto the given column
-// positions, in the given order. It is the key encoding of ordered secondary
-// indexes and of the interval reads the transaction overlay records for
-// range probes: bytes-comparing two projections agrees with comparing the
-// projected values column by column, so interval membership of an encoded
-// key is interval membership of the tuple.
-func (t Tuple) OrderedKeyOn(cols []int) string {
-	return string(t.AppendOrderedKeyOn(nil, cols))
-}
-
-// AppendOrderedKeyOn appends the OrderedKeyOn encoding to buf and returns
-// it, for callers reusing one buffer across tuples.
-func (t Tuple) AppendOrderedKeyOn(buf []byte, cols []int) []byte {
 	if buf == nil {
 		buf = make([]byte, 0, 16*len(cols))
 	}
@@ -368,13 +349,6 @@ func (r *Relation) SortedTuples() []Tuple {
 // immutable by convention and shared.
 func (r *Relation) Clone() *Relation {
 	return &Relation{schema: r.schema, tuples: r.tuples.Clone()}
-}
-
-// CloneAs is Clone with the schema renamed; used for auxiliary relations
-// such as pre-transaction states. Like Clone it is O(1): both the trie and
-// the schema's attribute storage are shared.
-func (r *Relation) CloneAs(name string) *Relation {
-	return &Relation{schema: r.schema.Renamed(name), tuples: r.tuples.Clone()}
 }
 
 // CloneWith is Clone with a different schema of the same arity; it is how

@@ -80,36 +80,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestCloneAsRenames(t *testing.T) {
-	r := MustFromTuples(twoColSchema(t), tup(1, "x"))
-	c := r.CloneAs("r_old")
-	if c.Schema().Name != "r_old" {
-		t.Errorf("CloneAs name = %q", c.Schema().Name)
-	}
-	if r.Schema().Name != "r" {
-		t.Errorf("CloneAs mutated original schema name to %q", r.Schema().Name)
-	}
-}
-
-// CloneAs only changes the schema's name, so it must share the attribute
-// storage (and the tuple trie) instead of deep-cloning per call — renames
-// happen once per auxiliary relation per transaction.
-func TestCloneAsSharesAttributeStorage(t *testing.T) {
-	r := MustFromTuples(twoColSchema(t), tup(1, "x"))
-	c := r.CloneAs("r_old")
-	if &r.Schema().Attrs[0] != &c.Schema().Attrs[0] {
-		t.Error("CloneAs deep-cloned the attribute slice")
-	}
-	if got, want := len(c.Schema().Attrs), len(r.Schema().Attrs); got != want {
-		t.Errorf("CloneAs arity = %d, want %d", got, want)
-	}
-	// The data is still independent per the Clone contract.
-	c.InsertUnchecked(tup(2, "y"))
-	if r.Contains(tup(2, "y")) {
-		t.Error("CloneAs data not independent of original")
-	}
-}
-
 func TestUnionDiffInPlace(t *testing.T) {
 	a := MustFromTuples(twoColSchema(t), tup(1, "x"), tup(2, "y"))
 	b := MustFromTuples(twoColSchema(t), tup(2, "y"), tup(3, "z"))

@@ -82,15 +82,6 @@ func (r *Relation) Clone(name string) *Relation {
 	return &Relation{Name: name, Attrs: attrs}
 }
 
-// Renamed returns a schema with the given name sharing the receiver's
-// attribute storage. Schemas are immutable after construction by
-// convention, so renaming — the per-transaction auxiliary-relation case
-// (old_R, pre-state copies) — never needs to duplicate the attribute
-// slice; use Clone when the copy will be modified.
-func (r *Relation) Renamed(name string) *Relation {
-	return &Relation{Name: name, Attrs: r.Attrs}
-}
-
 // SameType reports whether two schemas are union-compatible: equal arity and
 // pairwise compatible attribute types (names may differ). Null-typed columns
 // are compatible with anything.

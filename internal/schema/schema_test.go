@@ -56,17 +56,6 @@ func TestCloneIndependentAttrs(t *testing.T) {
 	}
 }
 
-func TestRenamedSharesAttrs(t *testing.T) {
-	r := MustRelation("r", Attribute{Name: "a", Type: value.KindInt})
-	c := r.Renamed("c")
-	if c.Name != "c" || r.Name != "r" {
-		t.Errorf("Renamed names = %q/%q", c.Name, r.Name)
-	}
-	if &c.Attrs[0] != &r.Attrs[0] {
-		t.Error("Renamed copied the attribute slice")
-	}
-}
-
 func TestSameType(t *testing.T) {
 	a := MustRelation("a", Attribute{Name: "x", Type: value.KindInt})
 	b := MustRelation("b", Attribute{Name: "y", Type: value.KindFloat})

@@ -31,6 +31,7 @@ package storage
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -47,9 +48,17 @@ import (
 )
 
 const (
-	ckptMagic    = "RPRCKPT2"
-	ckptMagicV1  = "RPRCKPT1" // node blocks lacked the self-describing framing
+	// ckptMagic names the format version. RPRCKPT1 node blocks lacked the
+	// self-describing framing; RPRCKPT2 placed tuples in the trie by a
+	// different key encoding, so its tries would be misread. Both are
+	// refused by checkCkpt.
+	ckptMagic    = ckptMagicFamily + "3"
 	ckptEndMagic = "RPRCKEND"
+	// ckptMagicFamily is the prefix every version's magic shares.
+	ckptMagicFamily = "RPRCKPT"
+	// ckptFooterLen is the footer: dirOff u64, crc32c(directory) u32, and
+	// ckptEndMagic.
+	ckptFooterLen = 8 + 4 + 8
 	// addrShift packs a node address as fileID<<addrShift | offset: 24 bits
 	// of file id, 40 bits of offset (1 TiB per checkpoint file).
 	addrShift  = 40
@@ -223,7 +232,7 @@ func (d *Database) Checkpoint() error {
 		f.Close()
 		return fmt.Errorf("storage: checkpoint: %w", err)
 	}
-	var footer [8 + 4 + 8]byte
+	var footer [ckptFooterLen]byte
 	binary.LittleEndian.PutUint64(footer[:], uint64(dirOff))
 	binary.LittleEndian.PutUint32(footer[8:], crc32.Checksum(dir, crcTable))
 	copy(footer[12:], ckptEndMagic)
@@ -355,11 +364,8 @@ func loadCheckpoint(dir string, pg *pager) (*ckptState, error) {
 		rest, dirBytes, err = readCkptMeta(filepath.Join(dir, ckptName(newest)))
 	} else {
 		var data []byte
-		data, dirBytes, err = readCkptFile(filepath.Join(dir, ckptName(newest)))
-		if err == nil {
-			rest = data[len(ckptMagic):]
-			files = map[uint64][]byte{newest: data}
-		}
+		data, rest, dirBytes, err = readCkptFile(filepath.Join(dir, ckptName(newest)))
+		files = map[uint64][]byte{newest: data}
 	}
 	if err != nil {
 		return nil, err
@@ -391,7 +397,7 @@ func loadCheckpoint(dir string, pg *pager) (*ckptState, error) {
 			os.Remove(filepath.Join(dir, ckptName(id)))
 		case id < newest:
 			if pg == nil {
-				d, _, err := readCkptFile(filepath.Join(dir, ckptName(id)))
+				d, _, _, err := readCkptFile(filepath.Join(dir, ckptName(id)))
 				if err != nil {
 					return nil, err
 				}
@@ -476,39 +482,20 @@ func loadCheckpoint(dir string, pg *pager) (*ckptState, error) {
 	return st, nil
 }
 
-// readCkptFile loads one checkpoint file, validating magics and the
-// directory CRC, and returns the whole file plus the directory slice.
-func readCkptFile(path string) ([]byte, []byte, error) {
-	data, err := os.ReadFile(path)
+// readCkptFile loads one checkpoint file, validated by checkCkpt, and
+// returns the whole file plus its header (past the magic) and directory.
+func readCkptFile(path string) (data, hdr, dir []byte, err error) {
+	data, err = os.ReadFile(path)
 	if err != nil {
-		return nil, nil, fmt.Errorf("storage: recover: %w", err)
+		return nil, nil, nil, fmt.Errorf("storage: recover: %w", err)
 	}
-	const footerLen = 8 + 4 + 8
-	if len(data) >= len(ckptMagicV1) && string(data[:len(ckptMagicV1)]) == ckptMagicV1 {
-		return nil, nil, fmt.Errorf("storage: %s: unsupported v1 checkpoint (re-load the data)", filepath.Base(path))
-	}
-	if len(data) < len(ckptMagic)+footerLen || string(data[:len(ckptMagic)]) != ckptMagic {
-		return nil, nil, fmt.Errorf("storage: %s: not a checkpoint file", filepath.Base(path))
-	}
-	foot := data[len(data)-footerLen:]
-	if string(foot[12:]) != ckptEndMagic {
-		return nil, nil, fmt.Errorf("storage: %s: missing footer magic", filepath.Base(path))
-	}
-	dirOff := binary.LittleEndian.Uint64(foot)
-	if dirOff > uint64(len(data)-footerLen) {
-		return nil, nil, fmt.Errorf("storage: %s: directory offset out of range", filepath.Base(path))
-	}
-	dirBytes := data[dirOff : len(data)-footerLen]
-	if crc32.Checksum(dirBytes, crcTable) != binary.LittleEndian.Uint32(foot[8:]) {
-		return nil, nil, fmt.Errorf("storage: %s: directory checksum mismatch", filepath.Base(path))
-	}
-	return data, dirBytes, nil
+	hdr, dir, err = checkCkpt(bytes.NewReader(data), int64(len(data)), path)
+	return data, hdr, dir, err
 }
 
 // readCkptMeta opens a checkpoint file and reads only its header and
-// CRC-checked directory (via the footer), never the node blocks — the paged
-// Open path. Returns the header bytes (past the magic) and the directory.
-func readCkptMeta(path string) ([]byte, []byte, error) {
+// CRC-checked directory, never the node blocks — the paged Open path.
+func readCkptMeta(path string) (hdr, dir []byte, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("storage: recover: %w", err)
@@ -518,44 +505,54 @@ func readCkptMeta(path string) ([]byte, []byte, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("storage: recover: %w", err)
 	}
-	const footerLen = 8 + 4 + 8
-	size := st.Size()
-	if size < int64(len(ckptMagic))+footerLen {
-		return nil, nil, fmt.Errorf("storage: %s: not a checkpoint file", filepath.Base(path))
+	return checkCkpt(f, st.Size(), path)
+}
+
+// checkCkpt is the one validation of a checkpoint file, read through r
+// (size bytes): the version magic, the footer magic and the directory CRC.
+// It returns the header bytes past the magic and the directory. A file of
+// another version of the format is refused with an error naming that
+// version.
+func checkCkpt(r io.ReaderAt, size int64, path string) (hdr, dir []byte, err error) {
+	name := filepath.Base(path)
+	read := func(n, off int64) ([]byte, error) {
+		b := make([]byte, n)
+		if _, err := r.ReadAt(b, off); err != nil {
+			return nil, fmt.Errorf("storage: recover: %s: %w", name, err)
+		}
+		return b, nil
 	}
 	// Header: the magic plus four uvarints (fileID, chainBase, lsn, time).
-	hdr := make([]byte, len(ckptMagic)+4*binary.MaxVarintLen64)
-	if int64(len(hdr)) > size {
-		hdr = hdr[:size]
+	hdr, err = read(min(size, int64(len(ckptMagic)+4*binary.MaxVarintLen64)), 0)
+	if err != nil {
+		return nil, nil, err
 	}
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		return nil, nil, fmt.Errorf("storage: recover: %w", err)
+	if len(hdr) >= len(ckptMagic) && string(hdr[:len(ckptMagicFamily)]) == ckptMagicFamily {
+		if v := string(hdr[:len(ckptMagic)]); v != ckptMagic {
+			return nil, nil, fmt.Errorf("storage: %s: unsupported checkpoint version %s (this build reads %s; re-load the data)", name, v, ckptMagic)
+		}
 	}
-	if string(hdr[:len(ckptMagicV1)]) == ckptMagicV1 {
-		return nil, nil, fmt.Errorf("storage: %s: unsupported v1 checkpoint (re-load the data)", filepath.Base(path))
+	if size < int64(len(ckptMagic))+ckptFooterLen || string(hdr[:len(ckptMagic)]) != ckptMagic {
+		return nil, nil, fmt.Errorf("storage: %s: not a checkpoint file", name)
 	}
-	if string(hdr[:len(ckptMagic)]) != ckptMagic {
-		return nil, nil, fmt.Errorf("storage: %s: not a checkpoint file", filepath.Base(path))
-	}
-	var foot [footerLen]byte
-	if _, err := f.ReadAt(foot[:], size-footerLen); err != nil {
-		return nil, nil, fmt.Errorf("storage: recover: %w", err)
+	foot, err := read(ckptFooterLen, size-ckptFooterLen)
+	if err != nil {
+		return nil, nil, err
 	}
 	if string(foot[12:]) != ckptEndMagic {
-		return nil, nil, fmt.Errorf("storage: %s: missing footer magic", filepath.Base(path))
+		return nil, nil, fmt.Errorf("storage: %s: missing footer magic", name)
 	}
-	dirOff := binary.LittleEndian.Uint64(foot[:])
-	if dirOff > uint64(size-footerLen) {
-		return nil, nil, fmt.Errorf("storage: %s: directory offset out of range", filepath.Base(path))
+	dirOff := binary.LittleEndian.Uint64(foot)
+	if dirOff > uint64(size-ckptFooterLen) {
+		return nil, nil, fmt.Errorf("storage: %s: directory offset out of range", name)
 	}
-	dirBytes := make([]byte, uint64(size-footerLen)-dirOff)
-	if _, err := f.ReadAt(dirBytes, int64(dirOff)); err != nil {
-		return nil, nil, fmt.Errorf("storage: recover: %w", err)
+	if dir, err = read(size-ckptFooterLen-int64(dirOff), int64(dirOff)); err != nil {
+		return nil, nil, err
 	}
-	if crc32.Checksum(dirBytes, crcTable) != binary.LittleEndian.Uint32(foot[8:]) {
-		return nil, nil, fmt.Errorf("storage: %s: directory checksum mismatch", filepath.Base(path))
+	if crc32.Checksum(dir, crcTable) != binary.LittleEndian.Uint32(foot[8:]) {
+		return nil, nil, fmt.Errorf("storage: %s: directory checksum mismatch", name)
 	}
-	return hdr[len(ckptMagic):], dirBytes, nil
+	return hdr[len(ckptMagic):], dir, nil
 }
 
 // ckptMaxDepth bounds the eager trie walk, mirroring pmap's own depth guard:

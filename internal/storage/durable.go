@@ -54,7 +54,7 @@ const (
 	recLoad byte = 2
 	// recAddRelation carries a new relation's schema.
 	recAddRelation byte = 3
-	// recDefineIndex carries an index definition (hash or ordered).
+	// recDefineIndex carries an index definition (equality or ordered).
 	recDefineIndex byte = 4
 )
 

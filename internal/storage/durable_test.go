@@ -339,6 +339,58 @@ func TestOpenRefusesV1Log(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesOldCheckpointVersion: an RPRCKPT2 checkpoint placed its
+// tuples in the trie by another key encoding, so reading its nodes would
+// misplace every tuple. Open, resident and paged, must refuse it by name
+// rather than open it, and a current checkpoint of the same data reopens.
+func TestOpenRefusesOldCheckpointVersion(t *testing.T) {
+	dir := t.TempDir()
+	db := openDur(t, dir, DurOptions{CheckpointBytes: -1})
+	durCommit(t, db, map[string][]relation.Tuple{"alpha": {durTuple(1, "one"), durTuple(2, "two")}}, nil)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []DurOptions{{}, pagedOpts(4096, nil)} {
+		db, err := Open(dir, durSchema(), opts)
+		if err != nil {
+			t.Fatalf("reopen (CacheBytes %d): %v", opts.CacheBytes, err)
+		}
+		if r, _ := db.Relation("alpha"); r.Len() != 2 {
+			t.Fatalf("reopen (CacheBytes %d): alpha holds %d tuples, want 2", opts.CacheBytes, r.Len())
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "ckpt-*.ck"))
+	if len(files) == 0 {
+		t.Fatal("no checkpoint file written")
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(data, "RPRCKPT2")
+		if err := os.WriteFile(f, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, opts := range []DurOptions{{}, pagedOpts(4096, nil)} {
+		db, err := Open(dir, durSchema(), opts)
+		if err == nil {
+			db.Close()
+			t.Fatalf("Open (CacheBytes %d) accepted an RPRCKPT2 checkpoint", opts.CacheBytes)
+		}
+		if !strings.Contains(err.Error(), "unsupported checkpoint version RPRCKPT2") {
+			t.Fatalf("Open (CacheBytes %d) = %v, want the unsupported version named", opts.CacheBytes, err)
+		}
+	}
+}
+
 func copyDir(t *testing.T, src, dst string) {
 	t.Helper()
 	entries, err := os.ReadDir(src)

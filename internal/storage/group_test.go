@@ -133,7 +133,7 @@ func verdictParityCases() []parityCase {
 	}}
 	range1 := &ReadInfo{Keys: own, Ranges: map[string]*RangeRead{
 		index.Sig(col): {Cols: col, Ranges: []index.KeyRange{
-			{Lo: intTuple(1).OrderedKeyOn(col), Hi: intTuple(2).OrderedKeyOn(col)},
+			{Lo: intTuple(1).KeyOn(col), Hi: intTuple(2).KeyOn(col)},
 		}},
 	}}
 	return []parityCase{

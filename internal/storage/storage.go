@@ -100,12 +100,12 @@ func (t table) reload(r *relation.Relation) table {
 	return table{inst: r.Seal(), idx: t.idx.Rebuild(r)}
 }
 
-// withIndex adds a hash or ordered index over cols, built from the instance;
+// withIndex adds an equality or ordered index over cols, built from the instance;
 // ok is false when the set already holds one over the same columns.
 func (t table) withIndex(cols []int, ordered bool) (_ table, ok bool) {
 	switch {
 	case ordered && t.idx.OrderedExact(cols) == nil:
-		t.idx = t.idx.WithOrdered(index.BuildOrdered(t.inst, cols))
+		t.idx = t.idx.WithOrdered(index.Build(t.inst, cols))
 	case !ordered && t.idx.Exact(cols) == nil:
 		t.idx = t.idx.With(index.Build(t.inst, cols))
 	default:
@@ -148,15 +148,6 @@ func (s *Snapshot) Relation(name string) (*relation.Relation, error) {
 // nil when it has none. The set and its indexes are immutable.
 func (s *Snapshot) IndexSet(name string) *index.Set { return s.tabs[name].idx }
 
-// TotalTuples returns the sum of all relation cardinalities, for reporting.
-func (s *Snapshot) TotalTuples() int {
-	n := 0
-	for _, t := range s.tabs {
-		n += t.inst.Len()
-	}
-	return n
-}
-
 // writeSet is the per-relation write record of one epoch: the net inserted
 // and net deleted tuples (the union of the accepted members' differential
 // relations; either side may be nil). The same value is the fold aggregate,
@@ -187,7 +178,7 @@ type ProbeRead struct {
 
 // RangeRead records the range probes a transaction issued against one
 // relation on one ordered column prefix: the half-open intervals
-// (index.KeyRange over relation.Tuple.OrderedKeyOn encodings of Cols) it
+// (index.KeyRange over relation.Tuple.KeyOn encodings of Cols) it
 // scanned. A range probe observes every tuple whose projection falls in an
 // interval — including the absence of any — so a concurrent delta conflicts
 // iff one of its tuples projects into a probed interval.
@@ -456,7 +447,7 @@ func (d *Database) Load(r *relation.Relation) error {
 	return nil
 }
 
-// DefineIndex declares a secondary hash index on the named relation over
+// DefineIndex declares a secondary equality index on the named relation over
 // the given column positions (canonicalized to ascending order — an index
 // covers a set of columns), builds it from the current instance, and
 // publishes it with the snapshot. Like AddRelation, DefineIndex is a
@@ -527,7 +518,7 @@ func (d *Database) defineIndex(rel string, cols []int, ordered bool) error {
 	return nil
 }
 
-// IndexDefs returns the column sets of the hash indexes defined on the
+// IndexDefs returns the column sets of the equality indexes defined on the
 // named relation, ordered by signature; nil when it has none.
 func (d *Database) IndexDefs(rel string) [][]int {
 	set := d.Snapshot().IndexSet(rel)
@@ -610,9 +601,9 @@ func (ri *ReadInfo) overlapKey(ins, del *relation.Relation) string {
 				}
 			}
 			for _, rr := range ri.Ranges {
-				ok := t.OrderedKeyOn(rr.Cols)
+				key := t.KeyOn(rr.Cols)
 				for _, kr := range rr.Ranges {
-					if kr.Contains(ok) {
+					if kr.Contains(key) {
 						hit = k
 						return errStopIteration
 					}
@@ -713,6 +704,3 @@ func (d *Database) Clone() *Database {
 	c.snap.Store(&Snapshot{sch: cur.sch, tabs: cur.tabs, time: cur.time})
 	return c
 }
-
-// TotalTuples returns the sum of all relation cardinalities, for reporting.
-func (d *Database) TotalTuples() int { return d.Snapshot().TotalTuples() }

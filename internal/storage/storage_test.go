@@ -81,8 +81,8 @@ func TestLoadReplacesInstance(t *testing.T) {
 	if err := db.Load(relation.MustFromTuples(rs, relation.Tuple{value.Int(1)}, relation.Tuple{value.Int(2)})); err != nil {
 		t.Fatal(err)
 	}
-	if db.TotalTuples() != 2 {
-		t.Errorf("TotalTuples = %d", db.TotalTuples())
+	if r, _ := db.Relation("r"); r.Len() != 2 {
+		t.Errorf("r holds %d tuples after Load, want 2", r.Len())
 	}
 	if db.Time() != 0 {
 		t.Error("Load advanced the clock")
@@ -569,10 +569,10 @@ func TestIndexMaintainedAcrossCommits(t *testing.T) {
 	if x == nil {
 		t.Fatal("index missing after commit")
 	}
-	if got := len(x.ProbeTuples(childTuple(0, 10))); got != 1 {
+	if got := len(x.Probe(childTuple(0, 10).KeyOn(x.Cols()))); got != 1 {
 		t.Errorf("parent=10 matches = %d, want 1", got)
 	}
-	if got := len(x.ProbeTuples(childTuple(0, 20))); got != 2 {
+	if got := len(x.Probe(childTuple(0, 20).KeyOn(x.Cols()))); got != 2 {
 		t.Errorf("parent=20 matches = %d, want 2", got)
 	}
 	inst, _ := snap.Relation("child")
@@ -585,10 +585,10 @@ func TestIndexMaintainedAcrossCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	x = db.Snapshot().IndexSet("child").Exact([]int{1})
-	if got := len(x.ProbeTuples(childTuple(0, 30))); got != 1 {
+	if got := len(x.Probe(childTuple(0, 30).KeyOn(x.Cols()))); got != 1 {
 		t.Errorf("after Load, parent=30 matches = %d, want 1", got)
 	}
-	if got := len(x.ProbeTuples(childTuple(0, 10))); got != 0 {
+	if got := len(x.Probe(childTuple(0, 10).KeyOn(x.Cols()))); got != 0 {
 		t.Errorf("after Load, parent=10 matches = %d, want 0", got)
 	}
 }

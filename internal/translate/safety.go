@@ -179,7 +179,7 @@ func updatePreserves(p *Part, leaf int, guard algebra.Scalar, db *schema.Databas
 // the part needs its full check iff the statement writes a relation the
 // part's check program reads.
 func touchNeed(p *Part, st algebra.Stmt) Need {
-	target, ok := stmtTarget(st)
+	target, ok := algebra.Written(st)
 	if !ok {
 		return Need{Full: true}
 	}
@@ -188,7 +188,7 @@ func touchNeed(p *Part, st algebra.Stmt) Need {
 	}
 	reads := make(map[string]bool)
 	for _, s := range p.Program {
-		if !stmtReadRels(s, reads) {
+		if !algebra.ReadRels(s, reads) {
 			return Need{Full: true}
 		}
 	}
@@ -227,45 +227,6 @@ func existentialNeed(p *Part, db *schema.Database, st algebra.Stmt) Need {
 }
 
 // ---- statement shape helpers ----
-
-// stmtTarget returns the base relation a statement writes ("" when it writes
-// none); ok=false for unknown statement types.
-func stmtTarget(st algebra.Stmt) (string, bool) {
-	switch x := st.(type) {
-	case *algebra.Insert:
-		return x.Rel, true
-	case *algebra.Delete:
-		return x.Rel, true
-	case *algebra.Update:
-		return x.Rel, true
-	case *algebra.Assign, *algebra.Alarm, *algebra.Abort:
-		return "", true
-	default:
-		return "", false
-	}
-}
-
-// stmtReadRels collects the base relations a statement's expressions read;
-// false when the statement or an expression node is unknown.
-func stmtReadRels(st algebra.Stmt, out map[string]bool) bool {
-	var e algebra.Expr
-	switch x := st.(type) {
-	case *algebra.Assign:
-		e = x.Expr
-	case *algebra.Insert:
-		e = x.Src
-	case *algebra.Delete:
-		e = x.Src
-	case *algebra.Update:
-		out[x.Rel] = true
-	case *algebra.Alarm:
-		e = x.Expr
-	case *algebra.Abort:
-	default:
-		return false
-	}
-	return algebra.Rels(e, func(r *algebra.Rel) { out[r.Name] = true })
-}
 
 // litRowsSatisfy reports whether src is a literal relation all of whose rows
 // provably satisfy guard ⇒ cond (nil scalars mean true).

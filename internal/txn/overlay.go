@@ -258,7 +258,7 @@ func (o *Overlay) RangeProbe(name string, aux algebra.AuxKind, idx []int, prefix
 	if di := o.ins[name]; di != nil && !di.IsEmpty() {
 		var buf []byte
 		_ = di.ForEach(func(t relation.Tuple) error {
-			buf = t.AppendOrderedKeyOn(buf[:0], probeCols)
+			buf = t.AppendKeyOn(buf[:0], probeCols)
 			for _, kr := range ranges {
 				if kr.Contains(string(buf)) {
 					out = append(out, t)

@@ -44,16 +44,3 @@ func (t *Transaction) String() string {
 	sb.WriteString("end")
 	return sb.String()
 }
-
-// HasUpdates reports whether the transaction contains any statement that can
-// change the database state (insert, delete or update). Read-only
-// transactions need no integrity control.
-func (t *Transaction) HasUpdates() bool {
-	for _, s := range t.Program {
-		switch s.(type) {
-		case *algebra.Insert, *algebra.Delete, *algebra.Update:
-			return true
-		}
-	}
-	return false
-}

@@ -358,14 +358,7 @@ func (f stmtFunc) Exec(env algebra.ExecEnv) error { return f(env) }
 func (stmtFunc) String() string                   { return "test statement" }
 
 func TestTransactionHelpers(t *testing.T) {
-	tx := New(&algebra.Abort{Constraint: "x"})
-	if tx.HasUpdates() {
-		t.Error("abort-only transaction reports updates")
-	}
 	tx2 := New(&algebra.Insert{Rel: "item", Src: lit(item(1, 1))})
-	if !tx2.HasUpdates() {
-		t.Error("insert transaction reports no updates")
-	}
 	p := tx2.Debracket()
 	if len(p) != 1 {
 		t.Errorf("Debracket len = %d", len(p))

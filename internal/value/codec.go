@@ -6,12 +6,12 @@ import (
 	"math"
 )
 
-// Binary codec. AppendKey (storage.go) is equality-canonical — it collapses
-// Int(1) onto Float(1.0) — which makes it a fine set-membership key but a
-// lossy serialization: decoding a key cannot recover the original kind. The
-// durable storage engine (package wal, the checkpoint files in package
-// storage) needs a faithful round-trip, so values persist through the
-// kind-tagged encoding below instead.
+// Binary codec. The key encoding (AppendOrderedKey, value.go) is
+// equality-canonical — it collapses Int(1) onto Float(1.0) — which makes it a
+// fine set-membership key but a lossy serialization: decoding a key cannot
+// recover the original kind. The durable storage engine (package wal, the
+// checkpoint files in package storage) needs a faithful round-trip, so
+// values persist through the kind-tagged encoding below instead.
 //
 //	null:   'n'
 //	int:    'i' + zigzag varint

@@ -285,107 +285,32 @@ func (v Value) Footprint() int64 {
 	return int64(unsafe.Sizeof(v)) + int64(len(v.s))
 }
 
-// AppendKey appends a canonical binary encoding of v to dst. Two values have
-// the same key bytes iff they are Equal, which makes the encoding usable as a
-// hash/dedup key. Numeric values encode through their float64 image so that
-// Int(1) and Float(1.0) share a key.
-func (v Value) AppendKey(dst []byte) []byte {
-	switch v.kind {
-	case KindNull:
-		return append(dst, 'N')
-	case KindInt, KindFloat:
-		f := v.AsFloat()
-		if f == 0 {
-			f = 0 // collapse -0.0 onto +0.0: Equal treats them as one value
-		}
-		bits := math.Float64bits(f)
-		dst = append(dst, 'F')
-		return append(dst,
-			byte(bits>>56), byte(bits>>48), byte(bits>>40), byte(bits>>32),
-			byte(bits>>24), byte(bits>>16), byte(bits>>8), byte(bits))
-	case KindString:
-		dst = append(dst, 'S')
-		n := len(v.s)
-		dst = append(dst, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
-		return append(dst, v.s...)
-	case KindBool:
-		if v.b {
-			return append(dst, 'T')
-		}
-		return append(dst, 'f')
-	default:
-		return append(dst, '?')
-	}
-}
-
-// CompareKey orders v against w in a total order whose ties are exactly the
-// pairs with equal AppendKey encodings: Int(1) ties Float(1.0), -0.0 ties
-// +0.0, and a NaN ties only the NaN with the same bits. The order is
-// otherwise arbitrary (it is not Sort's). Ordered containers use it to tell
-// tuples apart by identity without materialising a key string per
-// comparison.
-func (v Value) CompareKey(w Value) int {
-	a, b := v.keyClass(), w.keyClass()
-	if a != b {
-		return cmp.Compare(a, b)
-	}
-	switch a {
-	case KindInt:
-		return cmp.Compare(v.keyBits(), w.keyBits())
-	case KindString:
-		return strings.Compare(v.s, w.s)
-	case KindBool:
-		if v.b != w.b {
-			if w.b {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
-}
-
-// keyBits is the float64 image AppendKey encodes a numeric value by.
-func (v Value) keyBits() uint64 {
-	f := v.AsFloat()
-	if f == 0 {
-		f = 0 // -0.0 onto +0.0, as in AppendKey
-	}
-	return math.Float64bits(f)
-}
-
-// keyClass folds the two numeric kinds, which share key encodings, into one.
-func (v Value) keyClass() Kind {
-	if v.kind == KindFloat {
-		return KindInt
-	}
-	return v.kind
-}
-
-// Order-preserving encoding. AppendKey above is equality-canonical but not
-// order-preserving: floats keep their raw IEEE-754 image (negative floats
-// sort after positive ones byte-wise) and strings carry a length prefix (a
-// longer string with a smaller prefix sorts after a shorter larger one).
-// Ordered secondary indexes need bytes.Compare over encoded keys to agree
-// with Sort over values, so they use the AppendOrderedKey encoding below.
+// Key encoding. AppendOrderedKey is the one byte encoding of a value as a
+// key: the identity of a tuple in its relation (relation.Tuple.Key), the key
+// of every index entry and probe (relation.Tuple.KeyOn), the build and probe
+// keys of hash joins, and the probed keys and intervals the commit validator
+// intersects. Two values encode alike iff they are the same set element
+// (Int(1) and Float(1.0) share a key, -0.0 collapses onto +0.0), and
+// bytes.Compare over encodings agrees with Sort over values, so a key
+// interval is a value interval.
 //
 // Each value encodes as a kind-rank byte — ordered like Sort's kind ranks:
 // null < bool < numeric < string — followed by a payload whose byte order
 // matches the value order within the kind:
 //
-//   - numerics go through their float64 image (so Int(1) and Float(1.0)
-//     share a key, as in AppendKey, and -0.0 collapses onto +0.0) with the
-//     classic monotone bit transform: flip the sign bit of non-negatives,
-//     flip every bit of negatives;
+//   - numerics go through their float64 image with the classic monotone bit
+//     transform: flip the sign bit of non-negatives, flip every bit of
+//     negatives;
 //   - strings escape embedded NUL (0x00 -> 0x00 0xFF) and close with a 0x00
 //     terminator, so no string's encoding is cut short by another's and
 //     prefix strings sort first, exactly like the raw strings do.
 //
-// The rank bytes leave gaps below OrderedRankNull and above OrderedRankEnd
-// so range bounds can be widened per kind, and no payload byte stream ever
-// begins with 0xFF after a complete value encoding — which is what lets a
-// half-open key interval [lo, hi) express every bound shape (see
-// index.RangesFor).
+// Every encoding is self-delimiting, so a concatenation of encodings names
+// its value sequence and compares column by column. The rank bytes leave
+// gaps below OrderedRankNull and above OrderedRankEnd so range bounds can be
+// widened per kind, and no payload byte stream ever begins with 0xFF after a
+// complete value encoding — which is what lets a half-open key interval
+// [lo, hi) express every bound shape (see index.RangesFor).
 const (
 	OrderedRankNull   = 0x10 // null
 	OrderedRankBool   = 0x20 // false < true
@@ -394,8 +319,8 @@ const (
 	OrderedRankEnd    = 0x50 // exclusive upper bound of all rank bytes
 )
 
-// OrderedRank returns the rank byte that starts every ordered-key encoding
-// of a value of kind k. Int and Float share OrderedRankNumber.
+// OrderedRank returns the rank byte that starts every key encoding of a
+// value of kind k. Int and Float share OrderedRankNumber.
 func OrderedRank(k Kind) byte {
 	switch k {
 	case KindNull:
@@ -411,12 +336,15 @@ func OrderedRank(k Kind) byte {
 	}
 }
 
-// AppendOrderedKey appends the order-preserving encoding of v to dst: for
-// any two non-NaN values a and b, bytes.Compare of their encodings equals
-// Sort(a, b), and the encodings collapse exactly when AppendKey's do. NaN
-// floats have no consistent position in this order — Compare answers 0 for
-// NaN against any number — so they encode to the band edges (negative NaNs
-// below -Inf, positive NaNs above +Inf) and range-probe planners admit them
+// AppendOrderedKey appends the key encoding of v to dst (see above): two
+// values share a key iff they are the same set element, and for any two
+// non-NaN values a and b, bytes.Compare of their encodings equals Sort(a, b).
+// Equal values always share a key; the converse fails only where Equal is
+// not an equivalence or the float64 image is lossy: a NaN shares a key with
+// the NaN of the same bits, and Int(2⁵³) with Int(2⁵³+1). NaN floats have
+// no consistent position in the value order — Compare answers 0 for NaN
+// against any number — so they encode to the band edges (negative NaNs below
+// -Inf, positive NaNs above +Inf) and range-probe planners admit them
 // explicitly (index.RangesFor includeNaN).
 func (v Value) AppendOrderedKey(dst []byte) []byte {
 	switch v.kind {
@@ -428,36 +356,78 @@ func (v Value) AppendOrderedKey(dst []byte) []byte {
 		}
 		return append(dst, OrderedRankBool, 0)
 	case KindInt, KindFloat:
-		f := v.AsFloat()
-		if f == 0 {
-			f = 0 // collapse -0.0 onto +0.0, matching Equal and AppendKey
-		}
-		bits := math.Float64bits(f)
-		if bits&(1<<63) != 0 {
-			bits = ^bits // negative: flip all bits (reverses magnitude order)
-		} else {
-			bits |= 1 << 63 // non-negative: set the sign bit (sorts after)
-		}
+		bits := v.orderedBits()
 		dst = append(dst, OrderedRankNumber)
 		return append(dst,
 			byte(bits>>56), byte(bits>>48), byte(bits>>40), byte(bits>>32),
 			byte(bits>>24), byte(bits>>16), byte(bits>>8), byte(bits))
 	case KindString:
 		dst = append(dst, OrderedRankString)
-		for i := 0; i < len(v.s); i++ {
-			if v.s[i] == 0x00 {
-				dst = append(dst, 0x00, 0xFF)
-			} else {
-				dst = append(dst, v.s[i])
+		// Append NUL-free runs whole: keys are built per tuple on every
+		// commit, probe and join, and most strings hold no NUL at all.
+		s := v.s
+		for {
+			i := strings.IndexByte(s, 0x00)
+			if i < 0 {
+				break
 			}
+			dst = append(dst, s[:i+1]...)
+			dst = append(dst, 0xFF)
+			s = s[i+1:]
 		}
+		dst = append(dst, s...)
 		return append(dst, 0x00)
 	default:
 		return append(dst, OrderedRankEnd)
 	}
 }
 
-// DecodeOrderedKey decodes the first value of an ordered-key encoding,
+// orderedBits is the numeric payload of the key encoding: the float64 image
+// of v (-0.0 collapsed onto +0.0) under the monotone bit transform, so
+// unsigned order is value order.
+func (v Value) orderedBits() uint64 {
+	f := v.f
+	if v.kind == KindInt {
+		f = float64(v.i)
+	}
+	if f == 0 {
+		f = 0 // collapse -0.0 onto +0.0, matching Equal
+	}
+	bits := math.Float64bits(f)
+	// Negatives flip every bit (reversing magnitude order), non-negatives
+	// only the sign bit (sorting them after): XOR with the sign smeared
+	// across the word, sign bit always set.
+	return bits ^ (uint64(int64(bits)>>63) | 1<<63)
+}
+
+// CompareKey returns the sign of bytes.Compare over the key encodings of v
+// and w (AppendOrderedKey), computed without building either: 0 exactly when
+// they share a key. Ordered containers use it to tell tuples apart by
+// identity without materialising a key string per comparison.
+func (v Value) CompareKey(w Value) int {
+	a, b := OrderedRank(v.kind), OrderedRank(w.kind)
+	if a != b {
+		return cmp.Compare(a, b)
+	}
+	switch a {
+	case OrderedRankNumber:
+		return cmp.Compare(v.orderedBits(), w.orderedBits())
+	case OrderedRankString:
+		// The escape maps NUL to 0x00 0xFF and the terminator is 0x00, so the
+		// encodings compare as the raw strings do.
+		return strings.Compare(v.s, w.s)
+	case OrderedRankBool:
+		if v.b != w.b {
+			if w.b {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
+// DecodeOrderedKey decodes the first value of a key encoding,
 // returning it and the remaining bytes. Numerics decode as Float (the
 // encoding collapses Int(1) and Float(1.0) onto one image, so the decoded
 // value is Equal to the original rather than identical). It is the

@@ -217,8 +217,8 @@ func randomValue(seed int64) Value {
 func TestKeyEncodingAgreesWithEqual(t *testing.T) {
 	prop := func(a, b int64) bool {
 		va, vb := randomValue(a), randomValue(b)
-		ka := va.AppendKey(nil)
-		kb := vb.AppendKey(nil)
+		ka := va.AppendOrderedKey(nil)
+		kb := vb.AppendOrderedKey(nil)
 		return va.Equal(vb) == bytes.Equal(ka, kb)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
@@ -227,8 +227,8 @@ func TestKeyEncodingAgreesWithEqual(t *testing.T) {
 }
 
 func TestKeyEncodingIntFloatUnified(t *testing.T) {
-	ka := Int(7).AppendKey(nil)
-	kb := Float(7.0).AppendKey(nil)
+	ka := Int(7).AppendOrderedKey(nil)
+	kb := Float(7.0).AppendOrderedKey(nil)
 	if !bytes.Equal(ka, kb) {
 		t.Error("Int(7) and Float(7.0) encode differently but compare equal")
 	}
@@ -243,38 +243,33 @@ func TestKeyEncodingNegativeZero(t *testing.T) {
 	if !neg.Equal(Float(0)) {
 		t.Fatal("-0.0 and 0.0 stopped comparing equal")
 	}
-	if !bytes.Equal(neg.AppendKey(nil), Float(0).AppendKey(nil)) {
+	if !bytes.Equal(neg.AppendOrderedKey(nil), Float(0).AppendOrderedKey(nil)) {
 		t.Error("-0.0 and 0.0 encode to different keys but compare equal")
 	}
-	if !bytes.Equal(neg.AppendKey(nil), Int(0).AppendKey(nil)) {
+	if !bytes.Equal(neg.AppendOrderedKey(nil), Int(0).AppendOrderedKey(nil)) {
 		t.Error("-0.0 and Int(0) encode to different keys but compare equal")
 	}
 }
 
-// TestCompareKeyTiesAreKeyEncodingTies: CompareKey is a total order whose
-// ties are exactly the pairs AppendKey encodes alike, over the values where
-// Equal and the encoding part ways (NaN) or kinds collapse (int/float, ±0).
+// TestCompareKeyTiesAreKeyEncodingTies: CompareKey is the sign of
+// bytes.Compare over the key encodings, NaNs included, over the values where
+// Equal and the encoding part ways (NaN, ints beyond 2⁵³) or kinds collapse
+// (int/float, ±0).
 func TestCompareKeyTiesAreKeyEncodingTies(t *testing.T) {
 	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)
+	negNaN := math.Float64frombits(math.Float64bits(math.NaN()) | 1<<63)
 	vals := []Value{
-		Null(), Bool(false), Bool(true), String(""), String("a"), String("a\x00"), String("b"),
-		Int(0), Float(0), Float(math.Copysign(0, -1)), Int(1), Float(1), Float(1.5), Int(-1),
-		Float(math.NaN()), Float(nan2), Float(math.Inf(1)), Float(math.Inf(-1)),
-		Int(1 << 53), Int(1<<53 + 1),
+		Null(), Bool(false), Bool(true), String(""), String("a"), String("a\x00"), String("a\x00b"),
+		String("a\x01"), String("ab"), String("b"), String("\xff"),
+		Int(0), Float(0), Float(math.Copysign(0, -1)), Int(1), Float(1), Float(1.5), Int(-1), Float(-1.5),
+		Float(math.NaN()), Float(nan2), Float(negNaN), Float(math.Inf(1)), Float(math.Inf(-1)),
+		Int(1 << 53), Int(1<<53 + 1), Int(math.MinInt64), Int(math.MaxInt64),
 	}
 	for _, a := range vals {
 		for _, b := range vals {
-			ab, ba := a.CompareKey(b), b.CompareKey(a)
-			if ab != -ba {
-				t.Errorf("CompareKey(%v, %v) = %d but reversed = %d", a, b, ab, ba)
-			}
-			if same := bytes.Equal(a.AppendKey(nil), b.AppendKey(nil)); (ab == 0) != same {
-				t.Errorf("CompareKey(%v, %v) = %d, equal key encodings = %v", a, b, ab, same)
-			}
-			for _, c := range vals {
-				if ab <= 0 && b.CompareKey(c) <= 0 && a.CompareKey(c) > 0 {
-					t.Errorf("CompareKey not transitive over %v, %v, %v", a, b, c)
-				}
+			got := sign(a.CompareKey(b))
+			if want := sign(bytes.Compare(a.AppendOrderedKey(nil), b.AppendOrderedKey(nil))); got != want {
+				t.Errorf("CompareKey(%v, %v) = %d, bytes.Compare of encodings = %d", a, b, got, want)
 			}
 		}
 	}

@@ -27,6 +27,13 @@
 // delete(V, V); insert(V, E). Either program assumes the view held E(old),
 // so only its maintenance program may write the backing relation; the
 // facade refuses every other write.
+//
+// Integrity rules may not read or write a view either: the facade refuses a
+// rule whose condition, trigger set or action reads a view, and one whose
+// action writes a view. The maintenance program is non-triggering, so no
+// transaction raises a trigger on a view and a check over one would never
+// run. A rule may write a view's sources; the deferred maintenance program
+// runs after its repair.
 package views
 
 import (

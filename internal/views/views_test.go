@@ -368,6 +368,81 @@ func TestDropViewProgramRefused(t *testing.T) {
 	assertViewEquals(t, db, "strong", `select(beer, alcohol >= 8)`, "after refused drop")
 }
 
+// assertRuleRefused requires define's error to be the read-only refusal
+// naming view, and the rule to be absent from the catalog afterwards.
+func assertRuleRefused(t *testing.T, db *repro.DB, rule string, err error, view string) {
+	t.Helper()
+	assertReadOnly(t, err, view)
+	if !strings.Contains(err.Error(), rule) {
+		t.Fatalf("err = %v, want it to name rule %s", err, rule)
+	}
+	if _, terr := db.RuleTriggers(rule); terr == nil {
+		t.Fatalf("refused rule %s stayed in the catalog", rule)
+	}
+}
+
+// TestConstraintOverViewRefused: a check over a view would be compiled
+// against the view's backing relation, whose only writer raises no
+// triggers, so the check would never run and a violating insert into the
+// source would commit.
+func TestConstraintOverViewRefused(t *testing.T) {
+	db := newViewDB(t)
+	err := db.DefineConstraint("mild", `forall s (s in strong implies s.alcohol < 12)`)
+	assertRuleRefused(t, db, "mild", err, "strong")
+}
+
+// TestRuleTriggeredByViewRefused: an explicit trigger on a view names an
+// update no transaction can raise.
+func TestRuleTriggeredByViewRefused(t *testing.T) {
+	db := newViewDB(t)
+	err := db.DefineRule("onStrong", `when INS(strong)
+		if not forall b (b in beer implies b.alcohol >= 0)
+		then abort`)
+	assertRuleRefused(t, db, "onStrong", err, "strong")
+}
+
+// TestRuleActionReadingViewRefused: an action runs inside the modified
+// transaction before the view's deferred maintenance, so a view it reads
+// can be stale.
+func TestRuleActionReadingViewRefused(t *testing.T) {
+	db := newViewDB(t)
+	err := db.DefineRule("capStrong", `
+		if not forall b (b in beer implies b.alcohol < 20)
+		then
+			hot := project(strong, name);
+			delete(beer, select(beer, alcohol >= 20))`)
+	assertRuleRefused(t, db, "capStrong", err, "strong")
+}
+
+// TestRuleActionWritingViewRefused: an action that writes a view leaves it
+// different from its definition for good.
+func TestRuleActionWritingViewRefused(t *testing.T) {
+	db := newViewDB(t)
+	err := db.DefineRule("fakeStrong", `
+		if not forall b (b in beer implies b.alcohol < 20)
+		then insert(strong, values[("ghost", "g", 9)])`)
+	assertRuleRefused(t, db, "fakeStrong", err, "strong")
+}
+
+// TestRuleWritingViewSourceAllowed: a repair of a view's source is legal,
+// because the view's program runs after every repair.
+func TestRuleWritingViewSourceAllowed(t *testing.T) {
+	db := newViewDB(t)
+	if err := db.DefineRule("capBeer", `
+		if not forall b (b in beer implies b.alcohol < 20)
+		then delete(beer, select(beer, alcohol >= 20))`); err != nil {
+		t.Fatal(err)
+	}
+	src := `begin insert(beer, values[("quad", "x", 10), ("fire", "x", 25)]); end`
+	if res, err := db.Submit(src); err != nil || !res.Committed {
+		t.Fatalf("res=%+v err=%v", res, err)
+	}
+	assertViewEquals(t, db, "strong", `select(beer, alcohol >= 8)`, src)
+	if got := viewRows(t, db, "strong"); got != 1 {
+		t.Fatalf("strong holds %d rows after the repair, want 1", got)
+	}
+}
+
 // TestIncrementalEqualsRecompute is the maintenance equivalence property:
 // under a random stream of inserts, deletes and updates on both sources,
 // every view — selection, join, projected join, union of projections,

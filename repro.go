@@ -94,11 +94,11 @@ type Options struct {
 	// the default (txn.DefaultMaxRetries).
 	MaxCommitRetries int
 	// Indexes declares secondary indexes as "relation(attr, ...)" strings —
-	// hash indexes by default, or ordered (range) indexes with the suffix
+	// equality indexes by default, or ordered (range) indexes with the suffix
 	// "ordered", as in "stock(qty) ordered", whose attribute order is the
 	// sort order. Each declaration is applied when the named relation is
 	// created, so the list may be set before any CreateRelation call;
-	// indexes can also be added later with DB.CreateIndex. Hash-indexed
+	// indexes can also be added later with DB.CreateIndex. Indexed
 	// relations answer equality selections and enforcement joins with key
 	// probes instead of scans; ordered indexes additionally answer
 	// comparison selections (qty < threshold, between-style conjunctions,
@@ -109,7 +109,7 @@ type Options struct {
 	// AutoIndex derives secondary indexes automatically at rule definition
 	// time from the programs the engine runs for the rule, its differential
 	// checks and its repair, and builds exactly the indexes they probe:
-	// hash indexes on the equality-join attributes of referential and pair
+	// equality indexes on the equality-join attributes of referential and pair
 	// checks — both join directions, so the insertion-side check probes the
 	// referenced relation and the deletion-side check probes the
 	// referencing one — and ordered indexes on the attributes that
@@ -408,7 +408,7 @@ func (db *DB) CreateRelation(ddl string) error {
 }
 
 // CreateIndex declares a secondary index from "relation(attr, ...)" text —
-// a hash index, or an ordered (range) index with the "ordered" suffix, as
+// an equality index, or an ordered (range) index with the "ordered" suffix, as
 // in "stock(qty) ordered" — building it from the relation's current
 // contents. Like the other definition calls it must not run concurrently
 // with submissions. Indexes over the same attribute set (within their kind)
@@ -463,6 +463,10 @@ func (db *DB) Indexes() []string {
 // catalog again, so a failed definition call defines nothing.
 func (db *DB) addRule(r *rules.Rule) error {
 	if err := db.cat.Add(r); err != nil {
+		return err
+	}
+	if err := db.ruleTouchesView(r); err != nil {
+		_ = db.cat.Remove(r.Name) // just added, so Remove cannot fail
 		return err
 	}
 	if !db.opts.AutoIndex {
@@ -526,7 +530,9 @@ func (db *DB) Close() error { return db.store.Close() }
 // response (the paper's "default way" of Section 4). The trigger set is
 // generated from the condition. Enforcement assumes the current state
 // already satisfies the constraint: existing contents are not checked, and
-// loaded or pre-existing violations are not detected.
+// loaded or pre-existing violations are not detected. A constraint whose
+// condition reads a view is refused with ErrViewReadOnly: state it over the
+// view's sources.
 func (db *DB) DefineConstraint(name, condition string) error {
 	r, err := lang.ParseConstraintRule(name, condition)
 	if err != nil {
@@ -549,7 +555,10 @@ func (db *DB) MustDefineConstraint(name, condition string) {
 //	then abort | [nontriggering] <program>
 //
 // As with DefineConstraint, enforcement assumes the current state already
-// satisfies the condition; pre-existing violations are not detected.
+// satisfies the condition; pre-existing violations are not detected. A rule
+// whose condition, trigger set or action reads a view, or whose action
+// writes one, is refused with ErrViewReadOnly; an action may write a view's
+// sources.
 func (db *DB) DefineRule(name, rl string) error {
 	r, err := lang.ParseRule(name, rl, db.sch)
 	if err != nil {
@@ -577,8 +586,10 @@ func (db *DB) DropRule(name string) error {
 // ErrViewReadOnly is wrapped, with the view's name, by every operation that
 // would leave a materialized view different from its definition: a Submit
 // that writes the view, a Load into the view or into a relation it reads,
-// and dropping its maintenance program. A view is derived state; only its
-// maintenance program writes it.
+// dropping its maintenance program, and a rule that writes the view. A view
+// is derived state; only its maintenance program writes it. A rule that
+// reads a view is refused with it too, since no transaction raises the
+// view's triggers and such a rule would never be checked.
 var ErrViewReadOnly = errors.New("views are read-only derived state")
 
 // DefineView creates a materialized view maintained through transaction
@@ -643,17 +654,48 @@ func (db *DB) writesView(prog algebra.Program) error {
 		return nil
 	}
 	for _, s := range prog {
-		var rel string
-		switch x := s.(type) {
-		case *algebra.Insert:
-			rel = x.Rel
-		case *algebra.Delete:
-			rel = x.Rel
-		case *algebra.Update:
-			rel = x.Rel
-		}
-		if db.viewNames[rel] {
+		if rel, _ := algebra.Written(s); db.viewNames[rel] {
 			return fmt.Errorf("repro: transaction writes view %s: %w", rel, ErrViewReadOnly)
+		}
+	}
+	return nil
+}
+
+// ruleTouchesView returns an error wrapping ErrViewReadOnly, naming the
+// view, when r reads a view — in its condition, its trigger set or its
+// action — or its action writes one. A check over a view would be compiled
+// against the view's backing relation, whose only writer, the view's
+// maintenance program, raises no triggers, so the check would never run; an
+// action writing a view would leave it different from its definition. A
+// rule may write a view's sources: the view's program runs after every
+// repair.
+func (db *DB) ruleTouchesView(r *rules.Rule) error {
+	if len(db.viewNames) == 0 {
+		return nil
+	}
+	refuse := func(what, view string) error {
+		return fmt.Errorf("repro: rule %s: %s view %s: %w", r.Name, what, view, ErrViewReadOnly)
+	}
+	for _, ref := range r.Info().Rels {
+		if db.viewNames[ref.Name] {
+			return refuse("condition reads", ref.Name)
+		}
+	}
+	for _, t := range r.Triggers.Sorted() {
+		if db.viewNames[t.Rel] {
+			return refuse("trigger set names", t.Rel)
+		}
+	}
+	reads := make(map[string]bool)
+	for _, s := range r.Action.Program {
+		if rel, _ := algebra.Written(s); db.viewNames[rel] {
+			return refuse("action writes", rel)
+		}
+		algebra.ReadRels(s, reads)
+	}
+	for _, v := range db.Views() {
+		if reads[v] {
+			return refuse("action reads", v)
 		}
 	}
 	return nil
@@ -719,6 +761,12 @@ type ModReport struct {
 	// alarm checks (constraints declared with an "on violation" clause).
 	ChecksRepaired int
 }
+
+// ErrTooDeep is wrapped, with the position, by the error of every call that
+// parses text (Submit, Explain, Query, DefineConstraint, DefineRule,
+// DefineView, CreateRelation) when the text nests deeper than lang.MaxDepth
+// levels: hostile nesting is refused instead of overflowing the stack.
+var ErrTooDeep = lang.ErrTooDeep
 
 // ErrRetriesExhausted is wrapped by Result.Err when a transaction lost
 // first-committer-wins validation on every attempt its retry budget

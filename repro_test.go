@@ -1,10 +1,12 @@
 package repro
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/lang"
 )
 
 // newBeerDB builds the paper's example database through the public string
@@ -223,4 +225,44 @@ func itoa(n int) string {
 		return string(rune('0' + n))
 	}
 	return itoa(n/10) + string(rune('0'+n%10))
+}
+
+// TestHostileNestingIsAnError: text nested one level past lang.MaxDepth is
+// refused with ErrTooDeep and a position by every grammar's entry point,
+// where it used to recurse until the stack gave out; text at the bound
+// still parses.
+func TestHostileNestingIsAnError(t *testing.T) {
+	db := Open(nil)
+	db.MustCreateRelation(`relation r(a int)`)
+	// expr nests n algebra expressions, the innermost the relation r.
+	expr := func(n int) string {
+		return strings.Repeat("select(", n-1) + "r" + strings.Repeat(", a > 0)", n-1)
+	}
+	// cond nests n levels: the formula, the quantifier's body, the right
+	// side of implies, then n-3 parenthesised formulas.
+	cond := func(n int) string {
+		k := n - 3
+		return "forall x (x in r implies " + strings.Repeat("(", k) + "x.a >= 0" + strings.Repeat(")", k) + ")"
+	}
+	refused := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrTooDeep) || !strings.Contains(err.Error(), " at 1:") {
+			t.Fatalf("%s nested %d deep: err = %v, want ErrTooDeep with a position", what, lang.MaxDepth+1, err)
+		}
+	}
+	_, err := db.Query(expr(lang.MaxDepth + 1))
+	refused("Query", err)
+	_, err = db.Submit("begin insert(r, " + expr(lang.MaxDepth+1) + "); end")
+	refused("Submit", err)
+	refused("DefineConstraint", db.DefineConstraint("deep", cond(lang.MaxDepth+1)))
+
+	if _, err := db.Query(expr(lang.MaxDepth)); err != nil {
+		t.Fatalf("Query at the bound: %v", err)
+	}
+	if res, err := db.Submit("begin insert(r, " + expr(lang.MaxDepth) + "); end"); err != nil || !res.Committed {
+		t.Fatalf("Submit at the bound: res=%+v err=%v", res, err)
+	}
+	if err := db.DefineConstraint("deep", cond(lang.MaxDepth)); err != nil {
+		t.Fatalf("DefineConstraint at the bound: %v", err)
+	}
 }
