@@ -21,11 +21,11 @@ import (
 
 func main() {
 	// Indexes declared up front are built as soon as the relations exist;
-	// db.CreateIndex("orders(state)") could add more later. The "ordered"
-	// suffix declares an ordered (range) index: comparison lookups like
-	// "qty < 5" probe the key interval instead of scanning.
+	// db.CreateIndex("orders(state)") could add more later. An index
+	// answers equality lookups like "sku = ..." and comparison lookups like
+	// "qty < 5" alike, probing a key or a key interval instead of scanning.
 	db := repro.Open(&repro.Options{
-		Indexes: []string{"stock(sku)", "orders(id)", "stock(qty) ordered"},
+		Indexes: []string{"stock(sku)", "orders(id)", "stock(qty)"},
 	})
 
 	db.MustCreateRelation(`relation stock(sku string, qty int, price float)`)
@@ -97,7 +97,7 @@ func main() {
 	end`))
 	fmt.Printf("oversell committed=%v constraint=%s\n", res.Committed, res.Constraint)
 
-	// Range lookup: the comparison probes the stock(qty) ordered index —
+	// Range lookup: the comparison probes the stock(qty) index —
 	// a bounded interval scan instead of a full scan, and the read record
 	// covers only the probed interval, so a concurrent transaction writing
 	// any quantity outside it merge-commits instead of conflicting.
@@ -122,7 +122,7 @@ func main() {
 		d := repro.Open(&repro.Options{
 			Dir:     dir,
 			Sync:    repro.SyncBatched, // acknowledge fast, fsync in background
-			Indexes: []string{"stock(sku)", "stock(qty) ordered"},
+			Indexes: []string{"stock(sku)", "stock(qty)"},
 		})
 		if err := d.EnsureRelation(`relation stock(sku string, qty int, price float)`); err != nil {
 			log.Fatal(err)

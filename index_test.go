@@ -124,7 +124,7 @@ func TestAutoIndexFromReferentialConstraint(t *testing.T) {
 
 // TestAutoIndexFollowsEnforcementPrograms: AutoIndex builds only what the
 // rule's programs probe. The domain check of qty >= 0 reads only the
-// transaction's inserts, so it builds no stock(qty) ordered; a clamp repair
+// transaction's inserts, so it builds no stock(qty); a clamp repair
 // range-selects the out-of-bound rows, so the same constraint with a clamp
 // builds it, and the repair range-probes it.
 func TestAutoIndexFollowsEnforcementPrograms(t *testing.T) {
@@ -134,7 +134,7 @@ func TestAutoIndexFollowsEnforcementPrograms(t *testing.T) {
 		want   string
 	}{
 		{"", ""},
-		{" on violation clamp", "stock(qty) ordered"},
+		{" on violation clamp", "stock(qty)"},
 	} {
 		db := Open(&Options{AutoIndex: true})
 		db.MustCreateRelation(`relation stock(id int, qty int)`)
@@ -264,22 +264,64 @@ func TestIndexedUpdateProbes(t *testing.T) {
 	}
 }
 
-// TestOrderedIndexDeclarations: ordered declarations parse, build, list
-// with the "ordered" suffix, and deduplicate within their own namespace.
+// TestIndexPrefixEqualityProbes: an equality on the leading column of a
+// two-column index probes — the Result reports the probe, the tracer sees a
+// probe of emp and no scan of it — and the update rewrites exactly the rows
+// of that prefix.
+func TestIndexPrefixEqualityProbes(t *testing.T) {
+	var scans, probes int
+	tr := TracerFunc(func(e TraceEvent) {
+		if e.Relation != "emp" {
+			return
+		}
+		switch e.Kind {
+		case EvTxnScan:
+			scans++
+		case EvTxnProbe:
+			probes++
+		}
+	})
+	db := Open(&Options{Indexes: []string{"emp(dept, id)"}, Tracer: tr})
+	db.MustCreateRelation(`relation emp(id int, dept string, salary int)`)
+	if err := db.Load("emp", [][]any{{1, "eng", 100}, {2, "eng", 200}, {3, "ops", 300}}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Submit(`begin update(emp, dept = 'eng', [salary = salary + 5]); end`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Committed || res.Probes < 1 || res.RangeProbes != 0 {
+		t.Fatalf("prefix update: committed=%v probes=%d range probes=%d", res.Committed, res.Probes, res.RangeProbes)
+	}
+	if probes < 1 || scans != 0 {
+		t.Fatalf("emp read by %d probes and %d scans, want probes only", probes, scans)
+	}
+	rows, err := db.Query(`select(emp, salary > 200)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows.Data) != 2 {
+		t.Fatalf("rows with salary > 200 after the update = %v, want emp 2 and 3", rows.Data)
+	}
+}
+
+// TestOrderedIndexDeclarations: the "ordered" suffix still parses and
+// selects nothing — a suffixed declaration builds the same index as a plain
+// one, lists without the suffix, and is a duplicate of it.
 func TestOrderedIndexDeclarations(t *testing.T) {
-	db := Open(&Options{Indexes: []string{"stock(qty) ordered", "stock(id)"}})
+	db := Open(&Options{Indexes: []string{"stock(qty) ordered", "stock(id)", "stock(qty)"}})
 	db.MustCreateRelation(`relation stock(id int, qty int)`)
 	got := db.Indexes()
-	want := []string{"stock(id)", "stock(qty) ordered"}
+	want := []string{"stock(id)", "stock(qty)"}
 	if strings.Join(got, ";") != strings.Join(want, ";") {
 		t.Fatalf("Indexes() = %v, want %v", got, want)
 	}
 	if err := db.CreateIndex("stock(qty) ordered"); err == nil {
 		t.Error("duplicate ordered index accepted")
 	}
-	// An equality index over the same column is a different namespace.
-	if err := db.CreateIndex("stock(qty)"); err != nil {
-		t.Errorf("equality index alongside ordered rejected: %v", err)
+	// An equality index over the same column is the same index.
+	if err := db.CreateIndex("stock(qty)"); err == nil {
+		t.Error("equality index over an ordered index's column accepted")
 	}
 	if err := db.CreateIndex("stock(nosuch) ordered"); err == nil {
 		t.Error("ordered index over unknown attribute accepted")
@@ -297,10 +339,10 @@ func TestSubmitRangeProbes(t *testing.T) {
 	db.MustCreateRelation(`relation stock(id int, qty int)`)
 	// There must always be at least one well-stocked item: an existential
 	// constraint whose check selects stock by a threshold comparison. With
-	// AutoIndex it builds stock(qty) ordered and the check range-probes.
+	// AutoIndex it builds stock(qty) and the check range-probes.
 	db.MustDefineConstraint("reserve", `exists x (x in stock and x.qty >= 1000)`)
-	if got := db.Indexes(); strings.Join(got, ";") != "stock(id);stock(qty) ordered" {
-		t.Fatalf("Indexes() = %v, want auto-built ordered stock(qty)", got)
+	if got := db.Indexes(); strings.Join(got, ";") != "stock(id);stock(qty)" {
+		t.Fatalf("Indexes() = %v, want auto-built stock(qty)", got)
 	}
 	if err := db.Load("stock", [][]any{{1, 5}, {2, 70}, {3, 2000}}); err != nil {
 		t.Fatal(err)

@@ -51,29 +51,36 @@ type Env interface {
 
 // ProbeEnv is the optional extension of Env implemented by environments
 // backed by secondary indexes (the transaction overlay over an indexed
-// snapshot). The evaluator uses it to turn equality-conjunct selections and
-// the non-delta side of joins into index probes: instead of materializing a
-// base relation — a whole-relation read in the environment's read set — it
-// looks up only the keys the expression names, and the environment records
-// a probed-key read, shrinking both the evaluation cost and the optimistic
-// conflict footprint to the probed keys.
+// snapshot). The evaluator uses it to turn selections, updates and the
+// non-delta side of joins into index probes: instead of materializing a base
+// relation — a whole-relation read in the environment's read set — it reads
+// only the keys and key intervals the expression names, and the environment
+// records exactly those, shrinking both the evaluation cost and the
+// optimistic conflict footprint.
+//
+// An index is a column list. It serves an equality on any leading prefix of
+// its columns, plus a bound on the next column.
 //
 // Environments without indexes simply do not implement the interface;
 // evaluation falls back to Rel and full scans.
 type ProbeEnv interface {
 	Env
-	// IndexFor returns the column positions of a secondary index on the
-	// named base relation whose columns are a subset of cols — the widest
-	// such index — together with the cardinality of the requested
-	// incarnation (for the probe-versus-scan decision). ok is false when
-	// the incarnation is not indexed (only the current and pre-transaction
-	// states are) or no index covers any subset of cols.
-	IndexFor(name string, aux AuxKind, cols []int) (idx []int, size int, ok bool)
-	// Probe returns the tuples of the incarnation whose idx columns equal
-	// vals (parallel to idx, which must come from IndexFor), recording a
-	// probed-key read. The returned tuples are shared; callers must not
-	// mutate them.
-	Probe(name string, aux AuxKind, idx []int, vals []value.Value) ([]relation.Tuple, error)
+	// IndexFor picks the index of the named base relation to probe for
+	// equality bindings on the columns in eqCols and a bound on boundCol
+	// (-1 for none): the longest equality-bound prefix wins, then an index
+	// whose next column is boundCol, then the lower signature. It returns
+	// the index columns, the length of their equality-bound prefix, and the
+	// cardinality of the requested incarnation (for the probe-versus-scan
+	// decision). ok is false when the incarnation is not indexed (only the
+	// current and pre-transaction states are) or no index serves.
+	IndexFor(name string, aux AuxKind, eqCols []int, boundCol int) (idx []int, prefix, size int, ok bool)
+	// Probe returns the tuples of the incarnation whose leading idx columns
+	// equal vals (idx from IndexFor, vals no longer than its prefix) and,
+	// when bound is non-nil, whose idx[len(vals)] column lies within bound.
+	// It records a point read of vals on those columns, or an interval read
+	// on them plus the bounded one. The returned tuples are shared; callers
+	// must not mutate them.
+	Probe(name string, aux AuxKind, idx []int, vals []value.Value, bound *RangeBound) ([]relation.Tuple, error)
 }
 
 // ExecEnv extends Env with the mutations statements need. Implementations

@@ -145,15 +145,13 @@ type Select struct {
 	Pred Scalar
 
 	// Constant-equality conjuncts ("attr = const") detected at TypeCheck
-	// time: parallel column positions and literal values. When the input is
-	// a direct base-relation reference and the environment has a covering
-	// index, Eval probes it instead of scanning.
+	// time — parallel column positions and literal values — and constant
+	// ordering conjuncts ("attr < const" and friends, negation pushed
+	// through) per bounded column. When the input is a direct base-relation
+	// reference and the environment has an index led by equality columns or
+	// a bounded one, Eval probes it instead of scanning (planProbe).
 	eqCols []int
 	eqVals []value.Value
-	// Constant ordering conjuncts ("attr < const" and friends, negation
-	// pushed through) per bounded column. When no hash probe applies and
-	// the environment has an ordered index led by the equality columns and
-	// a bounded column, Eval issues a bounded range probe instead.
 	ranges []rangePlan
 }
 
@@ -221,11 +219,14 @@ func extractConstEq(pred Scalar) (cols []int, vals []value.Value) {
 
 // Eval implements Expr.
 func (s *Select) Eval(env Env) (*relation.Relation, error) {
-	if out, ok, err := s.evalProbe(env); ok || err != nil {
-		return out, err
-	}
-	if out, ok, err := s.evalRangeProbe(env); ok || err != nil {
-		return out, err
+	if r, ok := s.In.(*Rel); ok {
+		candidates, probed, err := constCandidates(env, r.Name, r.Aux, s.eqCols, s.eqVals, s.ranges)
+		if err != nil {
+			return nil, err
+		}
+		if probed {
+			return s.filterCandidates(candidates)
+		}
 	}
 	in, err := s.In.Eval(env)
 	if err != nil {
@@ -246,53 +247,6 @@ func (s *Select) Eval(env Env) (*relation.Relation, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// probeVals maps constant-equality bindings (parallel eqCols/eqVals) onto a
-// covering index's column order, yielding the probe-value vector Probe
-// expects. idx must be a subset of eqCols (IndexFor's contract).
-func probeVals(idx, eqCols []int, eqVals []value.Value) []value.Value {
-	valOf := make(map[int]value.Value, len(eqCols))
-	for i, c := range eqCols {
-		valOf[c] = eqVals[i]
-	}
-	vals := make([]value.Value, len(idx))
-	for i, c := range idx {
-		vals[i] = valOf[c]
-	}
-	return vals
-}
-
-// evalProbe answers the selection through an index probe when the input is
-// a direct base-relation reference, the environment maintains an index
-// covering a subset of the constant-equality columns, and the incarnation
-// is probeable. The full predicate filters the probed candidates, so a
-// covering subset is sufficient. ok=false falls back to the scan path.
-func (s *Select) evalProbe(env Env) (*relation.Relation, bool, error) {
-	if len(s.eqCols) == 0 {
-		return nil, false, nil
-	}
-	r, ok := s.In.(*Rel)
-	if !ok || (r.Aux != AuxCur && r.Aux != AuxOld) {
-		return nil, false, nil
-	}
-	pe, ok := env.(ProbeEnv)
-	if !ok {
-		return nil, false, nil
-	}
-	idx, _, ok := pe.IndexFor(r.Name, r.Aux, s.eqCols)
-	if !ok {
-		return nil, false, nil
-	}
-	candidates, err := pe.Probe(r.Name, r.Aux, idx, probeVals(idx, s.eqCols, s.eqVals))
-	if err != nil {
-		return nil, false, err
-	}
-	out, err := s.filterCandidates(candidates)
-	if err != nil {
-		return nil, false, err
-	}
-	return out, true, nil
 }
 
 func (s *Select) String() string {

@@ -188,11 +188,11 @@ const (
 // concurrent writers of it.
 //
 // When the driving side is small but non-empty and the other side is a
-// direct base-relation reference with a secondary index covering a subset
-// of the equi-join columns (ProbeEnv), the other side is never materialized
-// either: it is probed once per driving tuple, and only the probed keys
-// enter the read set. An antijoin may only probe its right side — its
-// output needs every left tuple.
+// direct base-relation reference with a secondary index led by equi-join
+// columns (ProbeEnv), the other side is never materialized either: it is
+// probed once per driving tuple, and only the probed keys enter the read
+// set. An antijoin may only probe its right side — its output needs every
+// left tuple.
 func (j *Join) Eval(env Env) (*relation.Relation, error) {
 	out := relation.New(j.out)
 	var left, right *relation.Relation
@@ -396,14 +396,14 @@ func (j *Join) scanBuildLeft(out, left, right *relation.Relation) (*relation.Rel
 // every kind), false probes L per right tuple (sound for inner and semi
 // joins, whose output is built from matches alone). It reports done=false —
 // falling back to the scan path — when there are no equi-join keys, the
-// probed side is not a direct base-relation reference, the environment has
-// no covering index, or the driving side is too large for probing to win.
+// probed side is not a direct base-relation reference, no index is led by
+// equi-join columns (planProbe), or the driving side is too large for
+// probing to win.
 //
-// The index may cover only a subset of the equi-join columns: the probe
+// The index prefix may bind only some of the equi-join columns: the probe
 // then yields a candidate superset, and every candidate is re-verified
-// against all equi-key pairs and the residual predicate. The probed-key
-// read the environment records covers that superset, so validation stays
-// sound.
+// against all equi-key pairs and the residual predicate. The point read the
+// environment records covers that superset, so validation stays sound.
 func (j *Join) probeDriven(env Env, out, driving *relation.Relation, probeRight bool) (bool, error) {
 	if !j.hashReady {
 		return false, nil
@@ -415,18 +415,14 @@ func (j *Join) probeDriven(env Env, out, driving *relation.Relation, probeRight 
 		probeCols, drivingCols = j.eqL, j.eqR
 	}
 	r, ok := other.(*Rel)
-	if !ok || (r.Aux != AuxCur && r.Aux != AuxOld) {
-		return false, nil
-	}
-	pe, ok := env.(ProbeEnv)
 	if !ok {
 		return false, nil
 	}
-	idx, size, ok := pe.IndexFor(r.Name, r.Aux, probeCols)
+	p, ok := planProbe(env, r.Name, r.Aux, probeCols, nil)
 	if !ok {
 		return false, nil
 	}
-	if dn := driving.Len(); dn > probeMaxDriving && dn*probeScanRatio > size {
+	if dn := driving.Len(); dn > probeMaxDriving && dn*probeScanRatio > p.size {
 		return false, nil
 	}
 	// Pair each index column with the driving-side column it equi-joins
@@ -438,12 +434,9 @@ func (j *Join) probeDriven(env Env, out, driving *relation.Relation, probeRight 
 			pairOf[c] = drivingCols[i]
 		}
 	}
-	vals := make([]value.Value, len(idx))
+	vals := make([]value.Value, p.prefix)
 	err := driving.ForEach(func(dt relation.Tuple) error {
-		for i, c := range idx {
-			vals[i] = dt[pairOf[c]]
-		}
-		candidates, err := pe.Probe(r.Name, r.Aux, idx, vals)
+		candidates, err := p.candidates(vals, func(c int) value.Value { return dt[pairOf[c]] })
 		if err != nil {
 			return err
 		}

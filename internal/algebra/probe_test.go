@@ -31,27 +31,34 @@ func (e *probeEnv) index(name string, cols ...int) {
 	e.sets[name] = e.sets[name].With(index.Build(r, cols))
 }
 
-func (e *probeEnv) IndexFor(name string, aux AuxKind, cols []int) ([]int, int, bool) {
+func (e *probeEnv) IndexFor(name string, aux AuxKind, eqCols []int, boundCol int) ([]int, int, int, bool) {
 	if aux != AuxCur && aux != AuxOld {
-		return nil, 0, false
+		return nil, 0, 0, false
 	}
-	x := e.sets[name].Covering(cols)
+	x, prefix := e.sets[name].For(eqCols, boundCol)
 	if x == nil {
-		return nil, 0, false
+		return nil, 0, 0, false
 	}
 	r, err := e.Rel(name, aux)
 	if err != nil {
-		return nil, 0, false
+		return nil, 0, 0, false
 	}
-	return x.Cols(), r.Len(), true
+	return x.Cols(), prefix, r.Len(), true
 }
 
-func (e *probeEnv) Probe(name string, aux AuxKind, idx []int, vals []value.Value) ([]relation.Tuple, error) {
+func (e *probeEnv) Probe(name string, aux AuxKind, idx []int, vals []value.Value, b *RangeBound) ([]relation.Tuple, error) {
 	x := e.sets[name].Exact(idx)
 	if x == nil {
 		return nil, fmt.Errorf("probeEnv: no index %s(%s)", name, index.Sig(idx))
 	}
-	e.probes = append(e.probes, fmt.Sprintf("%s(%s)", name, index.Sig(idx)))
+	e.probes = append(e.probes, fmt.Sprintf("%s(%s)", name, index.Sig(idx[:len(vals)])))
+	if b != nil {
+		var out []relation.Tuple
+		for _, kr := range index.RangesFor(vals, b.Kind, b.Lo, b.Hi, b.LoIncl, b.HiIncl, b.IncludeNull, b.IncludeNaN) {
+			out = append(out, x.Range(kr)...)
+		}
+		return out, nil
+	}
 	return x.Probe(index.KeyVals(vals)), nil
 }
 

@@ -2,62 +2,34 @@ package algebra
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/relation"
 	"repro/internal/schema"
 	"repro/internal/value"
 )
 
-// RangeBound is one endpoint of a range predicate: a constant and whether
-// the comparison admits equality.
-type RangeBound struct {
-	V    value.Value
-	Incl bool
-}
-
-// RangeProbeEnv is the optional extension of Env implemented by
-// environments backed by ordered secondary indexes (the transaction overlay
-// over an indexed snapshot). The evaluator uses it to turn comparison
-// conjuncts — <, <=, >, >= against constants, including the negated forms
-// enforcement guards arrive in — into bounded range probes: instead of
-// materializing a base relation, it scans only the key interval the
-// predicate names, and the environment records an interval read, shrinking
-// the optimistic conflict footprint from the whole relation to the probed
-// interval.
-type RangeProbeEnv interface {
-	Env
-	// OrderedIndexFor returns the column list of an ordered index on the
-	// named base relation usable for a range probe: every leading column up
-	// to prefix has an equality binding in eq, and the column at position
-	// prefix is boundCol. ok is false when the incarnation is not indexed
-	// (only the current and pre-transaction states are) or no ordered index
-	// qualifies.
-	OrderedIndexFor(name string, aux AuxKind, eq map[int]bool, boundCol int) (idx []int, prefix int, ok bool)
-	// RangeProbe returns the tuples of the incarnation whose idx[:prefix]
-	// columns equal eqVals (parallel to idx[:prefix]) and whose idx[prefix]
-	// column satisfies the lo/hi bounds — nil bounds are limited to
-	// boundKind's ordered-rank band; includeNull additionally admits null
-	// (the negated-comparison case) and includeNaN admits NaN (the
-	// inclusive-numeric-comparison case) — recording an interval read. The
-	// returned tuples are shared; callers must not mutate them.
-	RangeProbe(name string, aux AuxKind, idx []int, prefix int, eqVals []value.Value,
-		lo, hi *RangeBound, boundKind value.Kind, includeNull, includeNaN bool) ([]relation.Tuple, error)
-}
-
-// rangePlan is one range-probeable column of a selection predicate, bound
-// at TypeCheck time: the interval the conjuncts on the column pin down,
-// plus whether the conjuncts admit null (negated comparisons do) or NaN
-// (inclusive numeric comparisons do — value.Compare answers 0 for NaN
+// RangeBound bounds the column a probe reaches after its equality prefix:
+// the interval the predicate's ordering conjuncts on that column pin down.
+// A nil endpoint is limited to Kind's ordered-rank band. IncludeNull admits
+// null (a negated comparison holds on null) and IncludeNaN admits NaN (an
+// inclusive numeric comparison holds on NaN: value.Compare answers 0 for NaN
 // against any number, so NaN data satisfies <= and >= whatever the bound).
-// Candidates are always re-verified with the full predicate, so the plan
-// only has to yield a sound superset.
+// Candidates are always re-verified with the full predicate, so a bound only
+// has to admit a superset of the matching tuples.
+type RangeBound struct {
+	Lo, Hi                  *value.Value
+	LoIncl, HiIncl          bool
+	Kind                    value.Kind // kind of the bounding constants (int/float unify)
+	IncludeNull, IncludeNaN bool
+}
+
+// rangePlan is the bound a predicate puts on one column, found at TypeCheck
+// time.
 type rangePlan struct {
-	col         int
-	lo, hi      *RangeBound
-	kind        value.Kind // kind of the bounding constants (int/float unify)
-	includeNull bool
-	includeNaN  bool
-	bad         bool // contradictory or incomparable bounds: never probe
+	col   int
+	bound RangeBound
+	bad   bool // contradictory or incomparable bounds: never probe
 }
 
 // extractConstBounds walks a predicate collecting "attr op const" ordering
@@ -65,7 +37,7 @@ type rangePlan struct {
 // pushing negation through Not, And and Or — enforcement guards reach the
 // evaluator as not(cond), so ¬(qty >= 0) must plan as qty < 0. Because
 // ordering against null is false whatever the operator, a negated
-// comparison is satisfied by null, which the plan records in includeNull;
+// comparison is satisfied by null, which the plan records in IncludeNull;
 // the probe then widens its intervals to cover the null encoding.
 //
 // Conjuncts on one column intersect (the tightest bound wins). Conjuncts
@@ -120,25 +92,26 @@ func extractConstBounds(pred Scalar) []rangePlan {
 			}
 			pl := byCol[attr.Index]
 			if pl == nil {
-				pl = &rangePlan{col: attr.Index, kind: v.Kind(), includeNull: true, includeNaN: true}
+				pl = &rangePlan{col: attr.Index, bound: RangeBound{Kind: v.Kind(), IncludeNull: true, IncludeNaN: true}}
 				byCol[attr.Index] = pl
 			}
+			b := &pl.bound
 			// A bound whose kind cannot be ordered against the column's data
 			// poisons the plan rather than narrowing it: the scan path raises
 			// a comparison error for every non-null value, and an index probe
 			// over the bound's (empty) kind band would turn that error into a
 			// silent empty result.
-			if value.OrderedRank(v.Kind()) != value.OrderedRank(pl.kind) ||
+			if value.OrderedRank(v.Kind()) != value.OrderedRank(b.Kind) ||
 				value.OrderedRank(v.Kind()) != value.OrderedRank(attr.kind) {
 				pl.bad = true // incomparable kinds: keep scan semantics
 				return
 			}
-			b := &RangeBound{V: v, Incl: op == CmpLE || op == CmpGE}
+			incl := op == CmpLE || op == CmpGE
 			switch op {
 			case CmpLT, CmpLE:
-				pl.hi = tightenBound(pl.hi, b, false, pl)
+				b.Hi, b.HiIncl = tightenBound(b.Hi, b.HiIncl, v, incl, false, pl)
 			case CmpGT, CmpGE:
-				pl.lo = tightenBound(pl.lo, b, true, pl)
+				b.Lo, b.LoIncl = tightenBound(b.Lo, b.LoIncl, v, incl, true, pl)
 			}
 			// Null satisfies the conjunct only in its negated form; NaN data
 			// satisfies it only when the effective operator admits equality
@@ -147,8 +120,8 @@ func extractConstBounds(pred Scalar) []rangePlan {
 			// already folded into op above). There is no exemption for
 			// int-declared columns: TypesCompatible admits floats into them,
 			// so NaN data is legal there too.
-			pl.includeNull = pl.includeNull && neg
-			pl.includeNaN = pl.includeNaN && b.Incl
+			b.IncludeNull = b.IncludeNull && neg
+			b.IncludeNaN = b.IncludeNaN && incl
 		}
 	}
 	walk(pred, false)
@@ -164,7 +137,7 @@ func extractConstBounds(pred Scalar) []rangePlan {
 	}
 	plans := make([]rangePlan, 0, len(byCol))
 	for _, pl := range byCol {
-		if pl.lo == nil && pl.hi == nil {
+		if pl.bound.Lo == nil && pl.bound.Hi == nil {
 			continue
 		}
 		plans = append(plans, *pl)
@@ -267,91 +240,102 @@ func flipCmp(op CmpOp) CmpOp {
 	}
 }
 
-// tightenBound intersects a new bound into an existing one: for a lower
-// bound the greater constant wins, for an upper bound the smaller; equal
-// constants keep the stricter (exclusive) form. Incomparable constants mark
-// the plan bad.
-func tightenBound(old, add *RangeBound, lower bool, pl *rangePlan) *RangeBound {
-	if old == nil {
-		return add
+// tightenBound intersects the endpoint (cur, curIncl) with a new constant v:
+// for a lower bound the greater constant wins, for an upper bound the
+// smaller; equal constants keep the stricter (exclusive) form. Incomparable
+// constants mark the plan bad.
+func tightenBound(cur *value.Value, curIncl bool, v value.Value, incl, lower bool, pl *rangePlan) (*value.Value, bool) {
+	if cur == nil {
+		return &v, incl
 	}
-	c, err := old.V.Compare(add.V)
+	c, err := cur.Compare(v)
 	if err != nil {
 		pl.bad = true
-		return old
+		return cur, curIncl
 	}
 	switch {
 	case c == 0:
-		return &RangeBound{V: old.V, Incl: old.Incl && add.Incl}
+		return cur, curIncl && incl
 	case (lower && c < 0) || (!lower && c > 0):
-		return add
+		return &v, incl
 	default:
-		return old
+		return cur, curIncl
 	}
 }
 
-// rangeProbeCandidates plans and issues one bounded range probe against a
-// base relation: it picks the first plan (by column order) for which the
-// environment has an ordered index whose leading columns carry the
-// predicate's constant-equality bindings and whose next column is the
-// plan's bounded one, and probes it. probed=false means no plan found an
-// index and the caller should fall back to its scan path. Both the Select
-// evaluator and Update.Exec share this planning step, so the two range
-// paths cannot diverge.
-func rangeProbeCandidates(pe RangeProbeEnv, name string, aux AuxKind,
-	eqCols []int, eqVals []value.Value, plans []rangePlan) ([]relation.Tuple, bool, error) {
-	eq := make(map[int]bool, len(eqCols))
-	valOf := make(map[int]value.Value, len(eqCols))
-	for i, c := range eqCols {
-		eq[c] = true
-		valOf[c] = eqVals[i]
-	}
-	for _, rp := range plans {
-		idx, prefix, ok := pe.OrderedIndexFor(name, aux, eq, rp.col)
-		if !ok {
-			continue
-		}
-		vals := make([]value.Value, prefix)
-		for i := 0; i < prefix; i++ {
-			vals[i] = valOf[idx[i]]
-		}
-		out, err := pe.RangeProbe(name, aux, idx, prefix, vals, rp.lo, rp.hi, rp.kind, rp.includeNull, rp.includeNaN)
-		return out, err == nil, err
-	}
-	return nil, false, nil
+// probePlan is one planned index access: the index columns, the length of
+// their equality-bound prefix, the bound on the column after it (nil for
+// none), and the size of the probed incarnation.
+type probePlan struct {
+	pe     ProbeEnv
+	name   string
+	aux    AuxKind
+	idx    []int
+	prefix int
+	bound  *RangeBound
+	size   int
 }
 
-// evalRangeProbe answers a selection over a direct base-relation reference
-// through a bounded range probe. The full predicate re-verifies every
-// candidate, so the interval — a superset of the matching tuples — is
-// sound; the interval read the environment records covers exactly that
-// superset. ok=false falls back to the scan path.
-func (s *Select) evalRangeProbe(env Env) (*relation.Relation, bool, error) {
-	if len(s.ranges) == 0 {
-		return nil, false, nil
+// planProbe is the access-path step shared by Select.Eval, Update.Exec and
+// Join.probeDriven: it asks the environment for the index serving the
+// equalities on eqCols and a bound from plans, trying each plan's column in
+// column order (one ask with no bound when there are none), and keeps the
+// longest equality prefix, preferring a bounded one among equals. ok=false
+// — the environment has no indexes or none serves — falls back to the scan
+// path.
+func planProbe(env Env, name string, aux AuxKind, eqCols []int, plans []rangePlan) (p probePlan, ok bool) {
+	pe, isProbe := env.(ProbeEnv)
+	if !isProbe || (len(eqCols) == 0 && len(plans) == 0) {
+		return p, false
 	}
-	r, ok := s.In.(*Rel)
-	if !ok || (r.Aux != AuxCur && r.Aux != AuxOld) {
-		return nil, false, nil
+	try := func(boundCol int, b *RangeBound) {
+		idx, prefix, size, found := pe.IndexFor(name, aux, eqCols, boundCol)
+		if !found {
+			return
+		}
+		if prefix == len(idx) || idx[prefix] != boundCol {
+			b = nil
+		}
+		if !ok || prefix > p.prefix || (prefix == p.prefix && b != nil && p.bound == nil) {
+			p, ok = probePlan{pe: pe, name: name, aux: aux, idx: idx, prefix: prefix, bound: b, size: size}, true
+		}
 	}
-	pe, ok := env.(RangeProbeEnv)
+	if len(plans) == 0 {
+		try(-1, nil)
+	}
+	for i := range plans {
+		try(plans[i].col, &plans[i].bound)
+	}
+	return p, ok
+}
+
+// candidates probes the planned index once, with the equality value
+// valOf(c) for each prefix column c. The candidates are a superset of the
+// matching tuples: the caller re-verifies them with its full predicate.
+func (p *probePlan) candidates(vals []value.Value, valOf func(col int) value.Value) ([]relation.Tuple, error) {
+	for i, c := range p.idx[:p.prefix] {
+		vals[i] = valOf(c)
+	}
+	return p.pe.Probe(p.name, p.aux, p.idx, vals[:p.prefix], p.bound)
+}
+
+// constCandidates is the candidate step of a selection or an update over a
+// base relation, whose probe values are the constants of its equality
+// conjuncts (parallel eqCols and eqVals). probed=false falls back to the
+// scan path.
+func constCandidates(env Env, name string, aux AuxKind, eqCols []int, eqVals []value.Value, plans []rangePlan) ([]relation.Tuple, bool, error) {
+	p, ok := planProbe(env, name, aux, eqCols, plans)
 	if !ok {
 		return nil, false, nil
 	}
-	candidates, probed, err := rangeProbeCandidates(pe, r.Name, r.Aux, s.eqCols, s.eqVals, s.ranges)
-	if err != nil || !probed {
-		return nil, false, err
-	}
-	out, err := s.filterCandidates(candidates)
-	if err != nil {
-		return nil, false, err
-	}
-	return out, true, nil
+	out, err := p.candidates(make([]value.Value, p.prefix), func(c int) value.Value {
+		return eqVals[slices.Index(eqCols, c)]
+	})
+	return out, err == nil, err
 }
 
 // filterCandidates re-verifies probed candidates with the full selection
-// predicate — the shared final step of the hash-probe and range-probe
-// paths, which both yield candidate supersets.
+// predicate: a probe yields a superset of the matching tuples.
 func (s *Select) filterCandidates(candidates []relation.Tuple) (*relation.Relation, error) {
 	out := relation.New(s.out)
 	for _, t := range candidates {
@@ -371,7 +355,7 @@ func (s *Select) filterCandidates(candidates []relation.Tuple) (*relation.Relati
 // deduplicated and ascending. The predicate is cloned and re-bound, so
 // unbound (or differently bound) scalars are accepted. It is how the
 // translator derives which attributes a comparison-guarded constraint's
-// enforcement selections would range-probe, feeding ordered index hints.
+// enforcement selections would range-probe, feeding range index hints.
 func RangeCompareColumns(pred Scalar, s *schema.Relation) ([]int, error) {
 	if pred == nil {
 		return nil, nil

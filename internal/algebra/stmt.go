@@ -232,11 +232,10 @@ type Update struct {
 	// Bound at TypeCheck time: the target schema, plus the constant-equality
 	// and constant-ordering conjuncts of Where (parallel column positions
 	// and literal values; range plans per bounded column). When the
-	// environment has a covering equality index — or, for comparison conjuncts,
-	// an ordered index — Exec probes it for the matching tuples instead of
-	// materializing the whole current instance; the probed-key or interval
-	// read it records keeps a selective update from dragging the full
-	// relation into the optimistic conflict footprint.
+	// environment has an index serving them, Exec probes it for the
+	// matching tuples instead of materializing the whole current instance;
+	// the point or interval read it records keeps a selective update from
+	// dragging the full relation into the optimistic conflict footprint.
 	target *schema.Relation
 	eqCols []int
 	eqVals []value.Value
@@ -289,12 +288,12 @@ func (u *Update) TypeCheck(env *TypeEnv) error {
 	return nil
 }
 
-// Exec implements Stmt. When Where carries an indexable equality conjunct
-// and the environment probes (ProbeEnv with a covering index on the current
-// incarnation), the matching tuples are fetched by key probe — the
-// environment records a probed-key read — instead of materializing the full
-// current instance, which would put the whole relation into the
-// transaction's read set.
+// Exec implements Stmt. When Where carries an indexable equality or
+// ordering conjunct and the environment probes (ProbeEnv with an index
+// serving it on the current incarnation), the matching tuples are fetched
+// by probe — the environment records a point or interval read — instead of
+// materializing the full current instance, which would put the whole
+// relation into the transaction's read set.
 func (u *Update) Exec(env ExecEnv) error {
 	oldSet, newSet, probed, err := u.execProbe(env)
 	if err != nil {
@@ -345,17 +344,15 @@ func (u *Update) apply(t relation.Tuple, oldSet, newSet *relation.Relation) erro
 	return nil
 }
 
-// execProbe answers the update's candidate scan through an index probe when
-// Where has constant-equality conjuncts and the environment maintains a
-// covering equality index on the current incarnation, or constant-ordering
-// conjuncts and an ordered index led by the equality columns. The full
-// Where predicate is re-applied to every candidate, so any sound candidate
-// superset suffices. probed=false falls back to the full scan.
+// execProbe answers the update's candidate scan through an index probe
+// (constCandidates). The full Where predicate is re-applied to every
+// candidate, so any sound candidate superset suffices. probed=false falls
+// back to the full scan.
 func (u *Update) execProbe(env ExecEnv) (oldSet, newSet *relation.Relation, probed bool, err error) {
 	if u.target == nil {
 		return nil, nil, false, nil
 	}
-	candidates, probed, err := u.probeCandidates(env)
+	candidates, probed, err := constCandidates(env, u.Rel, AuxCur, u.eqCols, u.eqVals, u.ranges)
 	if err != nil || !probed {
 		return nil, nil, false, err
 	}
@@ -367,27 +364,6 @@ func (u *Update) execProbe(env ExecEnv) (oldSet, newSet *relation.Relation, prob
 		}
 	}
 	return oldSet, newSet, true, nil
-}
-
-// probeCandidates fetches the update's candidate tuples by hash probe
-// (preferred: exact keys) or bounded range probe.
-func (u *Update) probeCandidates(env ExecEnv) ([]relation.Tuple, bool, error) {
-	if len(u.eqCols) > 0 {
-		if pe, ok := env.(ProbeEnv); ok {
-			if idx, _, ok := pe.IndexFor(u.Rel, AuxCur, u.eqCols); ok {
-				out, err := pe.Probe(u.Rel, AuxCur, idx, probeVals(idx, u.eqCols, u.eqVals))
-				return out, err == nil, err
-			}
-		}
-	}
-	if len(u.ranges) == 0 {
-		return nil, false, nil
-	}
-	pe, ok := env.(RangeProbeEnv)
-	if !ok {
-		return nil, false, nil
-	}
-	return rangeProbeCandidates(pe, u.Rel, AuxCur, u.eqCols, u.eqVals, u.ranges)
 }
 
 func (u *Update) String() string {

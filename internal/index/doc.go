@@ -22,10 +22,10 @@
 // the engine's one key encoding (value.AppendOrderedKey): the same bytes are
 // each tuple's identity in its relation, the probe keys hash joins build,
 // and the keys and intervals the commit validator intersects. Its byte order
-// is the value order, column by column, so one tree answers both an
-// equal-key walk (Probe) and a [Lo, Hi) walk (Range). Tuples that share an
-// index key are ordinary neighbouring entries, so there are no buckets to
-// rebuild.
+// is the value order, column by column, so one tree answers both a walk of
+// the keys under equal leading columns (Probe) and a [Lo, Hi) walk (Range).
+// Tuples that share an index key are ordinary neighbouring entries, so
+// there are no buckets to rebuild.
 //
 //   - Order and identity. Entries sort by index key, then by the low half
 //     of a 64-bit hash of the tuple's canonical key, then by
@@ -71,54 +71,52 @@
 //     sealed instances and readers never lock. Bulk loads and commits
 //     recorded without tuple-level deltas fall back to Rebuild.
 //
-// # Probe recording and fallback rules
+// # One index, one probe
+//
+// An index is a column list; its order is the sort order. A Set holds one
+// index per column list, and its planner (Set.For) serves a predicate with
+// the index whose leading columns carry the longest run of equality
+// bindings, preferring one whose next column carries a bound. Snapshots
+// publish the set in the same atomic swap as the instances it indexes.
 //
 // The algebra evaluator consults indexes through algebra.ProbeEnv, which
-// the transaction overlay implements:
+// the transaction overlay implements, with one planning step for every
+// operator:
 //
-//   - select(R, attr = const ∧ ...) over a base relation probes an index
-//     covering a subset of the constant-equality columns and filters the
-//     candidates with the full predicate.
+//   - select(R, attr = const ∧ ...) and update(R, attr = const ∧ ..., ...)
+//     over a base relation probe the index led by the constant-equality
+//     columns; a comparison on the next column (<, <=, >, >=, between-style
+//     conjunctions, also negated, as enforcement guards arrive) bounds the
+//     probe. The candidates are re-verified with the full predicate.
 //   - join/semijoin/antijoin probe the indexed side once per driving-side
 //     tuple when the other side is a direct base-relation reference with an
-//     index covering a subset of the equi-join columns; an antijoin may only
-//     probe its right side (its output needs every left tuple).
-//   - Each probe records a probed-key read (storage.ProbeRead) instead of a
-//     whole-relation read; the commit validator projects concurrent deltas
-//     onto the probed columns and conflicts only on matching keys. Probing
-//     with a covering (subset) index is sound because the recorded
-//     dependency is a superset of the tuples the expression observed.
+//     index led by equi-join columns; an antijoin may only probe its right
+//     side (its output needs every left tuple).
+//   - An equality on a leading prefix P of the index columns walks the key
+//     interval [P, P·0xFF) (Index.Probe). The key encoding is not
+//     prefix-free — enc("ab") is a byte prefix of enc("ab\x00c") — but a
+//     complete value encoding is never continued by 0xFF, so the interval
+//     holds exactly the keys whose leading columns encode to P.
+//   - A bound normalizes to half-open key intervals [Lo, Hi) (KeyRange,
+//     RangesFor): kind-rank bytes bound missing endpoints, and a trailing
+//     0xFF turns inclusive-upper/exclusive-lower bounds into the half-open
+//     form, valid over both full index keys and prefix-projected keys.
+//
+// Each probe records one storage.ProbeRead per probed column list instead
+// of a whole-relation read: an equality on columns C records a point (the
+// probe key) on C, and a bound on the next column records intervals on C
+// plus that column. The commit validator projects concurrent deltas onto
+// the probed columns and conflicts only on a tuple whose projection hits a
+// point or falls in an interval — so a transaction that probed qty < 10
+// merge-commits with a concurrent writer of qty = 500. Probing a prefix or
+// a single bound is sound because the recorded dependency is a superset of
+// the tuples the expression observed.
 //
 // Everything else falls back to the scan path and whole-relation read
-// recording: no covering index, a driving side too large relative to the
-// indexed side, non-equality predicates without an indexable conjunct, and
-// environments that do not implement ProbeEnv (fragment-local checking).
-// Transaction-local differentials (ins/del) are never indexed — they are
-// small and carry no base-read dependency at all.
-//
-// # Range probes and interval reads
-//
-// A Set keeps its indexes in two namespaces: column sets, probed by
-// equality (the section above), and column lists, probed by range — the
-// guard shapes of the paper's differential enforcement programs ("alarm if
-// any stock fell below threshold"). A column list's order is its sort order,
-// so a half-open key interval is a value interval and Range is a walk of
-// it. Snapshots publish both namespaces in the same atomic swap.
-//
-//   - select(R, attr < const ∧ ...) — and <=, >, >=, between-style
-//     conjunctions, also when they reach the evaluator negated, as
-//     enforcement guards do — probes the ordered index whose leading
-//     columns carry equality bindings and whose next column is the bounded
-//     one, then re-verifies candidates with the full predicate.
-//   - Every bound shape normalizes to half-open key intervals [Lo, Hi)
-//     (KeyRange, RangesFor): kind-rank bytes bound missing endpoints, and a
-//     trailing 0xFF turns inclusive-upper/exclusive-lower bounds into the
-//     half-open form, valid over both full index keys and prefix-projected
-//     keys.
-//   - The overlay records each range probe as an interval read
-//     (storage.RangeRead) instead of a whole-relation read; the commit
-//     validator projects concurrent deltas onto the probed column prefix
-//     and conflicts only when a written tuple's projection falls inside a
-//     probed interval — so a transaction that probed qty < 10 merge-commits
-//     with a concurrent writer of qty = 500.
+// recording: no index led by a bound column, a driving side too large
+// relative to the indexed side, a predicate that may error on tuples a
+// probe would skip (algebra.ProbeSafe), and environments that do not
+// implement ProbeEnv (fragment-local checking). Transaction-local
+// differentials (ins/del) are never indexed — they are small and carry no
+// base-read dependency at all.
 package index

@@ -10,9 +10,9 @@ import (
 	"repro/internal/value"
 )
 
-// Sig returns the canonical signature of an index column set, e.g. "0,2".
-// Column order is part of the signature; DefineIndex canonicalizes to
-// ascending order, so equal column sets always share one signature.
+// Sig returns the signature of an index column list, e.g. "0,2". Column
+// order is part of the signature: an index keeps its declared order, which
+// is its sort order.
 func Sig(cols []int) string {
 	var sb strings.Builder
 	for i, c := range cols {
@@ -24,15 +24,10 @@ func Sig(cols []int) string {
 	return sb.String()
 }
 
-// KeyVals encodes probe values (parallel to an index's column list) into
-// the index-key encoding of relation.Tuple.KeyOn.
-func KeyVals(vals []value.Value) string {
-	buf := make([]byte, 0, 16*len(vals))
-	for _, v := range vals {
-		buf = v.AppendOrderedKey(buf)
-	}
-	return string(buf)
-}
+// KeyVals encodes probe values (parallel to a leading run of an index's
+// column list) into the index-key encoding of relation.Tuple.KeyOn, in one
+// allocation.
+func KeyVals(vals []value.Value) string { return relation.Tuple(vals).Key() }
 
 // Index is an immutable secondary index over a list of column positions of
 // one relation instance: the package's treap keyed by (KeyOn the index
@@ -54,9 +49,11 @@ func (x *Index) Cols() []int { return x.cols }
 // Len returns the number of indexed tuples.
 func (x *Index) Len() int { return x.size }
 
-// Probe returns the tuples whose index columns encode to key, in
-// O(log n + matches). The slice is the caller's; the tuples are shared with
-// the index and must not be mutated.
+// Probe returns the tuples whose leading index columns encode to key — all
+// of the columns, or a leading prefix of them — in O(log n + matches): the
+// key interval [key, key·0xFF), walked without building its upper end. The
+// slice is the caller's; the tuples are shared with the index and must not
+// be mutated.
 func (x *Index) Probe(key string) []relation.Tuple {
 	return x.root.collect(key, key, true, nil)
 }
@@ -85,17 +82,14 @@ func (x *Index) Apply(ins, del *relation.Relation) *Index {
 	return &n
 }
 
-// Set is the immutable collection of indexes defined on one relation, in two
-// namespaces: column sets, probed by equality (canonical ascending column
-// order), and column lists, probed by range (declared order, which is the
-// sort order). Each namespace is held in ascending signature order. The
-// zero-value pointer (nil) is a valid empty set.
+// Set is the immutable collection of indexes defined on one relation, one
+// per column list, held in ascending signature order. The zero-value pointer
+// (nil) is a valid empty set.
 type Set struct {
-	by  []*Index // column sets
-	ord []*Index // column lists
+	xs []*Index
 }
 
-// NewSet builds a set from the given equality-probed indexes.
+// NewSet builds a set from the given indexes.
 func NewSet(indexes ...*Index) *Set {
 	s := &Set{}
 	for _, x := range indexes {
@@ -104,35 +98,22 @@ func NewSet(indexes ...*Index) *Set {
 	return s
 }
 
-// Len returns the number of indexes in the set, in both namespaces.
+// Len returns the number of indexes in the set.
 func (s *Set) Len() int {
 	if s == nil {
 		return 0
 	}
-	return len(s.by) + len(s.ord)
+	return len(s.xs)
 }
 
-// Exact returns the equality-probed index over exactly the given columns, or
-// nil. It runs on every index probe, so it compares column lists and
-// allocates nothing.
+// Exact returns the index over exactly the given column list, or nil. It
+// runs on every index probe, so it compares column lists and allocates
+// nothing.
 func (s *Set) Exact(cols []int) *Index {
 	if s == nil {
 		return nil
 	}
-	return exact(s.by, cols)
-}
-
-// OrderedExact returns the range-probed index over exactly the given column
-// list (order-significant), or nil. Like Exact it allocates nothing.
-func (s *Set) OrderedExact(cols []int) *Index {
-	if s == nil {
-		return nil
-	}
-	return exact(s.ord, cols)
-}
-
-func exact(xs []*Index, cols []int) *Index {
-	for _, x := range xs {
+	for _, x := range s.xs {
 		if slices.Equal(x.cols, cols) {
 			return x
 		}
@@ -140,9 +121,51 @@ func exact(xs []*Index, cols []int) *Index {
 	return nil
 }
 
-// with returns a copy of xs holding x in signature order, in place of any
-// member over the same columns.
-func with(xs []*Index, x *Index) []*Index {
+// For picks the index to probe for equality bindings on the columns in eq
+// and a bound on boundCol (-1 for none). An index serves the equalities on
+// its longest leading run of columns in eq (the prefix) plus a bound on the
+// column after that run. For prefers the longest prefix, then an index
+// whose next column is boundCol, and breaks ties by signature. It returns
+// nil when no index has a non-empty prefix or a bounded first column.
+//
+// A prefix narrower than the index, or an index column beyond the bound,
+// only widens the candidates; the caller re-verifies them with its full
+// predicate, and the read it records covers exactly what it probed.
+func (s *Set) For(eq []int, boundCol int) (*Index, int) {
+	if s == nil {
+		return nil, 0
+	}
+	var best *Index
+	bestPrefix, bestBounded := 0, false
+	for _, x := range s.xs {
+		p := 0
+		for p < len(x.cols) && slices.Contains(eq, x.cols[p]) {
+			p++
+		}
+		bounded := p < len(x.cols) && x.cols[p] == boundCol
+		if p > bestPrefix || (p == bestPrefix && bounded && !bestBounded) {
+			best, bestPrefix, bestBounded = x, p, bounded
+		}
+	}
+	return best, bestPrefix
+}
+
+// All returns the indexes ordered by signature.
+func (s *Set) All() []*Index {
+	if s == nil {
+		return nil
+	}
+	return slices.Clone(s.xs)
+}
+
+// With returns a new set holding x in signature order, in place of any
+// member over the same column list. The receiver is unchanged; nil
+// receivers are allowed.
+func (s *Set) With(x *Index) *Set {
+	var xs []*Index
+	if s != nil {
+		xs = s.xs
+	}
 	sig := Sig(x.cols)
 	i, found := slices.BinarySearchFunc(xs, sig, func(m *Index, sig string) int {
 		return strings.Compare(Sig(m.cols), sig)
@@ -150,96 +173,9 @@ func with(xs []*Index, x *Index) []*Index {
 	if found {
 		out := slices.Clone(xs)
 		out[i] = x
-		return out
+		return &Set{xs: out}
 	}
-	return slices.Insert(slices.Clone(xs), i, x)
-}
-
-// Covering returns the widest index whose column set is a subset of cols,
-// or nil when none is. Ties break on signature for determinism. A covering
-// index yields a candidate superset that the caller filters with the
-// remaining predicate — sound because the probe-key read it records is a
-// superset of the dependency.
-func (s *Set) Covering(cols []int) *Index {
-	if s == nil {
-		return nil
-	}
-	var best *Index
-	for _, x := range s.by {
-		if best != nil && len(x.cols) <= len(best.cols) {
-			continue
-		}
-		covered := true
-		for _, c := range x.cols {
-			covered = covered && slices.Contains(cols, c)
-		}
-		if covered {
-			best = x
-		}
-	}
-	return best
-}
-
-// All returns the equality-probed indexes ordered by signature.
-func (s *Set) All() []*Index {
-	if s == nil {
-		return nil
-	}
-	return slices.Clone(s.by)
-}
-
-// OrderedAll returns the range-probed indexes ordered by signature.
-func (s *Set) OrderedAll() []*Index {
-	if s == nil {
-		return nil
-	}
-	return slices.Clone(s.ord)
-}
-
-// OrderedFor returns the range-probed index usable for a range probe with
-// equality bindings on the columns in eq and a bound on boundCol: its
-// leading prefix columns must all carry equality bindings and its next
-// column must be boundCol. It returns the index and the equality-prefix
-// length, preferring the longest prefix (the narrowest interval) with
-// signature order breaking ties, or nil when no index qualifies.
-func (s *Set) OrderedFor(eq map[int]bool, boundCol int) (*Index, int) {
-	if s == nil {
-		return nil, 0
-	}
-	var best *Index
-	bestPrefix := -1
-	for _, x := range s.ord {
-		p := 0
-		for p < len(x.cols) && eq[x.cols[p]] {
-			p++
-		}
-		if p < len(x.cols) && x.cols[p] == boundCol && p > bestPrefix {
-			best, bestPrefix = x, p
-		}
-	}
-	if best == nil {
-		return nil, 0
-	}
-	return best, bestPrefix
-}
-
-// With returns a new set with x added to the column sets, replacing any
-// member over the same columns. The receiver is unchanged; nil receivers are allowed.
-func (s *Set) With(x *Index) *Set {
-	if s == nil {
-		s = &Set{}
-	}
-	return &Set{by: with(s.by, x), ord: s.ord}
-}
-
-// WithOrdered returns a new set with x added to the column lists, replacing
-// any member over the same column list. The receiver is unchanged; nil
-// receivers are allowed.
-func (s *Set) WithOrdered(x *Index) *Set {
-	if s == nil {
-		s = &Set{}
-	}
-	return &Set{by: s.by, ord: with(s.ord, x)}
+	return &Set{xs: slices.Insert(slices.Clone(xs), i, x)}
 }
 
 // Apply derives the successor set after a committed net delta, applying the
@@ -248,12 +184,9 @@ func (s *Set) Apply(ins, del *relation.Relation) *Set {
 	if s.Len() == 0 {
 		return s
 	}
-	n := &Set{by: make([]*Index, len(s.by)), ord: make([]*Index, len(s.ord))}
-	for i, x := range s.by {
-		n.by[i] = x.Apply(ins, del)
-	}
-	for i, x := range s.ord {
-		n.ord[i] = x.Apply(ins, del)
+	n := &Set{xs: make([]*Index, len(s.xs))}
+	for i, x := range s.xs {
+		n.xs[i] = x.Apply(ins, del)
 	}
 	return n
 }
@@ -265,20 +198,19 @@ func (s *Set) Rebuild(r *relation.Relation) *Set {
 	if s.Len() == 0 {
 		return s
 	}
-	n := &Set{by: make([]*Index, len(s.by)), ord: make([]*Index, len(s.ord))}
-	for i, x := range s.by {
-		n.by[i] = Build(r, x.cols)
-	}
-	for i, x := range s.ord {
-		n.ord[i] = Build(r, x.cols)
+	n := &Set{xs: make([]*Index, len(s.xs))}
+	for i, x := range s.xs {
+		n.xs[i] = Build(r, x.cols)
 	}
 	return n
 }
 
-// ParseDecl parses an index declaration of the form "relation(attr, ...)"
-// — optionally suffixed with the keyword "ordered" for a range-probed
-// index, whose attribute order is the sort order — the textual syntax
-// Options.Indexes and DB.CreateIndex accept.
+// ParseDecl parses an index declaration of the form "relation(attr, ...)",
+// the textual syntax Options.Indexes and DB.CreateIndex accept. The
+// attribute order is the index's sort order. An "ordered" suffix still
+// parses and selects nothing: every index answers equality and range
+// probes. The ordered result reports the suffix only for
+// benchmarks/txbench, which reads it.
 func ParseDecl(decl string) (rel string, attrs []string, ordered bool, err error) {
 	s := strings.TrimSpace(decl)
 	if rest, ok := strings.CutSuffix(s, "ordered"); ok && strings.HasSuffix(strings.TrimSpace(rest), ")") {

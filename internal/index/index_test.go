@@ -152,25 +152,38 @@ func TestDivergentChainsShareBaseSafely(t *testing.T) {
 	}
 }
 
-func TestSetCoveringPrefersWidest(t *testing.T) {
+// TestSetForPlansPrefixAndBound: For picks the longest equality-bound
+// prefix, then an index whose next column is bounded, then the lower
+// signature; equality order among the bound columns does not matter.
+func TestSetForPlansPrefixAndBound(t *testing.T) {
 	r := relation.MustFromTuples(childSchema(), row(1, 10, 5))
 	xp := Build(r, []int{1})
 	xpq := Build(r, []int{1, 2})
-	s := NewSet(xp, xpq)
-	if got := s.Covering([]int{1}); got != xp {
-		t.Fatalf("Covering({1}) = %v, want the parent index", got)
+	xq := Build(r, []int{2})
+	s := NewSet(xp, xpq, xq)
+	cases := []struct {
+		eq         []int
+		bound      int
+		want       *Index
+		wantPrefix int
+	}{
+		{[]int{1}, -1, xp, 1},        // equal prefixes: lower signature
+		{[]int{1, 2}, -1, xpq, 2},    // longest prefix
+		{[]int{2, 1, 0}, -1, xpq, 2}, // order-insensitive on eq
+		{[]int{1}, 2, xpq, 1},        // bounded next column beats a tie
+		{nil, 2, xq, 0},              // a bound alone
+		{[]int{2}, 1, xq, 1},         // a longer prefix beats a bound
+		{[]int{0}, -1, nil, 0},       // no index led by column 0
+		{nil, 0, nil, 0},             // nor bounded on it
 	}
-	if got := s.Covering([]int{1, 2}); got != xpq {
-		t.Fatalf("Covering({1,2}) should prefer the widest covering index")
-	}
-	if got := s.Covering([]int{2, 1, 0}); got != xpq {
-		t.Fatalf("Covering should be order-insensitive on the probe columns")
-	}
-	if got := s.Covering([]int{0}); got != nil {
-		t.Fatalf("Covering({0}) = %v, want nil", got)
+	for _, c := range cases {
+		got, prefix := s.For(c.eq, c.bound)
+		if got != c.want || prefix != c.wantPrefix {
+			t.Errorf("For(%v, %d) = %v/%d, want %v/%d", c.eq, c.bound, got, prefix, c.want, c.wantPrefix)
+		}
 	}
 	var nilSet *Set
-	if nilSet.Covering([]int{1}) != nil || nilSet.Len() != 0 || nilSet.Exact([]int{1}) != nil {
+	if x, _ := nilSet.For([]int{1}, -1); x != nil || nilSet.Len() != 0 || nilSet.Exact([]int{1}) != nil {
 		t.Fatal("nil Set must behave as empty")
 	}
 }

@@ -23,7 +23,7 @@ func (kr KeyRange) Contains(key string) bool { return kr.Lo <= key && key < kr.H
 func (kr KeyRange) Empty() bool { return kr.Lo >= kr.Hi }
 
 // RangesFor builds the probe intervals for a range predicate over one
-// range-probed index: the index's leading prefix columns are fixed to eqVals
+// index: the index's leading prefix columns are fixed to eqVals
 // (equality conjuncts), and the next column is bounded by lo and/or hi —
 // constants of kind boundKind — with the given inclusivities. A missing
 // bound falls back to the limit of boundKind's rank band, so intervals are

@@ -268,15 +268,32 @@ func merge(l, r *node) *node {
 	}
 }
 
+// beforeExtensionsEnd reports k < p·0xFF without building p·0xFF: k sorts
+// before every key that extends p by anything but a 0xFF byte, or is one.
+// Under the key encoding, whose complete value encodings are never
+// continued by 0xFF, the keys in [p, p·0xFF) are exactly those whose
+// leading columns encode to p. A bare byte-prefix test would also admit
+// enc("ab\x00c") = "@ab\x00\xffc\x00" for p = enc("ab") = "@ab\x00".
+func beforeExtensionsEnd(k, p string) bool {
+	if strings.HasPrefix(k, p) {
+		return len(k) == len(p) || k[len(p)] != 0xFF
+	}
+	return k < p
+}
+
 // collect appends, in key order, the tuples whose key lies in [lo, hi), or
-// in [lo, hi] when closed: one descent to the interval and an in-order walk
-// of what is inside it.
-func (n *node) collect(lo, hi string, closed bool, out []relation.Tuple) []relation.Tuple {
+// in [lo, hi·0xFF) when extends: one descent to the interval and an
+// in-order walk of what is inside it.
+func (n *node) collect(lo, hi string, extends bool, out []relation.Tuple) []relation.Tuple {
 	for n != nil {
-		c := strings.Compare(n.key, hi)
-		below := c < 0 || (closed && c == 0)
+		var below bool
+		if extends {
+			below = beforeExtensionsEnd(n.key, hi)
+		} else {
+			below = n.key < hi
+		}
 		if n.key >= lo {
-			out = n.left.collect(lo, hi, closed, out)
+			out = n.left.collect(lo, hi, extends, out)
 			if below {
 				out = append(out, n.tuple)
 			}

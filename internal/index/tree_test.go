@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -350,29 +351,46 @@ func TestDeletedTuplesAreCollectable(t *testing.T) {
 	runtime.KeepAlive(ord)
 }
 
-// TestExactAllocatesNothing: Exact and OrderedExact run on every index
-// probe.
+// TestExactAllocatesNothing: Exact and For run on every index probe.
 func TestExactAllocatesNothing(t *testing.T) {
 	r := relation.MustFromTuples(childSchema(), row(1, 10, 5))
 	set := NewSet(Build(r, []int{0}), Build(r, []int{1}), Build(r, []int{1, 2})).
-		WithOrdered(Build(r, []int{2}))
-	cols, ordCols := []int{1, 2}, []int{2}
+		With(Build(r, []int{2, 1}))
+	cols, eq := []int{1, 2}, []int{2}
 	allocs := testing.AllocsPerRun(100, func() {
-		if set.Exact(cols) == nil || set.OrderedExact(ordCols) == nil {
+		if x, _ := set.For(eq, 1); set.Exact(cols) == nil || x == nil {
 			panic("index not found")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Exact + OrderedExact allocate %.0f times per probe", allocs)
+		t.Fatalf("Exact + For allocate %.0f times per probe", allocs)
 	}
-	if set.Exact([]int{2}) != nil || set.OrderedExact([]int{1}) != nil {
-		t.Fatal("Exact crosses the column-set and column-list namespaces")
+	if set.Exact([]int{2}) != nil || set.Exact([]int{2, 1}) == nil {
+		t.Fatal("Exact must match the column list, order included")
 	}
 	var sigs []string
 	for _, x := range set.With(Build(r, []int{0, 2})).All() {
 		sigs = append(sigs, Sig(x.Cols()))
 	}
-	if fmt.Sprint(sigs) != "[0 0,2 1 1,2]" {
+	if fmt.Sprint(sigs) != "[0 0,2 1 1,2 2,1]" {
 		t.Fatalf("All() is not in signature order: %v", sigs)
+	}
+}
+
+var keySink string
+
+// TestKeyValsAllocatesOnce: a probe key costs one allocation, the key
+// itself, also past the 16 bytes per value the builder once started from.
+func TestKeyValsAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	for _, vals := range [][]value.Value{
+		{value.Int(1), value.Int(2), value.String(strings.Repeat("v", 64))},
+		{value.Int(1), value.Int(2), value.Int(3)},
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { keySink = KeyVals(vals) }); allocs != 1 {
+			t.Errorf("KeyVals(%v): %.0f allocations, want 1", vals, allocs)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package lang
 
 import (
-	"errors"
 	"strings"
 
 	"repro/internal/algebra"
@@ -203,9 +202,11 @@ func (p *parser) parseUnary() (calculus.WFF, error) {
 }
 
 // parsePrimaryFormula handles parenthesized formulas, nested quantifiers and
-// atoms. Parentheses are ambiguous between formulas and arithmetic terms;
-// the parser first tries a formula and backtracks to a comparison when that
-// fails or when the parenthesized unit is followed by an operator.
+// atoms. Parentheses are ambiguous between formulas and arithmetic terms: a
+// parenthesized unit is a term when the token after its matching ")"
+// continues an arithmetic or comparison expression, and a formula
+// otherwise. Deciding before parsing, rather than trying a formula and
+// re-parsing as a term, keeps nested parentheses linear.
 func (p *parser) parsePrimaryFormula() (calculus.WFF, error) {
 	if p.atKeyword("forall") || p.atKeyword("exists") {
 		return p.parseQuantified()
@@ -214,27 +215,25 @@ func (p *parser) parsePrimaryFormula() (calculus.WFF, error) {
 		return w, err
 	}
 	if p.atPunct("(") {
-		mark := p.save()
+		if c := p.closing(p.pos); c >= 0 && arithOrCmp(p.lx.tokens[c+1]) {
+			return p.parseComparison()
+		}
 		p.next()
 		w, err := p.parseFormula()
-		if errors.Is(err, ErrTooDeep) {
-			return nil, err // a term through the same parentheses nests as deep
+		if err != nil {
+			return nil, err
 		}
-		if err == nil {
-			if err2 := p.expectPunct(")"); err2 == nil && !p.atArithOrCmp() {
-				return w, nil
-			}
+		if err := p.expectPunct(")"); err != nil {
+			return nil, err
 		}
-		p.restore(mark)
-		return p.parseComparison()
+		return w, nil
 	}
 	return p.parseAtom()
 }
 
-// atArithOrCmp reports whether the current token continues an arithmetic or
-// comparison expression, indicating the parenthesized unit was a term.
-func (p *parser) atArithOrCmp() bool {
-	t := p.peek()
+// arithOrCmp reports whether t continues an arithmetic or comparison
+// expression.
+func arithOrCmp(t token) bool {
 	if t.kind != tokPunct {
 		return false
 	}

@@ -408,3 +408,37 @@ func TestNestingBoundEveryProduction(t *testing.T) {
 		}
 	}
 }
+
+// TestFormulaParensParseLinearly: parentheses nested 990 deep around a term
+// inside a formula, alone and as twenty conjuncts of one constraint, parse
+// with a number of token advances bounded by a small constant times the
+// token count — the parser decides term against formula at each "(" instead
+// of parsing the inside twice.
+func TestFormulaParensParseLinearly(t *testing.T) {
+	const depth = 990
+	nested := strings.Repeat("(", depth) + "x.a" + strings.Repeat(")", depth) + " >= 0"
+	conjuncts := make([]string, 20)
+	for i := range conjuncts {
+		conjuncts[i] = nested
+	}
+	for name, src := range map[string]string{
+		"one":    "forall x (x in r implies (" + nested + "))",
+		"twenty": "forall x (x in r implies (" + strings.Join(conjuncts, " and ") + "))",
+		"formula": "forall x (x in r implies " + strings.Repeat("(", depth) + "x.a >= 0" +
+			strings.Repeat(")", depth) + ")",
+	} {
+		p, err := newParser(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.parseFormula(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := p.expectEOF(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if tokens := len(p.lx.tokens); p.consumed > 3*tokens {
+			t.Errorf("%s: %d token advances for %d tokens, want at most %d", name, p.consumed, tokens, 3*tokens)
+		}
+	}
+}

@@ -184,6 +184,12 @@ type parser struct {
 	lx    *lexer
 	pos   int
 	depth int // nesting levels entered, at most MaxDepth
+	// closes maps each "(" token to the index of its matching ")" (-1 when
+	// unmatched; other tokens -1), computed on first use (closing).
+	closes []int
+	// consumed counts token advances, backtracked ones included: the
+	// parser's work, which tests bound by the token count.
+	consumed int
 }
 
 // enter descends one nesting level; the caller defers leave when it
@@ -212,13 +218,40 @@ func (p *parser) peek() token { return p.lx.tokens[p.pos] }
 func (p *parser) next() token {
 	t := p.lx.tokens[p.pos]
 	if t.kind != tokEOF {
-		p.pos++
+		p.advance()
 	}
 	return t
 }
 
+// advance moves past the current token.
+func (p *parser) advance() {
+	p.pos++
+	p.consumed++
+}
+
 func (p *parser) save() int        { return p.pos }
 func (p *parser) restore(mark int) { p.pos = mark }
+
+// closing returns the index of the ")" token matching the "(" token at i,
+// or -1 when it has none. The matches are computed once per text.
+func (p *parser) closing(i int) int {
+	if p.closes == nil {
+		p.closes = make([]int, len(p.lx.tokens))
+		var open []int
+		for j, t := range p.lx.tokens {
+			p.closes[j] = -1
+			switch {
+			case t.kind != tokPunct:
+			case t.text == "(":
+				open = append(open, j)
+			case t.text == ")" && len(open) > 0:
+				p.closes[open[len(open)-1]] = j
+				open = open[:len(open)-1]
+			}
+		}
+	}
+	return p.closes[i]
+}
 
 // atKeyword reports whether the current token is the given keyword
 // (case-insensitive identifier match).
@@ -230,7 +263,7 @@ func (p *parser) atKeyword(kw string) bool {
 // acceptKeyword consumes the keyword if present.
 func (p *parser) acceptKeyword(kw string) bool {
 	if p.atKeyword(kw) {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
@@ -253,7 +286,7 @@ func (p *parser) atPunct(op string) bool {
 // acceptPunct consumes the punctuation if present.
 func (p *parser) acceptPunct(op string) bool {
 	if p.atPunct(op) {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
@@ -273,7 +306,7 @@ func (p *parser) expectIdent() (string, error) {
 	if t.kind != tokIdent {
 		return "", p.errf("expected identifier")
 	}
-	p.pos++
+	p.advance()
 	return t.text, nil
 }
 

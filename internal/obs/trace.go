@@ -12,7 +12,7 @@ const (
 	// EvTxnProbe: an index key probe was recorded in the read set.
 	// Txn, Relation, N (probe key count).
 	EvTxnProbe
-	// EvTxnRangeProbe: an ordered-index range probe was recorded.
+	// EvTxnRangeProbe: an index probe with a bound was recorded.
 	// Txn, Relation, N (interval count).
 	EvTxnRangeProbe
 	// EvTxnScan: a whole-relation read was recorded. Txn, Relation.

@@ -36,6 +36,7 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/pmap"
 	"repro/internal/schema"
@@ -60,12 +61,19 @@ func (t Tuple) Footprint() int64 {
 // concatenated key encodings (value.AppendOrderedKey) of its values. Two
 // tuples have equal keys iff they are equal as set elements, and keys sort
 // like the tuples do, column by column.
+//
+// The key is built in one allocation: a buffer of its exact length, which
+// becomes the string.
 func (t Tuple) Key() string {
-	buf := make([]byte, 0, 16*len(t))
+	n := 0
+	for _, v := range t {
+		n += v.OrderedKeyLen()
+	}
+	buf := make([]byte, 0, n)
 	for _, v := range t {
 		buf = v.AppendOrderedKey(buf)
 	}
-	return string(buf)
+	return unsafe.String(unsafe.SliceData(buf), len(buf))
 }
 
 // CompareKey orders t against o, column by column under value.CompareKey
@@ -89,16 +97,22 @@ func (t Tuple) CompareKey(o Tuple) int {
 // columns are equal, and byte order is the order of the projected values, so
 // interval membership of an encoded key is interval membership of the tuple.
 func (t Tuple) KeyOn(cols []int) string {
-	return string(t.AppendKeyOn(nil, cols))
+	buf := t.AppendKeyOn(nil, cols)
+	return unsafe.String(unsafe.SliceData(buf), len(buf)) // buf is ours alone
 }
 
-// AppendKeyOn appends the KeyOn encoding to buf and returns it. Hot
-// per-tuple paths (index maintenance, the hash-join build/probe loop) reuse
-// one buffer across tuples and look maps up via the compiler's alloc-free
+// AppendKeyOn appends the KeyOn encoding to buf and returns it; a nil buf
+// is allocated once, at the key's exact length. Hot per-tuple paths (index
+// maintenance, the hash-join build/probe loop, commit validation) reuse one
+// buffer across tuples and look maps up via the compiler's alloc-free
 // map[string(buf)] form instead of materializing a string per tuple.
 func (t Tuple) AppendKeyOn(buf []byte, cols []int) []byte {
 	if buf == nil {
-		buf = make([]byte, 0, 16*len(cols))
+		n := 0
+		for _, c := range cols {
+			n += t[c].OrderedKeyLen()
+		}
+		buf = make([]byte, 0, n)
 	}
 	for _, c := range cols {
 		buf = t[c].AppendOrderedKey(buf)

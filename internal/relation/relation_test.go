@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -251,5 +252,39 @@ func TestSealFreezesRelation(t *testing.T) {
 	}
 	if r.Len() != 1 || c.Len() != 2 {
 		t.Errorf("lens after clone mutation: sealed=%d clone=%d", r.Len(), c.Len())
+	}
+}
+
+var (
+	keySink   string
+	bytesSink []byte
+)
+
+// TestKeyBuildersAllocateOnce: Key, KeyOn and AppendKeyOn(nil, …) each cost
+// one allocation — the key itself, built at its exact length — for a short
+// all-int tuple and for ones whose 64-byte string makes an 84-byte key (85
+// when the string holds a NUL, which the encoding escapes).
+func TestKeyBuildersAllocateOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	cols := []int{0, 1, 2}
+	for _, tu := range []Tuple{
+		{value.Int(1), value.Int(2), value.String(strings.Repeat("v", 64))},
+		{value.Int(1), value.Int(2), value.String(strings.Repeat("v", 63) + "\x00")},
+		{value.Int(1), value.Int(2), value.Int(3)},
+	} {
+		for name, build := range map[string]func(){
+			"Key":              func() { keySink = tu.Key() },
+			"KeyOn":            func() { keySink = tu.KeyOn(cols) },
+			"AppendKeyOn(nil)": func() { bytesSink = tu.AppendKeyOn(nil, cols) },
+		} {
+			if allocs := testing.AllocsPerRun(100, build); allocs != 1 {
+				t.Errorf("%s of %v: %.0f allocations, want 1", name, tu, allocs)
+			}
+		}
+		if key := tu.Key(); len(key) != cap(tu.AppendKeyOn(nil, cols)) || key != tu.KeyOn(cols) {
+			t.Errorf("%v: key of %d bytes, buffer sized %d", tu, len(key), cap(tu.AppendKeyOn(nil, cols)))
+		}
 	}
 }

@@ -210,24 +210,20 @@ func (d *Database) Checkpoint() error {
 		dir = binary.AppendUvarint(dir, uint64(e.root))
 		dir = binary.AppendUvarint(dir, uint64(e.size))
 	}
-	var hashDefs, orderedDefs [][]byte
+	// The directory has two definition lists, from when equality and
+	// ordered indexes were kept apart; every definition goes in the first
+	// and the second stays empty.
+	var defs [][]byte
 	for _, name := range names {
-		set := snap.tabs[name].idx
-		for _, x := range set.All() {
-			hashDefs = append(hashDefs, encodeIndexDef(name, x.Cols(), false))
-		}
-		for _, x := range set.OrderedAll() {
-			orderedDefs = append(orderedDefs, encodeIndexDef(name, x.Cols(), true))
+		for _, x := range snap.tabs[name].idx.All() {
+			defs = append(defs, encodeIndexDef(name, x.Cols()))
 		}
 	}
-	dir = binary.AppendUvarint(dir, uint64(len(hashDefs)))
-	for _, b := range hashDefs {
+	dir = binary.AppendUvarint(dir, uint64(len(defs)))
+	for _, b := range defs {
 		dir = append(dir, b...)
 	}
-	dir = binary.AppendUvarint(dir, uint64(len(orderedDefs)))
-	for _, b := range orderedDefs {
-		dir = append(dir, b...)
-	}
+	dir = binary.AppendUvarint(dir, 0)
 	if _, err := sink.w.Write(dir); err != nil {
 		f.Close()
 		return fmt.Errorf("storage: checkpoint: %w", err)
@@ -325,8 +321,7 @@ type ckptState struct {
 	time     uint64
 	sch      *schema.Database
 	rels     map[string]*relation.Relation // mutable, for WAL replay on top
-	hash     [][]byte                      // encoded index defs, in definition order
-	ordered  [][]byte
+	indexes  [][]byte                      // encoded index defs, in definition order
 }
 
 // loadCheckpoint reads the newest checkpoint chain under dir, or returns nil
@@ -462,8 +457,8 @@ func loadCheckpoint(dir string, pg *pager) (*ckptState, error) {
 		return nil, fmt.Errorf("storage: checkpoint %d: %w", newest, err)
 	}
 
-	// Directory: index definitions.
-	for _, defs := range []*[][]byte{&st.hash, &st.ordered} {
+	// Directory: index definitions, in two lists (see Checkpoint).
+	for range 2 {
 		n, k := binary.Uvarint(dirBytes)
 		if k <= 0 {
 			return nil, fmt.Errorf("storage: checkpoint %d: bad index defs", newest)
@@ -471,11 +466,11 @@ func loadCheckpoint(dir string, pg *pager) (*ckptState, error) {
 		dirBytes = dirBytes[k:]
 		for i := uint64(0); i < n; i++ {
 			before := dirBytes
-			_, _, _, rest, err := decodeIndexDef(dirBytes)
+			_, _, rest, err := decodeIndexDef(dirBytes)
 			if err != nil {
 				return nil, fmt.Errorf("storage: checkpoint %d: %w", newest, err)
 			}
-			*defs = append(*defs, before[:len(before)-len(rest)])
+			st.indexes = append(st.indexes, before[:len(before)-len(rest)])
 			dirBytes = rest
 		}
 	}

@@ -12,12 +12,11 @@
 // epoch writing several relations is atomic by construction: all of them
 // travel in the one frame, under the one CRC.
 //
-// Schema-management calls (AddRelation, Load, DefineIndex,
-// DefineOrderedIndex) log themselves too. They first quiesce the publish
-// pipeline (beginSchemaChange) so their record's position in the log matches
-// the state they observed and edited — without it, a schema record could
-// land after an epoch record whose snapshot swap it actually preceded, and
-// replay would order them wrong.
+// Schema-management calls (AddRelation, Load, DefineIndex) log themselves
+// too. They first quiesce the publish pipeline (beginSchemaChange) so their
+// record's position in the log matches the state they observed and edited —
+// without it, a schema record could land after an epoch record whose
+// snapshot swap it actually preceded, and replay would order them wrong.
 //
 // Log sequence numbers are sequential and monotone in logical time: stage V
 // runs serially (one drainer at a time, schema calls hold the commit lock),
@@ -54,7 +53,7 @@ const (
 	recLoad byte = 2
 	// recAddRelation carries a new relation's schema.
 	recAddRelation byte = 3
-	// recDefineIndex carries an index definition (equality or ordered).
+	// recDefineIndex carries an index definition (encodeIndexDef).
 	recDefineIndex byte = 4
 )
 
@@ -295,14 +294,14 @@ func decodeRelationSchema(data []byte) (*schema.Relation, []byte, error) {
 	return rs, data, nil
 }
 
-// encodeIndexDef serializes a recDefineIndex payload.
-func encodeIndexDef(rel string, cols []int, ordered bool) []byte {
+// encodeIndexDef serializes a recDefineIndex payload: the relation, a kind
+// byte, and the column list. Earlier versions wrote kind 1 for an ordered
+// index and kind 0, over ascending columns, for an equality index; both
+// name the index over the same column list now, so the writer always
+// writes 0 and the reader ignores the byte.
+func encodeIndexDef(rel string, cols []int) []byte {
 	dst := appendString(nil, rel)
-	if ordered {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
+	dst = append(dst, 0)
 	dst = binary.AppendUvarint(dst, uint64(len(cols)))
 	for _, c := range cols {
 		dst = binary.AppendUvarint(dst, uint64(c))
@@ -310,31 +309,30 @@ func encodeIndexDef(rel string, cols []int, ordered bool) []byte {
 	return dst
 }
 
-func decodeIndexDef(data []byte) (rel string, cols []int, ordered bool, rest []byte, err error) {
+func decodeIndexDef(data []byte) (rel string, cols []int, rest []byte, err error) {
 	rel, data, err = decodeString(data)
 	if err != nil {
-		return "", nil, false, nil, err
+		return "", nil, nil, err
 	}
 	if len(data) == 0 {
-		return "", nil, false, nil, fmt.Errorf("storage: decode index def: truncated")
+		return "", nil, nil, fmt.Errorf("storage: decode index def: truncated")
 	}
-	ordered = data[0] == 1
-	data = data[1:]
+	data = data[1:] // the kind byte (see encodeIndexDef)
 	n, k := binary.Uvarint(data)
 	if k <= 0 || n > uint64(len(data)) {
-		return "", nil, false, nil, fmt.Errorf("storage: decode index def: bad column count")
+		return "", nil, nil, fmt.Errorf("storage: decode index def: bad column count")
 	}
 	data = data[k:]
 	cols = make([]int, n)
 	for i := range cols {
 		c, k := binary.Uvarint(data)
 		if k <= 0 {
-			return "", nil, false, nil, fmt.Errorf("storage: decode index def: bad column")
+			return "", nil, nil, fmt.Errorf("storage: decode index def: bad column")
 		}
 		cols[i] = int(c)
 		data = data[k:]
 	}
-	return rel, cols, ordered, data, nil
+	return rel, cols, data, nil
 }
 
 // maybeCheckpoint spawns a background checkpoint when enough WAL bytes have

@@ -1,8 +1,11 @@
 package storage
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -10,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/schema"
@@ -96,7 +100,11 @@ func dumpState(s *Snapshot) string {
 		})
 		sort.Strings(keys)
 		set := s.tabs[name].idx
-		fmt.Fprintf(&b, "%s[h%d,o%d]: %s\n", name, set.Len(), len(set.OrderedAll()), strings.Join(keys, " "))
+		var sigs []string
+		for _, x := range set.All() {
+			sigs = append(sigs, index.Sig(x.Cols()))
+		}
+		fmt.Fprintf(&b, "%s[%s]: %s\n", name, strings.Join(sigs, ";"), strings.Join(keys, " "))
 	}
 	return b.String()
 }
@@ -117,7 +125,7 @@ func TestDurableOpenFreshAndReopen(t *testing.T) {
 	if err := db.DefineIndex("alpha", []int{0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.DefineOrderedIndex("beta", []int{0}); err != nil {
+	if err := db.DefineIndex("beta", []int{1, 0}); err != nil {
 		t.Fatal(err)
 	}
 	rs, _ := db.Schema().Relation("gamma")
@@ -148,8 +156,8 @@ func TestDurableOpenFreshAndReopen(t *testing.T) {
 	if db2.Time() != wantTime || db2.DurableLSN() != wantLSN {
 		t.Fatalf("recovered time/lsn = %d/%d, want %d/%d", db2.Time(), db2.DurableLSN(), wantTime, wantLSN)
 	}
-	if len(db2.IndexDefs("alpha")) != 1 || len(db2.OrderedIndexDefs("beta")) != 1 {
-		t.Fatalf("index defs not recovered: %v %v", db2.IndexDefs("alpha"), db2.OrderedIndexDefs("beta"))
+	if fmt.Sprint(db2.IndexDefs("alpha"), db2.IndexDefs("beta")) != "[[0]] [[1 0]]" {
+		t.Fatalf("index defs not recovered: %v %v", db2.IndexDefs("alpha"), db2.IndexDefs("beta"))
 	}
 	// The recovered database keeps working.
 	durCommit(t, db2, map[string][]relation.Tuple{"beta": {durTuple(11, "eleven")}}, nil)
@@ -615,5 +623,107 @@ func TestDurableSyncPolicies(t *testing.T) {
 				t.Fatalf("recovered state mismatch under %v", sync)
 			}
 		})
+	}
+}
+
+// legacyIndexDef encodes a recDefineIndex payload as the engine wrote it
+// while equality and ordered indexes were two kinds: the relation name,
+// kind 0 (equality, ascending columns) or 1 (ordered), and the column list.
+func legacyIndexDef(rel string, kind byte, cols ...int) []byte {
+	b := binary.AppendUvarint(nil, uint64(len(rel)))
+	b = append(b, rel...)
+	b = append(b, kind)
+	b = binary.AppendUvarint(b, uint64(len(cols)))
+	for _, c := range cols {
+		b = binary.AppendUvarint(b, uint64(c))
+	}
+	return b
+}
+
+// TestOpenAcceptsBothIndexDefinitionKinds: a directory whose log, and then
+// whose checkpoint, defines an equality and an ordered index over the same
+// column — as the engine wrote them while those were two kinds — reopens,
+// resident and paged, with one index over that column and no error, and its
+// checkpoints keep the RPRCKPT3 magic.
+func TestOpenAcceptsBothIndexDefinitionKinds(t *testing.T) {
+	dir := t.TempDir()
+	db := openDur(t, dir, DurOptions{CheckpointBytes: -1})
+	durCommit(t, db, map[string][]relation.Tuple{"alpha": {durTuple(1, "one"), durTuple(2, "two")}}, nil)
+	for _, kind := range []byte{0, 1} {
+		if _, err := db.dur.appendSchemaRecord(recDefineIndex, db.Time(), legacyIndexDef("alpha", kind, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopen := func(stage string) {
+		t.Helper()
+		for _, opts := range []DurOptions{{CheckpointBytes: -1}, pagedOpts(4096, nil)} {
+			db, err := Open(dir, durSchema(), opts)
+			if err != nil {
+				t.Fatalf("%s: reopen (CacheBytes %d): %v", stage, opts.CacheBytes, err)
+			}
+			if n, got := db.Snapshot().IndexSet("alpha").Len(), fmt.Sprint(db.IndexDefs("alpha")); n != 1 || got != "[[0]]" {
+				t.Errorf("%s: reopen (CacheBytes %d): alpha has %d indexes %s, want one, [[0]]", stage, opts.CacheBytes, n, got)
+			}
+			x := db.Snapshot().IndexSet("alpha").Exact([]int{0})
+			if x == nil || len(x.Probe(durTuple(2, "two").KeyOn([]int{0}))) != 1 {
+				t.Errorf("%s: reopen (CacheBytes %d): alpha(0) does not find tuple 2", stage, opts.CacheBytes)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	reopen("log")
+
+	// Checkpoint, then give the checkpoint's directory the two definition
+	// lists of that layout: kind 0 in the first, kind 1 in the second.
+	db = openDur(t, dir, DurOptions{CheckpointBytes: -1})
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "ckpt-*.ck"))
+	if len(files) == 0 {
+		t.Fatal("no checkpoint file written")
+	}
+	sort.Strings(files)
+	newest := files[len(files)-1]
+	data, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foot := data[len(data)-ckptFooterLen:]
+	dirOff := binary.LittleEndian.Uint64(foot)
+	dirBytes := data[dirOff : len(data)-ckptFooterLen]
+	written := append(append([]byte{1}, legacyIndexDef("alpha", 0, 0)...), 0)
+	if !bytes.HasSuffix(dirBytes, written) {
+		t.Fatalf("checkpoint directory does not end with one definition list and an empty one: %x", dirBytes)
+	}
+	legacy := append(append([]byte{1}, legacyIndexDef("alpha", 0, 0)...), 1)
+	legacy = append(legacy, legacyIndexDef("alpha", 1, 0)...)
+	dirBytes = append(dirBytes[:len(dirBytes)-len(written):len(dirBytes)-len(written)], legacy...)
+	out := append(data[:dirOff:dirOff], dirBytes...)
+	var footer [ckptFooterLen]byte
+	binary.LittleEndian.PutUint64(footer[:], dirOff)
+	binary.LittleEndian.PutUint32(footer[8:], crc32.Checksum(dirBytes, crcTable))
+	copy(footer[12:], ckptEndMagic)
+	out = append(out, footer[:]...)
+	if err := os.WriteFile(newest, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reopen("checkpoint")
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data[:len(ckptMagic)]) != "RPRCKPT3" {
+			t.Errorf("%s has magic %q, want RPRCKPT3", f, data[:len(ckptMagic)])
+		}
 	}
 }

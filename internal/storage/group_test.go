@@ -131,7 +131,7 @@ func verdictParityCases() []parityCase {
 	probe1 := &ReadInfo{Keys: own, Probes: map[string]*ProbeRead{
 		index.Sig(col): {Cols: col, Keys: map[string]bool{intTuple(1).KeyOn(col): true}},
 	}}
-	range1 := &ReadInfo{Keys: own, Ranges: map[string]*RangeRead{
+	range1 := &ReadInfo{Keys: own, Probes: map[string]*ProbeRead{
 		index.Sig(col): {Cols: col, Ranges: []index.KeyRange{
 			{Lo: intTuple(1).KeyOn(col), Hi: intTuple(2).KeyOn(col)},
 		}},

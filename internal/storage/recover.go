@@ -75,8 +75,7 @@ func Open(dir string, sch *schema.Database, opts DurOptions) (*Database, error) 
 	if ck != nil {
 		rs.sch = ck.sch
 		rs.rels = ck.rels
-		rs.hash = ck.hash
-		rs.ordered = ck.ordered
+		rs.indexes = ck.indexes
 		rs.time = ck.time
 		rs.lsn = ck.lsn
 		du.nextFile = ck.fileID + 1
@@ -118,7 +117,7 @@ func Open(dir string, sch *schema.Database, opts DurOptions) (*Database, error) 
 	for name, r := range rs.rels {
 		tabs[name] = table{}.reload(r)
 	}
-	if err := buildIndexes(tabs, rs.hash, rs.ordered); err != nil {
+	if err := buildIndexes(tabs, rs.indexes); err != nil {
 		w.Close()
 		return fail(err)
 	}
@@ -133,8 +132,7 @@ func Open(dir string, sch *schema.Database, opts DurOptions) (*Database, error) 
 type replayState struct {
 	sch     *schema.Database
 	rels    map[string]*relation.Relation // mutable working copies
-	hash    [][]byte                      // encoded index defs, definition order
-	ordered [][]byte
+	indexes [][]byte                      // encoded index defs, definition order
 	time    uint64
 	lsn     uint64 // last applied LSN
 
@@ -273,39 +271,32 @@ func applyRecord(rs *replayState, rec wal.Record) error {
 		rs.rels[relSch.Name] = relation.New(relSch)
 		return nil
 	case recDefineIndex:
-		_, _, ordered, _, err := decodeIndexDef(rec.Payload)
-		if err != nil {
+		if _, _, _, err := decodeIndexDef(rec.Payload); err != nil {
 			return fmt.Errorf("storage: replay lsn %d: %w", rec.LSN, err)
 		}
-		if ordered {
-			rs.ordered = append(rs.ordered, rec.Payload)
-		} else {
-			rs.hash = append(rs.hash, rec.Payload)
-		}
+		rs.indexes = append(rs.indexes, rec.Payload)
 		return nil
 	default:
 		return fmt.Errorf("storage: replay lsn %d: unknown record type %d", rec.LSN, rec.Type)
 	}
 }
 
-// buildIndexes rebuilds every defined index, hash then ordered, from the
-// recovered tables' instances — same bulk path DefineIndex takes. Duplicate
-// definitions (a def both checkpointed and still in the WAL tail cannot
-// happen, but a replayed AddRelation racing a caller schema could) are
-// skipped.
-func buildIndexes(tabs map[string]table, hashDefs, orderedDefs [][]byte) error {
-	for _, defs := range [][][]byte{hashDefs, orderedDefs} {
-		for _, enc := range defs {
-			rel, cols, ordered, _, err := decodeIndexDef(enc)
-			if err != nil {
-				return err
-			}
-			t, ok := tabs[rel]
-			if !ok {
-				return fmt.Errorf("storage: recover: index on unknown relation %q", rel)
-			}
-			tabs[rel], _ = t.withIndex(cols, ordered)
+// buildIndexes rebuilds every defined index from the recovered tables'
+// instances — same bulk path DefineIndex takes. A definition repeating a
+// column list already built counts as present: a log written before
+// equality and ordered indexes were one kind may define both over the same
+// column.
+func buildIndexes(tabs map[string]table, defs [][]byte) error {
+	for _, enc := range defs {
+		rel, cols, _, err := decodeIndexDef(enc)
+		if err != nil {
+			return err
 		}
+		t, ok := tabs[rel]
+		if !ok {
+			return fmt.Errorf("storage: recover: index on unknown relation %q", rel)
+		}
+		tabs[rel], _ = t.withIndex(cols)
 	}
 	return nil
 }

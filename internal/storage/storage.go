@@ -51,7 +51,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -100,17 +99,13 @@ func (t table) reload(r *relation.Relation) table {
 	return table{inst: r.Seal(), idx: t.idx.Rebuild(r)}
 }
 
-// withIndex adds an equality or ordered index over cols, built from the instance;
-// ok is false when the set already holds one over the same columns.
-func (t table) withIndex(cols []int, ordered bool) (_ table, ok bool) {
-	switch {
-	case ordered && t.idx.OrderedExact(cols) == nil:
-		t.idx = t.idx.WithOrdered(index.Build(t.inst, cols))
-	case !ordered && t.idx.Exact(cols) == nil:
-		t.idx = t.idx.With(index.Build(t.inst, cols))
-	default:
+// withIndex adds an index over the column list cols, built from the
+// instance; ok is false when the set already holds one over the same list.
+func (t table) withIndex(cols []int) (_ table, ok bool) {
+	if t.idx.Exact(cols) != nil {
 		return t, false
 	}
+	t.idx = t.idx.With(index.Build(t.inst, cols))
 	return t, true
 }
 
@@ -167,24 +162,31 @@ type Delta struct {
 }
 
 // ProbeRead records the index probes a transaction issued against one
-// relation on one column set: the canonical probe keys
-// (relation.Tuple.KeyOn over Cols) it looked up. A probe observes every
-// tuple matching the key — including the absence of any — so a concurrent
-// delta conflicts iff one of its tuples projects onto a probed key.
+// relation on one column list: the keys (relation.Tuple.KeyOn over Cols) its
+// equality probes looked up, and the half-open intervals (index.KeyRange
+// over the same encoding) its range probes walked. A probe observes every
+// tuple whose projection matches a key or falls in an interval — including
+// the absence of any — so a concurrent delta conflicts iff one of its tuples
+// does.
 type ProbeRead struct {
-	Cols []int
-	Keys map[string]bool
+	Cols   []int
+	Keys   map[string]bool
+	Ranges []index.KeyRange
 }
 
-// RangeRead records the range probes a transaction issued against one
-// relation on one ordered column prefix: the half-open intervals
-// (index.KeyRange over relation.Tuple.KeyOn encodings of Cols) it
-// scanned. A range probe observes every tuple whose projection falls in an
-// interval — including the absence of any — so a concurrent delta conflicts
-// iff one of its tuples projects into a probed interval.
-type RangeRead struct {
-	Cols   []int
-	Ranges []index.KeyRange
+// covers reports whether an encoded projection onto Cols matches a probed
+// key or falls in a probed interval. The string(key) conversions in map
+// lookups and comparisons do not allocate.
+func (pr *ProbeRead) covers(key []byte) bool {
+	if pr.Keys[string(key)] {
+		return true
+	}
+	for _, kr := range pr.Ranges {
+		if kr.Lo <= string(key) && string(key) < kr.Hi {
+			return true
+		}
+	}
+	return false
 }
 
 // ReadInfo describes how a transaction read one relation, at the finest
@@ -198,14 +200,11 @@ type ReadInfo struct {
 	// transaction probed or wrote when Full is false: a concurrent write
 	// conflicts only if its delta touches one of them.
 	Keys map[string]bool
-	// Probes holds the index-probe records, keyed by column signature
-	// (index.Sig), when Full is false: a concurrent write conflicts only if
-	// one of its tuples projects onto a probed key.
+	// Probes holds the probe records, one per probed column list and keyed
+	// by its signature (index.Sig), when Full is false: a concurrent write
+	// conflicts only if one of its tuples projects onto a probed key or
+	// into a probed interval.
 	Probes map[string]*ProbeRead
-	// Ranges holds the interval-read records, keyed by the signature of the
-	// probed ordered column prefix, when Full is false: a concurrent write
-	// conflicts only if one of its tuples projects into a probed interval.
-	Ranges map[string]*RangeRead
 }
 
 // Commit is a commit request: the outcome of a transaction that executed
@@ -447,52 +446,28 @@ func (d *Database) Load(r *relation.Relation) error {
 	return nil
 }
 
-// DefineIndex declares a secondary equality index on the named relation over
-// the given column positions (canonicalized to ascending order — an index
-// covers a set of columns), builds it from the current instance, and
-// publishes it with the snapshot. Like AddRelation, DefineIndex is a
-// schema-management call: it must not run concurrently with commits.
-// Duplicate definitions over the same column set are rejected.
+// DefineIndex declares a secondary index on the named relation over the
+// given column list, builds it from the current instance, and publishes it
+// with the snapshot. The column order is kept: it is the index's sort order,
+// and the index serves an equality on any leading prefix of the columns
+// plus a range on the next one. Like AddRelation, DefineIndex is a
+// schema-management call: it must not run concurrently with commits. A
+// second definition over the same column list is rejected.
 func (d *Database) DefineIndex(rel string, cols []int) error {
-	return d.defineIndex(rel, cols, false)
-}
-
-// DefineOrderedIndex declares a secondary ordered (range) index on the
-// named relation over the given column positions — whose order is the sort
-// order and is therefore preserved, not canonicalized — builds it from the
-// current instance, and publishes it with the snapshot. Like DefineIndex it
-// is a schema-management call that must not run concurrently with commits;
-// duplicate definitions over the same column list are rejected.
-func (d *Database) DefineOrderedIndex(rel string, cols []int) error {
-	return d.defineIndex(rel, cols, true)
-}
-
-// defineIndex is the body of DefineIndex and DefineOrderedIndex: the two
-// kinds differ in whether the column list is canonicalized, in the builder,
-// and in the flag of the logged definition.
-func (d *Database) defineIndex(rel string, cols []int, ordered bool) error {
-	kind := "index"
-	if ordered {
-		kind = "ordered index"
-	}
 	if len(cols) == 0 {
-		return fmt.Errorf("storage: %s on %q needs at least one column", kind, rel)
+		return fmt.Errorf("storage: index on %q needs at least one column", rel)
 	}
 	rs, ok := d.sch.Relation(rel)
 	if !ok {
-		return fmt.Errorf("storage: %s on unknown relation %q", kind, rel)
-	}
-	cols = append([]int(nil), cols...)
-	if !ordered {
-		sort.Ints(cols)
+		return fmt.Errorf("storage: index on unknown relation %q", rel)
 	}
 	seen := make(map[int]bool, len(cols))
 	for _, c := range cols {
 		if c < 0 || c >= rs.Arity() {
-			return fmt.Errorf("storage: %s on %q: column %d out of range (arity %d)", kind, rel, c, rs.Arity())
+			return fmt.Errorf("storage: index on %q: column %d out of range (arity %d)", rel, c, rs.Arity())
 		}
 		if seen[c] {
-			return fmt.Errorf("storage: %s on %q repeats column %d", kind, rel, c)
+			return fmt.Errorf("storage: index on %q repeats column %d", rel, c)
 		}
 		seen[c] = true
 	}
@@ -500,15 +475,15 @@ func (d *Database) defineIndex(rel string, cols []int, ordered bool) error {
 	cur := d.snap.Load()
 	old, ok := cur.tabs[rel]
 	if !ok {
-		return fmt.Errorf("storage: %s on relation %q with no instance", kind, rel)
+		return fmt.Errorf("storage: index on relation %q with no instance", rel)
 	}
-	indexed, ok := old.withIndex(cols, ordered)
+	indexed, ok := old.withIndex(cols)
 	if !ok {
-		return fmt.Errorf("storage: duplicate %s on %q(%s)", kind, rel, index.Sig(cols))
+		return fmt.Errorf("storage: duplicate index on %q(%s)", rel, index.Sig(cols))
 	}
 	next := cur.withInstalled(map[string]table{rel: indexed}, cur.time)
 	if d.dur != nil {
-		lsn, err := d.dur.appendSchemaRecord(recDefineIndex, cur.time, encodeIndexDef(rel, cols, ordered))
+		lsn, err := d.dur.appendSchemaRecord(recDefineIndex, cur.time, encodeIndexDef(rel, cols))
 		if err != nil {
 			return err
 		}
@@ -518,8 +493,12 @@ func (d *Database) defineIndex(rel string, cols []int, ordered bool) error {
 	return nil
 }
 
-// IndexDefs returns the column sets of the equality indexes defined on the
-// named relation, ordered by signature; nil when it has none.
+// DefineOrderedIndex is DefineIndex. It is kept for benchmarks/txbench,
+// which calls it.
+func (d *Database) DefineOrderedIndex(rel string, cols []int) error { return d.DefineIndex(rel, cols) }
+
+// IndexDefs returns the column lists of the indexes defined on the named
+// relation, ordered by signature; nil when it has none.
 func (d *Database) IndexDefs(rel string) [][]int {
 	set := d.Snapshot().IndexSet(rel)
 	if set.Len() == 0 {
@@ -532,20 +511,9 @@ func (d *Database) IndexDefs(rel string) [][]int {
 	return out
 }
 
-// OrderedIndexDefs returns the column lists (sort-order significant) of the
-// ordered indexes defined on the named relation, ordered by signature; nil
-// when it has none.
-func (d *Database) OrderedIndexDefs(rel string) [][]int {
-	set := d.Snapshot().IndexSet(rel)
-	if set.Len() == 0 {
-		return nil
-	}
-	var out [][]int
-	for _, x := range set.OrderedAll() {
-		out = append(out, append([]int(nil), x.Cols()...))
-	}
-	return out
-}
+// OrderedIndexDefs is IndexDefs. It is kept for benchmarks/txbench, which
+// calls it.
+func (d *Database) OrderedIndexDefs(rel string) [][]int { return d.IndexDefs(rel) }
 
 // writes reports whether the commit writes the named relation.
 func (c *Commit) writes(name string) bool { return c.Ins[name] != nil || c.Del[name] != nil }
@@ -578,12 +546,17 @@ func (c *Commit) conflict(ws map[string]writeSet) (cf *Conflict, merged bool) {
 }
 
 // overlapKey returns a tuple key from the delta relations that the read
-// record depends on — its canonical key was observed directly (Keys), its
-// projection onto a probed column set matches a probed key (Probes), or its
-// projection onto a probed ordered column prefix falls inside a probed
-// interval (Ranges) — or "" when the delta is disjoint from everything
-// read.
+// record depends on — its canonical key was observed directly (Keys), or
+// its projection onto a probed column list matches a probed key or falls in
+// a probed interval (Probes) — or "" when the delta is disjoint from
+// everything read. The projections share one buffer, so the check
+// allocates nothing per delta tuple; it starts at 64 bytes so that, for the
+// usual projection widths, it never regrows whatever order Probes iterates.
 func (ri *ReadInfo) overlapKey(ins, del *relation.Relation) string {
+	var buf []byte
+	if len(ri.Probes) > 0 {
+		buf = make([]byte, 0, 64)
+	}
 	for _, r := range []*relation.Relation{ins, del} {
 		if r == nil {
 			continue
@@ -595,18 +568,10 @@ func (ri *ReadInfo) overlapKey(ins, del *relation.Relation) string {
 				return errStopIteration
 			}
 			for _, pr := range ri.Probes {
-				if pr.Keys[t.KeyOn(pr.Cols)] {
+				buf = t.AppendKeyOn(buf[:0], pr.Cols)
+				if pr.covers(buf) {
 					hit = k
 					return errStopIteration
-				}
-			}
-			for _, rr := range ri.Ranges {
-				key := t.KeyOn(rr.Cols)
-				for _, kr := range rr.Ranges {
-					if kr.Contains(key) {
-						hit = k
-						return errStopIteration
-					}
 				}
 			}
 			return nil

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/index"
 	"repro/internal/relation"
 	"repro/internal/schema"
 	"repro/internal/value"
@@ -630,5 +631,47 @@ func TestProbeReadValidation(t *testing.T) {
 	}
 	if conflict == nil {
 		t.Error("overlapping probe did not conflict")
+	}
+}
+
+// TestOverlapKeyAllocationsFlat: validating a delta against a read record
+// that holds tuple keys, probed points and probed intervals projects every
+// delta tuple into one reused buffer, so a 1 000-tuple delta allocates no
+// more than a 10-tuple one.
+func TestOverlapKeyAllocationsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	rs := schema.MustRelation("r",
+		schema.Attribute{Name: "a", Type: value.KindInt},
+		schema.Attribute{Name: "b", Type: value.KindString})
+	row := func(a int64) relation.Tuple { return relation.Tuple{value.Int(a), value.String("x")} }
+	lo, hi := relation.Tuple{value.Int(-20)}, relation.Tuple{value.Int(-10)}
+	ri := &ReadInfo{
+		Keys: map[string]bool{row(-1).Key(): true},
+		Probes: map[string]*ProbeRead{
+			"1":   {Cols: []int{1}, Keys: map[string]bool{relation.Tuple{value.String("y")}.Key(): true}},
+			"0":   {Cols: []int{0}, Ranges: []index.KeyRange{{Lo: lo.Key(), Hi: hi.Key()}}},
+			"1,0": {Cols: []int{1, 0}, Keys: map[string]bool{"\x00": true}, Ranges: []index.KeyRange{{Lo: "\x00", Hi: "\x01"}}},
+		},
+	}
+	delta := func(n int) *relation.Relation {
+		r := relation.New(rs)
+		for i := range n {
+			r.InsertUnchecked(row(int64(i)))
+		}
+		return r
+	}
+	small, large := delta(10), delta(1000)
+	if ri.overlapKey(large, nil) != "" {
+		t.Fatal("a disjoint delta overlaps the read record")
+	}
+	a10 := testing.AllocsPerRun(20, func() { ri.overlapKey(small, nil) })
+	a1000 := testing.AllocsPerRun(20, func() { ri.overlapKey(large, nil) })
+	if a1000 != a10 {
+		t.Fatalf("validating 10 delta tuples allocates %.0f times, 1 000 tuples %.0f times", a10, a1000)
+	}
+	if ri.overlapKey(delta(1000), relation.MustFromTuples(rs, relation.Tuple{value.Int(-15), value.String("z")})) == "" {
+		t.Fatal("a delete inside a probed interval does not overlap")
 	}
 }

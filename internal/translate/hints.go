@@ -8,16 +8,18 @@ import (
 )
 
 // IndexHint names a relation and the attribute columns its enforcement
-// programs probe — the input to automatic secondary indexing. A hash hint
-// (Ordered false) carries the canonical (ascending, duplicate-free)
-// equality-join columns; an ordered hint (Ordered true) carries a single
-// comparison-bounded column whose declared order is the sort order of the
-// ordered index worth building.
+// programs probe — the input to automatic secondary indexing, which builds
+// an index over exactly that column list. A join hint carries the canonical
+// (ascending, duplicate-free) equality-join columns; a range hint carries a
+// single comparison-bounded column.
 type IndexHint struct {
 	Relation string
 	Columns  []int
 	Attrs    []string
-	Ordered  bool
+	// Ordered marks a range hint. Every index answers both equality and
+	// range probes, so the engine does not read it; it is kept for
+	// benchmarks/txbench, which does.
+	Ordered bool
 }
 
 // IndexHints derives the secondary indexes the given type-checked programs
@@ -27,10 +29,10 @@ type IndexHint struct {
 //
 //   - a join, semijoin or antijoin probes a side that is a direct reference
 //     to a base relation on its equality-join columns (an antijoin only its
-//     right side, since its output needs every left tuple): a hash hint;
+//     right side, since its output needs every left tuple): a join hint;
 //   - a selection over a base relation, and an update's Where, range-probe
-//     the columns their predicate compares against constants: an ordered
-//     hint per column.
+//     the columns their predicate compares against constants: a range hint
+//     per column.
 //
 // So the referential check antijoin(ins(child), parent) hints parent on its
 // key and the deletion-side semijoin(child, del(parent)) hints child on its
@@ -117,7 +119,7 @@ func baseRel(e algebra.Expr) (*algebra.Rel, bool) {
 	return r, ok && (r.Aux == algebra.AuxCur || r.Aux == algebra.AuxOld)
 }
 
-// rangeCols adds an ordered hint per column of rel that pred bounds by a
+// rangeCols adds a range hint per column of rel that pred bounds by a
 // constant.
 func (h *hinter) rangeCols(rel string, pred algebra.Scalar) {
 	rs, ok := h.db.Relation(rel)

@@ -16,13 +16,13 @@ type Stats struct {
 	Statements     int
 	TuplesInserted int
 	TuplesDeleted  int
-	// IndexProbes counts secondary-index probes issued instead of relation
-	// scans (algebra.ProbeEnv); each one recorded a probed-key read rather
-	// than a whole-relation read.
+	// IndexProbes counts secondary-index probes by key issued instead of
+	// relation scans (algebra.ProbeEnv); each one recorded a point read
+	// rather than a whole-relation read.
 	IndexProbes int
-	// RangeProbes counts ordered-index range probes issued instead of
-	// relation scans (algebra.RangeProbeEnv); each one recorded an interval
-	// read rather than a whole-relation read.
+	// RangeProbes counts secondary-index probes with a bound (algebra.ProbeEnv)
+	// issued instead of relation scans; each one recorded an interval read
+	// rather than a whole-relation read.
 	RangeProbes int
 }
 

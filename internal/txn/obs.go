@@ -14,8 +14,8 @@ import (
 // disabled — overlays created without a database (NewOverlayAt) use it.
 //
 // The probe/scan counters live under the repro_index_* namespace: they count
-// access-path decisions (probe an index, range-probe an ordered index, fall
-// back to a whole-relation read), which is index-layer behaviour even though
+// access-path decisions (probe an index by key, probe it by key interval,
+// fall back to a whole-relation read), which is index-layer behaviour even though
 // the overlay is where the decision is observed.
 type txnMetrics struct {
 	statements       *obs.Counter

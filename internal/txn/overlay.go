@@ -2,6 +2,7 @@ package txn
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/algebra"
 	"repro/internal/index"
@@ -29,19 +30,14 @@ import (
 //   - inserting or deleting a tuple is a keyed read: the statement observed
 //     only the presence or absence of that exact tuple (set semantics), so
 //     just its canonical key is recorded;
-//   - probing a secondary index (algebra.ProbeEnv, used for equality
-//     selections and the non-delta side of joins) is a probed-key read: the
-//     expression observed exactly the tuples matching the probe key on the
-//     index columns — including their absence — so the (columns, key) pair
-//     is recorded and the validator conflicts only with concurrent deltas
-//     whose tuples project onto a probed key;
-//   - range-probing an ordered index (algebra.RangeProbeEnv, used for
-//     comparison selections and Update.Exec range predicates) is an
-//     interval read: the expression observed exactly the tuples whose
-//     projection onto the probed column prefix falls in the probed
-//     half-open intervals — including the absence of any — so the
-//     (columns, intervals) pair is recorded and the validator conflicts
-//     only with concurrent deltas whose tuples project into an interval;
+//   - probing a secondary index (algebra.ProbeEnv, used for selections,
+//     updates and the non-delta side of joins) is a probe read on the
+//     probed columns: an equality on a leading prefix of the index columns
+//     records a point (the prefix key) on that prefix, and a bound on the
+//     next column records half-open intervals on the prefix plus that
+//     column. The expression observed exactly the tuples projecting onto
+//     the point or into an interval — including the absence of any — so
+//     the validator conflicts only with concurrent deltas whose tuples do;
 //   - reading ins(R)/del(R) (AuxIns/AuxDel) touches transaction-local
 //     differentials only and records no base read at all — their content is
 //     fully determined by the transaction's own statements plus the keyed
@@ -139,7 +135,6 @@ func (o *Overlay) markFullRead(name string) {
 	ri.Full = true
 	ri.Keys = nil
 	ri.Probes = nil
-	ri.Ranges = nil
 	o.met.fullScans.Inc()
 	if o.tr != nil {
 		o.tr.Event(obs.Event{Kind: obs.EvTxnScan, Txn: o.label, Relation: name})
@@ -159,147 +154,37 @@ func (o *Overlay) markKeyRead(name, key string) {
 	ri.Keys[key] = true
 }
 
-// markProbeRead records an index-probe read (cols, key) of a base relation;
-// subsumed by an earlier or later full read.
-func (o *Overlay) markProbeRead(name string, cols []int, key string) {
+// probeRead returns the probe record of a base relation on the given column
+// list, created on demand, or nil when an earlier full read subsumes it.
+func (o *Overlay) probeRead(name string, cols []int) *storage.ProbeRead {
 	ri := o.readInfo(name)
 	if ri.Full {
-		return
+		return nil
 	}
-	sig := index.Sig(cols)
-	pr := ri.Probes[sig]
-	if pr == nil {
-		if ri.Probes == nil {
-			ri.Probes = make(map[string]*storage.ProbeRead)
+	for _, pr := range ri.Probes {
+		if slices.Equal(pr.Cols, cols) {
+			return pr
 		}
-		pr = &storage.ProbeRead{Cols: append([]int(nil), cols...), Keys: make(map[string]bool)}
-		ri.Probes[sig] = pr
 	}
-	pr.Keys[key] = true
+	if ri.Probes == nil {
+		ri.Probes = make(map[string]*storage.ProbeRead)
+	}
+	pr := &storage.ProbeRead{Cols: slices.Clone(cols)}
+	ri.Probes[index.Sig(cols)] = pr
+	return pr
 }
 
-// markRangeRead records an interval read (cols, key range) of a base
-// relation; subsumed by an earlier or later full read. Identical intervals
-// (a guard re-probed by several statements) collapse onto one record.
-func (o *Overlay) markRangeRead(name string, cols []int, kr index.KeyRange) {
-	ri := o.readInfo(name)
-	if ri.Full {
-		return
-	}
-	sig := index.Sig(cols)
-	rr := ri.Ranges[sig]
-	if rr == nil {
-		if ri.Ranges == nil {
-			ri.Ranges = make(map[string]*storage.RangeRead)
-		}
-		rr = &storage.RangeRead{Cols: append([]int(nil), cols...)}
-		ri.Ranges[sig] = rr
-	}
-	for _, old := range rr.Ranges {
-		if old == kr {
-			return
-		}
-	}
-	rr.Ranges = append(rr.Ranges, kr)
-}
-
-// OrderedIndexFor implements algebra.RangeProbeEnv: it resolves an ordered
-// index of the pinned snapshot whose leading columns carry equality
-// bindings and whose next column is the bounded one. Only the current and
-// pre-transaction incarnations are indexed; the transaction-local
-// differentials are small and carry no base-read dependency.
-func (o *Overlay) OrderedIndexFor(name string, aux algebra.AuxKind, eq map[int]bool, boundCol int) ([]int, int, bool) {
+// IndexFor implements algebra.ProbeEnv over the pinned snapshot's indexes
+// (index.Set.For). Only the current and pre-transaction incarnations are
+// indexed; the transaction-local differentials are small and carry no
+// base-read dependency.
+func (o *Overlay) IndexFor(name string, aux algebra.AuxKind, eqCols []int, boundCol int) ([]int, int, int, bool) {
 	if aux != algebra.AuxCur && aux != algebra.AuxOld {
-		return nil, 0, false
+		return nil, 0, 0, false
 	}
-	x, prefix := o.base.IndexSet(name).OrderedFor(eq, boundCol)
+	x, prefix := o.base.IndexSet(name).For(eqCols, boundCol)
 	if x == nil {
-		return nil, 0, false
-	}
-	return x.Cols(), prefix, true
-}
-
-// RangeProbe implements algebra.RangeProbeEnv: it answers a bounded range
-// probe against the pinned snapshot's ordered index, overlays the
-// transaction's own net deltas for the current incarnation (the snapshot
-// index cannot see uncommitted writes), and records each scanned interval
-// as an interval read instead of a full-relation read.
-func (o *Overlay) RangeProbe(name string, aux algebra.AuxKind, idx []int, prefix int,
-	eqVals []value.Value, lo, hi *algebra.RangeBound, boundKind value.Kind,
-	includeNull, includeNaN bool) ([]relation.Tuple, error) {
-	x := o.base.IndexSet(name).OrderedExact(idx)
-	if x == nil {
-		return nil, fmt.Errorf("txn: no ordered index %s(%s) to range-probe", name, index.Sig(idx))
-	}
-	var loV, hiV *value.Value
-	var loIncl, hiIncl bool
-	if lo != nil {
-		loV, loIncl = &lo.V, lo.Incl
-	}
-	if hi != nil {
-		hiV, hiIncl = &hi.V, hi.Incl
-	}
-	ranges := index.RangesFor(eqVals, boundKind, loV, hiV, loIncl, hiIncl, includeNull, includeNaN)
-	probeCols := idx[:prefix+1]
-	o.stats.RangeProbes++
-	o.met.rangeProbes.Inc()
-	if o.tr != nil {
-		o.tr.Event(obs.Event{Kind: obs.EvTxnRangeProbe, Txn: o.label, Relation: name, N: uint64(len(ranges))})
-	}
-	var out []relation.Tuple
-	for _, kr := range ranges {
-		o.markRangeRead(name, probeCols, kr)
-		out = append(out, x.Range(kr)...)
-	}
-	if aux != algebra.AuxCur {
-		return out, nil // old(R) is exactly the pinned snapshot
-	}
-	out = o.filterOwnDeletes(name, out)
-	if di := o.ins[name]; di != nil && !di.IsEmpty() {
-		var buf []byte
-		_ = di.ForEach(func(t relation.Tuple) error {
-			buf = t.AppendKeyOn(buf[:0], probeCols)
-			for _, kr := range ranges {
-				if kr.Contains(string(buf)) {
-					out = append(out, t)
-					return nil
-				}
-			}
-			return nil
-		})
-	}
-	return out, nil
-}
-
-// filterOwnDeletes drops probed snapshot tuples the transaction has itself
-// deleted — the local-delta adjustment shared by the hash-probe and
-// range-probe paths. It filters in place: index probes hand out slices of
-// their own.
-func (o *Overlay) filterOwnDeletes(name string, out []relation.Tuple) []relation.Tuple {
-	dd := o.del[name]
-	if dd == nil || dd.IsEmpty() {
-		return out
-	}
-	kept := out[:0]
-	for _, t := range out {
-		if !dd.ContainsKey(t.Key()) {
-			kept = append(kept, t)
-		}
-	}
-	return kept
-}
-
-// IndexFor implements algebra.ProbeEnv: it resolves the widest secondary
-// index of the pinned snapshot covering a subset of cols. Only the current
-// and pre-transaction incarnations are indexed; the transaction-local
-// differentials are small and carry no base-read dependency.
-func (o *Overlay) IndexFor(name string, aux algebra.AuxKind, cols []int) ([]int, int, bool) {
-	if aux != algebra.AuxCur && aux != algebra.AuxOld {
-		return nil, 0, false
-	}
-	x := o.base.IndexSet(name).Covering(cols)
-	if x == nil {
-		return nil, 0, false
+		return nil, 0, 0, false
 	}
 	size := x.Len()
 	if aux == algebra.AuxCur {
@@ -314,39 +199,98 @@ func (o *Overlay) IndexFor(name string, aux algebra.AuxKind, cols []int) ([]int,
 			}
 		}
 	}
-	return x.Cols(), size, true
+	return x.Cols(), prefix, size, true
 }
 
 // Probe implements algebra.ProbeEnv: it answers an index probe against the
 // pinned snapshot, overlays the transaction's own net deltas for the
 // current incarnation (the snapshot index cannot see uncommitted writes),
-// and records a probed-key read instead of a full-relation read.
-func (o *Overlay) Probe(name string, aux algebra.AuxKind, idx []int, vals []value.Value) ([]relation.Tuple, error) {
+// and records a point or interval read instead of a full-relation read.
+// An equality on all index columns or a leading prefix of them walks the
+// keys that extend the prefix key (Index.Probe).
+func (o *Overlay) Probe(name string, aux algebra.AuxKind, idx []int, vals []value.Value, bound *algebra.RangeBound) ([]relation.Tuple, error) {
 	x := o.base.IndexSet(name).Exact(idx)
-	if x == nil {
+	n := len(vals)
+	if bound != nil {
+		n++
+	}
+	if x == nil || n > len(idx) {
 		return nil, fmt.Errorf("txn: no index %s(%s) to probe", name, index.Sig(idx))
 	}
-	key := index.KeyVals(vals)
-	o.markProbeRead(name, idx, key)
-	o.stats.IndexProbes++
-	o.met.probes.Inc()
-	if o.tr != nil {
-		o.tr.Event(obs.Event{Kind: obs.EvTxnProbe, Txn: o.label, Relation: name, N: 1})
+	cols := idx[:n]
+	pr := o.probeRead(name, cols)
+	var out []relation.Tuple
+	var key string
+	var ranges []index.KeyRange
+	if bound == nil {
+		key = index.KeyVals(vals)
+		if pr != nil {
+			if pr.Keys == nil {
+				pr.Keys = make(map[string]bool)
+			}
+			pr.Keys[key] = true
+		}
+		o.stats.IndexProbes++
+		o.met.probes.Inc()
+		if o.tr != nil {
+			o.tr.Event(obs.Event{Kind: obs.EvTxnProbe, Txn: o.label, Relation: name, N: 1})
+		}
+		out = x.Probe(key)
+	} else {
+		ranges = index.RangesFor(vals, bound.Kind, bound.Lo, bound.Hi, bound.LoIncl, bound.HiIncl,
+			bound.IncludeNull, bound.IncludeNaN)
+		if pr != nil {
+			pr.Ranges = append(pr.Ranges, ranges...)
+		}
+		o.stats.RangeProbes++
+		o.met.rangeProbes.Inc()
+		if o.tr != nil {
+			o.tr.Event(obs.Event{Kind: obs.EvTxnRangeProbe, Txn: o.label, Relation: name, N: uint64(len(ranges))})
+		}
+		for _, kr := range ranges {
+			out = append(out, x.Range(kr)...)
+		}
 	}
-	out := x.Probe(key)
 	if aux != algebra.AuxCur {
 		return out, nil // old(R) is exactly the pinned snapshot
 	}
 	out = o.filterOwnDeletes(name, out)
 	if di := o.ins[name]; di != nil && !di.IsEmpty() {
+		var buf []byte
 		_ = di.ForEach(func(t relation.Tuple) error {
-			if t.KeyOn(idx) == key {
-				out = append(out, t)
+			buf = t.AppendKeyOn(buf[:0], cols)
+			if bound == nil {
+				if string(buf) == key {
+					out = append(out, t)
+				}
+				return nil
+			}
+			for _, kr := range ranges {
+				if kr.Lo <= string(buf) && string(buf) < kr.Hi {
+					out = append(out, t)
+					return nil
+				}
 			}
 			return nil
 		})
 	}
 	return out, nil
+}
+
+// filterOwnDeletes drops probed snapshot tuples the transaction has itself
+// deleted. It filters in place: index probes hand out slices of their own.
+func (o *Overlay) filterOwnDeletes(name string, out []relation.Tuple) []relation.Tuple {
+	dd := o.del[name]
+	if dd == nil || dd.IsEmpty() {
+		return out
+	}
+	kept := out[:0]
+	for _, t := range out {
+		if !dd.ContainsKey(t.Key()) {
+			kept = append(kept, t)
+		}
+	}
+	return kept
 }
 
 // Rel implements algebra.Env.
@@ -538,10 +482,7 @@ func (o *Overlay) CommitRecord() storage.Commit {
 		for _, ri := range o.reads {
 			keys += uint64(len(ri.Keys))
 			for _, pr := range ri.Probes {
-				keys += uint64(len(pr.Keys))
-			}
-			for _, rr := range ri.Ranges {
-				keys += uint64(len(rr.Ranges))
+				keys += uint64(len(pr.Keys) + len(pr.Ranges))
 			}
 		}
 		o.met.readKeys.Observe(keys)

@@ -62,23 +62,37 @@ func newPairStore(t testing.TB, indexed bool) *storage.Database {
 	return db
 }
 
-// newRangeStore is newPairStore plus ordered indexes on parent(id) and
-// child(id), so comparison selections range-probe.
-func newRangeStore(t testing.TB, hashIndexed bool) *storage.Database {
+// newRangeStore is newPairStore plus indexes on parent(id) and child(id),
+// so comparison selections on id range-probe.
+func newRangeStore(t testing.TB, joinIndexed bool) *storage.Database {
 	t.Helper()
-	db := newPairStore(t, hashIndexed)
-	if err := db.DefineOrderedIndex("parent", []int{0}); err != nil {
+	db := newPairStore(t, joinIndexed)
+	if !joinIndexed {
+		if err := db.DefineIndex("parent", []int{0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.DefineIndex("child", []int{0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.DefineOrderedIndex("child", []int{0}); err != nil {
+	return db
+}
+
+// newPrefixStore is the unindexed pair store plus one two-column index,
+// child(parent, id).
+func newPrefixStore(t testing.TB) *storage.Database {
+	t.Helper()
+	db := newPairStore(t, false)
+	if err := db.DefineIndex("child", []int{1, 0}); err != nil {
 		t.Fatal(err)
 	}
 	return db
 }
 
 // describeReads renders an overlay's read records as sorted
-// "relation:kind" strings — full, keys=N, probes=SIG×N, or ranges=SIG×N —
-// so tests can assert the exact record shape a statement produced.
+// "relation:kind" strings — full, keys=N, probes=SIG×N for the points and
+// ranges=SIG×N for the intervals of the probe record on SIG — so tests can
+// assert the exact record shape a statement produced.
 func describeReads(o *Overlay) []string {
 	var out []string
 	for name, ri := range o.Reads() {
@@ -91,14 +105,16 @@ func describeReads(o *Overlay) []string {
 			}
 			var sigs []string
 			for sig, pr := range ri.Probes {
-				sigs = append(sigs, fmt.Sprintf("%s:probes=%s×%d", name, sig, len(pr.Keys)))
-			}
-			for sig, rr := range ri.Ranges {
-				sigs = append(sigs, fmt.Sprintf("%s:ranges=%s×%d", name, sig, len(rr.Ranges)))
+				if len(pr.Keys) > 0 {
+					sigs = append(sigs, fmt.Sprintf("%s:probes=%s×%d", name, sig, len(pr.Keys)))
+				}
+				if len(pr.Ranges) > 0 {
+					sigs = append(sigs, fmt.Sprintf("%s:ranges=%s×%d", name, sig, len(pr.Ranges)))
+				}
 			}
 			sort.Strings(sigs)
 			out = append(out, sigs...)
-			if len(ri.Keys) == 0 && len(ri.Probes) == 0 && len(ri.Ranges) == 0 {
+			if len(ri.Keys) == 0 && len(ri.Probes) == 0 {
 				out = append(out, name+":empty")
 			}
 		}
@@ -324,13 +340,15 @@ func TestOverlayRangeReadRecords(t *testing.T) {
 		want  []string
 	}{
 		{
-			name:  "range selection without an ordered index scans",
+			// Every index answers range probes: the join index parent(id),
+			// declared for equality probes, serves a comparison on id too.
+			name:  "range selection over a join index records intervals",
 			store: func(t testing.TB) *storage.Database { return newPairStore(t, true) },
 			run: func(t *testing.T, ov *Overlay) {
 				execProgram(t, ov, algebra.Program{&algebra.Assign{Temp: "q",
 					Expr: algebra.NewSelect(algebra.NewRel("parent"), cmpConst("id", algebra.CmpGE, 2))}})
 			},
-			want: []string{"parent:full"},
+			want: []string{"parent:ranges=0×2"},
 		},
 		{
 			name:  "range selection with an ordered index records one interval",
@@ -459,6 +477,46 @@ func TestOverlayRangeReadRecords(t *testing.T) {
 			want: []string{"parent:keys=2", "parent:ranges=0×1"},
 		},
 		{
+			// An equality on the leading column of child(parent, id) probes
+			// the prefix and records a point on that column alone.
+			name:  "equality on an index prefix records a point on the prefix",
+			store: func(t testing.TB) *storage.Database { return newPrefixStore(t) },
+			run: func(t *testing.T, ov *Overlay) {
+				execProgram(t, ov, algebra.Program{&algebra.Assign{Temp: "q",
+					Expr: algebra.NewSelect(algebra.NewRel("child"), eqConst("parent", 1))}})
+				if q, _ := ov.Temp("q"); q.Len() != 2 {
+					t.Errorf("prefix probe returned %d tuples, want children 10 and 11", q.Len())
+				}
+			},
+			want: []string{"child:probes=1×1"},
+		},
+		{
+			// Equality on the prefix plus a bound on the next column records
+			// an interval on both columns.
+			name:  "prefix equality and a bound record an interval on both columns",
+			store: func(t testing.TB) *storage.Database { return newPrefixStore(t) },
+			run: func(t *testing.T, ov *Overlay) {
+				execProgram(t, ov, algebra.Program{&algebra.Assign{Temp: "q",
+					Expr: algebra.NewSelect(algebra.NewRel("child"),
+						&algebra.And{L: eqConst("parent", 1), R: cmpConst("id", algebra.CmpGT, 10)})}})
+				if q, _ := ov.Temp("q"); q.Len() != 1 || !q.Contains(childT(11, 1)) {
+					t.Errorf("prefix range probe returned %v, want child 11", q)
+				}
+			},
+			want: []string{"child:ranges=1,0×1"},
+		},
+		{
+			name:  "update with a range predicate over a join index records an interval",
+			store: func(t testing.TB) *storage.Database { return newPairStore(t, true) },
+			run: func(t *testing.T, ov *Overlay) {
+				execProgram(t, ov, algebra.Program{&algebra.Update{
+					Rel: "parent", Where: cmpConst("id", algebra.CmpGT, 2),
+					Sets: []algebra.SetClause{{Attr: "name", Expr: &algebra.Const{V: value.String("C")}}},
+				}})
+			},
+			want: []string{"parent:keys=2", "parent:ranges=0×1"},
+		},
+		{
 			name:  "a full read subsumes earlier interval reads",
 			store: func(t testing.TB) *storage.Database { return newRangeStore(t, false) },
 			run: func(t *testing.T, ov *Overlay) {
@@ -490,14 +548,9 @@ func TestOverlayRangeReadRecords(t *testing.T) {
 // path's comparison error into a silent empty result.
 func TestRangeKindMismatchKeepsScanError(t *testing.T) {
 	for _, indexed := range []bool{false, true} {
-		// indexed=true builds both the hash and the ordered index, so both
-		// probe paths are shown to stay on the erroring scan path.
+		// indexed=true builds parent(id), so both the equality and the
+		// range probe are shown to stay on the erroring scan path.
 		db := newPairStore(t, indexed)
-		if indexed {
-			if err := db.DefineOrderedIndex("parent", []int{0}); err != nil {
-				t.Fatal(err)
-			}
-		}
 		for name, pred := range map[string]algebra.Scalar{
 			"column vs mismatched constant": &algebra.Cmp{Op: algebra.CmpLT,
 				L: algebra.AttrByName("id"), R: &algebra.Const{V: value.String("x")}},
@@ -660,7 +713,7 @@ func TestProbedOverlaySeesOwnWrites(t *testing.T) {
 	if err := ov.InsertTuples("child", relation.MustFromTuples(childSchemaT(), childT(20, 1))); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ov.Probe("child", algebra.AuxCur, []int{1}, []value.Value{value.Int(1)})
+	got, err := ov.Probe("child", algebra.AuxCur, []int{1}, []value.Value{value.Int(1)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -672,7 +725,7 @@ func TestProbedOverlaySeesOwnWrites(t *testing.T) {
 		t.Errorf("probe over own writes = %v, want {11, 20}", ids)
 	}
 	// old(child) ignores the local writes.
-	got, err = ov.Probe("child", algebra.AuxOld, []int{1}, []value.Value{value.Int(1)})
+	got, err = ov.Probe("child", algebra.AuxOld, []int{1}, []value.Value{value.Int(1)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -382,6 +382,23 @@ func (v Value) AppendOrderedKey(dst []byte) []byte {
 	}
 }
 
+// OrderedKeyLen returns the length of v's key encoding (AppendOrderedKey),
+// so a key builder can allocate its buffer once, at its final size.
+func (v Value) OrderedKeyLen() int {
+	switch v.kind {
+	case KindNull:
+		return 1
+	case KindBool:
+		return 2
+	case KindInt, KindFloat:
+		return 9
+	case KindString:
+		return 2 + len(v.s) + strings.Count(v.s, "\x00")
+	default:
+		return 1
+	}
+}
+
 // orderedBits is the numeric payload of the key encoding: the float64 image
 // of v (-0.0 collapsed onto +0.0) under the monotone bit transform, so
 // unsigned order is value order.

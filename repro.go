@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -93,28 +94,28 @@ type Options struct {
 	// commit validation is re-executed against a fresh snapshot; 0 means
 	// the default (txn.DefaultMaxRetries).
 	MaxCommitRetries int
-	// Indexes declares secondary indexes as "relation(attr, ...)" strings —
-	// equality indexes by default, or ordered (range) indexes with the suffix
-	// "ordered", as in "stock(qty) ordered", whose attribute order is the
-	// sort order. Each declaration is applied when the named relation is
-	// created, so the list may be set before any CreateRelation call;
-	// indexes can also be added later with DB.CreateIndex. Indexed
-	// relations answer equality selections and enforcement joins with key
-	// probes instead of scans; ordered indexes additionally answer
-	// comparison selections (qty < threshold, between-style conjunctions,
-	// and the negated guards of enforcement programs) with bounded range
-	// probes. Probed transactions record probed-key or interval reads
-	// instead of whole-relation reads.
+	// Indexes declares secondary indexes as "relation(attr, ...)" strings,
+	// as in "stock(item, qty)". The attribute order is the index's sort
+	// order. An index answers an equality on any leading prefix of its
+	// attributes (selections, updates and enforcement joins) with a key
+	// probe, and a comparison on the next attribute (qty < threshold,
+	// between-style conjunctions, and the negated guards of enforcement
+	// programs) with a bounded range probe, instead of a scan. Probed
+	// transactions record point or interval reads instead of whole-relation
+	// reads. A trailing "ordered", as in "stock(qty) ordered", still parses
+	// and changes nothing. Each declaration is applied when the named
+	// relation is created, so the list may be set before any CreateRelation
+	// call; indexes can also be added later with DB.CreateIndex.
 	Indexes []string
 	// AutoIndex derives secondary indexes automatically at rule definition
 	// time from the programs the engine runs for the rule, its differential
 	// checks and its repair, and builds exactly the indexes they probe:
-	// equality indexes on the equality-join attributes of referential and pair
+	// indexes on the equality-join attributes of referential and pair
 	// checks — both join directions, so the insertion-side check probes the
 	// referenced relation and the deletion-side check probes the
-	// referencing one — and ordered indexes on the attributes that
-	// existential checks and clamp or cascade-delete repairs compare
-	// against constants, so they range-probe instead of scanning. A domain
+	// referencing one — and on the attributes that existential checks and
+	// clamp or cascade-delete repairs compare against constants, so they
+	// range-probe instead of scanning. A domain
 	// check reads only the transaction's own inserts and builds nothing;
 	// declare range lookups on a domain-constrained column in Indexes.
 	// It stays opt-in because indexes cost setup time and memory a workload
@@ -315,25 +316,13 @@ func resolveIndex(what string, rs *schema.Relation, attrs []string) ([]int, erro
 	return cols, nil
 }
 
-// ensureIndex defines the index unless one of its kind over the same columns
-// exists. Hash definitions canonicalize to ascending column order, so a
-// reordered hash declaration counts as existing; an ordered index's column
-// order is its sort order and is compared as given.
-func (db *DB) ensureIndex(rel string, cols []int, ordered bool) error {
-	want, defs := cols, db.store.OrderedIndexDefs(rel)
-	if !ordered {
-		want = append([]int(nil), cols...)
-		sort.Ints(want)
-		defs = db.store.IndexDefs(rel)
-	}
-	sig := index.Sig(want)
-	for _, d := range defs {
-		if index.Sig(d) == sig {
+// ensureIndex defines the index over the column list cols unless one over
+// the same list exists.
+func (db *DB) ensureIndex(rel string, cols []int) error {
+	for _, d := range db.store.IndexDefs(rel) {
+		if slices.Equal(d, cols) {
 			return nil
 		}
-	}
-	if ordered {
-		return db.store.DefineOrderedIndex(rel, cols)
 	}
 	return db.store.DefineIndex(rel, cols)
 }
@@ -343,7 +332,7 @@ func (db *DB) ensureIndex(rel string, cols []int, ordered bool) error {
 // Indexes already defined (typically recovered ones) are kept.
 func (db *DB) applyDeclaredIndexes() error {
 	for _, decl := range db.opts.Indexes {
-		rel, attrs, ordered, err := index.ParseDecl(decl)
+		rel, attrs, _, err := index.ParseDecl(decl)
 		if err != nil {
 			continue // Validate reported malformed declarations
 		}
@@ -355,7 +344,7 @@ func (db *DB) applyDeclaredIndexes() error {
 		if err != nil {
 			return err
 		}
-		if err := db.ensureIndex(rel, cols, ordered); err != nil {
+		if err := db.ensureIndex(rel, cols); err != nil {
 			return fmt.Errorf("repro: applying Options.Indexes: %w", err)
 		}
 	}
@@ -376,13 +365,9 @@ func (db *DB) CreateRelation(ddl string) error {
 	// the schema or store, so a declaration naming a missing attribute
 	// fails the creation atomically instead of leaving the relation
 	// half-created.
-	type pendingIndex struct {
-		cols    []int
-		ordered bool
-	}
-	var pending []pendingIndex
+	var pending [][]int
 	for _, decl := range db.opts.Indexes {
-		rel, attrs, ordered, err := index.ParseDecl(decl)
+		rel, attrs, _, err := index.ParseDecl(decl)
 		if err != nil || rel != rs.Name {
 			continue // Validate caught malformed declarations at Open
 		}
@@ -390,7 +375,7 @@ func (db *DB) CreateRelation(ddl string) error {
 		if err != nil {
 			return err
 		}
-		pending = append(pending, pendingIndex{cols: cols, ordered: ordered})
+		pending = append(pending, cols)
 	}
 	if err := db.sch.Add(rs); err != nil {
 		return err
@@ -399,22 +384,21 @@ func (db *DB) CreateRelation(ddl string) error {
 		db.sch.Remove(rs.Name)
 		return err
 	}
-	for _, p := range pending {
-		if err := db.ensureIndex(rs.Name, p.cols, p.ordered); err != nil {
+	for _, cols := range pending {
+		if err := db.ensureIndex(rs.Name, cols); err != nil {
 			return fmt.Errorf("repro: applying Options.Indexes: %w", err)
 		}
 	}
 	return nil
 }
 
-// CreateIndex declares a secondary index from "relation(attr, ...)" text —
-// an equality index, or an ordered (range) index with the "ordered" suffix, as
-// in "stock(qty) ordered" — building it from the relation's current
-// contents. Like the other definition calls it must not run concurrently
-// with submissions. Indexes over the same attribute set (within their kind)
-// are rejected as duplicates.
+// CreateIndex declares a secondary index from "relation(attr, ...)" text
+// (see Options.Indexes), building it from the relation's current contents.
+// Like the other definition calls it must not run concurrently with
+// submissions. A second index over the same attribute list is rejected as a
+// duplicate.
 func (db *DB) CreateIndex(decl string) error {
-	rel, attrs, ordered, err := index.ParseDecl(decl)
+	rel, attrs, _, err := index.ParseDecl(decl)
 	if err != nil {
 		return err
 	}
@@ -426,14 +410,11 @@ func (db *DB) CreateIndex(decl string) error {
 	if err != nil {
 		return err
 	}
-	if ordered {
-		return db.store.DefineOrderedIndex(rel, cols)
-	}
 	return db.store.DefineIndex(rel, cols)
 }
 
 // Indexes returns the defined secondary indexes as "relation(attr, ...)"
-// declarations — ordered indexes carry the "ordered" suffix — sorted.
+// declarations, each once, sorted.
 func (db *DB) Indexes() []string {
 	var out []string
 	for _, name := range db.sch.Names() {
@@ -444,13 +425,6 @@ func (db *DB) Indexes() []string {
 				attrs[i] = rs.Attrs[c].Name
 			}
 			out = append(out, fmt.Sprintf("%s(%s)", name, strings.Join(attrs, ", ")))
-		}
-		for _, cols := range db.store.OrderedIndexDefs(name) {
-			attrs := make([]string, len(cols))
-			for i, c := range cols {
-				attrs[i] = rs.Attrs[c].Name
-			}
-			out = append(out, fmt.Sprintf("%s(%s) ordered", name, strings.Join(attrs, ", ")))
 		}
 	}
 	sort.Strings(out)
@@ -474,7 +448,7 @@ func (db *DB) addRule(r *rules.Rule) error {
 	}
 	ip, _ := db.cat.Program(r.Name)
 	for _, h := range ip.IndexHints {
-		if err := db.ensureIndex(h.Relation, h.Columns, h.Ordered); err != nil {
+		if err := db.ensureIndex(h.Relation, h.Columns); err != nil {
 			_ = db.cat.Remove(r.Name) // just added, so Remove cannot fail
 			return fmt.Errorf("repro: auto-indexing for rule %s: %w", r.Name, err)
 		}
@@ -783,7 +757,7 @@ type Result struct {
 	Inserted    int
 	Deleted     int
 	Probes      int    // secondary-index probes issued instead of scans (key + range)
-	RangeProbes int    // ordered-index range probes among Probes, each recording an interval read
+	RangeProbes int    // probes with a bound among Probes, each recording an interval read
 	Retries     int    // conflict-induced re-executions before the outcome
 	CommitTime  uint64 // logical time of the installed state; 0 if aborted
 }
