@@ -14,17 +14,22 @@ import (
 var updateEnforcementGolden = flag.Bool("update-enforcement", false, "rewrite testdata/enforcement.golden")
 
 // goldenCase is one constraint set with the transactions explained under it.
+// Constraints are defined first, then RL rules, then views, each in list
+// order; rules and views are {name, text} pairs.
 type goldenCase struct {
 	name        string
 	relations   []string
 	constraints []difftest.Constraint
+	rules       [][2]string
+	views       [][2]string
 	txns        []string
 }
 
 // enforcementGoldenCases lists the difftest scenarios of seeds 1–40, the
 // Table 1 rows, guarded rules whose transactions reach each safety proof,
-// and the txbench constraints with one place, update and delete
-// transaction each.
+// the txbench constraints with one place, update and delete transaction
+// each, and rule sets whose transactions reach a second modification level
+// through repairs, compensating actions and views.
 func enforcementGoldenCases() []goldenCase {
 	var out []goldenCase
 	for seed := int64(1); seed <= 40; seed++ {
@@ -119,7 +124,99 @@ func enforcementGoldenCases() []goldenCase {
 			`begin delete(item, select(item, id = 17)); end`,
 		},
 	})
-	return out
+	return append(out, multiLevelGoldenCases()...)
+}
+
+// multiLevelGoldenCases are rule sets whose enforcement programs write
+// relations other rules constrain, so modification selects rules again
+// below level 1.
+func multiLevelGoldenCases() []goldenCase {
+	shop := []string{
+		`relation item(id int, price int)`,
+		`relation ord(id int, item int)`,
+	}
+	return []goldenCase{{
+		// Deleting a customer cascades to its orders at level 1 and to their
+		// lines at level 2; neither repair re-selects its own rule.
+		name: "cascade delete chain",
+		relations: []string{
+			`relation cust(id int, name string)`,
+			`relation ord(id int, cust int)`,
+			`relation line(id int, ord int, qty int)`,
+		},
+		constraints: []difftest.Constraint{
+			{Name: "ord_cust", Cond: `forall x (x in ord implies exists y (y in cust and x.cust = y.id)) on violation cascade delete`},
+			{Name: "line_ord", Cond: `forall x (x in line implies exists y (y in ord and x.ord = y.id)) on violation cascade delete`},
+		},
+		txns: []string{
+			`begin delete(cust, select(cust, id = 1)); end`,
+			`begin delete(ord, select(ord, id = 4)); end`,
+			`begin insert(line, values[(1, 4, 2)]); end`,
+		},
+	}, {
+		// The filled item rows are checked at level 2.
+		name:      "default fill feeding a check",
+		relations: shop,
+		constraints: []difftest.Constraint{
+			{Name: "ord_item", Cond: `forall x (x in ord implies exists y (y in item and x.item = y.id)) on violation default fill`},
+			{Name: "item_id", Cond: `forall x (x in item implies x.id > 0)`},
+		},
+		txns: []string{
+			`begin insert(ord, values[(1, 5)]); end`,
+			`begin update(ord, id = 1, [item = item + 1]); end`,
+			`begin insert(item, values[(5, 3)]); insert(ord, values[(2, 5)]); end`,
+		},
+	}, {
+		// The clamp selects cap again at level 2 and not itself. A clamp
+		// whose check the analyzer elides appends no repair either.
+		name:      "clamp beside a second rule",
+		relations: []string{`relation stock(id int, qty int)`},
+		constraints: []difftest.Constraint{
+			{Name: "qty_clamp", Cond: `forall x (x in stock implies x.qty >= 0) on violation clamp`},
+			{Name: "cap", Cond: `forall x (x in stock implies x.qty <= x.id)`},
+		},
+		txns: []string{
+			`begin insert(stock, values[(1, -5)]); end`,
+			`begin update(stock, id = 1, [qty = qty - 5]); end`,
+			`begin insert(stock, values[(2, 5)]); end`,
+			`begin delete(stock, select(stock, id = 1)); end`,
+		},
+	}, {
+		// A compensating action's writes select the aborting rule on them at
+		// level 2; the non-triggering action's writes select nothing.
+		name: "compensating actions",
+		relations: []string{
+			`relation a(x int)`,
+			`relation b(x int)`,
+			`relation c(x int)`,
+		},
+		constraints: []difftest.Constraint{
+			{Name: "b_nonneg", Cond: `forall v (v in b implies v.x >= 0)`},
+			{Name: "c_nonneg", Cond: `forall v (v in c implies v.x >= 0)`},
+		},
+		rules: [][2]string{
+			{"copy_b", `when INS(a) if not forall v (v in a implies v.x < 1000) then insert(b, a)`},
+			{"copy_c", `when INS(a) if not forall v (v in a implies v.x < 1000) then nontriggering insert(c, a)`},
+		},
+		txns: []string{
+			`begin insert(a, values[(-7)]); end`,
+			`begin insert(a, values[(4)]); delete(b, select(b, x = 4)); end`,
+		},
+	}, {
+		// The view reads item, which the fill writes at level 1 and the user
+		// at level 0: its maintenance is appended once, after every level.
+		name:      "view over a repaired relation",
+		relations: shop,
+		constraints: []difftest.Constraint{
+			{Name: "ord_item", Cond: `forall x (x in ord implies exists y (y in item and x.item = y.id)) on violation default fill`},
+		},
+		views: [][2]string{{"cheap", `select(item, price < 5)`}},
+		txns: []string{
+			`begin insert(ord, values[(1, 5)]); end`,
+			`begin insert(item, values[(6, 2)]); insert(ord, values[(2, 6)]); end`,
+			`begin delete(item, select(item, id = 6)); end`,
+		},
+	}}
 }
 
 // renderEnforcement explains every transaction of c under the default
@@ -141,6 +238,16 @@ func renderEnforcement(t *testing.T, c goldenCase) string {
 			if err := db.DropRule(con.Name); err != nil {
 				t.Fatal(err)
 			}
+		}
+	}
+	for _, r := range c.rules {
+		if err := db.DefineRule(r[0], r[1]); err != nil {
+			t.Fatalf("%s rule %s: %v", c.name, r[0], err)
+		}
+	}
+	for _, v := range c.views {
+		if err := db.DefineView(v[0], v[1]); err != nil {
+			t.Fatalf("%s view %s: %v", c.name, v[0], err)
 		}
 	}
 	var b strings.Builder
