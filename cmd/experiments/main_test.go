@@ -6,6 +6,11 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/lang"
+	"repro/internal/rules"
+	"repro/internal/txn"
 )
 
 // TestDeterministicSectionsCommitted holds EXPERIMENTS.md to the code: Table
@@ -26,6 +31,53 @@ func TestDeterministicSectionsCommitted(t *testing.T) {
 		section := strings.TrimRight(out.String(), "\n")
 		if !bytes.Contains(committed, []byte(section)) {
 			t.Errorf("EXPERIMENTS.md does not contain the current %s output; regenerate it. Current output:\n%s", name, section)
+		}
+	}
+}
+
+// TestDynamicEqualsPrecompiled checks that translating the selected rules
+// at modification time (Algorithm 5.1, dynamicModify) produces the same
+// program text as selecting precompiled integrity programs (Algorithm
+// 6.2), in the paper's full-state form and in the default engine's, for
+// the beer rules and for a repair that selects a second rule at level 2.
+func TestDynamicEqualsPrecompiled(t *testing.T) {
+	beer := beerCatalog()
+	stock := rules.NewCatalog(beer.Schema())
+	for _, c := range []struct{ name, cond string }{
+		{"nonneg", `forall x (x in beer implies x.alcohol >= 0) on violation clamp`},
+		{"cap", `forall x (x in beer implies x.alcohol <= 20)`},
+	} {
+		r, err := lang.ParseConstraintRule(c.name, c.cond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := stock.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, cat := range []*rules.Catalog{beer, stock} {
+		for _, src := range []string{
+			`begin insert(beer, values[("exportgold", "stout", "guineken", 6)]); end`,
+			`begin update(beer, name = "a", [alcohol = alcohol - 1]); end`,
+			`begin delete(brewery, select(brewery, name = "guineken")); end`,
+		} {
+			prog, err := lang.ParseTransaction(src, cat.Schema())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, opts := range []core.Options{{}, defaultEngine} {
+				static, _, err := core.New(cat, opts).Modify(txn.Bracket(prog))
+				if err != nil {
+					t.Fatalf("static Modify: %v", err)
+				}
+				dynamic, _, err := dynamicModify(cat, opts, txn.Bracket(prog))
+				if err != nil {
+					t.Fatalf("dynamic Modify: %v", err)
+				}
+				if static.String() != dynamic.String() {
+					t.Errorf("%s under %+v: static and dynamic modification differ:\n--- static ---\n%s\n--- dynamic ---\n%s", src, opts, static, dynamic)
+				}
+			}
 		}
 	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // withEngine replaces db's enforcement by a reference configuration — full
-// state, differential unpruned, or dynamic translation — for tests that
-// compare the default engine against one. The subsystem reads the rule
+// state or differential unpruned — for tests that compare the default
+// engine against one. The subsystem reads the rule
 // catalog per transaction, so it may be installed before or after rules are
 // defined, but before anything is submitted.
 func withEngine(db *DB, opts core.Options) *DB {

@@ -130,7 +130,18 @@ func (a *Arith) Eval(t []value.Value) (value.Value, error) {
 }
 
 func (a *Arith) String() string {
-	return fmt.Sprintf("(%s %s %s)", a.L, a.Op, a.R)
+	return fmt.Sprintf("(%s %s %s)", operand(a.L), a.Op, operand(a.R))
+}
+
+// operand renders x as an operand of arithmetic or a comparison, where a
+// comparison or a negation must be parenthesised to parse back as the same
+// tree.
+func operand(x Scalar) string {
+	switch x.(type) {
+	case *Cmp, *Not:
+		return "(" + x.String() + ")"
+	}
+	return x.String()
 }
 
 // CmpOp enumerates the value predicate symbols PV = {<, <=, =, <>, >=, >}.
@@ -242,7 +253,7 @@ func (c *Cmp) Eval(t []value.Value) (value.Value, error) {
 }
 
 func (c *Cmp) String() string {
-	return fmt.Sprintf("%s %s %s", c.L, c.Op, c.R)
+	return fmt.Sprintf("%s %s %s", operand(c.L), c.Op, operand(c.R))
 }
 
 // And is boolean conjunction with short-circuit evaluation.

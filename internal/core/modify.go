@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"strings"
 
 	"repro/internal/algebra"
 	"repro/internal/rules"
@@ -23,9 +22,6 @@ type Options struct {
 	// UseDifferential selects the delta-based enforcement programs derived
 	// by the optimizer where available.
 	UseDifferential bool
-	// Dynamic re-translates rules at each modification instead of using the
-	// precompiled integrity programs (Algorithm 5.1 verbatim).
-	Dynamic bool
 	// Prune runs the static safety analyzer (translate.AnalyzeSafety) per
 	// selected rule and appends only the checks the transaction's statement
 	// shapes require; a fully safe verdict appends nothing, so the check
@@ -52,25 +48,9 @@ func New(cat *rules.Catalog, opts Options) *Subsystem {
 // Catalog returns the underlying rule catalog.
 func (s *Subsystem) Catalog() *rules.Catalog { return s.cat }
 
-// Step records one level of the modification recursion for reporting.
-type Step struct {
-	// Triggers raised by the program modified at this level.
-	Triggers trigger.Set
-	// Rules selected at this level, in catalog order.
-	Rules []string
-	// Statements appended at this level.
-	Statements int
-	// ChecksElided counts compiled check programs the safety analyzer
-	// proved unnecessary at this level.
-	ChecksElided int
-	// Repairs counts repair programs appended at this level.
-	Repairs int
-}
-
 // Report describes what the modification did to a transaction.
 type Report struct {
 	Depth          int
-	Steps          []Step
 	OriginalStmts  int
 	FinalStmts     int
 	RulesTriggered map[string]int // rule name → times selected
@@ -81,24 +61,6 @@ type Report struct {
 	ChecksRepaired int
 }
 
-// String renders a human-readable summary.
-func (r *Report) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "modification: %d -> %d statements, %d level(s)\n", r.OriginalStmts, r.FinalStmts, r.Depth)
-	for i, st := range r.Steps {
-		fmt.Fprintf(&sb, "  level %d: triggers {%s} selected [%s] (+%d stmts)",
-			i+1, st.Triggers, strings.Join(st.Rules, ", "), st.Statements)
-		if st.ChecksElided > 0 {
-			fmt.Fprintf(&sb, " (%d checks elided)", st.ChecksElided)
-		}
-		if st.Repairs > 0 {
-			fmt.Fprintf(&sb, " (%d repairs)", st.Repairs)
-		}
-		sb.WriteString("\n")
-	}
-	return sb.String()
-}
-
 // Modify implements ModT: it debrackets the transaction, recursively extends
 // the program with the enforcement programs of triggered rules, and
 // rebrackets (Algorithm 5.1). The input transaction is not mutated.
@@ -107,18 +69,9 @@ func (s *Subsystem) Modify(t *txn.Transaction) (*txn.Transaction, *Report, error
 		OriginalStmts:  len(t.Program),
 		RulesTriggered: make(map[string]int),
 	}
-	var deferred []*rules.IntegrityProgram
-	prog, err := s.modP(t.Debracket(), 0, report, &deferred)
+	prog, err := s.modP(t.Debracket(), report)
 	if err != nil {
 		return nil, nil, err
-	}
-	for _, ip := range deferred {
-		maintain, _, _, err := s.enforcementProgram(ip, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		report.RulesTriggered[ip.RuleName]++
-		prog = prog.Concat(maintain)
 	}
 	report.FinalStmts = len(prog)
 	out := txn.Bracket(prog)
@@ -126,61 +79,46 @@ func (s *Subsystem) Modify(t *txn.Transaction) (*txn.Transaction, *Report, error
 	return out, report, nil
 }
 
-// modP implements ModP: P if nothing is triggered, else P ⊕ ModP(TrigP(P)).
-// Deferred programs the levels select are collected, once each, in
-// deferred.
-func (s *Subsystem) modP(p algebra.Program, depth int, report *Report, deferred *[]*rules.IntegrityProgram) (algebra.Program, error) {
-	if depth >= DefaultMaxDepth {
-		return nil, fmt.Errorf("core: modification exceeded depth %d; the rule set has a triggering cycle (see the triggering graph analysis in package graph)", DefaultMaxDepth)
+// modP implements ModP: P if nothing is triggered, else P ⊕ ModP(TrigP(P)),
+// one level per iteration. Level 1 selects the programs whose triggers the
+// user's statements raise: the user program acts as a program that raises
+// them. Every later level selects the rules.Selects-successors of the
+// programs the level before it appended statements for. The deferred
+// programs the levels select are appended once each, at the end.
+func (s *Subsystem) modP(p algebra.Program, report *Report) (algebra.Program, error) {
+	programs := s.cat.Programs()
+	user := rules.IntegrityProgram{Raises: trigger.FromProgram(p)}
+	writers := []*rules.IntegrityProgram{&user}
+	var deferred []*rules.IntegrityProgram
+	out, level := p, p
+	for depth := 0; len(writers) > 0; depth++ {
+		if depth >= DefaultMaxDepth {
+			return nil, fmt.Errorf("core: modification exceeded depth %d; the rule set has a triggering cycle (see the triggering graph analysis in package graph)", DefaultMaxDepth)
+		}
+		level, writers = s.trigP(programs, level, writers, depth, report, &deferred)
+		if len(level) > 0 {
+			out = out.Concat(level)
+		}
 	}
-	triggered, step, err := s.trigP(p, deferred)
-	if err != nil {
-		return nil, err
+	for _, ip := range deferred {
+		report.RulesTriggered[ip.RuleName]++
+		out = out.Concat(s.appendEnforcement(nil, ip, nil, report))
 	}
-	if len(step.Rules) == 0 {
-		return p, nil
-	}
-	report.Depth = depth + 1
-	report.Steps = append(report.Steps, step)
-	report.ChecksElided += step.ChecksElided
-	report.ChecksRepaired += step.Repairs
-	for _, name := range step.Rules {
-		report.RulesTriggered[name]++
-	}
-	if len(triggered) == 0 {
-		// Every selected rule's checks were proven unnecessary: nothing was
-		// appended, so the recursion ends here.
-		return p, nil
-	}
-	rest, err := s.modP(triggered, depth+1, report, deferred)
-	if err != nil {
-		return nil, err
-	}
-	return p.Concat(rest), nil
+	return out, nil
 }
 
-// trigP implements TrigP: the concatenation of the enforcement programs of
-// the rules whose trigger sets intersect the program's triggers
-// (SelPS/ConcatP of Algorithm 6.2, or SelRS/TrOptRS of Algorithms 5.2-5.3 in
-// dynamic mode). A rule is never selected by its own repair statements: the
-// repair is a complete fix for the rule's constraint by construction, and
-// the rule's checks already run after it within the same enforcement
-// program, so re-selecting would loop without adding enforcement. A
-// selected deferred program is added to deferred instead of the level.
-func (s *Subsystem) trigP(p algebra.Program, deferred *[]*rules.IntegrityProgram) (algebra.Program, Step, error) {
-	raised, byOrigin := s.programTriggers(p)
-	step := Step{Triggers: raised}
-	if raised.IsEmpty() {
-		return nil, step, nil
-	}
-	analysis := unwrapStmts(p)
+// trigP implements TrigP for one level (SelPS/ConcatP of Algorithm 6.2):
+// the concatenation, in catalog order, of the enforcement programs of the
+// programs some writer selects. level holds the statements the writers
+// appended, which the safety analyzer scores the checks against. It
+// returns the selected programs that appended statements and raise
+// triggers, the writers of the next level. A selected deferred program is
+// added to deferred instead of the level.
+func (s *Subsystem) trigP(programs []*rules.IntegrityProgram, level algebra.Program, writers []*rules.IntegrityProgram, depth int, report *Report, deferred *[]*rules.IntegrityProgram) (algebra.Program, []*rules.IntegrityProgram) {
 	var out algebra.Program
-	for _, ip := range s.cat.Programs() {
-		sel := raised
-		if _, isOrigin := byOrigin[ip.RuleName]; isOrigin {
-			sel = s.triggersExcludingOrigin(p, ip.RuleName)
-		}
-		if !ip.Triggers.Intersects(sel) {
+	var next []*rules.IntegrityProgram
+	for _, ip := range programs {
+		if !selectedBy(writers, ip) {
 			continue
 		}
 		if ip.Deferred {
@@ -189,165 +127,71 @@ func (s *Subsystem) trigP(p algebra.Program, deferred *[]*rules.IntegrityProgram
 			}
 			continue
 		}
-		enforcement, elided, repairs, err := s.enforcementProgram(ip, analysis)
-		if err != nil {
-			return nil, step, err
+		report.Depth = depth + 1
+		report.RulesTriggered[ip.RuleName]++
+		n := len(out)
+		out = s.appendEnforcement(out, ip, level, report)
+		// Only a repair or a compensating action raises anything, so only
+		// its program can select at the next level.
+		if len(out) > n && !ip.Raises.IsEmpty() {
+			next = append(next, ip)
 		}
-		step.Rules = append(step.Rules, ip.RuleName)
-		step.Statements += len(enforcement)
-		step.ChecksElided += elided
-		step.Repairs += repairs
-		out = out.Concat(enforcement)
 	}
-	return out, step, nil
+	return out, next
 }
 
-// programTriggers computes GetTrigPX over a program: statements belonging to
-// a non-triggering rule action raise no triggers. Non-triggering actions are
-// recognized per enforcement-program instance via the nonTriggering marker
-// statements are tagged with when cloned in enforcementProgram. The second
-// result maps repair origins present in the program to their raised
-// triggers, so selection can exclude a rule's own repair statements.
-func (s *Subsystem) programTriggers(p algebra.Program) (trigger.Set, map[string]trigger.Set) {
-	out := trigger.NewSet()
-	var byOrigin map[string]trigger.Set
-	for _, st := range p {
-		if _, ok := st.(*nonTriggeringStmt); ok {
-			continue // declared non-triggering: contributes nothing
+// selectedBy reports whether any of the writers selects ip.
+func selectedBy(writers []*rules.IntegrityProgram, ip *rules.IntegrityProgram) bool {
+	for _, from := range writers {
+		if rules.Selects(from, ip) {
+			return true
 		}
-		ts := trigger.FromStatement(unwrapStmt(st))
-		if rs, ok := st.(*repairStmt); ok {
-			if byOrigin == nil {
-				byOrigin = make(map[string]trigger.Set)
-			}
-			if cur, ok := byOrigin[rs.origin]; ok {
-				byOrigin[rs.origin] = cur.Union(ts)
-			} else {
-				byOrigin[rs.origin] = ts
-			}
-		}
-		out.AddAll(ts)
 	}
-	return out, byOrigin
+	return false
 }
 
-// triggersExcludingOrigin recomputes the raised trigger set skipping repair
-// statements tagged with the given origin (and non-triggering statements,
-// as always).
-func (s *Subsystem) triggersExcludingOrigin(p algebra.Program, origin string) trigger.Set {
-	out := trigger.NewSet()
-	for _, st := range p {
-		if _, ok := st.(*nonTriggeringStmt); ok {
-			continue
-		}
-		if rs, ok := st.(*repairStmt); ok && rs.origin == origin {
-			continue
-		}
-		out.AddAll(trigger.FromStatement(unwrapStmt(st)))
+// appendEnforcement appends a fresh copy of ip's enforcement program to
+// dst: repair statements first, checks after them. Each part's checks are
+// its full-state program without UseDifferential, every Δ term check
+// without Prune, and otherwise the checks the safety analyzer finds the
+// level's statements require; a rule whose checks are all elided appends
+// nothing, since its repair would be a no-op too. Compensating and view
+// programs run their stored action. The elided checks and the appended
+// repair are counted in report.
+func (s *Subsystem) appendEnforcement(dst algebra.Program, ip *rules.IntegrityProgram, level algebra.Program, report *Report) algebra.Program {
+	if len(ip.Plans) == 0 {
+		return appendClones(dst, ip.Full)
 	}
-	return out
-}
-
-// enforcementProgram returns a fresh copy of the rule's enforcement program
-// — repair statements first (tagged with their origin), checks after them —
-// re-translating when the subsystem operates dynamically. With pruning
-// active, the safety analyzer scores the level's statements against each
-// translated part and only the required residual checks are emitted; a rule
-// whose parts are all provably safe appends nothing at all (its repair
-// would be a no-op too). Returns the program plus the number of elided
-// check programs and appended repair programs.
-func (s *Subsystem) enforcementProgram(ip *rules.IntegrityProgram, analysis []algebra.Stmt) (algebra.Program, int, int, error) {
-	eip := ip
-	if r, ok := s.cat.Rule(ip.RuleName); s.opts.Dynamic && ok {
-		// Externally added programs (no rule, e.g. view maintenance) have
-		// nothing to re-translate and use the stored form even in dynamic
-		// mode.
-		fresh, err := rules.Compile(&rules.Rule{
-			Name:      r.Name,
-			Triggers:  r.Triggers.Clone(),
-			Condition: r.Condition,
-			Action:    r.Action,
-			Repair:    r.Repair,
-		}, s.cat.Schema())
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		eip = fresh
-	}
-
-	var checks algebra.Program
+	start := len(dst)
 	elided := 0
-	if s.opts.Prune && s.opts.UseDifferential && len(eip.Plans) > 0 {
-		for _, pl := range eip.Plans {
-			need := translate.AnalyzeSafety(pl.Part, pl.Terms, s.cat.Schema(), analysis)
-			prog, skipped := pl.ProgramFor(need)
-			elided += skipped
-			checks = checks.Concat(algebra.CloneProgram(prog))
-		}
-	} else {
-		checks = algebra.CloneProgram(eip.Program(s.opts.UseDifferential))
-	}
-
-	var out algebra.Program
-	repairs := 0
-	if eip.Repair != nil && (elided == 0 || len(checks) > 0) {
-		// All-safe verdicts skip the repair too: a transaction that cannot
-		// violate the constraint makes the repair a no-op by construction.
-		repairs = 1
-		rp := algebra.CloneProgram(eip.Repair.Program)
-		for _, st := range rp {
-			out = append(out, &repairStmt{Stmt: st, origin: eip.RuleName})
-		}
-	}
-	out = out.Concat(checks)
-
-	if eip.NonTriggering {
-		wrapped := make(algebra.Program, len(out))
-		for i, st := range out {
-			wrapped[i] = &nonTriggeringStmt{Stmt: st}
-		}
-		return wrapped, elided, repairs, nil
-	}
-	return out, elided, repairs, nil
-}
-
-// nonTriggeringStmt wraps a statement of a non-triggering rule action so the
-// trigger extraction of the next recursion level skips it (GetTrigPX,
-// Definition 6.2). It is transparent for type checking and execution.
-type nonTriggeringStmt struct {
-	algebra.Stmt
-}
-
-// repairStmt wraps a statement of a rule's repair program, carrying the rule
-// it repairs for so the next recursion level does not re-select that rule on
-// its own repair. It is transparent for type checking and execution.
-type repairStmt struct {
-	algebra.Stmt
-	origin string
-}
-
-// unwrapStmt strips the subsystem's marker wrappers off a statement.
-func unwrapStmt(st algebra.Stmt) algebra.Stmt {
-	for {
-		switch x := st.(type) {
-		case *nonTriggeringStmt:
-			st = x.Stmt
-		case *repairStmt:
-			st = x.Stmt
+	for _, pl := range ip.Plans {
+		var prog algebra.Program
+		switch {
+		case !s.opts.UseDifferential:
+			prog = pl.Full
+		case !s.opts.Prune:
+			prog, _ = pl.ProgramFor(translate.ConservativeNeed(pl.Terms))
 		default:
-			return st
+			var skipped int
+			prog, skipped = pl.ProgramFor(translate.AnalyzeSafety(pl.Part, pl.Terms, s.cat.Schema(), level))
+			elided += skipped
 		}
+		dst = appendClones(dst, prog)
 	}
+	report.ChecksElided += elided
+	if ip.Repair == nil || (elided > 0 && len(dst) == start) {
+		return dst
+	}
+	report.ChecksRepaired++
+	return slices.Insert(dst, start, algebra.CloneProgram(ip.Repair.Program)...)
 }
 
-// unwrapStmts strips marker wrappers off a whole program for analysis. All
-// state-changing statements are included — non-triggering and repair
-// statements raise no (or restricted) triggers but still write data the
-// checks of selected rules observe.
-func unwrapStmts(p algebra.Program) []algebra.Stmt {
-	out := make([]algebra.Stmt, len(p))
-	for i, st := range p {
-		out[i] = unwrapStmt(st)
+// appendClones appends a copy of each statement of p to dst: the stored
+// programs are shared by every transaction, and execution binds the
+// statements it runs.
+func appendClones(dst, p algebra.Program) algebra.Program {
+	for _, st := range p {
+		dst = append(dst, algebra.CloneStmt(st))
 	}
-	return out
+	return dst
 }

@@ -396,30 +396,6 @@ func TestNonTriggeringBreaksCycle(t *testing.T) {
 	}
 }
 
-// TestDynamicEqualsPrecompiled checks Algorithm 5.1 (translate at
-// modification time) produces the same program text as Algorithm 6.2
-// (precompiled integrity programs).
-func TestDynamicEqualsPrecompiled(t *testing.T) {
-	subStatic, db := newBeerSubsystem(t, Options{})
-	subDynamic, _ := newBeerSubsystem(t, Options{Dynamic: true})
-
-	userTxn := txn.New(&algebra.Insert{
-		Rel: "beer",
-		Src: algebra.NewLit(mustSchema(db, "beer"), beerTuple("a", "b", "c", 1)),
-	})
-	m1, _, err := subStatic.Modify(userTxn.Clone())
-	if err != nil {
-		t.Fatalf("static Modify: %v", err)
-	}
-	m2, _, err := subDynamic.Modify(userTxn.Clone())
-	if err != nil {
-		t.Fatalf("dynamic Modify: %v", err)
-	}
-	if m1.String() != m2.String() {
-		t.Errorf("static and dynamic modification differ:\n--- static ---\n%s\n--- dynamic ---\n%s", m1, m2)
-	}
-}
-
 func mustRelSchema(sch *schema.Database, name string) *schema.Relation {
 	rs, ok := sch.Relation(name)
 	if !ok {

@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"repro/internal/rules"
-	"repro/internal/trigger"
 )
 
 // Graph is a triggering graph over a compiled rule set.
@@ -23,14 +22,13 @@ type Graph struct {
 }
 
 // Build constructs the triggering graph of the catalog's integrity
-// programs: an edge J1 → J2 iff GetTrigPX(action(J1)) ∩ triggers(J2) ≠ ∅.
-// Aborting rules without a repair have no outgoing edges (their enforcement
-// programs contain only alarms); a rule with a repair action raises the
-// repair program's triggers. The self-edge of a repairing rule is excluded:
-// the subsystem never re-selects a rule on its own repair statements (the
-// repair is a complete fix by construction, and the rule's own checks
-// already run after it), so that loop cannot occur at run time.
-// Non-triggering actions contribute no edges (Definition 6.2).
+// programs: an edge J1 → J2 iff rules.Selects(J1, J2), that is iff what
+// J1's action can write raises a trigger in J2's trigger set. Aborting rules
+// without a repair have no outgoing edges (their enforcement programs
+// contain only alarms), non-triggering actions contribute none (Definition
+// 6.2), and a repairing rule has no self-edge: the subsystem selects by the
+// same predicate, so these are exactly the selections that can occur at
+// run time.
 func Build(programs []*rules.IntegrityProgram) *Graph {
 	g := &Graph{index: make(map[string]int, len(programs))}
 	for _, ip := range programs {
@@ -39,18 +37,8 @@ func Build(programs []*rules.IntegrityProgram) *Graph {
 	}
 	g.adj = make([][]int, len(g.names))
 	for i, from := range programs {
-		raised := trigger.FromProgramX(from.Full, from.NonTriggering)
-		if from.Repair != nil {
-			raised = raised.Union(trigger.FromProgram(from.Repair.Program))
-		}
-		if raised.IsEmpty() {
-			continue
-		}
 		for j, to := range programs {
-			if i == j && from.Repair != nil {
-				continue
-			}
-			if raised.Intersects(to.Triggers) {
+			if rules.Selects(from, to) {
 				g.adj[i] = append(g.adj[i], j)
 			}
 		}

@@ -108,6 +108,21 @@ func lex(src string) (*lexer, error) {
 						sb.WriteByte('\\')
 					case quote:
 						sb.WriteByte(quote)
+					case 'a', 'b', 'f', 'r', 'v', 'x', 'u', 'U':
+						// The other escapes strconv.Quote writes, so a
+						// printed string constant lexes back to itself.
+						r, multibyte, tail, err := strconv.UnquoteChar(src[i:], quote)
+						if err != nil {
+							sb.WriteByte(src[i+1])
+							break
+						}
+						if multibyte {
+							sb.WriteRune(r)
+						} else {
+							sb.WriteByte(byte(r))
+						}
+						i = n - len(tail)
+						continue
 					default:
 						sb.WriteByte(src[i+1])
 					}

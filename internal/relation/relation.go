@@ -288,6 +288,18 @@ func (r *Relation) ContainsKey(k string) bool {
 	return r.tuples.Has(k)
 }
 
+// ContainsBuf reports whether r holds t, like Contains, but encodes t's key
+// into buf rather than a new string and returns buf for reuse, so a loop
+// over many tuples allocates for the buffer alone. The lookup keeps no
+// reference to buf.
+func (r *Relation) ContainsBuf(buf []byte, t Tuple) ([]byte, bool) {
+	buf = buf[:0]
+	for _, v := range t {
+		buf = v.AppendOrderedKey(buf)
+	}
+	return buf, r.tuples.Has(unsafe.String(unsafe.SliceData(buf), len(buf)))
+}
+
 // InsertKeyed adds t under its precomputed canonical key, skipping arity
 // validation and key re-encoding; k must equal t.Key().
 func (r *Relation) InsertKeyed(k string, t Tuple) {

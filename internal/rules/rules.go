@@ -97,6 +97,20 @@ type IntegrityProgram struct {
 	Plans []*optimize.PartPlan
 	// Repair is the compiled repair action, nil for abort-only rules.
 	Repair *Repair
+	// Raises holds the triggers the program's action can raise when the
+	// subsystem appends it: the repair's triggers, or GetTrigPX of a
+	// compensating action (Definition 6.2). Alarm-only and view programs
+	// raise none. Selects reads it.
+	Raises trigger.Set
+}
+
+// Selects reports whether appending from's enforcement program selects to at
+// the next modification level: an edge of the triggering graph (Definition
+// 6.1). It holds when from raises one of to's triggers, except that a rule's
+// own repair never re-selects it: the repair is a complete fix by
+// construction, and the rule's checks already run after it.
+func Selects(from, to *IntegrityProgram) bool {
+	return from.Raises.Intersects(to.Triggers) && (from != to || from.Repair == nil)
 }
 
 // Program returns the enforcement program for the requested strategy,
@@ -170,6 +184,7 @@ func Compile(r *Rule, db *schema.Database) (*IntegrityProgram, error) {
 				return nil, err
 			}
 			ip.Repair = rep
+			ip.Raises = trigger.FromProgram(rep.Program)
 			run = append(run, rep.Program)
 		}
 		ip.IndexHints = translate.IndexHints(run, db)
@@ -192,27 +207,24 @@ func Compile(r *Rule, db *schema.Database) (*IntegrityProgram, error) {
 		return nil, fmt.Errorf("rules: rule %s: action: %w", r.Name, err)
 	}
 	ip.Full = prog
+	ip.Raises = trigger.FromProgramX(prog, r.Action.NonTriggering)
 	return ip, nil
 }
 
 // Catalog stores the rules defined on a database schema together with their
 // compiled integrity programs, in definition order (the paper interprets the
 // program set as a list by imposing an arbitrary order; we make it the
-// definition order for determinism).
+// definition order for determinism). The program list is replaced, never
+// changed in place, so a slice Programs returned stays valid.
 type Catalog struct {
 	db       *schema.Database
 	rules    map[string]*Rule
-	order    []string
-	programs map[string]*IntegrityProgram
+	programs []*IntegrityProgram
 }
 
 // NewCatalog returns an empty catalog over the database schema.
 func NewCatalog(db *schema.Database) *Catalog {
-	return &Catalog{
-		db:       db,
-		rules:    make(map[string]*Rule),
-		programs: make(map[string]*IntegrityProgram),
-	}
+	return &Catalog{db: db, rules: make(map[string]*Rule)}
 }
 
 // Schema returns the database schema the catalog compiles against.
@@ -220,7 +232,7 @@ func (c *Catalog) Schema() *schema.Database { return c.db }
 
 // Add compiles and registers a rule. Rule names must be unique.
 func (c *Catalog) Add(r *Rule) error {
-	if _, dup := c.rules[r.Name]; dup {
+	if _, dup := c.Program(r.Name); dup {
 		return fmt.Errorf("rules: duplicate rule %q", r.Name)
 	}
 	ip, err := Compile(r, c.db)
@@ -228,8 +240,7 @@ func (c *Catalog) Add(r *Rule) error {
 		return err
 	}
 	c.rules[r.Name] = r
-	c.order = append(c.order, r.Name)
-	c.programs[r.Name] = ip
+	c.programs = append(c.programs[:len(c.programs):len(c.programs)], ip)
 	return nil
 }
 
@@ -240,31 +251,26 @@ func (c *Catalog) AddProgram(ip *IntegrityProgram) error {
 	if ip.RuleName == "" {
 		return fmt.Errorf("rules: integrity program must have a name")
 	}
-	if _, dup := c.programs[ip.RuleName]; dup {
+	if _, dup := c.Program(ip.RuleName); dup {
 		return fmt.Errorf("rules: duplicate rule %q", ip.RuleName)
 	}
 	if ip.Triggers.IsEmpty() {
 		return fmt.Errorf("rules: integrity program %s has an empty trigger set", ip.RuleName)
 	}
-	c.order = append(c.order, ip.RuleName)
-	c.programs[ip.RuleName] = ip
+	c.programs = append(c.programs[:len(c.programs):len(c.programs)], ip)
 	return nil
 }
 
 // Remove drops a rule or externally added program by name.
 func (c *Catalog) Remove(name string) error {
-	if _, ok := c.programs[name]; !ok {
-		return fmt.Errorf("rules: unknown rule %q", name)
-	}
-	delete(c.rules, name)
-	delete(c.programs, name)
-	for i, n := range c.order {
-		if n == name {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
+	for i, ip := range c.programs {
+		if ip.RuleName == name {
+			delete(c.rules, name)
+			c.programs = append(c.programs[:i:i], c.programs[i+1:]...)
+			return nil
 		}
 	}
-	return nil
+	return fmt.Errorf("rules: unknown rule %q", name)
 }
 
 // Rule returns a rule by name.
@@ -275,25 +281,25 @@ func (c *Catalog) Rule(name string) (*Rule, bool) {
 
 // Program returns the compiled integrity program of a rule.
 func (c *Catalog) Program(name string) (*IntegrityProgram, bool) {
-	p, ok := c.programs[name]
-	return p, ok
+	for _, ip := range c.programs {
+		if ip.RuleName == name {
+			return ip, true
+		}
+	}
+	return nil, false
 }
 
-// Programs returns all integrity programs in definition order.
-func (c *Catalog) Programs() []*IntegrityProgram {
-	out := make([]*IntegrityProgram, 0, len(c.order))
-	for _, n := range c.order {
-		out = append(out, c.programs[n])
-	}
-	return out
-}
+// Programs returns all integrity programs in definition order. The slice is
+// the catalog's own and must not be modified; a later definition replaces
+// it rather than changing it.
+func (c *Catalog) Programs() []*IntegrityProgram { return c.programs }
 
 // Rules returns all rules in definition order. Externally added integrity
 // programs (e.g. view maintenance) have no rule and are skipped.
 func (c *Catalog) Rules() []*Rule {
-	out := make([]*Rule, 0, len(c.order))
-	for _, n := range c.order {
-		if r, ok := c.rules[n]; ok {
+	out := make([]*Rule, 0, len(c.rules))
+	for _, ip := range c.programs {
+		if r, ok := c.rules[ip.RuleName]; ok {
 			out = append(out, r)
 		}
 	}
@@ -302,7 +308,10 @@ func (c *Catalog) Rules() []*Rule {
 
 // Names returns the rule names in sorted order.
 func (c *Catalog) Names() []string {
-	out := append([]string(nil), c.order...)
+	out := make([]string, len(c.programs))
+	for i, ip := range c.programs {
+		out[i] = ip.RuleName
+	}
 	sort.Strings(out)
 	return out
 }

@@ -146,6 +146,12 @@ func TestCatalogLifecycle(t *testing.T) {
 	if len(progs) != 2 || progs[0].RuleName != "R1" || progs[1].RuleName != "R2" {
 		t.Errorf("Programs order = %v", []string{progs[0].RuleName, progs[1].RuleName})
 	}
+	defer func() {
+		// Remove and Add replace the list: a slice taken before stays put.
+		if len(progs) != 2 || progs[0].RuleName != "R1" || progs[1].RuleName != "R2" {
+			t.Errorf("an earlier Programs slice changed to %v", []string{progs[0].RuleName, progs[1].RuleName})
+		}
+	}()
 	if _, ok := cat.Rule("R2"); !ok {
 		t.Error("Rule(R2) missing")
 	}
@@ -160,6 +166,77 @@ func TestCatalogLifecycle(t *testing.T) {
 	}
 	if cat.Len() != 1 || cat.Programs()[0].RuleName != "R2" {
 		t.Errorf("catalog after remove: %v", cat.Names())
+	}
+	if err := cat.Add(parseRule(t, db, "R3", `if not CNT(r) <= 1 then abort`)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCatalogProgramsAllocatesNothing: every modification level reads the
+// program list, so handing it out must not copy it.
+func TestCatalogProgramsAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	db := ruleSchema()
+	cat := rules.NewCatalog(db)
+	for _, name := range []string{"R1", "R2", "R3"} {
+		if err := cat.Add(parseRule(t, db, name, `if not forall x (x in r implies x.a >= 0) then abort`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var n int
+	if allocs := testing.AllocsPerRun(100, func() { n = len(cat.Programs()) }); allocs != 0 {
+		t.Fatalf("Programs allocates %.0f times, want 0", allocs)
+	}
+	if n != 3 {
+		t.Fatalf("Programs holds %d programs, want 3", n)
+	}
+}
+
+// TestRaisesAndSelects pins what each kind of program raises and the
+// selection predicate built on it: a repair raises its writes but never
+// re-selects its own rule, a compensating action raises its writes (its
+// own rule included), and alarms and non-triggering actions raise nothing.
+func TestRaisesAndSelects(t *testing.T) {
+	db := ruleSchema()
+	compile := func(r *rules.Rule, err error) *rules.IntegrityProgram {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ip, err := rules.Compile(r, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ip
+	}
+	abort := compile(lang.ParseConstraintRule("abort", `forall x (x in r implies x.a >= 0)`))
+	clamp := compile(lang.ParseConstraintRule("clamp", `forall x (x in r implies x.a >= 0) on violation clamp`))
+	copyR := compile(lang.ParseRule("copy", `when INS(r) if not forall x (x in r implies x.a < 9) then insert(r, s)`, db))
+	quiet := compile(lang.ParseRule("quiet", `when INS(r) if not forall x (x in r implies x.a < 9) then nontriggering insert(r, s)`, db))
+	for _, c := range []struct {
+		ip     *rules.IntegrityProgram
+		raises string
+	}{{abort, ""}, {clamp, "INS(r), DEL(r)"}, {copyR, "INS(r)"}, {quiet, ""}} {
+		if got := c.ip.Raises.String(); got != c.raises {
+			t.Errorf("%s raises {%s}, want {%s}", c.ip.RuleName, got, c.raises)
+		}
+	}
+	for _, c := range []struct {
+		from, to *rules.IntegrityProgram
+		want     bool
+	}{
+		{clamp, abort, true},
+		{clamp, clamp, false},
+		{copyR, copyR, true},
+		{copyR, clamp, true},
+		{abort, clamp, false},
+		{quiet, abort, false},
+	} {
+		if got := rules.Selects(c.from, c.to); got != c.want {
+			t.Errorf("Selects(%s, %s) = %v, want %v", c.from.RuleName, c.to.RuleName, got, c.want)
+		}
 	}
 }
 

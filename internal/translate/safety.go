@@ -58,8 +58,8 @@ func ConservativeNeed(terms []algebra.DeltaTerm) Need {
 
 // AnalyzeSafety computes the union of per-statement needs for one part with
 // the given Δ terms (nil when the part has no Δ form) over a transaction
-// program's statements. Statements must be plain algebra statements
-// (callers unwrap any tagging decorators first).
+// program's statements: the user's, or those one modification level
+// appended, which are plain statements like the user's.
 func AnalyzeSafety(p *Part, terms []algebra.DeltaTerm, db *schema.Database, stmts []algebra.Stmt) Need {
 	worst := ConservativeNeed(terms)
 	var need Need

@@ -131,15 +131,21 @@ func (s Set) Clone() Set {
 // statement can raise. Insert raises INS, delete raises DEL, update raises
 // both; all other statements raise none.
 func FromStatement(s algebra.Stmt) Set {
-	switch x := s.(type) {
+	out := NewSet()
+	out.addStatement(s)
+	return out
+}
+
+// addStatement adds the triggers s raises to the set.
+func (s Set) addStatement(st algebra.Stmt) {
+	switch x := st.(type) {
 	case *algebra.Insert:
-		return NewSet(Trigger{INS, x.Rel})
+		s.Add(Trigger{INS, x.Rel})
 	case *algebra.Delete:
-		return NewSet(Trigger{DEL, x.Rel})
+		s.Add(Trigger{DEL, x.Rel})
 	case *algebra.Update:
-		return NewSet(Trigger{INS, x.Rel}, Trigger{DEL, x.Rel})
-	default:
-		return NewSet()
+		s.Add(Trigger{INS, x.Rel})
+		s.Add(Trigger{DEL, x.Rel})
 	}
 }
 
@@ -147,8 +153,8 @@ func FromStatement(s algebra.Stmt) Set {
 // sets.
 func FromProgram(p algebra.Program) Set {
 	out := NewSet()
-	for _, s := range p {
-		out.AddAll(FromStatement(s))
+	for _, st := range p {
+		out.addStatement(st)
 	}
 	return out
 }

@@ -285,8 +285,10 @@ func (o *Overlay) filterOwnDeletes(name string, out []relation.Tuple) []relation
 		return out
 	}
 	kept := out[:0]
+	var buf []byte
 	for _, t := range out {
-		if !dd.ContainsKey(t.Key()) {
+		var deleted bool
+		if buf, deleted = dd.ContainsBuf(buf, t); !deleted {
 			kept = append(kept, t)
 		}
 	}

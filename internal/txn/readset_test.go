@@ -818,3 +818,35 @@ func TestProbeConflictStillDetected(t *testing.T) {
 		t.Fatal("T1 probed a written key and still committed")
 	}
 }
+
+// TestFilterOwnDeletesAllocationsFlat: once the transaction has deleted
+// from a relation, a probe of it drops its own deletes from the candidates.
+// That filter reuses one key buffer, so filtering 1 000 candidates
+// allocates no more than filtering 10.
+func TestFilterOwnDeletesAllocationsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	filterAllocs := func(n int) float64 {
+		db := storage.New(schema.MustDatabase(childSchemaT()))
+		rows := relation.New(childSchemaT())
+		for i := range n {
+			rows.InsertUnchecked(childT(int64(i), 1))
+		}
+		if err := db.Load(rows); err != nil {
+			t.Fatal(err)
+		}
+		ov := NewOverlay(db)
+		if err := ov.DeleteTuples("child", relation.MustFromTuples(childSchemaT(), childT(0, 1))); err != nil {
+			t.Fatal(err)
+		}
+		candidates := rows.Tuples()
+		if got := len(ov.filterOwnDeletes("child", candidates)); got != n-1 {
+			t.Fatalf("filtering %d candidates with one deleted kept %d", n, got)
+		}
+		return testing.AllocsPerRun(20, func() { ov.filterOwnDeletes("child", candidates) })
+	}
+	if a10, a1000 := filterAllocs(10), filterAllocs(1000); a1000 != a10 {
+		t.Fatalf("filtering 10 candidates allocates %.0f times, 1 000 candidates %.0f times", a10, a1000)
+	}
+}

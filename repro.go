@@ -720,21 +720,14 @@ func (db *DB) TriggeringGraphDOT() string {
 	return graph.Build(db.cat.Programs()).DOT()
 }
 
-// ModReport summarizes what transaction modification did. It carries counts
-// only; Explain renders the modified program's text.
-type ModReport struct {
-	Depth          int
-	OriginalStmts  int
-	FinalStmts     int
-	RulesTriggered map[string]int
-	// ChecksElided counts compiled check programs the static safety
-	// analyzer proved this transaction shape cannot make fire; each one ran
-	// neither reads nor probes.
-	ChecksElided int
-	// ChecksRepaired counts repair programs appended in place of plain
-	// alarm checks (constraints declared with an "on violation" clause).
-	ChecksRepaired int
-}
+// ModReport summarizes what transaction modification did: its depth, the
+// statement counts before and after, how often each rule was selected, the
+// compiled checks the static safety analyzer proved this transaction shape
+// cannot make fire (each one ran neither reads nor probes), and the repair
+// programs appended in place of plain alarm checks (constraints declared
+// with an "on violation" clause). It carries counts only; Explain renders
+// the modified program's text.
+type ModReport = core.Report
 
 // ErrTooDeep is wrapped, with the position, by the error of every call that
 // parses text (Submit, Explain, Query, DefineConstraint, DefineRule,
@@ -802,7 +795,7 @@ func (db *DB) Submit(src string) (*Result, error) {
 func toResult(res *txn.Result, rep *core.Report) *Result {
 	out := &Result{
 		Committed:   res.Committed,
-		Report:      modReport(rep),
+		Report:      rep,
 		Inserted:    res.Stats.TuplesInserted,
 		Deleted:     res.Stats.TuplesDeleted,
 		Probes:      res.Stats.IndexProbes + res.Stats.RangeProbes,
@@ -821,17 +814,6 @@ func toResult(res *txn.Result, rep *core.Report) *Result {
 	return out
 }
 
-func modReport(rep *core.Report) *ModReport {
-	return &ModReport{
-		Depth:          rep.Depth,
-		OriginalStmts:  rep.OriginalStmts,
-		FinalStmts:     rep.FinalStmts,
-		RulesTriggered: rep.RulesTriggered,
-		ChecksElided:   rep.ChecksElided,
-		ChecksRepaired: rep.ChecksRepaired,
-	}
-}
-
 // Explain returns the modified form of a transaction without executing it.
 func (db *DB) Explain(src string) (string, *ModReport, error) {
 	prog, err := lang.ParseTransaction(src, db.sch)
@@ -845,7 +827,7 @@ func (db *DB) Explain(src string) (string, *ModReport, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	return modified.String(), modReport(rep), nil
+	return modified.String(), rep, nil
 }
 
 // Rows is a query result: column names plus row data as native Go values
