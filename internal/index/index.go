@@ -55,7 +55,7 @@ func (x *Index) Len() int { return x.size }
 // slice is the caller's; the tuples are shared with the index and must not
 // be mutated.
 func (x *Index) Probe(key string) []relation.Tuple {
-	return x.root.collect(key, key, true, nil)
+	return x.root.collect(key, key, true)
 }
 
 // Range returns the tuples whose index key falls in [kr.Lo, kr.Hi), in key
@@ -65,7 +65,7 @@ func (x *Index) Range(kr KeyRange) []relation.Tuple {
 	if kr.Empty() {
 		return nil
 	}
-	return x.root.collect(kr.Lo, kr.Hi, false, nil)
+	return x.root.collect(kr.Lo, kr.Hi, false)
 }
 
 // Apply derives the successor index after a committed net delta: ins holds

@@ -281,10 +281,25 @@ func beforeExtensionsEnd(k, p string) bool {
 	return k < p
 }
 
-// collect appends, in key order, the tuples whose key lies in [lo, hi), or
-// in [lo, hi·0xFF) when extends: one descent to the interval and an
-// in-order walk of what is inside it.
-func (n *node) collect(lo, hi string, extends bool, out []relation.Tuple) []relation.Tuple {
+// collect returns, in key order, the tuples whose key lies in [lo, hi), or
+// in [lo, hi·0xFF) when extends. A first walk counts them and a second
+// fills a slice of exactly that size, so a read allocates once however many
+// tuples match.
+func (n *node) collect(lo, hi string, extends bool) []relation.Tuple {
+	matches := 0
+	n.walk(lo, hi, extends, func(*node) { matches++ })
+	if matches == 0 {
+		return nil
+	}
+	out := make([]relation.Tuple, 0, matches)
+	n.walk(lo, hi, extends, func(m *node) { out = append(out, m.tuple) })
+	return out
+}
+
+// walk visits, in key order, the nodes whose key lies in [lo, hi), or in
+// [lo, hi·0xFF) when extends: one descent to the interval and an in-order
+// walk of what is inside it.
+func (n *node) walk(lo, hi string, extends bool, visit func(*node)) {
 	for n != nil {
 		var below bool
 		if extends {
@@ -293,9 +308,9 @@ func (n *node) collect(lo, hi string, extends bool, out []relation.Tuple) []rela
 			below = n.key < hi
 		}
 		if n.key >= lo {
-			out = n.left.collect(lo, hi, extends, out)
+			n.left.walk(lo, hi, extends, visit)
 			if below {
-				out = append(out, n.tuple)
+				visit(n)
 			}
 		}
 		if !below {
@@ -303,5 +318,4 @@ func (n *node) collect(lo, hi string, extends bool, out []relation.Tuple) []rela
 		}
 		n = n.right
 	}
-	return out
 }

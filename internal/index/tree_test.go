@@ -394,3 +394,50 @@ func TestKeyValsAllocatesOnce(t *testing.T) {
 		}
 	}
 }
+
+var probeSink int
+
+// TestProbeAllocatesOnce: a probe or range read allocates its result once,
+// whether 10 or 1 000 tuples match.
+func TestProbeAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	r := relation.New(childSchema())
+	for i := int64(0); i < 2000; i++ {
+		parent := int64(2) // parent 0 holds ids 0–9, parent 1 ids 10–1009
+		switch {
+		case i < 10:
+			parent = 0
+		case i < 1010:
+			parent = 1
+		}
+		r.InsertUnchecked(row(i, parent, i%7))
+	}
+	byParent, byID := Build(r, []int{1}), Build(r, []int{0})
+	key := func(i int64) string { return KeyVals([]value.Value{value.Int(i)}) }
+	// Each reader builds its key outside the measured call.
+	for _, tc := range []struct {
+		name   string
+		reader func(matches int64) func() int
+	}{
+		{"Probe", func(m int64) func() int {
+			k := key(m / 1000)
+			return func() int { return len(byParent.Probe(k)) }
+		}},
+		{"Range", func(m int64) func() int {
+			kr := KeyRange{Lo: key(0), Hi: key(m)}
+			return func() int { return len(byID.Range(kr)) }
+		}},
+	} {
+		for _, m := range []int64{10, 1000} {
+			read := tc.reader(m)
+			if got := read(); got != int(m) {
+				t.Fatalf("%s over %d matches returned %d tuples", tc.name, m, got)
+			}
+			if allocs := testing.AllocsPerRun(20, func() { probeSink += read() }); allocs != 1 {
+				t.Errorf("%s over %d matches: %.0f allocations, want 1", tc.name, m, allocs)
+			}
+		}
+	}
+}

@@ -30,17 +30,16 @@ func (v Value) AppendBinary(dst []byte) []byte {
 		return append(dst, 'n')
 	case KindInt:
 		dst = append(dst, 'i')
-		return binary.AppendVarint(dst, v.i)
+		return binary.AppendVarint(dst, v.i())
 	case KindFloat:
-		bits := math.Float64bits(v.f)
 		dst = append(dst, 'd')
-		return binary.BigEndian.AppendUint64(dst, bits)
+		return binary.BigEndian.AppendUint64(dst, v.n)
 	case KindString:
 		dst = append(dst, 's')
 		dst = binary.AppendUvarint(dst, uint64(len(v.s)))
 		return append(dst, v.s...)
 	case KindBool:
-		if v.b {
+		if v.b() {
 			return append(dst, 't')
 		}
 		return append(dst, 'f')

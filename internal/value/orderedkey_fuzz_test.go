@@ -46,6 +46,10 @@ func fuzzValue(sel uint8, i int64, f float64, s string, b bool) Value {
 //   - Round-trip stability: DecodeOrderedKey over a concatenation of
 //     encodings yields values Equal to the originals with nothing left
 //     over, so an encoded key deterministically names its value sequence.
+//   - Binary codec fidelity: AppendBinary then DecodeBinary over a
+//     concatenation of two values gives back each kind and a bit-identical
+//     payload (NaN bits and -0.0 included), with nothing left over — the
+//     encoding the WAL and checkpoints persist tuples in.
 func FuzzOrderedKey(f *testing.F) {
 	f.Add(uint8(1), int64(1), 1.0, "", false, uint8(2), int64(0), 1.0, "", false)
 	f.Add(uint8(2), int64(0), math.Copysign(0, -1), "", false, uint8(2), int64(0), 0.0, "", false)
@@ -101,6 +105,25 @@ func FuzzOrderedKey(f *testing.F) {
 		// NaN, which Equals nothing, keeps its bits).
 		if rek := db.AppendOrderedKey(da.AppendOrderedKey(nil)); !bytes.Equal(rek, key) {
 			t.Fatalf("re-encode of (%s, %s): %x != %x", da, db, rek, key)
+		}
+
+		bin := b.AppendBinary(a.AppendBinary(nil))
+		ba, rest, err := DecodeBinary(bin)
+		if err != nil {
+			t.Fatalf("binary decode first of %x: %v", bin, err)
+		}
+		bb, rest, err := DecodeBinary(rest)
+		if err != nil {
+			t.Fatalf("binary decode second of %x: %v", bin, err)
+		}
+		if len(rest) != 0 {
+			t.Fatalf("binary decode left %d bytes of %x", len(rest), bin)
+		}
+		for _, p := range [][2]Value{{a, ba}, {b, bb}} {
+			if want, got := p[0], p[1]; got.kind != want.kind || got.n != want.n || got.s != want.s {
+				t.Fatalf("binary round trip %s (%s, %#x) -> %s (%s, %#x)",
+					want, want.kind, want.n, got, got.kind, got.n)
+			}
 		}
 	})
 }

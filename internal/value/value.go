@@ -48,28 +48,51 @@ func (k Kind) String() string {
 }
 
 // Value is an immutable tagged scalar. The zero Value is null.
+//
+// Layout: 32 bytes — a string header, one 8-byte payload word and the kind.
+// The word n holds an int's two's-complement bits, a float's IEEE-754 bits
+// (math.Float64bits) or 0/1 for a bool; s is set only for strings. Every
+// stored tuple, delta, index entry and scan walks this width, so it is kept
+// to what one scalar needs. A 24-byte layout (a string data pointer, a word
+// that is the string's length or the payload, the kind) would need unsafe
+// and showed no measurable latency gain over this one.
+//
+// The zero-size [0]func() field makes Values incomparable, so == on them is
+// a compile error: with a float held as bits, == would tell -0.0 from +0.0
+// and equate a NaN with itself, both unlike Equal. Compare values with Equal,
+// Compare or CompareKey.
 type Value struct {
-	kind Kind
-	i    int64
-	f    float64
+	_    [0]func()
 	s    string
-	b    bool
+	n    uint64
+	kind Kind
 }
 
 // Null returns the null value.
 func Null() Value { return Value{} }
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
 // Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
 
 // String returns a string value.
 func String(v string) Value { return Value{kind: KindString, s: v} }
 
 // Bool returns a boolean value.
-func Bool(v bool) Value { return Value{kind: KindBool, b: v} }
+func Bool(v bool) Value {
+	if v {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
+
+// i, f and b read the payload word as an int, a float and a bool; the
+// caller has checked the kind.
+func (v Value) i() int64   { return int64(v.n) }
+func (v Value) f() float64 { return math.Float64frombits(v.n) }
+func (v Value) b() bool    { return v.n != 0 }
 
 // Kind reports the dynamic kind of v.
 func (v Value) Kind() Kind { return v.kind }
@@ -83,16 +106,16 @@ func (v Value) AsInt() int64 {
 	if v.kind != KindInt {
 		panic("value: AsInt on " + v.kind.String())
 	}
-	return v.i
+	return v.i()
 }
 
 // AsFloat returns the float payload, converting from int if necessary.
 func (v Value) AsFloat() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
+		return v.f()
 	case KindInt:
-		return float64(v.i)
+		return float64(v.i())
 	default:
 		panic("value: AsFloat on " + v.kind.String())
 	}
@@ -111,7 +134,7 @@ func (v Value) AsBool() bool {
 	if v.kind != KindBool {
 		panic("value: AsBool on " + v.kind.String())
 	}
-	return v.b
+	return v.b()
 }
 
 // numeric reports whether v is an int or a float.
@@ -125,14 +148,12 @@ func (v Value) Equal(w Value) bool {
 		switch v.kind {
 		case KindNull:
 			return true
-		case KindInt:
-			return v.i == w.i
+		case KindInt, KindBool:
+			return v.n == w.n
 		case KindFloat:
-			return v.f == w.f
+			return v.f() == w.f() // not bits: -0.0 equals +0.0, NaN nothing
 		case KindString:
 			return v.s == w.s
-		case KindBool:
-			return v.b == w.b
 		}
 	}
 	if v.numeric() && w.numeric() {
@@ -170,14 +191,7 @@ func (v Value) Compare(w Value) (int, error) {
 			return 0, nil
 		}
 	case v.kind == KindBool && w.kind == KindBool:
-		a, b := 0, 0
-		if v.b {
-			a = 1
-		}
-		if w.b {
-			b = 1
-		}
-		return a - b, nil
+		return cmp.Compare(v.n, w.n), nil
 	default:
 		return 0, fmt.Errorf("value: cannot order %s against %s", v.kind, w.kind)
 	}
@@ -226,7 +240,7 @@ func Arith(op ArithOp, a, b Value) (Value, error) {
 		// moving a value away from a threshold cannot violate it) rely on a
 		// committed x+k really being ≥ x for k ≥ 0; a wrapping add would
 		// break that, so overflow aborts the statement instead.
-		x, y := a.i, b.i
+		x, y := a.i(), b.i()
 		switch op {
 		case OpAdd:
 			r := x + y
@@ -351,7 +365,7 @@ func (v Value) AppendOrderedKey(dst []byte) []byte {
 	case KindNull:
 		return append(dst, OrderedRankNull)
 	case KindBool:
-		if v.b {
+		if v.b() {
 			return append(dst, OrderedRankBool, 1)
 		}
 		return append(dst, OrderedRankBool, 0)
@@ -403,9 +417,9 @@ func (v Value) OrderedKeyLen() int {
 // of v (-0.0 collapsed onto +0.0) under the monotone bit transform, so
 // unsigned order is value order.
 func (v Value) orderedBits() uint64 {
-	f := v.f
+	f := v.f()
 	if v.kind == KindInt {
-		f = float64(v.i)
+		f = float64(v.i())
 	}
 	if f == 0 {
 		f = 0 // collapse -0.0 onto +0.0, matching Equal
@@ -434,12 +448,7 @@ func (v Value) CompareKey(w Value) int {
 		// encodings compare as the raw strings do.
 		return strings.Compare(v.s, w.s)
 	case OrderedRankBool:
-		if v.b != w.b {
-			if w.b {
-				return -1
-			}
-			return 1
-		}
+		return cmp.Compare(v.n, w.n)
 	}
 	return 0
 }
@@ -501,13 +510,13 @@ func (v Value) String() string {
 	case KindNull:
 		return "null"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case KindString:
 		return strconv.Quote(v.s)
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.b())
 	default:
 		return "?"
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -19,10 +20,44 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestZeroValueIsNull(t *testing.T) {
+// TestValueLayout pins the 32-byte layout (see Value) and that every
+// payload survives the one shared word: edge ints, signed zeros, NaN bits,
+// infinities, strings holding NUL, both bools.
+func TestValueLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 32", got)
+	}
 	var v Value
 	if !v.IsNull() || v.Kind() != KindNull {
 		t.Errorf("zero Value = %v, want null", v)
+	}
+	for _, i := range []int64{math.MinInt64, -1, 0, 1, math.MaxInt64} {
+		if got := Int(i).AsInt(); got != i {
+			t.Errorf("Int(%d).AsInt() = %d", i, got)
+		}
+	}
+	for _, f := range []float64{
+		math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1),
+		math.Float64frombits(0x7ff8_0000_dead_beef), math.Float64frombits(0xfff0_0000_0000_0001),
+		math.SmallestNonzeroFloat64, -math.MaxFloat64,
+	} {
+		if got := Float(f).AsFloat(); math.Float64bits(got) != math.Float64bits(f) {
+			t.Errorf("Float(%#x).AsFloat() has bits %#x", math.Float64bits(f), math.Float64bits(got))
+		}
+	}
+	for _, s := range []string{"", "a\x00b", "\x00"} {
+		v := String(s)
+		if got := v.AsString(); got != s {
+			t.Errorf("String(%q).AsString() = %q", s, got)
+		}
+		if got, want := v.Footprint(), int64(32+len(s)); got != want {
+			t.Errorf("String(%q).Footprint() = %d, want %d", s, got, want)
+		}
+	}
+	for _, b := range []bool{false, true} {
+		if got := Bool(b).AsBool(); got != b {
+			t.Errorf("Bool(%v).AsBool() = %v", b, got)
+		}
 	}
 }
 
