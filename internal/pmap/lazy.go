@@ -8,6 +8,9 @@ package pmap
 // its decoded node, so a faulted subtree the cache evicts is simply faulted
 // again, and the resident footprint of an arbitrarily large relation is
 // bounded by the cache budget plus the path-copied (freshly written) nodes.
+// A whole-map value walk (RangeValues) does not fault at all: it has the
+// loader stream each cold node's slots (Loader.Stream) and recurses into
+// child addresses, so a scan leaves neither nodes nor stubs behind.
 //
 // Mutation works unchanged: set/delete resolve stubs along the touched path
 // and path-copy the resolved nodes, so fresh writes are ordinary in-memory
@@ -32,8 +35,20 @@ import (
 // must be safe for concurrent use; Load may be called many times for the
 // same address (the trie keeps no memo — caching is the loader's job) and
 // must return a node decoded from the same bytes every time.
+//
+// Stream is the scan's way in: it appends the slots of the node at an
+// address to dst in stored order, as Node.Walk visits them (a child
+// subtree by its non-zero address, an entry by its value, keys left
+// empty), and returns the extended slice, without the loader having to
+// build or keep a Node. A value it hands over may be retained; it is
+// immutable like any stored value. It validates the whole node before it
+// appends anything, so a corrupt node yields an error and no slots. A
+// whole-map value walk (RangeValues) descends cold subtrees through
+// Stream. The walk calls the caller's function itself, so that function
+// never reaches the loader and never has to escape to the heap.
 type Loader[V any] interface {
 	Load(Addr) (*Node[V], error)
+	Stream(a Addr, dst []SlotData[V]) ([]SlotData[V], error)
 }
 
 // Node is an opaque decoded trie node, built by NewNode from a persisted
@@ -69,9 +84,12 @@ func (e *FaultError) Unwrap() error { return e.Err }
 // the walkers panic instead of looping.
 const maxDepth = 64/chunk + 4
 
+// errTooDeep is the fault of an over-deep descent (see maxDepth).
+var errTooDeep = errors.New("trie deeper than hash width (corrupt backing store)")
+
 // corruptDepth panics on an over-deep descent (see maxDepth).
 func corruptDepth[V any](n *node[V]) {
-	panic(&FaultError{Addr: n.ckpt, Err: errors.New("trie deeper than hash width (corrupt backing store)")})
+	panic(&FaultError{Addr: n.ckpt, Err: errTooDeep})
 }
 
 // stubNode returns a lazy reference to the persisted node at a. The ckpt
@@ -189,10 +207,13 @@ func (m *Map[V]) resolve(n *node[V]) *node[V] {
 	return faultNode(n, m.loader)
 }
 
+// errNoLoader is the fault of a stub in a map that has no loader.
+var errNoLoader = errors.New("lazy node in a map with no loader")
+
 func faultNode[V any](n *node[V], ld Loader[V]) *node[V] {
 	a := Addr(n.lazy.Load())
 	if ld == nil {
-		panic(&FaultError{Addr: a, Err: errors.New("lazy node in a map with no loader")})
+		panic(&FaultError{Addr: a, Err: errNoLoader})
 	}
 	dn, err := ld.Load(a)
 	if err != nil {
@@ -202,4 +223,44 @@ func faultNode[V any](n *node[V], ld Loader[V]) *node[V] {
 		panic(&FaultError{Addr: a, Err: errors.New("loader returned no node")})
 	}
 	return dn.n
+}
+
+// slotBufs holds one RangeValues walk's slot buffers, one per trie depth:
+// a depth-first walk streams one node at a time at each depth, so every
+// node at a depth reuses that depth's buffer.
+type slotBufs[V any] [maxDepth + 1][]SlotData[V]
+
+// streamValues is rangeValues over the persisted subtree at a, at the given
+// depth: the loader streams each node's slots into the depth's buffer and
+// the walk recurses into child addresses, so a scan of cold subtrees builds
+// no trie node, no stub and no key. Faults panic with *FaultError like
+// every read path; fn's error ends the walk and is returned.
+func streamValues[V any](a Addr, ld Loader[V], depth int, bufs *slotBufs[V], fn func(V) error) error {
+	if ld == nil {
+		panic(&FaultError{Addr: a, Err: errNoLoader})
+	}
+	if depth > maxDepth {
+		panic(&FaultError{Addr: a, Err: errTooDeep})
+	}
+	buf := bufs[depth]
+	if buf == nil {
+		buf = make([]SlotData[V], 0, width)
+	}
+	slots, err := ld.Stream(a, buf[:0])
+	if err != nil {
+		panic(&FaultError{Addr: a, Err: err})
+	}
+	bufs[depth] = slots
+	for i := range slots {
+		if c := slots[i].Child; c != 0 {
+			if err := streamValues(c, ld, depth+1, bufs, fn); err != nil {
+				return err
+			}
+			continue
+		}
+		if err := fn(slots[i].Val); err != nil {
+			return err
+		}
+	}
+	return nil
 }

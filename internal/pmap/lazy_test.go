@@ -59,6 +59,20 @@ func (s *memSink[V]) Load(a Addr) (*Node[V], error) {
 	return NewNode(a, sn.bitmap, sn.coll, sn.slots)
 }
 
+// Stream walks the node Load rebuilds, as the storage cache does for a
+// resident node.
+func (s *memSink[V]) Stream(a Addr, dst []SlotData[V]) ([]SlotData[V], error) {
+	dn, err := s.Load(a)
+	if err != nil {
+		return nil, err
+	}
+	err = dn.Walk(func(child Addr, val V) error {
+		dst = append(dst, SlotData[V]{Child: child, Val: val})
+		return nil
+	})
+	return dst, err
+}
+
 // persistFrozen persists m and commits retargets immediately (the in-memory
 // sink's output is "durable" the moment Node returns).
 func persistFrozen[V any](t *testing.T, m *Map[V], s *memSink[V]) *Persisted {
@@ -325,6 +339,62 @@ func TestLazyFaultErrorPanics(t *testing.T) {
 	if _, err := lz.Freeze().Persist(s); err == nil {
 		t.Fatal("Persist through failing loader returned nil error")
 	}
+}
+
+// TestLazyRangeValuesStreams checks the streamed value walk over a map that
+// mixes resident path copies with stubs: it sees every value once, stops at
+// the callback's first error and returns it, and panics with *FaultError
+// naming the node the loader could not stream.
+func TestLazyRangeValuesStreams(t *testing.T) {
+	s := newMemSink[int]()
+	m := New[int]()
+	const n = 2000
+	for i := 0; i < n; i++ {
+		m.Set("k"+strconv.Itoa(i), i)
+	}
+	p := persistFrozen(t, m.Freeze(), s)
+	lz := NewLazy[int](p.Root, n, s).Clone()
+	for i := 0; i < n; i += 97 {
+		lz.Set("k"+strconv.Itoa(i), i) // path-copies resident nodes over stubs
+	}
+	lz.Freeze()
+
+	sum := 0
+	if err := lz.RangeValues(func(v int) error { sum += v; return nil }); err != nil {
+		t.Fatalf("RangeValues: %v", err)
+	}
+	if want := n * (n - 1) / 2; sum != want {
+		t.Fatalf("RangeValues sum = %d, want %d", sum, want)
+	}
+
+	errStop := errors.New("stop")
+	seen := 0
+	err := lz.RangeValues(func(int) error {
+		if seen++; seen == 500 {
+			return errStop
+		}
+		return nil
+	})
+	if err != errStop || seen != 500 {
+		t.Fatalf("RangeValues stopped after %d values with %v, want 500 and the callback's error", seen, err)
+	}
+
+	// Every node of a map opened afresh is streamed, so any child fails it.
+	for a := range s.nodes {
+		if a != p.Root {
+			s.failAt = a
+			break
+		}
+	}
+	lz = NewLazy[int](p.Root, n, s)
+	defer func() {
+		fe, ok := recover().(*FaultError)
+		if !ok || fe.Addr != s.failAt {
+			t.Fatalf("recover() = %v, want a *FaultError for node %d", fe, s.failAt)
+		}
+	}()
+	_ = lz.RangeValues(func(int) error { return nil })
+	t.Fatal("RangeValues over an unreadable node did not panic")
 }
 
 // TestLazyCloneKeepsLoader checks that clones of a lazy map page too, and

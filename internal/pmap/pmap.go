@@ -483,16 +483,19 @@ func rangeNode[V any](n *node[V], ld Loader[V], depth int, fn func(string, V) er
 
 // RangeValues is Range without the key, saving an indirect call per entry
 // on hot scan paths (the algebra evaluator iterates relations tuple-wise).
+// It does not fault cold subtrees in: it streams them through the loader
+// (Loader.Stream), which never has to build their nodes or keys.
 func (m *Map[V]) RangeValues(fn func(val V) error) error {
-	return rangeValues(m.root, m.loader, 0, fn)
+	var bufs slotBufs[V]
+	return rangeValues(m.root, m.loader, 0, &bufs, fn)
 }
 
-func rangeValues[V any](n *node[V], ld Loader[V], depth int, fn func(V) error) error {
+func rangeValues[V any](n *node[V], ld Loader[V], depth int, bufs *slotBufs[V], fn func(V) error) error {
 	if n == nil {
 		return nil
 	}
-	if n.lazy.Load() != 0 {
-		n = faultNode(n, ld)
+	if a := Addr(n.lazy.Load()); a != 0 {
+		return streamValues(a, ld, depth, bufs, fn)
 	}
 	if depth > maxDepth {
 		corruptDepth(n)
@@ -515,7 +518,7 @@ func rangeValues[V any](n *node[V], ld Loader[V], depth int, fn func(V) error) e
 			}
 			continue
 		}
-		if err := rangeValues(n.children[ci], ld, depth+1, fn); err != nil {
+		if err := rangeValues(n.children[ci], ld, depth+1, bufs, fn); err != nil {
 			return err
 		}
 		ci++

@@ -29,23 +29,74 @@ func AppendTuple(dst []byte, t Tuple) []byte {
 // DecodeTuple decodes one AppendTuple-encoded tuple from the front of data
 // and returns it together with the remaining bytes.
 func DecodeTuple(data []byte) (Tuple, []byte, error) {
-	arity, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, nil, fmt.Errorf("relation: decode tuple: bad arity varint")
+	arity, data, err := tupleArity(data)
+	if err != nil {
+		return nil, nil, err
 	}
-	if arity > uint64(len(data)) { // each value takes at least one byte
-		return nil, nil, fmt.Errorf("relation: decode tuple: arity %d exceeds input", arity)
-	}
-	data = data[n:]
 	t := make(Tuple, arity)
 	for i := range t {
-		var err error
 		t[i], data, err = value.DecodeBinary(data)
 		if err != nil {
 			return nil, nil, fmt.Errorf("relation: decode tuple value %d: %w", i, err)
 		}
 	}
 	return t, data, nil
+}
+
+// SkipTuple checks one AppendTuple-encoded tuple at the front of data
+// exactly as DecodeTuple does, without building it, and returns the
+// remaining bytes, the arity and the total length of its string payloads:
+// what DecodeTupleIn needs to be sized for.
+func SkipTuple(data []byte) (rest []byte, arity, strLen int, err error) {
+	n, data, err := tupleArity(data)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	for i := 0; i < n; i++ {
+		var l int
+		if data, l, err = value.SkipBinary(data); err != nil {
+			return nil, 0, 0, fmt.Errorf("relation: decode tuple value %d: %w", i, err)
+		}
+		strLen += l
+	}
+	return data, n, strLen, nil
+}
+
+// DecodeTupleIn decodes one tuple into the front of vals, which must hold
+// its arity, and appends its string payloads to block (see
+// value.DecodeBinaryIn). The tuple aliases vals and block; the rest of vals
+// and the extended block are returned with the remaining bytes. Decoding a
+// node's tuples this way costs one value array and one string block for the
+// node, not an allocation per tuple and per string.
+func DecodeTupleIn(data []byte, vals []value.Value, block []byte) (t Tuple, rest []byte, restVals []value.Value, _ []byte, err error) {
+	n, data, err := tupleArity(data)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	if n > len(vals) {
+		return nil, nil, nil, nil, fmt.Errorf("relation: decode tuple: arity %d exceeds the value arena", n)
+	}
+	t = Tuple(vals[:n:n])
+	for i := range t {
+		if t[i], data, block, err = value.DecodeBinaryIn(data, block); err != nil {
+			return nil, nil, nil, nil, fmt.Errorf("relation: decode tuple value %d: %w", i, err)
+		}
+	}
+	return t, data, vals[n:], block, nil
+}
+
+// tupleArity reads a tuple's arity prefix. Each value takes at least one
+// byte, so an arity beyond the input is refused before anything is sized
+// by it.
+func tupleArity(data []byte) (int, []byte, error) {
+	arity, n := binary.Uvarint(data)
+	if n <= 0 {
+		return 0, nil, fmt.Errorf("relation: decode tuple: bad arity varint")
+	}
+	if arity > uint64(len(data)) {
+		return 0, nil, fmt.Errorf("relation: decode tuple: arity %d exceeds input", arity)
+	}
+	return int(arity), data[n:], nil
 }
 
 // AppendTuples appends the cardinality of r followed by every tuple's binary

@@ -65,15 +65,27 @@ func (t Tuple) Footprint() int64 {
 // The key is built in one allocation: a buffer of its exact length, which
 // becomes the string.
 func (t Tuple) Key() string {
+	buf := t.AppendKey(make([]byte, 0, t.KeyLen()))
+	return unsafe.String(unsafe.SliceData(buf), len(buf))
+}
+
+// KeyLen returns the length of Key in bytes.
+func (t Tuple) KeyLen() int {
 	n := 0
 	for _, v := range t {
 		n += v.OrderedKeyLen()
 	}
-	buf := make([]byte, 0, n)
+	return n
+}
+
+// AppendKey appends Key's encoding to buf and returns it. A decoder that
+// builds many keys at once sizes one buffer by KeyLen and cuts every key
+// out of it.
+func (t Tuple) AppendKey(buf []byte) []byte {
 	for _, v := range t {
 		buf = v.AppendOrderedKey(buf)
 	}
-	return unsafe.String(unsafe.SliceData(buf), len(buf))
+	return buf
 }
 
 // CompareKey orders t against o, column by column under value.CompareKey

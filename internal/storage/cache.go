@@ -3,19 +3,30 @@
 //
 // A paged database's relations are pmap tries whose cold subtrees are lazy
 // stubs holding checkpoint addresses (fileID<<40|offset into a ckpt-*.ck
-// file). The pager is their Loader: a fault reads the addressed node block
-// with two ReadAt calls (length prefix, then body), decodes it through
-// pmap.NewNode, and caches the result under a byte budget. Eviction is
-// CLOCK: every cached node sits in a ring with a reference bit set on hit;
-// when the budget is exceeded the hand sweeps, clearing bits, and evicts the
-// first unreferenced, unpinned node. Because the trie never memoizes faulted
+// file). The pager is their Loader, with two ways in. A point fault (Load)
+// reads the addressed node block with one ReadAt into a pooled window,
+// decodes it through the block parser (block.go) and pmap.NewNode, and
+// caches the result under a byte budget. Eviction is CLOCK: every cached
+// node sits in a ring with a reference bit set on hit; when the budget is
+// exceeded the hand sweeps, clearing bits, and evicts the first
+// unreferenced, unpinned node. Because the trie never memoizes faulted
 // children (the cache is the only memo), an evicted node is simply re-read
 // on the next access — correctness never depends on residency.
 //
+// A scan (Stream) walks a cached node in place and sets its reference bit.
+// On a miss it reads and validates the block the same way and hands the
+// child addresses and tuples over straight from the decode, building no
+// trie node, stub or key. It admits the node only into free budget and
+// never evicts, so one pass over a relation larger than the cache cannot
+// flush the nodes point probes keep hot, and a relation smaller than the
+// cache is resident after one scan. Streamed reads count as misses and are
+// timed like faults; repro_storage_cache_streamed_total counts those that
+// were not admitted.
+//
 // Concurrent faults of one address are collapsed to a single read
-// (singleflight): the leader reads and decodes while waiters block on its
-// call and share the result. Relation roots are pinned at Open so the first
-// hop of every probe stays resident.
+// (singleflight): the leader reads and decodes while waiters — point faults
+// and scans alike — block on its call and share the result. Relation roots
+// are pinned at Open so the first hop of every probe stays resident.
 //
 // File handles are opened once per checkpoint file and kept until Close.
 // A full checkpoint unlinks the files it supersedes at once, but has the
@@ -40,7 +51,11 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pmap"
 	"repro/internal/relation"
+	"repro/internal/value"
 )
+
+// errCacheClosed is the fault of a read after Close.
+var errCacheClosed = errors.New("storage: node cache closed")
 
 // maxNodeBody bounds one node block's body (64 MiB); a larger length prefix
 // means a corrupt file, not a real node.
@@ -51,6 +66,7 @@ const maxNodeBody = 1 << 26
 type pagerMetrics struct {
 	hits         *obs.Counter
 	misses       *obs.Counter
+	streamed     *obs.Counter
 	evictions    *obs.Counter
 	faultSeconds *obs.Histogram
 	nodeBytes    *obs.Histogram
@@ -64,6 +80,7 @@ func newPagerMetrics(reg *obs.Registry) pagerMetrics {
 	return pagerMetrics{
 		hits:         reg.Counter("repro_storage_cache_hits_total"),
 		misses:       reg.Counter("repro_storage_cache_misses_total"),
+		streamed:     reg.Counter("repro_storage_cache_streamed_total"),
 		evictions:    reg.Counter("repro_storage_cache_evictions_total"),
 		faultSeconds: reg.Histogram("repro_storage_cache_fault_seconds"),
 		nodeBytes:    reg.Histogram("repro_storage_cache_node_bytes"),
@@ -130,7 +147,7 @@ func (p *pager) Load(a pmap.Addr) (*pmap.Node[relation.Tuple], error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return nil, errors.New("storage: node cache closed")
+		return nil, errCacheClosed
 	}
 	if e, ok := p.entries[a]; ok {
 		e.ref = true
@@ -176,20 +193,39 @@ func (p *pager) Load(a pmap.Addr) (*pmap.Node[relation.Tuple], error) {
 // insertLocked adds a freshly faulted node to the cache and evicts while
 // over budget. Caller holds p.mu.
 func (p *pager) insertLocked(a pmap.Addr, n *pmap.Node[relation.Tuple], size int64) {
-	if _, ok := p.entries[a]; ok {
-		return // a racing leader of an earlier generation; keep the resident one
-	}
-	e := &pageEntry{addr: a, node: n, size: size, ref: true}
-	p.entries[a] = e
-	p.ring = append(p.ring, e)
-	p.used += size
-	p.met.nodeBytes.Observe(uint64(size))
+	p.addLocked(a, n, size, true)
 	for p.used > p.budget && len(p.ring) > 0 {
 		if !p.evictOneLocked() {
 			break // everything referenced-and-pinned; over-budget by pins
 		}
 	}
 	p.met.occupancy.Set(p.used)
+}
+
+// admitLocked adds a node a scan read when it fits in the free budget, and
+// reports whether the node is resident. It never evicts, and leaves the
+// reference bit clear, so a scan's nodes are the CLOCK hand's first
+// victims once point faults need the room. Caller holds p.mu.
+func (p *pager) admitLocked(a pmap.Addr, n *pmap.Node[relation.Tuple], size int64) bool {
+	if p.closed || p.used+size > p.budget {
+		return false
+	}
+	p.addLocked(a, n, size, false)
+	p.met.occupancy.Set(p.used)
+	return true
+}
+
+// addLocked puts a node in the cache unless a racing read already did.
+// Caller holds p.mu.
+func (p *pager) addLocked(a pmap.Addr, n *pmap.Node[relation.Tuple], size int64, ref bool) {
+	if _, ok := p.entries[a]; ok {
+		return // a racing leader of an earlier generation; keep the resident one
+	}
+	e := &pageEntry{addr: a, node: n, size: size, ref: ref}
+	p.entries[a] = e
+	p.ring = append(p.ring, e)
+	p.used += size
+	p.met.nodeBytes.Observe(uint64(size))
 }
 
 // evictOneLocked sweeps the CLOCK hand for one victim, clearing reference
@@ -225,36 +261,150 @@ func (p *pager) evictOneLocked() bool {
 
 // fault reads and decodes the node block at a. No cache state is touched.
 func (p *pager) fault(a pmap.Addr) (*pmap.Node[relation.Tuple], int64, error) {
+	body, w, err := p.readBlock(a)
+	if err != nil {
+		return nil, 0, err
+	}
+	node, err := decodeNodeBlock(a, body)
+	putWindow(w)
+	if err != nil {
+		return nil, 0, err
+	}
+	return node, nodeSize(node), nil
+}
+
+// nodeSize is a decoded node's measured resident size: the node structures
+// (pmap.Footprint walks the slots, charging stub children, key strings and
+// tuple payloads at their unsafe.Sizeof-derived cost) plus this cache's own
+// per-entry bookkeeping. TestNodeFootprintAccuracy pins the measurement
+// against retained-heap ground truth.
+func nodeSize(n *pmap.Node[relation.Tuple]) int64 {
+	return n.Footprint(relation.Tuple.Footprint) + int64(unsafe.Sizeof(pageEntry{}))
+}
+
+// Stream implements pmap.Loader for scans. A cached node is walked in place
+// (and its reference bit set). Otherwise the block is read and validated
+// once and its slots are appended straight from the decode: no pmap node,
+// no stubs, no keys. When the node fits in the free budget it is built and
+// admitted instead, so a relation smaller than the cache is resident after
+// one scan; a scan never evicts.
+func (p *pager) Stream(a pmap.Addr, dst []pmap.SlotData[relation.Tuple]) ([]pmap.SlotData[relation.Tuple], error) {
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return nil, errCacheClosed
+	}
+	if e, ok := p.entries[a]; ok {
+		e.ref = true
+		p.mu.Unlock()
+		p.met.hits.Inc()
+		return appendNode(dst, e.node), nil
+	}
+	c := p.inflight[a]
+	room := p.budget - p.used
+	p.mu.Unlock()
+	if c != nil { // a point fault is reading this node: share its read
+		<-c.done
+		if c.err != nil {
+			return nil, c.err
+		}
+		p.met.hits.Inc()
+		return appendNode(dst, c.node), nil
+	}
+
+	p.met.misses.Inc()
+	var t0 time.Time
+	if p.met.faultSeconds != nil {
+		t0 = time.Now()
+	}
+	dst, admitted, err := p.streamRead(a, room, dst)
+	if p.met.faultSeconds != nil {
+		p.met.faultSeconds.Observe(uint64(time.Since(t0)))
+	}
+	if err == nil && !admitted {
+		p.met.streamed.Inc()
+	}
+	return dst, err
+}
+
+// streamRead reads and validates the block at a and appends its slots to
+// dst. When the node's decoded values alone fit in room bytes it builds the
+// node and admits it if it still fits, reporting whether it did.
+func (p *pager) streamRead(a pmap.Addr, room int64, dst []pmap.SlotData[relation.Tuple]) ([]pmap.SlotData[relation.Tuple], bool, error) {
+	body, w, err := p.readBlock(a)
+	if err != nil {
+		return nil, false, err
+	}
+	defer putWindow(w)
+	b, err := parseNodeBlock(a, body)
+	if err != nil {
+		return nil, false, err
+	}
+	if room < int64(b.nvals)*int64(unsafe.Sizeof(value.Value{}))+int64(b.strLen) {
+		dst, err = b.stream(dst)
+		return dst, false, err
+	}
+	n, err := b.node()
+	if err != nil {
+		return nil, false, err
+	}
+	p.mu.Lock()
+	admitted := p.admitLocked(a, n, nodeSize(n))
+	p.mu.Unlock()
+	return appendNode(dst, n), admitted, nil
+}
+
+// blockWindow is the size of a pooled read window: larger than a node block
+// of typical rows, so one ReadAt usually reads the length prefix and the
+// whole body.
+const blockWindow = 2 << 10
+
+var windowPool = sync.Pool{New: func() any {
+	b := make([]byte, blockWindow)
+	return &b
+}}
+
+// putWindow returns a window readBlock handed out (nil for none).
+func putWindow(w *[]byte) {
+	if w != nil {
+		windowPool.Put(w)
+	}
+}
+
+// readBlock reads the node block at a with one ReadAt into a pooled window,
+// and a second only when the block is larger than the window. It returns
+// the body and the window it aliases (nil when it does not), which the
+// caller hands to putWindow once it has decoded the body.
+func (p *pager) readBlock(a pmap.Addr) ([]byte, *[]byte, error) {
 	fid := uint64(a) >> addrShift
 	off := int64(uint64(a) & offsetMask)
 	f, err := p.file(fid)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
-	var pfx [binary.MaxVarintLen64]byte
-	n, err := f.ReadAt(pfx[:], off)
+	w := windowPool.Get().(*[]byte)
+	buf := *w
+	n, err := f.ReadAt(buf, off)
 	if err != nil && err != io.EOF {
-		return nil, 0, fmt.Errorf("storage: fault node %x: %w", uint64(a), err)
+		putWindow(w)
+		return nil, nil, fmt.Errorf("storage: fault node %x: %w", uint64(a), err)
 	}
-	bodyLen, k := binary.Uvarint(pfx[:n])
-	if k <= 0 || bodyLen == 0 || bodyLen > maxNodeBody {
-		return nil, 0, fmt.Errorf("storage: fault node %x: bad block length", uint64(a))
+	bodyLen, k := binary.Uvarint(buf[:n])
+	if k <= 0 || bodyLen == 0 || bodyLen > maxNodeBody || (n < len(buf) && uint64(n-k) < bodyLen) {
+		putWindow(w)
+		return nil, nil, fmt.Errorf("storage: fault node %x: bad block length", uint64(a))
 	}
-	body := make([]byte, bodyLen)
-	if _, err := f.ReadAt(body, off+int64(k)); err != nil {
-		return nil, 0, fmt.Errorf("storage: fault node %x: %w", uint64(a), err)
+	end := k + int(bodyLen)
+	if end <= n {
+		return buf[k:end], w, nil
 	}
-	node, _, err := decodeNodeBlock(a, body)
-	if err != nil {
-		return nil, 0, err
+	big := make([]byte, end)
+	copy(big, buf[:n])
+	putWindow(w)
+	if _, err := f.ReadAt(big[n:], off+int64(n)); err != nil {
+		return nil, nil, fmt.Errorf("storage: fault node %x: %w", uint64(a), err)
 	}
-	// Measured resident size: the decoded node structures (pmap.Footprint
-	// walks the slots, charging stub children, key strings and tuple
-	// payloads at their unsafe.Sizeof-derived cost) plus this cache's own
-	// per-entry bookkeeping. TestNodeFootprintAccuracy pins the measurement
-	// against retained-heap ground truth.
-	size := node.Footprint(relation.Tuple.Footprint) + int64(unsafe.Sizeof(pageEntry{}))
-	return node, size, nil
+	return big[k:], nil, nil
 }
 
 // file returns the (cached) handle for checkpoint file fid, opening it on
@@ -264,7 +414,7 @@ func (p *pager) file(fid uint64) (*os.File, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return nil, errors.New("storage: node cache closed")
+		return nil, errCacheClosed
 	}
 	if f, ok := p.files[fid]; ok {
 		return f, nil
@@ -309,61 +459,4 @@ func (p *pager) Close() error {
 		}
 	}
 	return err
-}
-
-// decodeNodeBlock decodes a v2 node block body into a pmap node. Exact
-// consumption is required; every structural violation is an error (never a
-// panic), which FuzzNodeDecode leans on.
-func decodeNodeBlock(addr pmap.Addr, body []byte) (*pmap.Node[relation.Tuple], int, error) {
-	bitmap, k := binary.Uvarint(body)
-	if k <= 0 {
-		return nil, 0, fmt.Errorf("storage: node %x: bad bitmap", uint64(addr))
-	}
-	body = body[k:]
-	if len(body) == 0 {
-		return nil, 0, fmt.Errorf("storage: node %x: missing flags", uint64(addr))
-	}
-	flags := body[0]
-	body = body[1:]
-	if flags&^1 != 0 {
-		return nil, 0, fmt.Errorf("storage: node %x: unknown flags %#x", uint64(addr), flags)
-	}
-	coll := flags&1 != 0
-	nslots, k := binary.Uvarint(body)
-	if k <= 0 || nslots == 0 || nslots > uint64(len(body)) {
-		return nil, 0, fmt.Errorf("storage: node %x: bad slot count", uint64(addr))
-	}
-	body = body[k:]
-	slots := make([]pmap.SlotData[relation.Tuple], nslots)
-	for i := range slots {
-		child, k := binary.Uvarint(body)
-		if k <= 0 {
-			return nil, 0, fmt.Errorf("storage: node %x: bad child address", uint64(addr))
-		}
-		body = body[k:]
-		if child != 0 {
-			if pmap.Addr(child) == addr {
-				return nil, 0, fmt.Errorf("storage: node %x: self-referential child", uint64(addr))
-			}
-			if child>>addrShift == 0 {
-				return nil, 0, fmt.Errorf("storage: node %x: child address %x in file 0", uint64(addr), child)
-			}
-			slots[i] = pmap.SlotData[relation.Tuple]{Child: pmap.Addr(child)}
-			continue
-		}
-		t, rest, err := relation.DecodeTuple(body)
-		if err != nil {
-			return nil, 0, fmt.Errorf("storage: node %x: %w", uint64(addr), err)
-		}
-		body = rest
-		slots[i] = pmap.SlotData[relation.Tuple]{Key: t.Key(), Val: t}
-	}
-	if len(body) != 0 {
-		return nil, 0, fmt.Errorf("storage: node %x: %d trailing bytes", uint64(addr), len(body))
-	}
-	node, err := pmap.NewNode(addr, bitmap, coll, slots)
-	if err != nil {
-		return nil, 0, fmt.Errorf("storage: node %x: %w", uint64(addr), err)
-	}
-	return node, int(nslots), nil
 }

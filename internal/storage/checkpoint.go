@@ -555,7 +555,9 @@ func checkCkpt(r io.ReaderAt, size int64, path string) (hdr, dir []byte, err err
 const ckptMaxDepth = 16
 
 // collectNodes walks a persisted trie depth-first from addr, invoking fn for
-// every stored tuple — the eager (resident) load path.
+// every stored tuple — the eager (resident) load path. It streams each
+// block like a scan does: the tuples are copied out into per-node arenas,
+// so none aliases the file buffers.
 func collectNodes(files map[uint64][]byte, addr pmap.Addr, depth int, fn func(relation.Tuple)) error {
 	if depth > ckptMaxDepth {
 		return fmt.Errorf("node %x: trie deeper than hash width", uint64(addr))
@@ -574,15 +576,17 @@ func collectNodes(files map[uint64][]byte, addr pmap.Addr, depth int, fn func(re
 	if k <= 0 || bodyLen == 0 || bodyLen > maxNodeBody || bodyLen > uint64(len(b)-k) {
 		return fmt.Errorf("node %x: bad block length", uint64(addr))
 	}
-	node, _, err := decodeNodeBlock(addr, b[k:uint64(k)+bodyLen])
+	var buf [64]pmap.SlotData[relation.Tuple] // a regular node's slots at most
+	slots, err := streamNodeBlock(addr, b[k:uint64(k)+bodyLen], buf[:0])
 	if err != nil {
 		return err
 	}
-	return node.Walk(func(child pmap.Addr, t relation.Tuple) error {
-		if child != 0 {
-			return collectNodes(files, child, depth+1, fn)
+	for _, s := range slots {
+		if s.Child == 0 {
+			fn(s.Val)
+		} else if err := collectNodes(files, s.Child, depth+1, fn); err != nil {
+			return err
 		}
-		fn(t)
-		return nil
-	})
+	}
+	return nil
 }

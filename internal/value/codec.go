@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Binary codec. The key encoding (AppendOrderedKey, value.go) is
@@ -53,36 +54,73 @@ func (v Value) AppendBinary(dst []byte) []byte {
 // input is reported as an error, never a panic — the decoder runs on bytes
 // read back from disk.
 func DecodeBinary(data []byte) (Value, []byte, error) {
+	v, str, rest, err := decodeBinary(data)
+	if v.kind == KindString {
+		v.s = string(str)
+	}
+	return v, rest, err
+}
+
+// SkipBinary checks one AppendBinary-encoded value at the front of data
+// exactly as DecodeBinary does, without building it, and returns the
+// remaining bytes and the length of a string's payload (0 for other kinds).
+// It lets a decoder validate a whole block and size its arenas before it
+// decodes anything (see DecodeBinaryIn).
+func SkipBinary(data []byte) (rest []byte, strLen int, err error) {
+	_, str, rest, err := decodeBinary(data)
+	return rest, len(str), err
+}
+
+// DecodeBinaryIn is DecodeBinary with the string payload appended to block
+// instead of allocated: the value's string aliases the appended bytes, and
+// the extended block is returned. The caller sizes block's capacity for
+// every payload it will append (SkipBinary reports each length), so a run
+// of decodes shares one allocation; block's bytes up to its length must
+// never be written again.
+func DecodeBinaryIn(data, block []byte) (Value, []byte, []byte, error) {
+	v, str, rest, err := decodeBinary(data)
+	if v.kind == KindString && len(str) > 0 {
+		n := len(block)
+		block = append(block, str...)
+		v.s = unsafe.String(&block[n], len(str))
+	}
+	return v, rest, block, err
+}
+
+// decodeBinary is the one parser behind DecodeBinary, SkipBinary and
+// DecodeBinaryIn. A string comes back with an empty payload field and its
+// bytes in str, still aliasing data.
+func decodeBinary(data []byte) (v Value, str, rest []byte, err error) {
 	if len(data) == 0 {
-		return Value{}, nil, fmt.Errorf("value: decode: empty input")
+		return Value{}, nil, nil, fmt.Errorf("value: decode: empty input")
 	}
 	tag, rest := data[0], data[1:]
 	switch tag {
 	case 'n':
-		return Null(), rest, nil
+		return Null(), nil, rest, nil
 	case 'i':
 		i, n := binary.Varint(rest)
 		if n <= 0 {
-			return Value{}, nil, fmt.Errorf("value: decode: bad int varint")
+			return Value{}, nil, nil, fmt.Errorf("value: decode: bad int varint")
 		}
-		return Int(i), rest[n:], nil
+		return Int(i), nil, rest[n:], nil
 	case 'd':
 		if len(rest) < 8 {
-			return Value{}, nil, fmt.Errorf("value: decode: truncated float")
+			return Value{}, nil, nil, fmt.Errorf("value: decode: truncated float")
 		}
 		bits := binary.BigEndian.Uint64(rest)
-		return Float(math.Float64frombits(bits)), rest[8:], nil
+		return Float(math.Float64frombits(bits)), nil, rest[8:], nil
 	case 's':
 		l, n := binary.Uvarint(rest)
 		if n <= 0 || uint64(len(rest)-n) < l {
-			return Value{}, nil, fmt.Errorf("value: decode: truncated string")
+			return Value{}, nil, nil, fmt.Errorf("value: decode: truncated string")
 		}
-		return String(string(rest[n : n+int(l)])), rest[n+int(l):], nil
+		return Value{kind: KindString}, rest[n : n+int(l)], rest[n+int(l):], nil
 	case 't':
-		return Bool(true), rest, nil
+		return Bool(true), nil, rest, nil
 	case 'f':
-		return Bool(false), rest, nil
+		return Bool(false), nil, rest, nil
 	default:
-		return Value{}, nil, fmt.Errorf("value: decode: unknown tag %q", tag)
+		return Value{}, nil, nil, fmt.Errorf("value: decode: unknown tag %q", tag)
 	}
 }
