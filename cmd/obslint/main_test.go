@@ -24,7 +24,7 @@ func TestCleanRegistrationsPass(t *testing.T) {
 	diags := lintSrc(t, `package p
 func m(reg *Registry) {
 	reg.Counter("repro_txn_retries_total")
-	reg.Gauge("repro_storage_pipeline_inflight_epochs")
+	reg.Gauge("repro_wal_flush_queue_depth")
 	reg.Histogram("repro_wal_fsync_seconds")
 	reg.Histogram("repro_checkpoint_bytes")
 	reg.Histogram("repro_storage_epoch_txns_size")

@@ -23,7 +23,7 @@ func TestObsConcurrentHammer(t *testing.T) {
 	)
 	reg := NewRegistry()
 	c := reg.Counter("repro_txn_statements_total")
-	g := reg.Gauge("repro_storage_pipeline_inflight_epochs")
+	g := reg.Gauge("repro_wal_flush_queue_depth")
 	h := reg.Histogram("repro_wal_fsync_seconds")
 
 	stop := make(chan struct{})

@@ -35,8 +35,8 @@ const (
 	// be acknowledged at Time. Txn, Time, Epoch.
 	EvTxnCommit
 	// EvEpochPublish: the epoch's snapshot swap completed. Epoch (published
-	// logical time), N (accepted members), Dur (publish-stage latency,
-	// including the pipeline-order wait).
+	// logical time), N (accepted members), Dur (the swap's duration, taken
+	// under the commit lock).
 	EvEpochPublish
 	// EvTxnRetry: optimistic execution lost validation and will re-execute
 	// after backoff. Txn, N (attempt number just failed, 0-based),

@@ -4,27 +4,27 @@
 // sidecar: a wal.Writer plus the checkpoint bookkeeping (checkpoint.go). The
 // commit pipeline touches it in exactly one place — the log stage of an epoch
 // (group.go) appends one record per epoch, under the commit lock, before the
-// shadow map and the commit log are updated — so the write-ahead invariant is
-// structural: nothing a later epoch can validate against, and nothing a
-// reader can observe, exists before its log record does. Under
+// commit log is updated and the snapshot swapped — so the write-ahead
+// invariant is structural: nothing a later epoch can validate against, and
+// nothing a reader can observe, exists before its log record does. Under
 // wal.SyncAlways the append also fsyncs (one group fsync per epoch,
 // amortized over the whole batch) before any committer is acknowledged. An
 // epoch writing several relations is atomic by construction: all of them
 // travel in the one frame, under the one CRC.
 //
 // Schema-management calls (AddRelation, Load, DefineIndex) log themselves
-// too. They first quiesce the publish pipeline (beginSchemaChange) so their
-// record's position in the log matches the state they observed and edited —
-// without it, a schema record could land after an epoch record whose
-// snapshot swap it actually preceded, and replay would order them wrong.
+// too. They hold the commit lock (beginSchemaChange) so their record's
+// position in the log matches the state they observed and edited — without
+// it, a schema record could land between an epoch's record and its snapshot
+// swap, and replay would order them wrong.
 //
-// Log sequence numbers are sequential and monotone in logical time: stage V
-// runs serially (one drainer at a time, schema calls hold the commit lock),
-// so reservation of a time block and the append of its record cannot
-// interleave with another epoch's. Each published snapshot is stamped with
-// the LSN of the record that produced it; that stamp is the checkpoint
-// watermark — a checkpoint of snapshot S plus the records with LSN > S.lsn
-// is exactly the logged history.
+// Log sequence numbers are sequential and monotone in logical time: an epoch
+// runs serially from validation to swap under the commit lock (one drainer
+// at a time, schema calls hold the same lock), so the choice of a time block
+// and the append of its record cannot interleave with another epoch's. Each
+// published snapshot is stamped with the LSN of the record that produced
+// it; that stamp is the checkpoint watermark — a checkpoint of snapshot S
+// plus the records with LSN > S.lsn is exactly the logged history.
 package storage
 
 import (

@@ -324,6 +324,58 @@ func TestOneFsyncPerEpoch(t *testing.T) {
 	}
 }
 
+// TestWALFailureFailsTheEpoch: once the WAL refuses appends, every commit
+// returns its error and installs nothing — no counted commit, no tuple —
+// while each failed epoch's swap still uses up its times, so eight failed
+// commits move the clock from 1 to 9 however they batch.
+func TestWALFailureFailsTheEpoch(t *testing.T) {
+	db := openDur(t, t.TempDir(), DurOptions{Sync: wal.SyncAlways, CheckpointBytes: -1})
+	defer db.Close()
+	durCommit(t, db, map[string][]relation.Tuple{"alpha": {durTuple(0, "kept")}}, nil)
+	before := db.Stats().Commits
+	if err := db.dur.w.Close(); err != nil {
+		t.Fatalf("closing the WAL: %v", err)
+	}
+
+	rs, _ := db.Schema().Relation("alpha")
+	type outcome struct {
+		time uint64
+		cf   *Conflict
+		err  error
+	}
+	out := make([]outcome, 8)
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tp := durTuple(int64(i+1), "lost")
+			tm, cf, err := db.CommitValidated(Commit{
+				BaseTime: 1,
+				Reads:    map[string]*ReadInfo{"alpha": {Keys: map[string]bool{tp.Key(): true}}},
+				Ins:      map[string]*relation.Relation{"alpha": relation.MustFromTuples(rs, tp)},
+			})
+			out[i] = outcome{tm, cf, err}
+		}()
+	}
+	wg.Wait()
+
+	for i, o := range out {
+		if o.err == nil || !strings.Contains(o.err.Error(), "writer closed") || o.cf != nil || o.time != 0 {
+			t.Errorf("commit %d: time=%d conflict=%v err=%v, want the WAL's error", i, o.time, o.cf, o.err)
+		}
+	}
+	if got := db.Stats().Commits; got != before {
+		t.Errorf("Stats().Commits = %d after failed epochs, want %d", got, before)
+	}
+	if alpha, _ := db.Relation("alpha"); alpha.Len() != 1 {
+		t.Errorf("alpha holds %d tuples after failed epochs, want 1", alpha.Len())
+	}
+	if db.Time() != 9 {
+		t.Errorf("t=%d after eight failed commits from t=1, want 9", db.Time())
+	}
+}
+
 // TestOpenRefusesV1Log: a directory holding s<n>-<lsn>.seg segment files is
 // a log format Open cannot replay; it must say so and leave the directory as
 // it found it, not skip the files and recover a shorter history.

@@ -38,7 +38,7 @@ func TestEpochBatchValidationAndMerge(t *testing.T) {
 	db := New(storageSchema())
 
 	newPending := func(reads map[string]*ReadInfo, v int64) *pending {
-		return &pending{c: &Commit{BaseTime: 0, Reads: reads, Ins: mkDelta(t, db, v)}, done: make(chan func(), 1)}
+		return &pending{c: &Commit{BaseTime: 0, Reads: reads, Ins: mkDelta(t, db, v)}, done: make(chan struct{})}
 	}
 	p1 := newPending(keyRead("r", intTuple(1)), 1)
 	p2 := newPending(keyRead("r", intTuple(2)), 2)
@@ -47,14 +47,14 @@ func TestEpochBatchValidationAndMerge(t *testing.T) {
 	batch := []*pending{p1, p2, p3}
 	(&epoch{d: db, batch: batch}).run()
 
-	// With no drainer pending in the batch, the publish stage is delegated
-	// to the first member; run it here and then drain the completion
-	// signals.
-	fn := <-p1.done
-	if fn == nil {
-		t.Fatal("expected the publish closure on the first member")
+	// The epoch is installed when run returns, before any member's done is
+	// read.
+	if db.Time() != 2 {
+		t.Fatalf("t=%d when run returned, want the epoch's swap at t=2", db.Time())
 	}
-	fn()
+	if cur, _ := db.Relation("r"); !cur.Contains(intTuple(1)) || !cur.Contains(intTuple(2)) || cur.Len() != 2 {
+		t.Fatalf("state when run returned: %v, want {1, 2}", cur)
+	}
 	for _, p := range batch {
 		<-p.done
 	}

@@ -22,11 +22,10 @@ type storeMetrics struct {
 	tracerPanics   *obs.Counter
 
 	epochTxns     *obs.Histogram // members per epoch
-	stageValidate *obs.Histogram // stage V: validation loop
-	stageDerive   *obs.Histogram // stage V: successor + index derivation
-	stageWAL      *obs.Histogram // stage V: WAL append (+ group fsync)
-	stagePublish  *obs.Histogram // stage P: order wait + snapshot swap
-	inflight      *obs.Gauge     // epochs derived but not yet published
+	stageValidate *obs.Histogram // validation loop
+	stageDerive   *obs.Histogram // successor + index derivation
+	stageWAL      *obs.Histogram // WAL append (+ group fsync)
+	stagePublish  *obs.Histogram // snapshot swap, under the commit lock
 
 	ckptRuns    *obs.Counter
 	ckptFull    *obs.Counter
@@ -57,7 +56,6 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 	m.stageDerive = reg.Histogram("repro_storage_stage_derive_seconds")
 	m.stageWAL = reg.Histogram("repro_storage_stage_wal_seconds")
 	m.stagePublish = reg.Histogram("repro_storage_stage_publish_seconds")
-	m.inflight = reg.Gauge("repro_storage_pipeline_inflight_epochs")
 	m.ckptRuns = reg.Counter("repro_checkpoint_runs_total")
 	m.ckptFull = reg.Counter("repro_checkpoint_full_total")
 	m.ckptSeconds = reg.Histogram("repro_checkpoint_seconds")

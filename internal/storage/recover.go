@@ -121,7 +121,6 @@ func Open(dir string, sch *schema.Database, opts DurOptions) (*Database, error) 
 		w.Close()
 		return fail(err)
 	}
-	d.clock.Store(rs.time)
 	d.truncated = rs.time
 	d.snap.Store(&Snapshot{sch: rs.sch, tabs: tabs, time: rs.time, lsn: rs.lsn})
 	met.openSeconds.Observe(uint64(time.Since(tOpen)))

@@ -24,11 +24,9 @@
 // O(batch delta) path copies on the shared persistent trie, package pmap)
 // and ONE successor of every secondary index on it (path copies again, package
 // index); it appends ONE commit-log record and
-// installs everything in a single snapshot swap. Validation of epoch N+1 is
-// pipelined with publication of epoch N: the log record lands under the
-// commit lock before the swap, and the shadow map of derived tables lets the
-// next epoch build on predecessors that have not been swapped in yet;
-// snapshot swaps themselves are ordered by the epoch clock.
+// installs everything in a single snapshot swap. Validation through the swap
+// runs under the commit lock, so every epoch starts from the published
+// snapshot and the logical clock is the published snapshot's time.
 //
 // There is one commit lock, one commit log and one logical clock. The log
 // holds the net ins/del deltas of the epochs that wrote anything, keyed by
@@ -71,8 +69,7 @@ const defaultRetainSpan = 1024
 
 // table is one relation's state: a sealed instance and the secondary indexes
 // (nil when it has none) that exactly describe it. The two are only ever
-// derived, shadowed, installed and checkpointed together, through apply and
-// reload.
+// derived, installed and checkpointed together, through apply and reload.
 type table struct {
 	inst *relation.Relation
 	idx  *index.Set
@@ -273,14 +270,15 @@ type Stats struct {
 
 // Database is a database state D of a database schema (Definition 2.2) plus
 // a logical clock. Reads (Snapshot, Relation, Time) are lock-free and safe
-// for any number of concurrent goroutines; commits validate under the commit
-// lock and publish through a short publish mutex.
+// for any number of concurrent goroutines; commits validate and swap the
+// snapshot under the commit lock.
 type Database struct {
 	sch *schema.Database
 
-	// commitMu is the commit lock: the drainer holds it through stage V of
-	// each epoch and schema calls hold it for their whole edit. It guards
-	// the three fields below it. Lock order: commitMu before pubMu.
+	// commitMu is the commit lock: the drainer holds it from validation to
+	// the snapshot swap of each epoch and schema calls hold it for their
+	// whole edit. It guards the two fields below it and every store to snap
+	// after construction.
 	commitMu sync.Mutex
 	// log holds the records of the epochs that wrote anything, in ascending
 	// commit-time order.
@@ -289,22 +287,9 @@ type Database struct {
 	// dropped from log; validation of base snapshots before it must be
 	// refused conservatively.
 	truncated uint64
-	// shadow holds the newest derived table of each relation an epoch has
-	// written, including epochs whose snapshot swap is still in flight — the
-	// pipelined successor base. A missing entry (or a nil map) falls back to
-	// the published snapshot. Schema calls (Load, AddRelation,
-	// DefineIndex...) clear it.
-	shadow map[string]table
 
-	pubMu sync.Mutex // publish point: snapshot swap ordering; also Load/AddRelation
-	snap  atomic.Pointer[Snapshot]
-
-	// Group-commit state: the global pending queue, the epoch clock that
-	// reserves commit-time blocks ahead of publication, and the condition
-	// (under pubMu) that orders the snapshot swaps of pipelined epochs.
-	gq      groupQueue
-	clock   atomic.Uint64
-	pubCond *sync.Cond
+	snap atomic.Pointer[Snapshot]
+	gq   groupQueue
 	// retain is the commit-log retention span in logical time, configured
 	// before concurrent use.
 	retain uint64
@@ -333,7 +318,6 @@ func New(sch *schema.Database) *Database {
 		tabs[name] = table{}.reload(relation.New(rs))
 	}
 	db := &Database{sch: sch, retain: defaultRetainSpan}
-	db.pubCond = sync.NewCond(&db.pubMu)
 	// Metrics are on by default — Stats() is a view over the registry — and
 	// re-pointable (or disabled) via SetObservability before concurrent use.
 	db.reg = obs.NewRegistry()
@@ -375,24 +359,13 @@ func (d *Database) Relation(name string) (*relation.Relation, error) {
 }
 
 // beginSchemaChange brackets a snapshot edit made outside the epoch
-// machinery (Load, AddRelation, index definition): it takes the commit lock
-// and the publish lock, waits until every reserved epoch has published —
-// so the state the caller reads and logs is the state its record's log
-// position implies, and no new epoch can reserve times meanwhile — and
-// clears the epoch shadow state, so a later epoch cannot paper over the
-// edit with a stale shadow instance. The caller runs the returned unlock
-// when done.
+// machinery (Load, AddRelation, index definition): it takes the commit lock,
+// so no epoch runs meanwhile and the state the caller reads and logs is the
+// state its record's log position implies. The caller runs the returned
+// unlock when done.
 func (d *Database) beginSchemaChange() (unlock func()) {
 	d.commitMu.Lock()
-	d.pubMu.Lock()
-	for d.snap.Load().time != d.clock.Load() {
-		d.pubCond.Wait()
-	}
-	d.shadow = nil
-	return func() {
-		d.pubMu.Unlock()
-		d.commitMu.Unlock()
-	}
+	return d.commitMu.Unlock
 }
 
 // AddRelation registers a new relation schema after creation, with an empty
@@ -592,8 +565,7 @@ var errStopIteration = errors.New("stop")
 // and then against the co-members accepted before it, at tuple
 // granularity where c.Reads recorded keys; the whole epoch's successor
 // tables derive in one O(batch delta) pass and install in one snapshot swap. The
-// call blocks until its epoch's outcome is decided (this goroutine may be
-// asked to run the epoch's publish stage itself — that is the pipeline). A
+// call blocks until its epoch's outcome is decided and installed. A
 // non-nil Conflict (with nil error) means validation failed and the caller
 // should re-execute against a fresh snapshot; errors are reserved for
 // malformed commits, which never enqueue.
@@ -613,7 +585,7 @@ func (d *Database) CommitValidated(c Commit) (uint64, *Conflict, error) {
 		return 0, nil, fmt.Errorf("storage: commit base time %d is ahead of the store (t=%d)", c.BaseTime, cur.time)
 	}
 
-	p := &pending{c: &c, done: make(chan func(), 1)}
+	p := &pending{c: &c, done: make(chan struct{})}
 	d.gq.mu.Lock()
 	d.gq.queue = append(d.gq.queue, p)
 	lead := !d.gq.draining
@@ -626,13 +598,9 @@ func (d *Database) CommitValidated(c Commit) (uint64, *Conflict, error) {
 	// test tracer may block here to steer commits into a shared epoch.
 	d.emit(obs.Event{Kind: obs.EvTxnEnqueue, Txn: c.Label, Time: c.BaseTime})
 	if lead {
-		d.drain(p)
+		d.drain()
 	}
-	// Wait for the epoch outcome; a non-nil receive is this epoch's publish
-	// stage, delegated here so the drainer can validate the next epoch.
-	if fn := <-p.done; fn != nil {
-		fn()
-	}
+	<-p.done
 	// p.err is only ever set by a durable database whose WAL append failed:
 	// the epoch was accepted but could not be made durable, so it was not
 	// installed and the store is effectively read-only (the WAL writer is
@@ -660,12 +628,10 @@ func (s *Snapshot) withInstalled(changed map[string]table, t uint64) *Snapshot {
 func (d *Database) Clone() *Database {
 	cur := d.Snapshot()
 	c := &Database{sch: d.sch, retain: d.retain, truncated: cur.time}
-	c.pubCond = sync.NewCond(&c.pubMu)
 	// The clone counts into its own fresh registry (its Stats start at
 	// zero); use SetObservability to share the parent's.
 	c.reg = obs.NewRegistry()
 	c.met = newStoreMetrics(c.reg)
-	c.clock.Store(cur.time)
 	c.snap.Store(&Snapshot{sch: cur.sch, tabs: cur.tabs, time: cur.time})
 	return c
 }

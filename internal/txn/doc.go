@@ -26,9 +26,9 @@
 //     cross-epoch validation; the surviving members' deltas fold into one
 //     successor instance and one index push per written relation, one log
 //     record, and one published snapshot swap, so N queued commits pay one
-//     critical section instead of N. Epoch N+1 validates and derives
-//     (against shadow successors) while epoch N's swap publishes — a
-//     two-stage pipeline ordered by the logical clock.
+//     critical section instead of N. Validation through the swap is that
+//     one critical section: each epoch starts from the snapshot its
+//     predecessor published.
 //
 //   - Tuple-granular validation. The overlay records, per base relation,
 //     either a whole-relation read (the relation was materialized through

@@ -27,8 +27,8 @@ var ErrRetriesExhausted = errors.New("txn: optimistic commit retries exhausted")
 // one submitter drains the queue as an epoch, validates every member
 // against one base snapshot (intra-epoch conflicts resolve by queue order),
 // and folds the survivors into one successor instance per written
-// relation, one log record, and one published snapshot swap. The next epoch
-// validates while the previous one publishes, so the commit point batches
+// relation, one log record, and one published snapshot swap. Commits that
+// queue while an epoch runs form the next epoch, so the commit point batches
 // under load instead of serializing per transaction.
 //
 // Validation is tuple-granular where the overlay recorded tuple keys: a
