@@ -8,9 +8,10 @@ package pmap
 // its decoded node, so a faulted subtree the cache evicts is simply faulted
 // again, and the resident footprint of an arbitrarily large relation is
 // bounded by the cache budget plus the path-copied (freshly written) nodes.
-// A whole-map value walk (RangeValues) does not fault at all: it has the
-// loader stream each cold node's slots (Loader.Stream) and recurses into
-// child addresses, so a scan leaves neither nodes nor stubs behind.
+// A whole-map value walk (RangeValues) does not fault at all: it opens one
+// scanner (Loader.Scan) at its first cold node, has it stream each cold
+// node's slots and recurses into child addresses, so a scan leaves neither
+// nodes nor stubs behind.
 //
 // Mutation works unchanged: set/delete resolve stubs along the touched path
 // and path-copy the resolved nodes, so fresh writes are ordinary in-memory
@@ -36,19 +37,28 @@ import (
 // same address (the trie keeps no memo — caching is the loader's job) and
 // must return a node decoded from the same bytes every time.
 //
-// Stream is the scan's way in: it appends the slots of the node at an
-// address to dst in stored order, as Node.Walk visits them (a child
-// subtree by its non-zero address, an entry by its value, keys left
-// empty), and returns the extended slice, without the loader having to
-// build or keep a Node. A value it hands over may be retained; it is
-// immutable like any stored value. It validates the whole node before it
-// appends anything, so a corrupt node yields an error and no slots. A
-// whole-map value walk (RangeValues) descends cold subtrees through
-// Stream. The walk calls the caller's function itself, so that function
-// never reaches the loader and never has to escape to the heap.
+// Scan is a whole-map walk's way in: RangeValues opens one Scanner at the
+// first cold node it meets and closes it when the walk ends, however it
+// ends, and descends every cold subtree of the walk through it. A resident
+// walk opens none.
 type Loader[V any] interface {
 	Load(Addr) (*Node[V], error)
+	Scan() Scanner[V]
+}
+
+// Scanner streams the nodes of one walk; it need not be safe for concurrent
+// use. Stream appends the slots of the node at an address to dst in stored
+// order, as Node.Walk visits them (a child subtree by its non-zero address,
+// an entry by its value, keys left empty), and returns the extended slice,
+// without the loader having to build or keep a Node. A value it hands over
+// may be retained; it is immutable like any stored value. A corrupt node
+// yields an error and leaves dst at its length. The walk calls the
+// caller's function itself, so that function never reaches the loader and
+// never has to escape to the heap. Close releases what the scanner holds;
+// the values it handed over stay valid.
+type Scanner[V any] interface {
 	Stream(a Addr, dst []SlotData[V]) ([]SlotData[V], error)
+	Close()
 }
 
 // Node is an opaque decoded trie node, built by NewNode from a persisted
@@ -225,35 +235,50 @@ func faultNode[V any](n *node[V], ld Loader[V]) *node[V] {
 	return dn.n
 }
 
-// slotBufs holds one RangeValues walk's slot buffers, one per trie depth:
-// a depth-first walk streams one node at a time at each depth, so every
-// node at a depth reuses that depth's buffer.
-type slotBufs[V any] [maxDepth + 1][]SlotData[V]
+// valueWalk is one RangeValues walk: the loader, the scanner it opened at
+// its first stub (nil until then), and one slot buffer per trie depth: a
+// depth-first walk streams one node at a time at each depth, so every node
+// at a depth reuses that depth's buffer.
+type valueWalk[V any] struct {
+	ld   Loader[V]
+	sc   Scanner[V]
+	bufs [maxDepth + 1][]SlotData[V]
+}
 
-// streamValues is rangeValues over the persisted subtree at a, at the given
-// depth: the loader streams each node's slots into the depth's buffer and
-// the walk recurses into child addresses, so a scan of cold subtrees builds
-// no trie node, no stub and no key. Faults panic with *FaultError like
-// every read path; fn's error ends the walk and is returned.
-func streamValues[V any](a Addr, ld Loader[V], depth int, bufs *slotBufs[V], fn func(V) error) error {
-	if ld == nil {
-		panic(&FaultError{Addr: a, Err: errNoLoader})
+// close closes the walk's scanner, if it opened one.
+func (w *valueWalk[V]) close() {
+	if w.sc != nil {
+		w.sc.Close()
 	}
+}
+
+// stream walks the persisted subtree at a, at the given depth: the
+// scanner streams each node's slots into the depth's buffer and the walk
+// recurses into child addresses, so a scan of cold subtrees builds no trie
+// node, no stub and no key. Faults panic with *FaultError like
+// every read path; fn's error ends the walk and is returned.
+func (w *valueWalk[V]) stream(a Addr, depth int, fn func(V) error) error {
 	if depth > maxDepth {
 		panic(&FaultError{Addr: a, Err: errTooDeep})
 	}
-	buf := bufs[depth]
+	if w.sc == nil {
+		if w.ld == nil {
+			panic(&FaultError{Addr: a, Err: errNoLoader})
+		}
+		w.sc = w.ld.Scan()
+	}
+	buf := w.bufs[depth]
 	if buf == nil {
 		buf = make([]SlotData[V], 0, width)
 	}
-	slots, err := ld.Stream(a, buf[:0])
+	slots, err := w.sc.Stream(a, buf[:0])
 	if err != nil {
 		panic(&FaultError{Addr: a, Err: err})
 	}
-	bufs[depth] = slots
+	w.bufs[depth] = slots
 	for i := range slots {
 		if c := slots[i].Child; c != 0 {
-			if err := streamValues(c, ld, depth+1, bufs, fn); err != nil {
+			if err := w.stream(c, depth+1, fn); err != nil {
 				return err
 			}
 			continue

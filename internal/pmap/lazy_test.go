@@ -18,6 +18,8 @@ type memSink[V any] struct {
 	retain map[Addr]bool // nil means retain everything present
 	loads  int
 	failAt Addr // Load of this address fails (0 = never)
+	opened int  // scanners Scan opened
+	closed int  // scanners closed
 }
 
 type storedNode[V any] struct {
@@ -59,10 +61,33 @@ func (s *memSink[V]) Load(a Addr) (*Node[V], error) {
 	return NewNode(a, sn.bitmap, sn.coll, sn.slots)
 }
 
+// Scan opens a scanner over the sink, counting opens and closes.
+func (s *memSink[V]) Scan() Scanner[V] {
+	s.opened++
+	return &memScan[V]{s: s}
+}
+
+// memScan is memSink's scanner.
+type memScan[V any] struct {
+	s      *memSink[V]
+	closed bool
+}
+
+func (sc *memScan[V]) Close() {
+	if sc.closed {
+		panic("scanner closed twice")
+	}
+	sc.closed = true
+	sc.s.closed++
+}
+
 // Stream walks the node Load rebuilds, as the storage cache does for a
 // resident node.
-func (s *memSink[V]) Stream(a Addr, dst []SlotData[V]) ([]SlotData[V], error) {
-	dn, err := s.Load(a)
+func (sc *memScan[V]) Stream(a Addr, dst []SlotData[V]) ([]SlotData[V], error) {
+	if sc.closed {
+		panic("Stream on a closed scanner")
+	}
+	dn, err := sc.s.Load(a)
 	if err != nil {
 		return nil, err
 	}
@@ -395,6 +420,75 @@ func TestLazyRangeValuesStreams(t *testing.T) {
 	}()
 	_ = lz.RangeValues(func(int) error { return nil })
 	t.Fatal("RangeValues over an unreadable node did not panic")
+}
+
+// TestRangeValuesScannerLifecycle: a walk over a lazy map opens one
+// scanner at its first stub and closes it however the walk ends (done,
+// stopped by the callback, panicking on a fault); a walk that meets no stub
+// opens none and allocates nothing.
+func TestRangeValuesScannerLifecycle(t *testing.T) {
+	s := newMemSink[int]()
+	m := New[int]()
+	const n = 1000
+	for i := 0; i < n; i++ {
+		m.Set("k"+strconv.Itoa(i), i)
+	}
+	p := persistFrozen(t, m.Freeze(), s)
+	lz := NewLazy[int](p.Root, n, s)
+
+	count := 0
+	if err := lz.RangeValues(func(int) error { count++; return nil }); err != nil || count != n {
+		t.Fatalf("RangeValues saw %d values, err %v; want %d", count, err, n)
+	}
+	if s.opened != 1 || s.closed != 1 {
+		t.Fatalf("a walk opened %d scanners and closed %d, want 1 and 1", s.opened, s.closed)
+	}
+	errStop := errors.New("stop")
+	if err := lz.RangeValues(func(int) error { return errStop }); err != errStop {
+		t.Fatalf("RangeValues = %v, want the callback's error", err)
+	}
+	if s.opened != 2 || s.closed != 2 {
+		t.Fatalf("a stopped walk left %d of %d scanners open", s.opened-s.closed, s.opened)
+	}
+	func() {
+		for a := range s.nodes {
+			if a != p.Root {
+				s.failAt = a
+				break
+			}
+		}
+		defer func() {
+			if _, ok := recover().(*FaultError); !ok {
+				t.Fatal("RangeValues over an unreadable node did not panic with a *FaultError")
+			}
+		}()
+		_ = lz.RangeValues(func(int) error { return nil })
+	}()
+	if s.opened != 3 || s.closed != 3 {
+		t.Fatalf("a walk that panicked left %d of %d scanners open", s.opened-s.closed, s.opened)
+	}
+
+	// A lazy map whose nodes are all resident path copies.
+	res := NewLazy[int](0, 0, s)
+	for i := 0; i < n; i++ {
+		res.Set("k"+strconv.Itoa(i), i)
+	}
+	res.Freeze()
+	sum := 0
+	if err := res.RangeValues(func(v int) error { sum += v; return nil }); err != nil || sum != n*(n-1)/2 {
+		t.Fatalf("resident RangeValues: sum %d, err %v", sum, err)
+	}
+	if s.opened != 3 {
+		t.Fatalf("a walk over resident nodes opened %d scanners", s.opened-3)
+	}
+	if raceEnabled {
+		return
+	}
+	if a := testing.AllocsPerRun(20, func() {
+		_ = res.RangeValues(func(v int) error { sum += v; return nil })
+	}); a != 0 {
+		t.Fatalf("a walk over resident nodes allocates %.0f times, want 0", a)
+	}
 }
 
 // TestLazyCloneKeepsLoader checks that clones of a lazy map page too, and

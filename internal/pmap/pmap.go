@@ -483,19 +483,22 @@ func rangeNode[V any](n *node[V], ld Loader[V], depth int, fn func(string, V) er
 
 // RangeValues is Range without the key, saving an indirect call per entry
 // on hot scan paths (the algebra evaluator iterates relations tuple-wise).
-// It does not fault cold subtrees in: it streams them through the loader
-// (Loader.Stream), which never has to build their nodes or keys.
+// It does not fault cold subtrees in: it streams them through one scanner
+// (Loader.Scan), opened at the first cold subtree and closed when the walk
+// ends, panics included; the scanner never has to build their nodes or
+// keys.
 func (m *Map[V]) RangeValues(fn func(val V) error) error {
-	var bufs slotBufs[V]
-	return rangeValues(m.root, m.loader, 0, &bufs, fn)
+	w := valueWalk[V]{ld: m.loader}
+	defer w.close()
+	return w.node(m.root, 0, fn)
 }
 
-func rangeValues[V any](n *node[V], ld Loader[V], depth int, bufs *slotBufs[V], fn func(V) error) error {
+func (w *valueWalk[V]) node(n *node[V], depth int, fn func(V) error) error {
 	if n == nil {
 		return nil
 	}
 	if a := Addr(n.lazy.Load()); a != 0 {
-		return streamValues(a, ld, depth, bufs, fn)
+		return w.stream(a, depth, fn)
 	}
 	if depth > maxDepth {
 		corruptDepth(n)
@@ -518,7 +521,7 @@ func rangeValues[V any](n *node[V], ld Loader[V], depth int, bufs *slotBufs[V], 
 			}
 			continue
 		}
-		if err := rangeValues(n.children[ci], ld, depth+1, bufs, fn); err != nil {
+		if err := w.node(n.children[ci], depth+1, fn); err != nil {
 			return err
 		}
 		ci++

@@ -2,7 +2,9 @@ package relation
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"unsafe"
 
 	"repro/internal/pmap"
 	"repro/internal/schema"
@@ -43,46 +45,107 @@ func DecodeTuple(data []byte) (Tuple, []byte, error) {
 	return t, data, nil
 }
 
-// SkipTuple checks one AppendTuple-encoded tuple at the front of data
-// exactly as DecodeTuple does, without building it, and returns the
-// remaining bytes, the arity and the total length of its string payloads:
-// what DecodeTupleIn needs to be sized for.
-func SkipTuple(data []byte) (rest []byte, arity, strLen int, err error) {
-	n, data, err := tupleArity(data)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	for i := 0; i < n; i++ {
-		var l int
-		if data, l, err = value.SkipBinary(data); err != nil {
-			return nil, 0, 0, fmt.Errorf("relation: decode tuple value %d: %w", i, err)
-		}
-		strLen += l
-	}
-	return data, n, strLen, nil
+// Arena is the memory DecodeTuple cuts tuples from: a chunk of values and
+// a chunk of string payload bytes, each replaced by a fresh chunk when the
+// next tuple does not fit the rest of it. A tuple's values sit in one value
+// chunk and its payloads in one string chunk (a tuple whose payloads
+// outgrow a fresh chunk gets the payloads that do not fit allocated alone),
+// so a retained tuple pins at most one chunk of each beyond its own
+// oversized strings. Nothing handed out is ever written again; the zero
+// Arena is ready to use and allocates its first chunks on demand.
+type Arena struct {
+	vals []value.Value
+	strs []byte
 }
 
-// DecodeTupleIn decodes one tuple into the front of vals, which must hold
-// its arity, and appends its string payloads to block (see
-// value.DecodeBinaryIn). The tuple aliases vals and block; the rest of vals
-// and the extended block are returned with the remaining bytes. Decoding a
-// node's tuples this way costs one value array and one string block for the
-// node, not an allocation per tuple and per string.
-func DecodeTupleIn(data []byte, vals []value.Value, block []byte) (t Tuple, rest []byte, restVals []value.Value, _ []byte, err error) {
+// Chunk sizes of an Arena: 8 KiB of values and 8 KiB of string payload, so
+// a retained tuple pins at most 16 KiB of chunks. A value chunk holds 255
+// values, not 256: the runtime puts an 8-byte header before an object of
+// more than 512 bytes that holds pointers, and 256 values with it come to
+// 8 200 bytes, which it rounds up to a 9 472-byte size class. On
+// storage's BenchmarkPagedScan (40 000 rows of an int and a 64-byte string
+// behind a 1 MiB node cache, 2-CPU host) a scan allocated 1 252 times
+// (4.74 MB) with 4 KiB chunks, 678 (4.71 MB) with 8 KiB and 392 (4.71 MB)
+// with 16 KiB, at scan times within the runs' spread (9.7–12.5 ms); 8 KiB
+// keeps the pin small at about half the 4 KiB allocations.
+const (
+	arenaVals = (8<<10 - 8) / int(unsafe.Sizeof(value.Value{}))
+	arenaStrs = 8 << 10
+)
+
+// errChunkFull reports a payload that does not fit the rest of the
+// arena's string chunk; DecodeTuple retries the tuple in a fresh chunk.
+var errChunkFull = errors.New("relation: string chunk full")
+
+// DecodeTuple decodes one AppendTuple-encoded tuple from the front of data
+// into the arena's chunks, checking it exactly as the package-level
+// DecodeTuple does, and returns it with the remaining bytes. The tuple
+// aliases the arena's chunks, not data. On an error nothing is handed out.
+func (a *Arena) DecodeTuple(data []byte) (Tuple, []byte, error) {
 	n, data, err := tupleArity(data)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, err
 	}
-	if n > len(vals) {
-		return nil, nil, nil, nil, fmt.Errorf("relation: decode tuple: arity %d exceeds the value arena", n)
+	if cap(a.vals)-len(a.vals) < n {
+		a.vals = make([]value.Value, 0, max(arenaVals, n))
 	}
-	t = Tuple(vals[:n:n])
+	k := len(a.vals)
+	t := Tuple(a.vals[k : k+n : k+n])
+	rest, strs, err := decodeValues(data, t, a.strs, false)
+	if err == errChunkFull {
+		rest, strs, err = decodeValues(data, t, make([]byte, 0, arenaStrs), true)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	a.vals, a.strs = a.vals[:k+n], strs
+	return t, rest, nil
+}
+
+// decodeValues decodes len(t) values from data into t, appending string
+// payloads to strs within its capacity, and returns the remaining bytes
+// and the extended strs. A payload that does not fit fails with
+// errChunkFull, unless strs is a chunk fresh for this tuple (fresh); then
+// the payload is allocated alone.
+func decodeValues(data []byte, t Tuple, strs []byte, fresh bool) ([]byte, []byte, error) {
 	for i := range t {
-		if t[i], data, block, err = value.DecodeBinaryIn(data, block); err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("relation: decode tuple value %d: %w", i, err)
+		v, str, rest, err := value.DecodeBinaryRef(data)
+		if err != nil {
+			return nil, nil, fmt.Errorf("relation: decode tuple value %d: %w", i, err)
 		}
+		data = rest
+		if len(str) > 0 {
+			switch {
+			case len(str) <= cap(strs)-len(strs):
+				k := len(strs)
+				strs = append(strs, str...)
+				v = value.String(unsafe.String(&strs[k], len(str)))
+			case !fresh:
+				return nil, nil, errChunkFull
+			default:
+				v = value.String(string(str))
+			}
+		}
+		t[i] = v
 	}
-	return t, data, vals[n:], block, nil
+	return data, strs, nil
+}
+
+// Rewind gives back everything decoded since mark was copied from the
+// arena (mark := *a), for a caller that has stopped using those tuples
+// (one that copies them out). A chunk started since then is kept, emptied.
+func (a *Arena) Rewind(mark Arena) {
+	a.vals = rewind(a.vals, mark.vals)
+	a.strs = rewind(a.strs, mark.strs)
+}
+
+// rewind returns mark when cur is still the chunk mark was cut from, else
+// cur emptied.
+func rewind[T any](cur, mark []T) []T {
+	if unsafe.SliceData(cur) == unsafe.SliceData(mark) {
+		return mark
+	}
+	return cur[:0]
 }
 
 // tupleArity reads a tuple's arity prefix. Each value takes at least one

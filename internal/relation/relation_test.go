@@ -288,3 +288,50 @@ func TestKeyBuildersAllocateOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestArenaDecode decodes tuples whose string payloads overflow the
+// arena's chunks (among them one larger than a chunk) and checks that every
+// tuple handed out keeps its value through later decodes, through a
+// refused tuple, and through a Rewind that gives a decode's space back.
+func TestArenaDecode(t *testing.T) {
+	var want []Tuple
+	for i := 0; i < 400; i++ {
+		want = append(want, Tuple{value.Int(int64(i)), value.String(strings.Repeat("s", i%97)), value.Null(),
+			value.String(strings.Repeat("t", (i*37)%61))})
+	}
+	want = append(want, Tuple{value.String(strings.Repeat("big", arenaStrs)), value.String("after")})
+	var enc []byte
+	for _, tp := range want {
+		enc = AppendTuple(enc, tp)
+	}
+	var a Arena
+	var got []Tuple
+	for data := enc; len(data) > 0; {
+		tp, rest, err := a.DecodeTuple(data)
+		if err != nil {
+			t.Fatalf("tuple %d: %v", len(got), err)
+		}
+		got, data = append(got, tp), rest
+		if len(got) == 100 {
+			// A tuple whose last value is corrupt is refused whole.
+			bad := AppendTuple(nil, Tuple{value.String("refused"), value.Int(1)})
+			if _, _, err := a.DecodeTuple(bad[:len(bad)-1]); err == nil {
+				t.Fatal("a truncated tuple decoded")
+			}
+			// A decode given back with Rewind leaves the others intact.
+			mark := a
+			if _, _, err := a.DecodeTuple(AppendTuple(nil, Tuple{value.String(strings.Repeat("r", 5000))})); err != nil {
+				t.Fatal(err)
+			}
+			a.Rewind(mark)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("decoded %d tuples, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) || got[i].Key() != want[i].Key() {
+			t.Fatalf("tuple %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+}

@@ -1,25 +1,30 @@
 // Node block parsing: the one reader of checkpoint node blocks, shared by
-// the pager's point faults (decodeNodeBlock), its scans (streamNodeBlock,
-// pager.Stream) and the eager resident open (collectNodes).
+// the pager's point faults (decodeNodeBlock), its scans (streamBlock,
+// pageScan.Stream) and the eager resident open (collectNodes).
 //
 // A block body is the bitmap (uvarint), a flags byte (bit 0: collision
 // node), the slot count (uvarint) and the slots in stored order, each a
 // child address (uvarint) or address 0 followed by a relation.AppendTuple
-// tuple. parseNodeBlock validates the whole body before anything is
-// decoded: exact consumption, every value's encoding, no self-referential
-// child and none in file 0, and the structural invariants pmap.NewNode
-// checks that need no keys (a regular node's bitmap population equals its
-// slot count; a collision node has a zero bitmap, two or more slots and no
-// child). The parse also sizes the decode: a block's tuples decode into one
-// value array and one string block of exactly the parsed lengths, and its
-// keys, when a pmap node is built, into one more block. Nothing decoded
+// tuple. parseBlock checks and decodes the body in one pass: exact
+// consumption, every value's encoding, no self-referential child and none
+// in file 0, and the structural invariants pmap.NewNode checks that need no
+// keys (a regular node's bitmap population equals its slot count; a
+// collision node has a zero bitmap, two or more slots and no child). Its
+// tuples decode into a relation.Arena's chunks, and on any error it leaves
+// the caller's slot slice at its original length. A scan hands those
+// tuples out as they are. A node that enters the cache, and every tuple of
+// the eager open, is moved into one value array and one string block of
+// exactly its size (own), with its keys, when a pmap node is built, in one
+// more block; so no cached node aliases a scan's chunks. Nothing decoded
 // aliases the body, so a caller may reuse the buffer it read the body into.
 package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
 	"unsafe"
 
 	"repro/internal/pmap"
@@ -27,116 +32,139 @@ import (
 	"repro/internal/value"
 )
 
-// nodeBlock is a node block body that parseNodeBlock has validated, with
-// the sizes its decode needs.
-type nodeBlock struct {
-	addr   pmap.Addr
+// blockHead is the shape of a parsed node block.
+type blockHead struct {
 	bitmap uint64
 	coll   bool
-	nslots int
-	nvals  int    // values over all tuples
-	strLen int    // string payload bytes over all tuples
-	slots  []byte // the slot section of the body
 }
 
-// parseNodeBlock validates a node block body (see the file comment). Every
-// violation is an error, never a panic: FuzzNodeDecode leans on it.
-func parseNodeBlock(addr pmap.Addr, body []byte) (nodeBlock, error) {
-	b := nodeBlock{addr: addr}
+// parseBlock checks a node block body (see the file comment) and appends
+// its slots to dst in stored order: a child by its address, an entry by its
+// tuple decoded into ar (key left empty). On any error dst keeps its length
+// and ar its state. Every violation is an error, never a panic:
+// FuzzNodeDecode leans on it.
+func parseBlock(addr pmap.Addr, body []byte, dst []pmap.SlotData[relation.Tuple], ar *relation.Arena) ([]pmap.SlotData[relation.Tuple], blockHead, error) {
+	from, saved := len(dst), *ar
+	dst, h, err := parseSlots(addr, body, dst, ar)
+	if err != nil {
+		ar.Rewind(saved)
+		return dst[:from], h, fmt.Errorf("storage: node %x: %w", uint64(addr), err)
+	}
+	return dst, h, nil
+}
+
+// parseSlots is parseBlock without the rollback and the error's prefix.
+func parseSlots(addr pmap.Addr, body []byte, dst []pmap.SlotData[relation.Tuple], ar *relation.Arena) ([]pmap.SlotData[relation.Tuple], blockHead, error) {
+	var h blockHead
 	bitmap, k := binary.Uvarint(body)
 	if k <= 0 {
-		return b, fmt.Errorf("storage: node %x: bad bitmap", uint64(addr))
+		return dst, h, errors.New("bad bitmap")
 	}
 	body = body[k:]
 	if len(body) == 0 {
-		return b, fmt.Errorf("storage: node %x: missing flags", uint64(addr))
+		return dst, h, errors.New("missing flags")
 	}
 	flags := body[0]
 	body = body[1:]
 	if flags&^1 != 0 {
-		return b, fmt.Errorf("storage: node %x: unknown flags %#x", uint64(addr), flags)
+		return dst, h, fmt.Errorf("unknown flags %#x", flags)
 	}
 	nslots, k := binary.Uvarint(body)
 	if k <= 0 || nslots == 0 || nslots > uint64(len(body)) {
-		return b, fmt.Errorf("storage: node %x: bad slot count", uint64(addr))
+		return dst, h, errors.New("bad slot count")
 	}
 	body = body[k:]
-	b.bitmap, b.coll, b.nslots, b.slots = bitmap, flags&1 != 0, int(nslots), body
+	h = blockHead{bitmap: bitmap, coll: flags&1 != 0}
 	nkids := 0
-	for i := 0; i < b.nslots; i++ {
+	for i := uint64(0); i < nslots; i++ {
 		child, k := binary.Uvarint(body)
 		if k <= 0 {
-			return b, fmt.Errorf("storage: node %x: bad child address", uint64(addr))
+			return dst, h, errors.New("bad child address")
 		}
 		body = body[k:]
 		if child != 0 {
 			if pmap.Addr(child) == addr {
-				return b, fmt.Errorf("storage: node %x: self-referential child", uint64(addr))
+				return dst, h, errors.New("self-referential child")
 			}
 			if child>>addrShift == 0 {
-				return b, fmt.Errorf("storage: node %x: child address %x in file 0", uint64(addr), child)
+				return dst, h, fmt.Errorf("child address %x in file 0", child)
 			}
 			nkids++
+			dst = append(dst, pmap.SlotData[relation.Tuple]{Child: pmap.Addr(child)})
 			continue
 		}
-		rest, arity, strLen, err := relation.SkipTuple(body)
+		t, rest, err := ar.DecodeTuple(body)
 		if err != nil {
-			return b, fmt.Errorf("storage: node %x: %w", uint64(addr), err)
+			return dst, h, err
 		}
 		body = rest
-		b.nvals += arity
-		b.strLen += strLen
+		dst = append(dst, pmap.SlotData[relation.Tuple]{Val: t})
 	}
 	if len(body) != 0 {
-		return b, fmt.Errorf("storage: node %x: %d trailing bytes", uint64(addr), len(body))
+		return dst, h, fmt.Errorf("%d trailing bytes", len(body))
 	}
 	switch {
-	case !b.coll && bits.OnesCount64(bitmap) != b.nslots:
-		return b, fmt.Errorf("storage: node %x: bitmap population %d does not match %d slots",
-			uint64(addr), bits.OnesCount64(bitmap), b.nslots)
-	case b.coll && bitmap != 0:
-		return b, fmt.Errorf("storage: node %x: collision node with non-zero bitmap", uint64(addr))
-	case b.coll && b.nslots < 2:
-		return b, fmt.Errorf("storage: node %x: collision node with fewer than two entries", uint64(addr))
-	case b.coll && nkids != 0:
-		return b, fmt.Errorf("storage: node %x: collision node with a child subtree", uint64(addr))
+	case !h.coll && bits.OnesCount64(bitmap) != int(nslots):
+		return dst, h, fmt.Errorf("bitmap population %d does not match %d slots", bits.OnesCount64(bitmap), nslots)
+	case h.coll && bitmap != 0:
+		return dst, h, errors.New("collision node with non-zero bitmap")
+	case h.coll && nslots < 2:
+		return dst, h, errors.New("collision node with fewer than two entries")
+	case h.coll && nkids != 0:
+		return dst, h, errors.New("collision node with a child subtree")
 	}
-	return b, nil
+	return dst, h, nil
 }
 
-// decode appends the validated block's slots to dst in stored order: a
-// child by its address, an entry by its tuple (key left empty). The tuples
-// share one value array and one string block.
-func (b *nodeBlock) decode(dst []pmap.SlotData[relation.Tuple]) ([]pmap.SlotData[relation.Tuple], error) {
-	vals := make([]value.Value, b.nvals)
-	strs := make([]byte, 0, b.strLen)
-	body := b.slots
-	for i := 0; i < b.nslots; i++ {
-		child, k := binary.Uvarint(body)
-		body = body[k:]
-		var t relation.Tuple
-		if child == 0 {
-			var err error
-			if t, body, vals, strs, err = relation.DecodeTupleIn(body, vals, strs); err != nil {
-				return nil, fmt.Errorf("storage: node %x: %w", uint64(b.addr), err)
+// tupleBytes reports the values and string payload bytes of the tuples
+// among slots: what own allocates for them.
+func tupleBytes(slots []pmap.SlotData[relation.Tuple]) (nvals, strLen int) {
+	for i := range slots {
+		for _, v := range slots[i].Val {
+			nvals++
+			if v.Kind() == value.KindString {
+				strLen += len(v.AsString())
 			}
 		}
-		dst = append(dst, pmap.SlotData[relation.Tuple]{Child: pmap.Addr(child), Val: t})
 	}
-	return dst, nil
+	return nvals, strLen
 }
 
-// node builds the block's pmap node: tuples decoded as by decode, their
-// keys cut from one block, and pmap.NewNode's checks on top of the parse's,
-// among them the collision invariants that need the keys.
-func (b *nodeBlock) node() (*pmap.Node[relation.Tuple], error) {
-	slots, err := b.decode(make([]pmap.SlotData[relation.Tuple], 0, b.nslots))
-	if err != nil {
-		return nil, err
+// own moves the tuples among slots into one value array and one string
+// block of exactly their size, so none of them aliases the arena they were
+// decoded into.
+func own(slots []pmap.SlotData[relation.Tuple]) {
+	nvals, strLen := tupleBytes(slots)
+	vals := make([]value.Value, nvals)
+	strs := make([]byte, 0, strLen)
+	for i := range slots {
+		t := slots[i].Val
+		if len(t) == 0 {
+			continue
+		}
+		o := relation.Tuple(vals[:len(t):len(t)])
+		vals = vals[len(t):]
+		for j, v := range t {
+			if v.Kind() == value.KindString && len(v.AsString()) > 0 {
+				k := len(strs)
+				strs = append(strs, v.AsString()...)
+				v = value.String(unsafe.String(&strs[k], len(strs)-k))
+			}
+			o[j] = v
+		}
+		slots[i].Val = o
 	}
+}
+
+// buildNode makes the pmap node of a block parseBlock returned as h and
+// slots: the tuples moved into exact-size arrays (own), their keys cut from
+// one block, and pmap.NewNode's checks on top of the parse's, among them
+// the collision invariants that need the keys. It rewrites slots' tuples.
+func buildNode(addr pmap.Addr, h blockHead, slots []pmap.SlotData[relation.Tuple]) (*pmap.Node[relation.Tuple], error) {
+	own(slots)
 	keyLen := 0
-	for _, s := range slots {
-		keyLen += s.Val.KeyLen()
+	for i := range slots {
+		keyLen += slots[i].Val.KeyLen()
 	}
 	keys := make([]byte, 0, keyLen)
 	for i := range slots {
@@ -148,45 +176,75 @@ func (b *nodeBlock) node() (*pmap.Node[relation.Tuple], error) {
 			slots[i].Key = unsafe.String(&keys[n], len(keys)-n)
 		}
 	}
-	node, err := pmap.NewNode(b.addr, b.bitmap, b.coll, slots)
+	node, err := pmap.NewNode(addr, h.bitmap, h.coll, slots)
 	if err != nil {
-		return nil, fmt.Errorf("storage: node %x: %w", uint64(b.addr), err)
+		return nil, fmt.Errorf("storage: node %x: %w", uint64(addr), err)
 	}
 	return node, nil
 }
 
-// decodeNodeBlock decodes a node block body into a pmap node: the point
-// fault's decode.
+// blockScratch is a point fault's reusable slot buffer and arena: the
+// node it builds owns its tuples (buildNode), so both are free again once
+// it is built.
+type blockScratch struct {
+	slots []pmap.SlotData[relation.Tuple]
+	arena relation.Arena
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
+
+// decodeNodeBlock decodes a node block body into a pmap node that owns
+// exact-size arrays: the point fault's decode.
 func decodeNodeBlock(addr pmap.Addr, body []byte) (*pmap.Node[relation.Tuple], error) {
-	b, err := parseNodeBlock(addr, body)
-	if err != nil {
-		return nil, err
+	sc := scratchPool.Get().(*blockScratch)
+	mark := sc.arena
+	slots, h, err := parseBlock(addr, body, sc.slots[:0], &sc.arena)
+	var n *pmap.Node[relation.Tuple]
+	if err == nil {
+		n, err = buildNode(addr, h, slots)
 	}
-	return b.node()
+	clear(slots)
+	sc.slots = slots[:0]
+	sc.arena.Rewind(mark)
+	scratchPool.Put(sc)
+	return n, err
 }
 
-// streamNodeBlock validates a node block body, decodes it and appends its
-// slots to dst in stored order (keys left empty), without building a pmap
-// node for a regular node: the read the pager's scans and the eager open
-// make. A collision node, whose checks need keys, is built and walked.
-func streamNodeBlock(addr pmap.Addr, body []byte, dst []pmap.SlotData[relation.Tuple]) ([]pmap.SlotData[relation.Tuple], error) {
-	b, err := parseNodeBlock(addr, body)
+// streamBlock parses a node block body into ar and appends its slots to
+// dst, the scan's read. When the block's decoded tuples fit in room bytes,
+// or it is a collision node, whose checks need keys, it builds the node
+// instead (buildNode), appends the node's slots and returns it; the arena
+// space the parse took is given back, so the node aliases no chunk of ar.
+// On an error dst keeps its length.
+func streamBlock(addr pmap.Addr, body []byte, room int64, dst []pmap.SlotData[relation.Tuple], ar *relation.Arena) ([]pmap.SlotData[relation.Tuple], *pmap.Node[relation.Tuple], error) {
+	from, saved := len(dst), *ar
+	dst, h, err := parseBlock(addr, body, dst, ar)
 	if err != nil {
-		return nil, err
+		return dst, nil, err
 	}
-	return b.stream(dst)
+	if !h.coll && !fits(dst[from:], room) {
+		return dst, nil, nil
+	}
+	n, err := buildNode(addr, h, dst[from:])
+	clear(dst[from:])
+	dst = dst[:from]
+	ar.Rewind(saved)
+	if err != nil {
+		return dst, nil, err
+	}
+	return appendNode(dst, n), n, nil
 }
 
-// stream appends the validated block's slots to dst, as streamNodeBlock.
-func (b *nodeBlock) stream(dst []pmap.SlotData[relation.Tuple]) ([]pmap.SlotData[relation.Tuple], error) {
-	if b.coll {
-		n, err := b.node()
-		if err != nil {
-			return nil, err
-		}
-		return appendNode(dst, n), nil
+// fits reports whether the node built from slots would fit in room bytes
+// of cache budget (nodeSize, computed without building it). The tuples'
+// own size, which is a part of it, decides most blocks on its own.
+func fits(slots []pmap.SlotData[relation.Tuple], room int64) bool {
+	nvals, strLen := tupleBytes(slots)
+	if room < int64(nvals)*int64(unsafe.Sizeof(value.Value{}))+int64(strLen) {
+		return false
 	}
-	return b.decode(dst)
+	size := pmap.SlotsFootprint(slots, relation.Tuple.KeyLen, relation.Tuple.Footprint)
+	return room >= size+int64(unsafe.Sizeof(pageEntry{}))
 }
 
 // appendNode appends a decoded node's slots to dst in stored order.

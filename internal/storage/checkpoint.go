@@ -438,7 +438,8 @@ func loadCheckpoint(dir string, pg *pager) (*ckptState, error) {
 		} else {
 			r = relation.New(rs)
 			if root != 0 {
-				if err := collectNodes(files, pmap.Addr(root), 0, func(t relation.Tuple) {
+				var ar relation.Arena
+				if err := collectNodes(files, pmap.Addr(root), 0, &ar, func(t relation.Tuple) {
 					r.InsertUnchecked(t)
 				}); err != nil {
 					return nil, fmt.Errorf("storage: checkpoint %d: relation %q: %w", newest, rs.Name, err)
@@ -555,10 +556,12 @@ func checkCkpt(r io.ReaderAt, size int64, path string) (hdr, dir []byte, err err
 const ckptMaxDepth = 16
 
 // collectNodes walks a persisted trie depth-first from addr, invoking fn for
-// every stored tuple — the eager (resident) load path. It streams each
-// block like a scan does: the tuples are copied out into per-node arenas,
-// so none aliases the file buffers.
-func collectNodes(files map[uint64][]byte, addr pmap.Addr, depth int, fn func(relation.Tuple)) error {
+// every stored tuple — the eager (resident) load path. Each block is read
+// like a scan's (streamBlock, into the scratch arena ar) and its tuples are
+// then moved into arrays of their own (own; a collision node's already
+// own theirs), so none aliases the file buffers or the arena, whose space
+// the next block takes.
+func collectNodes(files map[uint64][]byte, addr pmap.Addr, depth int, ar *relation.Arena, fn func(relation.Tuple)) error {
 	if depth > ckptMaxDepth {
 		return fmt.Errorf("node %x: trie deeper than hash width", uint64(addr))
 	}
@@ -577,14 +580,19 @@ func collectNodes(files map[uint64][]byte, addr pmap.Addr, depth int, fn func(re
 		return fmt.Errorf("node %x: bad block length", uint64(addr))
 	}
 	var buf [64]pmap.SlotData[relation.Tuple] // a regular node's slots at most
-	slots, err := streamNodeBlock(addr, b[k:uint64(k)+bodyLen], buf[:0])
+	mark := *ar
+	slots, n, err := streamBlock(addr, b[k:uint64(k)+bodyLen], 0, buf[:0], ar)
 	if err != nil {
 		return err
 	}
+	if n == nil {
+		own(slots)
+	}
+	ar.Rewind(mark)
 	for _, s := range slots {
 		if s.Child == 0 {
 			fn(s.Val)
-		} else if err := collectNodes(files, s.Child, depth+1, fn); err != nil {
+		} else if err := collectNodes(files, s.Child, depth+1, ar, fn); err != nil {
 			return err
 		}
 	}

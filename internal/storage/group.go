@@ -315,12 +315,13 @@ func (e *epoch) log() {
 
 // swap installs the whole epoch in one snapshot swap at its last time,
 // stamped with its WAL position, and returns how long that took (measured
-// only when a metric or the tracer reads it). A WAL-failed epoch swaps too,
-// installing nothing, so its times are used up all the same; an epoch that
-// accepted nobody does not swap.
+// only when a metric or the tracer reads it). An epoch that accepted nobody
+// or whose WAL append failed changes no state, so it swaps nothing and the
+// clock keeps counting state transitions only (Definition 2.3): the next
+// epoch takes the failed one's times.
 func (e *epoch) swap() (took time.Duration) {
 	d, met := e.d, e.d.met
-	if len(e.accepted) == 0 {
+	if len(e.accepted) == 0 || e.walErr != nil {
 		return 0
 	}
 	timed := met.stagePublish != nil || d.tr != nil
@@ -341,22 +342,21 @@ func (e *epoch) swap() (took time.Duration) {
 
 // release runs after the commit lock: the counters and commit events of an
 // installed epoch, the publish event with the swap's duration, then the
-// wake-up of every member. A WAL-failed epoch counts nothing.
+// wake-up of every member. A WAL-failed epoch installed nothing, so it
+// counts and publishes nothing.
 func (e *epoch) release(took time.Duration) {
 	d, met := e.d, e.d.met
-	if k := uint64(len(e.accepted)); k > 0 {
-		if e.walErr == nil {
-			met.commits.Add(k)
-			met.epochs.Inc()
-			for _, p := range e.accepted {
-				if p.merged {
-					met.merged.Inc()
-				}
-				if p.intra {
-					met.intraMerged.Inc()
-				}
-				d.emit(obs.Event{Kind: obs.EvTxnCommit, Txn: p.c.Label, Time: p.time, Epoch: e.last})
+	if k := uint64(len(e.accepted)); k > 0 && e.walErr == nil {
+		met.commits.Add(k)
+		met.epochs.Inc()
+		for _, p := range e.accepted {
+			if p.merged {
+				met.merged.Inc()
 			}
+			if p.intra {
+				met.intraMerged.Inc()
+			}
+			d.emit(obs.Event{Kind: obs.EvTxnCommit, Txn: p.c.Label, Time: p.time, Epoch: e.last})
 		}
 		if met.stagePublish != nil {
 			met.stagePublish.Observe(uint64(took))

@@ -270,9 +270,126 @@ func TestConcurrentScanWhileCheckpoint(t *testing.T) {
 	}
 }
 
+// TestPagedScanReadsAndAllocations pins what a scan of a relation larger
+// than the cache costs: a 40 000-row scan behind a 1 MiB cache reads its
+// checkpoint file a window at a time (at most 400 ReadAt calls, where a
+// read per node block makes about 6 700) and decodes into chunks (at most
+// 1 000 allocations, where per-block arrays make about 16 500).
+func TestPagedScanReadsAndAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const rows = 40000
+	dir := t.TempDir()
+	writeScanRelation(t, dir, rows, 64)
+	reg := obs.NewRegistry()
+	db := openDur(t, dir, pagedOpts(1<<20, reg))
+	defer db.Close()
+	r := db.Snapshot().tabs["alpha"].inst
+	scan := func() {
+		if n, _ := scanAll(t, r); n != rows {
+			t.Fatalf("scan saw %d tuples, want %d", n, rows)
+		}
+	}
+	counter := func(name string) uint64 { return reg.Snapshot().Counters[name] }
+	scan() // the first scan admits what fits the cache
+	reads, misses := counter("repro_storage_cache_reads_total"), counter("repro_storage_cache_misses_total")
+	count := func(tp relation.Tuple) error { return nil }
+	allocs := testing.AllocsPerRun(3, func() {
+		if err := r.ForEach(count); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perScan := (counter("repro_storage_cache_reads_total") - reads) / 4
+	missed := (counter("repro_storage_cache_misses_total") - misses) / 4
+	t.Logf("a scan misses %d node blocks, makes %d reads and allocates %.0f times", missed, perScan, allocs)
+	if missed < 5000 {
+		t.Fatalf("a scan missed only %d node blocks; the relation does not outgrow the cache", missed)
+	}
+	if perScan > 400 {
+		t.Errorf("a scan makes %d ReadAt calls, want at most 400", perScan)
+	}
+	if allocs > 1000 {
+		t.Errorf("a scan allocates %.0f times, want at most 1000", allocs)
+	}
+}
+
+// TestConcurrentScansShareNothing runs two scans of one paged relation at
+// once while the test's goroutine commits and runs full checkpoints, which
+// unlink the files the scans read. Each scan sees every tuple, and the
+// tuples a scan handed out keep their values after later scans, in either
+// goroutine, have decoded into their own chunks.
+func TestConcurrentScansShareNothing(t *testing.T) {
+	const (
+		rows  = 4000
+		width = 56
+	)
+	dir := t.TempDir()
+	writeScanRelation(t, dir, rows, width)
+	opts := pagedOpts(64<<10, nil)
+	opts.FullEvery = 1
+	db := openDur(t, dir, opts)
+	defer db.Close()
+	r := db.Snapshot().tabs["alpha"].inst
+
+	var wg sync.WaitGroup
+	var done atomic.Bool
+	errs := make(chan error, 2)
+	kept := make([][]relation.Tuple, 2)
+	for g := range kept {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for first := true; first || !done.Load(); first = false {
+				var got []relation.Tuple
+				if err := r.ForEach(func(tp relation.Tuple) error {
+					got = append(got, tp)
+					return nil
+				}); err != nil {
+					errs <- err
+					return
+				}
+				if len(got) != rows {
+					errs <- fmt.Errorf("scanner %d saw %d tuples, want %d", g, len(got), rows)
+					return
+				}
+				kept[g] = append(kept[g][:0:0], got...)
+			}
+		}()
+	}
+	// stop ends the scanners and waits for them, also when a failed commit
+	// ends the test early.
+	stop := func() {
+		done.Store(true)
+		wg.Wait()
+	}
+	defer stop()
+	for i := 0; i < 6; i++ {
+		durCommit(t, db, map[string][]relation.Tuple{"alpha": {scanRow(rows+int64(i), width)}}, nil)
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for g, ts := range kept {
+		seen := make(map[int64]bool, rows)
+		for _, tp := range ts {
+			i := tp[0].AsInt()
+			if want := scanRow(i, width); seen[i] || !tp.Equal(want) {
+				t.Fatalf("scanner %d kept tuple %v (seen before: %v), want %v", g, tp, seen[i], want)
+			}
+			seen[i] = true
+		}
+	}
+}
+
 // TestStreamedNodeAllocations pins what a streamed leaf costs: its
-// allocations do not grow with its tuples (one value array and one string
-// block per node, whatever it holds).
+// allocations do not grow with its tuples (its tuples take the free room of
+// the scan's chunks, whatever it holds).
 func TestStreamedNodeAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -295,12 +412,14 @@ func TestStreamedNodeAllocations(t *testing.T) {
 		p := newPager(dir, 0, nil) // no free budget: every read streams
 		defer p.Close()
 		addr := pmap.Addr(1<<addrShift | 8)
-		buf, err := p.Stream(addr, nil)
+		sc := p.Scan()
+		defer sc.Close()
+		buf, err := sc.Stream(addr, nil)
 		if err != nil || len(buf) != tuples {
 			t.Fatalf("stream of a %d-tuple leaf: %d slots, err %v", tuples, len(buf), err)
 		}
 		return testing.AllocsPerRun(100, func() {
-			if buf, err = p.Stream(addr, buf[:0]); err != nil {
+			if buf, err = sc.Stream(addr, buf[:0]); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -313,12 +432,14 @@ func TestStreamedNodeAllocations(t *testing.T) {
 }
 
 // BenchmarkPagedScan scans a 40 000-row relation (an int and a 64-byte
-// string per row) behind a 1 MiB node cache.
+// string per row) behind a 1 MiB node cache, and reports the ReadAt calls
+// a scan makes (reads/op).
 func BenchmarkPagedScan(b *testing.B) {
 	const rows = 40000
 	dir := b.TempDir()
 	writeScanRelation(b, dir, rows, 64)
-	db, err := Open(dir, durSchema(), DurOptions{Sync: wal.SyncOff, CheckpointBytes: -1, CacheBytes: 1 << 20})
+	reg := obs.NewRegistry()
+	db, err := Open(dir, durSchema(), DurOptions{Sync: wal.SyncOff, CheckpointBytes: -1, CacheBytes: 1 << 20, Metrics: reg})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -335,4 +456,7 @@ func BenchmarkPagedScan(b *testing.B) {
 			b.Fatalf("scan saw %d tuples, want %d", n, rows)
 		}
 	}
+	b.StopTimer()
+	reads := reg.Snapshot().Counters["repro_storage_cache_reads_total"]
+	b.ReportMetric(float64(reads)/float64(b.N), "reads/op")
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"unsafe"
 )
 
 // Binary codec. The key encoding (AppendOrderedKey, value.go) is
@@ -54,43 +53,18 @@ func (v Value) AppendBinary(dst []byte) []byte {
 // input is reported as an error, never a panic — the decoder runs on bytes
 // read back from disk.
 func DecodeBinary(data []byte) (Value, []byte, error) {
-	v, str, rest, err := decodeBinary(data)
+	v, str, rest, err := DecodeBinaryRef(data)
 	if v.kind == KindString {
 		v.s = string(str)
 	}
 	return v, rest, err
 }
 
-// SkipBinary checks one AppendBinary-encoded value at the front of data
-// exactly as DecodeBinary does, without building it, and returns the
-// remaining bytes and the length of a string's payload (0 for other kinds).
-// It lets a decoder validate a whole block and size its arenas before it
-// decodes anything (see DecodeBinaryIn).
-func SkipBinary(data []byte) (rest []byte, strLen int, err error) {
-	_, str, rest, err := decodeBinary(data)
-	return rest, len(str), err
-}
-
-// DecodeBinaryIn is DecodeBinary with the string payload appended to block
-// instead of allocated: the value's string aliases the appended bytes, and
-// the extended block is returned. The caller sizes block's capacity for
-// every payload it will append (SkipBinary reports each length), so a run
-// of decodes shares one allocation; block's bytes up to its length must
-// never be written again.
-func DecodeBinaryIn(data, block []byte) (Value, []byte, []byte, error) {
-	v, str, rest, err := decodeBinary(data)
-	if v.kind == KindString && len(str) > 0 {
-		n := len(block)
-		block = append(block, str...)
-		v.s = unsafe.String(&block[n], len(str))
-	}
-	return v, rest, block, err
-}
-
-// decodeBinary is the one parser behind DecodeBinary, SkipBinary and
-// DecodeBinaryIn. A string comes back with an empty payload field and its
-// bytes in str, still aliasing data.
-func decodeBinary(data []byte) (v Value, str, rest []byte, err error) {
+// DecodeBinaryRef is the one parser behind DecodeBinary, for decoders that
+// place string payloads themselves (relation.Arena): a string comes back
+// with an empty payload and its bytes in str, still aliasing data, for the
+// caller to copy and wrap with String.
+func DecodeBinaryRef(data []byte) (v Value, str, rest []byte, err error) {
 	if len(data) == 0 {
 		return Value{}, nil, nil, fmt.Errorf("value: decode: empty input")
 	}
