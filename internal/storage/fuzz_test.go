@@ -120,6 +120,10 @@ func FuzzNodeDecode(f *testing.F) {
 			if !bytes.Equal(walked, streamed) {
 				t.Fatalf("room %d: decoder and stream yield different slots:\ndecode %x\nstream %x", room, walked, streamed)
 			}
+			// A scan decides admission by the size the node would have.
+			if fit := fits(slots[1:], nodeSize(node)); !fit || fits(slots[1:], nodeSize(node)-1) {
+				t.Fatalf("room %d: fits disagrees with nodeSize %d", room, nodeSize(node))
+			}
 		}
 	})
 }
